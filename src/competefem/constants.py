@@ -2,7 +2,11 @@
 
 The Dirichlet embedding constants S_r with ||u||_r <= S_r ||grad u||_p are
 estimated by projected ascent of the Rayleigh-type ratio over the finite
-element space, so the raw numbers are lower bounds of the true constants.
+element space.  All starts of a level are ascended together as one
+coefficient block, on the level's precomputed gradient and quadrature
+operators; each start still takes its own steps.  The raw numbers are
+ratios attained by finite element functions, so they stay lower bounds of
+the true constants, and reports say whether each estimator converged.
 A configurable safety factor inflates them before they enter any hypothesis
 check; reports keep both numbers.  The first eigenvalue of the p-Laplacian
 is estimated by the matching descent, and the two estimators are tied by
@@ -18,12 +22,11 @@ in for it, flagged in the provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretization import FEFunction, SpaceHierarchy, prolongate
-from .operators import _gradient_force, _load_vector
+from .discretization import SpaceHierarchy
 
 
 class ConstantLookupError(KeyError):
@@ -54,6 +57,7 @@ class SEstimate:
     raw: float
     value: float  # raw times the safety factor
     provenance: str
+    converged: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +71,7 @@ class EmbeddingConstants:
     entries: dict = field(default_factory=dict)     # key(r) -> SEstimate
     lambda1p: float | None = None
     lambda_profile: tuple = ()
+    lambda1p_converged: bool = False
     s_space: float | None = None
     s_space_provenance: str = ""
 
@@ -87,13 +92,7 @@ class EmbeddingConstants:
             ) from None
 
     def with_entry(self, r: float, est: SEstimate) -> "EmbeddingConstants":
-        entries = dict(self.entries)
-        entries[_key(r)] = est
-        return EmbeddingConstants(
-            p=self.p, n_dim=self.n_dim, p_crit=self.p_crit, safety=self.safety,
-            entries=entries, lambda1p=self.lambda1p, lambda_profile=self.lambda_profile,
-            s_space=self.s_space, s_space_provenance=self.s_space_provenance,
-        )
+        return replace(self, entries={**self.entries, _key(r): est})
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,8 +102,10 @@ class EmbeddingConstants:
             "safety": self.safety,
             "lambda1p": self.lambda1p,
             "lambda1p_profile": list(self.lambda_profile),
+            "lambda1p_converged": self.lambda1p_converged,
             "S": {
-                repr(k): {"raw": e.raw, "value": e.value, "provenance": e.provenance}
+                repr(k): {"raw": e.raw, "value": e.value, "provenance": e.provenance,
+                          "converged": e.converged}
                 for k, e in sorted(self.entries.items())
             },
             "S_space": {"value": self.s_space, "provenance": self.s_space_provenance},
@@ -122,29 +123,57 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 # Rayleigh-type optimisation over a level
 # ---------------------------------------------------------------------------
+#
+# Every form below takes a coefficient block of shape (n_free, k) and works
+# column by column; each column's integral is summed in the same order as a
+# single function's would be, so a column's numbers do not depend on the
+# other columns of its block.
 
 
-def _free_force(u: FEFunction, r: float) -> np.ndarray:
-    lvl = u.lvl
-    return lvl.scatter_to_free(_gradient_force(u.element_gradients(), r, lvl))
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[i, j] * b[i, j] for every column j of b (a may be one column).
+
+    The products are written transposed, so that each column is summed as
+    one contiguous vector, in the order a single function's sum takes.
+    """
+    prod = np.empty(b.shape[::-1])
+    np.multiply(a.T, b.T, out=prod)
+    return prod.sum(axis=1)
 
 
-def _free_value_load(u: FEFunction, r: float) -> np.ndarray:
-    lvl = u.lvl
-    vals = u.values_at_qp()
+def _gradients(lvl, coeffs: np.ndarray) -> np.ndarray:
+    """Element gradients of each column, shape (dim, n_el, k)."""
+    return (lvl.grad_op @ coeffs).reshape(lvl.mesh.dim, lvl.mesh.n_elements, -1)
+
+
+def _qp_values(lvl, coeffs: np.ndarray) -> np.ndarray:
+    """Values at the quadrature points of each column, shape (n_el * n_q, k)."""
+    return lvl.qp_op @ coeffs
+
+
+def _grad_integral(lvl, grads: np.ndarray, p: float) -> np.ndarray:
+    """int |grad u|^p per column."""
+    mag = np.sqrt((grads * grads).sum(axis=0))
+    return _column_dots(lvl.elem_measure[:, None], mag**p)
+
+
+def _value_integral(lvl, vals: np.ndarray, r: float) -> np.ndarray:
+    """int |u|^r per column."""
+    return _column_dots(lvl.qp_weights.reshape(-1, 1), np.abs(vals) ** r)
+
+
+def _grad_force(lvl, grads: np.ndarray, p: float) -> np.ndarray:
+    """int |grad u|^{p-2} grad u . grad phi_i per column and free dof i."""
+    mag = np.sqrt((grads * grads).sum(axis=0))
+    coef = np.power(mag, p - 2.0, out=np.zeros_like(mag), where=mag > 0)
+    flux = grads * (lvl.elem_measure[:, None] * coef)
+    return lvl.grad_op_t @ flux.reshape(-1, flux.shape[-1])
+
+
+def _value_load(lvl, vals: np.ndarray, r: float) -> np.ndarray:
+    """int |u|^{r-2} u phi_i per column and free dof i."""
     integrand = np.sign(vals) * np.abs(vals) ** (r - 1.0)
-    return lvl.scatter_to_free(_load_vector(integrand, lvl))
-
-
-def _grad_power(u: FEFunction, p: float) -> float:
-    lvl = u.lvl
-    mag = np.sqrt(np.sum(u.element_gradients() ** 2, axis=-1))
-    return float(np.sum(lvl.elem_measure * mag**p))
-
-
-def _value_power(u: FEFunction, r: float) -> float:
-    lvl = u.lvl
-    return float(np.sum(lvl.qp_weights * np.abs(u.values_at_qp()) ** r))
+    return lvl.qp_op_t @ (lvl.qp_weights.reshape(-1, 1) * integrand)
 
 
 def _sine_start(h: SpaceHierarchy, level: int) -> np.ndarray:
@@ -160,22 +189,18 @@ def _sine_start(h: SpaceHierarchy, level: int) -> np.ndarray:
     return np.sin(math.pi * t[:, 0]) * np.sin(math.pi * t[:, 1])
 
 
-def _descend_rayleigh(h, level, p, start, iters, tol):
+def _descend_rayleigh(lvl, p, start, iters, tol):
     """Monotone projected gradient descent of ||grad u||_p^p / ||u||_p^p."""
-    coeffs = np.array(start, dtype=float)
-    u = h.function(level, coeffs)
-    B = _value_power(u, p)
-    coeffs = coeffs / B ** (1.0 / p)
-    u = h.function(level, coeffs)
-    A, B = _grad_power(u, p), 1.0
-    value = A / B
+    coeffs = np.array(start, dtype=float).reshape(-1, 1)
+    coeffs = coeffs / _value_integral(lvl, _qp_values(lvl, coeffs), p) ** (1.0 / p)
+    grads, vals = _gradients(lvl, coeffs), _qp_values(lvl, coeffs)
+    value = _grad_integral(lvl, grads, p)[0]
     step = 1.0 / max(value, 1.0)
     converged = False
     for _ in range(iters):
-        gA = p * _free_force(u, p)
-        gB = p * _free_value_load(u, p)
-        grad = (gA * B - A * gB) / B**2
-        gnorm2 = float(grad @ grad)
+        # B = int |u|^p is one after every normalisation
+        grad = p * _grad_force(lvl, grads, p) - value * (p * _value_load(lvl, vals, p))
+        gnorm2 = _column_dots(grad, grad)[0]
         if gnorm2 == 0.0:
             converged = True
             break
@@ -183,12 +208,11 @@ def _descend_rayleigh(h, level, p, start, iters, tol):
         accepted = False
         for _ in range(60):
             cand = coeffs - t * grad
-            cu = h.function(level, cand)
-            cB = _value_power(cu, p)
+            cB = _value_integral(lvl, _qp_values(lvl, cand), p)[0]
             if cB > 0:
                 cand = cand / cB ** (1.0 / p)
-                cu = h.function(level, cand)
-                cA = _grad_power(cu, p)
+                cgrads = _gradients(lvl, cand)
+                cA = _grad_integral(lvl, cgrads, p)[0]
                 if cA < value - 1e-4 * t * gnorm2:
                     accepted = True
                     break
@@ -197,11 +221,11 @@ def _descend_rayleigh(h, level, p, start, iters, tol):
             converged = True
             break
         improvement = (value - cA) / max(value, 1e-300)
-        coeffs, u, A, B, value, step = cand, cu, cA, 1.0, cA, t
+        coeffs, grads, vals, value, step = cand, cgrads, _qp_values(lvl, cand), cA, t
         if improvement < tol:
             converged = True
             break
-    return value, coeffs, converged
+    return float(value), coeffs[:, 0], converged
 
 
 def estimate_lambda1p(
@@ -234,55 +258,67 @@ def estimate_lambda1p(
             start = (h.level(n).prolongation @ coeffs)
             if not np.any(start):
                 start = _sine_start(h, n)
-        value, coeffs, conv = _descend_rayleigh(h, n, p, start, iters, tol)
+        value, coeffs, conv = _descend_rayleigh(h.level(n), p, start, iters, tol)
         ok = ok and conv
         per_level.append(value)
     return EstimateResult(value=per_level[-1], raw=per_level[-1],
                           per_level=tuple(per_level), converged=ok)
 
 
-def _ascend_embedding(h, level, r, p, start, iters, tol):
-    """Monotone projected ascent of ||u||_r with ||grad u||_p fixed to one."""
-    coeffs = np.array(start, dtype=float)
-    u = h.function(level, coeffs)
-    D = _grad_power(u, p) ** (1.0 / p)
-    coeffs = coeffs / D
-    u = h.function(level, coeffs)
-    value = _value_power(u, r) ** (1.0 / r)
-    step = 1.0
-    converged = False
+def _ascend_embedding(lvl, r, p, starts, iters, tol):
+    """Monotone projected ascent of ||u||_r with ||grad u||_p fixed to one.
+
+    Every column of ``starts`` is its own ascent, with its own step size,
+    backtracking and stopping test; the columns only share the array
+    operations of each step.  Returns per-column values, the final
+    coefficient block and per-column convergence flags.
+    """
+    n_cols = starts.shape[1]
+    value, final = np.empty(n_cols), np.empty_like(starts)
+    converged = np.zeros(n_cols, dtype=bool)
+    # state of the ascents still running; ids are their columns in starts
+    ids = np.arange(n_cols)
+    coeffs = starts / _grad_integral(lvl, _gradients(lvl, starts), p) ** (1.0 / p)
+    grads, vals = _gradients(lvl, coeffs), _qp_values(lvl, coeffs)
+    N = _value_integral(lvl, vals, r) ** (1.0 / r)
+    step = np.ones(n_cols)
     for _ in range(iters):
-        N = value
-        gN = N ** (1.0 - r) * _free_value_load(u, r)
-        gD = _free_force(u, p)  # equals D^{1-p} * force since D = 1
-        grad = gN - N * gD
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0:
-            converged = True
-            break
-        t = step * 2.0
-        accepted = False
+        # ||grad u||_p is one after every normalisation
+        grad = (N ** (1.0 - r) * _value_load(lvl, vals, r)
+                - N * _grad_force(lvl, grads, p))
+        gnorm2 = _column_dots(grad, grad)
+        t = 2.0 * step
+        # an accepted trial overwrites its column; the others stay put
+        cand, cand_vals, cN = coeffs.copy(), vals.copy(), N.copy()
+        accepted = np.zeros(len(N), dtype=bool)
+        trying = np.flatnonzero(gnorm2)  # a zero gradient stops its ascent
         for _ in range(60):
-            cand = coeffs + t * grad
-            cu = h.function(level, cand)
-            cD = _grad_power(cu, p) ** (1.0 / p)
-            if cD > 0:
-                cand = cand / cD
-                cu = h.function(level, cand)
-                cN = _value_power(cu, r) ** (1.0 / r)
-                if cN > value + 1e-4 * t * gnorm2:
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            converged = True
-            break
-        improvement = (cN - value) / max(value, 1e-300)
-        coeffs, u, value, step = cand, cu, cN, t
-        if improvement < tol:
-            converged = True
-            break
-    return value, coeffs, converged
+            if not trying.size:
+                break
+            trial = coeffs[:, trying] + t[trying] * grad[:, trying]
+            # a zero or overflowing trial gives nan or zero below and is
+            # rejected like any trial that fails the Armijo test
+            trial = trial / _grad_integral(lvl, _gradients(lvl, trial), p) ** (1.0 / p)
+            trial_vals = _qp_values(lvl, trial)
+            trial_N = _value_integral(lvl, trial_vals, r) ** (1.0 / r)
+            ok = trial_N > N[trying] + 1e-4 * t[trying] * gnorm2[trying]
+            hit = trying[ok]
+            cand[:, hit], cand_vals[:, hit], cN[hit] = trial[:, ok], trial_vals[:, ok], trial_N[ok]
+            accepted[hit] = True
+            trying = trying[~ok]
+            t[trying] *= 0.5
+        stop = ~accepted | ((cN - N) / np.maximum(N, 1e-300) < tol)
+        coeffs, vals, N, step = cand, cand_vals, cN, t
+        if stop.any():
+            done = ids[stop]
+            final[:, done], value[done], converged[done] = coeffs[:, stop], N[stop], True
+            go = ~stop
+            ids, coeffs, vals, N, step = ids[go], coeffs[:, go], vals[:, go], N[go], step[go]
+            if not ids.size:
+                break
+        grads = _gradients(lvl, coeffs)
+    final[:, ids], value[ids] = coeffs, N
+    return value, final, converged
 
 
 def estimate_embedding_constant(
@@ -317,21 +353,15 @@ def estimate_embedding_constant(
             continue
         candidates = [_sine_start(h, n)]
         if best_coeffs is not None:
-            warm = h.level(n).prolongation @ best_coeffs
-            if np.any(warm):
-                candidates.append(warm)
+            candidates.append(lvl.prolongation @ best_coeffs)
         for _ in range(max(0, starts - 1)):
             candidates.append(rng.standard_normal(lvl.n_free))
-        best_val, best_c = -math.inf, None
-        for cand in candidates:
-            if not np.any(cand):
-                continue
-            val, c, conv = _ascend_embedding(h, n, r, p, cand, iters, tol)
-            ok = ok and conv
-            if val > best_val:
-                best_val, best_c = val, c
-        per_level.append(best_val)
-        best_coeffs = best_c
+        block = np.column_stack([c for c in candidates if np.any(c)])
+        vals, coeffs, conv = _ascend_embedding(lvl, r, p, block, iters, tol)
+        ok = ok and bool(np.all(conv))
+        best = int(np.argmax(vals))  # the first maximum in candidate order
+        per_level.append(float(vals[best]))
+        best_coeffs = coeffs[:, best]
     raw = per_level[-1]
     return EstimateResult(value=safety * raw, raw=raw,
                           per_level=tuple(per_level), converged=ok)
@@ -349,12 +379,12 @@ def build_constants(
     with_eigenvalue: bool = True,
 ) -> EmbeddingConstants:
     """Estimate every requested embedding constant plus the eigenvalue."""
-    ec = EmbeddingConstants(p=p, n_dim=h.dim, p_crit=p_crit, safety=safety)
     lam = None
     profile = ()
+    lam_converged = False
     if with_eigenvalue:
         res = estimate_lambda1p(h, p)
-        lam, profile = res.value, res.per_level
+        lam, profile, lam_converged = res.value, res.per_level, res.converged
     entries = {}
     for r in sorted({_key(r) for r in exponents}):
         est = estimate_embedding_constant(
@@ -363,6 +393,7 @@ def build_constants(
         entries[_key(r)] = SEstimate(
             raw=est.raw, value=est.value,
             provenance="projected ascent over the finest level, times safety factor",
+            converged=est.converged,
         )
     s_space = None
     prov = ""
@@ -374,7 +405,8 @@ def build_constants(
         )
     return EmbeddingConstants(
         p=p, n_dim=h.dim, p_crit=p_crit, safety=safety, entries=entries,
-        lambda1p=lam, lambda_profile=profile, s_space=s_space, s_space_provenance=prov,
+        lambda1p=lam, lambda_profile=profile, lambda1p_converged=lam_converged,
+        s_space=s_space, s_space_provenance=prov,
     )
 
 

@@ -229,6 +229,15 @@ class Level:
     Dirichlet boundary nodes are excluded on every level.  ``prolongation``
     maps free coefficients of the previous (coarser) level to this one and
     is None on the base level.
+
+    ``grad_op`` maps free coefficients to element gradients stacked by
+    component (row ``d * n_el + e``), and ``qp_op`` maps them to values at
+    the quadrature points (row ``e * n_q + q``).  Both act on a single
+    coefficient vector or on an ``(n_free, k)`` block.  Their transposes,
+    kept in CSR form as ``grad_op_t`` and ``qp_op_t``, assemble element
+    and quadrature-point data straight into free-dof force and load
+    vectors; a stored CSR transpose saves the per-call conversion that
+    ``grad_op.T @`` pays.
     """
 
     index: int
@@ -241,6 +250,10 @@ class Level:
     basis_at_qp: np.ndarray     # (n_q, nv), reference basis values
     qp_points: np.ndarray       # (n_el, n_q, dim)
     qp_weights: np.ndarray      # (n_el, n_q), sums to elem_measure per row
+    grad_op: sp.csr_matrix      # (dim * n_el, n_free)
+    grad_op_t: sp.csr_matrix    # (n_free, dim * n_el)
+    qp_op: sp.csr_matrix        # (n_el * n_q, n_free)
+    qp_op_t: sp.csr_matrix      # (n_free, n_el * n_q)
     prolongation: sp.csr_matrix | None
 
     @property
@@ -255,6 +268,23 @@ class Level:
 
     def scatter_to_free(self, nodal_accumulated: np.ndarray) -> np.ndarray:
         return nodal_accumulated[self.free]
+
+
+def _free_operator(local: np.ndarray, elem_nodes: np.ndarray, free_of_node: np.ndarray,
+                   n_free: int) -> sp.csr_matrix:
+    """CSR matrix whose row ``i`` puts weight ``local[i, k]`` on node ``elem_nodes[i, k]``.
+
+    ``local`` and ``elem_nodes`` broadcast to a common (..., nv) shape whose
+    leading axes are flattened into rows in C order.  Entries on boundary
+    nodes are dropped, so the matrix acts on free coefficients; each row
+    keeps the rest in local node order, the order of the element sums.
+    """
+    local, cols = np.broadcast_arrays(local, free_of_node[elem_nodes])
+    nv = local.shape[-1]
+    local, cols = local.reshape(-1, nv), cols.reshape(-1, nv)
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((local[keep], cols[keep], indptr), shape=(len(cols), n_free))
 
 
 def _build_level(index: int, mesh: DomainMesh, quad_order: int, prolongation) -> Level:
@@ -297,6 +327,9 @@ def _build_level(index: int, mesh: DomainMesh, quad_order: int, prolongation) ->
         ref_grad = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         grad = np.einsum("kr,erd->ekd", ref_grad, np.transpose(inv_t, (0, 2, 1)))
 
+    n_free = len(free)
+    grad_op = _free_operator(np.transpose(grad, (2, 0, 1)), elem_nodes, free_of_node, n_free)
+    qp_op = _free_operator(basis, elem_nodes[:, None, :], free_of_node, n_free)
     return Level(
         index=index,
         mesh=mesh,
@@ -308,6 +341,10 @@ def _build_level(index: int, mesh: DomainMesh, quad_order: int, prolongation) ->
         basis_at_qp=basis,
         qp_points=qp,
         qp_weights=qw,
+        grad_op=grad_op,
+        grad_op_t=grad_op.T.tocsr(),
+        qp_op=qp_op,
+        qp_op_t=qp_op.T.tocsr(),
         prolongation=prolongation,
     )
 

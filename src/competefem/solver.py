@@ -77,10 +77,6 @@ class BrouwerResult:
     message: str
 
 
-def _as_dense(J):
-    return J.toarray() if sp.issparse(J) else np.asarray(J, dtype=float)
-
-
 def _solve_newton_step(J, rhs):
     try:
         import warnings

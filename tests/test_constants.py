@@ -17,7 +17,7 @@ from competefem.constants import (
     estimate_embedding_constant,
     estimate_lambda1p,
 )
-from competefem.discretization import build_hierarchy, interval_mesh
+from competefem.discretization import build_hierarchy, interval_mesh, unit_square_mesh
 from competefem.intrinsic import IntrinsicCertificate
 
 from oracles import lambda1_shooting
@@ -96,6 +96,35 @@ class TestEmbeddingEstimate:
     def test_monotone_nondecreasing_per_level(self, unit_hierarchy):
         prof = estimate_embedding_constant(unit_hierarchy, 2.0, 3.0).per_level
         assert all(b >= a - 1e-12 for a, b in zip(prof, prof[1:]))
+
+
+class TestPinnedEstimates:
+    """Default starts, iterations and seed reproduce these numbers.
+
+    They pin the ascent and descent step by step: any change to the start
+    order, the step rule or the stopping tests moves them well past 1e-10.
+    """
+
+    @pytest.mark.parametrize("r, raw", [
+        (1.0, 0.2714154340238798),
+        (2.0, 0.3049073235629776),
+        (6.0, 0.3700417212392751),
+    ])
+    def test_interval_embedding(self, unit_hierarchy, r, raw):
+        res = estimate_embedding_constant(unit_hierarchy, r, 3.0)
+        assert res.raw == pytest.approx(raw, rel=1e-10)
+
+    def test_interval_eigenvalue(self, unit_hierarchy):
+        res = estimate_lambda1p(unit_hierarchy, 3.0)
+        assert res.value == pytest.approx(28.297950893870883, rel=1e-10)
+
+    def test_square_embedding_per_level(self):
+        h = build_hierarchy(unit_square_mesh(), 4)
+        res = estimate_embedding_constant(h, 2.0, 3.0)
+        expected = (0.0, 0.1660261310772176, 0.20187944450434586, 0.21489288186796573)
+        assert res.raw == pytest.approx(expected[-1], rel=1e-10)
+        assert res.per_level == pytest.approx(expected, rel=1e-10)
+        assert res.converged is True
 
 
 class TestBuildConstants:
@@ -208,3 +237,13 @@ class TestJsonShape:
         assert set(obj) >= {"lambda1p", "S", "safety", "p_crit"}
         entry = obj["S"][repr(2.0)]
         assert entry["raw"] < entry["value"]
+        assert entry["converged"] is ec.entries[2.0].converged
+        assert obj["lambda1p_converged"] is ec.lambda1p_converged
+
+    def test_convergence_flags_reach_the_report(self, unit_hierarchy):
+        # 5 ascent steps cannot meet the 1e-11 improvement test, while the
+        # eigenvalue descent meets its stopping test on this hierarchy
+        ec = build_constants(unit_hierarchy, 3.0, 6.0, [2.0], iters=5, starts=2)
+        obj = ec.to_json_dict()
+        assert obj["S"][repr(2.0)]["converged"] is False
+        assert obj["lambda1p_converged"] is True

@@ -18,6 +18,15 @@ from competefem.discretization import (
     triangle_mesh,
     unit_square_mesh,
 )
+from competefem.operators import _gradient_force, _load_vector
+from competefem.constants import (
+    _grad_force,
+    _grad_integral,
+    _gradients,
+    _qp_values,
+    _value_integral,
+    _value_load,
+)
 
 
 class TestBuildHierarchy:
@@ -159,6 +168,71 @@ class TestGradNorm:
             lhs = lebesgue_norm(u, q)
             rhs = h.measure ** ((p - q) / (p * q)) * lebesgue_norm(u, p)
             assert lhs <= rhs * (1 + 1e-12)
+
+
+def _close(actual, expected, rel=1e-13):
+    """Agreement to ``rel`` relative to the largest entry of ``expected``."""
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(actual, expected, rtol=rel, atol=rel * scale)
+
+
+class TestLevelOperators:
+    """grad_op / qp_op against the element loops they replace."""
+
+    @pytest.fixture(params=["interval", "square"])
+    def case(self, request):
+        if request.param == "interval":
+            h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 4)
+        else:
+            h = build_hierarchy(unit_square_mesh(), 3)
+        return h, h.n_levels
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reproduce_element_data_and_norms(self, case, seed):
+        h, n = case
+        lvl = h.level(n)
+        u = h.function(n, np.random.default_rng(seed).standard_normal(lvl.n_free))
+        grads = (lvl.grad_op @ u.coeffs).reshape(h.dim, -1).T
+        _close(grads, u.element_gradients())
+        _close((lvl.qp_op @ u.coeffs).reshape(lvl.qp_weights.shape), u.values_at_qp())
+        block = u.coeffs[:, None]
+        for r in (1.5, 2.0, 3.0, 6.0):
+            g = _grad_integral(lvl, _gradients(lvl, block), r)[0] ** (1.0 / r)
+            v = _value_integral(lvl, _qp_values(lvl, block), r)[0] ** (1.0 / r)
+            assert g == pytest.approx(grad_norm_p(u, r), rel=1e-13)
+            assert v == pytest.approx(lebesgue_norm(u, r), rel=1e-13)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_transposes_give_free_force_and_load(self, case, seed):
+        h, n = case
+        lvl = h.level(n)
+        u = h.function(n, np.random.default_rng(seed).standard_normal(lvl.n_free))
+        block = u.coeffs[:, None]
+        vals = u.values_at_qp()
+        for r in (1.5, 2.0, 3.0):
+            # the reference evaluates 0 ** (r - 2) on corner elements before
+            # masking it out
+            with np.errstate(divide="ignore"):
+                force = _gradient_force(u.element_gradients(), r, lvl)[lvl.free]
+            _close(_grad_force(lvl, _gradients(lvl, block), r)[:, 0], force)
+            load = _load_vector(np.sign(vals) * np.abs(vals) ** (r - 1.0), lvl)[lvl.free]
+            _close(_value_load(lvl, _qp_values(lvl, block), r)[:, 0], load)
+
+    def test_block_columns_match_single_vectors(self, case):
+        h, n = case
+        lvl = h.level(n)
+        block = np.random.default_rng(7).standard_normal((lvl.n_free, 5))
+        grads, vals = _gradients(lvl, block), _qp_values(lvl, block)
+        for j in range(block.shape[1]):
+            col = block[:, j:j + 1]
+            g1, v1 = _gradients(lvl, col), _qp_values(lvl, col)
+            _close(grads[..., j], g1[..., 0])
+            _close(vals[:, j], v1[:, 0])
+            for r in (1.2, 3.0):
+                _close(_grad_integral(lvl, grads, r)[j], _grad_integral(lvl, g1, r)[0])
+                _close(_value_integral(lvl, vals, r)[j], _value_integral(lvl, v1, r)[0])
+                _close(_grad_force(lvl, grads, r)[:, j], _grad_force(lvl, g1, r)[:, 0])
+                _close(_value_load(lvl, vals, r)[:, j], _value_load(lvl, v1, r)[:, 0])
 
 
 class TestLebesgueNorm:
