@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError, ProblemSpec, build_instance, canonical_json, parse_config
 from .constants import build_constants
-from .discretization import grad_norm_p, lebesgue_norm
+from .discretization import _value_integral
 from .intrinsic import CertificateError, certificate
 from .solver import (
     HypothesisRefusal,
@@ -159,10 +159,10 @@ def cmd_study(spec: ProblemSpec, out_dir: str) -> int:
         g_err = s.u.element_gradients()[:, None, :] - np.atleast_3d(
             np.asarray(exact.gradient(x), dtype=float)
         )
-        mag = np.sqrt(np.sum(g_err**2, axis=-1))
-        e_w1p = float(np.sum(lvl.qp_weights * mag**inst.p) ** (1.0 / inst.p))
+        mag = np.sqrt(np.sum(g_err**2, axis=-1)).reshape(-1, 1)
+        e_w1p = float(_value_integral(lvl.qp_weights, mag, inst.p)[0] ** (1.0 / inst.p))
         v_err = s.u.values_at_qp() - np.asarray(exact.value(x), dtype=float)
-        e_l2 = float(np.sum(lvl.qp_weights * v_err**2) ** 0.5)
+        e_l2 = float(_value_integral(lvl.qp_weights, v_err.reshape(-1, 1), 2.0)[0] ** 0.5)
         h_max = float(np.max(lvl.elem_measure)) if h.dim == 1 else float(
             np.sqrt(np.max(lvl.elem_measure))
         )

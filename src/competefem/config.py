@@ -36,7 +36,6 @@ class ConfigError(ValueError):
 
 
 _POLICIES = ("refuse", "warn")
-_X_ONLY_KINDS = ("zero", "constant", "sigma_only", "manufactured_p3q2")
 
 
 @dataclass(frozen=True)
@@ -405,14 +404,6 @@ def build_instance(spec: ProblemSpec) -> ProblemInstance:
 
     guess = term.guess_profile if spec.initial_guess == "exact" else None
 
-    kind = spec.f["kind"]
-    if kind in _X_ONLY_KINDS:
-        solution_dependent = False
-    elif kind == "manufactured_plus_power":
-        solution_dependent = spec.f.get("a1", 0.0) != 0.0 or spec.f.get("a2", 0.0) != 0.0
-    else:
-        solution_dependent = True
-
     return ProblemInstance(
         hierarchy=hierarchy,
         p=spec.p,
@@ -430,5 +421,4 @@ def build_instance(spec: ProblemSpec) -> ProblemInstance:
         estimator_starts=spec.estimator["starts"],
         estimator_iters=spec.estimator["iters"],
         initial_guess=guess,
-        solution_dependent=solution_dependent,
     )

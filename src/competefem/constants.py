@@ -3,10 +3,12 @@
 The Dirichlet embedding constants S_r with ||u||_r <= S_r ||grad u||_p are
 estimated by projected ascent of the Rayleigh-type ratio over the finite
 element space.  All starts of a level are ascended together as one
-coefficient block, on the level's precomputed gradient and quadrature
-operators; each start still takes its own steps.  The raw numbers are
-ratios attained by finite element functions, so they stay lower bounds of
-the true constants, and reports say whether each estimator converged.
+coefficient block, through the level operators and block forms of
+:mod:`competefem.discretization` that also carry the residual, the
+Jacobian and the norms; each start still takes its own steps.  The raw
+numbers are ratios attained by finite element functions, so they stay
+lower bounds of the true constants, and reports say whether each
+estimator converged.
 A configurable safety factor inflates them before they enter any hypothesis
 check; reports keep both numbers.  The first eigenvalue of the p-Laplacian
 is estimated by the matching descent, and the two estimators are tied by
@@ -26,7 +28,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretization import SpaceHierarchy
+from .discretization import (
+    SpaceHierarchy,
+    _column_dots,
+    _grad_force,
+    _grad_integral,
+    _gradients,
+    _qp_values,
+    _value_integral,
+    _value_load,
+)
 
 
 class ConstantLookupError(KeyError):
@@ -123,57 +134,6 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 # Rayleigh-type optimisation over a level
 # ---------------------------------------------------------------------------
-#
-# Every form below takes a coefficient block of shape (n_free, k) and works
-# column by column; each column's integral is summed in the same order as a
-# single function's would be, so a column's numbers do not depend on the
-# other columns of its block.
-
-
-def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_i a[i, j] * b[i, j] for every column j of b (a may be one column).
-
-    The products are written transposed, so that each column is summed as
-    one contiguous vector, in the order a single function's sum takes.
-    """
-    prod = np.empty(b.shape[::-1])
-    np.multiply(a.T, b.T, out=prod)
-    return prod.sum(axis=1)
-
-
-def _gradients(lvl, coeffs: np.ndarray) -> np.ndarray:
-    """Element gradients of each column, shape (dim, n_el, k)."""
-    return (lvl.grad_op @ coeffs).reshape(lvl.mesh.dim, lvl.mesh.n_elements, -1)
-
-
-def _qp_values(lvl, coeffs: np.ndarray) -> np.ndarray:
-    """Values at the quadrature points of each column, shape (n_el * n_q, k)."""
-    return lvl.qp_op @ coeffs
-
-
-def _grad_integral(lvl, grads: np.ndarray, p: float) -> np.ndarray:
-    """int |grad u|^p per column."""
-    mag = np.sqrt((grads * grads).sum(axis=0))
-    return _column_dots(lvl.elem_measure[:, None], mag**p)
-
-
-def _value_integral(lvl, vals: np.ndarray, r: float) -> np.ndarray:
-    """int |u|^r per column."""
-    return _column_dots(lvl.qp_weights.reshape(-1, 1), np.abs(vals) ** r)
-
-
-def _grad_force(lvl, grads: np.ndarray, p: float) -> np.ndarray:
-    """int |grad u|^{p-2} grad u . grad phi_i per column and free dof i."""
-    mag = np.sqrt((grads * grads).sum(axis=0))
-    coef = np.power(mag, p - 2.0, out=np.zeros_like(mag), where=mag > 0)
-    flux = grads * (lvl.elem_measure[:, None] * coef)
-    return lvl.grad_op_t @ flux.reshape(-1, flux.shape[-1])
-
-
-def _value_load(lvl, vals: np.ndarray, r: float) -> np.ndarray:
-    """int |u|^{r-2} u phi_i per column and free dof i."""
-    integrand = np.sign(vals) * np.abs(vals) ** (r - 1.0)
-    return lvl.qp_op_t @ (lvl.qp_weights.reshape(-1, 1) * integrand)
 
 
 def _sine_start(h: SpaceHierarchy, level: int) -> np.ndarray:
@@ -192,7 +152,7 @@ def _sine_start(h: SpaceHierarchy, level: int) -> np.ndarray:
 def _descend_rayleigh(lvl, p, start, iters, tol):
     """Monotone projected gradient descent of ||grad u||_p^p / ||u||_p^p."""
     coeffs = np.array(start, dtype=float).reshape(-1, 1)
-    coeffs = coeffs / _value_integral(lvl, _qp_values(lvl, coeffs), p) ** (1.0 / p)
+    coeffs = coeffs / _value_integral(lvl.qp_weights, _qp_values(lvl, coeffs), p) ** (1.0 / p)
     grads, vals = _gradients(lvl, coeffs), _qp_values(lvl, coeffs)
     value = _grad_integral(lvl, grads, p)[0]
     step = 1.0 / max(value, 1.0)
@@ -208,7 +168,7 @@ def _descend_rayleigh(lvl, p, start, iters, tol):
         accepted = False
         for _ in range(60):
             cand = coeffs - t * grad
-            cB = _value_integral(lvl, _qp_values(lvl, cand), p)[0]
+            cB = _value_integral(lvl.qp_weights, _qp_values(lvl, cand), p)[0]
             if cB > 0:
                 cand = cand / cB ** (1.0 / p)
                 cgrads = _gradients(lvl, cand)
@@ -280,7 +240,7 @@ def _ascend_embedding(lvl, r, p, starts, iters, tol):
     ids = np.arange(n_cols)
     coeffs = starts / _grad_integral(lvl, _gradients(lvl, starts), p) ** (1.0 / p)
     grads, vals = _gradients(lvl, coeffs), _qp_values(lvl, coeffs)
-    N = _value_integral(lvl, vals, r) ** (1.0 / r)
+    N = _value_integral(lvl.qp_weights, vals, r) ** (1.0 / r)
     step = np.ones(n_cols)
     for _ in range(iters):
         # ||grad u||_p is one after every normalisation
@@ -300,7 +260,7 @@ def _ascend_embedding(lvl, r, p, starts, iters, tol):
             # rejected like any trial that fails the Armijo test
             trial = trial / _grad_integral(lvl, _gradients(lvl, trial), p) ** (1.0 / p)
             trial_vals = _qp_values(lvl, trial)
-            trial_N = _value_integral(lvl, trial_vals, r) ** (1.0 / r)
+            trial_N = _value_integral(lvl.qp_weights, trial_vals, r) ** (1.0 / r)
             ok = trial_N > N[trying] + 1e-4 * t[trying] * gnorm2[trying]
             hit = trying[ok]
             cand[:, hit], cand_vals[:, hit], cN[hit] = trial[:, ok], trial_vals[:, ok], trial_N[ok]

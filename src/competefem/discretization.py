@@ -1,4 +1,4 @@
-"""Nested piecewise-linear finite element spaces with exact gradient norms.
+"""Nested piecewise-linear finite element spaces and their level operators.
 
 Levels are produced by uniform refinement (midpoint bisection of intervals,
 red refinement of triangles), so the space on every level is contained in
@@ -6,8 +6,14 @@ the next one and prolongation is exact.  P1 elements keep |grad u| constant
 on each element, which makes the W^{1,p} seminorm exact for any p > 1;
 Lebesgue norms are computed with a fixed Gauss rule per element.
 
-All objects are immutable after construction; element loops are vectorised
-numpy reductions with a fixed summation order, so results are deterministic.
+Each level carries one set of sparse operators, from free coefficients to
+element gradients and to quadrature-point values, and their transposes.
+Every integral and every assembly in the package goes through them and the
+block forms defined next to them: the norms and pairings, the constants'
+Rayleigh quotients, and the residual and Jacobian of the Galerkin equation.
+
+All objects are immutable after construction; reductions use a fixed
+summation order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -266,9 +272,6 @@ class Level:
         full[self.free] = coeffs
         return full
 
-    def scatter_to_free(self, nodal_accumulated: np.ndarray) -> np.ndarray:
-        return nodal_accumulated[self.free]
-
 
 def _free_operator(local: np.ndarray, elem_nodes: np.ndarray, free_of_node: np.ndarray,
                    n_free: int) -> sp.csr_matrix:
@@ -285,6 +288,62 @@ def _free_operator(local: np.ndarray, elem_nodes: np.ndarray, free_of_node: np.n
     keep = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
     return sp.csr_matrix((local[keep], cols[keep], indptr), shape=(len(cols), n_free))
+
+
+# ---------------------------------------------------------------------------
+# block forms on the level operators
+# ---------------------------------------------------------------------------
+#
+# Every form below takes a coefficient block of shape (n_free, k), or data
+# derived from one, and works column by column; each column's integral is
+# summed in the same order as a single function's would be, so a column's
+# numbers do not depend on the other columns of its block.
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[i, j] * b[i, j] for every column j of b (a may be one column).
+
+    The products are written transposed, so that each column is summed as
+    one contiguous vector, in the order a single function's sum takes.
+    """
+    prod = np.empty(b.shape[::-1])
+    np.multiply(a.T, b.T, out=prod)
+    return prod.sum(axis=1)
+
+
+def _gradients(lvl: Level, coeffs: np.ndarray) -> np.ndarray:
+    """Element gradients of each column, shape (dim, n_el, k)."""
+    return (lvl.grad_op @ coeffs).reshape(lvl.mesh.dim, lvl.mesh.n_elements, -1)
+
+
+def _qp_values(lvl: Level, coeffs: np.ndarray) -> np.ndarray:
+    """Values at the quadrature points of each column, shape (n_el * n_q, k)."""
+    return lvl.qp_op @ coeffs
+
+
+def _grad_integral(lvl: Level, grads: np.ndarray, p: float) -> np.ndarray:
+    """int |grad u|^p per column, for gradients shaped (dim, n_el, k)."""
+    mag = np.sqrt((grads * grads).sum(axis=0))
+    return _column_dots(lvl.elem_measure[:, None], mag**p)
+
+
+def _value_integral(weights: np.ndarray, vals: np.ndarray, r: float) -> np.ndarray:
+    """int |u|^r per column by quadrature, one weight per row of ``vals``."""
+    return _column_dots(weights.reshape(-1, 1), np.abs(vals) ** r)
+
+
+def _grad_force(lvl: Level, grads: np.ndarray, p: float) -> np.ndarray:
+    """int |grad u|^{p-2} grad u . grad phi_i per column and free dof i."""
+    mag = np.sqrt((grads * grads).sum(axis=0))
+    coef = np.power(mag, p - 2.0, out=np.zeros_like(mag), where=mag > 0)
+    flux = grads * (lvl.elem_measure[:, None] * coef)
+    return lvl.grad_op_t @ flux.reshape(-1, flux.shape[-1])
+
+
+def _value_load(lvl: Level, vals: np.ndarray, r: float) -> np.ndarray:
+    """int |u|^{r-2} u phi_i per column and free dof i."""
+    integrand = np.sign(vals) * np.abs(vals) ** (r - 1.0)
+    return lvl.qp_op_t @ (lvl.qp_weights.reshape(-1, 1) * integrand)
 
 
 def _build_level(index: int, mesh: DomainMesh, quad_order: int, prolongation) -> Level:
@@ -363,7 +422,7 @@ def _prolongation_matrix(coarse: DomainMesh, fine: DomainMesh,
             rows += [2 * i + 1, 2 * i + 1]
             cols += [i, i + 1]
             vals += [0.5, 0.5]
-        full = sp.coo_matrix((vals, (rows, cols)), shape=(fine.n_nodes, nc))
+        full = sp.csr_matrix((vals, (rows, cols)), shape=(fine.n_nodes, nc))
     else:
         nc = coarse.n_nodes
         rows = list(range(nc))
@@ -391,8 +450,7 @@ def _prolongation_matrix(coarse: DomainMesh, fine: DomainMesh,
             rows += [m, m]
             cols += [i, j]
             vals += [0.5, 0.5]
-        full = sp.coo_matrix((vals, (rows, cols)), shape=(fine.n_nodes, nc))
-    full = full.tocsr()
+        full = sp.csr_matrix((vals, (rows, cols)), shape=(fine.n_nodes, nc))
     # boundary coefficients are identically zero on both levels, so the
     # restriction to interior nodes loses nothing
     return full[fine_free][:, coarse_free].tocsr()
@@ -503,14 +561,12 @@ class FEFunction:
 
     def element_gradients(self) -> np.ndarray:
         """Constant gradient per element, shape (n_el, dim)."""
-        lvl = self.lvl
-        nodal = lvl.full_values(self.coeffs)[lvl.elem_nodes]
-        return np.einsum("ek,ekd->ed", nodal, lvl.grad_basis)
+        return _gradients(self.lvl, self.coeffs)[..., 0].T
 
     def values_at_qp(self) -> np.ndarray:
+        """Values at the quadrature points, shape (n_el, n_q)."""
         lvl = self.lvl
-        nodal = lvl.full_values(self.coeffs)[lvl.elem_nodes]
-        return np.einsum("ek,qk->eq", nodal, lvl.basis_at_qp)
+        return _qp_values(lvl, self.coeffs).reshape(lvl.qp_weights.shape)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Point evaluation (1D only), zero outside the domain."""
@@ -532,18 +588,14 @@ class QuadratureSamples:
     values: np.ndarray     # (n_el, n_q)
     gradients: np.ndarray  # (n_el, n_q, dim)
 
-    def integrate(self, integrand: np.ndarray) -> float:
-        """Weighted sum of an (n_el, n_q) array."""
-        return float(np.sum(self.weights * integrand))
-
     def value_norm(self, r: float) -> float:
         if r < 1:
             raise ValueError(f"Lebesgue exponent must satisfy r >= 1, got {r}")
-        return float(np.sum(self.weights * np.abs(self.values) ** r) ** (1.0 / r))
+        return float(_value_integral(self.weights, self.values.reshape(-1, 1), r)[0] ** (1.0 / r))
 
     def grad_norm(self, p: float) -> float:
         mag = np.sqrt(np.sum(self.gradients**2, axis=-1))
-        return float(np.sum(self.weights * mag**p) ** (1.0 / p))
+        return float(_value_integral(self.weights, mag.reshape(-1, 1), p)[0] ** (1.0 / p))
 
 
 def sample(u: FEFunction) -> QuadratureSamples:
@@ -577,8 +629,7 @@ def grad_norm_p(u: FEFunction, p: float) -> float:
     if p <= 1:
         raise ValueError(f"gradient norm exponent must satisfy p > 1, got {p}")
     lvl = u.lvl
-    mag = np.sqrt(np.sum(u.element_gradients() ** 2, axis=-1))
-    return float(np.sum(lvl.elem_measure * mag**p) ** (1.0 / p))
+    return float(_grad_integral(lvl, _gradients(lvl, u.coeffs[:, None]), p)[0] ** (1.0 / p))
 
 
 def lebesgue_norm(u: FEFunction, r: float) -> float:
@@ -586,5 +637,5 @@ def lebesgue_norm(u: FEFunction, r: float) -> float:
     if r < 1:
         raise ValueError(f"Lebesgue exponent must satisfy r >= 1, got {r}")
     lvl = u.lvl
-    vals = u.values_at_qp()
-    return float(np.sum(lvl.qp_weights * np.abs(vals) ** r) ** (1.0 / r))
+    vals = _qp_values(lvl, u.coeffs[:, None])
+    return float(_value_integral(lvl.qp_weights, vals, r)[0] ** (1.0 / r))

@@ -34,6 +34,8 @@ from .discretization import (
     Level,
     QuadratureSamples,
     SpaceHierarchy,
+    _grad_integral,
+    _value_integral,
     grad_norm_p,
     sample,
 )
@@ -125,12 +127,6 @@ class Kernel:
         return out
 
 
-def kernel_from_config(obj: dict) -> Kernel:
-    obj = dict(obj)
-    shape = obj.pop("shape", None)
-    return Kernel(shape=shape, params=obj)
-
-
 # ---------------------------------------------------------------------------
 # ambient lift functions
 # ---------------------------------------------------------------------------
@@ -191,14 +187,12 @@ class AmbientFunction:
         return np.einsum("ek,qk->eq", self.nodal[lvl.elem_nodes], lvl.basis_at_qp)
 
     def grad_norm(self, p: float) -> float:
-        lvl = self.lvl
-        mag = np.sqrt(np.sum(self.element_gradients() ** 2, axis=-1))
-        return float(np.sum(lvl.elem_measure * mag**p) ** (1.0 / p))
+        grads = self.element_gradients().T[..., None]
+        return float(_grad_integral(self.lvl, grads, p)[0] ** (1.0 / p))
 
     def value_norm(self, r: float) -> float:
-        lvl = self.lvl
-        vals = self.values_at_qp()
-        return float(np.sum(lvl.qp_weights * np.abs(vals) ** r) ** (1.0 / r))
+        vals = self.values_at_qp().reshape(-1, 1)
+        return float(_value_integral(self.lvl.qp_weights, vals, r)[0] ** (1.0 / r))
 
 
 # ---------------------------------------------------------------------------

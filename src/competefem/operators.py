@@ -1,10 +1,15 @@
 """Assembly for the competing operator -Lap_p + Lap_q and convection terms.
 
 The differential part is evaluated exactly on P1 spaces (gradients are
-constant per element).  The right-hand side f(x, s, xi) comes from a finite
-catalog; every entry carries the growth envelope it claims to satisfy, so
-the envelope can be checked numerically on samples.  Custom evaluators can
-be supplied by constructing :class:`ConvectionTerm` directly.
+constant per element).  Pairings, the residual and the Jacobian are all
+assembled on the level operators of :mod:`competefem.discretization`:
+element data goes to free dofs through ``grad_op_t`` and ``qp_op_t``, and
+the Jacobian is a sparse triple product of them with per-element blocks.
+
+The right-hand side f(x, s, xi) comes from a finite catalog; every entry
+carries the growth envelope it claims to satisfy, so the envelope can be
+checked numerically on samples.  Custom evaluators can be supplied by
+constructing :class:`ConvectionTerm` directly.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from .discretization import (
     FEFunction,
     LevelMismatchError,
     QuadratureSamples,
-    grad_norm_p,
+    _grad_force,
+    _gradients,
+    _value_integral,
     lebesgue_norm,
-    sample,
 )
 
 
@@ -74,7 +80,7 @@ class SigmaWeight:
         rp = holder_conjugate(r)
         if np.isinf(rp):
             return float(np.max(np.abs(vals))) if vals.size else 0.0
-        return float(np.sum(samples.weights * np.abs(vals) ** rp) ** (1.0 / rp))
+        return float(_value_integral(samples.weights, vals.reshape(-1, 1), rp)[0] ** (1.0 / rp))
 
 
 SIGMA_KINDS = ("zero", "constant", "manufactured_abs", "manufactured_plus", "nodal")
@@ -145,6 +151,8 @@ class ConvectionTerm:
     space dimension in 2D and is scalar-shaped in 1D.  ``d_s``/``d_xi`` are
     the partial derivatives used by Newton when the intrinsic operator is
     local; leave them None to force a chord (frozen right-hand side) rule.
+    ``solution_dependent`` is false when f ignores s and xi, so callers may
+    skip the intrinsic operator; directly built terms are assumed to use them.
     """
 
     kind: str
@@ -156,6 +164,7 @@ class ConvectionTerm:
     exact: Optional[ExactSolution] = None
     guess_profile: Optional[Callable] = None
     envelope_is_exact: bool = True
+    solution_dependent: bool = True
 
     def __call__(self, x, s, xi):
         return self.fn(x, s, xi)
@@ -193,6 +202,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             fn=lambda x, s, xi: np.zeros_like(np.asarray(s, dtype=float)),
             d_s=lambda x, s, xi: np.zeros_like(np.asarray(s, dtype=float)),
             d_xi=lambda x, s, xi: np.zeros_like(np.asarray(xi, dtype=float)),
+            solution_dependent=False,
         )
 
     if kind == "constant":
@@ -203,6 +213,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             fn=lambda x, s, xi: np.full(np.broadcast(_x_coord(x), s).shape, c),
             d_s=lambda x, s, xi: np.zeros_like(np.asarray(s, dtype=float)),
             d_xi=lambda x, s, xi: np.zeros_like(np.asarray(xi, dtype=float)),
+            solution_dependent=False,
         )
 
     if kind == "sigma_only":
@@ -214,6 +225,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             fn=lambda x, s, xi: sigma(x) * np.ones(np.broadcast(_x_coord(x), s).shape),
             d_s=lambda x, s, xi: np.zeros_like(np.asarray(s, dtype=float)),
             d_xi=lambda x, s, xi: np.zeros_like(np.asarray(xi, dtype=float)),
+            solution_dependent=False,
         )
 
     if kind == "signed_power":
@@ -270,6 +282,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             d_xi=lambda x, s, xi: np.zeros_like(np.asarray(xi, dtype=float)),
             exact=_MANUFACTURED_EXACT,
             guess_profile=_MANUFACTURED_EXACT.value,
+            solution_dependent=False,
         )
 
     if kind == "manufactured_plus_power":
@@ -310,6 +323,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             d_s=d_s if (not a1 or alpha >= 1.0) else None,
             d_xi=d_xi if (not a2 or beta >= 1.0) else None,
             guess_profile=_MANUFACTURED_EXACT.value,
+            solution_dependent=bool(a1 or a2),
         )
 
     raise KeyError(
@@ -335,13 +349,14 @@ CONVECTION_KINDS = (
 
 
 def _combined_gradients(u: FEFunction, lift) -> np.ndarray:
-    g = u.element_gradients()
+    """Element gradients of u + lift, shaped (dim, n_el, 1) for the level forms."""
+    g = _gradients(u.lvl, u.coeffs[:, None])
     if lift is not None:
         if getattr(lift, "level", None) != u.level:
             raise LevelMismatchError(
                 f"lift on level {getattr(lift, 'level', None)} does not match u on level {u.level}"
             )
-        g = g + lift.element_gradients()
+        g = g + lift.element_gradients().T[..., None]
     return g
 
 
@@ -349,14 +364,8 @@ def p_laplace_pairing(u: FEFunction, v: FEFunction, r: float, lift=None) -> floa
     """<-Lap_r (u + lift), v> evaluated exactly on P1 elements."""
     if u.level != v.level:
         raise LevelMismatchError(f"levels differ: {u.level} vs {v.level}")
-    g = _combined_gradients(u, lift)
-    gv = v.element_gradients()
-    mag = np.sqrt(np.sum(g**2, axis=-1))
-    if r == 2:
-        coef = np.ones_like(mag)
-    else:
-        coef = np.where(mag > 0, mag ** (r - 2.0), 0.0)
-    return float(np.sum(u.lvl.elem_measure * coef * np.sum(g * gv, axis=-1)))
+    force = _grad_force(u.lvl, _combined_gradients(u, lift), r)
+    return float(force[:, 0] @ v.coeffs)
 
 
 def competing_pairing(u: FEFunction, v: FEFunction, p: float, q: float, lift=None) -> float:
@@ -387,31 +396,17 @@ def _check_samples(u: FEFunction, T_image: QuadratureSamples) -> None:
         )
 
 
-def _f_at_samples(f: ConvectionTerm, lvl, T_image: QuadratureSamples) -> np.ndarray:
-    x = lvl.qp_points[..., 0] if lvl.mesh.dim == 1 else lvl.qp_points
-    xi = T_image.gradients[..., 0] if lvl.mesh.dim == 1 else T_image.gradients
-    return np.asarray(f(x, T_image.values, xi), dtype=float)
+def _f_arguments(lvl, T_image: QuadratureSamples) -> tuple:
+    """(x, s, xi) at the quadrature points; x and xi lose their axis in 1D."""
+    if lvl.mesh.dim == 1:
+        return lvl.qp_points[..., 0], T_image.values, T_image.gradients[..., 0]
+    return lvl.qp_points, T_image.values, T_image.gradients
 
 
-def _gradient_force(u_grads: np.ndarray, r: float, lvl) -> np.ndarray:
-    """Nodal assembly of sum_e |g|^{r-2} g . grad(phi_i) |e| over all nodes."""
-    mag = np.sqrt(np.sum(u_grads**2, axis=-1))
-    if r == 2:
-        coef = np.ones_like(mag)
-    else:
-        coef = np.where(mag > 0, mag ** (r - 2.0), 0.0)
-    contrib = np.einsum("e,ekd,ed->ek", lvl.elem_measure * coef, lvl.grad_basis, u_grads)
-    out = np.zeros(lvl.mesh.n_nodes)
-    np.add.at(out, lvl.elem_nodes, contrib)
-    return out
-
-
-def _load_vector(values_at_qp: np.ndarray, lvl) -> np.ndarray:
-    """Nodal assembly of int values * phi_i dx."""
-    contrib = np.einsum("eq,qk->ek", lvl.qp_weights * values_at_qp, lvl.basis_at_qp)
-    out = np.zeros(lvl.mesh.n_nodes)
-    np.add.at(out, lvl.elem_nodes, contrib)
-    return out
+def _convection_load(f: ConvectionTerm, T_image: QuadratureSamples, lvl) -> np.ndarray:
+    """int f(x, T(u), grad T(u)) phi_i dx for every free dof i."""
+    vals = np.asarray(f(*_f_arguments(lvl, T_image)), dtype=float)
+    return lvl.qp_op_t @ (lvl.qp_weights * vals).ravel()
 
 
 def assemble_residual(
@@ -433,65 +428,61 @@ def assemble_residual(
     _check_samples(u, T_image)
     lvl = u.lvl
     g = _combined_gradients(u, lift)
-    nodal = _gradient_force(g, p, lvl) - _gradient_force(g, q, lvl)
-    nodal -= _load_vector(_f_at_samples(f, lvl, T_image), lvl)
-    return ResidualVector(level=u.level, values=lvl.scatter_to_free(nodal))
+    flux = _grad_force(lvl, g, p)[:, 0] - _grad_force(lvl, g, q)[:, 0]
+    return ResidualVector(level=u.level, values=flux - _convection_load(f, T_image, lvl))
 
 
-def _p_part_jacobian(g: np.ndarray, r: float, eps: float, lvl) -> sp.csr_matrix:
-    """Derivative of the r-Laplacian force, regularised by eps when needed.
+def _flux_coefficients(m2: np.ndarray, r: float) -> tuple:
+    """c0 = m2^{(r-2)/2} and c1 = (r-2) m2^{(r-4)/2} of the r-Laplacian derivative.
 
-    Uses the coefficient (|g|^2 + eps^2)^{(r-2)/2}; the rank-one term carries
-    (r-2)(|g|^2 + eps^2)^{(r-4)/2} g g^T.
+    The derivative of |g|^{r-2} g is c0 I + c1 g g^T with m2 = |g|^2; c1 is
+    taken as zero where m2 vanishes.
     """
-    if r < 2 and eps <= 0:
-        raise ValueError(
-            f"exponent {r} < 2 needs a positive gradient regularisation eps_reg"
-        )
-    m2 = np.sum(g**2, axis=-1) + eps**2
     if r == 2:
-        c0 = np.ones_like(m2)
-        c1 = np.zeros_like(m2)
-    else:
-        c0 = m2 ** ((r - 2.0) / 2.0)
-        with np.errstate(divide="ignore"):
-            c1 = np.where(m2 > 0, (r - 2.0) * m2 ** ((r - 4.0) / 2.0), 0.0)
-    nv = lvl.elem_nodes.shape[1]
-    gdphi = np.einsum("ekd,ed->ek", lvl.grad_basis, g)  # (n_el, nv)
-    block = (
-        c1[:, None, None] * gdphi[:, :, None] * gdphi[:, None, :]
-        + c0[:, None, None] * np.einsum("ekd,eld->ekl", lvl.grad_basis, lvl.grad_basis)
-    ) * lvl.elem_measure[:, None, None]
-    rows = np.repeat(lvl.elem_nodes, nv, axis=1).ravel()
-    cols = np.tile(lvl.elem_nodes, (1, nv)).ravel()
-    n = lvl.mesh.n_nodes
-    return sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        return np.ones_like(m2), np.zeros_like(m2)
+    c1 = np.power(m2, (r - 4.0) / 2.0, out=np.zeros_like(m2), where=m2 > 0)
+    return m2 ** ((r - 2.0) / 2.0), (r - 2.0) * c1
 
 
-def _f_part_jacobian(f: ConvectionTerm, T_image: QuadratureSamples, lvl) -> sp.csr_matrix:
-    """Derivative of the load when f is differentiated through its arguments."""
-    x = lvl.qp_points[..., 0] if lvl.mesh.dim == 1 else lvl.qp_points
-    xi = T_image.gradients[..., 0] if lvl.mesh.dim == 1 else T_image.gradients
-    n = lvl.mesh.n_nodes
-    nv = lvl.elem_nodes.shape[1]
-    J = sp.csr_matrix((n, n))
+def _flux_block(lvl, g: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal |e| (c0 I + c1 g g^T) in the row order of ``grad_op``.
+
+    ``g`` is shaped (dim, n_el, 1); element e's block couples rows
+    ``d * n_el + e`` for d < dim, so it sits on the diagonals 0 and +-n_el.
+    """
+    dim, n_el = g.shape[:2]
+    g = g[..., 0]
+    main = (lvl.elem_measure * (c0 + c1 * g * g)).ravel()
+    if dim == 1:
+        return sp.diags(main, format="csr")
+    off = lvl.elem_measure * c1 * g[0] * g[1]
+    return sp.diags([off, main, off], [-n_el, 0, n_el], format="csr")
+
+
+def _load_derivative(f: ConvectionTerm, T_image: QuadratureSamples, lvl) -> sp.csr_matrix:
+    """Quadrature-point derivative of f(x, u, grad u) in the free coefficients.
+
+    Row ``e * n_q + q`` is w_eq (f_s phi_k + f_xi . grad phi_k); the load's
+    derivative is ``qp_op_t`` applied to it.
+    """
+    args = _f_arguments(lvl, T_image)
+    w = lvl.qp_weights
+    D = sp.csr_matrix((w.size, lvl.n_free))
     if f.d_s is not None:
-        fs = np.asarray(f.d_s(x, T_image.values, xi), dtype=float)
-        block = np.einsum("eq,qk,ql->ekl", lvl.qp_weights * fs, lvl.basis_at_qp, lvl.basis_at_qp)
-        rows = np.repeat(lvl.elem_nodes, nv, axis=1).ravel()
-        cols = np.tile(lvl.elem_nodes, (1, nv)).ravel()
-        J = J + sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        fs = np.asarray(f.d_s(*args), dtype=float)
+        D = D + sp.diags((w * fs).ravel()) @ lvl.qp_op
     if f.d_xi is not None:
-        fxi = np.asarray(f.d_xi(x, T_image.values, xi), dtype=float)
-        if lvl.mesh.dim == 1:
-            fxi = fxi[..., None]
-        # columns see grad(phi_l), constant per element; rows see phi_k at qp
-        block = np.einsum("eqd,qk,eld->ekl", lvl.qp_weights[..., None] * fxi,
-                          lvl.basis_at_qp, lvl.grad_basis)
-        rows = np.repeat(lvl.elem_nodes, nv, axis=1).ravel()
-        cols = np.tile(lvl.elem_nodes, (1, nv)).ravel()
-        J = J + sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return J
+        fxi = np.asarray(f.d_xi(*args), dtype=float).reshape(*w.shape, -1)
+        # S[(e, q), (d, e)] = w_eq f_xi,eqd maps element gradients to the points
+        n_el, dim = w.shape[0], fxi.shape[-1]
+        cols = np.arange(dim) * n_el + np.arange(n_el)[:, None, None]
+        S = sp.csr_matrix(
+            ((w[..., None] * fxi).ravel(), np.broadcast_to(cols, fxi.shape).ravel(),
+             np.arange(0, fxi.size + 1, dim)),
+            shape=(w.size, dim * n_el),
+        )
+        D = D + S @ lvl.grad_op
+    return D
 
 
 def assemble_jacobian(
@@ -509,18 +500,26 @@ def assemble_jacobian(
     The residual itself is never regularised; ``eps_reg`` only smooths the
     Jacobian coefficient near vanishing gradients and is mandatory when an
     exponent is below two.  With ``differentiate_f`` false the load is
-    frozen (chord rule), which is what nonlocal intrinsic operators get.
+    frozen (chord rule), which is what nonlocal intrinsic operators get; a
+    load that ignores the solution has no derivative to add.  The
+    differential part is ``grad_op_t @ M @ grad_op`` with one
+    block-diagonal M carrying both exponents.
     """
     if not 1 < q < p:
         raise ValueError(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
+    if q < 2 and eps_reg <= 0:
+        raise ValueError(
+            f"exponent {q} < 2 needs a positive gradient regularisation eps_reg"
+        )
     _check_samples(u, T_image)
     lvl = u.lvl
     g = _combined_gradients(u, lift)
-    J = _p_part_jacobian(g, p, eps_reg, lvl) - _p_part_jacobian(g, q, eps_reg, lvl)
-    if differentiate_f and (f.d_s is not None or f.d_xi is not None):
-        J = J - _f_part_jacobian(f, T_image, lvl)
-    free = lvl.free
-    return J[free][:, free].tocsr()
+    m2 = (g * g).sum(axis=0)[:, 0] + eps_reg**2
+    (c0p, c1p), (c0q, c1q) = _flux_coefficients(m2, p), _flux_coefficients(m2, q)
+    J = lvl.grad_op_t @ _flux_block(lvl, g, c0p - c0q, c1p - c1q) @ lvl.grad_op
+    if differentiate_f and f.solution_dependent and (f.d_s is not None or f.d_xi is not None):
+        J = J - lvl.qp_op_t @ _load_derivative(f, T_image, lvl)
+    return J.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +586,4 @@ def convection_functional_bound(
 def convection_integral(v: FEFunction, T_image: QuadratureSamples, f: ConvectionTerm) -> float:
     """int f(x, T(u), grad T(u)) v dx by the level quadrature."""
     _check_samples(v, T_image)
-    lvl = v.lvl
-    vals = _f_at_samples(f, lvl, T_image)
-    return float(np.sum(lvl.qp_weights * vals * v.values_at_qp()))
+    return float(_convection_load(f, T_image, v.lvl) @ v.coeffs)

@@ -3,9 +3,14 @@
 Everything here is deliberately decoupled from the package internals:
 the eigenvalue oracle integrates the ODE and bisects, the zero-finding
 oracle scans a grid, and derivative checks use plain finite differences.
+The assembly references loop over elements with the raw tables of a level
+(``elem_nodes``, ``grad_basis``, ``basis_at_qp``), scatter into all nodes
+and only then restrict to the free ones, so they share nothing with the
+level operators they check.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 
@@ -119,3 +124,122 @@ def grid_search_zero(F, R: float, dim: int, step: float = 1e-3) -> np.ndarray:
                 best_val, fine_pt = vals[j], pts[j]
         return fine_pt
     raise ValueError(f"grid search oracle supports dims 2 and 3, got {dim}")
+
+
+# ---------------------------------------------------------------------------
+# element-loop references for the level assembly
+# ---------------------------------------------------------------------------
+
+
+def element_gradients(lvl, coeffs) -> np.ndarray:
+    """Constant gradient per element, shape (n_el, dim)."""
+    nodal = lvl.full_values(coeffs)[lvl.elem_nodes]
+    return np.einsum("ek,ekd->ed", nodal, lvl.grad_basis)
+
+
+def values_at_qp(lvl, coeffs) -> np.ndarray:
+    """Values at the quadrature points, shape (n_el, n_q)."""
+    nodal = lvl.full_values(coeffs)[lvl.elem_nodes]
+    return np.einsum("ek,qk->eq", nodal, lvl.basis_at_qp)
+
+
+def gradient_force(u_grads: np.ndarray, r: float, lvl) -> np.ndarray:
+    """Nodal assembly of sum_e |g|^{r-2} g . grad(phi_i) |e| over all nodes."""
+    mag = np.sqrt(np.sum(u_grads**2, axis=-1))
+    if r == 2:
+        coef = np.ones_like(mag)
+    else:
+        with np.errstate(divide="ignore"):
+            coef = np.where(mag > 0, mag ** (r - 2.0), 0.0)
+    contrib = np.einsum("e,ekd,ed->ek", lvl.elem_measure * coef, lvl.grad_basis, u_grads)
+    out = np.zeros(lvl.mesh.n_nodes)
+    np.add.at(out, lvl.elem_nodes, contrib)
+    return out
+
+
+def load_vector(values_at_qp: np.ndarray, lvl) -> np.ndarray:
+    """Nodal assembly of int values * phi_i dx."""
+    contrib = np.einsum("eq,qk->ek", lvl.qp_weights * values_at_qp, lvl.basis_at_qp)
+    out = np.zeros(lvl.mesh.n_nodes)
+    np.add.at(out, lvl.elem_nodes, contrib)
+    return out
+
+
+def _element_matrix(block: np.ndarray, lvl) -> sp.csr_matrix:
+    nv = lvl.elem_nodes.shape[1]
+    rows = np.repeat(lvl.elem_nodes, nv, axis=1).ravel()
+    cols = np.tile(lvl.elem_nodes, (1, nv)).ravel()
+    n = lvl.mesh.n_nodes
+    return sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def p_part_jacobian(g: np.ndarray, r: float, eps: float, lvl) -> sp.csr_matrix:
+    """Derivative of the r-Laplacian force over all nodes, regularised by eps.
+
+    Uses the coefficient (|g|^2 + eps^2)^{(r-2)/2}; the rank-one term carries
+    (r-2)(|g|^2 + eps^2)^{(r-4)/2} g g^T.
+    """
+    m2 = np.sum(g**2, axis=-1) + eps**2
+    if r == 2:
+        c0 = np.ones_like(m2)
+        c1 = np.zeros_like(m2)
+    else:
+        c0 = m2 ** ((r - 2.0) / 2.0)
+        with np.errstate(divide="ignore"):
+            c1 = np.where(m2 > 0, (r - 2.0) * m2 ** ((r - 4.0) / 2.0), 0.0)
+    gdphi = np.einsum("ekd,ed->ek", lvl.grad_basis, g)
+    block = (
+        c1[:, None, None] * gdphi[:, :, None] * gdphi[:, None, :]
+        + c0[:, None, None] * np.einsum("ekd,eld->ekl", lvl.grad_basis, lvl.grad_basis)
+    ) * lvl.elem_measure[:, None, None]
+    return _element_matrix(block, lvl)
+
+
+def f_part_jacobian(f, T_image, lvl) -> sp.csr_matrix:
+    """Derivative of the load over all nodes, f differentiated through (s, xi)."""
+    x = lvl.qp_points[..., 0] if lvl.mesh.dim == 1 else lvl.qp_points
+    xi = T_image.gradients[..., 0] if lvl.mesh.dim == 1 else T_image.gradients
+    n = lvl.mesh.n_nodes
+    J = sp.csr_matrix((n, n))
+    if f.d_s is not None:
+        fs = np.asarray(f.d_s(x, T_image.values, xi), dtype=float)
+        block = np.einsum("eq,qk,ql->ekl", lvl.qp_weights * fs, lvl.basis_at_qp, lvl.basis_at_qp)
+        J = J + _element_matrix(block, lvl)
+    if f.d_xi is not None:
+        fxi = np.asarray(f.d_xi(x, T_image.values, xi), dtype=float)
+        if lvl.mesh.dim == 1:
+            fxi = fxi[..., None]
+        # columns see grad(phi_l), constant per element; rows see phi_k at qp
+        block = np.einsum("eqd,qk,eld->ekl", lvl.qp_weights[..., None] * fxi,
+                          lvl.basis_at_qp, lvl.grad_basis)
+        J = J + _element_matrix(block, lvl)
+    return J
+
+
+def _total_gradients(u, lift) -> np.ndarray:
+    g = element_gradients(u.lvl, u.coeffs)
+    if lift is not None:
+        nodal = lift.nodal[u.lvl.elem_nodes]
+        g = g + np.einsum("ek,ekd->ed", nodal, u.lvl.grad_basis)
+    return g
+
+
+def galerkin_residual(u, T_image, f, p: float, q: float, lift=None) -> np.ndarray:
+    """Free entries of the all-node residual force_p - force_q - load."""
+    lvl = u.lvl
+    g = _total_gradients(u, lift)
+    x = lvl.qp_points[..., 0] if lvl.mesh.dim == 1 else lvl.qp_points
+    xi = T_image.gradients[..., 0] if lvl.mesh.dim == 1 else T_image.gradients
+    fvals = np.asarray(f(x, T_image.values, xi), dtype=float)
+    nodal = gradient_force(g, p, lvl) - gradient_force(g, q, lvl) - load_vector(fvals, lvl)
+    return nodal[lvl.free]
+
+
+def galerkin_jacobian(u, T_image, f, p: float, q: float, eps: float = 0.0,
+                      lift=None) -> np.ndarray:
+    """Free block of the all-node Jacobian, f differentiated, as a dense array."""
+    lvl = u.lvl
+    g = _total_gradients(u, lift)
+    J = p_part_jacobian(g, p, eps, lvl) - p_part_jacobian(g, q, eps, lvl)
+    J = J - f_part_jacobian(f, T_image, lvl)
+    return J[lvl.free][:, lvl.free].toarray()

@@ -133,10 +133,10 @@ class TestParseConfig:
 class TestBuildInstance:
     def test_solution_dependence_flags(self):
         spec = parse_config_dict(dict(MINIMAL, f={"kind": "manufactured_p3q2"}))
-        assert not build_instance(spec).solution_dependent
+        assert not build_instance(spec).convection.solution_dependent
         spec = parse_config_dict(dict(MINIMAL, f={"kind": "signed_power",
                                                   "a1": 0.2, "alpha": 1.0}))
-        assert build_instance(spec).solution_dependent
+        assert build_instance(spec).convection.solution_dependent
 
     def test_exact_guess_resolved(self):
         spec = parse_config_dict(dict(MINIMAL, f={"kind": "manufactured_p3q2"},

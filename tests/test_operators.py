@@ -1,19 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from competefem.discretization import (
     LevelMismatchError,
+    _gradients,
     build_hierarchy,
     grad_norm_p,
     interval_mesh,
     lebesgue_norm,
     sample,
+    unit_square_mesh,
 )
+from competefem.intrinsic import IntrinsicOperator, LiftFunction, apply
 from competefem.operators import (
     GrowthEnvelope,
     SigmaWeight,
-    _p_part_jacobian,
+    _flux_block,
+    _flux_coefficients,
     assemble_jacobian,
     assemble_residual,
     competing_pairing,
@@ -23,6 +29,8 @@ from competefem.operators import (
     growth_envelope_check,
     p_laplace_pairing,
 )
+
+import oracles
 
 P_CRIT = 6.0  # surrogate for p = 3 in one dimension
 
@@ -105,8 +113,9 @@ class TestAssembleJacobian:
         h = build_hierarchy(interval_mesh(0.0, 1.0, 2), 1)
         u = h.function(1, [0.3])
         lvl = h.level(1)
-        K = _p_part_jacobian(u.element_gradients(), 2.0, 0.0, lvl)
-        K = K[lvl.free][:, lvl.free].toarray()
+        g = _gradients(lvl, u.coeffs[:, None])
+        M = _flux_block(lvl, g, *_flux_coefficients((g * g).sum(axis=0)[:, 0], 2.0))
+        K = (lvl.grad_op_t @ M @ lvl.grad_op).toarray()
         np.testing.assert_allclose(K, [[4.0]], rtol=1e-14)
 
     def test_exponent_order_rejected(self, unit_hierarchy):
@@ -123,19 +132,30 @@ class TestAssembleJacobian:
         J = assemble_jacobian(u, sample(u), f, 3.0, 1.5, eps_reg=1e-6)
         assert np.all(np.isfinite(J.toarray()))
 
-    @pytest.mark.parametrize("p,q", [(3.0, 2.0), (4.0, 2.5), (2.5, 2.0)])
-    def test_matches_finite_differences(self, p, q, rng):
-        h = build_hierarchy(interval_mesh(0.0, 1.0, 16), 1)
+    @pytest.mark.parametrize("p,q,mesh", [
+        pytest.param(3.0, 2.0, "interval", id="3.0-2.0"),
+        pytest.param(4.0, 2.5, "interval", id="4.0-2.5"),
+        pytest.param(2.5, 2.0, "interval", id="2.5-2.0"),
+        pytest.param(3.0, 2.0, "square", id="square-3.0-2.0"),
+        pytest.param(4.0, 2.5, "square", id="square-4.0-2.5"),
+    ])
+    def test_matches_finite_differences(self, p, q, mesh, rng):
+        if mesh == "interval":
+            h = build_hierarchy(interval_mesh(0.0, 1.0, 16), 1)
+        else:
+            h = build_hierarchy(unit_square_mesh(), 3)
+        n = h.n_levels
+        dim = h.level(n).n_free
         f = convection_from_catalog(
             "manufactured_plus_power", {"a1": 0.3, "alpha": 2.0, "a2": 0.2, "beta": 2.0}
         )
-        u0 = h.function(1, 0.4 * rng.standard_normal(15))
-        v = rng.standard_normal(15)
+        u0 = h.function(n, 0.4 * rng.standard_normal(dim))
+        v = rng.standard_normal(dim)
         J = assemble_jacobian(u0, sample(u0), f, p, q)
         delta = 1e-6
 
         def residual(c):
-            uu = h.function(1, c)
+            uu = h.function(n, c)
             return assemble_residual(uu, sample(uu), f, p, q).values
 
         fd = (residual(u0.coeffs + delta * v) - residual(u0.coeffs)) / delta
@@ -152,6 +172,57 @@ class TestAssembleJacobian:
         g = convection_from_catalog("zero")
         bare = assemble_jacobian(u, sample(u), g, 3.0, 2.0)
         np.testing.assert_allclose(frozen.toarray(), bare.toarray(), rtol=1e-14)
+
+
+class TestAssemblyAgainstElementLoops:
+    """Residual and Jacobian against the element-loop references in oracles."""
+
+    @pytest.fixture(params=["interval", "square"])
+    def hierarchy(self, request):
+        if request.param == "interval":
+            return build_hierarchy(interval_mesh(0.0, 1.0, 4), 4)
+        return build_hierarchy(unit_square_mesh(), 3)
+
+    @pytest.mark.parametrize("T_kind", ["identity", "boundary_lift"])
+    @pytest.mark.parametrize("f_kind,f_params", [
+        ("manufactured_p3q2", {}),
+        ("manufactured_plus_power", {"a1": 0.1, "alpha": 2.0, "a2": 0.1, "beta": 2.0}),
+    ])
+    @pytest.mark.parametrize("p,q,eps", [(3.0, 2.0, 0.0), (3.0, 1.5, 1e-3)])
+    def test_residual_and_jacobian(self, hierarchy, T_kind, f_kind, f_params, p, q, eps):
+        h = hierarchy
+        n = h.n_levels
+        if T_kind == "identity":
+            T, lift = IntrinsicOperator(kind="identity"), None
+        else:
+            params = {"a": 0.7, "b": 0.2} if h.dim == 1 else {"ax": 0.5, "ay": -0.3, "b": 0.1}
+            T = IntrinsicOperator(kind="boundary_lift", lift=LiftFunction("affine", params))
+            lift = T.lift.interpolate_ambient(h, n)
+        f = convection_from_catalog(f_kind, f_params)
+        rng = np.random.default_rng(11)
+        u = h.function(n, 0.5 * rng.standard_normal(h.level(n).n_free))
+        img = apply(T, u)
+        res = assemble_residual(u, img, f, p, q, lift=lift).values
+        ref = oracles.galerkin_residual(u, img, f, p, q, lift=lift)
+        np.testing.assert_allclose(res, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+        J = assemble_jacobian(u, img, f, p, q, eps_reg=eps, lift=lift).toarray()
+        ref = oracles.galerkin_jacobian(u, img, f, p, q, eps=eps, lift=lift)
+        np.testing.assert_allclose(J, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
+
+class TestNoWarningsAtVanishingGradient:
+    """q < 2 on the unit square: the corner triangles have zero gradient."""
+
+    def test_residual_and_pairing_raise_no_runtime_warning(self):
+        h = build_hierarchy(unit_square_mesh(), 3)
+        u = h.function(3, np.random.default_rng(0).standard_normal(h.level(3).n_free))
+        f = convection_from_catalog("constant", {"c": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = assemble_residual(u, sample(u), f, 3.0, 1.5)
+            pairing = p_laplace_pairing(u, u, 1.5)
+        assert np.all(np.isfinite(r.values))
+        assert pairing == pytest.approx(grad_norm_p(u, 1.5) ** 1.5, rel=1e-13)
 
 
 class TestGrowthEnvelope:

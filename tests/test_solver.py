@@ -36,13 +36,12 @@ from oracles import grid_search_zero, random_monotone_map
 def make_instance(h, f_kind="manufactured_p3q2", f_params=None, T=None,
                   guess=None, seed=0, sphere=50, tol=1e-10, policy="refuse"):
     f = convection_from_catalog(f_kind, f_params or {})
-    x_only = f_kind in ("zero", "constant", "sigma_only", "manufactured_p3q2")
     return ProblemInstance(
         hierarchy=h, p=3.0, q=2.0, convection=f,
         operator=T or identity_operator(), envelope=f.envelope,
         p_crit=critical_surrogate(3.0, 1), tol=tol, seed=seed, policy=policy,
         sphere_samples=sphere, estimator_starts=4, estimator_iters=150,
-        initial_guess=guess, solution_dependent=not x_only,
+        initial_guess=guess,
     )
 
 
