@@ -16,16 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ProblemSpec, build_instance, canonical_json, parse_config
-from .constants import build_constants
 from .discretization import _value_integral
-from .intrinsic import CertificateError, certificate
-from .solver import (
-    HypothesisRefusal,
-    SolveReport,
-    hypothesis_reports,
-    required_exponents,
-    run_hierarchy,
-)
+from .intrinsic import CertificateError
+from .solver import HypothesisRefusal, constants_and_hypotheses, run_hierarchy
 
 
 def _write(path: Path, text: str) -> None:
@@ -74,24 +67,9 @@ def cmd_solve(spec: ProblemSpec, out_dir: str) -> int:
     return 0
 
 
-def _hypothesis_bundle(spec: ProblemSpec):
-    inst = build_instance(spec)
-    constants = build_constants(
-        inst.hierarchy, inst.p, inst.p_crit, required_exponents(inst),
-        safety=inst.safety, starts=inst.estimator_starts,
-        iters=inst.estimator_iters, seed=inst.seed,
-    )
-    cert = certificate(
-        inst.operator, inst.p, inst.envelope.alpha, inst.envelope.beta,
-        constants, hierarchy=inst.hierarchy,
-    )
-    reports = hypothesis_reports(inst, constants, cert)
-    return inst, constants, cert, reports
-
-
 def cmd_check(spec: ProblemSpec, out_dir: str) -> int:
     paths = _report_paths(out_dir)
-    inst, constants, cert, reports = _hypothesis_bundle(spec)
+    constants, cert, reports = constants_and_hypotheses(build_instance(spec))
     payload = {
         "config": spec.to_json_dict(),
         "certificate": cert.to_json_dict(),
@@ -108,12 +86,7 @@ def cmd_check(spec: ProblemSpec, out_dir: str) -> int:
 
 def cmd_constants(spec: ProblemSpec, out_dir: str) -> int:
     paths = _report_paths(out_dir)
-    inst = build_instance(spec)
-    constants = build_constants(
-        inst.hierarchy, inst.p, inst.p_crit, required_exponents(inst),
-        safety=inst.safety, starts=inst.estimator_starts,
-        iters=inst.estimator_iters, seed=inst.seed,
-    )
+    constants, _, _ = constants_and_hypotheses(build_instance(spec))
     payload = constants.to_json_dict()
     payload["config"] = spec.to_json_dict()
     _write(paths["constants"], canonical_json(payload))

@@ -410,7 +410,6 @@ def build_instance(spec: ProblemSpec) -> ProblemInstance:
         q=spec.q,
         convection=term,
         operator=operator,
-        envelope=term.envelope,
         p_crit=spec.p_crit,
         tol=spec.tol,
         eps_reg=spec.eps_reg,

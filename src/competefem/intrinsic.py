@@ -24,6 +24,7 @@ The weight matrices depend only on the level and the kernel and are cached.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,7 +210,10 @@ class IntrinsicOperator:
     lift: LiftFunction | None = None
     refine_factor: int = 4
     window_factor: float = 1.0
-    _conv_cache: dict = field(default_factory=dict, repr=False)
+    # level -> {evaluation points: (W, grid)}; an entry dies with its level
+    _conv_cache: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False
+    )
 
     def __post_init__(self):
         if self.kind not in ("identity", "boundary_lift", "convolution"):
@@ -276,15 +280,16 @@ def _conv_weights(T: IntrinsicOperator, level: Level, points: np.ndarray):
             f"evaluation window {T.window_factor:g} x |domain| = "
             f"{T.window_factor * domain_extent:g}"
         )
-    key = (id(level), points.tobytes())
-    hit = T._conv_cache.get(key)
+    per_level = T._conv_cache.setdefault(level, {})
+    key = points.tobytes()
+    hit = per_level.get(key)
     if hit is not None:
         return hit
     grid = _conv_grid(level, kernel, T.refine_factor)
     x = points.reshape(-1)
     A = kernel.antiderivative(x[:, None] - grid.edges[None, :])
     W = A[:, :-1] - A[:, 1:]
-    T._conv_cache[key] = (W, grid)
+    per_level[key] = (W, grid)
     return W, grid
 
 

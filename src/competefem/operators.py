@@ -177,6 +177,14 @@ def _grad_mag(xi: np.ndarray) -> np.ndarray:
     return np.abs(xi)
 
 
+def _zeros_like_s(x, s, xi):
+    return np.zeros_like(np.asarray(s, dtype=float))
+
+
+def _zeros_like_xi(x, s, xi):
+    return np.zeros_like(np.asarray(xi, dtype=float))
+
+
 def _manufactured_value(x):
     return 4.0 * np.abs(1.0 - 2.0 * _x_coord(x)) - 2.0
 
@@ -199,9 +207,9 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
     if kind == "zero":
         return ConvectionTerm(
             kind, params, envelope(),
-            fn=lambda x, s, xi: np.zeros_like(np.asarray(s, dtype=float)),
-            d_s=lambda x, s, xi: np.zeros_like(np.asarray(s, dtype=float)),
-            d_xi=lambda x, s, xi: np.zeros_like(np.asarray(xi, dtype=float)),
+            fn=_zeros_like_s,
+            d_s=_zeros_like_s,
+            d_xi=_zeros_like_xi,
             solution_dependent=False,
         )
 
@@ -211,8 +219,8 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             kind, params,
             envelope(sigma=SigmaWeight("constant", {"c": abs(c)})),
             fn=lambda x, s, xi: np.full(np.broadcast(_x_coord(x), s).shape, c),
-            d_s=lambda x, s, xi: np.zeros_like(np.asarray(s, dtype=float)),
-            d_xi=lambda x, s, xi: np.zeros_like(np.asarray(xi, dtype=float)),
+            d_s=_zeros_like_s,
+            d_xi=_zeros_like_xi,
             solution_dependent=False,
         )
 
@@ -223,8 +231,8 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         return ConvectionTerm(
             kind, params, envelope(r=r, sigma=sigma),
             fn=lambda x, s, xi: sigma(x) * np.ones(np.broadcast(_x_coord(x), s).shape),
-            d_s=lambda x, s, xi: np.zeros_like(np.asarray(s, dtype=float)),
-            d_xi=lambda x, s, xi: np.zeros_like(np.asarray(xi, dtype=float)),
+            d_s=_zeros_like_s,
+            d_xi=_zeros_like_xi,
             solution_dependent=False,
         )
 
@@ -239,7 +247,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             kind, params, envelope(a1=a1, alpha=alpha),
             fn=lambda x, s, xi: a1 * np.sign(s) * np.abs(s) ** alpha,
             d_s=d_s,
-            d_xi=lambda x, s, xi: np.zeros_like(np.asarray(xi, dtype=float)),
+            d_xi=_zeros_like_xi,
         )
 
     if kind == "gradient_power":
@@ -269,7 +277,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         return ConvectionTerm(
             kind, params, envelope(a2=a2, beta=beta),
             fn=fn,
-            d_s=lambda x, s, xi: np.zeros_like(np.asarray(s, dtype=float)),
+            d_s=_zeros_like_s,
             d_xi=d_xi if beta >= 1.0 else None,
         )
 
@@ -278,8 +286,8 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             kind, params,
             envelope(r=2.0, sigma=SigmaWeight("manufactured_abs")),
             fn=lambda x, s, xi: _manufactured_value(x) * np.ones(np.broadcast(_x_coord(x), s).shape),
-            d_s=lambda x, s, xi: np.zeros_like(np.asarray(s, dtype=float)),
-            d_xi=lambda x, s, xi: np.zeros_like(np.asarray(xi, dtype=float)),
+            d_s=_zeros_like_s,
+            d_xi=_zeros_like_xi,
             exact=_MANUFACTURED_EXACT,
             guess_profile=_MANUFACTURED_EXACT.value,
             solution_dependent=False,
@@ -290,38 +298,28 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         alpha = float(params.get("alpha", 1.0))
         a2 = float(params.get("a2", 0.0))
         beta = float(params.get("beta", 1.0))
+        value_part = convection_from_catalog("signed_power", {"a1": a1, "alpha": alpha})
+        grad_part = convection_from_catalog("gradient_power", {"a2": a2, "beta": beta})
 
         def fn(x, s, xi):
             out = _manufactured_value(x) * np.ones(np.broadcast(_x_coord(x), s).shape)
             if a1:
-                out = out + a1 * np.sign(s) * np.abs(s) ** alpha
+                out = out + value_part.fn(x, s, xi)
             if a2:
-                out = out + a2 * _grad_mag(xi) ** beta
+                out = out + grad_part.fn(x, s, xi)
             return out
-
-        def d_s(x, s, xi):
-            if not a1:
-                return np.zeros_like(np.asarray(s, dtype=float))
-            return a1 * alpha * np.abs(s) ** (alpha - 1.0)
-
-        def d_xi(x, s, xi):
-            xi = np.asarray(xi, dtype=float)
-            if not a2:
-                return np.zeros_like(xi)
-            mag = np.maximum(_grad_mag(xi), 1e-300)
-            scal = a2 * beta * mag ** (beta - 2.0)
-            return scal[..., None] * xi if xi.ndim > np.asarray(s).ndim else scal * xi
 
         # no closed-form solution once the power terms act, but the unperturbed
         # parabola still selects the right branch as an initial profile; the
-        # power derivatives are dropped (chord rule) when unbounded near zero
+        # power parts carry their own derivatives, None (chord rule) where
+        # those are unbounded near zero
         return ConvectionTerm(
             kind, params,
             envelope(a1=a1, a2=a2, alpha=alpha, beta=beta, r=2.0,
                      sigma=SigmaWeight("manufactured_abs")),
             fn=fn,
-            d_s=d_s if (not a1 or alpha >= 1.0) else None,
-            d_xi=d_xi if (not a2 or beta >= 1.0) else None,
+            d_s=value_part.d_s if a1 else _zeros_like_s,
+            d_xi=grad_part.d_xi if a2 else _zeros_like_xi,
             guess_profile=_MANUFACTURED_EXACT.value,
             solution_dependent=bool(a1 or a2),
         )

@@ -2,10 +2,13 @@
 
 Existence theory guarantees a zero of the Galerkin residual inside the ball
 of the safeguard radius whenever the pairing against the sphere is
-nonnegative.  That argument is non-constructive, so numerically we run
-damped Newton (with a Levenberg fallback) projected to the ball and, on
-stall, homotopy continuation towards the residual from a well-behaved
-anchor map.  Failures are reported with the best iterate and the residual
+nonnegative.  That argument is non-constructive, so numerically each level
+runs one loop of zero searches: damped Newton (with a Levenberg fallback)
+projected to the ball and, on stall, homotopy continuation towards the
+residual from a well-behaved anchor map.  T(u) enters the convection term
+either live (local T, one pass) or frozen at the pass's start iterate
+(nonlocal T, repeated passes), and the true residual decides after each
+pass.  Failures are reported with the best iterate and the residual
 history, never silently.
 
 A sphere-sampling certificate documents that the nonnegativity hypothesis
@@ -16,7 +19,7 @@ to miss it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +28,6 @@ import scipy.sparse.linalg as spla
 
 from .constants import (
     EmbeddingConstants,
-    HypothesisReport,
     build_constants,
     check_convolution_condition,
     check_growth_smallness,
@@ -43,6 +45,10 @@ from .operators import (
     competing_pairing,
     convection_integral,
 )
+
+# Newton iterations per zero search; frozen-T passes per nonlocal level.
+MAX_NEWTON = 100
+MAX_OUTER = 50
 
 
 class SolverFailure(RuntimeError):
@@ -131,7 +137,7 @@ def brouwer_zero(
     jac: Optional[Callable] = None,
     norm: Optional[Callable[[np.ndarray], float]] = None,
     tol: float = 1e-10,
-    max_newton: int = 100,
+    max_newton: int = MAX_NEWTON,
     max_continuation_depth: int = 6,
 ) -> BrouwerResult:
     """Find v with ||F(v)||_sup <= tol and ||v|| <= R.
@@ -270,7 +276,6 @@ class ProblemInstance:
     q: float
     convection: ConvectionTerm
     operator: IntrinsicOperator
-    envelope: GrowthEnvelope
     p_crit: float
     tol: float
     eps_reg: float = 0.0
@@ -280,9 +285,11 @@ class ProblemInstance:
     sphere_samples: int = 1000
     estimator_starts: int = 8
     estimator_iters: int = 300
-    max_newton: int = 100
-    max_outer: int = 50
     initial_guess: Optional[Callable] = None
+
+    @property
+    def envelope(self) -> GrowthEnvelope:
+        return self.convection.envelope
 
     def lift_for(self, level: int):
         if self.operator.kind == "boundary_lift":
@@ -307,11 +314,6 @@ class LevelSolve:
     converged: bool
 
 
-def _true_residual(inst: ProblemInstance, u: FEFunction, lift):
-    img = apply_operator(inst.operator, u)
-    return assemble_residual(u, img, inst.convection, inst.p, inst.q, lift=lift)
-
-
 def solve_level(
     inst: ProblemInstance,
     n: int,
@@ -320,19 +322,26 @@ def solve_level(
 ) -> LevelSolve:
     """Solve the Galerkin equation on level n inside the safeguard ball.
 
-    Local operators (identity, boundary lift) keep T inside the residual and
-    Newton differentiates through the convection term.  The convolution
-    operator is handled by an outer fixed-point loop that freezes the
-    mollified argument, solves the frozen system, and re-applies T, damping
-    by one half on stagnation; the outer loop stops when the true residual
-    meets the same tolerance as the inner solves.
+    Every pass runs one ball-constrained zero search on the residual with
+    T(u) in the convection term.  A local operator (identity, boundary lift)
+    is applied inside the residual, so Newton differentiates through f and
+    one pass suffices.  A nonlocal operator (convolution) is frozen at the
+    pass's start iterate; passes repeat, damping by one half on stagnation,
+    until the true residual meets the tolerance or ``MAX_OUTER`` passes are
+    spent.  The level converged iff its true residual meets the tolerance.
     """
     h = inst.hierarchy
     lvl = h.level(n)
     lift = inst.lift_for(n)
+    frozen = not inst.operator.is_local
 
     def gnorm(c):
         return grad_norm_p(h.function(n, c), inst.p)
+
+    def true_residual_sup(c):
+        u = h.function(n, c)
+        img = apply_operator(inst.operator, u)
+        return assemble_residual(u, img, inst.convection, inst.p, inst.q, lift=lift).sup
 
     # The operator is non-monotone, so the discrete equation can have several
     # solutions and Newton converges to the one nearest its start.  A supplied
@@ -340,93 +349,62 @@ def solve_level(
     # every level; otherwise levels warm-start from the prolongated previous
     # solution and the base level starts at the origin.
     if inst.initial_guess is not None:
-        x0 = np.array(h.interpolate(n, inst.initial_guess).coeffs, dtype=float)
+        coeffs = np.array(h.interpolate(n, inst.initial_guess).coeffs, dtype=float)
     elif warm is not None:
-        x0 = np.array(warm.coeffs, dtype=float)
+        coeffs = np.array(warm.coeffs, dtype=float)
     else:
-        x0 = np.zeros(lvl.n_free)
+        coeffs = np.zeros(lvl.n_free)
 
-    if inst.operator.is_local:
+    prev_sup = math.inf
+    newton_iters = 0
+    stages = 0
+    for outer in range(1, MAX_OUTER + 1):
+        img = apply_operator(inst.operator, h.function(n, coeffs)) if frozen else None
+
+        def image(u):
+            return img if frozen else apply_operator(inst.operator, u)
+
         def F(c):
             u = h.function(n, c)
-            img = apply_operator(inst.operator, u)
-            return assemble_residual(u, img, inst.convection, inst.p, inst.q, lift=lift).values
+            return assemble_residual(u, image(u), inst.convection, inst.p, inst.q,
+                                     lift=lift).values
 
         def J(c):
             u = h.function(n, c)
-            img = apply_operator(inst.operator, u)
             return assemble_jacobian(
-                u, img, inst.convection, inst.p, inst.q,
-                eps_reg=inst.eps_reg, lift=lift, differentiate_f=True,
+                u, image(u), inst.convection, inst.p, inst.q,
+                eps_reg=inst.eps_reg, lift=lift, differentiate_f=not frozen,
             )
 
-        res = brouwer_zero(
-            F, R, x0=x0, jac=J, norm=gnorm, tol=inst.tol, max_newton=inst.max_newton
-        )
-        u = h.function(n, res.x)
-        true_sup = _true_residual(inst, u, lift).sup
-        outer = 0
-        newton_iters = res.newton_iters
-        stages = res.continuation_stages
-        converged = res.converged
-    else:
-        coeffs = x0
-        prev_sup = math.inf
-        newton_iters = 0
-        stages = 0
-        converged = False
-        outer = 0
-        for outer in range(1, inst.max_outer + 1):
-            u = h.function(n, coeffs)
-            img = apply_operator(inst.operator, u)
+        res = brouwer_zero(F, R, x0=coeffs, jac=J, norm=gnorm, tol=inst.tol)
+        newton_iters += res.newton_iters
+        stages += res.continuation_stages
+        true_sup = true_residual_sup(res.x)
+        if true_sup <= inst.tol or not frozen:
+            coeffs = res.x
+            break
+        # damp on stagnation
+        coeffs = 0.5 * (coeffs + res.x) if true_sup >= prev_sup else res.x
+        prev_sup = min(prev_sup, true_sup)
+    else:  # passes spent; the last step may have been damped
+        true_sup = true_residual_sup(coeffs)
 
-            def F(c, img=img):
-                uu = h.function(n, c)
-                return assemble_residual(uu, img, inst.convection, inst.p, inst.q, lift=lift).values
-
-            def J(c, img=img):
-                uu = h.function(n, c)
-                return assemble_jacobian(
-                    uu, img, inst.convection, inst.p, inst.q,
-                    eps_reg=inst.eps_reg, lift=lift, differentiate_f=False,
-                )
-
-            res = brouwer_zero(
-                F, R, x0=coeffs, jac=J, norm=gnorm, tol=inst.tol, max_newton=inst.max_newton
-            )
-            newton_iters += res.newton_iters
-            stages += res.continuation_stages
-            new_coeffs = res.x
-            u = h.function(n, new_coeffs)
-            true_sup = _true_residual(inst, u, lift).sup
-            if true_sup <= inst.tol:
-                coeffs = new_coeffs
-                converged = True
-                break
-            if true_sup >= prev_sup:
-                new_coeffs = 0.5 * (coeffs + new_coeffs)  # damp on stagnation
-            prev_sup = min(prev_sup, true_sup)
-            coeffs = new_coeffs
-        u = h.function(n, coeffs)
-        true_sup = _true_residual(inst, u, lift).sup
-        converged = converged or true_sup <= inst.tol
-
+    u = h.function(n, coeffs)
     gn = grad_norm_p(u, inst.p)
-    energy_gap = _energy_gap(inst, u, lift)
     return LevelSolve(
         level=n,
         u=u,
         residual_sup=true_sup,
         newton_iters=newton_iters,
-        outer_iters=outer,
+        outer_iters=outer if frozen else 0,
         continuation_stages=stages,
         radius=R,
         grad_norm=gn,
         apriori_margin=R - gn,
-        energy_gap=energy_gap,
+        energy_gap=_energy_gap(inst, u, lift),
         sphere_margin=None,
         sphere_negative=0,
-        converged=converged and true_sup <= inst.tol,
+        converged=true_sup <= inst.tol,
     )
 
 
@@ -635,26 +613,8 @@ class SolveReport:
         }
 
     def csv_rows(self) -> list:
-        diag_by_level = {d.level: d for d in self.diagnostics}
-        rows = [CSV_COLUMNS]
-        for s in self.levels:
-            d = diag_by_level.get(s.level)
-            rows.append(
-                [
-                    s.level,
-                    len(s.u.coeffs),
-                    repr(s.grad_norm),
-                    repr(s.residual_sup),
-                    repr(s.radius),
-                    repr(s.apriori_margin),
-                    "" if d is None else repr(d.weak_gap),
-                    "" if d is None else repr(d.residual_gap),
-                    "" if d is None else repr(d.pairing_gap),
-                    "" if d is None else repr(d.full_gap),
-                    s.newton_iters,
-                ]
-            )
-        return rows
+        levels = self.to_json_dict()["levels"]
+        return [CSV_COLUMNS] + [[lv[c] for c in CSV_COLUMNS] for lv in levels]
 
 
 def required_exponents(inst: ProblemInstance) -> list:
@@ -673,9 +633,20 @@ def required_exponents(inst: ProblemInstance) -> list:
     return sorted(wanted)
 
 
-def hypothesis_reports(inst: ProblemInstance, constants: EmbeddingConstants, cert):
-    """All checks applicable to the instance, generic smallness first."""
+def constants_and_hypotheses(inst: ProblemInstance):
+    """Embedding constants, the growth certificate of T and every applicable check.
+
+    Returns ``(constants, certificate, reports)`` with the generic smallness
+    report first.
+    """
+    h = inst.hierarchy
     env = inst.envelope
+    constants = build_constants(
+        h, inst.p, inst.p_crit, required_exponents(inst),
+        safety=inst.safety, starts=inst.estimator_starts,
+        iters=inst.estimator_iters, seed=inst.seed,
+    )
+    cert = certificate(inst.operator, inst.p, env.alpha, env.beta, constants, hierarchy=h)
     reports = [
         check_growth_smallness(env.a1, env.a2, cert, constants, env.alpha, env.beta)
     ]
@@ -688,7 +659,7 @@ def hypothesis_reports(inst: ProblemInstance, constants: EmbeddingConstants, cer
                 inst.operator.kernel.l1_norm, constants,
             )
         )
-    return reports
+    return constants, cert, reports
 
 
 def run_hierarchy(
@@ -708,16 +679,7 @@ def run_hierarchy(
     h = inst.hierarchy
     top = h.n_levels if levels is None else min(levels, h.n_levels)
 
-    constants = build_constants(
-        h, inst.p, inst.p_crit, required_exponents(inst),
-        safety=inst.safety, starts=inst.estimator_starts,
-        iters=inst.estimator_iters, seed=inst.seed,
-    )
-    cert = certificate(
-        inst.operator, inst.p, inst.envelope.alpha, inst.envelope.beta, constants,
-        hierarchy=h,
-    )
-    reports = hypothesis_reports(inst, constants, cert)
+    constants, cert, reports = constants_and_hypotheses(inst)
     failed = [r for r in reports if not r.passed]
     kappa = reports[0].value
 
@@ -741,7 +703,6 @@ def run_hierarchy(
             raise HypothesisRefusal(base.message, base)
         base.message = f"continuing despite failed checks: {names}"
 
-    finest = h.level(top)
     sigma_norm = inst.envelope.sigma.dual_norm(
         sample(h.zero(top)), inst.envelope.r
     )

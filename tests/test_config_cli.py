@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -156,6 +157,12 @@ MANUFACTURED_CLI = {
     "initial_guess": "exact",
 }
 
+CONVOLUTION_CLI = dict(
+    MANUFACTURED_CLI,
+    f={"kind": "manufactured_plus_power", "a1": 0.1, "a2": 0.1, "alpha": 2.0, "beta": 2.0},
+    T={"kind": "convolution", "kernel": {"shape": "box", "width": 0.25}},
+)
+
 
 class TestCli:
     def test_solve_writes_reports(self, tmp_path):
@@ -169,6 +176,23 @@ class TestCli:
         assert csv_text[0] == ("level,dim,grad_norm_p,residual_sup,R,apriori_margin,"
                                "diag_a,diag_b,diag_c_strong,diag_c_full,newton_iters")
         assert len(csv_text) == 5
+
+    def test_csv_cells_equal_json_values(self, tmp_path):
+        cfg = write_config(tmp_path, MANUFACTURED_CLI)
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out-dir", str(out)]) == 0
+        levels = json.loads((out / "solve_report.json").read_text())["levels"]
+        with (out / "solve_report.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == len(levels)
+        assert levels[-1]["diag_a"] is None  # the finest level has no diagnostics
+        for row, level in zip(rows, levels):
+            for column, cell in zip(header, row):
+                value = level[column]
+                if value is None:
+                    assert cell == ""
+                else:
+                    assert float(cell) == value, (level["level"], column)
 
     def test_solve_zero_rhs_all_zero_rows(self, tmp_path):
         cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, f={"kind": "zero"},
@@ -246,8 +270,10 @@ class TestCli:
         assert len(report["levels"]) == 3
         assert report["seed"] == 99
 
-    def test_byte_identical_reports_for_same_seed(self, tmp_path):
-        cfg = write_config(tmp_path, MANUFACTURED_CLI)
+    @pytest.mark.parametrize("config", [MANUFACTURED_CLI, CONVOLUTION_CLI],
+                             ids=["identity", "convolution"])
+    def test_byte_identical_reports_for_same_seed(self, tmp_path, config):
+        cfg = write_config(tmp_path, config)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["solve", str(cfg), "--out-dir", str(out1)]) == 0
         assert main(["solve", str(cfg), "--out-dir", str(out2)]) == 0

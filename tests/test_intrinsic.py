@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ class TestApply:
             errs.append(abs(convolution_values(T, u, np.array([0.5]))[0] - target))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 4e-6  # dominated by the h^2/4 interpolation error
+
+    def test_weights_die_with_their_level(self):
+        # a freed level's id can be reused by a new level, so cached weights
+        # must not outlive the level they were built for
+        T = convolution_operator(Kernel("box", {"width": 0.25}))
+        h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 2)
+        convolution_values(T, h.zero(2), np.array([0.5]))
+        assert len(T._conv_cache) == 1
+        del h
+        gc.collect()
+        assert len(T._conv_cache) == 0
 
     def test_kernel_support_window_error(self, unit_hierarchy):
         T = convolution_operator(Kernel("box", {"width": 6.0}), window_factor=1.0)

@@ -20,6 +20,8 @@ from competefem.operators import (
     SigmaWeight,
     _flux_block,
     _flux_coefficients,
+    _grad_mag,
+    _x_coord,
     assemble_jacobian,
     assemble_residual,
     competing_pairing,
@@ -223,6 +225,57 @@ class TestNoWarningsAtVanishingGradient:
             pairing = p_laplace_pairing(u, u, 1.5)
         assert np.all(np.isfinite(r.values))
         assert pairing == pytest.approx(grad_norm_p(u, 1.5) ** 1.5, rel=1e-13)
+
+
+def _written_out_plus_power(a1, alpha, a2, beta):
+    """manufactured_plus_power with its power parts written out in place."""
+
+    def fn(x, s, xi):
+        out = (4.0 * np.abs(1.0 - 2.0 * _x_coord(x)) - 2.0) * np.ones(
+            np.broadcast(_x_coord(x), s).shape)
+        if a1:
+            out = out + a1 * np.sign(s) * np.abs(s) ** alpha
+        if a2:
+            out = out + a2 * _grad_mag(xi) ** beta
+        return out
+
+    def d_s(x, s, xi):
+        if not a1:
+            return np.zeros_like(np.asarray(s, dtype=float))
+        return a1 * alpha * np.abs(s) ** (alpha - 1.0)
+
+    def d_xi(x, s, xi):
+        xi = np.asarray(xi, dtype=float)
+        if not a2:
+            return np.zeros_like(xi)
+        mag = np.maximum(_grad_mag(xi), 1e-300)
+        scal = a2 * beta * mag ** (beta - 2.0)
+        return scal[..., None] * xi if xi.ndim > np.asarray(s).ndim else scal * xi
+
+    return fn, d_s, d_xi
+
+
+class TestCatalogComposition:
+    @pytest.mark.parametrize("a1,a2", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.3, 0.2)])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_plus_power_matches_written_out_formulas(self, a1, a2, dim, rng):
+        alpha, beta = 2.0, 1.5
+        f = convection_from_catalog(
+            "manufactured_plus_power", {"a1": a1, "alpha": alpha, "a2": a2, "beta": beta}
+        )
+        ref_fn, ref_d_s, ref_d_xi = _written_out_plus_power(a1, alpha, a2, beta)
+        shape = (5, 3)
+        x = rng.uniform(0.0, 1.0, shape + ((2,) if dim == 2 else ()))
+        s = rng.standard_normal(shape)
+        xi = rng.standard_normal(shape + ((2,) if dim == 2 else ()))
+        for got, ref in ((f.fn, ref_fn), (f.d_s, ref_d_s), (f.d_xi, ref_d_xi)):
+            np.testing.assert_array_equal(got(x, s, xi), ref(x, s, xi))
+
+    def test_unbounded_power_derivatives_fall_back_to_chord(self):
+        f = convection_from_catalog(
+            "manufactured_plus_power", {"a1": 0.3, "alpha": 0.5, "a2": 0.2, "beta": 0.5}
+        )
+        assert f.d_s is None and f.d_xi is None
 
 
 class TestGrowthEnvelope:

@@ -38,7 +38,7 @@ def make_instance(h, f_kind="manufactured_p3q2", f_params=None, T=None,
     f = convection_from_catalog(f_kind, f_params or {})
     return ProblemInstance(
         hierarchy=h, p=3.0, q=2.0, convection=f,
-        operator=T or identity_operator(), envelope=f.envelope,
+        operator=T or identity_operator(),
         p_crit=critical_surrogate(3.0, 1), tol=tol, seed=seed, policy=policy,
         sphere_samples=sphere, estimator_starts=4, estimator_iters=150,
         initial_guess=guess,
@@ -141,6 +141,20 @@ class TestSolveLevel:
         out = solve_level(inst, 3, 1.5)
         assert out.converged
         assert out.outer_iters >= 1
+        assert out.residual_sup <= inst.tol
+
+    def test_local_solution_dependent_lift_is_one_pass(self, unit_hierarchy):
+        # a local T stays inside the residual, so no frozen-T passes are made
+        T = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
+        inst = make_instance(
+            unit_hierarchy, "manufactured_plus_power",
+            {"a1": 0.05, "a2": 0.05, "alpha": 2.0, "beta": 2.0}, T=T,
+            guess=lambda x: x * (1 - x),
+        )
+        assert inst.convection.solution_dependent
+        out = solve_level(inst, 2, 2.0)
+        assert out.converged
+        assert out.outer_iters == 0
         assert out.residual_sup <= inst.tol
 
 
