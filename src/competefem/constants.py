@@ -11,8 +11,9 @@ lower bounds of the true constants, and reports say whether each
 estimator converged.
 A configurable safety factor inflates them before they enter any hypothesis
 check; reports keep both numbers.  The first eigenvalue of the p-Laplacian
-is estimated by the matching descent, and the two estimators are tied by
-S_p = lambda^{-1/p}, which doubles as a consistency check.
+is the same Rayleigh quotient read the other way: lambda_1 = S_p,raw^{-p},
+an upper bound because S_p,raw is a lower bound.  It comes from the ascent
+at r = p and has no optimiser of its own.
 
 When the critical Sobolev exponent is unavailable (p >= space dimension at
 desk scale) a finite surrogate is used everywhere; the default is 2p.  The
@@ -37,6 +38,7 @@ from .discretization import (
     _qp_values,
     _value_integral,
     _value_load,
+    sine_mode,
 )
 
 
@@ -136,95 +138,6 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 
 
-def _sine_start(h: SpaceHierarchy, level: int) -> np.ndarray:
-    lvl = h.level(level)
-    if h.dim == 1:
-        a, b = lvl.mesh.nodes[0], lvl.mesh.nodes[-1]
-        pts = lvl.mesh.nodes[lvl.free]
-        return np.sin(math.pi * (pts - a) / (b - a))
-    pts = lvl.mesh.vertices[lvl.free]
-    lo = lvl.mesh.vertices.min(axis=0)
-    hi = lvl.mesh.vertices.max(axis=0)
-    t = (pts - lo) / np.where(hi > lo, hi - lo, 1.0)
-    return np.sin(math.pi * t[:, 0]) * np.sin(math.pi * t[:, 1])
-
-
-def _descend_rayleigh(lvl, p, start, iters, tol):
-    """Monotone projected gradient descent of ||grad u||_p^p / ||u||_p^p."""
-    coeffs = np.array(start, dtype=float).reshape(-1, 1)
-    coeffs = coeffs / _value_integral(lvl.qp_weights, _qp_values(lvl, coeffs), p) ** (1.0 / p)
-    grads, vals = _gradients(lvl, coeffs), _qp_values(lvl, coeffs)
-    value = _grad_integral(lvl, grads, p)[0]
-    step = 1.0 / max(value, 1.0)
-    converged = False
-    for _ in range(iters):
-        # B = int |u|^p is one after every normalisation
-        grad = p * _grad_force(lvl, grads, p) - value * (p * _value_load(lvl, vals, p))
-        gnorm2 = _column_dots(grad, grad)[0]
-        if gnorm2 == 0.0:
-            converged = True
-            break
-        t = step * 2.0
-        accepted = False
-        for _ in range(60):
-            cand = coeffs - t * grad
-            cB = _value_integral(lvl.qp_weights, _qp_values(lvl, cand), p)[0]
-            if cB > 0:
-                cand = cand / cB ** (1.0 / p)
-                cgrads = _gradients(lvl, cand)
-                cA = _grad_integral(lvl, cgrads, p)[0]
-                if cA < value - 1e-4 * t * gnorm2:
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            converged = True
-            break
-        improvement = (value - cA) / max(value, 1e-300)
-        coeffs, grads, vals, value, step = cand, cgrads, _qp_values(lvl, cand), cA, t
-        if improvement < tol:
-            converged = True
-            break
-    return float(value), coeffs[:, 0], converged
-
-
-def estimate_lambda1p(
-    h: SpaceHierarchy,
-    p: float,
-    iters: int = 400,
-    tol: float = 1e-12,
-    level: int | None = None,
-) -> EstimateResult:
-    """First p-Laplacian eigenvalue by Rayleigh quotient descent.
-
-    Each level starts from the prolongated minimiser of the previous one,
-    which makes the per-level estimates nonincreasing by construction; the
-    base level starts from a sine interpolant.  The result is an upper bound
-    of the true eigenvalue because minimisation runs over a subspace.
-    """
-    if p <= 1:
-        raise ValueError(f"eigenvalue exponent must satisfy p > 1, got {p}")
-    top = h.n_levels if level is None else level
-    per_level = []
-    coeffs = None
-    ok = True
-    for n in range(1, top + 1):
-        if h.level(n).n_free == 0:
-            per_level.append(math.inf)
-            continue
-        if coeffs is None:
-            start = _sine_start(h, n)
-        else:
-            start = (h.level(n).prolongation @ coeffs)
-            if not np.any(start):
-                start = _sine_start(h, n)
-        value, coeffs, conv = _descend_rayleigh(h.level(n), p, start, iters, tol)
-        ok = ok and conv
-        per_level.append(value)
-    return EstimateResult(value=per_level[-1], raw=per_level[-1],
-                          per_level=tuple(per_level), converged=ok)
-
-
 def _ascend_embedding(lvl, r, p, starts, iters, tol):
     """Monotone projected ascent of ||u||_r with ||grad u||_p fixed to one.
 
@@ -290,7 +203,6 @@ def estimate_embedding_constant(
     tol: float = 1e-11,
     safety: float = 1.1,
     seed: int = 0,
-    level: int | None = None,
 ) -> EstimateResult:
     """Estimate S_r = sup ||u||_r / ||grad u||_p over the finest level.
 
@@ -301,17 +213,16 @@ def estimate_embedding_constant(
     """
     if r < 1:
         raise ValueError(f"embedding exponent must satisfy r >= 1, got {r}")
-    top = h.n_levels if level is None else level
     rng = np.random.default_rng(np.random.SeedSequence((seed, int(round(r * 1e6)))))
     per_level = []
     best_coeffs = None
     ok = True
-    for n in range(1, top + 1):
+    for n in range(1, h.n_levels + 1):
         lvl = h.level(n)
         if lvl.n_free == 0:
             per_level.append(0.0)
             continue
-        candidates = [_sine_start(h, n)]
+        candidates = [sine_mode(h, n).coeffs]
         if best_coeffs is not None:
             candidates.append(lvl.prolongation @ best_coeffs)
         for _ in range(max(0, starts - 1)):
@@ -327,6 +238,35 @@ def estimate_embedding_constant(
                           per_level=tuple(per_level), converged=ok)
 
 
+def _eigenvalue_of(s_p: EstimateResult, p: float) -> EstimateResult:
+    """lambda_1 = S_p^{-p}, level by level, from the raw ascent at r = p.
+
+    A level without free dofs has no eigenfunction and reads infinity.
+    """
+    per_level = tuple(s ** -p if s > 0 else math.inf for s in s_p.per_level)
+    return EstimateResult(value=per_level[-1], raw=per_level[-1],
+                          per_level=per_level, converged=s_p.converged)
+
+
+def estimate_lambda1p(
+    h: SpaceHierarchy,
+    p: float,
+    starts: int = 8,
+    iters: int = 300,
+    seed: int = 0,
+) -> EstimateResult:
+    """First p-Laplacian eigenvalue, read off the embedding ascent at r = p.
+
+    lambda_1 = S_p,raw^{-p} is an upper bound of the true eigenvalue because
+    S_p,raw is a lower bound of S_p.  The prolongated best start makes the
+    per-level estimates nonincreasing.
+    """
+    if p <= 1:
+        raise ValueError(f"eigenvalue exponent must satisfy p > 1, got {p}")
+    s_p = estimate_embedding_constant(h, p, p, starts=starts, iters=iters, seed=seed)
+    return _eigenvalue_of(s_p, p)
+
+
 def build_constants(
     h: SpaceHierarchy,
     p: float,
@@ -336,25 +276,20 @@ def build_constants(
     starts: int = 8,
     iters: int = 300,
     seed: int = 0,
-    with_eigenvalue: bool = True,
 ) -> EmbeddingConstants:
-    """Estimate every requested embedding constant plus the eigenvalue."""
-    lam = None
-    profile = ()
-    lam_converged = False
-    if with_eigenvalue:
-        res = estimate_lambda1p(h, p)
-        lam, profile, lam_converged = res.value, res.per_level, res.converged
+    """Estimate every requested embedding constant, S_p always, and the eigenvalue."""
     entries = {}
-    for r in sorted({_key(r) for r in exponents}):
+    for r in sorted({_key(r) for r in exponents} | {_key(p)}):
         est = estimate_embedding_constant(
             h, r, p, starts=starts, iters=iters, safety=safety, seed=seed
         )
-        entries[_key(r)] = SEstimate(
+        entries[r] = SEstimate(
             raw=est.raw, value=est.value,
             provenance="projected ascent over the finest level, times safety factor",
             converged=est.converged,
         )
+        if r == _key(p):
+            lam = _eigenvalue_of(est, p)
     s_space = None
     prov = ""
     if _key(p_crit) in entries:
@@ -365,7 +300,8 @@ def build_constants(
         )
     return EmbeddingConstants(
         p=p, n_dim=h.dim, p_crit=p_crit, safety=safety, entries=entries,
-        lambda1p=lam, lambda_profile=profile, lambda1p_converged=lam_converged,
+        lambda1p=lam.value, lambda_profile=lam.per_level,
+        lambda1p_converged=lam.converged,
         s_space=s_space, s_space_provenance=prov,
     )
 

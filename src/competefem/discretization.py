@@ -624,6 +624,26 @@ def prolongate(u: FEFunction, target_level: int) -> FEFunction:
     return FEFunction(u.hierarchy, target_level, coeffs)
 
 
+def sine_mode(h: SpaceHierarchy, n: int, k: int = 1) -> FEFunction:
+    """Interpolant on level n of the k-th Dirichlet sine mode of the bounding box.
+
+    In 2D the mode is the product of the k-th modes of both coordinates,
+    taken after mapping the box onto the unit square.
+    """
+    lvl = h.level(n)
+    if h.dim == 1:
+        a, b = lvl.mesh.nodes[0], lvl.mesh.nodes[-1]
+        return h.interpolate(n, lambda x: np.sin(k * np.pi * (x - a) / (b - a)))
+    lo = lvl.mesh.vertices.min(axis=0)
+    hi = lvl.mesh.vertices.max(axis=0)
+
+    def mode(pts):
+        t = (pts - lo) / np.where(hi > lo, hi - lo, 1.0)
+        return np.sin(k * np.pi * t[:, 0]) * np.sin(k * np.pi * t[:, 1])
+
+    return h.interpolate(n, mode)
+
+
 def grad_norm_p(u: FEFunction, p: float) -> float:
     """W^{1,p} seminorm, exact for P1 since gradients are elementwise constant."""
     if p <= 1:

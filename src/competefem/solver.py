@@ -19,6 +19,7 @@ to miss it.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -35,7 +36,8 @@ from .constants import (
     coercivity_radius,
     compose_c0,
 )
-from .discretization import FEFunction, SpaceHierarchy, grad_norm_p, prolongate, sample
+from .discretization import (FEFunction, SpaceHierarchy, grad_norm_p, prolongate, sample,
+                             sine_mode)
 from .intrinsic import IntrinsicOperator, apply as apply_operator, certificate
 from .operators import (
     ConvectionTerm,
@@ -85,8 +87,6 @@ class BrouwerResult:
 
 def _solve_newton_step(J, rhs):
     try:
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if sp.issparse(J):
@@ -338,10 +338,11 @@ def solve_level(
     def gnorm(c):
         return grad_norm_p(h.function(n, c), inst.p)
 
-    def true_residual_sup(c):
+    def true_residual(c):
+        """Residual sup at c and T at c, which later steps reuse."""
         u = h.function(n, c)
         img = apply_operator(inst.operator, u)
-        return assemble_residual(u, img, inst.convection, inst.p, inst.q, lift=lift).sup
+        return assemble_residual(u, img, inst.convection, inst.p, inst.q, lift=lift).sup, img
 
     # The operator is non-monotone, so the discrete equation can have several
     # solutions and Newton converges to the one nearest its start.  A supplied
@@ -358,11 +359,13 @@ def solve_level(
     prev_sup = math.inf
     newton_iters = 0
     stages = 0
+    img = None  # T(coeffs) once known
     for outer in range(1, MAX_OUTER + 1):
-        img = apply_operator(inst.operator, h.function(n, coeffs)) if frozen else None
+        if frozen and img is None:
+            img = apply_operator(inst.operator, h.function(n, coeffs))
 
-        def image(u):
-            return img if frozen else apply_operator(inst.operator, u)
+        def image(u, fixed=img):
+            return fixed if frozen else apply_operator(inst.operator, u)
 
         def F(c):
             u = h.function(n, c)
@@ -379,15 +382,18 @@ def solve_level(
         res = brouwer_zero(F, R, x0=coeffs, jac=J, norm=gnorm, tol=inst.tol)
         newton_iters += res.newton_iters
         stages += res.continuation_stages
-        true_sup = true_residual_sup(res.x)
+        true_sup, img = true_residual(res.x)
         if true_sup <= inst.tol or not frozen:
             coeffs = res.x
             break
-        # damp on stagnation
-        coeffs = 0.5 * (coeffs + res.x) if true_sup >= prev_sup else res.x
+        if true_sup >= prev_sup:  # damp on stagnation
+            coeffs, img = 0.5 * (coeffs + res.x), None
+        else:
+            coeffs = res.x
         prev_sup = min(prev_sup, true_sup)
     else:  # passes spent; the last step may have been damped
-        true_sup = true_residual_sup(coeffs)
+        if img is None:
+            true_sup, img = true_residual(coeffs)
 
     u = h.function(n, coeffs)
     gn = grad_norm_p(u, inst.p)
@@ -401,16 +407,18 @@ def solve_level(
         radius=R,
         grad_norm=gn,
         apriori_margin=R - gn,
-        energy_gap=_energy_gap(inst, u, lift),
+        energy_gap=_energy_gap(inst, u, img, lift),
         sphere_margin=None,
         sphere_negative=0,
         converged=true_sup <= inst.tol,
     )
 
 
-def _energy_gap(inst: ProblemInstance, u: FEFunction, lift) -> float:
-    """Defect of the identity obtained by testing the equation with u itself."""
-    img = apply_operator(inst.operator, u)
+def _energy_gap(inst: ProblemInstance, u: FEFunction, img, lift) -> float:
+    """Defect of the identity obtained by testing the equation with u itself.
+
+    ``img`` is T(u).
+    """
     f_term = convection_integral(u, img, inst.convection)
     lhs = competing_pairing(u, u, inst.p, inst.q, lift=lift)
     return float(abs(lhs - f_term))
@@ -490,23 +498,7 @@ def convergence_diagnostics(
         c = np.zeros(lvl.n_free)
         c[i] = 1.0
         tests.append(h.function(top, c))
-    for k in range(1, 5):
-        if h.dim == 1:
-            a, b = lvl.mesh.nodes[0], lvl.mesh.nodes[-1]
-            tests.append(h.interpolate(top, lambda x, k=k, a=a, b=b:
-                                       np.sin(k * math.pi * (x - a) / (b - a))))
-        else:
-            lo = lvl.mesh.vertices.min(axis=0)
-            hi = lvl.mesh.vertices.max(axis=0)
-            tests.append(
-                h.interpolate(
-                    top,
-                    lambda pts, k=k, lo=lo, hi=hi: np.sin(
-                        k * math.pi * (pts[:, 0] - lo[0]) / (hi[0] - lo[0])
-                    )
-                    * np.sin(k * math.pi * (pts[:, 1] - lo[1]) / (hi[1] - lo[1])),
-                )
-            )
+    tests += [sine_mode(h, top, k) for k in range(1, 5)]
     test_norms = [max(grad_norm_p(phi, inst.p), 1e-300) for phi in tests]
 
     rows = []

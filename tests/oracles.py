@@ -52,6 +52,15 @@ def lambda1_shooting(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def lambda1_closed_form(p: float, length: float = 1.0) -> float:
+    """First Dirichlet eigenvalue on an interval: (p-1) (pi_p / L)^p.
+
+    pi_p = 2 pi / (p sin(pi / p)) (Lindqvist 1995); p = 2 gives (pi / L)^2.
+    """
+    pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
+    return (p - 1.0) * (pi_p / length) ** p
+
+
 def random_monotone_map(rng: np.random.Generator, dim: int, R: float):
     """Monotone map A v + c ||v||^2 v - b with its unique zero inside the ball.
 

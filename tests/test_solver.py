@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from competefem.constants import critical_surrogate
 from competefem.discretization import (
@@ -15,6 +16,7 @@ from competefem.discretization import (
 from competefem.intrinsic import (
     Kernel,
     LiftFunction,
+    apply,
     boundary_lift_operator,
     convolution_operator,
     identity_operator,
@@ -23,6 +25,8 @@ from competefem.operators import convection_from_catalog
 from competefem.solver import (
     HypothesisRefusal,
     ProblemInstance,
+    _levenberg_step,
+    _solve_newton_step,
     brouwer_zero,
     convergence_diagnostics,
     run_hierarchy,
@@ -106,6 +110,27 @@ class TestBrouwerZero:
             assert np.linalg.norm(res.x - oracle) <= 1e-2
 
 
+class TestNewtonFallback:
+    # Galerkin Jacobian of the README problem at the exact interpolant on
+    # level 1: |u'| = 1/2 at the inner nodes makes rows 1 and 3 equal
+    J = np.array([[0.0, 2.0, 0.0], [2.0, -4.0, 2.0], [0.0, 2.0, 0.0]])
+    rhs = np.array([1.0, -0.5, 0.25])
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_singular_jacobian_has_no_newton_step(self, sparse):
+        J = sp.csr_matrix(self.J) if sparse else self.J
+        assert _solve_newton_step(J, self.rhs) is None
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_levenberg_step_is_finite(self, sparse):
+        J = sp.csr_matrix(self.J) if sparse else self.J
+        lam = 1e-10
+        dx = _levenberg_step(J, self.rhs, lam)
+        assert dx is not None and np.all(np.isfinite(dx))
+        normal = self.J.T @ self.J + lam * np.eye(3)
+        np.testing.assert_allclose(normal @ dx, -self.J.T @ self.rhs, atol=1e-8)
+
+
 class TestSolveLevel:
     def test_zero_rhs_gives_zero(self, unit_hierarchy):
         inst = make_instance(unit_hierarchy, "zero")
@@ -142,6 +167,26 @@ class TestSolveLevel:
         assert out.converged
         assert out.outer_iters >= 1
         assert out.residual_sup <= inst.tol
+
+    def test_convolution_applies_T_once_per_iterate(self, unit_hierarchy, monkeypatch):
+        # the start and each pass's result; no pass is damped on this level,
+        # so the image of the true-residual check is reused as the next
+        # frozen image and for the energy gap
+        T = convolution_operator(Kernel("box", {"width": 0.1}), refine_factor=4)
+        inst = make_instance(
+            unit_hierarchy, "manufactured_plus_power",
+            {"a1": 0.3, "alpha": 2.0}, T=T, guess=lambda x: x * (1 - x),
+        )
+        calls = []
+
+        def counting_apply(op, u):
+            calls.append(u.level)
+            return apply(op, u)
+
+        monkeypatch.setattr("competefem.solver.apply_operator", counting_apply)
+        out = solve_level(inst, 4, 1.5)
+        assert out.converged and out.outer_iters > 1
+        assert len(calls) == out.outer_iters + 1
 
     def test_local_solution_dependent_lift_is_one_pass(self, unit_hierarchy):
         # a local T stays inside the residual, so no frozen-T passes are made
