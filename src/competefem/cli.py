@@ -128,7 +128,7 @@ def cmd_study(spec: ProblemSpec, out_dir: str) -> int:
     prev = None
     for s in report.levels:
         lvl = h.level(s.level)
-        x = lvl.qp_points[..., 0] if h.dim == 1 else lvl.qp_points
+        x = lvl.qp_points[..., 0]  # the exact solution is a function of the first coordinate
         g_err = s.u.element_gradients()[:, None, :] - np.atleast_3d(
             np.asarray(exact.gradient(x), dtype=float)
         )

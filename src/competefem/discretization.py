@@ -538,7 +538,14 @@ def build_hierarchy(domain: DomainMesh, levels: int, quad_order: int = 4) -> Spa
 
 @dataclass(frozen=True, eq=False)
 class FEFunction:
-    """P1 function on one hierarchy level, zero on the Dirichlet boundary."""
+    """P1 function on one hierarchy level, zero on the Dirichlet boundary.
+
+    ``coeffs`` holds one function, shape (n_free,), or a block of k functions
+    on the same level, shape (n_free, k).  :func:`sample`,
+    ``intrinsic.apply`` and ``operators.assemble_residual`` take either, and
+    a single function is their k = 1 case with the block axis dropped; every
+    other method and function takes one function.
+    """
 
     hierarchy: SpaceHierarchy
     level: int
@@ -568,15 +575,6 @@ class FEFunction:
         lvl = self.lvl
         return _qp_values(lvl, self.coeffs).reshape(lvl.qp_weights.shape)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Point evaluation (1D only), zero outside the domain."""
-        lvl = self.lvl
-        if self.hierarchy.dim != 1:
-            raise NotImplementedError("point evaluation is implemented for 1D meshes")
-        nodes = lvl.mesh.nodes
-        full = self.full_values()
-        return np.interp(np.asarray(x, dtype=float), nodes, full, left=0.0, right=0.0)
-
 
 @dataclass(frozen=True, eq=False)
 class QuadratureSamples:
@@ -585,8 +583,8 @@ class QuadratureSamples:
     level: int
     points: np.ndarray     # (n_el, n_q, dim)
     weights: np.ndarray    # (n_el, n_q)
-    values: np.ndarray     # (n_el, n_q)
-    gradients: np.ndarray  # (n_el, n_q, dim)
+    values: np.ndarray     # (n_el, n_q), or (k, n_el, n_q) for a block
+    gradients: np.ndarray  # (n_el, n_q, dim), or (k, n_el, n_q, dim) for a block
 
     def value_norm(self, r: float) -> float:
         if r < 1:
@@ -599,16 +597,26 @@ class QuadratureSamples:
 
 
 def sample(u: FEFunction) -> QuadratureSamples:
-    """Sample a P1 function at all quadrature points of its level."""
+    """Sample P1 functions at all quadrature points of their level.
+
+    The sample axis leads: a block of k functions gives values shaped
+    (k, n_el, n_q) and gradients (k, n_el, n_q, dim).  One function drops it.
+    """
     lvl = u.lvl
-    grads = u.element_gradients()
-    n_q = lvl.basis_at_qp.shape[0]
+    coeffs = u.coeffs.reshape(lvl.n_free, -1)
+    k = coeffs.shape[1]
+    (n_el, n_q), dim = lvl.qp_weights.shape, lvl.mesh.dim
+    values = _qp_values(lvl, coeffs).T.reshape(k, n_el, n_q)
+    grads = _gradients(lvl, coeffs).transpose(2, 1, 0)[:, :, None, :]
+    grads = np.broadcast_to(grads, (k, n_el, n_q, dim))
+    if u.coeffs.ndim == 1:
+        values, grads = values[0], grads[0]
     return QuadratureSamples(
         level=u.level,
         points=lvl.qp_points,
         weights=lvl.qp_weights,
-        values=u.values_at_qp(),
-        gradients=np.broadcast_to(grads[:, None, :], (len(grads), n_q, grads.shape[1])).copy(),
+        values=values,
+        gradients=grads,
     )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erf
@@ -36,6 +36,7 @@ from .discretization import (
     QuadratureSamples,
     SpaceHierarchy,
     _grad_integral,
+    _gradients,
     _value_integral,
     grad_norm_p,
     sample,
@@ -214,6 +215,10 @@ class IntrinsicOperator:
     _conv_cache: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False
     )
+    # level -> (u0 nodal values, u0 and grad u0 at the quadrature points)
+    _lift_cache: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False
+    )
 
     def __post_init__(self):
         if self.kind not in ("identity", "boundary_lift", "convolution"):
@@ -245,14 +250,55 @@ def convolution_operator(kernel: Kernel, refine_factor: int = 4,
                              refine_factor=refine_factor, window_factor=window_factor)
 
 
+# -- boundary lift -------------------------------------------------------------
+
+
+def _lift_tables(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> tuple:
+    """u0's nodal values and its samples on a level, built once per level."""
+    lvl = hierarchy.level(level)
+    hit = T._lift_cache.get(lvl)
+    if hit is None:
+        u0 = T.lift.interpolate_ambient(hierarchy, level)
+        g0 = u0.element_gradients()
+        grads = np.broadcast_to(g0[:, None, :], lvl.qp_weights.shape + g0.shape[1:])
+        hit = T._lift_cache[lvl] = (u0.nodal, u0.values_at_qp(), grads)
+    return hit
+
+
+def lift_on(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> AmbientFunction:
+    """The lift u0 of a boundary_lift operator, interpolated on a level."""
+    return AmbientFunction(hierarchy, level, _lift_tables(T, hierarchy, level)[0])
+
+
 # -- convolution machinery ---------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class _ConvGrid:
+    """Product-integration cells and the map evaluating P1 functions at their midpoints.
+
+    Each midpoint lies in element ``elem``, at ``offset`` from its left node
+    on an element of length ``width``; values are interpolated as np.interp
+    does, slope times offset plus the left value.
+    """
+
     midpoints: np.ndarray  # (m,)
     edges: np.ndarray      # (m+1,)
     cell: float
+    elem: np.ndarray       # (m,)
+    offset: np.ndarray     # (m,)
+    width: np.ndarray      # (m,)
+
+    def values(self, level: Level, coeffs: np.ndarray) -> np.ndarray:
+        """Values of each column of a (n_free, k) block at the midpoints, (m, k)."""
+        full = np.zeros((level.mesh.n_nodes, coeffs.shape[1]))
+        full[level.free] = coeffs
+        left, right = full[self.elem], full[self.elem + 1]
+        return (right - left) / self.width[:, None] * self.offset[:, None] + left
+
+    def gradients(self, level: Level, coeffs: np.ndarray) -> np.ndarray:
+        """Gradients of each column of a (n_free, k) block at the midpoints, (m, k)."""
+        return _gradients(level, coeffs)[0][self.elem]
 
 
 def _conv_grid(level: Level, kernel: Kernel, refine: int) -> _ConvGrid:
@@ -267,7 +313,10 @@ def _conv_grid(level: Level, kernel: Kernel, refine: int) -> _ConvGrid:
     m = max(1, int(round((b - a) / cell)))
     edges = a + (b - a) * np.arange(m + 1) / m
     mid = 0.5 * (edges[:-1] + edges[1:])
-    return _ConvGrid(midpoints=mid, edges=edges, cell=(b - a) / m)
+    # the cells span the domain, so every midpoint lies in an element
+    elem = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(nodes) - 2)
+    return _ConvGrid(midpoints=mid, edges=edges, cell=(b - a) / m, elem=elem,
+                     offset=mid - nodes[elem], width=nodes[elem + 1] - nodes[elem])
 
 
 def _conv_weights(T: IntrinsicOperator, level: Level, points: np.ndarray):
@@ -298,48 +347,40 @@ def _check_1d(T: IntrinsicOperator, u: FEFunction):
         raise NotImplementedError("convolution operators are implemented for 1D domains")
 
 
-def convolution_values(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> np.ndarray:
-    """(rho * u)(x) with u extended by zero outside the domain."""
+def _convolve(T: IntrinsicOperator, u: FEFunction, x, at_midpoints) -> np.ndarray:
+    """W applied to the midpoint data of u; a block u adds a leading sample axis."""
     _check_1d(T, u)
     lvl = u.lvl
     x = np.asarray(x, dtype=float)
     W, grid = _conv_weights(T, lvl, x)
-    vals = u.evaluate(grid.midpoints)
-    return (W @ vals).reshape(x.shape)
+    data = at_midpoints(grid, lvl, u.coeffs.reshape(lvl.n_free, -1))
+    return (W @ data).T.reshape(u.coeffs.shape[1:] + x.shape)
+
+
+def convolution_values(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> np.ndarray:
+    """(rho * u)(x) with u extended by zero outside the domain."""
+    return _convolve(T, u, x, _ConvGrid.values)
 
 
 def convolution_gradient_values(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> np.ndarray:
     """(rho * u')(x), the derivative of the mollified function."""
-    _check_1d(T, u)
-    lvl = u.lvl
-    x = np.asarray(x, dtype=float)
-    W, grid = _conv_weights(T, lvl, x)
-    g = u.element_gradients()[:, 0]
-    idx = np.clip(np.searchsorted(lvl.mesh.nodes, grid.midpoints) - 1, 0, len(g) - 1)
-    gm = g[idx]
-    outside = (grid.midpoints < lvl.mesh.nodes[0]) | (grid.midpoints > lvl.mesh.nodes[-1])
-    gm = np.where(outside, 0.0, gm)
-    return (W @ gm).reshape(x.shape)
+    return _convolve(T, u, x, _ConvGrid.gradients)
 
 
 def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
-    """Values and gradients of T(u) at the quadrature points of u's level."""
+    """Values and gradients of T(u) at the quadrature points of u's level.
+
+    A block u gives the samples of every column, sample axis first, as
+    :func:`~competefem.discretization.sample` does.
+    """
     if T.kind == "identity":
         return sample(u)
-    lvl = u.lvl
     if T.kind == "boundary_lift":
-        u0 = T.lift.interpolate_ambient(u.hierarchy, u.level)
         base = sample(u)
-        g0 = u0.element_gradients()
-        n_q = lvl.basis_at_qp.shape[0]
-        return QuadratureSamples(
-            level=u.level,
-            points=base.points,
-            weights=base.weights,
-            values=base.values + u0.values_at_qp(),
-            gradients=base.gradients
-            + np.broadcast_to(g0[:, None, :], (len(g0), n_q, g0.shape[1])),
-        )
+        _, values, gradients = _lift_tables(T, u.hierarchy, u.level)
+        return replace(base, values=base.values + values,
+                       gradients=base.gradients + gradients)
+    lvl = u.lvl
     x = lvl.qp_points[..., 0]
     vals = convolution_values(T, u, x)
     grads = convolution_gradient_values(T, u, x)
@@ -435,7 +476,7 @@ def certificate(
         m = max(2.0 ** (p - 2.0), 1.0)
         if hierarchy is None:
             raise ValueError("boundary_lift certificate needs a hierarchy to measure u0")
-        u0 = T.lift.interpolate_ambient(hierarchy, hierarchy.n_levels)
+        u0 = lift_on(T, hierarchy, hierarchy.n_levels)
         u0_val = u0.value_norm(constants.p_crit)
         u0_grad = u0.grad_norm(p)
         return IntrinsicCertificate(

@@ -43,23 +43,25 @@ def holder_conjugate(r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _x_coord(x: np.ndarray) -> np.ndarray:
-    """First spatial coordinate; accepts (..., dim) point arrays or plain x."""
+def _x_coord(x, s) -> np.ndarray:
+    """First component of a point x (or a gradient xi) passed with the samples s.
+
+    x and xi carry a trailing space axis exactly when they have more axes
+    than s; otherwise they already are that component.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim > 1 and x.shape[-1] in (1, 2):
-        return x[..., 0]
-    return x
+    return x[..., 0] if x.ndim > np.ndim(s) else x
 
 
 @dataclass(frozen=True)
 class SigmaWeight:
-    """Nonnegative weight function with a closed form or nodal samples."""
+    """Nonnegative weight function of the first coordinate, closed form or nodal."""
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        first = _x_coord(x)
+    def __call__(self, first: np.ndarray) -> np.ndarray:
+        first = np.asarray(first, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(first)
         if self.kind == "constant":
@@ -76,7 +78,7 @@ class SigmaWeight:
 
     def dual_norm(self, samples: QuadratureSamples, r: float) -> float:
         """||sigma||_{r'} by quadrature; sup over points when r = 1."""
-        vals = self(samples.points)
+        vals = self(samples.points[..., 0])
         rp = holder_conjugate(r)
         if np.isinf(rp):
             return float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -101,12 +103,10 @@ class GrowthEnvelope:
     sigma: SigmaWeight
 
     def __call__(self, x, s, xi) -> np.ndarray:
-        mag = np.sqrt(np.sum(np.atleast_1d(np.asarray(xi, dtype=float)) ** 2, axis=-1)) \
-            if np.asarray(xi).ndim > np.asarray(s).ndim else np.abs(np.asarray(xi, dtype=float))
         return (
-            self.sigma(x)
+            self.sigma(_x_coord(x, s))
             + self.a1 * np.abs(np.asarray(s, dtype=float)) ** self.alpha
-            + self.a2 * mag**self.beta
+            + self.a2 * _grad_mag(xi, s) ** self.beta
         )
 
     def validate(self, p: float, p_crit: float) -> None:
@@ -135,7 +135,10 @@ class GrowthEnvelope:
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Closed-form solution a manufactured right-hand side was built for."""
+    """Closed-form solution a manufactured right-hand side was built for.
+
+    ``value`` and ``gradient`` are functions of the first coordinate.
+    """
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -147,8 +150,9 @@ class ExactSolution:
 class ConvectionTerm:
     """Right-hand side evaluator with growth metadata.
 
-    ``fn(x, s, xi)`` must accept broadcastable arrays; ``xi`` has a trailing
-    space dimension in 2D and is scalar-shaped in 1D.  ``d_s``/``d_xi`` are
+    ``fn(x, s, xi)`` must accept broadcastable arrays; x and xi carry a
+    trailing space axis exactly when they have more axes than s (in 2D),
+    and are scalar-shaped like s otherwise (in 1D).  ``d_s``/``d_xi`` are
     the partial derivatives used by Newton when the intrinsic operator is
     local; leave them None to force a chord (frozen right-hand side) rule.
     ``solution_dependent`` is false when f ignores s and xi, so callers may
@@ -170,9 +174,10 @@ class ConvectionTerm:
         return self.fn(x, s, xi)
 
 
-def _grad_mag(xi: np.ndarray) -> np.ndarray:
+def _grad_mag(xi, s) -> np.ndarray:
+    """|xi|, over its trailing space axis when it has more axes than s."""
     xi = np.asarray(xi, dtype=float)
-    if xi.ndim > 1 and xi.shape[-1] == 2:
+    if xi.ndim > np.ndim(s):
         return np.sqrt(np.sum(xi**2, axis=-1))
     return np.abs(xi)
 
@@ -185,16 +190,28 @@ def _zeros_like_xi(x, s, xi):
     return np.zeros_like(np.asarray(xi, dtype=float))
 
 
-def _manufactured_value(x):
-    return 4.0 * np.abs(1.0 - 2.0 * _x_coord(x)) - 2.0
+def _x_only(profile, x, s):
+    """profile of the first coordinate of x, broadcast against the samples s."""
+    first = _x_coord(x, s)
+    return profile(first) * np.ones(np.broadcast(first, s).shape)
+
+
+def _manufactured_value(x, s):
+    return _x_only(lambda t: 4.0 * np.abs(1.0 - 2.0 * t) - 2.0, x, s)
 
 
 _MANUFACTURED_EXACT = ExactSolution(
-    value=lambda x: _x_coord(x) * (1.0 - _x_coord(x)),
-    gradient=lambda x: 1.0 - 2.0 * _x_coord(x),
+    value=lambda t: t * (1.0 - t),
+    gradient=lambda t: 1.0 - 2.0 * t,
     p=3.0,
     q=2.0,
 )
+
+
+def _manufactured_guess(pts):
+    """The exact profile at nodes as ``SpaceHierarchy.interpolate`` passes them."""
+    pts = np.asarray(pts, dtype=float)
+    return _MANUFACTURED_EXACT.value(pts if pts.ndim == 1 else pts[:, 0])
 
 
 def convection_from_catalog(kind: str, params: dict | None = None) -> ConvectionTerm:
@@ -218,7 +235,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         return ConvectionTerm(
             kind, params,
             envelope(sigma=SigmaWeight("constant", {"c": abs(c)})),
-            fn=lambda x, s, xi: np.full(np.broadcast(_x_coord(x), s).shape, c),
+            fn=lambda x, s, xi: _x_only(lambda t: c, x, s),
             d_s=_zeros_like_s,
             d_xi=_zeros_like_xi,
             solution_dependent=False,
@@ -230,7 +247,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         r = float(params.get("r", 2.0))
         return ConvectionTerm(
             kind, params, envelope(r=r, sigma=sigma),
-            fn=lambda x, s, xi: sigma(x) * np.ones(np.broadcast(_x_coord(x), s).shape),
+            fn=lambda x, s, xi: _x_only(sigma, x, s),
             d_s=_zeros_like_s,
             d_xi=_zeros_like_xi,
             solution_dependent=False,
@@ -255,23 +272,19 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         beta = float(params.get("beta", 1.0))
         signed = bool(params.get("signed", False))
 
-        def _first_component(xi, s):
-            xi = np.asarray(xi, dtype=float)
-            return xi[..., 0] if xi.ndim > np.asarray(s).ndim else xi
-
         def fn(x, s, xi):
-            out = a2 * _grad_mag(xi) ** beta
+            out = a2 * _grad_mag(xi, s) ** beta
             if signed:
-                out = out * np.sign(_first_component(xi, s))
+                out = out * np.sign(_x_coord(xi, s))
             return out
 
         def d_xi(x, s, xi):
             # sign(xi_1) is piecewise constant, so it passes through a.e.
             xi = np.asarray(xi, dtype=float)
-            mag = np.maximum(_grad_mag(xi), 1e-300)
+            mag = np.maximum(_grad_mag(xi, s), 1e-300)
             scal = a2 * beta * mag ** (beta - 2.0)
             if signed:
-                scal = scal * np.sign(_first_component(xi, s))
+                scal = scal * np.sign(_x_coord(xi, s))
             return scal[..., None] * xi if xi.ndim > np.asarray(s).ndim else scal * xi
 
         return ConvectionTerm(
@@ -285,11 +298,11 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         return ConvectionTerm(
             kind, params,
             envelope(r=2.0, sigma=SigmaWeight("manufactured_abs")),
-            fn=lambda x, s, xi: _manufactured_value(x) * np.ones(np.broadcast(_x_coord(x), s).shape),
+            fn=lambda x, s, xi: _manufactured_value(x, s),
             d_s=_zeros_like_s,
             d_xi=_zeros_like_xi,
             exact=_MANUFACTURED_EXACT,
-            guess_profile=_MANUFACTURED_EXACT.value,
+            guess_profile=_manufactured_guess,
             solution_dependent=False,
         )
 
@@ -302,7 +315,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         grad_part = convection_from_catalog("gradient_power", {"a2": a2, "beta": beta})
 
         def fn(x, s, xi):
-            out = _manufactured_value(x) * np.ones(np.broadcast(_x_coord(x), s).shape)
+            out = _manufactured_value(x, s)
             if a1:
                 out = out + value_part.fn(x, s, xi)
             if a2:
@@ -320,7 +333,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             fn=fn,
             d_s=value_part.d_s if a1 else _zeros_like_s,
             d_xi=grad_part.d_xi if a2 else _zeros_like_xi,
-            guess_profile=_MANUFACTURED_EXACT.value,
+            guess_profile=_manufactured_guess,
             solution_dependent=bool(a1 or a2),
         )
 
@@ -347,8 +360,11 @@ CONVECTION_KINDS = (
 
 
 def _combined_gradients(u: FEFunction, lift) -> np.ndarray:
-    """Element gradients of u + lift, shaped (dim, n_el, 1) for the level forms."""
-    g = _gradients(u.lvl, u.coeffs[:, None])
+    """Element gradients of u + lift, shaped (dim, n_el, k) for the level forms.
+
+    k is 1 for one function and the block width for a block.
+    """
+    g = _gradients(u.lvl, u.coeffs.reshape(len(u.coeffs), -1))
     if lift is not None:
         if getattr(lift, "level", None) != u.level:
             raise LevelMismatchError(
@@ -375,7 +391,11 @@ def competing_pairing(u: FEFunction, v: FEFunction, p: float, q: float, lift=Non
 
 @dataclass(frozen=True, eq=False)
 class ResidualVector:
-    """Galerkin residual against every free basis function of one level."""
+    """Galerkin residual against every free basis function of one level.
+
+    ``values`` is shaped like the coefficients it was assembled at: (n_free,)
+    for one function, (n_free, k) for a block.
+    """
 
     level: int
     values: np.ndarray
@@ -386,30 +406,47 @@ class ResidualVector:
 
 
 def _check_samples(u: FEFunction, T_image: QuadratureSamples) -> None:
+    if T_image is None:
+        raise ValueError("a right-hand side that depends on T(u) needs samples of T(u)")
     lvl = u.lvl
-    if T_image.level != u.level or T_image.values.shape != lvl.qp_weights.shape:
+    shape = u.coeffs.shape[1:] + lvl.qp_weights.shape
+    if T_image.level != u.level or T_image.values.shape != shape:
         raise LevelMismatchError(
             f"samples on level {T_image.level} with shape {T_image.values.shape} do not "
-            f"match level {u.level} quadrature {lvl.qp_weights.shape}"
+            f"match level {u.level} quadrature {shape}"
         )
 
 
-def _f_arguments(lvl, T_image: QuadratureSamples) -> tuple:
-    """(x, s, xi) at the quadrature points; x and xi lose their axis in 1D."""
+def _f_arguments(lvl, values: np.ndarray, gradients: np.ndarray) -> tuple:
+    """(x, s, xi) at the quadrature points from samples s = T(u), xi = grad T(u).
+
+    In 1D x and xi drop their space axis; in 2D x gets the leading axes of
+    s, so that x and xi have one axis more than s (see ``_x_coord``).
+    """
     if lvl.mesh.dim == 1:
-        return lvl.qp_points[..., 0], T_image.values, T_image.gradients[..., 0]
-    return lvl.qp_points, T_image.values, T_image.gradients
+        return lvl.qp_points[..., 0], values, gradients[..., 0]
+    x = lvl.qp_points.reshape((1,) * (values.ndim - 2) + lvl.qp_points.shape)
+    return x, values, gradients
 
 
-def _convection_load(f: ConvectionTerm, T_image: QuadratureSamples, lvl) -> np.ndarray:
-    """int f(x, T(u), grad T(u)) phi_i dx for every free dof i."""
-    vals = np.asarray(f(*_f_arguments(lvl, T_image)), dtype=float)
-    return lvl.qp_op_t @ (lvl.qp_weights * vals).ravel()
+def _convection_load(f: ConvectionTerm, T_image, lvl) -> np.ndarray:
+    """int f(x, T(u), grad T(u)) phi_i dx per free dof i, one column per sample.
+
+    An x-only f ignores the samples, which may then be None, and gives
+    every sample the same load: one column, evaluated once.
+    """
+    if f.solution_dependent:
+        values, gradients = T_image.values, T_image.gradients
+    else:
+        values, gradients = np.zeros(lvl.qp_weights.shape), np.zeros(lvl.qp_points.shape)
+    vals = np.asarray(f(*_f_arguments(lvl, values, gradients)), dtype=float)
+    w = lvl.qp_weights
+    return lvl.qp_op_t @ (w * vals).reshape(-1, w.size).T
 
 
 def assemble_residual(
     u: FEFunction,
-    T_image: QuadratureSamples,
+    T_image: Optional[QuadratureSamples],
     f: ConvectionTerm,
     p: float,
     q: float,
@@ -419,15 +456,19 @@ def assemble_residual(
 
     Component i is <-Lap_p w + Lap_q w, phi_i> - int f(x, T(u), grad T(u))
     phi_i dx with w = u + lift.  The differential part is exact; the load
-    uses the level's quadrature and the supplied samples of T(u).
+    uses the level's quadrature and the supplied samples of T(u), which an
+    x-only f does not need (pass None).  A block u with k columns takes
+    samples with k leading and gives k residual columns.
     """
     if not 1 < q < p:
         raise ValueError(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
-    _check_samples(u, T_image)
+    if T_image is not None or f.solution_dependent:
+        _check_samples(u, T_image)
     lvl = u.lvl
     g = _combined_gradients(u, lift)
-    flux = _grad_force(lvl, g, p)[:, 0] - _grad_force(lvl, g, q)[:, 0]
-    return ResidualVector(level=u.level, values=flux - _convection_load(f, T_image, lvl))
+    flux = _grad_force(lvl, g, p) - _grad_force(lvl, g, q)
+    values = flux - _convection_load(f, T_image, lvl)
+    return ResidualVector(level=u.level, values=values.reshape(u.coeffs.shape))
 
 
 def _flux_coefficients(m2: np.ndarray, r: float) -> tuple:
@@ -463,7 +504,7 @@ def _load_derivative(f: ConvectionTerm, T_image: QuadratureSamples, lvl) -> sp.c
     Row ``e * n_q + q`` is w_eq (f_s phi_k + f_xi . grad phi_k); the load's
     derivative is ``qp_op_t`` applied to it.
     """
-    args = _f_arguments(lvl, T_image)
+    args = _f_arguments(lvl, T_image.values, T_image.gradients)
     w = lvl.qp_weights
     D = sp.csr_matrix((w.size, lvl.n_free))
     if f.d_s is not None:
@@ -584,4 +625,4 @@ def convection_functional_bound(
 def convection_integral(v: FEFunction, T_image: QuadratureSamples, f: ConvectionTerm) -> float:
     """int f(x, T(u), grad T(u)) v dx by the level quadrature."""
     _check_samples(v, T_image)
-    return float(_convection_load(f, T_image, v.lvl) @ v.coeffs)
+    return float(_convection_load(f, T_image, v.lvl)[:, 0] @ v.coeffs)

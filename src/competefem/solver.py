@@ -13,7 +13,8 @@ history, never silently.
 
 A sphere-sampling certificate documents that the nonnegativity hypothesis
 held at the radius actually used, so a zero exists even if the solver were
-to miss it.
+to miss it.  Its samples are evaluated in blocks of ``SPHERE_CHUNK``
+coefficient vectors, one block residual and one application of T each.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .constants import (
     coercivity_radius,
     compose_c0,
 )
-from .discretization import (FEFunction, SpaceHierarchy, grad_norm_p, prolongate, sample,
-                             sine_mode)
-from .intrinsic import IntrinsicOperator, apply as apply_operator, certificate
+from .discretization import (FEFunction, SpaceHierarchy, _column_dots, _grad_integral,
+                             _gradients, grad_norm_p, prolongate, sample, sine_mode)
+from .intrinsic import IntrinsicOperator, apply as apply_operator, certificate, lift_on
 from .operators import (
     ConvectionTerm,
     GrowthEnvelope,
@@ -51,6 +52,8 @@ from .operators import (
 # Newton iterations per zero search; frozen-T passes per nonlocal level.
 MAX_NEWTON = 100
 MAX_OUTER = 50
+# Sphere samples evaluated per block; bounds the block's memory.
+SPHERE_CHUNK = 64
 
 
 class SolverFailure(RuntimeError):
@@ -293,7 +296,7 @@ class ProblemInstance:
 
     def lift_for(self, level: int):
         if self.operator.kind == "boundary_lift":
-            return self.operator.lift.interpolate_ambient(self.hierarchy, level)
+            return lift_on(self.operator, self.hierarchy, level)
         return None
 
 
@@ -312,6 +315,8 @@ class LevelSolve:
     sphere_margin: Optional[float]
     sphere_negative: int
     converged: bool
+    sphere_q05: Optional[float] = None
+    sphere_median: Optional[float] = None
 
 
 def solve_level(
@@ -424,41 +429,60 @@ def _energy_gap(inst: ProblemInstance, u: FEFunction, img, lift) -> float:
     return float(abs(lhs - f_term))
 
 
+@dataclass(frozen=True, eq=False)
+class SpherePairings:
+    """<A(v), v> at the sampled points v of the sphere, in draw order."""
+
+    values: np.ndarray
+
+    @property
+    def margin(self) -> Optional[float]:
+        """The smallest pairing; None without samples."""
+        return float(self.values.min()) if self.values.size else None
+
+    @property
+    def negative(self) -> int:
+        return int(np.count_nonzero(self.values < 0))
+
+    def quantile(self, q: float) -> Optional[float]:
+        return float(np.quantile(self.values, q)) if self.values.size else None
+
+
 def sphere_certificate(
     inst: ProblemInstance,
     n: int,
     R: float,
     n_samples: int,
     seed: int,
-) -> tuple[float, int]:
-    """Sample <A(v), v> on the sphere of radius R; returns (min value, #negative)."""
+) -> SpherePairings:
+    """Sample <A(v), v> on the sphere of radius R in the W^{1,p}_0 seminorm.
+
+    Each sample is a standard normal coefficient vector scaled onto the
+    sphere; samples of zero norm are skipped.  Blocks of ``SPHERE_CHUNK``
+    rows are drawn from one seeded stream, which gives the same vectors as
+    drawing them one at a time, and each block takes one application of T
+    and one residual.
+    """
     h = inst.hierarchy
     lvl = h.level(n)
     if lvl.n_free == 0 or n_samples <= 0:
-        return (math.inf, 0)
+        return SpherePairings(np.empty(0))
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 929, int(n))))
     lift = inst.lift_for(n)
     f = inst.convection
-    worst = math.inf
-    negative = 0
-    for _ in range(n_samples):
-        c = rng.standard_normal(lvl.n_free)
-        g = grad_norm_p(h.function(n, c), inst.p)
-        if g == 0:
-            continue
-        v = h.function(n, c * (R / g))
-        # x-only right-hand sides ignore the samples, so skip the (possibly
+    pairings = []
+    for start in range(0, n_samples, SPHERE_CHUNK):
+        c = rng.standard_normal((min(SPHERE_CHUNK, n_samples - start), lvl.n_free)).T
+        g = _grad_integral(lvl, _gradients(lvl, c), inst.p) ** (1.0 / inst.p)
+        keep = g != 0
+        c = c[:, keep] * (R / g[keep])
+        v = h.function(n, c)
+        # x-only right-hand sides ignore T(v), so skip the (possibly
         # expensive) operator application for them
-        img = apply_operator(inst.operator, v) if f.solution_dependent else sample(v)
-        pairing = float(
-            assemble_residual(v, img, f, inst.p, inst.q, lift=lift).values
-            @ v.coeffs
-        )
-        if pairing < worst:
-            worst = pairing
-        if pairing < 0:
-            negative += 1
-    return (worst, negative)
+        img = apply_operator(inst.operator, v) if f.solution_dependent else None
+        res = assemble_residual(v, img, f, inst.p, inst.q, lift=lift)
+        pairings.append(_column_dots(res.values, c))
+    return SpherePairings(np.concatenate(pairings))
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +517,13 @@ def convergence_diagnostics(
     lvl = h.level(top)
     lift = inst.lift_for(top)
 
-    tests = []
-    for i in range(min(test_set_size, lvl.n_free)):
-        c = np.zeros(lvl.n_free)
-        c[i] = 1.0
-        tests.append(h.function(top, c))
-    tests += [sine_mode(h, top, k) for k in range(1, 5)]
-    test_norms = [max(grad_norm_p(phi, inst.p), 1e-300) for phi in tests]
+    hats = np.eye(min(test_set_size, lvl.n_free), lvl.n_free)
+    sines = [sine_mode(h, top, k).coeffs for k in range(1, 5)]
+    test_rows = np.vstack([hats] + sines)
+    tests = test_rows.T  # the (n_free, n_tests) block
+    test_norms = np.maximum(
+        _grad_integral(lvl, _gradients(lvl, tests), inst.p) ** (1.0 / inst.p), 1e-300
+    )
 
     rows = []
     for solve in solves:
@@ -511,13 +535,12 @@ def convergence_diagnostics(
 
         # int (u_n - u) phi_j dx for every free hat j, paired with each test
         mass = lvl.qp_op_t @ (lvl.qp_weights * diff.values_at_qp()).ravel()
-        weak = max(abs(float(mass @ phi.coeffs)) for phi in tests)
+        weak = max(abs(float(mass @ phi)) for phi in test_rows)
 
-        residual_gap = 0.0
-        for phi, nrm in zip(tests, test_norms):
-            a_phi = competing_pairing(un, phi, inst.p, inst.q, lift=lift)
-            f_phi = convection_integral(phi, img, inst.convection)
-            residual_gap = max(residual_gap, abs(a_phi - f_phi) / nrm)
+        # the residual of u_n paired with every test at once
+        res = assemble_residual(un, img, inst.convection, inst.p, inst.q, lift=lift)
+        residual_gap = float(np.max(np.abs(_column_dots(res.values[:, None], tests))
+                                    / test_norms))
 
         pairing_gap = competing_pairing(un, diff, inst.p, inst.q, lift=lift)
         full_gap = pairing_gap - convection_integral(diff, img, inst.convection)
@@ -582,6 +605,8 @@ class SolveReport:
                     "continuation_stages": s.continuation_stages,
                     "sphere_margin": s.sphere_margin,
                     "sphere_negative": s.sphere_negative,
+                    "sphere_q05": s.sphere_q05,
+                    "sphere_median": s.sphere_median,
                     "converged": s.converged,
                     "diag_a": None if d is None else d.weak_gap,
                     "diag_b": None if d is None else d.residual_gap,
@@ -710,9 +735,9 @@ def run_hierarchy(
         if h.level(n).n_free == 0:
             continue
         result = solve_level(inst, n, R, warm=warm)
-        margin, negative = sphere_certificate(inst, n, R, inst.sphere_samples, inst.seed)
-        result = replace(result, sphere_margin=margin if math.isfinite(margin) else None,
-                         sphere_negative=negative)
+        sphere = sphere_certificate(inst, n, R, inst.sphere_samples, inst.seed)
+        result = replace(result, sphere_margin=sphere.margin, sphere_negative=sphere.negative,
+                         sphere_q05=sphere.quantile(0.05), sphere_median=sphere.quantile(0.5))
         solves.append(result)
         if not result.converged:
             base.status = "solver_failure"

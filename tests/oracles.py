@@ -252,3 +252,38 @@ def galerkin_jacobian(u, T_image, f, p: float, q: float, eps: float = 0.0,
     J = p_part_jacobian(g, p, eps, lvl) - p_part_jacobian(g, q, eps, lvl)
     J = J - f_part_jacobian(f, T_image, lvl)
     return J[lvl.free][:, lvl.free].toarray()
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference for the block sphere certificate
+# ---------------------------------------------------------------------------
+
+
+def sphere_pairings_loop(inst, n: int, R: float, n_samples: int, seed: int) -> np.ndarray:
+    """<A(v), v> at the sphere samples, evaluated one sample at a time.
+
+    Draws the same seeded stream as ``solver.sphere_certificate`` one
+    coefficient vector at a time, and takes one norm, one application of T
+    and one single-function residual per sample; samples of zero norm are
+    skipped.
+    """
+    from competefem.discretization import grad_norm_p, sample
+    from competefem.intrinsic import apply
+    from competefem.operators import assemble_residual
+
+    h = inst.hierarchy
+    lvl = h.level(n)
+    f = inst.convection
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 929, int(n))))
+    lift = inst.lift_for(n)
+    out = []
+    for _ in range(n_samples):
+        c = rng.standard_normal(lvl.n_free)
+        g = grad_norm_p(h.function(n, c), inst.p)
+        if g == 0:
+            continue
+        v = h.function(n, c * (R / g))
+        img = apply(inst.operator, v) if f.solution_dependent else sample(v)
+        out.append(float(assemble_residual(v, img, f, inst.p, inst.q, lift=lift).values
+                         @ v.coeffs))
+    return np.array(out)

@@ -281,3 +281,25 @@ class TestCli:
             (out2 / "solve_report.json").read_bytes()
         assert (out1 / "solve_report.csv").read_bytes() == \
             (out2 / "solve_report.csv").read_bytes()
+
+    def test_sphere_quantiles_in_report(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", str(write_config(tmp_path, MANUFACTURED_CLI)),
+                     "--out-dir", str(out)]) == 0
+        for level in json.loads((out / "solve_report.json").read_text())["levels"]:
+            assert level["sphere_margin"] <= level["sphere_q05"] <= level["sphere_median"]
+        cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, sphere_samples=0), "none.json")
+        assert main(["solve", str(cfg), "--out-dir", str(out)]) == 0
+        for level in json.loads((out / "solve_report.json").read_text())["levels"]:
+            assert level["sphere_margin"] is None
+            assert level["sphere_q05"] is None and level["sphere_median"] is None
+
+    @pytest.mark.parametrize("quad_order", [1, 2, 4])
+    def test_readme_config_solves_at_every_quad_order(self, tmp_path, quad_order):
+        # a 1D rule with two points once made x look like a 2D point array
+        cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, quad_order=quad_order,
+                                          levels=3, sphere_samples=1000))
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["status"] == "ok" and len(report["levels"]) == 3

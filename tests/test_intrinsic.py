@@ -26,6 +26,7 @@ from competefem.intrinsic import (
     convolution_values,
     convolve_gradient,
     identity_operator,
+    lift_on,
 )
 
 
@@ -102,6 +103,26 @@ class TestApply:
         del h
         gc.collect()
         assert len(T._conv_cache) == 0
+
+    def test_lift_built_once_per_level(self, monkeypatch):
+        built = []
+        interpolate = LiftFunction.interpolate_ambient
+
+        def counting(lift, hierarchy, level):
+            built.append(level)
+            return interpolate(lift, hierarchy, level)
+
+        monkeypatch.setattr(LiftFunction, "interpolate_ambient", counting)
+        T = boundary_lift_operator(LiftFunction("affine", {"a": 0.5, "b": 0.25}))
+        h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 3)
+        for _ in range(3):
+            apply(T, h.zero(3))
+            apply(T, h.function(3, np.ones((h.level(3).n_free, 4))))
+            lift_on(T, h, 3)
+        assert built == [3]
+        del h
+        gc.collect()
+        assert len(T._lift_cache) == 0
 
     def test_kernel_support_window_error(self, unit_hierarchy):
         T = convolution_operator(Kernel("box", {"width": 6.0}), window_factor=1.0)

@@ -14,7 +14,15 @@ from competefem.discretization import (
     sample,
     unit_square_mesh,
 )
-from competefem.intrinsic import IntrinsicOperator, LiftFunction, apply
+from competefem.intrinsic import (
+    IntrinsicOperator,
+    Kernel,
+    LiftFunction,
+    apply,
+    boundary_lift_operator,
+    convolution_operator,
+    lift_on,
+)
 from competefem.operators import (
     GrowthEnvelope,
     SigmaWeight,
@@ -212,6 +220,73 @@ class TestAssemblyAgainstElementLoops:
         np.testing.assert_allclose(J, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
 
+class TestBlockForms:
+    """A block of k functions gives, column by column, what k single calls give."""
+
+    K = 5
+
+    @pytest.fixture(params=["identity-1d", "identity-square", "lift-1d", "convolution-1d"])
+    def case(self, request):
+        if request.param == "identity-square":
+            h, T = build_hierarchy(unit_square_mesh(), 3), IntrinsicOperator(kind="identity")
+        else:
+            h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 4)
+            T = {
+                "identity-1d": IntrinsicOperator(kind="identity"),
+                "lift-1d": boundary_lift_operator(LiftFunction("affine", {"a": 0.7, "b": 0.2})),
+                "convolution-1d": convolution_operator(Kernel("hat", {"width": 0.3})),
+            }[request.param]
+        n = h.n_levels
+        lift = lift_on(T, h, n) if T.kind == "boundary_lift" else None
+        coeffs = np.random.default_rng(5).standard_normal((h.level(n).n_free, self.K))
+        return h, n, T, lift, coeffs
+
+    @pytest.fixture(params=[("manufactured_p3q2", {}),
+                            ("manufactured_plus_power",
+                             {"a1": 0.2, "alpha": 2.0, "a2": 0.1, "beta": 1.5})],
+                    ids=["x-only", "solution-dependent"])
+    def f(self, request):
+        return convection_from_catalog(*request.param)
+
+    def test_columns_match_single_calls(self, case, f):
+        h, n, T, lift, coeffs = case
+        block = h.function(n, coeffs)
+        img = apply(T, block)
+        res = assemble_residual(block, img, f, 3.0, 2.0, lift=lift).values
+        assert img.values.shape == (self.K,) + h.level(n).qp_weights.shape
+        assert res.shape == coeffs.shape
+        for j in range(self.K):
+            u = h.function(n, coeffs[:, j])
+            one = apply(T, u)
+            for got, ref in ((img.values[j], one.values), (img.gradients[j], one.gradients)):
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+            ref = assemble_residual(u, one, f, 3.0, 2.0, lift=lift).values
+            np.testing.assert_allclose(res[:, j], ref, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_one_column_block_is_the_single_call(self, case, f):
+        h, n, T, lift, coeffs = case
+        block, u = h.function(n, coeffs[:, :1]), h.function(n, coeffs[:, 0])
+        img, one = apply(T, block), apply(T, u)
+        np.testing.assert_array_equal(img.values[0], one.values)
+        np.testing.assert_array_equal(img.gradients[0], one.gradients)
+        res = assemble_residual(block, img, f, 3.0, 2.0, lift=lift).values
+        np.testing.assert_array_equal(
+            res[:, 0], assemble_residual(u, one, f, 3.0, 2.0, lift=lift).values)
+
+
+    def test_x_only_load_needs_no_samples(self, case, f):
+        h, n, T, lift, coeffs = case
+        block = h.function(n, coeffs)
+        if f.solution_dependent:
+            with pytest.raises(ValueError, match="needs samples"):
+                assemble_residual(block, None, f, 3.0, 2.0, lift=lift)
+            return
+        np.testing.assert_array_equal(
+            assemble_residual(block, None, f, 3.0, 2.0, lift=lift).values,
+            assemble_residual(block, apply(T, block), f, 3.0, 2.0, lift=lift).values)
+
+
 class TestNoWarningsAtVanishingGradient:
     """q < 2 on the unit square: the corner triangles have zero gradient."""
 
@@ -231,12 +306,12 @@ def _written_out_plus_power(a1, alpha, a2, beta):
     """manufactured_plus_power with its power parts written out in place."""
 
     def fn(x, s, xi):
-        out = (4.0 * np.abs(1.0 - 2.0 * _x_coord(x)) - 2.0) * np.ones(
-            np.broadcast(_x_coord(x), s).shape)
+        out = (4.0 * np.abs(1.0 - 2.0 * _x_coord(x, s)) - 2.0) * np.ones(
+            np.broadcast(_x_coord(x, s), s).shape)
         if a1:
             out = out + a1 * np.sign(s) * np.abs(s) ** alpha
         if a2:
-            out = out + a2 * _grad_mag(xi) ** beta
+            out = out + a2 * _grad_mag(xi, s) ** beta
         return out
 
     def d_s(x, s, xi):
@@ -248,7 +323,7 @@ def _written_out_plus_power(a1, alpha, a2, beta):
         xi = np.asarray(xi, dtype=float)
         if not a2:
             return np.zeros_like(xi)
-        mag = np.maximum(_grad_mag(xi), 1e-300)
+        mag = np.maximum(_grad_mag(xi, s), 1e-300)
         scal = a2 * beta * mag ** (beta - 2.0)
         return scal[..., None] * xi if xi.ndim > np.asarray(s).ndim else scal * xi
 

@@ -12,6 +12,7 @@ from competefem.discretization import (
     grad_norm_p,
     interval_mesh,
     prolongate,
+    unit_square_mesh,
 )
 from competefem.intrinsic import (
     Kernel,
@@ -23,6 +24,7 @@ from competefem.intrinsic import (
 )
 from competefem.operators import convection_from_catalog
 from competefem.solver import (
+    SPHERE_CHUNK,
     HypothesisRefusal,
     ProblemInstance,
     _levenberg_step,
@@ -34,7 +36,7 @@ from competefem.solver import (
     sphere_certificate,
 )
 
-from oracles import grid_search_zero, random_monotone_map
+from oracles import grid_search_zero, random_monotone_map, sphere_pairings_loop
 
 
 def make_instance(h, f_kind="manufactured_p3q2", f_params=None, T=None,
@@ -206,22 +208,83 @@ class TestSolveLevel:
 class TestSphereCertificate:
     def test_manufactured_no_negative_pairings(self, unit_hierarchy):
         inst = make_instance(unit_hierarchy)
-        worst, negative = sphere_certificate(inst, 4, 1.2983, 200, seed=3)
-        assert negative == 0
-        assert worst >= 0.0
+        sphere = sphere_certificate(inst, 4, 1.2983, 200, seed=3)
+        assert sphere.negative == 0
+        assert sphere.margin >= 0.0
 
     def test_small_radius_detects_violations(self, unit_hierarchy):
         # far inside the safeguard radius the load term dominates
         inst = make_instance(unit_hierarchy)
-        worst, negative = sphere_certificate(inst, 3, 1e-3, 100, seed=3)
-        assert worst < 0.0
-        assert negative > 0
+        sphere = sphere_certificate(inst, 3, 1e-3, 100, seed=3)
+        assert sphere.margin < 0.0
+        assert sphere.negative > 0
 
     def test_deterministic_given_seed(self, unit_hierarchy):
         inst = make_instance(unit_hierarchy)
         a = sphere_certificate(inst, 3, 1.0, 64, seed=11)
         b = sphere_certificate(inst, 3, 1.0, 64, seed=11)
-        assert a == b
+        np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("n_samples", [0, 1, SPHERE_CHUNK - 1, SPHERE_CHUNK + 1, 1000])
+    @pytest.mark.parametrize("case", ["identity-1d", "identity-square", "lift-1d",
+                                      "convolution-1d"])
+    def test_blocks_match_the_per_sample_loop(self, unit_hierarchy, case, n_samples):
+        # at this radius about half the pairings of 1000 samples are negative
+        R = 0.75
+        power = {"a1": 0.3, "alpha": 2.0, "a2": 0.2, "beta": 2.0}
+        if case == "identity-1d":  # x-only f: T is never applied
+            inst = make_instance(unit_hierarchy)
+        elif case == "identity-square":
+            inst = make_instance(build_hierarchy(unit_square_mesh(), 4),
+                                 "manufactured_plus_power", power)
+        elif case == "lift-1d":
+            T = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
+            inst = make_instance(unit_hierarchy, "manufactured_plus_power", power, T=T)
+        else:
+            T = convolution_operator(Kernel("box", {"width": 0.25}))
+            inst = make_instance(unit_hierarchy, "manufactured_plus_power", power, T=T)
+        n = inst.hierarchy.n_levels
+        block = sphere_certificate(inst, n, R, n_samples, seed=5)
+        loop = sphere_pairings_loop(inst, n, R, n_samples, seed=5)
+        assert block.values.shape == loop.shape == (n_samples,)
+        assert block.negative == int(np.count_nonzero(loop < 0))
+        if n_samples == 0:
+            assert block.margin is None and block.quantile(0.05) is None
+            return
+        assert block.margin == pytest.approx(loop.min(), rel=1e-12)
+        np.testing.assert_allclose(block.values, loop, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(loop)))
+
+    def test_chunked_draws_equal_sequential_draws(self):
+        seed = np.random.SeedSequence((3, 929, 4))
+        n, n_samples = 31, 2 * SPHERE_CHUNK + 5
+        one = np.random.default_rng(seed)
+        sequential = np.stack([one.standard_normal(n) for _ in range(n_samples)])
+        chunked = np.random.default_rng(seed)
+        blocks = [chunked.standard_normal((min(SPHERE_CHUNK, n_samples - s), n))
+                  for s in range(0, n_samples, SPHERE_CHUNK)]
+        np.testing.assert_array_equal(np.vstack(blocks), sequential)
+
+    def test_applies_T_once_per_block(self, unit_hierarchy, monkeypatch):
+        T = convolution_operator(Kernel("box", {"width": 0.25}))
+        inst = make_instance(unit_hierarchy, "manufactured_plus_power",
+                             {"a1": 0.3, "alpha": 2.0}, T=T)
+        calls = []
+
+        def counting_apply(op, u):
+            calls.append(u.coeffs.shape)
+            return apply(op, u)
+
+        monkeypatch.setattr("competefem.solver.apply_operator", counting_apply)
+        n_samples = 2 * SPHERE_CHUNK + 3
+        sphere_certificate(inst, 4, 1.0, n_samples, seed=1)
+        assert len(calls) <= math.ceil(n_samples / SPHERE_CHUNK)
+        assert sum(shape[1] for shape in calls) == n_samples
+
+    def test_quantiles_are_ordered(self, unit_hierarchy):
+        sphere = sphere_certificate(make_instance(unit_hierarchy), 4, 1.0, 300, seed=2)
+        assert sphere.margin <= sphere.quantile(0.05) <= sphere.quantile(0.5)
+        assert sphere.quantile(0.05) == float(np.quantile(sphere.values, 0.05))
 
 
 class TestRunHierarchy:
@@ -248,6 +311,7 @@ class TestRunHierarchy:
                 1.0, float(np.linalg.norm(s.u.coeffs))
             )
             assert s.sphere_negative == 0
+            assert s.sphere_margin <= s.sphere_q05 <= s.sphere_median
         # diagnostics rows exclude the finest level and decay
         levels = [d.level for d in report.diagnostics]
         assert levels == [1, 2, 3, 4]
