@@ -2,24 +2,29 @@
 
 The Dirichlet embedding constants S_r with ||u||_r <= S_r ||grad u||_p are
 estimated by projected ascent of the Rayleigh-type ratio over the finite
-element space.  All starts of a level are ascended together as one
-coefficient block, through the level operators and block forms of
+element space.  The ascent steps along the H^1_0 (Sobolev) gradient: the
+Euclidean gradient preconditioned by the level's P1 stiffness matrix,
+factorised once per level, which keeps the step count nearly independent of
+the mesh size (Neuberger, Sobolev Gradients and Differential Equations).
+All starts of a level are ascended together as one coefficient block,
+through the level operators and block forms of
 :mod:`competefem.discretization` that also carry the residual, the
 Jacobian and the norms; each start still takes its own steps.  The raw
 numbers are ratios attained by finite element functions, so they stay
-lower bounds of the true constants, and reports say whether each
-estimator converged.
-A configurable safety factor inflates them before they enter any hypothesis
-check; reports keep both numbers.  The first eigenvalue of the p-Laplacian
-is the same Rayleigh quotient read the other way: lambda_1 = S_p,raw^{-p},
-an upper bound because S_p,raw is a lower bound.  It comes from the ascent
-at r = p and has no optimiser of its own.
+lower bounds of the true constants; reports say whether each estimator
+converged and, per level, the most steps any start took.  A configurable
+safety factor inflates them before they enter any hypothesis check; reports
+keep both numbers.  The first eigenvalue of the p-Laplacian is the same
+Rayleigh quotient read the other way: lambda_1 = S_p,raw^{-p}, an upper
+bound because S_p,raw is a lower bound.  It comes from the ascent at r = p
+and has no optimiser of its own.
 
 When the critical Sobolev exponent is unavailable (p >= space dimension at
 desk scale) a finite surrogate is used everywhere; the default is 2p.  The
 whole-space constant needed by convolution certificates has no meaning in
 that regime either, so the domain estimate at the surrogate exponent stands
-in for it, flagged in the provenance.
+in for it, flagged in the provenance.  Below the dimension the surrogate
+defaults to p* = Np/(N-p), and the provenance names it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .discretization import (
     SpaceHierarchy,
@@ -71,6 +78,7 @@ class SEstimate:
     value: float  # raw times the safety factor
     provenance: str
     converged: bool = False
+    iters: tuple = ()  # per level, the most ascent steps any start took
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +126,7 @@ class EmbeddingConstants:
             "lambda1p_converged": self.lambda1p_converged,
             "S": {
                 repr(k): {"raw": e.raw, "value": e.value, "provenance": e.provenance,
-                          "converged": e.converged}
+                          "converged": e.converged, "iters": list(e.iters)}
                 for k, e in sorted(self.entries.items())
             },
             "S_space": {"value": self.s_space, "provenance": self.s_space_provenance},
@@ -131,6 +139,7 @@ class EstimateResult:
     raw: float
     per_level: tuple
     converged: bool
+    iters: tuple  # per level, the most ascent steps any start took
 
 
 # ---------------------------------------------------------------------------
@@ -138,43 +147,58 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 
 
+def _stiffness_solve(lvl):
+    """K^{-1} on a vector or an (n_free, k) block, K the level's P1 stiffness matrix.
+
+    K = grad_op^T diag(|e|) grad_op on the free dofs, factorised once.
+    """
+    weights = sp.diags(np.tile(lvl.elem_measure, lvl.mesh.dim))
+    return splu((lvl.grad_op_t @ weights @ lvl.grad_op).tocsc()).solve
+
+
 def _ascend_embedding(lvl, r, p, starts, iters, tol):
     """Monotone projected ascent of ||u||_r with ||grad u||_p fixed to one.
 
+    Each step follows the H^1_0 (Sobolev) gradient d = K^{-1} g of the
+    Euclidean gradient g, K the level's stiffness matrix, so the step count
+    barely grows under refinement, where g alone conditions like h^-2.
     Every column of ``starts`` is its own ascent, with its own step size,
     backtracking and stopping test; the columns only share the array
     operations of each step.  Returns per-column values, the final
-    coefficient block and per-column convergence flags.
+    coefficient block, per-column convergence flags and step counts.
     """
+    solve = _stiffness_solve(lvl)
     n_cols = starts.shape[1]
     value, final = np.empty(n_cols), np.empty_like(starts)
     converged = np.zeros(n_cols, dtype=bool)
+    taken = np.zeros(n_cols, dtype=int)
     # state of the ascents still running; ids are their columns in starts
     ids = np.arange(n_cols)
     coeffs = starts / _grad_integral(lvl, _gradients(lvl, starts), p) ** (1.0 / p)
     grads, vals = _gradients(lvl, coeffs), _qp_values(lvl, coeffs)
     N = _value_integral(lvl.qp_weights, vals, r) ** (1.0 / r)
     step = np.ones(n_cols)
-    for _ in range(iters):
+    for it in range(1, iters + 1):
         # ||grad u||_p is one after every normalisation
         grad = (N ** (1.0 - r) * _value_load(lvl, vals, r)
                 - N * _grad_force(lvl, grads, p))
-        gnorm2 = _column_dots(grad, grad)
+        direction = solve(grad)
+        slope = _column_dots(grad, direction)
         t = 2.0 * step
         # an accepted trial overwrites its column; the others stay put
         cand, cand_vals, cN = coeffs.copy(), vals.copy(), N.copy()
         accepted = np.zeros(len(N), dtype=bool)
-        trying = np.flatnonzero(gnorm2)  # a zero gradient stops its ascent
+        trying = np.flatnonzero(slope > 0)  # a zero gradient stops its ascent
         for _ in range(60):
             if not trying.size:
                 break
-            trial = coeffs[:, trying] + t[trying] * grad[:, trying]
+            trial = coeffs[:, trying] + t[trying] * direction[:, trying]
             # a zero or overflowing trial gives nan or zero below and is
             # rejected like any trial that fails the Armijo test
             trial = trial / _grad_integral(lvl, _gradients(lvl, trial), p) ** (1.0 / p)
             trial_vals = _qp_values(lvl, trial)
             trial_N = _value_integral(lvl.qp_weights, trial_vals, r) ** (1.0 / r)
-            ok = trial_N > N[trying] + 1e-4 * t[trying] * gnorm2[trying]
+            ok = trial_N > N[trying] + 1e-4 * t[trying] * slope[trying]
             hit = trying[ok]
             cand[:, hit], cand_vals[:, hit], cN[hit] = trial[:, ok], trial_vals[:, ok], trial_N[ok]
             accepted[hit] = True
@@ -185,13 +209,14 @@ def _ascend_embedding(lvl, r, p, starts, iters, tol):
         if stop.any():
             done = ids[stop]
             final[:, done], value[done], converged[done] = coeffs[:, stop], N[stop], True
+            taken[done] = it
             go = ~stop
             ids, coeffs, vals, N, step = ids[go], coeffs[:, go], vals[:, go], N[go], step[go]
             if not ids.size:
                 break
         grads = _gradients(lvl, coeffs)
-    final[:, ids], value[ids] = coeffs, N
-    return value, final, converged
+    final[:, ids], value[ids], taken[ids] = coeffs, N, iters
+    return value, final, converged, taken
 
 
 def estimate_embedding_constant(
@@ -206,21 +231,23 @@ def estimate_embedding_constant(
 ) -> EstimateResult:
     """Estimate S_r = sup ||u||_r / ||grad u||_p over the finest level.
 
-    Projected ascent with multiple deterministic starts (a sine interpolant,
-    seeded random vectors, and the prolongated best of the coarser level).
-    The raw maximum is a lower bound of the true constant; ``value`` is the
-    raw number times the safety factor.
+    Projected ascent along the H^1_0 gradient with multiple deterministic
+    starts (a sine interpolant, seeded random vectors, and the prolongated
+    best of the coarser level).  The raw maximum is a lower bound of the
+    true constant; ``value`` is the raw number times the safety factor.
+    ``iters`` holds, per level, the most steps any start took.
     """
     if r < 1:
         raise ValueError(f"embedding exponent must satisfy r >= 1, got {r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, int(round(r * 1e6)))))
-    per_level = []
+    per_level, steps = [], []
     best_coeffs = None
     ok = True
     for n in range(1, h.n_levels + 1):
         lvl = h.level(n)
         if lvl.n_free == 0:
             per_level.append(0.0)
+            steps.append(0)
             continue
         candidates = [sine_mode(h, n).coeffs]
         if best_coeffs is not None:
@@ -228,14 +255,15 @@ def estimate_embedding_constant(
         for _ in range(max(0, starts - 1)):
             candidates.append(rng.standard_normal(lvl.n_free))
         block = np.column_stack([c for c in candidates if np.any(c)])
-        vals, coeffs, conv = _ascend_embedding(lvl, r, p, block, iters, tol)
+        vals, coeffs, conv, taken = _ascend_embedding(lvl, r, p, block, iters, tol)
         ok = ok and bool(np.all(conv))
+        steps.append(int(taken.max()))
         best = int(np.argmax(vals))  # the first maximum in candidate order
         per_level.append(float(vals[best]))
         best_coeffs = coeffs[:, best]
     raw = per_level[-1]
-    return EstimateResult(value=safety * raw, raw=raw,
-                          per_level=tuple(per_level), converged=ok)
+    return EstimateResult(value=safety * raw, raw=raw, per_level=tuple(per_level),
+                          converged=ok, iters=tuple(steps))
 
 
 def _eigenvalue_of(s_p: EstimateResult, p: float) -> EstimateResult:
@@ -244,8 +272,8 @@ def _eigenvalue_of(s_p: EstimateResult, p: float) -> EstimateResult:
     A level without free dofs has no eigenfunction and reads infinity.
     """
     per_level = tuple(s ** -p if s > 0 else math.inf for s in s_p.per_level)
-    return EstimateResult(value=per_level[-1], raw=per_level[-1],
-                          per_level=per_level, converged=s_p.converged)
+    return EstimateResult(value=per_level[-1], raw=per_level[-1], per_level=per_level,
+                          converged=s_p.converged, iters=s_p.iters)
 
 
 def estimate_lambda1p(
@@ -285,8 +313,9 @@ def build_constants(
         )
         entries[r] = SEstimate(
             raw=est.raw, value=est.value,
-            provenance="projected ascent over the finest level, times safety factor",
-            converged=est.converged,
+            provenance=("H^1_0-preconditioned projected ascent over the finest "
+                        "level, times safety factor"),
+            converged=est.converged, iters=est.iters,
         )
         if r == _key(p):
             lam = _eigenvalue_of(est, p)
@@ -294,10 +323,12 @@ def build_constants(
     prov = ""
     if _key(p_crit) in entries:
         s_space = entries[_key(p_crit)].value
-        prov = (
-            "domain estimate at the critical surrogate standing in for the "
-            "whole-space constant (no critical exponent when p >= N)"
-        )
+        prov = ("domain estimate at the critical surrogate standing in for the "
+                "whole-space constant")
+        if p < h.dim:
+            prov += f" at p* = Np/(N-p) = {h.dim * p / (h.dim - p):.12g} (p < N)"
+        else:
+            prov += " (no critical exponent when p >= N)"
     return EmbeddingConstants(
         p=p, n_dim=h.dim, p_crit=p_crit, safety=safety, entries=entries,
         lambda1p=lam.value, lambda_profile=lam.per_level,

@@ -405,9 +405,13 @@ class ResidualVector:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
 
-def _check_samples(u: FEFunction, T_image: QuadratureSamples) -> None:
+def _check_samples(u: FEFunction, T_image: Optional[QuadratureSamples],
+                   f: ConvectionTerm) -> None:
+    """Samples of T(u) must match u's quadrature; an x-only f may take None."""
     if T_image is None:
-        raise ValueError("a right-hand side that depends on T(u) needs samples of T(u)")
+        if f.solution_dependent:
+            raise ValueError("a right-hand side that depends on T(u) needs samples of T(u)")
+        return
     lvl = u.lvl
     shape = u.coeffs.shape[1:] + lvl.qp_weights.shape
     if T_image.level != u.level or T_image.values.shape != shape:
@@ -462,8 +466,7 @@ def assemble_residual(
     """
     if not 1 < q < p:
         raise ValueError(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
-    if T_image is not None or f.solution_dependent:
-        _check_samples(u, T_image)
+    _check_samples(u, T_image, f)
     lvl = u.lvl
     g = _combined_gradients(u, lift)
     flux = _grad_force(lvl, g, p) - _grad_force(lvl, g, q)
@@ -526,7 +529,7 @@ def _load_derivative(f: ConvectionTerm, T_image: QuadratureSamples, lvl) -> sp.c
 
 def assemble_jacobian(
     u: FEFunction,
-    T_image: QuadratureSamples,
+    T_image: Optional[QuadratureSamples],
     f: ConvectionTerm,
     p: float,
     q: float,
@@ -540,9 +543,9 @@ def assemble_jacobian(
     Jacobian coefficient near vanishing gradients and is mandatory when an
     exponent is below two.  With ``differentiate_f`` false the load is
     frozen (chord rule), which is what nonlocal intrinsic operators get; a
-    load that ignores the solution has no derivative to add.  The
-    differential part is ``grad_op_t @ M @ grad_op`` with one
-    block-diagonal M carrying both exponents.
+    load that ignores the solution has no derivative to add and takes
+    ``T_image=None``.  The differential part is ``grad_op_t @ M @ grad_op``
+    with one block-diagonal M carrying both exponents.
     """
     if not 1 < q < p:
         raise ValueError(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
@@ -550,7 +553,7 @@ def assemble_jacobian(
         raise ValueError(
             f"exponent {q} < 2 needs a positive gradient regularisation eps_reg"
         )
-    _check_samples(u, T_image)
+    _check_samples(u, T_image, f)
     lvl = u.lvl
     g = _combined_gradients(u, lift)
     m2 = (g * g).sum(axis=0)[:, 0] + eps_reg**2
@@ -622,7 +625,8 @@ def convection_functional_bound(
     return float(bound)
 
 
-def convection_integral(v: FEFunction, T_image: QuadratureSamples, f: ConvectionTerm) -> float:
-    """int f(x, T(u), grad T(u)) v dx by the level quadrature."""
-    _check_samples(v, T_image)
+def convection_integral(v: FEFunction, T_image: Optional[QuadratureSamples],
+                        f: ConvectionTerm) -> float:
+    """int f(x, T(u), grad T(u)) v dx by the level quadrature (None for x-only f)."""
+    _check_samples(v, T_image, f)
     return float(_convection_load(f, T_image, v.lvl)[:, 0] @ v.coeffs)

@@ -319,6 +319,13 @@ class LevelSolve:
     sphere_median: Optional[float] = None
 
 
+def _image_of(inst: ProblemInstance, u: FEFunction):
+    """T(u) for the convection term, or None when f is x-only and never reads it."""
+    if inst.convection.solution_dependent:
+        return apply_operator(inst.operator, u)
+    return None
+
+
 def solve_level(
     inst: ProblemInstance,
     n: int,
@@ -346,7 +353,7 @@ def solve_level(
     def true_residual(c):
         """Residual sup at c and T at c, which later steps reuse."""
         u = h.function(n, c)
-        img = apply_operator(inst.operator, u)
+        img = _image_of(inst, u)
         return assemble_residual(u, img, inst.convection, inst.p, inst.q, lift=lift).sup, img
 
     # The operator is non-monotone, so the discrete equation can have several
@@ -367,10 +374,10 @@ def solve_level(
     img = None  # T(coeffs) once known
     for outer in range(1, MAX_OUTER + 1):
         if frozen and img is None:
-            img = apply_operator(inst.operator, h.function(n, coeffs))
+            img = _image_of(inst, h.function(n, coeffs))
 
         def image(u, fixed=img):
-            return fixed if frozen else apply_operator(inst.operator, u)
+            return fixed if frozen else _image_of(inst, u)
 
         def F(c):
             u = h.function(n, c)
@@ -477,10 +484,7 @@ def sphere_certificate(
         keep = g != 0
         c = c[:, keep] * (R / g[keep])
         v = h.function(n, c)
-        # x-only right-hand sides ignore T(v), so skip the (possibly
-        # expensive) operator application for them
-        img = apply_operator(inst.operator, v) if f.solution_dependent else None
-        res = assemble_residual(v, img, f, inst.p, inst.q, lift=lift)
+        res = assemble_residual(v, _image_of(inst, v), f, inst.p, inst.q, lift=lift)
         pairings.append(_column_dots(res.values, c))
     return SpherePairings(np.concatenate(pairings))
 
@@ -531,7 +535,7 @@ def convergence_diagnostics(
             continue
         un = prolongate(solve.u, top)
         diff = h.function(top, un.coeffs - u.coeffs)
-        img = apply_operator(inst.operator, un)
+        img = _image_of(inst, un)
 
         # int (u_n - u) phi_j dx for every free hat j, paired with each test
         mass = lvl.qp_op_t @ (lvl.qp_weights * diff.values_at_qp()).ravel()

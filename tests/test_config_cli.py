@@ -240,6 +240,24 @@ class TestCli:
         for entry in payload["S"].values():
             assert entry["value"] == pytest.approx(1.1 * entry["raw"], rel=1e-12)
 
+    def test_space_provenance_names_p_star_below_the_dimension(self, tmp_path):
+        # unit square with p = 1.8 < N = 2, so p_crit = p* = Np/(N-p) = 18
+        probe = {
+            "domain": {"kind": "unit_square"}, "p": 1.8, "q": 1.4, "levels": 4,
+            "eps_reg": 1e-8,
+            "f": {"kind": "constant", "c": 1.0, "envelope": {"alpha": 0.5, "beta": 0.5}},
+        }
+        out = tmp_path / "out"
+        assert main(["check", str(write_config(tmp_path, probe)), "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "hypothesis_report.json").read_text())
+        constants = payload["constants"]
+        assert constants["p_crit"] == pytest.approx(18.0, rel=1e-14)
+        space = constants["S_space"]
+        assert space["value"] == constants["S"][repr(18.0)]["value"]
+        assert "p* = Np/(N-p) = 18 (p < N)" in space["provenance"]
+        assert "p >= N" not in space["provenance"]
+        assert payload["all_pass"] is True
+
     def test_study_rates(self, tmp_path):
         cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, levels=5))
         out = tmp_path / "out"

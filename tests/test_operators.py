@@ -286,6 +286,20 @@ class TestBlockForms:
             assemble_residual(block, None, f, 3.0, 2.0, lift=lift).values,
             assemble_residual(block, apply(T, block), f, 3.0, 2.0, lift=lift).values)
 
+    def test_x_only_jacobian_and_integral_need_no_samples(self, case, f):
+        h, n, T, lift, coeffs = case
+        u = h.function(n, coeffs[:, 0])
+        if f.solution_dependent:
+            with pytest.raises(ValueError, match="needs samples"):
+                assemble_jacobian(u, None, f, 3.0, 2.0, lift=lift)
+            with pytest.raises(ValueError, match="needs samples"):
+                convection_integral(u, None, f)
+            return
+        img = apply(T, u)
+        J = assemble_jacobian(u, None, f, 3.0, 2.0, lift=lift)
+        assert (J != assemble_jacobian(u, img, f, 3.0, 2.0, lift=lift)).nnz == 0
+        assert convection_integral(u, None, f) == convection_integral(u, img, f)
+
 
 class TestNoWarningsAtVanishingGradient:
     """q < 2 on the unit square: the corner triangles have zero gradient."""

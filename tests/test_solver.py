@@ -190,6 +190,34 @@ class TestSolveLevel:
         assert out.converged and out.outer_iters > 1
         assert len(calls) == out.outer_iters + 1
 
+    @pytest.mark.parametrize("T", [
+        identity_operator(), convolution_operator(Kernel("box", {"width": 0.25})),
+    ], ids=["identity", "convolution"])
+    def test_x_only_rhs_applies_no_T(self, unit_hierarchy, monkeypatch, T):
+        # a constant f never reads T(u); marked solution dependent (without
+        # derivatives, like the x-only term) it gets T(u) applied and ignores it
+        f = convection_from_catalog("constant", {"c": 1.0})
+        # the convolution certificate needs alpha = beta = p - 1
+        f = dataclasses.replace(f, envelope=dataclasses.replace(f.envelope, alpha=2.0, beta=2.0))
+        inst = dataclasses.replace(make_instance(unit_hierarchy, T=T, sphere=64), convection=f)
+        marked = dataclasses.replace(
+            inst, convection=dataclasses.replace(f, solution_dependent=True,
+                                                 d_s=None, d_xi=None))
+        calls = []
+
+        def counting_apply(op, u):
+            calls.append(u.level)
+            return apply(op, u)
+
+        monkeypatch.setattr("competefem.solver.apply_operator", counting_apply)
+        report = run_hierarchy(inst, levels=4)
+        assert report.status == "ok" and not calls
+        reference = run_hierarchy(marked, levels=4)
+        assert calls
+        assert json.dumps(report.to_json_dict(), sort_keys=True) == json.dumps(
+            reference.to_json_dict(), sort_keys=True
+        )
+
     def test_local_solution_dependent_lift_is_one_pass(self, unit_hierarchy):
         # a local T stays inside the residual, so no frozen-T passes are made
         T = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
