@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from competefem.cli import main
+from competefem.solver import _levenberg_step
 from competefem.config import (
     ConfigError,
     build_instance,
@@ -163,6 +164,16 @@ CONVOLUTION_CLI = dict(
     T={"kind": "convolution", "kernel": {"shape": "box", "width": 0.25}},
 )
 
+# constant f on the unit square: levels 2 and 3 take the homotopy, and the
+# solve runs Levenberg trials whose normal equations have a band wider than 1
+SQUARE_CLI = {
+    "domain": {"kind": "unit_square"},
+    "p": 3.0, "q": 2.0, "levels": 4,
+    "f": {"kind": "constant", "c": 5.0},
+    "seed": 3,
+    "sphere_samples": 32,
+}
+
 
 class TestCli:
     def test_solve_writes_reports(self, tmp_path):
@@ -288,8 +299,8 @@ class TestCli:
         assert len(report["levels"]) == 3
         assert report["seed"] == 99
 
-    @pytest.mark.parametrize("config", [MANUFACTURED_CLI, CONVOLUTION_CLI],
-                             ids=["identity", "convolution"])
+    @pytest.mark.parametrize("config", [MANUFACTURED_CLI, CONVOLUTION_CLI, SQUARE_CLI],
+                             ids=["identity", "convolution", "square"])
     def test_byte_identical_reports_for_same_seed(self, tmp_path, config):
         cfg = write_config(tmp_path, config)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -299,6 +310,34 @@ class TestCli:
             (out2 / "solve_report.json").read_bytes()
         assert (out1 / "solve_report.csv").read_bytes() == \
             (out2 / "solve_report.csv").read_bytes()
+
+    def test_square_solve_runs_banded_levenberg_trials(self, tmp_path, monkeypatch):
+        widths = []
+
+        def counting_step(normal, lam):
+            widths.append(normal.band.shape[0] - 1)
+            return _levenberg_step(normal, lam)
+
+        monkeypatch.setattr("competefem.solver._levenberg_step", counting_step)
+        cfg = write_config(tmp_path, SQUARE_CLI)
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        assert widths and max(widths) > 1
+
+    def test_level_paths_in_report(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", str(write_config(tmp_path, MANUFACTURED_CLI)),
+                     "--out-dir", str(out)]) == 0
+        levels = json.loads((out / "solve_report.json").read_text())["levels"]
+        assert [lv["path"] for lv in levels] == ["newton"] * 4
+        # constant f stalls Newton on the 3-dof base level only
+        constant = dict(MINIMAL, f={"kind": "constant", "c": 1.0}, levels=3,
+                        sphere_samples=32)
+        assert main(["solve", str(write_config(tmp_path, constant, "constant.json")),
+                     "--out-dir", str(out)]) == 0
+        levels = json.loads((out / "solve_report.json").read_text())["levels"]
+        assert [lv["path"] for lv in levels] == ["homotopy", "newton", "newton"]
+        assert levels[0]["continuation_stages"] > 0
+        assert "path" not in (out / "solve_report.csv").read_text().splitlines()[0]
 
     def test_sphere_quantiles_in_report(self, tmp_path):
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from competefem.intrinsic import (
     convolution_operator,
     identity_operator,
 )
-from competefem.operators import convection_from_catalog
+from competefem.operators import assemble_jacobian, assemble_residual, convection_from_catalog
 from competefem.solver import (
     SPHERE_CHUNK,
     HypothesisRefusal,
     ProblemInstance,
     _levenberg_step,
+    _normal_equations,
     _solve_newton_step,
     brouwer_zero,
     convergence_diagnostics,
@@ -111,6 +113,23 @@ class TestBrouwerZero:
             oracle = grid_search_zero(F, 1.0, dim)
             assert np.linalg.norm(res.x - oracle) <= 1e-2
 
+    def test_path_names_how_the_search_ended(self):
+        assert brouwer_zero(lambda v: v - 0.5, 1.0, dim=2).path == "newton"
+        failed = brouwer_zero(lambda v: v**2 + 1.0, 1.0, dim=1,
+                              max_newton=20, max_continuation_depth=2)
+        assert failed.path == "failed"
+        # from -3 the damped steps stall at v = -1/sqrt(3), where F' = 0 makes
+        # a local minimum of ||F||^2, and the homotopy finds the root 2
+        res = brouwer_zero(lambda v: v**3 - v - 6.0, 4.0, x0=np.array([-3.0]))
+        assert res.converged and res.continuation_stages > 0
+        assert res.path == "homotopy"
+
+    def test_dense_jacobian_through_the_homotopy(self):
+        res = brouwer_zero(lambda v: v**3 - v - 6.0, 4.0, x0=np.array([-3.0]),
+                           jac=lambda v: np.diag(3.0 * v**2 - 1.0))
+        assert res.path == "homotopy"
+        np.testing.assert_allclose(res.x, [2.0], atol=1e-8)
+
 
 class TestNewtonFallback:
     # Galerkin Jacobian of the README problem at the exact interpolant on
@@ -127,10 +146,95 @@ class TestNewtonFallback:
     def test_levenberg_step_is_finite(self, sparse):
         J = sp.csr_matrix(self.J) if sparse else self.J
         lam = 1e-10
-        dx = _levenberg_step(J, self.rhs, lam)
+        dx = _levenberg_step(_normal_equations(J, self.rhs), lam)
         assert dx is not None and np.all(np.isfinite(dx))
         normal = self.J.T @ self.J + lam * np.eye(3)
         np.testing.assert_allclose(normal @ dx, -self.J.T @ self.rhs, atol=1e-8)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_undamped_singular_normal_equations_have_no_step(self, sparse):
+        # J^T J = [[4, -8, 4], [-8, 24, -8], [4, -8, 4]] is singular; in the
+        # pattern's order its Cholesky factor meets an exact zero pivot
+        J = sp.csr_matrix(self.J) if sparse else self.J
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _levenberg_step(_normal_equations(J, self.rhs), 0.0) is None
+
+
+def _galerkin_jacobian(domain, level, kind, seed=5):
+    """A Galerkin Jacobian and residual at a random iterate, identity T."""
+    mesh = interval_mesh(0.0, 1.0, 4) if domain == "interval" else unit_square_mesh()
+    h = build_hierarchy(mesh, level)
+    params = {"c": 1.0} if kind == "constant" else {"a1": 0.1, "a2": 0.1,
+                                                     "alpha": 2.0, "beta": 2.0}
+    f = convection_from_catalog(kind, params)
+    u = h.function(level, 0.1 * np.random.default_rng(seed).standard_normal(
+        h.level(level).n_free))
+    img = apply(identity_operator(), u) if f.solution_dependent else None
+    return (assemble_jacobian(u, img, f, 3.0, 2.0),
+            assemble_residual(u, img, f, 3.0, 2.0).values)
+
+
+class TestLevenbergStep:
+    @pytest.mark.parametrize("lam", [1e-8, 1.0, 1e4])
+    @pytest.mark.parametrize("t", [1.0, 0.5], ids=["full", "blend"])
+    @pytest.mark.parametrize("kind", ["constant", "manufactured_plus_power"],
+                             ids=["symmetric", "nonsymmetric"])
+    @pytest.mark.parametrize("domain,level", [("interval", 6), ("unit_square", 4)],
+                             ids=["interval-L6", "square-L4"])
+    def test_backward_error_against_dense_solve(self, domain, level, kind, t, lam):
+        J, r = _galerkin_jacobian(domain, level, kind)
+        Jd = J.toarray()
+        asymmetry = np.abs(Jd - Jd.T).max() / np.abs(Jd).max()
+        assert (asymmetry < 1e-14) == (kind == "constant")
+        Jt = J if t == 1.0 else (t * J + (1.0 - t) * sp.identity(J.shape[0])).tocsr()
+        Jtd = Jt.toarray()
+        A = Jtd.T @ Jtd + lam * np.eye(len(r))
+        b = -Jtd.T @ r
+
+        def backward_error(dx):
+            return (np.linalg.norm(A @ dx - b)
+                    / (np.linalg.norm(A, 2) * np.linalg.norm(dx) + np.linalg.norm(b)))
+
+        dx = _levenberg_step(_normal_equations(Jt, r), lam)
+        assert dx is not None
+        assert backward_error(dx) <= 1e-13
+        assert backward_error(np.linalg.solve(A, b)) <= 1e-13
+
+    def test_band_is_narrow_in_two_dimensions(self):
+        J, r = _galerkin_jacobian("unit_square", 4, "constant")
+        normal = _normal_equations(J, r)
+        natural = J.T @ J
+        rows, cols = natural.nonzero()
+        assert 1 < normal.band.shape[0] - 1 < int(np.max(np.abs(rows - cols)))
+
+    def test_dense_jacobian_gives_the_csr_step_bitwise(self):
+        J, r = _galerkin_jacobian("unit_square", 4, "manufactured_plus_power")
+        dense = J.toarray()
+        for lam in (1e-8, 1.0):
+            np.testing.assert_array_equal(
+                _levenberg_step(_normal_equations(dense, r), lam),
+                _levenberg_step(_normal_equations(sp.csr_matrix(dense), r), lam),
+            )
+
+    def test_forms_normal_equations_once_per_jacobian(self, unit_hierarchy, monkeypatch):
+        # constant f on the 3-dof base level stalls Newton and needs the homotopy
+        counts = {"jacobian": 0, "normal": 0, "damped": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in (("jacobian", assemble_jacobian), ("normal", _normal_equations),
+                         ("damped", _levenberg_step)):
+            monkeypatch.setattr(f"competefem.solver.{fn.__name__}", counting(name, fn))
+        out = solve_level(make_instance(unit_hierarchy, "constant", {"c": 1.0}), 1, 2.0)
+        assert out.converged and out.path == "homotopy"
+        assert counts["damped"] > 0
+        assert counts["normal"] <= counts["jacobian"]
+        assert counts["normal"] < counts["damped"]
 
 
 class TestSolveLevel:
