@@ -133,28 +133,7 @@ class DomainMesh:
 
     def refine(self) -> "DomainMesh":
         """Uniformly refine: bisect intervals, split triangles into four."""
-        if self.dim == 1:
-            mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-            fine = np.empty(2 * len(self.nodes) - 1)
-            fine[0::2] = self.nodes
-            fine[1::2] = mids
-            return DomainMesh(dim=1, nodes=fine)
-        verts = list(map(tuple, self.vertices))
-        new_verts = [np.asarray(v, dtype=float) for v in self.vertices]
-        midpoint = {}
-
-        def mid(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint:
-                midpoint[key] = len(new_verts)
-                new_verts.append(0.5 * (np.asarray(verts[i]) + np.asarray(verts[j])))
-            return midpoint[key]
-
-        tris = []
-        for a, b, c in self.triangles:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            tris += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        return triangle_mesh(np.array(new_verts), np.array(tris, dtype=int))
+        return _refine(self)[0]
 
     def to_json_dict(self) -> dict:
         if self.dim == 1:
@@ -227,6 +206,37 @@ def unit_square_mesh() -> DomainMesh:
     return triangle_mesh(verts, tris)
 
 
+def _refine(mesh: DomainMesh) -> tuple:
+    """Uniform refinement of ``mesh`` and its parent table.
+
+    Row i of ``parents`` holds the two coarse nodes whose midpoint fine node
+    i is; an old node keeps its index and is its own parent twice.  New
+    triangle nodes are numbered in the order their edge is first met,
+    triangle by triangle and edges ab, bc, ca within each.
+    """
+    n = mesh.n_nodes
+    old = np.repeat(np.arange(n)[:, None], 2, axis=1)
+    if mesh.dim == 1:
+        parents = np.empty((2 * n - 1, 2), dtype=int)
+        parents[0::2] = old
+        parents[1::2] = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+        mids = 0.5 * (mesh.nodes[parents[:, 0]] + mesh.nodes[parents[:, 1]])
+        return DomainMesh(dim=1, nodes=mids), parents
+    edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, edge_of = np.unique(edges[:, 0] * n + edges[:, 1],
+                                  return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ab, bc, ca = (n + rank[edge_of]).reshape(-1, 3).T
+    a, b, c = mesh.triangles.T
+    tris = np.array([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+    parents = np.vstack([old, edges[np.sort(first)]])
+    verts = mesh.vertices
+    fine = triangle_mesh(0.5 * (verts[parents[:, 0]] + verts[parents[:, 1]]),
+                         tris.transpose(2, 0, 1).reshape(-1, 3))
+    return fine, parents
+
+
 @dataclass(frozen=True, eq=False)
 class Level:
     """One finite element space: mesh, interior dofs, quadrature tables.
@@ -290,6 +300,14 @@ def _free_operator(local: np.ndarray, elem_nodes: np.ndarray, free_of_node: np.n
     return sp.csr_matrix((local[keep], cols[keep], indptr), shape=(len(cols), n_free))
 
 
+def _operators(grad: np.ndarray, basis: np.ndarray, elem_nodes: np.ndarray,
+               free_of_node: np.ndarray, n_free: int) -> tuple:
+    """``grad_op`` and ``qp_op`` on the columns that ``free_of_node`` gives each node."""
+    grad_op = _free_operator(np.transpose(grad, (2, 0, 1)), elem_nodes, free_of_node, n_free)
+    qp_op = _free_operator(basis, elem_nodes[:, None, :], free_of_node, n_free)
+    return grad_op, qp_op
+
+
 # ---------------------------------------------------------------------------
 # block forms on the level operators
 # ---------------------------------------------------------------------------
@@ -346,7 +364,13 @@ def _value_load(lvl: Level, vals: np.ndarray, r: float) -> np.ndarray:
     return lvl.qp_op_t @ (lvl.qp_weights.reshape(-1, 1) * integrand)
 
 
-def _build_level(index: int, mesh: DomainMesh, quad_order: int, prolongation) -> Level:
+def _build_level(index: int, mesh: DomainMesh, quad_order: int,
+                 coarse: Level | None = None, parents: np.ndarray | None = None) -> Level:
+    """Level ``index`` on ``mesh``.
+
+    A refined mesh also takes the prolongation from the ``coarse`` level,
+    read off the ``parents`` table of the refinement.
+    """
     boundary = mesh.boundary_nodes()
     is_free = np.ones(mesh.n_nodes, dtype=bool)
     is_free[boundary] = False
@@ -386,9 +410,7 @@ def _build_level(index: int, mesh: DomainMesh, quad_order: int, prolongation) ->
         ref_grad = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         grad = np.einsum("kr,erd->ekd", ref_grad, np.transpose(inv_t, (0, 2, 1)))
 
-    n_free = len(free)
-    grad_op = _free_operator(np.transpose(grad, (2, 0, 1)), elem_nodes, free_of_node, n_free)
-    qp_op = _free_operator(basis, elem_nodes[:, None, :], free_of_node, n_free)
+    grad_op, qp_op = _operators(grad, basis, elem_nodes, free_of_node, len(free))
     return Level(
         index=index,
         mesh=mesh,
@@ -404,56 +426,22 @@ def _build_level(index: int, mesh: DomainMesh, quad_order: int, prolongation) ->
         grad_op_t=grad_op.T.tocsr(),
         qp_op=qp_op,
         qp_op_t=qp_op.T.tocsr(),
-        prolongation=prolongation,
+        prolongation=None if coarse is None else _prolongation_matrix(parents, coarse, free),
     )
 
 
-def _prolongation_matrix(coarse: DomainMesh, fine: DomainMesh,
-                         coarse_free, fine_free) -> sp.csr_matrix:
-    """Exact interpolation of coarse P1 functions onto the refined mesh."""
-    if coarse.dim == 1:
-        nc = coarse.n_nodes
-        rows, cols, vals = [], [], []
-        for i in range(nc):
-            rows.append(2 * i)
-            cols.append(i)
-            vals.append(1.0)
-        for i in range(nc - 1):
-            rows += [2 * i + 1, 2 * i + 1]
-            cols += [i, i + 1]
-            vals += [0.5, 0.5]
-        full = sp.csr_matrix((vals, (rows, cols)), shape=(fine.n_nodes, nc))
-    else:
-        nc = coarse.n_nodes
-        rows = list(range(nc))
-        cols = list(range(nc))
-        vals = [1.0] * nc
-        edges = np.sort(
-            np.vstack(
-                [coarse.triangles[:, [0, 1]], coarse.triangles[:, [1, 2]], coarse.triangles[:, [2, 0]]]
-            ),
-            axis=1,
-        )
-        uniq = np.unique(edges, axis=0)
-        # refine() assigns midpoint indices in first-encounter order; rebuild
-        # the same mapping to stay consistent
-        midpoint = {}
-        counter = nc
-        for a, b, c in coarse.triangles:
-            for i, j in ((a, b), (b, c), (c, a)):
-                key = (min(i, j), max(i, j))
-                if key not in midpoint:
-                    midpoint[key] = counter
-                    counter += 1
-        assert counter == fine.n_nodes and len(midpoint) == len(uniq)
-        for (i, j), m in midpoint.items():
-            rows += [m, m]
-            cols += [i, j]
-            vals += [0.5, 0.5]
-        full = sp.csr_matrix((vals, (rows, cols)), shape=(fine.n_nodes, nc))
+def _prolongation_matrix(parents: np.ndarray, coarse: Level, fine_free) -> sp.csr_matrix:
+    """Exact interpolation of coarse P1 functions onto the refined mesh.
+
+    Each fine node takes the mean of its two parents, so an old node takes
+    its own value.
+    """
+    rows = np.repeat(np.arange(len(parents)), 2)
+    full = sp.csr_matrix((np.full(parents.size, 0.5), (rows, parents.ravel())),
+                         shape=(len(parents), coarse.mesh.n_nodes))
     # boundary coefficients are identically zero on both levels, so the
     # restriction to interior nodes loses nothing
-    return full[fine_free][:, coarse_free].tocsr()
+    return full[fine_free][:, coarse.free].tocsr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,23 +500,10 @@ def build_hierarchy(domain: DomainMesh, levels: int, quad_order: int = 4) -> Spa
         raise ValueError(f"quad_order must be >= 1, got {quad_order}")
     if domain.dim not in (1, 2):
         raise MeshError(f"unsupported mesh dimension {domain.dim}")
-    out = []
-    mesh = domain
-    prev = None
-    for idx in range(1, levels + 1):
-        if prev is None:
-            lvl = _build_level(idx, mesh, quad_order, None)
-        else:
-            fine_mesh = prev.mesh.refine()
-            boundary = fine_mesh.boundary_nodes()
-            is_free = np.ones(fine_mesh.n_nodes, dtype=bool)
-            is_free[boundary] = False
-            fine_free = np.flatnonzero(is_free)
-            P = _prolongation_matrix(prev.mesh, fine_mesh, prev.free, fine_free)
-            lvl = _build_level(idx, fine_mesh, quad_order, P)
-        out.append(lvl)
-        prev = lvl
-        mesh = lvl.mesh
+    out = [_build_level(1, domain, quad_order)]
+    for idx in range(2, levels + 1):
+        mesh, parents = _refine(out[-1].mesh)
+        out.append(_build_level(idx, mesh, quad_order, out[-1], parents))
     if out[-1].n_free < 1:
         raise MeshError(
             "finest level has no interior nodes; refine the base mesh or add levels"
@@ -617,6 +592,35 @@ def sample(u: FEFunction) -> QuadratureSamples:
         weights=lvl.qp_weights,
         values=values,
         gradients=grads,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class NodalSamples:
+    """P1 function given at every node, boundary included, sampled on its level.
+
+    ``gradients`` has the layout of the level forms, (dim, n_el, 1);
+    ``values`` are taken at the quadrature points, (n_el, n_q).
+    """
+
+    level: int
+    nodal: np.ndarray      # (n_nodes,)
+    gradients: np.ndarray  # (dim, n_el, 1)
+    values: np.ndarray     # (n_el, n_q)
+
+
+def nodal_samples(lvl: Level, nodal: np.ndarray) -> NodalSamples:
+    """Sample the P1 function with the given values at every node of ``lvl``.
+
+    It goes through the level's operators, built with every node kept.
+    """
+    every = np.arange(lvl.mesh.n_nodes)
+    grad_op, qp_op = _operators(lvl.grad_basis, lvl.basis_at_qp, lvl.elem_nodes, every, len(every))
+    return NodalSamples(
+        level=lvl.index,
+        nodal=nodal,
+        gradients=(grad_op @ nodal).reshape(lvl.mesh.dim, lvl.mesh.n_elements, 1),
+        values=(qp_op @ nodal).reshape(lvl.qp_weights.shape),
     )
 
 

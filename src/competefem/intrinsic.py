@@ -33,12 +33,14 @@ from scipy.special import erf
 from .discretization import (
     FEFunction,
     Level,
+    NodalSamples,
     QuadratureSamples,
     SpaceHierarchy,
     _grad_integral,
     _gradients,
     _value_integral,
     grad_norm_p,
+    nodal_samples,
     sample,
 )
 
@@ -157,44 +159,10 @@ class LiftFunction:
             return float(self.params.get("a", 0.0)) * first + float(self.params.get("b", 0.0))
         raise KeyError(f"unknown lift kind {self.kind!r}; choose zero or affine")
 
-    def interpolate_ambient(self, hierarchy: SpaceHierarchy, level: int) -> "AmbientFunction":
-        lvl = hierarchy.level(level)
-        pts = lvl.mesh.nodes if hierarchy.dim == 1 else lvl.mesh.vertices
-        return AmbientFunction(hierarchy, level, np.asarray(self.value(pts), dtype=float))
-
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}
         out.update({k: float(v) for k, v in self.params.items()})
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class AmbientFunction:
-    """P1 function with unconstrained boundary values (used as a lift)."""
-
-    hierarchy: SpaceHierarchy
-    level: int
-    nodal: np.ndarray
-
-    @property
-    def lvl(self) -> Level:
-        return self.hierarchy.level(self.level)
-
-    def element_gradients(self) -> np.ndarray:
-        lvl = self.lvl
-        return np.einsum("ek,ekd->ed", self.nodal[lvl.elem_nodes], lvl.grad_basis)
-
-    def values_at_qp(self) -> np.ndarray:
-        lvl = self.lvl
-        return np.einsum("ek,qk->eq", self.nodal[lvl.elem_nodes], lvl.basis_at_qp)
-
-    def grad_norm(self, p: float) -> float:
-        grads = self.element_gradients().T[..., None]
-        return float(_grad_integral(self.lvl, grads, p)[0] ** (1.0 / p))
-
-    def value_norm(self, r: float) -> float:
-        vals = self.values_at_qp().reshape(-1, 1)
-        return float(_value_integral(self.lvl.qp_weights, vals, r)[0] ** (1.0 / r))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +183,7 @@ class IntrinsicOperator:
     _conv_cache: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False
     )
-    # level -> (u0 nodal values, u0 and grad u0 at the quadrature points)
+    # level -> u0 sampled on that level
     _lift_cache: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False
     )
@@ -253,21 +221,15 @@ def convolution_operator(kernel: Kernel, refine_factor: int = 4,
 # -- boundary lift -------------------------------------------------------------
 
 
-def _lift_tables(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> tuple:
-    """u0's nodal values and its samples on a level, built once per level."""
+def lift_on(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> NodalSamples:
+    """The lift u0 of a boundary_lift operator, interpolated on a level once."""
     lvl = hierarchy.level(level)
     hit = T._lift_cache.get(lvl)
     if hit is None:
-        u0 = T.lift.interpolate_ambient(hierarchy, level)
-        g0 = u0.element_gradients()
-        grads = np.broadcast_to(g0[:, None, :], lvl.qp_weights.shape + g0.shape[1:])
-        hit = T._lift_cache[lvl] = (u0.nodal, u0.values_at_qp(), grads)
+        pts = lvl.mesh.nodes if hierarchy.dim == 1 else lvl.mesh.vertices
+        nodal = np.asarray(T.lift.value(pts), dtype=float)
+        hit = T._lift_cache[lvl] = nodal_samples(lvl, nodal)
     return hit
-
-
-def lift_on(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> AmbientFunction:
-    """The lift u0 of a boundary_lift operator, interpolated on a level."""
-    return AmbientFunction(hierarchy, level, _lift_tables(T, hierarchy, level)[0])
 
 
 # -- convolution machinery ---------------------------------------------------
@@ -377,9 +339,9 @@ def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
         return sample(u)
     if T.kind == "boundary_lift":
         base = sample(u)
-        _, values, gradients = _lift_tables(T, u.hierarchy, u.level)
-        return replace(base, values=base.values + values,
-                       gradients=base.gradients + gradients)
+        u0 = lift_on(T, u.hierarchy, u.level)
+        return replace(base, values=base.values + u0.values,
+                       gradients=base.gradients + u0.gradients[..., 0].T[:, None, :])
     lvl = u.lvl
     x = lvl.qp_points[..., 0]
     vals = convolution_values(T, u, x)
@@ -477,8 +439,9 @@ def certificate(
         if hierarchy is None:
             raise ValueError("boundary_lift certificate needs a hierarchy to measure u0")
         u0 = lift_on(T, hierarchy, hierarchy.n_levels)
-        u0_val = u0.value_norm(constants.p_crit)
-        u0_grad = u0.grad_norm(p)
+        pc, lvl = constants.p_crit, hierarchy.level(u0.level)
+        u0_val = float(_value_integral(lvl.qp_weights, u0.values.reshape(-1, 1), pc)[0] ** (1 / pc))
+        u0_grad = float(_grad_integral(lvl, u0.gradients, p)[0] ** (1 / p))
         return IntrinsicCertificate(
             value_coeff=m * constants.S(constants.p_crit) ** (p - 1.0),
             grad_coeff=m,

@@ -76,13 +76,13 @@ class SigmaWeight:
             return np.interp(first, xs, vals)
         raise KeyError(f"unknown sigma weight kind {self.kind!r}")
 
-    def dual_norm(self, samples: QuadratureSamples, r: float) -> float:
-        """||sigma||_{r'} by quadrature; sup over points when r = 1."""
-        vals = self(samples.points[..., 0])
+    def dual_norm(self, lvl, r: float) -> float:
+        """||sigma||_{r'} by the level's quadrature; sup over its points when r = 1."""
+        vals = self(lvl.qp_points[..., 0])
         rp = holder_conjugate(r)
         if np.isinf(rp):
             return float(np.max(np.abs(vals))) if vals.size else 0.0
-        return float(_value_integral(samples.weights, vals.reshape(-1, 1), rp)[0] ** (1.0 / rp))
+        return float(_value_integral(lvl.qp_weights, vals.reshape(-1, 1), rp)[0] ** (1.0 / rp))
 
 
 SIGMA_KINDS = ("zero", "constant", "manufactured_abs", "manufactured_plus", "nodal")
@@ -366,11 +366,11 @@ def _combined_gradients(u: FEFunction, lift) -> np.ndarray:
     """
     g = _gradients(u.lvl, u.coeffs.reshape(len(u.coeffs), -1))
     if lift is not None:
-        if getattr(lift, "level", None) != u.level:
+        if lift.level != u.level:
             raise LevelMismatchError(
-                f"lift on level {getattr(lift, 'level', None)} does not match u on level {u.level}"
+                f"lift on level {lift.level} does not match u on level {u.level}"
             )
-        g = g + lift.element_gradients().T[..., None]
+        g = g + lift.gradients
     return g
 
 
@@ -609,7 +609,7 @@ def convection_functional_bound(
     if u.level != v.level:
         raise LevelMismatchError(f"levels differ: {u.level} vs {v.level}")
     su = T_image
-    bound = env.sigma.dual_norm(su, env.r) * lebesgue_norm(v, env.r)
+    bound = env.sigma.dual_norm(u.lvl, env.r) * lebesgue_norm(v, env.r)
     if env.a1 > 0:
         bound += (
             env.a1

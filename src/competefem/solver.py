@@ -40,7 +40,7 @@ from .constants import (
     compose_c0,
 )
 from .discretization import (FEFunction, SpaceHierarchy, _column_dots, _grad_integral,
-                             _gradients, grad_norm_p, prolongate, sample, sine_mode)
+                             _gradients, grad_norm_p, prolongate, sine_mode)
 from .intrinsic import IntrinsicOperator, apply as apply_operator, certificate, lift_on
 from .operators import (
     ConvectionTerm,
@@ -48,7 +48,6 @@ from .operators import (
     assemble_jacobian,
     assemble_residual,
     competing_pairing,
-    convection_integral,
 )
 
 # Newton iterations per zero search; frozen-T passes per nonlocal level.
@@ -92,9 +91,13 @@ class BrouwerResult:
     @property
     def path(self) -> str:
         """How the search ended: ``newton``, ``homotopy`` or ``failed``."""
-        if not self.converged:
-            return "failed"
-        return "homotopy" if self.continuation_stages else "newton"
+        return _path(self.converged, self.continuation_stages)
+
+
+def _path(converged: bool, continuation_stages: int) -> str:
+    if not converged:
+        return "failed"
+    return "homotopy" if continuation_stages else "newton"
 
 
 def _solve_newton_step(J, rhs):
@@ -370,9 +373,13 @@ class LevelSolve:
     sphere_margin: Optional[float]
     sphere_negative: int
     converged: bool
-    path: str
     sphere_q05: Optional[float] = None
     sphere_median: Optional[float] = None
+
+    @property
+    def path(self) -> str:
+        """``failed``, else ``homotopy`` if any zero search of the level needed it."""
+        return _path(self.converged, self.continuation_stages)
 
 
 def _image_of(inst: ProblemInstance, u: FEFunction):
@@ -407,10 +414,10 @@ def solve_level(
         return grad_norm_p(h.function(n, c), inst.p)
 
     def true_residual(c):
-        """Residual sup at c and T at c, which later steps reuse."""
+        """Residual at c and T at c, which later steps reuse."""
         u = h.function(n, c)
         img = _image_of(inst, u)
-        return assemble_residual(u, img, inst.convection, inst.p, inst.q, lift=lift).sup, img
+        return assemble_residual(u, img, inst.convection, inst.p, inst.q, lift=lift), img
 
     # The operator is non-monotone, so the discrete equation can have several
     # solutions and Newton converges to the one nearest its start.  A supplied
@@ -450,47 +457,37 @@ def solve_level(
         res = brouwer_zero(F, R, x0=coeffs, jac=J, norm=gnorm, tol=inst.tol)
         newton_iters += res.newton_iters
         stages += res.continuation_stages
-        true_sup, img = true_residual(res.x)
-        if true_sup <= inst.tol or not frozen:
+        true_res, img = true_residual(res.x)
+        if true_res.sup <= inst.tol or not frozen:
             coeffs = res.x
             break
-        if true_sup >= prev_sup:  # damp on stagnation
+        if true_res.sup >= prev_sup:  # damp on stagnation
             coeffs, img = 0.5 * (coeffs + res.x), None
         else:
             coeffs = res.x
-        prev_sup = min(prev_sup, true_sup)
+        prev_sup = min(prev_sup, true_res.sup)
     else:  # passes spent; the last step may have been damped
         if img is None:
-            true_sup, img = true_residual(coeffs)
+            true_res, img = true_residual(coeffs)
 
     u = h.function(n, coeffs)
     gn = grad_norm_p(u, inst.p)
     return LevelSolve(
         level=n,
         u=u,
-        residual_sup=true_sup,
+        residual_sup=true_res.sup,
         newton_iters=newton_iters,
         outer_iters=outer if frozen else 0,
         continuation_stages=stages,
         radius=R,
         grad_norm=gn,
         apriori_margin=R - gn,
-        energy_gap=_energy_gap(inst, u, img, lift),
+        # the equation tested with u itself
+        energy_gap=abs(float(true_res.values @ coeffs)),
         sphere_margin=None,
         sphere_negative=0,
-        converged=true_sup <= inst.tol,
-        path=res.path,
+        converged=true_res.sup <= inst.tol,
     )
-
-
-def _energy_gap(inst: ProblemInstance, u: FEFunction, img, lift) -> float:
-    """Defect of the identity obtained by testing the equation with u itself.
-
-    ``img`` is T(u).
-    """
-    f_term = convection_integral(u, img, inst.convection)
-    lhs = competing_pairing(u, u, inst.p, inst.q, lift=lift)
-    return float(abs(lhs - f_term))
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,15 +600,13 @@ def convergence_diagnostics(
         residual_gap = float(np.max(np.abs(_column_dots(res.values[:, None], tests))
                                     / test_norms))
 
-        pairing_gap = competing_pairing(un, diff, inst.p, inst.q, lift=lift)
-        full_gap = pairing_gap - convection_integral(diff, img, inst.convection)
         rows.append(
             DiagnosticsRow(
                 level=solve.level,
                 weak_gap=weak,
                 residual_gap=residual_gap,
-                pairing_gap=float(pairing_gap),
-                full_gap=float(full_gap),
+                pairing_gap=competing_pairing(un, diff, inst.p, inst.q, lift=lift),
+                full_gap=float(res.values @ diff.coeffs),
             )
         )
     return rows
@@ -782,9 +777,7 @@ def run_hierarchy(
             raise HypothesisRefusal(base.message, base)
         base.message = f"continuing despite failed checks: {names}"
 
-    sigma_norm = inst.envelope.sigma.dual_norm(
-        sample(h.zero(top)), inst.envelope.r
-    )
+    sigma_norm = inst.envelope.sigma.dual_norm(h.level(top), inst.envelope.r)
     c0 = compose_c0(inst.envelope, sigma_norm, cert, constants)
     R = coercivity_radius(kappa, h.measure, inst.p, inst.q, c0)
     base.radius = R

@@ -136,20 +136,79 @@ def grid_search_zero(F, R: float, dim: int, step: float = 1e-3) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# dictionary-based references for the refinement
+# ---------------------------------------------------------------------------
+
+
+def refine_triangles(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
+    """Red refinement, new vertices numbered by a dictionary of edges.
+
+    Each edge gets the next free index the first time a triangle, taken in
+    order with its edges ab, bc, ca, meets it.  Returns the vertices, the
+    triangles and the edge dictionary {(i, j): midpoint index, i < j}.
+    """
+    new_verts = [np.asarray(v, dtype=float) for v in vertices]
+    midpoint = {}
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint:
+            midpoint[key] = len(new_verts)
+            new_verts.append(0.5 * (vertices[i] + vertices[j]))
+        return midpoint[key]
+
+    tris = []
+    for a, b, c in triangles:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        tris += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+    return np.array(new_verts), np.array(tris, dtype=int), midpoint
+
+
+def prolongation(coarse, fine) -> sp.csr_matrix:
+    """Interpolation of coarse P1 functions onto the refined mesh, free rows and columns.
+
+    ``coarse`` and ``fine`` are consecutive levels; old nodes copy their
+    value, new ones average the ends of their edge.
+    """
+    nc = coarse.mesh.n_nodes
+    if coarse.mesh.dim == 1:
+        rows = [2 * i for i in range(nc)]
+        pairs = {(i, i + 1): 2 * i + 1 for i in range(nc - 1)}
+    else:
+        rows = list(range(nc))
+        pairs = refine_triangles(coarse.mesh.vertices, coarse.mesh.triangles)[2]
+    cols, vals = list(range(nc)), [1.0] * nc
+    for (i, j), m in pairs.items():
+        rows += [m, m]
+        cols += [i, j]
+        vals += [0.5, 0.5]
+    full = sp.csr_matrix((vals, (rows, cols)), shape=(fine.mesh.n_nodes, nc))
+    return full[fine.free][:, coarse.free].tocsr()
+
+
+# ---------------------------------------------------------------------------
 # element-loop references for the level assembly
 # ---------------------------------------------------------------------------
 
 
+def nodal_element_gradients(lvl, nodal) -> np.ndarray:
+    """Constant gradient per element of a P1 function given at every node, (n_el, dim)."""
+    return np.einsum("ek,ekd->ed", nodal[lvl.elem_nodes], lvl.grad_basis)
+
+
 def element_gradients(lvl, coeffs) -> np.ndarray:
     """Constant gradient per element, shape (n_el, dim)."""
-    nodal = lvl.full_values(coeffs)[lvl.elem_nodes]
-    return np.einsum("ek,ekd->ed", nodal, lvl.grad_basis)
+    return nodal_element_gradients(lvl, lvl.full_values(coeffs))
+
+
+def nodal_values_at_qp(lvl, nodal) -> np.ndarray:
+    """Values at the quadrature points of a P1 function given at every node, (n_el, n_q)."""
+    return np.einsum("ek,qk->eq", nodal[lvl.elem_nodes], lvl.basis_at_qp)
 
 
 def values_at_qp(lvl, coeffs) -> np.ndarray:
     """Values at the quadrature points, shape (n_el, n_q)."""
-    nodal = lvl.full_values(coeffs)[lvl.elem_nodes]
-    return np.einsum("ek,qk->eq", nodal, lvl.basis_at_qp)
+    return nodal_values_at_qp(lvl, lvl.full_values(coeffs))
 
 
 def gradient_force(u_grads: np.ndarray, r: float, lvl) -> np.ndarray:
@@ -228,8 +287,7 @@ def f_part_jacobian(f, T_image, lvl) -> sp.csr_matrix:
 def _total_gradients(u, lift) -> np.ndarray:
     g = element_gradients(u.lvl, u.coeffs)
     if lift is not None:
-        nodal = lift.nodal[u.lvl.elem_nodes]
-        g = g + np.einsum("ek,ekd->ed", nodal, u.lvl.grad_basis)
+        g = g + nodal_element_gradients(u.lvl, lift.nodal)
     return g
 
 

@@ -325,19 +325,30 @@ class TestCli:
 
     def test_level_paths_in_report(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["solve", str(write_config(tmp_path, MANUFACTURED_CLI)),
-                     "--out-dir", str(out)]) == 0
-        levels = json.loads((out / "solve_report.json").read_text())["levels"]
+
+        def solve(config, name):
+            assert main(["solve", str(write_config(tmp_path, config, name)),
+                         "--out-dir", str(out)]) == 0
+            levels = json.loads((out / "solve_report.json").read_text())["levels"]
+            # a level's path sums up all of its zero searches
+            for lv in levels:
+                stages = lv["continuation_stages"]
+                assert lv["path"] == ("failed" if not lv["converged"]
+                                      else "homotopy" if stages else "newton")
+            return levels
+
+        levels = solve(MANUFACTURED_CLI, "manufactured.json")
         assert [lv["path"] for lv in levels] == ["newton"] * 4
         # constant f stalls Newton on the 3-dof base level only
         constant = dict(MINIMAL, f={"kind": "constant", "c": 1.0}, levels=3,
                         sphere_samples=32)
-        assert main(["solve", str(write_config(tmp_path, constant, "constant.json")),
-                     "--out-dir", str(out)]) == 0
-        levels = json.loads((out / "solve_report.json").read_text())["levels"]
+        levels = solve(constant, "constant.json")
         assert [lv["path"] for lv in levels] == ["homotopy", "newton", "newton"]
         assert levels[0]["continuation_stages"] > 0
         assert "path" not in (out / "solve_report.csv").read_text().splitlines()[0]
+        # a nonlocal T runs several zero searches per level
+        levels = solve(CONVOLUTION_CLI, "convolution.json")
+        assert all(lv["outer_iters"] > 1 for lv in levels)
 
     def test_sphere_quantiles_in_report(self, tmp_path):
         out = tmp_path / "out"

@@ -30,6 +30,19 @@ from competefem.discretization import (
 import oracles
 
 
+@pytest.fixture(scope="module")
+def square_hierarchy():
+    """Unit square, 5 levels (225 free dofs on the finest)."""
+    return build_hierarchy(unit_square_mesh(), 5)
+
+
+def irregular_mesh():
+    """Four triangles around an off-centre interior vertex of a skewed quadrilateral."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.1], [1.2, 0.9], [0.1, 1.0], [0.55, 0.45]])
+    tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+    return triangle_mesh(verts, tris)
+
+
 class TestBuildHierarchy:
     def test_free_dims_interval(self):
         h = build_hierarchy(interval_mesh(0.0, 1.0, 2), 3)
@@ -109,20 +122,56 @@ class TestProlongate:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), start=st.integers(1, 3))
-    def test_norms_preserved(self, unit_hierarchy, seed, start):
-        h = unit_hierarchy
-        rng = np.random.default_rng(seed)
-        u = h.function(start, rng.standard_normal(h.level(start).n_free))
-        v = prolongate(u, 5)
-        for p in (2.0, 3.0, 4.5):
-            assert grad_norm_p(v, p) == pytest.approx(grad_norm_p(u, p), rel=1e-12)
-        # |u|^2 is elementwise polynomial regardless of sign changes
-        assert lebesgue_norm(v, 2.0) == pytest.approx(lebesgue_norm(u, 2.0), rel=1e-12)
-        # odd powers are elementwise polynomial only for sign-definite u
-        w = h.function(start, np.abs(u.coeffs))
-        wv = prolongate(w, 5)
-        for r in (1.0, 2.0, 3.0):
-            assert lebesgue_norm(wv, r) == pytest.approx(lebesgue_norm(w, r), rel=1e-12)
+    def test_norms_preserved(self, unit_hierarchy, square_hierarchy, seed, start):
+        # the square's base level has no interior node, so it starts one level up
+        for h, first in ((unit_hierarchy, start), (square_hierarchy, start + 1)):
+            rng = np.random.default_rng(seed)
+            u = h.function(first, rng.standard_normal(h.level(first).n_free))
+            v = prolongate(u, 5)
+            for p in (2.0, 3.0, 4.5):
+                assert grad_norm_p(v, p) == pytest.approx(grad_norm_p(u, p), rel=1e-12)
+            # |u|^2 is elementwise polynomial regardless of sign changes
+            assert lebesgue_norm(v, 2.0) == pytest.approx(lebesgue_norm(u, 2.0), rel=1e-12)
+            # odd powers are elementwise polynomial only for sign-definite u
+            w = h.function(first, np.abs(u.coeffs))
+            wv = prolongate(w, 5)
+            for r in (1.0, 2.0, 3.0):
+                assert lebesgue_norm(wv, r) == pytest.approx(lebesgue_norm(w, r), rel=1e-12)
+
+
+def _same_csr(a, b) -> bool:
+    """Bitwise equal sparse matrices: shape, structure and stored values."""
+    a, b = a.tocsr(), b.tocsr()
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+class TestRefinement:
+    """Refinement and prolongation against the dictionary-numbered references."""
+
+    @pytest.mark.parametrize("base,levels", [(unit_square_mesh, 6), (irregular_mesh, 5)],
+                             ids=["square", "irregular"])
+    def test_triangles_bitwise(self, base, levels):
+        h = build_hierarchy(base(), levels)
+        for coarse, fine in zip(h.levels, h.levels[1:]):
+            verts, tris, _ = oracles.refine_triangles(coarse.mesh.vertices, coarse.mesh.triangles)
+            assert np.array_equal(fine.mesh.vertices, verts)
+            assert np.array_equal(fine.mesh.triangles, tris)
+            assert _same_csr(fine.prolongation, oracles.prolongation(coarse, fine))
+
+    def test_interval_bitwise(self, unit_hierarchy):
+        for coarse, fine in zip(unit_hierarchy.levels, unit_hierarchy.levels[1:]):
+            nodes = np.empty(2 * coarse.mesh.n_nodes - 1)
+            nodes[0::2] = coarse.mesh.nodes
+            nodes[1::2] = 0.5 * (coarse.mesh.nodes[:-1] + coarse.mesh.nodes[1:])
+            assert np.array_equal(fine.mesh.nodes, nodes)
+            assert _same_csr(fine.prolongation, oracles.prolongation(coarse, fine))
+
+    def test_refine_method_matches_hierarchy(self):
+        h = build_hierarchy(irregular_mesh(), 3)
+        fine = h.level(2).mesh.refine()
+        assert np.array_equal(fine.vertices, h.level(3).mesh.vertices)
+        assert np.array_equal(fine.triangles, h.level(3).mesh.triangles)
 
 
 class TestGradNorm:

@@ -10,6 +10,7 @@ from competefem.discretization import (
     interval_mesh,
     lebesgue_norm,
     sample,
+    unit_square_mesh,
 )
 from competefem.intrinsic import (
     CertificateError,
@@ -28,6 +29,8 @@ from competefem.intrinsic import (
     identity_operator,
     lift_on,
 )
+
+import oracles
 
 
 class FakeConstants:
@@ -106,23 +109,39 @@ class TestApply:
 
     def test_lift_built_once_per_level(self, monkeypatch):
         built = []
-        interpolate = LiftFunction.interpolate_ambient
+        value = LiftFunction.value
 
-        def counting(lift, hierarchy, level):
-            built.append(level)
-            return interpolate(lift, hierarchy, level)
+        def counting(lift, x):
+            built.append(len(x))
+            return value(lift, x)
 
-        monkeypatch.setattr(LiftFunction, "interpolate_ambient", counting)
+        monkeypatch.setattr(LiftFunction, "value", counting)
         T = boundary_lift_operator(LiftFunction("affine", {"a": 0.5, "b": 0.25}))
         h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 3)
         for _ in range(3):
             apply(T, h.zero(3))
             apply(T, h.function(3, np.ones((h.level(3).n_free, 4))))
             lift_on(T, h, 3)
-        assert built == [3]
+        assert built == [h.level(3).mesh.n_nodes]
         del h
         gc.collect()
         assert len(T._lift_cache) == 0
+
+    @pytest.mark.parametrize("mesh,params", [
+        (interval_mesh(0.0, 1.0, 4), {"a": 0.7, "b": 0.2}),
+        (unit_square_mesh(), {"ax": 0.5, "ay": -0.3, "b": 0.1}),
+    ], ids=["interval", "square"])
+    def test_lift_samples_match_element_loop(self, mesh, params):
+        T = boundary_lift_operator(LiftFunction("affine", params))
+        h = build_hierarchy(mesh, 4)
+        for n in range(1, 5):
+            lvl, u0 = h.level(n), lift_on(T, h, n)
+            pts = lvl.mesh.nodes if h.dim == 1 else lvl.mesh.vertices
+            np.testing.assert_array_equal(u0.nodal, T.lift.value(pts))
+            grads = oracles.nodal_element_gradients(lvl, u0.nodal)
+            np.testing.assert_array_equal(u0.gradients[..., 0].T, grads)
+            vals = oracles.nodal_values_at_qp(lvl, u0.nodal)
+            np.testing.assert_allclose(u0.values, vals, rtol=0, atol=1e-15 * np.abs(vals).max())
 
     def test_kernel_support_window_error(self, unit_hierarchy):
         T = convolution_operator(Kernel("box", {"width": 6.0}), window_factor=1.0)

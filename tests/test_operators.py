@@ -207,7 +207,7 @@ class TestAssemblyAgainstElementLoops:
         else:
             params = {"a": 0.7, "b": 0.2} if h.dim == 1 else {"ax": 0.5, "ay": -0.3, "b": 0.1}
             T = IntrinsicOperator(kind="boundary_lift", lift=LiftFunction("affine", params))
-            lift = T.lift.interpolate_ambient(h, n)
+            lift = lift_on(T, h, n)
         f = convection_from_catalog(f_kind, f_params)
         rng = np.random.default_rng(11)
         u = h.function(n, 0.5 * rng.standard_normal(h.level(n).n_free))
@@ -225,10 +225,14 @@ class TestBlockForms:
 
     K = 5
 
-    @pytest.fixture(params=["identity-1d", "identity-square", "lift-1d", "convolution-1d"])
+    @pytest.fixture(params=["identity-1d", "identity-square", "lift-1d", "lift-square",
+                            "convolution-1d"])
     def case(self, request):
         if request.param == "identity-square":
             h, T = build_hierarchy(unit_square_mesh(), 3), IntrinsicOperator(kind="identity")
+        elif request.param == "lift-square":
+            h = build_hierarchy(unit_square_mesh(), 3)
+            T = boundary_lift_operator(LiftFunction("affine", {"ax": 0.5, "ay": -0.3, "b": 0.1}))
         else:
             h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 4)
             T = {

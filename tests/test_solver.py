@@ -277,7 +277,7 @@ class TestSolveLevel:
     def test_convolution_applies_T_once_per_iterate(self, unit_hierarchy, monkeypatch):
         # the start and each pass's result; no pass is damped on this level,
         # so the image of the true-residual check is reused as the next
-        # frozen image and for the energy gap
+        # frozen image
         T = convolution_operator(Kernel("box", {"width": 0.1}), refine_factor=4)
         inst = make_instance(
             unit_hierarchy, "manufactured_plus_power",
@@ -293,6 +293,29 @@ class TestSolveLevel:
         out = solve_level(inst, 4, 1.5)
         assert out.converged and out.outer_iters > 1
         assert len(calls) == out.outer_iters + 1
+
+    def test_path_counts_every_pass(self, unit_hierarchy, monkeypatch):
+        # the first frozen-T pass runs continuation stages and fails, the
+        # later ones converge by Newton; the level still took the homotopy
+        T = convolution_operator(Kernel("box", {"width": 0.5}), refine_factor=4)
+        inst = make_instance(
+            unit_hierarchy, "manufactured_plus_power",
+            {"a1": 1.0, "alpha": 2.0, "a2": 0.5, "beta": 2.0}, T=T,
+            guess=lambda x: 5.0 * np.sin(3.0 * np.pi * x),
+        )
+        passes = []
+
+        def recording(*args, **kwargs):
+            res = brouwer_zero(*args, **kwargs)
+            passes.append(res)
+            return res
+
+        monkeypatch.setattr("competefem.solver.brouwer_zero", recording)
+        out = solve_level(inst, 1, 1.5)
+        assert out.converged and len(passes) == out.outer_iters > 1
+        assert passes[0].continuation_stages > 0 and passes[-1].path == "newton"
+        assert out.continuation_stages == sum(r.continuation_stages for r in passes)
+        assert out.path == "homotopy"
 
     @pytest.mark.parametrize("T", [
         identity_operator(), convolution_operator(Kernel("box", {"width": 0.25})),
