@@ -37,7 +37,6 @@ from .intrinsic import (
     certificate,
     certificate_check,
     convolution_operator,
-    convolve_gradient,
     identity_operator,
 )
 from .constants import (

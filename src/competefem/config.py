@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .constants import critical_surrogate
 from .discretization import DomainMesh, MeshError, build_hierarchy, interval_mesh
-from .intrinsic import IntrinsicOperator, Kernel, KernelError, LiftFunction
+from .intrinsic import IntrinsicOperator, Kernel, KernelError, LiftFunction, certificate_rule
 from .operators import (
     CONVECTION_KINDS,
     SIGMA_KINDS,
@@ -171,22 +171,16 @@ def _f_config(obj, p: float, p_crit: float) -> dict:
 def _t_config(obj, p: float, envelope: dict) -> dict:
     _require(isinstance(obj, dict), "BAD_FIELD", "T must be an object")
     kind = obj.get("kind", "identity")
-    alpha, beta = envelope["alpha"], envelope["beta"]
+    _require(
+        kind in ("identity", "boundary_lift", "convolution"),
+        "UNKNOWN_CATALOG",
+        f"unknown intrinsic operator kind {kind!r}; choose identity, boundary_lift or convolution",
+    )
+    violated = certificate_rule(kind, p, envelope["alpha"], envelope["beta"])
+    _require(violated is None, "UNSUPPORTED_CERTIFICATE", violated)
     if kind == "identity":
-        _require(
-            alpha <= p - 1 and beta <= p - 1,
-            "UNSUPPORTED_CERTIFICATE",
-            f"identity operator certifies growth only for alpha, beta in (0, p-1] = (0, {p - 1}]; "
-            f"got alpha={alpha}, beta={beta}",
-        )
         return {"kind": "identity"}
     if kind == "boundary_lift":
-        _require(
-            alpha == p - 1 and beta == p - 1,
-            "UNSUPPORTED_CERTIFICATE",
-            f"boundary_lift certificate requires alpha = beta = p-1 = {p - 1}; "
-            f"got alpha={alpha}, beta={beta}",
-        )
         u0 = obj.get("u0", {"kind": "zero"})
         u0_kind = u0.get("kind", "zero")
         _require(
@@ -199,35 +193,24 @@ def _t_config(obj, p: float, envelope: dict) -> dict:
             if key in u0:
                 u0_out[key] = float(u0[key])
         return {"kind": "boundary_lift", "u0": u0_out}
-    if kind == "convolution":
-        _require(
-            alpha == p - 1 and beta == p - 1,
-            "UNSUPPORTED_CERTIFICATE",
-            f"convolution certificate requires alpha = beta = p-1 = {p - 1}; "
-            f"got alpha={alpha}, beta={beta}",
-        )
-        kernel = obj.get("kernel")
-        _require(isinstance(kernel, dict), "BAD_FIELD", "convolution operator needs a kernel")
-        try:
-            Kernel(shape=kernel.get("shape"), params={k: float(v) for k, v in kernel.items() if k != "shape"})
-        except KeyError as exc:
-            raise ConfigError("UNKNOWN_CATALOG", str(exc.args[0])) from None
-        except KernelError as exc:
-            raise ConfigError("BAD_FIELD", str(exc)) from None
-        out = {
-            "kind": "convolution",
-            "kernel": {"shape": kernel["shape"],
-                       **{k: float(v) for k, v in kernel.items() if k != "shape"}},
-            "refine_factor": int(obj.get("refine_factor", 4)),
-            "window_factor": float(obj.get("window_factor", 1.0)),
-        }
-        _require(out["refine_factor"] >= 1, "BAD_FIELD", "refine_factor must be >= 1")
-        _require(out["window_factor"] > 0, "BAD_FIELD", "window_factor must be positive")
-        return out
-    raise ConfigError(
-        "UNKNOWN_CATALOG",
-        f"unknown intrinsic operator kind {kind!r}; choose identity, boundary_lift or convolution",
-    )
+    kernel = obj.get("kernel")
+    _require(isinstance(kernel, dict), "BAD_FIELD", "convolution operator needs a kernel")
+    try:
+        Kernel(shape=kernel.get("shape"), params={k: float(v) for k, v in kernel.items() if k != "shape"})
+    except KeyError as exc:
+        raise ConfigError("UNKNOWN_CATALOG", str(exc.args[0])) from None
+    except KernelError as exc:
+        raise ConfigError("BAD_FIELD", str(exc)) from None
+    out = {
+        "kind": "convolution",
+        "kernel": {"shape": kernel["shape"],
+                   **{k: float(v) for k, v in kernel.items() if k != "shape"}},
+        "refine_factor": int(obj.get("refine_factor", 4)),
+        "window_factor": float(obj.get("window_factor", 1.0)),
+    }
+    _require(out["refine_factor"] >= 1, "BAD_FIELD", "refine_factor must be >= 1")
+    _require(out["window_factor"] > 0, "BAD_FIELD", "window_factor must be positive")
+    return out
 
 
 _TOP_LEVEL_KEYS = {
@@ -371,9 +354,7 @@ def build_convection(spec: ProblemSpec) -> ConvectionTerm:
         a1=env_cfg["a1"], a2=env_cfg["a2"], alpha=env_cfg["alpha"],
         beta=env_cfg["beta"], r=env_cfg["r"], sigma=sigma,
     )
-    if envelope != term.envelope:
-        term = dataclasses.replace(term, envelope=envelope, envelope_is_exact=False)
-    return term
+    return dataclasses.replace(term, envelope=envelope)
 
 
 def build_operator(spec: ProblemSpec) -> IntrinsicOperator:

@@ -11,6 +11,8 @@ element gradients and to quadrature-point values, and their transposes.
 Every integral and every assembly in the package goes through them and the
 block forms defined next to them: the norms and pairings, the constants'
 Rayleigh quotients, and the residual and Jacobian of the Galerkin equation.
+:func:`point_operators` builds the same two maps at arbitrary points of a 1D
+level, which is how the convolution reads P1 functions.
 
 All objects are immutable after construction; reductions use a fixed
 summation order, so results are deterministic.
@@ -538,6 +540,11 @@ class FEFunction:
     def lvl(self) -> Level:
         return self.hierarchy.level(self.level)
 
+    @property
+    def block(self) -> np.ndarray:
+        """The coefficients as an (n_free, k) block; one function is k = 1."""
+        return self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
+
     def full_values(self) -> np.ndarray:
         return self.lvl.full_values(self.coeffs)
 
@@ -578,7 +585,7 @@ def sample(u: FEFunction) -> QuadratureSamples:
     (k, n_el, n_q) and gradients (k, n_el, n_q, dim).  One function drops it.
     """
     lvl = u.lvl
-    coeffs = u.coeffs.reshape(lvl.n_free, -1)
+    coeffs = u.block
     k = coeffs.shape[1]
     (n_el, n_q), dim = lvl.qp_weights.shape, lvl.mesh.dim
     values = _qp_values(lvl, coeffs).T.reshape(k, n_el, n_q)
@@ -622,6 +629,22 @@ def nodal_samples(lvl: Level, nodal: np.ndarray) -> NodalSamples:
         gradients=(grad_op @ nodal).reshape(lvl.mesh.dim, lvl.mesh.n_elements, 1),
         values=(qp_op @ nodal).reshape(lvl.qp_weights.shape),
     )
+
+
+def point_operators(lvl: Level, x: np.ndarray) -> tuple:
+    """Sparse maps from free coefficients to values and gradients at the points ``x``.
+
+    1D levels only.  A point at fraction t of element e weighs the element's
+    nodes by 1 - t and t, and takes ``grad_op``'s row e as its gradient; a
+    point on a node belongs to the element on its right, the last node to
+    the last element.
+    """
+    nodes = lvl.mesh.nodes
+    elem = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, lvl.mesh.n_elements - 1)
+    t = (x - nodes[elem]) / lvl.elem_measure[elem]
+    values = _free_operator(np.column_stack([1.0 - t, t]), lvl.elem_nodes[elem],
+                            lvl.free_of_node, lvl.n_free)
+    return values, lvl.grad_op[elem]
 
 
 def prolongate(u: FEFunction, target_level: int) -> FEFunction:

@@ -15,10 +15,13 @@ offset) asserting
 
 which is validated numerically by :func:`certificate_check`.
 
-Convolution values are computed by product integration on a uniform grid
-aligned with the mesh: u is sampled at cell midpoints while the kernel is
-integrated exactly over each cell, so kernel support edges cost no accuracy.
-The weight matrices depend only on the level and the kernel and are cached.
+Convolution is one operator pair per level and set of evaluation points:
+(rho * u)(x) = V c and (rho * u')(x) = G c on the free coefficients c.  Both
+come from product integration on a uniform grid aligned with the mesh: the
+kernel is integrated exactly over each cell, so kernel support edges cost no
+accuracy, and u is read at the cell midpoints through the discretization's
+point operators.  The pair depends only on the level and the kernel and is
+cached.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from .discretization import (
     QuadratureSamples,
     SpaceHierarchy,
     _grad_integral,
-    _gradients,
     _value_integral,
     grad_norm_p,
     nodal_samples,
+    point_operators,
     sample,
 )
 
@@ -179,7 +182,7 @@ class IntrinsicOperator:
     lift: LiftFunction | None = None
     refine_factor: int = 4
     window_factor: float = 1.0
-    # level -> {evaluation points: (W, grid)}; an entry dies with its level
+    # level -> {evaluation points: (V, G)}; an entry dies with its level
     _conv_cache: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False
     )
@@ -232,101 +235,69 @@ def lift_on(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> Noda
     return hit
 
 
-# -- convolution machinery ---------------------------------------------------
+# -- convolution ---------------------------------------------------------------
+
+# rows of the weight matrix formed at a time; W itself is never held whole
+CONV_CHUNK = 256
 
 
-@dataclass(frozen=True, eq=False)
-class _ConvGrid:
-    """Product-integration cells and the map evaluating P1 functions at their midpoints.
+def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray) -> tuple:
+    """(V, G) with (rho * u)(x) = V @ c and (rho * u')(x) = G @ c, cached per level.
 
-    Each midpoint lies in element ``elem``, at ``offset`` from its left node
-    on an element of length ``width``; values are interpolated as np.interp
-    does, slope times offset plus the left value.
+    Product integration on cells aligned with the mesh: W[i, j] is the
+    kernel's mass over cell j seen from x_i, and u is read at the cell
+    midpoints through the values and gradients maps P and D of
+    :func:`~competefem.discretization.point_operators`, so V = W P and
+    G = W D.  W is formed ``CONV_CHUNK`` rows at a time.
     """
-
-    midpoints: np.ndarray  # (m,)
-    edges: np.ndarray      # (m+1,)
-    cell: float
-    elem: np.ndarray       # (m,)
-    offset: np.ndarray     # (m,)
-    width: np.ndarray      # (m,)
-
-    def values(self, level: Level, coeffs: np.ndarray) -> np.ndarray:
-        """Values of each column of a (n_free, k) block at the midpoints, (m, k)."""
-        full = np.zeros((level.mesh.n_nodes, coeffs.shape[1]))
-        full[level.free] = coeffs
-        left, right = full[self.elem], full[self.elem + 1]
-        return (right - left) / self.width[:, None] * self.offset[:, None] + left
-
-    def gradients(self, level: Level, coeffs: np.ndarray) -> np.ndarray:
-        """Gradients of each column of a (n_free, k) block at the midpoints, (m, k)."""
-        return _gradients(level, coeffs)[0][self.elem]
-
-
-def _conv_grid(level: Level, kernel: Kernel, refine: int) -> _ConvGrid:
-    nodes = level.mesh.nodes
-    a, b = float(nodes[0]), float(nodes[-1])
-    h_min = float(np.min(level.elem_measure))
-    target = min(h_min, 2.0 * kernel.support_radius) / max(1, refine)
-    # align cells with the mesh spacing where possible so that gradients of
-    # P1 functions are constant on every cell of a uniform mesh
-    n_sub = max(1, int(math.ceil(h_min / target)))
-    cell = h_min / n_sub
-    m = max(1, int(round((b - a) / cell)))
-    edges = a + (b - a) * np.arange(m + 1) / m
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    # the cells span the domain, so every midpoint lies in an element
-    elem = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(nodes) - 2)
-    return _ConvGrid(midpoints=mid, edges=edges, cell=(b - a) / m, elem=elem,
-                     offset=mid - nodes[elem], width=nodes[elem + 1] - nodes[elem])
-
-
-def _conv_weights(T: IntrinsicOperator, level: Level, points: np.ndarray):
-    """Weight matrix W with conv(x_i) = sum_j W[i, j] u(mid_j), cached per level."""
+    if level.mesh.dim != 1:
+        raise NotImplementedError("convolution operators are implemented for 1D domains")
     kernel = T.kernel
-    domain_extent = float(level.mesh.nodes[-1] - level.mesh.nodes[0])
-    if kernel.support_radius > T.window_factor * domain_extent:
+    a, b = float(level.mesh.nodes[0]), float(level.mesh.nodes[-1])
+    if kernel.support_radius > T.window_factor * (b - a):
         raise KernelError(
             f"kernel support radius {kernel.support_radius:g} exceeds the configured "
             f"evaluation window {T.window_factor:g} x |domain| = "
-            f"{T.window_factor * domain_extent:g}"
+            f"{T.window_factor * (b - a):g}"
         )
     per_level = T._conv_cache.setdefault(level, {})
     key = points.tobytes()
     hit = per_level.get(key)
     if hit is not None:
         return hit
-    grid = _conv_grid(level, kernel, T.refine_factor)
+    h_min = float(np.min(level.elem_measure))
+    target = min(h_min, 2.0 * kernel.support_radius) / max(1, T.refine_factor)
+    # align cells with the mesh spacing where possible so that gradients of
+    # P1 functions are constant on every cell of a uniform mesh
+    cell = h_min / max(1, int(math.ceil(h_min / target)))
+    m = max(1, int(round((b - a) / cell)))
+    edges = a + (b - a) * np.arange(m + 1) / m
+    P, D = point_operators(level, 0.5 * (edges[:-1] + edges[1:]))
     x = points.reshape(-1)
-    A = kernel.antiderivative(x[:, None] - grid.edges[None, :])
-    W = A[:, :-1] - A[:, 1:]
-    per_level[key] = (W, grid)
-    return W, grid
+    V, G = np.empty((len(x), level.n_free)), np.empty((len(x), level.n_free))
+    for s in range(0, len(x), CONV_CHUNK):
+        A = kernel.antiderivative(x[s:s + CONV_CHUNK, None] - edges[None, :])
+        W = A[:, :-1] - A[:, 1:]
+        V[s:s + CONV_CHUNK], G[s:s + CONV_CHUNK] = W @ P, W @ D
+    per_level[key] = (V, G)
+    return V, G
 
 
-def _check_1d(T: IntrinsicOperator, u: FEFunction):
-    if u.hierarchy.dim != 1:
-        raise NotImplementedError("convolution operators are implemented for 1D domains")
-
-
-def _convolve(T: IntrinsicOperator, u: FEFunction, x, at_midpoints) -> np.ndarray:
-    """W applied to the midpoint data of u; a block u adds a leading sample axis."""
-    _check_1d(T, u)
-    lvl = u.lvl
-    x = np.asarray(x, dtype=float)
-    W, grid = _conv_weights(T, lvl, x)
-    data = at_midpoints(grid, lvl, u.coeffs.reshape(lvl.n_free, -1))
-    return (W @ data).T.reshape(u.coeffs.shape[1:] + x.shape)
+def _image(M: np.ndarray, u: FEFunction, shape: tuple) -> np.ndarray:
+    """M applied to u, shaped ``shape``; a block u adds a leading sample axis."""
+    return (M @ u.block).T.reshape(u.coeffs.shape[1:] + shape)
 
 
 def convolution_values(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> np.ndarray:
     """(rho * u)(x) with u extended by zero outside the domain."""
-    return _convolve(T, u, x, _ConvGrid.values)
+    x = np.asarray(x, dtype=float)
+    return _image(_conv_operators(T, u.lvl, x)[0], u, x.shape)
 
 
 def convolution_gradient_values(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> np.ndarray:
     """(rho * u')(x), the derivative of the mollified function."""
-    return _convolve(T, u, x, _ConvGrid.gradients)
+    x = np.asarray(x, dtype=float)
+    return _image(_conv_operators(T, u.lvl, x)[1], u, x.shape)
 
 
 def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
@@ -344,30 +315,13 @@ def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
                        gradients=base.gradients + u0.gradients[..., 0].T[:, None, :])
     lvl = u.lvl
     x = lvl.qp_points[..., 0]
-    vals = convolution_values(T, u, x)
-    grads = convolution_gradient_values(T, u, x)
+    V, G = _conv_operators(T, lvl, x)
     return QuadratureSamples(
         level=u.level,
         points=lvl.qp_points,
         weights=lvl.qp_weights,
-        values=vals,
-        gradients=grads[..., None],
-    )
-
-
-def convolve_gradient(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
-    """Gradient samples of the mollified function, rho * grad(u)."""
-    if T.kind != "convolution":
-        raise ValueError(f"convolve_gradient needs a convolution operator, got {T.kind!r}")
-    lvl = u.lvl
-    x = lvl.qp_points[..., 0]
-    grads = convolution_gradient_values(T, u, x)
-    return QuadratureSamples(
-        level=u.level,
-        points=lvl.qp_points,
-        weights=lvl.qp_weights,
-        values=np.zeros_like(grads),
-        gradients=grads[..., None],
+        values=_image(V, u, x.shape),
+        gradients=_image(G, u, x.shape)[..., None],
     )
 
 
@@ -398,6 +352,23 @@ class IntrinsicCertificate:
         }
 
 
+def certificate_rule(kind: str, p: float, alpha: float, beta: float) -> str | None:
+    """The (alpha, beta) rule that a certificate for operator ``kind`` violates, or None.
+
+    identity supports any 0 < alpha, beta <= p-1; boundary_lift and
+    convolution require alpha = beta = p-1.
+    """
+    if kind == "identity":
+        if 0 < alpha <= p - 1 and 0 < beta <= p - 1:
+            return None
+        return (f"identity certificate supports 0 < alpha, beta <= p-1 = {p - 1}; "
+                f"got alpha={alpha}, beta={beta}")
+    if alpha == p - 1 and beta == p - 1:
+        return None
+    return (f"{kind} certificate requires alpha = beta = p-1 = {p - 1}; "
+            f"got alpha={alpha}, beta={beta}")
+
+
 def certificate(
     T: IntrinsicOperator,
     p: float,
@@ -406,19 +377,17 @@ def certificate(
     constants,
     hierarchy: SpaceHierarchy | None = None,
 ) -> IntrinsicCertificate:
-    """Analytic growth certificate for a supported (kind, alpha, beta) combination.
+    """Analytic growth certificate for a (kind, alpha, beta) combination.
 
-    identity supports any 0 < alpha, beta <= p-1 through the elementary split
-    t^a <= t^{p-1} + 1; boundary_lift and convolution require
-    alpha = beta = p-1.  ``constants`` provides the embedding estimates; the
+    :func:`certificate_rule` says which combinations are supported; identity
+    reaches alpha, beta < p-1 through the elementary split
+    t^a <= t^{p-1} + 1.  ``constants`` provides the embedding estimates; the
     lift case also needs a hierarchy to measure the norms of u0.
     """
+    violated = certificate_rule(T.kind, p, alpha, beta)
+    if violated is not None:
+        raise CertificateError(violated)
     if T.kind == "identity":
-        if not (0 < alpha <= p - 1 and 0 < beta <= p - 1):
-            raise CertificateError(
-                f"identity certificate supports 0 < alpha, beta <= p-1 = {p - 1}; "
-                f"got alpha={alpha}, beta={beta}"
-            )
         k1 = constants.S(constants.p_crit) ** alpha
         return IntrinsicCertificate(
             value_coeff=k1,
@@ -430,11 +399,6 @@ def certificate(
         )
 
     if T.kind == "boundary_lift":
-        if not (alpha == p - 1 and beta == p - 1):
-            raise CertificateError(
-                f"boundary_lift certificate requires alpha = beta = p-1 = {p - 1}; "
-                f"got alpha={alpha}, beta={beta}"
-            )
         m = max(2.0 ** (p - 2.0), 1.0)
         if hierarchy is None:
             raise ValueError("boundary_lift certificate needs a hierarchy to measure u0")
@@ -452,11 +416,6 @@ def certificate(
         )
 
     if T.kind == "convolution":
-        if not (alpha == p - 1 and beta == p - 1):
-            raise CertificateError(
-                f"convolution certificate requires alpha = beta = p-1 = {p - 1}; "
-                f"got alpha={alpha}, beta={beta}"
-            )
         n_dim = constants.n_dim
         l1 = T.kernel.l1_norm
         return IntrinsicCertificate(

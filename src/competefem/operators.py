@@ -167,7 +167,6 @@ class ConvectionTerm:
     d_xi: Optional[Callable] = None
     exact: Optional[ExactSolution] = None
     guess_profile: Optional[Callable] = None
-    envelope_is_exact: bool = True
     solution_dependent: bool = True
 
     def __call__(self, x, s, xi):
@@ -364,7 +363,7 @@ def _combined_gradients(u: FEFunction, lift) -> np.ndarray:
 
     k is 1 for one function and the block width for a block.
     """
-    g = _gradients(u.lvl, u.coeffs.reshape(len(u.coeffs), -1))
+    g = _gradients(u.lvl, u.block)
     if lift is not None:
         if lift.level != u.level:
             raise LevelMismatchError(

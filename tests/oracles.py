@@ -6,7 +6,8 @@ oracle scans a grid, and derivative checks use plain finite differences.
 The assembly references loop over elements with the raw tables of a level
 (``elem_nodes``, ``grad_basis``, ``basis_at_qp``), scatter into all nodes
 and only then restrict to the free ones, so they share nothing with the
-level operators they check.
+level operators they check.  The convolution reference forms its whole
+weight matrix and reads P1 functions by np.interp of their nodal vectors.
 """
 
 import numpy as np
@@ -231,6 +232,33 @@ def load_vector(values_at_qp: np.ndarray, lvl) -> np.ndarray:
     out = np.zeros(lvl.mesh.n_nodes)
     np.add.at(out, lvl.elem_nodes, contrib)
     return out
+
+
+def convolution_reference(T, lvl, coeffs, x) -> tuple:
+    """(rho * u)(x) and (rho * u')(x) for each column of an (n_free, k) block.
+
+    Product integration on the cells a convolution operator uses on a 1D
+    level: the whole weight matrix from differences of the kernel's
+    antiderivative at the cell edges, u at the cell midpoints by np.interp
+    of its nodal vector, u' as the slope of the element holding each
+    midpoint.  Returns two (len(x), k) arrays.
+    """
+    nodes = lvl.mesh.nodes
+    a, b = nodes[0], nodes[-1]
+    h_min = np.min(np.diff(nodes))
+    target = min(h_min, 2.0 * T.kernel.support_radius) / max(1, T.refine_factor)
+    m = max(1, int(round((b - a) / (h_min / max(1, int(np.ceil(h_min / target)))))))
+    edges = a + (b - a) * np.arange(m + 1) / m
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    A = T.kernel.antiderivative(np.asarray(x, dtype=float).reshape(-1, 1) - edges[None, :])
+    W = A[:, :-1] - A[:, 1:]
+    elem = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(nodes) - 2)
+    vals, slopes = [], []
+    for c in coeffs.T:
+        full = lvl.full_values(c)
+        vals.append(np.interp(mid, nodes, full))
+        slopes.append((np.diff(full) / np.diff(nodes))[elem])
+    return W @ np.column_stack(vals), W @ np.column_stack(slopes)
 
 
 def _element_matrix(block: np.ndarray, lvl) -> sp.csr_matrix:

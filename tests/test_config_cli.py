@@ -84,6 +84,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(write_config(tmp_path, bad))
         assert err.value.code == "UNSUPPORTED_CERTIFICATE"
+        assert "identity certificate" in str(err.value)  # the rule certificate() raises
         conv = dict(
             MINIMAL,
             f={"kind": "signed_power", "a1": 0.1, "alpha": 1.0},
@@ -92,6 +93,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(write_config(tmp_path, conv))
         assert err.value.code == "UNSUPPORTED_CERTIFICATE"
+        assert "alpha = beta = p-1" in str(err.value)
 
     def test_small_exponents_need_regularisation(self, tmp_path):
         bad = dict(MINIMAL, p=2.5, q=1.5)

@@ -25,7 +25,6 @@ from competefem.intrinsic import (
     convolution_gradient_values,
     convolution_operator,
     convolution_values,
-    convolve_gradient,
     identity_operator,
     lift_on,
 )
@@ -50,6 +49,12 @@ class FakeConstants:
 @pytest.fixture(scope="module")
 def fine_hierarchy():
     return build_hierarchy(interval_mesh(0.0, 1.0, 64), 1)
+
+
+@pytest.fixture(scope="module")
+def deep_hierarchy():
+    """The 8-level interval (0, 1) of the deep convolution workload."""
+    return build_hierarchy(interval_mesh(0.0, 1.0, 4), 8)
 
 
 class TestApply:
@@ -143,6 +148,35 @@ class TestApply:
             vals = oracles.nodal_values_at_qp(lvl, u0.nodal)
             np.testing.assert_allclose(u0.values, vals, rtol=0, atol=1e-15 * np.abs(vals).max())
 
+    @pytest.mark.parametrize("shape,params", [
+        ("box", {"width": 0.25}),
+        ("hat", {"width": 0.3}),
+        ("truncated_gaussian", {"sigma": 0.05, "radius": 0.2}),
+    ])
+    def test_convolution_matches_reference(self, deep_hierarchy, shape, params, rng):
+        T = convolution_operator(Kernel(shape, params))
+        for n in range(1, 8):
+            lvl = deep_hierarchy.level(n)
+            x = lvl.qp_points[..., 0]
+            for k in (1, 3):
+                coeffs = rng.standard_normal((lvl.n_free, k))
+                u = deep_hierarchy.function(n, coeffs[:, 0] if k == 1 else coeffs)
+                img = apply(T, u)
+                vals, grads = oracles.convolution_reference(T, lvl, coeffs, x)
+                for got, want in ((img.values, vals), (img.gradients[..., 0], grads)):
+                    want = want.T.reshape((k,) + x.shape)
+                    if k == 1:
+                        want = want[0]
+                    assert got.shape == want.shape
+                    np.testing.assert_allclose(got, want, rtol=0,
+                                               atol=1e-13 * np.abs(want).max())
+
+    def test_convolution_is_1d_only(self):
+        T = convolution_operator(Kernel("box", {"width": 0.25}))
+        h = build_hierarchy(unit_square_mesh(), 2)
+        with pytest.raises(NotImplementedError, match="1D"):
+            apply(T, h.zero(2))
+
     def test_kernel_support_window_error(self, unit_hierarchy):
         T = convolution_operator(Kernel("box", {"width": 6.0}), window_factor=1.0)
         u = unit_hierarchy.zero(2)
@@ -161,7 +195,7 @@ class TestApply:
 class TestConvolveGradient:
     def test_zero(self, fine_hierarchy):
         T = convolution_operator(Kernel("hat", {"width": 0.2}))
-        img = convolve_gradient(T, fine_hierarchy.zero(1))
+        img = apply(T, fine_hierarchy.zero(1))
         assert np.all(img.gradients == 0.0)
 
     def test_constant_slope_preserved_in_interior(self, fine_hierarchy):
@@ -170,10 +204,6 @@ class TestConvolveGradient:
         T = convolution_operator(Kernel("hat", {"width": 0.2}), refine_factor=8)
         g = convolution_gradient_values(T, u, np.array([0.25, 0.3]))
         np.testing.assert_allclose(g, 1.0, atol=1e-10)
-
-    def test_requires_convolution_kind(self, unit_hierarchy):
-        with pytest.raises(ValueError, match="convolution"):
-            convolve_gradient(identity_operator(), unit_hierarchy.zero(1))
 
     @pytest.mark.parametrize("shape,params", [
         ("box", {"width": 0.25}),

@@ -1,7 +1,8 @@
 """Only the discretization layer touches the raw P1 tables of a level.
 
 Every other module evaluates P1 functions through the level operators
-(``grad_op``, ``qp_op`` and their transposes) or ``nodal_samples``.
+(``grad_op``, ``qp_op`` and their transposes), ``nodal_samples`` or
+``point_operators``, and none scatters coefficients onto nodes.
 """
 
 import ast
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import competefem
 
-RAW = {"elem_nodes", "grad_basis", "basis_at_qp", "einsum"}
+RAW = {"elem_nodes", "grad_basis", "basis_at_qp", "einsum",
+       "free", "free_of_node", "_free_operator"}
 
 
 def test_raw_tables_and_einsum_only_in_discretization():

@@ -117,6 +117,33 @@ class TestAssembleResidual:
             assemble_residual(u, wrong, f, 3.0, 2.0)
 
 
+class TestEmptyLevel:
+    """A level without free dofs gives empty blocks of the usual shapes."""
+
+    @pytest.mark.parametrize("mesh,T", [
+        (unit_square_mesh(), IntrinsicOperator(kind="identity")),
+        (unit_square_mesh(),
+         boundary_lift_operator(LiftFunction("affine", {"ax": 0.5, "ay": -0.3, "b": 0.1}))),
+        (interval_mesh(0.0, 1.0, 1), convolution_operator(Kernel("box", {"width": 0.25}))),
+    ], ids=["identity-square", "lift-square", "convolution-1d"])
+    @pytest.mark.parametrize("k", [None, 3], ids=["one", "block"])
+    def test_shapes(self, mesh, T, k):
+        h = build_hierarchy(mesh, 2)
+        lvl = h.level(1)
+        assert lvl.n_free == 0
+        u = h.function(1, np.zeros((0,) if k is None else (0, k)))
+        lead = () if k is None else (k,)
+        qp, dim = lvl.qp_weights.shape, lvl.mesh.dim
+        lift = lift_on(T, h, 1) if T.kind == "boundary_lift" else None
+        for img in (sample(u), apply(T, u)):
+            assert img.values.shape == lead + qp
+            assert img.gradients.shape == lead + qp + (dim,)
+        f = convection_from_catalog("manufactured_plus_power",
+                                    {"a1": 0.2, "alpha": 2.0, "a2": 0.1, "beta": 1.5})
+        r = assemble_residual(u, apply(T, u), f, 3.0, 2.0, lift)
+        assert r.values.shape == u.coeffs.shape
+
+
 class TestAssembleJacobian:
     def test_laplace_block_single_node(self):
         # pure r = 2 part on h = 1/2: int (phi')^2 = 4
