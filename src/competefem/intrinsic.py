@@ -15,13 +15,14 @@ offset) asserting
 
 which is validated numerically by :func:`certificate_check`.
 
-Convolution is one operator pair per level and set of evaluation points:
+Convolution is one sparse operator pair per set of evaluation points:
 (rho * u)(x) = V c and (rho * u')(x) = G c on the free coefficients c.  Both
 come from product integration on a uniform grid aligned with the mesh: the
 kernel is integrated exactly over each cell, so kernel support edges cost no
 accuracy, and u is read at the cell midpoints through the discretization's
-point operators.  The pair depends only on the level and the kernel and is
-cached.
+point operators.  The solver applies T to every iterate, so the pair at a
+level's quadrature points is kept, one per level; pairs at other points are
+built per call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import erf
 
 from .discretization import (
@@ -182,7 +184,7 @@ class IntrinsicOperator:
     lift: LiftFunction | None = None
     refine_factor: int = 4
     window_factor: float = 1.0
-    # level -> {evaluation points: (V, G)}; an entry dies with its level
+    # level -> (V, G) at its quadrature points; an entry dies with its level
     _conv_cache: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False
     )
@@ -242,13 +244,14 @@ CONV_CHUNK = 256
 
 
 def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray) -> tuple:
-    """(V, G) with (rho * u)(x) = V @ c and (rho * u')(x) = G @ c, cached per level.
+    """(V, G) in CSR with (rho * u)(x) = V @ c and (rho * u')(x) = G @ c.
 
     Product integration on cells aligned with the mesh: W[i, j] is the
     kernel's mass over cell j seen from x_i, and u is read at the cell
     midpoints through the values and gradients maps P and D of
     :func:`~competefem.discretization.point_operators`, so V = W P and
-    G = W D.  W is formed ``CONV_CHUNK`` rows at a time.
+    G = W D.  W is formed ``CONV_CHUNK`` rows at a time, and each chunk of
+    V and G is stored sparse before the next is formed.
     """
     if level.mesh.dim != 1:
         raise NotImplementedError("convolution operators are implemented for 1D domains")
@@ -260,11 +263,6 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray) -> t
             f"evaluation window {T.window_factor:g} x |domain| = "
             f"{T.window_factor * (b - a):g}"
         )
-    per_level = T._conv_cache.setdefault(level, {})
-    key = points.tobytes()
-    hit = per_level.get(key)
-    if hit is not None:
-        return hit
     h_min = float(np.min(level.elem_measure))
     target = min(h_min, 2.0 * kernel.support_radius) / max(1, T.refine_factor)
     # align cells with the mesh spacing where possible so that gradients of
@@ -274,16 +272,16 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray) -> t
     edges = a + (b - a) * np.arange(m + 1) / m
     P, D = point_operators(level, 0.5 * (edges[:-1] + edges[1:]))
     x = points.reshape(-1)
-    V, G = np.empty((len(x), level.n_free)), np.empty((len(x), level.n_free))
+    V, G = [sp.csr_matrix((0, level.n_free))], [sp.csr_matrix((0, level.n_free))]
     for s in range(0, len(x), CONV_CHUNK):
         A = kernel.antiderivative(x[s:s + CONV_CHUNK, None] - edges[None, :])
         W = A[:, :-1] - A[:, 1:]
-        V[s:s + CONV_CHUNK], G[s:s + CONV_CHUNK] = W @ P, W @ D
-    per_level[key] = (V, G)
-    return V, G
+        V.append(sp.csr_matrix(W @ P))
+        G.append(sp.csr_matrix(W @ D))
+    return sp.vstack(V, format="csr"), sp.vstack(G, format="csr")
 
 
-def _image(M: np.ndarray, u: FEFunction, shape: tuple) -> np.ndarray:
+def _image(M: sp.csr_matrix, u: FEFunction, shape: tuple) -> np.ndarray:
     """M applied to u, shaped ``shape``; a block u adds a leading sample axis."""
     return (M @ u.block).T.reshape(u.coeffs.shape[1:] + shape)
 
@@ -314,14 +312,16 @@ def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
         return replace(base, values=base.values + u0.values,
                        gradients=base.gradients + u0.gradients[..., 0].T[:, None, :])
     lvl = u.lvl
-    x = lvl.qp_points[..., 0]
-    V, G = _conv_operators(T, lvl, x)
+    if lvl not in T._conv_cache:
+        T._conv_cache[lvl] = _conv_operators(T, lvl, lvl.qp_points[..., 0])
+    V, G = T._conv_cache[lvl]
+    shape = lvl.qp_weights.shape
     return QuadratureSamples(
         level=u.level,
         points=lvl.qp_points,
         weights=lvl.qp_weights,
-        values=_image(V, u, x.shape),
-        gradients=_image(G, u, x.shape)[..., None],
+        values=_image(V, u, shape),
+        gradients=_image(G, u, shape)[..., None],
     )
 
 

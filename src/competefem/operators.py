@@ -153,8 +153,10 @@ class ConvectionTerm:
     ``fn(x, s, xi)`` must accept broadcastable arrays; x and xi carry a
     trailing space axis exactly when they have more axes than s (in 2D),
     and are scalar-shaped like s otherwise (in 1D).  ``d_s``/``d_xi`` are
-    the partial derivatives used by Newton when the intrinsic operator is
-    local; leave them None to force a chord (frozen right-hand side) rule.
+    the partial derivatives that the Jacobian uses when the intrinsic
+    operator is local; leave them None to force a chord (frozen right-hand
+    side) rule, which a nonlocal operator always gets.  Either way the
+    residual applies T to every iterate.
     ``solution_dependent`` is false when f ignores s and xi, so callers may
     skip the intrinsic operator; directly built terms are assumed to use them.
     """
@@ -541,10 +543,11 @@ def assemble_jacobian(
     The residual itself is never regularised; ``eps_reg`` only smooths the
     Jacobian coefficient near vanishing gradients and is mandatory when an
     exponent is below two.  With ``differentiate_f`` false the load is
-    frozen (chord rule), which is what nonlocal intrinsic operators get; a
-    load that ignores the solution has no derivative to add and takes
-    ``T_image=None``.  The differential part is ``grad_op_t @ M @ grad_op``
-    with one block-diagonal M carrying both exponents.
+    frozen (chord rule), which is what nonlocal intrinsic operators get:
+    the samples of T(u) are then neither read nor checked and may be None,
+    as they may for a load that ignores the solution.  The differential
+    part is ``grad_op_t @ M @ grad_op`` with one block-diagonal M carrying
+    both exponents.
     """
     if not 1 < q < p:
         raise ValueError(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
@@ -552,7 +555,8 @@ def assemble_jacobian(
         raise ValueError(
             f"exponent {q} < 2 needs a positive gradient regularisation eps_reg"
         )
-    _check_samples(u, T_image, f)
+    if differentiate_f:
+        _check_samples(u, T_image, f)
     lvl = u.lvl
     g = _combined_gradients(u, lift)
     m2 = (g * g).sum(axis=0)[:, 0] + eps_reg**2

@@ -3,13 +3,12 @@
 Existence theory guarantees a zero of the Galerkin residual inside the ball
 of the safeguard radius whenever the pairing against the sphere is
 nonnegative.  That argument is non-constructive, so numerically each level
-runs one loop of zero searches: damped Newton (with a Levenberg fallback)
-projected to the ball and, on stall, homotopy continuation towards the
-residual from a well-behaved anchor map.  T(u) enters the convection term
-either live (local T, one pass) or frozen at the pass's start iterate
-(nonlocal T, repeated passes), and the true residual decides after each
-pass.  Failures are reported with the best iterate and the residual
-history, never silently.
+runs one zero search: damped Newton (with a Levenberg fallback) projected
+to the ball and, on stall, homotopy continuation towards the residual from
+a well-behaved anchor map.  The residual applies T at every iterate it
+evaluates; the Jacobian differentiates through f for a local T and keeps
+the load frozen (the chord rule) for a nonlocal one.  Failures are reported
+with the best iterate and the residual history, never silently.
 
 A sphere-sampling certificate documents that the nonnegativity hypothesis
 held at the radius actually used, so a zero exists even if the solver were
@@ -19,7 +18,6 @@ coefficient vectors, one block residual and one application of T each.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -50,19 +48,10 @@ from .operators import (
     competing_pairing,
 )
 
-# Newton iterations per zero search; frozen-T passes per nonlocal level.
+# Newton iterations per zero search.
 MAX_NEWTON = 100
-MAX_OUTER = 50
 # Sphere samples evaluated per block; bounds the block's memory.
 SPHERE_CHUNK = 64
-
-
-class SolverFailure(RuntimeError):
-    """A level solve did not converge; carries the partial report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class HypothesisRefusal(RuntimeError):
@@ -81,17 +70,25 @@ class HypothesisRefusal(RuntimeError):
 @dataclass
 class BrouwerResult:
     x: np.ndarray
+    fx: np.ndarray  # F(x), as the search last evaluated it
     converged: bool
-    residual_sup: float
     newton_iters: int
     continuation_stages: int
     history: list
     message: str
 
     @property
+    def residual_sup(self) -> float:
+        return _sup(self.fx)
+
+    @property
     def path(self) -> str:
         """How the search ended: ``newton``, ``homotopy`` or ``failed``."""
         return _path(self.converged, self.continuation_stages)
+
+
+def _sup(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v), initial=0.0))
 
 
 def _path(converged: bool, continuation_stages: int) -> str:
@@ -233,7 +230,7 @@ def brouwer_zero(
         The pure Newton step is tried first; on rejection the damping grows,
         which shortens and bends the step towards steepest descent, so exactly
         singular Jacobians cannot kick the iterate out of the local basin.
-        Returns (x, converged, iters).
+        Returns (x, F(x), converged, iters).
         """
         iters = 0
         x = project(x)
@@ -242,10 +239,10 @@ def brouwer_zero(
         ft = t * fx + (1.0 - t) * x
         phi = 0.5 * float(ft @ ft)
         for _ in range(iter_budget):
-            res = float(np.max(np.abs(ft))) if ft.size else 0.0
+            res = _sup(ft)
             history.append((t, res))
             if res <= tol:
-                return x, True, iters
+                return x, fx, True, iters
             iters += 1
             J = jac_at(x, fx)
             if t == 1.0:
@@ -275,22 +272,20 @@ def brouwer_zero(
                 if lam > 1e14 * scale:
                     break
             if accepted is None:
-                return x, False, iters
+                return x, fx, False, iters
             x, fx, ft, phi = accepted
-        res = float(np.max(np.abs(ft))) if ft.size else 0.0
+        res = _sup(ft)
         history.append((t, res))
-        return x, res <= tol, iters
+        return x, fx, res <= tol, iters
 
     if x0.size == 0:
-        return BrouwerResult(x0, True, 0.0, 0, 0, history, "empty system")
+        return BrouwerResult(x0, x0, True, 0, 0, history, "empty system")
 
     total_iters = 0
-    x, ok, it = newton_solve(x0, 1.0, max_newton)
+    x, fx, ok, it = newton_solve(x0, 1.0, max_newton)
     total_iters += it
     if ok:
-        fx = F(x)
-        return BrouwerResult(x, True, float(np.max(np.abs(fx))), total_iters, 0,
-                             history, "newton")
+        return BrouwerResult(x, fx, True, total_iters, 0, history, "newton")
 
     # homotopy continuation from the anchor solution at t = 0 (the origin)
     stages = 0
@@ -298,28 +293,27 @@ def brouwer_zero(
     t = 0.0
     dt = 0.25
     xh = np.zeros_like(x0)
-    best_x, best_res = x, float(np.max(np.abs(F(x))))
+    best_x, best_fx = x, fx
     while t < 1.0 and depth <= max_continuation_depth:
         t_next = min(1.0, t + dt)
-        cand, ok, it = newton_solve(xh, t_next, max_newton)
+        cand, fc, ok, it = newton_solve(xh, t_next, max_newton)
         total_iters += it
         stages += 1
         if ok:
             t, xh = t_next, cand
-            res_true = float(np.max(np.abs(F(xh))))
-            if res_true < best_res:
-                best_x, best_res = xh, res_true
+            if _sup(fc) < _sup(best_fx):
+                best_x, best_fx = xh, fc
             dt = min(0.25, dt * 1.5)
         else:
             dt *= 0.5
             depth += 1
     if t >= 1.0:
-        return BrouwerResult(xh, True, float(np.max(np.abs(F(xh)))), total_iters,
-                             stages, history, "homotopy")
+        # the last stage ran at t = 1, so fc = F(xh)
+        return BrouwerResult(xh, fc, True, total_iters, stages, history, "homotopy")
     return BrouwerResult(
-        best_x, False, best_res, total_iters, stages, history,
+        best_x, best_fx, False, total_iters, stages, history,
         f"no convergence after continuation depth {max_continuation_depth}; "
-        f"best residual sup {best_res:.3e}",
+        f"best residual sup {_sup(best_fx):.3e}",
     )
 
 
@@ -364,7 +358,6 @@ class LevelSolve:
     u: FEFunction
     residual_sup: float
     newton_iters: int
-    outer_iters: int
     continuation_stages: int
     radius: float
     grad_norm: float
@@ -378,7 +371,7 @@ class LevelSolve:
 
     @property
     def path(self) -> str:
-        """``failed``, else ``homotopy`` if any zero search of the level needed it."""
+        """How the level's zero search ended: ``newton``, ``homotopy`` or ``failed``."""
         return _path(self.converged, self.continuation_stages)
 
 
@@ -397,27 +390,31 @@ def solve_level(
 ) -> LevelSolve:
     """Solve the Galerkin equation on level n inside the safeguard ball.
 
-    Every pass runs one ball-constrained zero search on the residual with
-    T(u) in the convection term.  A local operator (identity, boundary lift)
-    is applied inside the residual, so Newton differentiates through f and
-    one pass suffices.  A nonlocal operator (convolution) is frozen at the
-    pass's start iterate; passes repeat, damping by one half on stagnation,
-    until the true residual meets the tolerance or ``MAX_OUTER`` passes are
-    spent.  The level converged iff its true residual meets the tolerance.
+    One ball-constrained zero search on the residual, which applies T to
+    every iterate it evaluates.  For a local operator (identity, boundary
+    lift) the Jacobian differentiates through f; for a nonlocal one
+    (convolution) it keeps the load frozen (the chord rule) and applies no
+    T.  The residual sup, the energy gap and convergence come from the
+    residual the search last evaluated.
     """
     h = inst.hierarchy
-    lvl = h.level(n)
     lift = inst.lift_for(n)
-    frozen = not inst.operator.is_local
+    chord = not inst.operator.is_local
 
     def gnorm(c):
         return grad_norm_p(h.function(n, c), inst.p)
 
-    def true_residual(c):
-        """Residual at c and T at c, which later steps reuse."""
+    def F(c):
         u = h.function(n, c)
-        img = _image_of(inst, u)
-        return assemble_residual(u, img, inst.convection, inst.p, inst.q, lift=lift), img
+        return assemble_residual(u, _image_of(inst, u), inst.convection, inst.p, inst.q,
+                                 lift=lift).values
+
+    def J(c):
+        u = h.function(n, c)
+        return assemble_jacobian(
+            u, None if chord else _image_of(inst, u), inst.convection, inst.p, inst.q,
+            eps_reg=inst.eps_reg, lift=lift, differentiate_f=not chord,
+        )
 
     # The operator is non-monotone, so the discrete equation can have several
     # solutions and Newton converges to the one nearest its start.  A supplied
@@ -429,64 +426,25 @@ def solve_level(
     elif warm is not None:
         coeffs = np.array(warm.coeffs, dtype=float)
     else:
-        coeffs = np.zeros(lvl.n_free)
+        coeffs = np.zeros(h.level(n).n_free)
 
-    prev_sup = math.inf
-    newton_iters = 0
-    stages = 0
-    img = None  # T(coeffs) once known
-    for outer in range(1, MAX_OUTER + 1):
-        if frozen and img is None:
-            img = _image_of(inst, h.function(n, coeffs))
-
-        def image(u, fixed=img):
-            return fixed if frozen else _image_of(inst, u)
-
-        def F(c):
-            u = h.function(n, c)
-            return assemble_residual(u, image(u), inst.convection, inst.p, inst.q,
-                                     lift=lift).values
-
-        def J(c):
-            u = h.function(n, c)
-            return assemble_jacobian(
-                u, image(u), inst.convection, inst.p, inst.q,
-                eps_reg=inst.eps_reg, lift=lift, differentiate_f=not frozen,
-            )
-
-        res = brouwer_zero(F, R, x0=coeffs, jac=J, norm=gnorm, tol=inst.tol)
-        newton_iters += res.newton_iters
-        stages += res.continuation_stages
-        true_res, img = true_residual(res.x)
-        if true_res.sup <= inst.tol or not frozen:
-            coeffs = res.x
-            break
-        if true_res.sup >= prev_sup:  # damp on stagnation
-            coeffs, img = 0.5 * (coeffs + res.x), None
-        else:
-            coeffs = res.x
-        prev_sup = min(prev_sup, true_res.sup)
-    else:  # passes spent; the last step may have been damped
-        if img is None:
-            true_res, img = true_residual(coeffs)
-
-    u = h.function(n, coeffs)
+    res = brouwer_zero(F, R, x0=coeffs, jac=J, norm=gnorm, tol=inst.tol)
+    u = h.function(n, res.x)
     gn = grad_norm_p(u, inst.p)
     return LevelSolve(
         level=n,
         u=u,
-        residual_sup=true_res.sup,
-        newton_iters=newton_iters,
-        outer_iters=outer if frozen else 0,
-        continuation_stages=stages,
+        residual_sup=res.residual_sup,
+        newton_iters=res.newton_iters,
+        continuation_stages=res.continuation_stages,
         radius=R,
         grad_norm=gn,
         apriori_margin=R - gn,
         # the equation tested with u itself
-        energy_gap=abs(float(true_res.values @ coeffs)),
+        energy_gap=abs(float(res.fx @ res.x)),
         sphere_margin=None,
         sphere_negative=0,
-        converged=true_res.sup <= inst.tol,
+        converged=res.converged,
     )
 
 
@@ -657,7 +615,8 @@ class SolveReport:
                     "apriori_margin": s.apriori_margin,
                     "energy_gap": s.energy_gap,
                     "newton_iters": s.newton_iters,
-                    "outer_iters": s.outer_iters,
+                    # one zero search per level; the benchmark harness reads the key
+                    "outer_iters": 0,
                     "continuation_stages": s.continuation_stages,
                     "path": s.path,
                     "sphere_margin": s.sphere_margin,

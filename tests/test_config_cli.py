@@ -348,9 +348,11 @@ class TestCli:
         assert [lv["path"] for lv in levels] == ["homotopy", "newton", "newton"]
         assert levels[0]["continuation_stages"] > 0
         assert "path" not in (out / "solve_report.csv").read_text().splitlines()[0]
-        # a nonlocal T runs several zero searches per level
+        # a nonlocal T also takes one zero search per level; the report keeps
+        # the outer_iters key of the frozen-T passes it no longer makes, at 0
         levels = solve(CONVOLUTION_CLI, "convolution.json")
-        assert all(lv["outer_iters"] > 1 for lv in levels)
+        assert [lv["path"] for lv in levels] == ["newton"] * len(levels)
+        assert all(lv["outer_iters"] == 0 for lv in levels)
 
     def test_sphere_quantiles_in_report(self, tmp_path):
         out = tmp_path / "out"

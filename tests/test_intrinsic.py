@@ -106,11 +106,26 @@ class TestApply:
         # must not outlive the level they were built for
         T = convolution_operator(Kernel("box", {"width": 0.25}))
         h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 2)
-        convolution_values(T, h.zero(2), np.array([0.5]))
+        apply(T, h.zero(2))
         assert len(T._conv_cache) == 1
         del h
         gc.collect()
         assert len(T._conv_cache) == 0
+
+    def test_cache_holds_one_pair_per_level(self):
+        # pairs at arbitrary points are built per call; only the level's own
+        # quadrature pair is kept
+        T = convolution_operator(Kernel("box", {"width": 0.25}))
+        h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 2)
+        u = h.interpolate(2, lambda x: x * (1 - x))
+        for k in range(30):
+            x = np.linspace(0.0, 1.0, 5 + k)
+            convolution_values(T, u, x)
+            convolution_gradient_values(T, u, x)
+            apply(T, u)
+        assert len(T._conv_cache) <= 1
+        V, G = T._conv_cache[h.level(2)]
+        np.testing.assert_array_equal(V @ u.coeffs, apply(T, u).values.ravel())
 
     def test_lift_built_once_per_level(self, monkeypatch):
         built = []

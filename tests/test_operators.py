@@ -209,6 +209,11 @@ class TestAssembleJacobian:
         g = convection_from_catalog("zero")
         bare = assemble_jacobian(u, sample(u), g, 3.0, 2.0)
         np.testing.assert_allclose(frozen.toarray(), bare.toarray(), rtol=1e-14)
+        # the chord rule reads no samples, so it needs none
+        unsampled = assemble_jacobian(u, None, f, 3.0, 2.0, differentiate_f=False)
+        np.testing.assert_array_equal(unsampled.toarray(), frozen.toarray())
+        with pytest.raises(ValueError, match="needs samples"):
+            assemble_jacobian(u, None, f, 3.0, 2.0)
 
 
 class TestAssemblyAgainstElementLoops:

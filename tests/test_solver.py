@@ -2,11 +2,13 @@ import dataclasses
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from competefem.config import build_instance, parse_config_dict
 from competefem.constants import critical_surrogate
 from competefem.discretization import (
     build_hierarchy,
@@ -123,6 +125,38 @@ class TestBrouwerZero:
         res = brouwer_zero(lambda v: v**3 - v - 6.0, 4.0, x0=np.array([-3.0]))
         assert res.converged and res.continuation_stages > 0
         assert res.path == "homotopy"
+
+    def test_newton_exit_reuses_the_last_residual(self):
+        # a search that converges by Newton evaluates F once at the start and
+        # once per trial step, and returns the last value it evaluated
+        target = np.array([1.0, -0.5])
+        seen = []
+
+        def F(v):
+            seen.append((v.copy(), v + 0.5 * v**3 - target))
+            return seen[-1][1]
+
+        res = brouwer_zero(F, 2.0, dim=2, jac=lambda v: np.diag(1.0 + 1.5 * v**2))
+        assert res.path == "newton" and res.newton_iters > 1
+        assert len(seen) == 1 + res.newton_iters
+        np.testing.assert_array_equal(seen[-1][0], res.x)
+        assert res.fx is seen[-1][1]
+        assert res.residual_sup == float(np.max(np.abs(res.fx)))
+
+    @pytest.mark.parametrize("case", ["homotopy", "failed"])
+    def test_result_residual_is_F_at_x(self, case):
+        # the homotopy and the best-iterate failure also return F(x)
+        if case == "homotopy":
+            def F(v):
+                return v**3 - v - 6.0
+            res = brouwer_zero(F, 4.0, x0=np.array([-3.0]))
+        else:
+            def F(v):
+                return v**2 + 1.0
+            res = brouwer_zero(F, 1.0, dim=1, max_newton=20, max_continuation_depth=2)
+        assert res.path == case
+        np.testing.assert_array_equal(res.fx, F(res.x))
+        assert res.residual_sup == float(np.max(np.abs(F(res.x))))
 
     def test_dense_jacobian_through_the_homotopy(self):
         res = brouwer_zero(lambda v: v**3 - v - 6.0, 4.0, x0=np.array([-3.0]),
@@ -263,59 +297,107 @@ class TestSolveLevel:
         out = solve_level(inst, 3, R)
         assert out.grad_norm <= R * (1 + 1e-6)
 
-    def test_convolution_outer_loop_converges(self, unit_hierarchy):
+    def test_convolution_is_one_search(self, unit_hierarchy, monkeypatch):
         T = convolution_operator(Kernel("box", {"width": 0.1}), refine_factor=4)
         inst = make_instance(
             unit_hierarchy, "manufactured_plus_power",
             {"a1": 0.3, "alpha": 2.0}, T=T, guess=lambda x: x * (1 - x),
         )
+        searches = _record_searches(monkeypatch)
         out = solve_level(inst, 3, 1.5)
-        assert out.converged
-        assert out.outer_iters >= 1
-        assert out.residual_sup <= inst.tol
+        assert out.converged and out.residual_sup <= inst.tol
+        assert len(searches) == 1
+        assert out.residual_sup == searches[0].residual_sup
+        assert out.newton_iters == searches[0].newton_iters
 
-    def test_convolution_applies_T_once_per_iterate(self, unit_hierarchy, monkeypatch):
-        # the start and each pass's result; no pass is damped on this level,
-        # so the image of the true-residual check is reused as the next
-        # frozen image
+    def test_convolution_applies_T_once_per_residual(self, unit_hierarchy, monkeypatch):
+        # the residual applies T at every iterate; the chord Jacobian, the
+        # reported residual and the energy gap apply none
         T = convolution_operator(Kernel("box", {"width": 0.1}), refine_factor=4)
         inst = make_instance(
             unit_hierarchy, "manufactured_plus_power",
             {"a1": 0.3, "alpha": 2.0}, T=T, guess=lambda x: x * (1 - x),
         )
-        calls = []
+        applied, residuals, jacobians = [], [], []
 
-        def counting_apply(op, u):
-            calls.append(u.level)
-            return apply(op, u)
+        def counting(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr("competefem.solver.apply_operator", counting_apply)
+        monkeypatch.setattr("competefem.solver.apply_operator", counting(applied, apply))
+        monkeypatch.setattr("competefem.solver.assemble_residual",
+                            counting(residuals, assemble_residual))
+        monkeypatch.setattr("competefem.solver.assemble_jacobian",
+                            counting(jacobians, assemble_jacobian))
+        searched = []
+
+        def search(F, *args, **kwargs):
+            return brouwer_zero(counting(searched, F), *args, **kwargs)
+
+        monkeypatch.setattr("competefem.solver.brouwer_zero", search)
         out = solve_level(inst, 4, 1.5)
-        assert out.converged and out.outer_iters > 1
-        assert len(calls) == out.outer_iters + 1
+        assert out.converged and jacobians
+        assert len(applied) == len(residuals) == len(searched) > out.newton_iters
 
-    def test_path_counts_every_pass(self, unit_hierarchy, monkeypatch):
-        # the first frozen-T pass runs continuation stages and fails, the
-        # later ones converge by Newton; the level still took the homotopy
+    def test_path_is_the_path_of_the_one_search(self, unit_hierarchy, monkeypatch):
+        # strong power terms and a start far from the solution: one Newton
+        # search converges, and the level reports that search's path
         T = convolution_operator(Kernel("box", {"width": 0.5}), refine_factor=4)
         inst = make_instance(
             unit_hierarchy, "manufactured_plus_power",
             {"a1": 1.0, "alpha": 2.0, "a2": 0.5, "beta": 2.0}, T=T,
             guess=lambda x: 5.0 * np.sin(3.0 * np.pi * x),
         )
-        passes = []
-
-        def recording(*args, **kwargs):
-            res = brouwer_zero(*args, **kwargs)
-            passes.append(res)
-            return res
-
-        monkeypatch.setattr("competefem.solver.brouwer_zero", recording)
+        searches = _record_searches(monkeypatch)
         out = solve_level(inst, 1, 1.5)
-        assert out.converged and len(passes) == out.outer_iters > 1
-        assert passes[0].continuation_stages > 0 and passes[-1].path == "newton"
-        assert out.continuation_stages == sum(r.continuation_stages for r in passes)
-        assert out.path == "homotopy"
+        assert len(searches) == 1
+        assert out.converged and out.path == searches[0].path == "newton"
+        assert out.continuation_stages == searches[0].continuation_stages == 0
+
+    @pytest.mark.parametrize("guess", [None, "exact"])
+    @pytest.mark.parametrize("shape,a1,a2,width", [
+        ("box", a1, a2, width)
+        for a1 in (0.1, 1.0) for a2 in (0.0, 0.3) for width in (0.1, 0.5)
+    ] + [("hat", 1.0, 0.3, 0.5)])
+    def test_convolution_grid_converges(self, unit_hierarchy, monkeypatch,
+                                        shape, a1, a2, width, guess):
+        # corners of a sweep over the power coefficients and the kernel
+        # width: every level converges, warm-started like run_hierarchy
+        T = convolution_operator(Kernel(shape, {"width": width}))
+        inst = make_instance(
+            unit_hierarchy, "manufactured_plus_power",
+            {"a1": a1, "a2": a2, "alpha": 2.0, "beta": 2.0}, T=T,
+            guess=None if guess is None else (lambda x: x * (1 - x)),
+        )
+        searches = _record_searches(monkeypatch)
+        warm = None
+        for n in range(1, 6):
+            out = solve_level(inst, n, 1.5, warm=warm)
+            assert out.converged and out.residual_sup <= inst.tol
+            assert len(searches) == n and out.path == searches[-1].path
+            warm = prolongate(out.u, min(n + 1, 5))
+
+    def test_conv_1d_deep_levels_are_pinned(self):
+        # the conv-1d-deep benchmark workload's L1-L5 against reference
+        # coefficients computed with T frozen per zero search and the
+        # searches repeated to a fixed point; the ball does not bind, so the
+        # radius does not matter
+        inst = build_instance(parse_config_dict({
+            "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "elements": 4},
+            "p": 3.0, "q": 2.0, "levels": 5,
+            "f": {"kind": "manufactured_plus_power", "a1": 0.1, "a2": 0.1,
+                  "alpha": 2.0, "beta": 2.0},
+            "T": {"kind": "convolution", "kernel": {"shape": "box", "width": 0.25}},
+            "initial_guess": "exact",
+        }))
+        pinned = json.loads((Path(__file__).parent
+                             / "conv_1d_deep_coefficients.json").read_text())
+        for n in range(1, 6):
+            out = solve_level(inst, n, 1.5)
+            assert out.converged and out.path == "newton"
+            np.testing.assert_allclose(out.u.coeffs, pinned[str(n)], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("T", [
         identity_operator(), convolution_operator(Kernel("box", {"width": 0.25})),
@@ -345,8 +427,9 @@ class TestSolveLevel:
             reference.to_json_dict(), sort_keys=True
         )
 
-    def test_local_solution_dependent_lift_is_one_pass(self, unit_hierarchy):
-        # a local T stays inside the residual, so no frozen-T passes are made
+    def test_local_solution_dependent_lift_differentiates_f(self, unit_hierarchy,
+                                                            monkeypatch):
+        # a local T is differentiated through f: the Jacobian gets samples of T
         T = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
         inst = make_instance(
             unit_hierarchy, "manufactured_plus_power",
@@ -354,10 +437,32 @@ class TestSolveLevel:
             guess=lambda x: x * (1 - x),
         )
         assert inst.convection.solution_dependent
+        flags = []
+
+        def recording(u, img, *args, differentiate_f=True, **kwargs):
+            flags.append((img is not None, differentiate_f))
+            return assemble_jacobian(u, img, *args, differentiate_f=differentiate_f,
+                                     **kwargs)
+
+        monkeypatch.setattr("competefem.solver.assemble_jacobian", recording)
+        searches = _record_searches(monkeypatch)
         out = solve_level(inst, 2, 2.0)
-        assert out.converged
-        assert out.outer_iters == 0
-        assert out.residual_sup <= inst.tol
+        assert out.converged and out.residual_sup <= inst.tol
+        assert len(searches) == 1
+        assert flags and set(flags) == {(True, True)}
+
+
+def _record_searches(monkeypatch):
+    """Record every result of ``brouwer_zero`` that ``solve_level`` gets."""
+    searches = []
+
+    def recording(*args, **kwargs):
+        res = brouwer_zero(*args, **kwargs)
+        searches.append(res)
+        return res
+
+    monkeypatch.setattr("competefem.solver.brouwer_zero", recording)
+    return searches
 
 
 class TestSphereCertificate:
