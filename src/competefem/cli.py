@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ProblemSpec, build_instance, canonical_json, parse_config
-from .discretization import _value_integral
-from .intrinsic import CertificateError
+from .config import (ConfigError, ProblemSpec, build_instance, canonical_json, parse_config,
+                     parse_config_dict)
+from .discretization import MeshError, _value_integral
+from .intrinsic import CertificateError, KernelError
 from .solver import HypothesisRefusal, constants_and_hypotheses, run_hierarchy
 
 
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
             spec = dataclasses.replace(spec, seed=args.seed)
         if args.levels is not None:
             spec = dataclasses.replace(spec, levels=args.levels)
-            spec = parse_config_roundtrip(spec)
+        spec = parse_config_dict(spec.to_json_dict())  # overrides must stay in range
     except ConfigError as exc:
         print(f"configuration error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
@@ -194,17 +195,15 @@ def main(argv=None) -> int:
         if args.command == "constants":
             return cmd_constants(spec, args.out_dir)
         return cmd_study(spec, args.out_dir)
-    except (ConfigError, CertificateError) as exc:
-        code = getattr(exc, "code", "CERTIFICATE")
+    except (ConfigError, CertificateError, KernelError, MeshError) as exc:
+        # input the config cannot judge alone, found while building or solving
+        code = exc.code if isinstance(exc, ConfigError) else _INPUT_ERROR_CODES[type(exc)]
         print(f"configuration error [{code}]: {exc}", file=sys.stderr)
         return 1
 
 
-def parse_config_roundtrip(spec: ProblemSpec) -> ProblemSpec:
-    """Re-validate a modified spec (level overrides must stay in range)."""
-    from .config import parse_config_dict
-
-    return parse_config_dict(spec.to_json_dict())
+_INPUT_ERROR_CODES = {CertificateError: "CERTIFICATE", KernelError: "KERNEL",
+                      MeshError: "MESH"}
 
 
 if __name__ == "__main__":

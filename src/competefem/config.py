@@ -251,6 +251,8 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
 
     f_cfg = _f_config(obj.get("f", {"kind": "zero"}), p, p_crit)
     t_cfg = _t_config(obj.get("T", {"kind": "identity"}), p, f_cfg["envelope"])
+    _require(t_cfg["kind"] != "convolution" or n_dim == 1, "UNSUPPORTED_DOMAIN",
+             "convolution operators are implemented for 1D domains")
 
     policy = obj.get("policy", "refuse")
     _require(policy in _POLICIES, "BAD_FIELD", f"policy must be one of {_POLICIES}, got {policy!r}")
@@ -301,11 +303,13 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
 
     test_set_size = int(obj.get("test_set_size", 8))
     _require(test_set_size >= 1, "BAD_FIELD", "test_set_size must be >= 1")
+    seed = int(obj.get("seed", 0))
+    _require(seed >= 0, "BAD_FIELD", f"seed must be >= 0, got {seed}")
 
     return ProblemSpec(
         domain=domain, p=p, q=q, levels=levels, quad_order=quad_order,
         f=f_cfg, T=t_cfg, policy=policy, tol=tol, eps_reg=eps_reg,
-        seed=int(obj.get("seed", 0)), p_crit=p_crit, safety=safety,
+        seed=seed, p_crit=p_crit, safety=safety,
         sphere_samples=sphere_samples, estimator=estimator,
         initial_guess=initial_guess, test_set_size=test_set_size,
     )

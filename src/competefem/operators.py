@@ -536,18 +536,16 @@ def assemble_jacobian(
     q: float,
     eps_reg: float = 0.0,
     lift=None,
-    differentiate_f: bool = True,
 ) -> sp.csr_matrix:
     """Directional derivative of :func:`assemble_residual` at u.
 
     The residual itself is never regularised; ``eps_reg`` only smooths the
     Jacobian coefficient near vanishing gradients and is mandatory when an
-    exponent is below two.  With ``differentiate_f`` false the load is
-    frozen (chord rule), which is what nonlocal intrinsic operators get:
-    the samples of T(u) are then neither read nor checked and may be None,
-    as they may for a load that ignores the solution.  The differential
-    part is ``grad_op_t @ M @ grad_op`` with one block-diagonal M carrying
-    both exponents.
+    exponent is below two.  The load is differentiated exactly when samples
+    of T(u) are passed; with None it is frozen (the chord rule), which is
+    what nonlocal intrinsic operators get and all a load that ignores the
+    solution needs.  The differential part is ``grad_op_t @ M @ grad_op``
+    with one block-diagonal M carrying both exponents.
     """
     if not 1 < q < p:
         raise ValueError(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
@@ -555,14 +553,15 @@ def assemble_jacobian(
         raise ValueError(
             f"exponent {q} < 2 needs a positive gradient regularisation eps_reg"
         )
-    if differentiate_f:
+    if T_image is not None:
         _check_samples(u, T_image, f)
     lvl = u.lvl
     g = _combined_gradients(u, lift)
     m2 = (g * g).sum(axis=0)[:, 0] + eps_reg**2
     (c0p, c1p), (c0q, c1q) = _flux_coefficients(m2, p), _flux_coefficients(m2, q)
     J = lvl.grad_op_t @ _flux_block(lvl, g, c0p - c0q, c1p - c1q) @ lvl.grad_op
-    if differentiate_f and f.solution_dependent and (f.d_s is not None or f.d_xi is not None):
+    if T_image is not None and f.solution_dependent and (f.d_s is not None
+                                                         or f.d_xi is not None):
         J = J - lvl.qp_op_t @ _load_derivative(f, T_image, lvl)
     return J.tocsr()
 

@@ -3,9 +3,9 @@
 Existence theory guarantees a zero of the Galerkin residual inside the ball
 of the safeguard radius whenever the pairing against the sphere is
 nonnegative.  That argument is non-constructive, so numerically each level
-runs one zero search: damped Newton (with a Levenberg fallback) projected
-to the ball and, on stall, homotopy continuation towards the residual from
-a well-behaved anchor map.  The residual applies T at every iterate it
+runs one zero search: Levenberg-damped Newton from zero damping, projected
+to the ball, and on stall homotopy continuation towards the residual from a
+well-behaved anchor map.  The residual applies T at every iterate it
 evaluates; the Jacobian differentiates through f for a local T and keeps
 the load frozen (the chord rule) for a nonlocal one.  Failures are reported
 with the best iterate and the residual history, never silently.
@@ -18,13 +18,11 @@ coefficient vectors, one block residual and one application of T each.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import solveh_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -48,8 +46,10 @@ from .operators import (
     competing_pairing,
 )
 
-# Newton iterations per zero search.
+# Newton iterations per zero search, and per continuation stage.
 MAX_NEWTON = 100
+# Halvings of the continuation step before the homotopy gives up.
+MAX_CONTINUATION_DEPTH = 6
 # Sphere samples evaluated per block; bounds the block's memory.
 SPHERE_CHUNK = 64
 
@@ -97,22 +97,11 @@ def _path(converged: bool, continuation_stages: int) -> str:
     return "homotopy" if continuation_stages else "newton"
 
 
-def _solve_newton_step(J, rhs):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            dx = spla.spsolve(sp.csc_matrix(J), rhs)
-        if np.all(np.isfinite(dx)):
-            return dx
-    except Exception:
-        pass
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class NormalEquations:
     """J^T J and -J^T r of one Jacobian, in a bandwidth-reducing order.
 
+    Every trial of one Newton iteration, lam = 0 included, solves from it.
     ``band`` is the lower band of ``G[perm][:, perm]`` in LAPACK ``ab``
     layout (main diagonal in the first row) and ``rhs`` is ``(-J^T r)[perm]``.
     The lower layout lets the factorisation update unit-stride columns,
@@ -186,25 +175,22 @@ def brouwer_zero(
     jac: Optional[Callable] = None,
     norm: Optional[Callable[[np.ndarray], float]] = None,
     tol: float = 1e-10,
-    max_newton: int = MAX_NEWTON,
-    max_continuation_depth: int = 6,
 ) -> BrouwerResult:
     """Find v with ||F(v)||_sup <= tol and ||v|| <= R.
 
     Strategy: Newton from ``x0`` (default the origin), projected onto the
-    ball in the supplied norm, accepts a step only if it lowers ||F||^2; a
-    Levenberg direction rescues singular or non-descending Newton steps.
-    Each Levenberg trial solves (J^T J + lam I) dx = -J^T F by a banded
-    Cholesky factorisation.  J^T J is formed, and ordered by reverse
-    Cuthill-McKee, once per Jacobian at its first damped trial and shared
-    by every later damping value of that iteration; a factorisation that
-    meets a non-positive pivot fails the trial, and lam grows.  If that stalls,
-    homotopy continuation blends the residual with the identity anchor v
-    (the duality map of the Euclidean coefficient norm), stepping the blend
-    towards the full residual with adaptive halving.  Non-convergence
+    ball in the supplied norm, accepts a step only if it lowers ||F||^2.
+    Each trial solves (J^T J + lam I) dx = -J^T F by a banded Cholesky
+    factorisation, from lam = 0 (the Newton step) up.  J^T J is formed, and
+    ordered by reverse Cuthill-McKee, once per Jacobian at its first trial
+    and shared by every damping value of that iteration; a rejected step or
+    a non-positive pivot (a singular J at lam = 0) makes lam grow.  If that
+    stalls, homotopy continuation blends the residual with the identity
+    anchor v (the duality map of the Euclidean coefficient norm), stepping
+    the blend towards the full residual with adaptive halving.  Non-convergence
     produces an explicit failure result carrying the best iterate and
     history.  Jacobians, from ``jac`` or by finite differences without it,
-    are used as CSR matrices.
+    are used as CSR matrices; ``jac`` gets the array F was last called on.
     """
     if x0 is None:
         if dim is None:
@@ -224,13 +210,12 @@ def brouwer_zero(
 
     history = []
 
-    def newton_solve(x, t, iter_budget):
-        """Damped Newton with a Levenberg trust loop on F_t(v) = t F(v) + (1-t) v.
+    def newton_solve(x, t):
+        """Levenberg-damped Newton on F_t(v) = t F(v) + (1-t) v.
 
-        The pure Newton step is tried first; on rejection the damping grows,
-        which shortens and bends the step towards steepest descent, so exactly
-        singular Jacobians cannot kick the iterate out of the local basin.
-        Returns (x, F(x), converged, iters).
+        Damping grows on rejection, which shortens and bends the step
+        towards steepest descent, so exactly singular Jacobians cannot kick
+        the iterate out of the local basin.  Returns (x, F(x), converged, iters).
         """
         iters = 0
         x = project(x)
@@ -238,7 +223,7 @@ def brouwer_zero(
         fx = F(x)
         ft = t * fx + (1.0 - t) * x
         phi = 0.5 * float(ft @ ft)
-        for _ in range(iter_budget):
+        for _ in range(MAX_NEWTON):
             res = _sup(ft)
             history.append((t, res))
             if res <= tol:
@@ -249,16 +234,12 @@ def brouwer_zero(
                 Jt = J
             else:
                 Jt = (t * J + (1.0 - t) * sp.identity(J.shape[0], format="csr")).tocsr()
-            normal = None  # formed at the first damped trial, shared by the rest
+            normal = _normal_equations(Jt, ft)
             scale = 1.0 + phi
             accepted = None
+            # a NaN residual never lets lam reach its cap; this bound stops it
             for _ in range(60):
-                if lam == 0.0:
-                    dx = _solve_newton_step(Jt, -ft)
-                else:
-                    if normal is None:
-                        normal = _normal_equations(Jt, ft)
-                    dx = _levenberg_step(normal, lam)
+                dx = _levenberg_step(normal, lam)
                 if dx is not None:
                     cand = project(x + dx)
                     fc = F(cand)
@@ -282,7 +263,7 @@ def brouwer_zero(
         return BrouwerResult(x0, x0, True, 0, 0, history, "empty system")
 
     total_iters = 0
-    x, fx, ok, it = newton_solve(x0, 1.0, max_newton)
+    x, fx, ok, it = newton_solve(x0, 1.0)
     total_iters += it
     if ok:
         return BrouwerResult(x, fx, True, total_iters, 0, history, "newton")
@@ -294,9 +275,9 @@ def brouwer_zero(
     dt = 0.25
     xh = np.zeros_like(x0)
     best_x, best_fx = x, fx
-    while t < 1.0 and depth <= max_continuation_depth:
+    while t < 1.0 and depth <= MAX_CONTINUATION_DEPTH:
         t_next = min(1.0, t + dt)
-        cand, fc, ok, it = newton_solve(xh, t_next, max_newton)
+        cand, fc, ok, it = newton_solve(xh, t_next)
         total_iters += it
         stages += 1
         if ok:
@@ -312,7 +293,7 @@ def brouwer_zero(
         return BrouwerResult(xh, fc, True, total_iters, stages, history, "homotopy")
     return BrouwerResult(
         best_x, best_fx, False, total_iters, stages, history,
-        f"no convergence after continuation depth {max_continuation_depth}; "
+        f"no convergence after continuation depth {MAX_CONTINUATION_DEPTH}; "
         f"best residual sup {_sup(best_fx):.3e}",
     )
 
@@ -392,29 +373,31 @@ def solve_level(
 
     One ball-constrained zero search on the residual, which applies T to
     every iterate it evaluates.  For a local operator (identity, boundary
-    lift) the Jacobian differentiates through f; for a nonlocal one
-    (convolution) it keeps the load frozen (the chord rule) and applies no
-    T.  The residual sup, the energy gap and convergence come from the
-    residual the search last evaluated.
+    lift) the Jacobian differentiates through f at the samples of T the
+    residual just took at the same iterate; for a nonlocal one
+    (convolution) it keeps the load frozen (the chord rule).  The residual
+    sup, the energy gap and convergence come from the residual the search
+    last evaluated.
     """
     h = inst.hierarchy
     lift = inst.lift_for(n)
     chord = not inst.operator.is_local
+    last = [None, None]  # the iterate F was last called on, and its samples of T
 
     def gnorm(c):
         return grad_norm_p(h.function(n, c), inst.p)
 
     def F(c):
         u = h.function(n, c)
-        return assemble_residual(u, _image_of(inst, u), inst.convection, inst.p, inst.q,
+        last[:] = c, _image_of(inst, u)
+        return assemble_residual(u, last[1], inst.convection, inst.p, inst.q,
                                  lift=lift).values
 
     def J(c):
         u = h.function(n, c)
-        return assemble_jacobian(
-            u, None if chord else _image_of(inst, u), inst.convection, inst.p, inst.q,
-            eps_reg=inst.eps_reg, lift=lift, differentiate_f=not chord,
-        )
+        img = None if chord else (last[1] if c is last[0] else _image_of(inst, u))
+        return assemble_jacobian(u, img, inst.convection, inst.p, inst.q,
+                                 eps_reg=inst.eps_reg, lift=lift)
 
     # The operator is non-monotone, so the discrete equation can have several
     # solutions and Newton converges to the one nearest its start.  A supplied

@@ -292,6 +292,24 @@ class TestCli:
         assert main(["solve", str(cfg)]) == 1
         assert main(["solve", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("patch,argv,code", [
+        ({"seed": -5}, [], "BAD_FIELD"),
+        ({}, ["--seed", "-1"], "BAD_FIELD"),
+        ({"domain": {"kind": "unit_square"}, "f": CONVOLUTION_CLI["f"],
+          "T": CONVOLUTION_CLI["T"], "initial_guess": None}, [], "UNSUPPORTED_DOMAIN"),
+        ({"f": CONVOLUTION_CLI["f"],
+          "T": {"kind": "convolution", "kernel": {"shape": "box", "width": 3.0}}}, [], "KERNEL"),
+        ({"domain": {"kind": "interval", "a": 0.0, "b": 1.0, "elements": 1}, "levels": 1},
+         [], "MESH"),
+        ({"domain": {"kind": "unit_square"}, "levels": 1, "initial_guess": None}, [], "MESH"),
+    ], ids=["negative-seed", "negative-seed-override", "convolution-on-square",
+            "kernel-wider-than-domain", "interval-without-interior", "square-without-interior"])
+    def test_inputs_that_cannot_run_exit_1(self, tmp_path, capsys, patch, argv, code):
+        # each once ended in a traceback from deep inside the solve
+        cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, **patch))
+        assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out"), *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error [{code}]: ")
+
     def test_seed_and_levels_overrides(self, tmp_path):
         cfg = write_config(tmp_path, MANUFACTURED_CLI)
         out = tmp_path / "out"

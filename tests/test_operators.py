@@ -203,17 +203,16 @@ class TestAssembleJacobian:
         h = unit_hierarchy
         f = convection_from_catalog("signed_power", {"a1": 0.5, "alpha": 2.0})
         u = h.function(2, rng.standard_normal(7))
-        full = assemble_jacobian(u, sample(u), f, 3.0, 2.0, differentiate_f=True)
-        frozen = assemble_jacobian(u, sample(u), f, 3.0, 2.0, differentiate_f=False)
+        full = assemble_jacobian(u, sample(u), f, 3.0, 2.0)
+        # the chord rule reads no samples, so it takes none
+        frozen = assemble_jacobian(u, None, f, 3.0, 2.0)
         assert not np.allclose(full.toarray(), frozen.toarray())
         g = convection_from_catalog("zero")
         bare = assemble_jacobian(u, sample(u), g, 3.0, 2.0)
         np.testing.assert_allclose(frozen.toarray(), bare.toarray(), rtol=1e-14)
-        # the chord rule reads no samples, so it needs none
-        unsampled = assemble_jacobian(u, None, f, 3.0, 2.0, differentiate_f=False)
-        np.testing.assert_array_equal(unsampled.toarray(), frozen.toarray())
-        with pytest.raises(ValueError, match="needs samples"):
-            assemble_jacobian(u, None, f, 3.0, 2.0)
+        # samples that are passed are still checked against u's quadrature
+        with pytest.raises(LevelMismatchError, match="do not match"):
+            assemble_jacobian(u, sample(h.function(3, rng.standard_normal(15))), f, 3.0, 2.0)
 
 
 class TestAssemblyAgainstElementLoops:
@@ -326,8 +325,10 @@ class TestBlockForms:
         h, n, T, lift, coeffs = case
         u = h.function(n, coeffs[:, 0])
         if f.solution_dependent:
-            with pytest.raises(ValueError, match="needs samples"):
-                assemble_jacobian(u, None, f, 3.0, 2.0, lift=lift)
+            # without samples the Jacobian freezes the load (the chord rule)
+            bare = assemble_jacobian(u, None, convection_from_catalog("zero"), 3.0, 2.0,
+                                     lift=lift)
+            assert (assemble_jacobian(u, None, f, 3.0, 2.0, lift=lift) != bare).nnz == 0
             with pytest.raises(ValueError, match="needs samples"):
                 convection_integral(u, None, f)
             return

@@ -32,7 +32,6 @@ from competefem.solver import (
     ProblemInstance,
     _levenberg_step,
     _normal_equations,
-    _solve_newton_step,
     brouwer_zero,
     convergence_diagnostics,
     run_hierarchy,
@@ -81,15 +80,14 @@ class TestBrouwerZero:
             seen.append(np.linalg.norm(v))
             return v - np.array([5.0, 0.0])  # zero outside the ball
 
-        res = brouwer_zero(F, R, dim=2, max_newton=30, max_continuation_depth=3)
+        res = brouwer_zero(F, R, dim=2)
         assert all(n <= R * (1 + 1e-6) for n in seen)
         assert not res.converged
         assert "best residual" in res.message
         assert res.history
 
     def test_failure_reports_best_iterate(self):
-        res = brouwer_zero(lambda v: v**2 + 1.0, 1.0, dim=1,
-                           max_newton=20, max_continuation_depth=2)
+        res = brouwer_zero(lambda v: v**2 + 1.0, 1.0, dim=1)
         assert not res.converged
         assert res.residual_sup >= 1.0
         assert np.abs(res.x) <= 1.0 + 1e-9
@@ -97,8 +95,7 @@ class TestBrouwerZero:
     def test_custom_norm_projection(self):
         # ball in a weighted norm twice the Euclidean one
         res = brouwer_zero(lambda v: v - np.array([3.0]), 2.0, dim=1,
-                           norm=lambda v: 2.0 * float(np.abs(v[0])),
-                           max_newton=20, max_continuation_depth=2)
+                           norm=lambda v: 2.0 * float(np.abs(v[0])))
         assert np.abs(res.x[0]) <= 1.0 + 1e-9
 
     def test_needs_start_or_dim(self):
@@ -117,8 +114,7 @@ class TestBrouwerZero:
 
     def test_path_names_how_the_search_ended(self):
         assert brouwer_zero(lambda v: v - 0.5, 1.0, dim=2).path == "newton"
-        failed = brouwer_zero(lambda v: v**2 + 1.0, 1.0, dim=1,
-                              max_newton=20, max_continuation_depth=2)
+        failed = brouwer_zero(lambda v: v**2 + 1.0, 1.0, dim=1)
         assert failed.path == "failed"
         # from -3 the damped steps stall at v = -1/sqrt(3), where F' = 0 makes
         # a local minimum of ||F||^2, and the homotopy finds the root 2
@@ -153,7 +149,7 @@ class TestBrouwerZero:
         else:
             def F(v):
                 return v**2 + 1.0
-            res = brouwer_zero(F, 1.0, dim=1, max_newton=20, max_continuation_depth=2)
+            res = brouwer_zero(F, 1.0, dim=1)
         assert res.path == case
         np.testing.assert_array_equal(res.fx, F(res.x))
         assert res.residual_sup == float(np.max(np.abs(F(res.x))))
@@ -170,11 +166,6 @@ class TestNewtonFallback:
     # level 1: |u'| = 1/2 at the inner nodes makes rows 1 and 3 equal
     J = np.array([[0.0, 2.0, 0.0], [2.0, -4.0, 2.0], [0.0, 2.0, 0.0]])
     rhs = np.array([1.0, -0.5, 0.25])
-
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-    def test_singular_jacobian_has_no_newton_step(self, sparse):
-        J = sp.csr_matrix(self.J) if sparse else self.J
-        assert _solve_newton_step(J, self.rhs) is None
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_levenberg_step_is_finite(self, sparse):
@@ -250,6 +241,27 @@ class TestLevenbergStep:
                 _levenberg_step(_normal_equations(dense, r), lam),
                 _levenberg_step(_normal_equations(sp.csr_matrix(dense), r), lam),
             )
+
+    def test_nonsingular_linear_map_takes_one_undamped_step(self, monkeypatch):
+        # the Newton step is the lam = 0 Cholesky step of the normal equations
+        A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, 2.0, 5.0]])
+        b = np.array([1.0, -2.0, 0.5])
+        normals, lams = [], []
+
+        def counting_normal(J, r):
+            normals.append(1)
+            return _normal_equations(J, r)
+
+        def counting_step(normal, lam):
+            lams.append(lam)
+            return _levenberg_step(normal, lam)
+
+        monkeypatch.setattr("competefem.solver._normal_equations", counting_normal)
+        monkeypatch.setattr("competefem.solver._levenberg_step", counting_step)
+        res = brouwer_zero(lambda v: A @ v - b, 10.0, dim=3, jac=lambda v: A)
+        assert res.path == "newton" and res.newton_iters == 1
+        assert len(normals) == 1 and lams == [0.0]
+        np.testing.assert_allclose(res.x, np.linalg.solve(A, b), atol=1e-12)
 
     def test_forms_normal_equations_once_per_jacobian(self, unit_hierarchy, monkeypatch):
         # constant f on the 3-dof base level stalls Newton and needs the homotopy
@@ -439,17 +451,42 @@ class TestSolveLevel:
         assert inst.convection.solution_dependent
         flags = []
 
-        def recording(u, img, *args, differentiate_f=True, **kwargs):
-            flags.append((img is not None, differentiate_f))
-            return assemble_jacobian(u, img, *args, differentiate_f=differentiate_f,
-                                     **kwargs)
+        def recording(u, img, *args, **kwargs):
+            flags.append(img is not None)
+            return assemble_jacobian(u, img, *args, **kwargs)
 
         monkeypatch.setattr("competefem.solver.assemble_jacobian", recording)
         searches = _record_searches(monkeypatch)
         out = solve_level(inst, 2, 2.0)
         assert out.converged and out.residual_sup <= inst.tol
         assert len(searches) == 1
-        assert flags and set(flags) == {(True, True)}
+        assert flags and all(flags)
+
+    def test_local_T_applied_once_per_residual(self, monkeypatch):
+        # the Jacobian reuses the samples of T the residual took at the same
+        # iterate; the 1D boundary-lift problem with a solution-dependent f
+        inst = build_instance(parse_config_dict({
+            "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "elements": 4},
+            "p": 3.0, "q": 2.0, "levels": 3,
+            "f": {"kind": "manufactured_plus_power", "a1": 0.05, "a2": 0.05,
+                  "alpha": 2.0, "beta": 2.0},
+            "T": {"kind": "boundary_lift", "u0": {"kind": "affine", "a": 0.1, "b": 0.05}},
+            "initial_guess": "exact",
+        }))
+        counts = {"apply_operator": 0, "assemble_residual": 0, "assemble_jacobian": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in zip(counts, (apply, assemble_residual, assemble_jacobian)):
+            monkeypatch.setattr(f"competefem.solver.{name}", counting(name, fn))
+        for n in range(1, 4):
+            assert solve_level(inst, n, 2.0).converged
+        assert counts["assemble_jacobian"] > 0
+        assert counts["apply_operator"] == counts["assemble_residual"]
 
 
 def _record_searches(monkeypatch):
