@@ -197,13 +197,8 @@ def main(argv=None) -> int:
         return cmd_study(spec, args.out_dir)
     except (ConfigError, CertificateError, KernelError, MeshError) as exc:
         # input the config cannot judge alone, found while building or solving
-        code = exc.code if isinstance(exc, ConfigError) else _INPUT_ERROR_CODES[type(exc)]
-        print(f"configuration error [{code}]: {exc}", file=sys.stderr)
+        print(f"configuration error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
-
-
-_INPUT_ERROR_CODES = {CertificateError: "CERTIFICATE", KernelError: "KERNEL",
-                      MeshError: "MESH"}
 
 
 if __name__ == "__main__":

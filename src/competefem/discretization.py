@@ -30,6 +30,8 @@ import scipy.sparse as sp
 class MeshError(ValueError):
     """A mesh failed a structural validity check."""
 
+    code = "MESH"
+
 
 class LevelMismatchError(ValueError):
     """Operands live on incompatible hierarchy levels."""

@@ -53,9 +53,13 @@ from .discretization import (
 class CertificateError(ValueError):
     """No analytic growth certificate exists for the requested parameters."""
 
+    code = "CERTIFICATE"
+
 
 class KernelError(ValueError):
     """Kernel is unusable on the configured evaluation window."""
+
+    code = "KERNEL"
 
 
 # ---------------------------------------------------------------------------

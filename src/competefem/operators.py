@@ -544,7 +544,9 @@ def assemble_jacobian(
     exponent is below two.  The load is differentiated exactly when samples
     of T(u) are passed; with None it is frozen (the chord rule), which is
     what nonlocal intrinsic operators get and all a load that ignores the
-    solution needs.  The differential part is ``grad_op_t @ M @ grad_op``
+    solution needs.  A local T with a solution-dependent f must pass its
+    samples: without them it silently gets the chord Jacobian, not an
+    error.  The differential part is ``grad_op_t @ M @ grad_op``
     with one block-diagonal M carrying both exponents.
     """
     if not 1 < q < p:

@@ -382,20 +382,21 @@ def solve_level(
     h = inst.hierarchy
     lift = inst.lift_for(n)
     chord = not inst.operator.is_local
-    last = [None, None]  # the iterate F was last called on, and its samples of T
+    last = [None]  # the samples of T the residual last took
 
     def gnorm(c):
         return grad_norm_p(h.function(n, c), inst.p)
 
     def F(c):
         u = h.function(n, c)
-        last[:] = c, _image_of(inst, u)
-        return assemble_residual(u, last[1], inst.convection, inst.p, inst.q,
+        last[0] = _image_of(inst, u)
+        return assemble_residual(u, last[0], inst.convection, inst.p, inst.q,
                                  lift=lift).values
 
     def J(c):
         u = h.function(n, c)
-        img = None if chord else (last[1] if c is last[0] else _image_of(inst, u))
+        # brouwer_zero only differentiates at the iterate F last evaluated
+        img = None if chord else last[0]
         return assemble_jacobian(u, img, inst.convection, inst.p, inst.q,
                                  eps_reg=inst.eps_reg, lift=lift)
 

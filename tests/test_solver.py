@@ -263,6 +263,25 @@ class TestLevenbergStep:
         assert len(normals) == 1 and lams == [0.0]
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b), atol=1e-12)
 
+    def test_deep_1d_level_keeps_the_undamped_step(self, monkeypatch):
+        # squaring cond(J) ~ h^-2 puts cond(J^T J) near 1e13 on level 11 of
+        # the 4-element interval; every Newton iteration from the origin must
+        # still accept its first trial, the lam = 0 step
+        inst = build_instance(parse_config_dict({
+            "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "elements": 4},
+            "p": 3.0, "q": 2.0, "levels": 11, "f": {"kind": "manufactured_p3q2"},
+        }))
+        lams = []
+
+        def recording(normal, lam):
+            lams.append(lam)
+            return _levenberg_step(normal, lam)
+
+        monkeypatch.setattr("competefem.solver._levenberg_step", recording)
+        out = solve_level(inst, 11, 1.5)
+        assert out.converged and out.path == "newton"
+        assert len(lams) == out.newton_iters and set(lams) == {0.0}
+
     def test_forms_normal_equations_once_per_jacobian(self, unit_hierarchy, monkeypatch):
         # constant f on the 3-dof base level stalls Newton and needs the homotopy
         counts = {"jacobian": 0, "normal": 0, "damped": 0}
