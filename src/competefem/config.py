@@ -86,13 +86,22 @@ def _as_float(obj, key, default=None, code="BAD_FIELD"):
         raise ConfigError(code, f"field {key!r} must be a number, got {val!r}") from None
 
 
+def _as_int(obj, key, default):
+    val = obj.get(key, default)
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    _require(isinstance(val, int) and not isinstance(val, bool), "BAD_FIELD",
+             f"field {key!r} must be an integer, got {val!r}")
+    return val
+
+
 def _domain_config(obj) -> dict:
     _require(isinstance(obj, dict), "DOMAIN_INVALID", "domain must be an object")
     kind = obj.get("kind", "interval")
     if kind == "interval":
         a = _as_float(obj, "a", 0.0)
         b = _as_float(obj, "b", 1.0)
-        elements = int(obj.get("elements", 4))
+        elements = _as_int(obj, "elements", 4)
         _require(b > a, "DOMAIN_INVALID", f"interval needs a < b, got ({a}, {b})")
         _require(elements >= 1, "DOMAIN_INVALID", "interval needs at least one element")
         return {"kind": "interval", "a": a, "b": b, "elements": elements}
@@ -205,7 +214,7 @@ def _t_config(obj, p: float, envelope: dict) -> dict:
         "kind": "convolution",
         "kernel": {"shape": kernel["shape"],
                    **{k: float(v) for k, v in kernel.items() if k != "shape"}},
-        "refine_factor": int(obj.get("refine_factor", 4)),
+        "refine_factor": _as_int(obj, "refine_factor", 4),
         "window_factor": float(obj.get("window_factor", 1.0)),
     }
     _require(out["refine_factor"] >= 1, "BAD_FIELD", "refine_factor must be >= 1")
@@ -244,9 +253,9 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
     except ValueError as exc:
         raise ConfigError("BAD_FIELD", str(exc)) from None
 
-    levels = int(obj.get("levels", 5))
+    levels = _as_int(obj, "levels", 5)
     _require(levels >= 1, "BAD_FIELD", f"levels must be >= 1, got {levels}")
-    quad_order = int(obj.get("quad_order", 4))
+    quad_order = _as_int(obj, "quad_order", 4)
     _require(quad_order >= 1, "BAD_FIELD", f"quad_order must be >= 1, got {quad_order}")
 
     f_cfg = _f_config(obj.get("f", {"kind": "zero"}), p, p_crit)
@@ -258,7 +267,7 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
     _require(policy in _POLICIES, "BAD_FIELD", f"policy must be one of {_POLICIES}, got {policy!r}")
 
     tol_default = 1e-10 if n_dim == 1 else 1e-8
-    tol = float(obj["tol"]) if obj.get("tol") is not None else tol_default
+    tol = _as_float(obj, "tol") if obj.get("tol") is not None else tol_default
     _require(tol > 0, "BAD_FIELD", f"tol must be positive, got {tol}")
 
     eps_reg = _as_float(obj, "eps_reg", 0.0)
@@ -272,14 +281,14 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
     safety = _as_float(obj, "safety", 1.1)
     _require(safety >= 1.0, "BAD_FIELD", f"safety factor must be >= 1, got {safety}")
 
-    sphere_samples = int(obj.get("sphere_samples", 1000))
+    sphere_samples = _as_int(obj, "sphere_samples", 1000)
     _require(sphere_samples >= 0, "BAD_FIELD", "sphere_samples must be >= 0")
 
     est = obj.get("estimator", {})
     _require(isinstance(est, dict), "BAD_FIELD", "estimator must be an object")
     estimator = {
-        "starts": int(est.get("starts", 8)),
-        "iters": int(est.get("iters", 300)),
+        "starts": _as_int(est, "starts", 8),
+        "iters": _as_int(est, "iters", 300),
     }
     _require(estimator["starts"] >= 1, "BAD_FIELD", "estimator starts must be >= 1")
     _require(estimator["iters"] >= 1, "BAD_FIELD", "estimator iters must be >= 1")
@@ -301,9 +310,9 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
             f"got {f_cfg['kind']!r}",
         )
 
-    test_set_size = int(obj.get("test_set_size", 8))
+    test_set_size = _as_int(obj, "test_set_size", 8)
     _require(test_set_size >= 1, "BAD_FIELD", "test_set_size must be >= 1")
-    seed = int(obj.get("seed", 0))
+    seed = _as_int(obj, "seed", 0)
     _require(seed >= 0, "BAD_FIELD", f"seed must be >= 0, got {seed}")
 
     return ProblemSpec(

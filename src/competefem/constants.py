@@ -3,13 +3,15 @@
 The Dirichlet embedding constants S_r with ||u||_r <= S_r ||grad u||_p are
 estimated by projected ascent of the Rayleigh-type ratio over the finite
 element space.  The ascent steps along the H^1_0 (Sobolev) gradient: the
-Euclidean gradient preconditioned by the level's P1 stiffness matrix,
-factorised once per level, which keeps the step count nearly independent of
-the mesh size (Neuberger, Sobolev Gradients and Differential Equations).
-All starts of a level are ascended together as one coefficient block,
-through the level operators and block forms of
-:mod:`competefem.discretization` that also carry the residual, the
-Jacobian and the norms; each start still takes its own steps.  The raw
+Euclidean gradient preconditioned by the level's P1 stiffness matrix K,
+which keeps the step count nearly independent of the mesh size (Neuberger,
+Sobolev Gradients and Differential Equations).  The starts of every
+exponent of a level are ascended together as one coefficient block, so K is
+factorised once per level and one loop steps all of them, through the level
+operators and block forms of :mod:`competefem.discretization` that also
+carry the residual, the Jacobian and the norms.  Each start still takes its
+own steps, and each exponent its own starts, so an estimate does not depend
+on which other exponents were ascended beside it.  The raw
 numbers are ratios attained by finite element functions, so they stay
 lower bounds of the true constants; reports say whether each estimator
 converged and, per level, the most steps any start took.  A configurable
@@ -147,6 +149,9 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 
 
+ASCENT_TOL = 1e-11  # relative gain of one step below which an ascent stops
+
+
 def _stiffness_solve(lvl):
     """K^{-1} on a vector or an (n_free, k) block, K the level's P1 stiffness matrix.
 
@@ -156,37 +161,66 @@ def _stiffness_solve(lvl):
     return splu((lvl.grad_op_t @ weights @ lvl.grad_op).tocsc()).solve
 
 
-def _ascend_embedding(lvl, r, p, starts, iters, tol):
+def _exponent_slices(owner, rs):
+    """(r, columns) of every exponent of ``rs`` that owns columns.
+
+    ``owner`` holds, per column, its exponent's index into ``rs`` and is
+    sorted, so the columns of one exponent are one slice.
+    """
+    bounds = np.searchsorted(owner, np.arange(len(rs) + 1))
+    return [(r, slice(a, b)) for r, a, b in zip(rs, bounds[:-1], bounds[1:]) if a < b]
+
+
+def _r_norms(lvl, vals, slices):
+    """||u||_r of every column from its quadrature values, at its own r."""
+    N = np.empty(vals.shape[1])
+    for r, cols in slices:
+        N[cols] = _value_integral(lvl.qp_weights, vals[:, cols], r) ** (1.0 / r)
+    return N
+
+
+def _ascend_embedding(lvl, rs, p, blocks, iters, tol):
     """Monotone projected ascent of ||u||_r with ||grad u||_p fixed to one.
 
+    ``blocks[i]`` holds the starts of exponent ``rs[i]``, one per column.
     Each step follows the H^1_0 (Sobolev) gradient d = K^{-1} g of the
     Euclidean gradient g, K the level's stiffness matrix, so the step count
     barely grows under refinement, where g alone conditions like h^-2.
-    Every column of ``starts`` is its own ascent, with its own step size,
-    backtracking and stopping test; the columns only share the array
-    operations of each step.  Returns per-column values, the final
-    coefficient block, per-column convergence flags and step counts.
+    Every column is its own ascent, with its own step size, backtracking
+    and stopping test; all columns of all exponents share K's factorisation
+    and the array operations of each step.  Work that depends on r runs per
+    exponent, on a scalar r: numpy's power takes its square and square-root
+    paths only for a scalar exponent, and every column must get the bits of
+    a one-exponent ascent.  Returns, per exponent, the per-column values,
+    the final coefficient block, convergence flags and step counts.
     """
     solve = _stiffness_solve(lvl)
+    starts = np.hstack(blocks)
     n_cols = starts.shape[1]
     value, final = np.empty(n_cols), np.empty_like(starts)
     converged = np.zeros(n_cols, dtype=bool)
     taken = np.zeros(n_cols, dtype=int)
-    # state of the ascents still running; ids are their columns in starts
+    # state of the ascents still running; ids are their columns in starts,
+    # owner their exponents, both sorted
     ids = np.arange(n_cols)
+    owner = np.repeat(np.arange(len(rs)), [b.shape[1] for b in blocks])
+    slices = by_exponent = _exponent_slices(owner, rs)
     coeffs = starts / _grad_integral(lvl, _gradients(lvl, starts), p) ** (1.0 / p)
     grads, vals = _gradients(lvl, coeffs), _qp_values(lvl, coeffs)
-    N = _value_integral(lvl.qp_weights, vals, r) ** (1.0 / r)
+    N = _r_norms(lvl, vals, slices)
     step = np.ones(n_cols)
     for it in range(1, iters + 1):
         # ||grad u||_p is one after every normalisation
-        grad = (N ** (1.0 - r) * _value_load(lvl, vals, r)
-                - N * _grad_force(lvl, grads, p))
-        direction = solve(grad)
+        force = N * _grad_force(lvl, grads, p)
+        grad, direction = np.empty_like(force), np.empty_like(force)
+        for r, cols in slices:
+            grad[:, cols] = (N[cols] ** (1.0 - r) * _value_load(lvl, vals[:, cols], r)
+                             - force[:, cols])
+            direction[:, cols] = solve(grad[:, cols])
         slope = _column_dots(grad, direction)
         t = 2.0 * step
         # an accepted trial overwrites its column; the others stay put
-        cand, cand_vals, cN = coeffs.copy(), vals.copy(), N.copy()
+        cand, cN = coeffs.copy(), N.copy()
         accepted = np.zeros(len(N), dtype=bool)
         trying = np.flatnonzero(slope > 0)  # a zero gradient stops its ascent
         for _ in range(60):
@@ -196,27 +230,73 @@ def _ascend_embedding(lvl, r, p, starts, iters, tol):
             # a zero or overflowing trial gives nan or zero below and is
             # rejected like any trial that fails the Armijo test
             trial = trial / _grad_integral(lvl, _gradients(lvl, trial), p) ** (1.0 / p)
-            trial_vals = _qp_values(lvl, trial)
-            trial_N = _value_integral(lvl.qp_weights, trial_vals, r) ** (1.0 / r)
+            trial_N = _r_norms(lvl, _qp_values(lvl, trial), _exponent_slices(owner[trying], rs))
             ok = trial_N > N[trying] + 1e-4 * t[trying] * slope[trying]
             hit = trying[ok]
-            cand[:, hit], cand_vals[:, hit], cN[hit] = trial[:, ok], trial_vals[:, ok], trial_N[ok]
+            cand[:, hit], cN[hit] = trial[:, ok], trial_N[ok]
             accepted[hit] = True
             trying = trying[~ok]
             t[trying] *= 0.5
         stop = ~accepted | ((cN - N) / np.maximum(N, 1e-300) < tol)
-        coeffs, vals, N, step = cand, cand_vals, cN, t
+        coeffs, N, step = cand, cN, t
         if stop.any():
             done = ids[stop]
             final[:, done], value[done], converged[done] = coeffs[:, stop], N[stop], True
             taken[done] = it
             go = ~stop
-            ids, coeffs, vals, N, step = ids[go], coeffs[:, go], vals[:, go], N[go], step[go]
+            ids, owner, coeffs, N, step = ids[go], owner[go], coeffs[:, go], N[go], step[go]
             if not ids.size:
                 break
-        grads = _gradients(lvl, coeffs)
+            slices = _exponent_slices(owner, rs)
+        # values are recomputed rather than carried, which saves a copy of
+        # the block; each column of the product has the bits of its trial
+        grads, vals = _gradients(lvl, coeffs), _qp_values(lvl, coeffs)
     final[:, ids], value[ids], taken[ids] = coeffs, N, iters
-    return value, final, converged, taken
+    return [(value[cols], final[:, cols], converged[cols], taken[cols])
+            for _, cols in by_exponent]
+
+
+def _estimate_embedding_constants(h, rs, p, starts, iters, tol, safety, seed):
+    """One :class:`EstimateResult` per exponent of ``rs``, ascended together.
+
+    Each exponent keeps its own starts (the sine interpolant, the
+    prolongated best of the coarser level, then random vectors from its own
+    generator), so its result does not depend on the other exponents.
+    """
+    for r in rs:
+        if r < 1:
+            raise ValueError(f"embedding exponent must satisfy r >= 1, got {r}")
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, int(round(r * 1e6)))))
+            for r in rs]
+    best_coeffs = [None] * len(rs)
+    levels = []  # per level, (value, steps, converged) of every exponent
+    for n in range(1, h.n_levels + 1):
+        lvl = h.level(n)
+        if lvl.n_free == 0:
+            levels.append([(0.0, 0, True)] * len(rs))
+            continue
+        sine = sine_mode(h, n).coeffs
+        blocks = []
+        for rng, best in zip(rngs, best_coeffs):
+            candidates = [sine]
+            if best is not None:
+                candidates.append(lvl.prolongation @ best)
+            for _ in range(max(0, starts - 1)):
+                candidates.append(rng.standard_normal(lvl.n_free))
+            blocks.append(np.column_stack([c for c in candidates if np.any(c)]))
+        row = []
+        for i, (vals, coeffs, conv, taken) in enumerate(
+                _ascend_embedding(lvl, rs, p, blocks, iters, tol)):
+            best = int(np.argmax(vals))  # the first maximum in candidate order
+            best_coeffs[i] = coeffs[:, best]
+            row.append((float(vals[best]), int(taken.max()), bool(np.all(conv))))
+        levels.append(row)
+    results = []
+    for per_level in zip(*levels):
+        prof, steps, conv = zip(*per_level)
+        results.append(EstimateResult(value=safety * prof[-1], raw=prof[-1], per_level=prof,
+                                      converged=all(conv), iters=steps))
+    return results
 
 
 def estimate_embedding_constant(
@@ -225,7 +305,7 @@ def estimate_embedding_constant(
     p: float,
     starts: int = 8,
     iters: int = 300,
-    tol: float = 1e-11,
+    tol: float = ASCENT_TOL,
     safety: float = 1.1,
     seed: int = 0,
 ) -> EstimateResult:
@@ -235,35 +315,11 @@ def estimate_embedding_constant(
     starts (a sine interpolant, seeded random vectors, and the prolongated
     best of the coarser level).  The raw maximum is a lower bound of the
     true constant; ``value`` is the raw number times the safety factor.
-    ``iters`` holds, per level, the most steps any start took.
+    ``iters`` holds, per level, the most steps any start took.  This is the
+    one-exponent case of :func:`build_constants`' estimation, with the same
+    numbers bit for bit.
     """
-    if r < 1:
-        raise ValueError(f"embedding exponent must satisfy r >= 1, got {r}")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, int(round(r * 1e6)))))
-    per_level, steps = [], []
-    best_coeffs = None
-    ok = True
-    for n in range(1, h.n_levels + 1):
-        lvl = h.level(n)
-        if lvl.n_free == 0:
-            per_level.append(0.0)
-            steps.append(0)
-            continue
-        candidates = [sine_mode(h, n).coeffs]
-        if best_coeffs is not None:
-            candidates.append(lvl.prolongation @ best_coeffs)
-        for _ in range(max(0, starts - 1)):
-            candidates.append(rng.standard_normal(lvl.n_free))
-        block = np.column_stack([c for c in candidates if np.any(c)])
-        vals, coeffs, conv, taken = _ascend_embedding(lvl, r, p, block, iters, tol)
-        ok = ok and bool(np.all(conv))
-        steps.append(int(taken.max()))
-        best = int(np.argmax(vals))  # the first maximum in candidate order
-        per_level.append(float(vals[best]))
-        best_coeffs = coeffs[:, best]
-    raw = per_level[-1]
-    return EstimateResult(value=safety * raw, raw=raw, per_level=tuple(per_level),
-                          converged=ok, iters=tuple(steps))
+    return _estimate_embedding_constants(h, [r], p, starts, iters, tol, safety, seed)[0]
 
 
 def _eigenvalue_of(s_p: EstimateResult, p: float) -> EstimateResult:
@@ -305,12 +361,15 @@ def build_constants(
     iters: int = 300,
     seed: int = 0,
 ) -> EmbeddingConstants:
-    """Estimate every requested embedding constant, S_p always, and the eigenvalue."""
+    """Estimate every requested embedding constant, S_p always, and the eigenvalue.
+
+    All exponents are ascended together, one block per level, and each
+    entry equals :func:`estimate_embedding_constant` at its exponent.
+    """
+    rs = sorted({_key(r) for r in exponents} | {_key(p)})
+    estimates = _estimate_embedding_constants(h, rs, p, starts, iters, ASCENT_TOL, safety, seed)
     entries = {}
-    for r in sorted({_key(r) for r in exponents} | {_key(p)}):
-        est = estimate_embedding_constant(
-            h, r, p, starts=starts, iters=iters, safety=safety, seed=seed
-        )
+    for r, est in zip(rs, estimates):
         entries[r] = SEstimate(
             raw=est.raw, value=est.value,
             provenance=("H^1_0-preconditioned projected ascent over the finest "

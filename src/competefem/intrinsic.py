@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import erf
 
 from .discretization import (
     FEFunction,
@@ -113,6 +112,8 @@ class Kernel:
             return np.where(inside, self.scale / (2.0 * s), 0.0)
         if self.shape == "hat":
             return np.where(inside, (self.scale / s) * (1.0 - np.abs(t) / s), 0.0)
+        from scipy.special import erf  # only this kernel pays for the import
+
         sigma = float(self.params["sigma"])
         z = sigma * math.sqrt(2.0 * math.pi) * erf(s / (sigma * math.sqrt(2.0)))
         return np.where(inside, self.scale * np.exp(-0.5 * (t / sigma) ** 2) / z, 0.0)
@@ -128,6 +129,8 @@ class Kernel:
             left = 0.5 * self.scale * (1.0 + tc / s) ** 2
             right = self.scale - 0.5 * self.scale * (1.0 - tc / s) ** 2
             return np.where(tc <= 0.0, left, right)
+        from scipy.special import erf
+
         sigma = float(self.params["sigma"])
         tc = np.clip(t, -s, s)
         num = erf(tc / (sigma * math.sqrt(2.0))) + erf(s / (sigma * math.sqrt(2.0)))

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +180,53 @@ SQUARE_CLI = {
 }
 
 
+# every integer field of a config, as the patch that sets it to a value
+INTEGER_FIELDS = {
+    "elements": lambda v: {"domain": dict(MINIMAL["domain"], elements=v)},
+    "refine_factor": lambda v: {
+        "f": CONVOLUTION_CLI["f"], "T": dict(CONVOLUTION_CLI["T"], refine_factor=v)},
+    "levels": lambda v: {"levels": v},
+    "quad_order": lambda v: {"quad_order": v},
+    "sphere_samples": lambda v: {"sphere_samples": v},
+    "starts": lambda v: {"estimator": {"starts": v}},
+    "iters": lambda v: {"estimator": {"iters": v}},
+    "test_set_size": lambda v: {"test_set_size": v},
+    "seed": lambda v: {"seed": v},
+}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", ["abc", "4", None, True, 2.5, float("inf")])
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_non_integers_rejected(self, field, value):
+        # these once passed truncated (2.5 -> 2, true -> 1) or crashed
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(dict(MINIMAL, **INTEGER_FIELDS[field](value)))
+        assert err.value.code == "BAD_FIELD"
+        assert repr(field) in str(err.value)
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_integral_floats_accepted(self, field):
+        spec = parse_config_dict(dict(MINIMAL, **INTEGER_FIELDS[field](4.0)))
+        fields = {**spec.domain, **spec.T, **spec.estimator, **vars(spec)}
+        assert fields[field] == 4 and type(fields[field]) is int
+
+    def test_tol_must_be_a_number(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(dict(MINIMAL, tol="abc"))
+        assert err.value.code == "BAD_FIELD"
+        assert parse_config_dict(dict(MINIMAL, tol=None)).tol == 1e-10
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # only the truncated-Gaussian kernel needs scipy.special
+    code = "import sys, competefem.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert out.stdout.strip() == "False"
+
+
 class TestCli:
     def test_solve_writes_reports(self, tmp_path):
         cfg = write_config(tmp_path, MANUFACTURED_CLI)
@@ -302,8 +352,10 @@ class TestCli:
         ({"domain": {"kind": "interval", "a": 0.0, "b": 1.0, "elements": 1}, "levels": 1},
          [], "MESH"),
         ({"domain": {"kind": "unit_square"}, "levels": 1, "initial_guess": None}, [], "MESH"),
+        ({"estimator": {"starts": "abc"}}, [], "BAD_FIELD"),
     ], ids=["negative-seed", "negative-seed-override", "convolution-on-square",
-            "kernel-wider-than-domain", "interval-without-interior", "square-without-interior"])
+            "kernel-wider-than-domain", "interval-without-interior", "square-without-interior",
+            "non-integer-starts"])
     def test_inputs_that_cannot_run_exit_1(self, tmp_path, capsys, patch, argv, code):
         # each once ended in a traceback from deep inside the solve
         cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, **patch))

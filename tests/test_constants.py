@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+import competefem.constants
 from competefem.constants import (
     ConstantLookupError,
     EmbeddingConstants,
@@ -158,7 +160,42 @@ class TestPinnedEstimates:
         assert res.converged is True
 
 
+def _square_hierarchy():
+    return build_hierarchy(unit_square_mesh(), 3)  # level 1 has no free dofs
+
+
 class TestBuildConstants:
+    @pytest.mark.parametrize("make, exponents", [
+        (lambda: build_hierarchy(interval_mesh(0.0, 1.0, 4), 5), [1.0, 1.2, 1.5, 2.0, 6.0]),
+        (_square_hierarchy, [1.0, 1.5, 2.0, 6.0]),
+    ], ids=["interval", "square"])
+    def test_block_ascent_equals_one_exponent_at_a_time(self, make, exponents):
+        # all exponents share one ascent per level; each must still get the
+        # bits of its own ascent, estimator flags and step counts included
+        h = make()
+        kw = dict(starts=4, iters=150, seed=5)
+        ec = build_constants(h, 3.0, 6.0, exponents, safety=1.25, **kw)
+        assert sorted(ec.entries) == sorted(set(exponents) | {3.0})
+        for r, entry in ec.entries.items():
+            est = estimate_embedding_constant(h, r, 3.0, safety=1.25, **kw)
+            assert (entry.raw, entry.value, entry.converged, entry.iters) == \
+                (est.raw, est.value, est.converged, est.iters)
+        lam = estimate_lambda1p(h, 3.0, **kw)
+        assert ec.lambda_profile == lam.per_level
+        assert (ec.lambda1p, ec.lambda1p_converged) == (lam.value, lam.converged)
+
+    def test_one_factorisation_per_level(self, monkeypatch):
+        calls = []
+
+        def counting_splu(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(competefem.constants, "splu", counting_splu)
+        h = _square_hierarchy()
+        build_constants(h, 3.0, 6.0, [1.0, 2.0, 6.0], iters=20, starts=2)
+        assert calls == [(h.level(n).n_free,) * 2 for n in (2, 3)]
+
     def test_entries_and_lookup(self, unit_hierarchy):
         ec = build_constants(unit_hierarchy, 3.0, 6.0, [1.0, 2.0, 6.0],
                              iters=100, starts=3)
