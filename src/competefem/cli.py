@@ -18,7 +18,7 @@ import numpy as np
 from .config import (ConfigError, ProblemSpec, build_instance, canonical_json, parse_config,
                      parse_config_dict)
 from .discretization import MeshError, _value_integral
-from .intrinsic import CertificateError, KernelError
+from .intrinsic import CertificateError
 from .solver import HypothesisRefusal, constants_and_hypotheses, run_hierarchy
 
 
@@ -183,9 +183,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"configuration error [NOT_FOUND]: {exc}", file=sys.stderr)
-        return 1
 
     try:
         if args.command == "solve":
@@ -195,7 +192,7 @@ def main(argv=None) -> int:
         if args.command == "constants":
             return cmd_constants(spec, args.out_dir)
         return cmd_study(spec, args.out_dir)
-    except (ConfigError, CertificateError, KernelError, MeshError) as exc:
+    except (ConfigError, CertificateError, MeshError) as exc:
         # input the config cannot judge alone, found while building or solving
         print(f"configuration error [{exc.code}]: {exc}", file=sys.stderr)
         return 1

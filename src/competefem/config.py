@@ -2,28 +2,33 @@
 
 A :class:`ProblemSpec` is a plain, canonical description of one problem
 instance.  Parsing fills every default, so ``parse_config_dict(spec.to_json_dict())``
-round-trips exactly; all range checks happen here with distinct error codes
-and messages that quote the violated range.
+round-trips exactly; range checks carry distinct error codes and messages
+that quote the violated range.
+
+Every raw value is read by one typed ``_as_*`` reader, and every nested
+object refuses keys that its kind does not take.  Each runtime object has one
+builder: :func:`build_domain`, :func:`build_convection` and
+:func:`build_operator` turn a canonical section into a ``DomainMesh``, a
+``ConvectionTerm`` or an ``IntrinsicOperator``.  Parsing validates a
+section by building it, and :func:`build_instance` calls the same builders.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .constants import critical_surrogate
-from .discretization import DomainMesh, MeshError, build_hierarchy, interval_mesh
-from .intrinsic import IntrinsicOperator, Kernel, KernelError, LiftFunction, certificate_rule
-from .operators import (
-    CONVECTION_KINDS,
-    SIGMA_KINDS,
-    ConvectionTerm,
-    GrowthEnvelope,
-    SigmaWeight,
-    convection_from_catalog,
-)
+from .discretization import (DomainMesh, MeshError, build_hierarchy, interval_mesh,
+                             unit_square_mesh)
+from .intrinsic import (KERNEL_PARAMS, LIFT_PARAMS, IntrinsicOperator, Kernel, KernelError,
+                        LiftFunction, boundary_lift_operator, certificate_rule,
+                        convolution_operator, identity_operator)
+from .operators import (CONVECTION_PARAMS, SIGMA_PARAMS, ConvectionTerm, SigmaWeight,
+                        convection_from_catalog)
 from .solver import ProblemInstance
 
 
@@ -33,9 +38,6 @@ class ConfigError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-_POLICIES = ("refuse", "warn")
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,7 @@ class ProblemSpec:
     test_set_size: int
 
     def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        return out
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
@@ -72,18 +73,32 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# typed readers of raw values
+# ---------------------------------------------------------------------------
+
+
 def _require(cond: bool, code: str, message: str) -> None:
     if not cond:
         raise ConfigError(code, message)
 
 
-def _as_float(obj, key, default=None, code="BAD_FIELD"):
+def _as_float(obj, key, default=None) -> float:
+    """A finite JSON number; booleans, numeric strings, NaN and Infinity are refused."""
     val = obj.get(key, default)
-    _require(val is not None, code, f"missing required field {key!r}")
-    try:
-        return float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(code, f"field {key!r} must be a number, got {val!r}") from None
+    _require(val is not None, "BAD_FIELD", f"missing required field {key!r}")
+    _require(isinstance(val, (int, float)) and not isinstance(val, bool)
+             and abs(val) <= sys.float_info.max,
+             "BAD_FIELD", f"field {key!r} must be a finite number, got {val!r}")
+    return float(val)
+
+
+def _as_floats(obj, key) -> list:
+    """A nonempty array of finite numbers."""
+    vals = obj.get(key)
+    _require(isinstance(vals, list) and len(vals) > 0, "BAD_FIELD",
+             f"field {key!r} must be a nonempty array of numbers, got {vals!r}")
+    return [_as_float({key: v}, key) for v in vals]
 
 
 def _as_int(obj, key, default):
@@ -95,145 +110,142 @@ def _as_int(obj, key, default):
     return val
 
 
-def _domain_config(obj) -> dict:
-    _require(isinstance(obj, dict), "DOMAIN_INVALID", "domain must be an object")
-    kind = obj.get("kind", "interval")
+def _as_bool(obj, key) -> bool:
+    val = obj.get(key)
+    _require(isinstance(val, bool), "BAD_FIELD", f"field {key!r} must be true or false, got {val!r}")
+    return val
+
+
+def _as_object(obj, key, default=None, code="BAD_FIELD") -> dict:
+    val = obj.get(key, default)
+    _require(isinstance(val, dict), code, f"field {key!r} must be an object, got {val!r}")
+    return val
+
+
+def _as_choice(obj, key, choices, default=None, name=None, code="UNKNOWN_CATALOG"):
+    """One of ``choices`` (a JSON string or null)."""
+    val = obj.get(key, default)
+    _require((val is None or isinstance(val, str)) and val in choices, code,
+             f"unknown {name or key} {val!r}; choose {', '.join(map(json.dumps, choices))}")
+    return val
+
+
+def _check_keys(section: dict, allowed, where: str) -> None:
+    unknown = set(section) - set(allowed)
+    _require(not unknown, "BAD_FIELD", f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _entry(obj, key, catalog, default_kind, kind_key="kind", extra=(), code="BAD_FIELD"):
+    """The object at ``key`` and its kind, drawn from ``catalog`` (kind -> parameter names).
+
+    Keys other than the kind, its parameters and ``extra`` are refused.
+    """
+    section = _as_object(obj, key, {}, code)
+    kind = _as_choice(section, kind_key, catalog, default_kind, f"{key} {kind_key}")
+    _check_keys(section, (kind_key, *catalog[kind], *extra), key)
+    return kind, section
+
+
+# the f parameters that are not numbers
+_NON_NUMBERS = {
+    "signed": _as_bool,
+    "sigma_kind": lambda obj, key: _as_choice(obj, key, SIGMA_PARAMS),
+    "sigma_params": _as_object,
+}
+
+
+def _params(section: dict, names) -> dict:
+    """The parameters among ``names`` that ``section`` sets, each by its reader."""
+    return {k: _NON_NUMBERS.get(k, _as_float)(section, k) for k in names if k in section}
+
+
+def _without(obj: dict, *keys) -> dict:
+    return {k: v for k, v in obj.items() if k not in keys}
+
+
+# ---------------------------------------------------------------------------
+# sections
+# ---------------------------------------------------------------------------
+
+_DOMAIN_PARAMS = {"interval": ("a", "b", "elements"), "unit_square": (), "mesh": ("mesh",)}
+_T_PARAMS = {"identity": (), "boundary_lift": ("u0",), "convolution": ("kernel", "refine_factor")}
+_ENVELOPE_NUMBERS = ("a1", "a2", "alpha", "beta", "r")
+
+
+def _domain_config(obj) -> tuple[dict, int]:
+    """The canonical domain and its dimension."""
+    kind, section = _entry(obj, "domain", _DOMAIN_PARAMS, "interval", code="DOMAIN_INVALID")
+    domain = {"kind": kind}
     if kind == "interval":
-        a = _as_float(obj, "a", 0.0)
-        b = _as_float(obj, "b", 1.0)
-        elements = _as_int(obj, "elements", 4)
-        _require(b > a, "DOMAIN_INVALID", f"interval needs a < b, got ({a}, {b})")
-        _require(elements >= 1, "DOMAIN_INVALID", "interval needs at least one element")
-        return {"kind": "interval", "a": a, "b": b, "elements": elements}
-    if kind == "unit_square":
-        return {"kind": "unit_square"}
+        domain.update(a=_as_float(section, "a", 0.0), b=_as_float(section, "b", 1.0),
+                      elements=_as_int(section, "elements", 4))
     if kind == "mesh":
-        _require("mesh" in obj, "DOMAIN_INVALID", "domain kind 'mesh' needs a 'mesh' object")
-        try:
-            DomainMesh.from_json_dict(obj["mesh"])
-        except MeshError as exc:
-            raise ConfigError("DOMAIN_INVALID", str(exc)) from None
-        return {"kind": "mesh", "mesh": obj["mesh"]}
-    raise ConfigError(
-        "UNKNOWN_CATALOG", f"unknown domain kind {kind!r}; choose interval, unit_square or mesh"
-    )
-
-
-def _sigma_config(obj) -> dict:
-    kind = obj.get("kind", "zero")
-    _require(
-        kind in SIGMA_KINDS,
-        "UNKNOWN_CATALOG",
-        f"unknown sigma weight kind {kind!r}; catalog: {', '.join(SIGMA_KINDS)}",
-    )
-    params = {k: v for k, v in obj.items() if k != "kind"}
-    if kind == "constant":
-        params["c"] = abs(_as_float(obj, "c", 1.0))
-    if kind == "nodal":
-        _require(
-            "x" in params and "values" in params,
-            "BAD_FIELD",
-            "nodal sigma needs 'x' and 'values' arrays",
-        )
-        params["x"] = [float(v) for v in params["x"]]
-        params["values"] = [float(v) for v in params["values"]]
-    return {"kind": kind, **params}
-
-
-def _f_config(obj, p: float, p_crit: float) -> dict:
-    _require(isinstance(obj, dict), "BAD_FIELD", "f must be an object")
-    kind = obj.get("kind")
-    _require(
-        kind in CONVECTION_KINDS,
-        "UNKNOWN_CATALOG",
-        f"unknown convection kind {kind!r}; catalog: {', '.join(CONVECTION_KINDS)}",
-    )
-    params = {k: v for k, v in obj.items() if k not in ("kind", "envelope")}
-    for key in ("a1", "a2", "alpha", "beta", "c", "r"):
-        if key in params:
-            params[key] = float(params[key])
-    term = convection_from_catalog(kind, params)
-    env = term.envelope
-    env_obj = obj.get("envelope", {})
-    _require(isinstance(env_obj, dict), "BAD_FIELD", "envelope must be an object")
-    sigma_cfg = _sigma_config(env_obj.get("sigma", {"kind": env.sigma.kind, **env.sigma.params}))
-    envelope = {
-        "a1": _as_float(env_obj, "a1", env.a1),
-        "a2": _as_float(env_obj, "a2", env.a2),
-        "alpha": _as_float(env_obj, "alpha", env.alpha),
-        "beta": _as_float(env_obj, "beta", env.beta),
-        "r": _as_float(env_obj, "r", env.r),
-        "sigma": sigma_cfg,
-    }
-    ge = GrowthEnvelope(
-        a1=envelope["a1"], a2=envelope["a2"], alpha=envelope["alpha"],
-        beta=envelope["beta"], r=envelope["r"],
-        sigma=SigmaWeight(sigma_cfg["kind"], {k: v for k, v in sigma_cfg.items() if k != "kind"}),
-    )
+        domain["mesh"] = _as_object(section, "mesh", code="DOMAIN_INVALID")
     try:
-        ge.validate(p, p_crit)
+        return domain, build_domain(domain).dim
+    except MeshError as exc:
+        raise ConfigError("DOMAIN_INVALID", str(exc)) from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("DOMAIN_INVALID", f"unreadable inline mesh: {exc!r}") from None
+
+
+def _sigma_config(envelope: dict) -> dict:
+    kind, section = _entry(envelope, "sigma", SIGMA_PARAMS, "zero")
+    sigma = {"kind": kind}
+    if kind == "constant":
+        sigma["c"] = abs(_as_float(section, "c", 1.0))
+    if kind == "nodal":
+        sigma["x"], sigma["values"] = _as_floats(section, "x"), _as_floats(section, "values")
+        _require(len(sigma["x"]) == len(sigma["values"]), "BAD_FIELD",
+                 "nodal sigma needs arrays 'x' and 'values' of one length")
+    return sigma
+
+
+def _f_config(obj, p: float, p_crit: float) -> tuple[dict, ConvectionTerm]:
+    """The canonical f section and the term it builds."""
+    kind, section = _entry(obj, "f", CONVECTION_PARAMS, "zero", extra=("envelope",))
+    params = _params(section, CONVECTION_PARAMS[kind])
+    env_obj = _as_object(section, "envelope", {})
+    _check_keys(env_obj, (*_ENVELOPE_NUMBERS, "sigma"), "envelope")
+    term = build_convection({"kind": kind, **params,
+                             "envelope": _params(env_obj, _ENVELOPE_NUMBERS)})
+    env = term.envelope
+    # the catalog's weight, which is also sigma_only's own, is read even when overridden
+    own = _sigma_config({"sigma": {"kind": env.sigma.kind, **env.sigma.params}})
+    envelope = {k: getattr(env, k) for k in _ENVELOPE_NUMBERS}
+    envelope["sigma"] = _sigma_config(env_obj) if "sigma" in env_obj else own
+    try:
+        env.validate(p, p_crit)
     except ValueError as exc:
         raise ConfigError("H1_RANGE", str(exc)) from None
-    return {"kind": kind, **params, "envelope": envelope}
+    return {"kind": kind, **params, "envelope": envelope}, term
 
 
 def _t_config(obj, p: float, envelope: dict) -> dict:
-    _require(isinstance(obj, dict), "BAD_FIELD", "T must be an object")
-    kind = obj.get("kind", "identity")
-    _require(
-        kind in ("identity", "boundary_lift", "convolution"),
-        "UNKNOWN_CATALOG",
-        f"unknown intrinsic operator kind {kind!r}; choose identity, boundary_lift or convolution",
-    )
+    kind, section = _entry(obj, "T", _T_PARAMS, "identity")
     violated = certificate_rule(kind, p, envelope["alpha"], envelope["beta"])
     _require(violated is None, "UNSUPPORTED_CERTIFICATE", violated)
-    if kind == "identity":
-        return {"kind": "identity"}
+    T = {"kind": kind}
     if kind == "boundary_lift":
-        u0 = obj.get("u0", {"kind": "zero"})
-        u0_kind = u0.get("kind", "zero")
-        _require(
-            u0_kind in ("zero", "affine"),
-            "UNKNOWN_CATALOG",
-            f"unknown lift kind {u0_kind!r}; choose zero or affine",
-        )
-        u0_out = {"kind": u0_kind}
-        for key in ("a", "b", "ax", "ay"):
-            if key in u0:
-                u0_out[key] = float(u0[key])
-        return {"kind": "boundary_lift", "u0": u0_out}
-    kernel = obj.get("kernel")
-    _require(isinstance(kernel, dict), "BAD_FIELD", "convolution operator needs a kernel")
+        u0_kind, u0 = _entry(section, "u0", LIFT_PARAMS, "zero")
+        T["u0"] = {"kind": u0_kind, **_params(u0, LIFT_PARAMS[u0_kind])}
+    if kind == "convolution":
+        _require("kernel" in section, "BAD_FIELD", "convolution operator needs a kernel")
+        shape, kernel = _entry(section, "kernel", KERNEL_PARAMS, None, kind_key="shape")
+        T["kernel"] = {"shape": shape, **_params(kernel, KERNEL_PARAMS[shape])}
+        T["refine_factor"] = _as_int(section, "refine_factor", 4)
+        _require(T["refine_factor"] >= 1, "BAD_FIELD", "refine_factor must be >= 1")
     try:
-        Kernel(shape=kernel.get("shape"), params={k: float(v) for k, v in kernel.items() if k != "shape"})
-    except KeyError as exc:
-        raise ConfigError("UNKNOWN_CATALOG", str(exc.args[0])) from None
+        build_operator(T)
     except KernelError as exc:
         raise ConfigError("BAD_FIELD", str(exc)) from None
-    out = {
-        "kind": "convolution",
-        "kernel": {"shape": kernel["shape"],
-                   **{k: float(v) for k, v in kernel.items() if k != "shape"}},
-        "refine_factor": _as_int(obj, "refine_factor", 4),
-        "window_factor": float(obj.get("window_factor", 1.0)),
-    }
-    _require(out["refine_factor"] >= 1, "BAD_FIELD", "refine_factor must be >= 1")
-    _require(out["window_factor"] > 0, "BAD_FIELD", "window_factor must be positive")
-    return out
-
-
-_TOP_LEVEL_KEYS = {
-    "domain", "p", "q", "levels", "quad_order", "f", "T", "policy", "tol",
-    "eps_reg", "seed", "p_crit", "safety", "sphere_samples", "estimator",
-    "initial_guess", "test_set_size",
-}
+    return T
 
 
 def parse_config_dict(obj: dict) -> ProblemSpec:
     """Validate a raw configuration object and fill every default."""
     _require(isinstance(obj, dict), "MALFORMED_JSON", "configuration must be a JSON object")
-    unknown = set(obj) - _TOP_LEVEL_KEYS
-    _require(not unknown, "BAD_FIELD", f"unknown configuration keys: {sorted(unknown)}")
+    _check_keys(obj, [f.name for f in dataclasses.fields(ProblemSpec)], "configuration")
 
     p = _as_float(obj, "p", 3.0)
     q = _as_float(obj, "q", 2.0)
@@ -242,14 +254,11 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
         "EXPONENT_ORDER",
         f"exponents must satisfy 1 < q < p, got q={q}, p={p}",
     )
-    domain = _domain_config(obj.get("domain", {"kind": "interval"}))
-    n_dim = 2 if domain["kind"] in ("unit_square",) or (
-        domain["kind"] == "mesh" and domain["mesh"].get("dim") == 2
-    ) else 1
+    domain, n_dim = _domain_config(obj)
 
-    p_crit_override = obj.get("p_crit")
+    p_crit_override = None if obj.get("p_crit") is None else _as_float(obj, "p_crit")
     try:
-        p_crit = critical_surrogate(p, n_dim, None if p_crit_override is None else float(p_crit_override))
+        p_crit = critical_surrogate(p, n_dim, p_crit_override)
     except ValueError as exc:
         raise ConfigError("BAD_FIELD", str(exc)) from None
 
@@ -258,13 +267,12 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
     quad_order = _as_int(obj, "quad_order", 4)
     _require(quad_order >= 1, "BAD_FIELD", f"quad_order must be >= 1, got {quad_order}")
 
-    f_cfg = _f_config(obj.get("f", {"kind": "zero"}), p, p_crit)
-    t_cfg = _t_config(obj.get("T", {"kind": "identity"}), p, f_cfg["envelope"])
+    f_cfg, term = _f_config(obj, p, p_crit)
+    t_cfg = _t_config(obj, p, f_cfg["envelope"])
     _require(t_cfg["kind"] != "convolution" or n_dim == 1, "UNSUPPORTED_DOMAIN",
              "convolution operators are implemented for 1D domains")
 
-    policy = obj.get("policy", "refuse")
-    _require(policy in _POLICIES, "BAD_FIELD", f"policy must be one of {_POLICIES}, got {policy!r}")
+    policy = _as_choice(obj, "policy", ("refuse", "warn"), "refuse", code="BAD_FIELD")
 
     tol_default = 1e-10 if n_dim == 1 else 1e-8
     tol = _as_float(obj, "tol") if obj.get("tol") is not None else tol_default
@@ -284,8 +292,8 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
     sphere_samples = _as_int(obj, "sphere_samples", 1000)
     _require(sphere_samples >= 0, "BAD_FIELD", "sphere_samples must be >= 0")
 
-    est = obj.get("estimator", {})
-    _require(isinstance(est, dict), "BAD_FIELD", "estimator must be an object")
+    est = _as_object(obj, "estimator", {})
+    _check_keys(est, ("starts", "iters"), "estimator")
     estimator = {
         "starts": _as_int(est, "starts", 8),
         "iters": _as_int(est, "iters", 300),
@@ -293,22 +301,13 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
     _require(estimator["starts"] >= 1, "BAD_FIELD", "estimator starts must be >= 1")
     _require(estimator["iters"] >= 1, "BAD_FIELD", "estimator iters must be >= 1")
 
-    initial_guess = obj.get("initial_guess")
+    initial_guess = _as_choice(obj, "initial_guess", (None, "exact"))
     _require(
-        initial_guess in (None, "exact", "zero"),
-        "UNKNOWN_CATALOG",
-        f"initial_guess must be null, 'exact' or 'zero', got {initial_guess!r}",
+        initial_guess is None or term.guess_profile is not None,
+        "BAD_FIELD",
+        f"initial_guess 'exact' needs a right-hand side with a reference profile, "
+        f"got {f_cfg['kind']!r}",
     )
-    if initial_guess == "exact":
-        term = convection_from_catalog(
-            f_cfg["kind"], {k: v for k, v in f_cfg.items() if k not in ("kind", "envelope")}
-        )
-        _require(
-            term.guess_profile is not None,
-            "BAD_FIELD",
-            f"initial_guess 'exact' needs a right-hand side with a reference profile, "
-            f"got {f_cfg['kind']!r}",
-        )
 
     test_set_size = _as_int(obj, "test_set_size", 8)
     _require(test_set_size >= 1, "BAD_FIELD", "test_set_size must be >= 1")
@@ -326,7 +325,12 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
 
 def parse_config(path) -> ProblemSpec:
     """Load and validate a configuration file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError("NOT_FOUND", str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("MALFORMED_JSON", f"configuration is not UTF-8 text: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -334,76 +338,47 @@ def parse_config(path) -> ProblemSpec:
     return parse_config_dict(obj)
 
 
-def emit_config(spec: ProblemSpec) -> str:
-    return spec.to_json()
-
-
 # ---------------------------------------------------------------------------
-# runtime assembly
+# runtime assembly: the one builder of each object
 # ---------------------------------------------------------------------------
 
 
-def build_domain(spec: ProblemSpec) -> DomainMesh:
-    dom = spec.domain
-    if dom["kind"] == "interval":
-        return interval_mesh(dom["a"], dom["b"], dom["elements"])
-    if dom["kind"] == "unit_square":
-        from .discretization import unit_square_mesh
-
+def build_domain(domain: dict) -> DomainMesh:
+    if domain["kind"] == "interval":
+        return interval_mesh(domain["a"], domain["b"], domain["elements"])
+    if domain["kind"] == "unit_square":
         return unit_square_mesh()
-    return DomainMesh.from_json_dict(dom["mesh"])
+    return DomainMesh.from_json_dict(domain["mesh"])
 
 
-def build_convection(spec: ProblemSpec) -> ConvectionTerm:
-    f_cfg = spec.f
-    params = {k: v for k, v in f_cfg.items() if k not in ("kind", "envelope")}
-    term = convection_from_catalog(f_cfg["kind"], params)
-    env_cfg = f_cfg["envelope"]
-    sigma = SigmaWeight(
-        env_cfg["sigma"]["kind"],
-        {k: v for k, v in env_cfg["sigma"].items() if k != "kind"},
-    )
-    envelope = GrowthEnvelope(
-        a1=env_cfg["a1"], a2=env_cfg["a2"], alpha=env_cfg["alpha"],
-        beta=env_cfg["beta"], r=env_cfg["r"], sigma=sigma,
-    )
-    return dataclasses.replace(term, envelope=envelope)
+def build_convection(f: dict) -> ConvectionTerm:
+    """The catalog term of ``f``, its envelope fields overridden by those ``f["envelope"]`` sets."""
+    term = convection_from_catalog(f["kind"], _without(f, "kind", "envelope"))
+    env = dict(f.get("envelope", {}))
+    if "sigma" in env:
+        env["sigma"] = SigmaWeight(env["sigma"]["kind"], _without(env["sigma"], "kind"))
+    return dataclasses.replace(term, envelope=dataclasses.replace(term.envelope, **env))
 
 
-def build_operator(spec: ProblemSpec) -> IntrinsicOperator:
-    t_cfg = spec.T
-    if t_cfg["kind"] == "identity":
-        return IntrinsicOperator(kind="identity")
-    if t_cfg["kind"] == "boundary_lift":
-        u0 = t_cfg["u0"]
-        lift = LiftFunction(u0["kind"], {k: v for k, v in u0.items() if k != "kind"})
-        return IntrinsicOperator(kind="boundary_lift", lift=lift)
-    kernel_cfg = t_cfg["kernel"]
-    kernel = Kernel(
-        shape=kernel_cfg["shape"],
-        params={k: v for k, v in kernel_cfg.items() if k != "shape"},
-    )
-    return IntrinsicOperator(
-        kind="convolution", kernel=kernel,
-        refine_factor=t_cfg["refine_factor"], window_factor=t_cfg["window_factor"],
-    )
+def build_operator(T: dict) -> IntrinsicOperator:
+    if T["kind"] == "identity":
+        return identity_operator()
+    if T["kind"] == "boundary_lift":
+        return boundary_lift_operator(LiftFunction(T["u0"]["kind"], _without(T["u0"], "kind")))
+    kernel = Kernel(T["kernel"]["shape"], _without(T["kernel"], "shape"))
+    return convolution_operator(kernel, T["refine_factor"])
 
 
 def build_instance(spec: ProblemSpec) -> ProblemInstance:
     """Resolve a validated spec into meshes, catalog objects, and solver knobs."""
-    domain = build_domain(spec)
-    hierarchy = build_hierarchy(domain, spec.levels, spec.quad_order)
-    term = build_convection(spec)
-    operator = build_operator(spec)
-
-    guess = term.guess_profile if spec.initial_guess == "exact" else None
-
+    hierarchy = build_hierarchy(build_domain(spec.domain), spec.levels, spec.quad_order)
+    term = build_convection(spec.f)
     return ProblemInstance(
         hierarchy=hierarchy,
         p=spec.p,
         q=spec.q,
         convection=term,
-        operator=operator,
+        operator=build_operator(spec.T),
         p_crit=spec.p_crit,
         tol=spec.tol,
         eps_reg=spec.eps_reg,
@@ -413,5 +388,5 @@ def build_instance(spec: ProblemSpec) -> ProblemInstance:
         sphere_samples=spec.sphere_samples,
         estimator_starts=spec.estimator["starts"],
         estimator_iters=spec.estimator["iters"],
-        initial_guess=guess,
+        initial_guess=term.guess_profile if spec.initial_guess == "exact" else None,
     )

@@ -56,7 +56,7 @@ class CertificateError(ValueError):
 
 
 class KernelError(ValueError):
-    """Kernel is unusable on the configured evaluation window."""
+    """Kernel parameters outside their range."""
 
     code = "KERNEL"
 
@@ -64,6 +64,14 @@ class KernelError(ValueError):
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
+
+
+# kernel shape -> the names of its parameters
+KERNEL_PARAMS = {
+    "box": ("width", "scale"),
+    "hat": ("width", "scale"),
+    "truncated_gaussian": ("sigma", "radius", "scale"),
+}
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,9 @@ class Kernel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.shape not in ("box", "hat", "truncated_gaussian"):
+        if self.shape not in KERNEL_PARAMS:
             raise KeyError(
-                f"unknown kernel shape {self.shape!r}; choose box, hat or truncated_gaussian"
+                f"unknown kernel shape {self.shape!r}; choose {', '.join(KERNEL_PARAMS)}"
             )
         if self.shape in ("box", "hat") and not float(self.params.get("width", 0)) > 0:
             raise KernelError(f"{self.shape} kernel needs a positive width")
@@ -148,6 +156,10 @@ class Kernel:
 # ---------------------------------------------------------------------------
 
 
+# lift kind -> the names of its parameters
+LIFT_PARAMS = {"zero": (), "affine": ("a", "b", "ax", "ay")}
+
+
 @dataclass(frozen=True)
 class LiftFunction:
     """Closed-form ambient function u0 with nonzero trace allowed."""
@@ -169,7 +181,7 @@ class LiftFunction:
                 )
             first = x[..., 0] if x.ndim > 1 and x.shape[-1] == 1 else x
             return float(self.params.get("a", 0.0)) * first + float(self.params.get("b", 0.0))
-        raise KeyError(f"unknown lift kind {self.kind!r}; choose zero or affine")
+        raise KeyError(f"unknown lift kind {self.kind!r}; choose {', '.join(LIFT_PARAMS)}")
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -190,7 +202,6 @@ class IntrinsicOperator:
     kernel: Kernel | None = None
     lift: LiftFunction | None = None
     refine_factor: int = 4
-    window_factor: float = 1.0
     # level -> (V, G) at its quadrature points; an entry dies with its level
     _conv_cache: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False
@@ -224,10 +235,8 @@ def boundary_lift_operator(lift: LiftFunction) -> IntrinsicOperator:
     return IntrinsicOperator(kind="boundary_lift", lift=lift)
 
 
-def convolution_operator(kernel: Kernel, refine_factor: int = 4,
-                         window_factor: float = 1.0) -> IntrinsicOperator:
-    return IntrinsicOperator(kind="convolution", kernel=kernel,
-                             refine_factor=refine_factor, window_factor=window_factor)
+def convolution_operator(kernel: Kernel, refine_factor: int = 4) -> IntrinsicOperator:
+    return IntrinsicOperator(kind="convolution", kernel=kernel, refine_factor=refine_factor)
 
 
 # -- boundary lift -------------------------------------------------------------
@@ -264,12 +273,6 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray) -> t
         raise NotImplementedError("convolution operators are implemented for 1D domains")
     kernel = T.kernel
     a, b = float(level.mesh.nodes[0]), float(level.mesh.nodes[-1])
-    if kernel.support_radius > T.window_factor * (b - a):
-        raise KernelError(
-            f"kernel support radius {kernel.support_radius:g} exceeds the configured "
-            f"evaluation window {T.window_factor:g} x |domain| = "
-            f"{T.window_factor * (b - a):g}"
-        )
     h_min = float(np.min(level.elem_measure))
     target = min(h_min, 2.0 * kernel.support_radius) / max(1, T.refine_factor)
     # align cells with the mesh spacing where possible so that gradients of

@@ -85,7 +85,14 @@ class SigmaWeight:
         return float(_value_integral(lvl.qp_weights, vals.reshape(-1, 1), rp)[0] ** (1.0 / rp))
 
 
-SIGMA_KINDS = ("zero", "constant", "manufactured_abs", "manufactured_plus", "nodal")
+# sigma kind -> the names of its parameters
+SIGMA_PARAMS = {
+    "zero": (),
+    "constant": ("c",),
+    "manufactured_abs": (),
+    "manufactured_plus": (),
+    "nodal": ("x", "values"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +345,19 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             solution_dependent=bool(a1 or a2),
         )
 
-    raise KeyError(
-        f"unknown convection kind {kind!r}; catalog: zero, constant, sigma_only, "
-        "signed_power, gradient_power, manufactured_p3q2, manufactured_plus_power"
-    )
+    raise KeyError(f"unknown convection kind {kind!r}; catalog: {', '.join(CONVECTION_PARAMS)}")
 
 
-CONVECTION_KINDS = (
-    "zero",
-    "constant",
-    "sigma_only",
-    "signed_power",
-    "gradient_power",
-    "manufactured_p3q2",
-    "manufactured_plus_power",
-)
+# convection kind -> the names of its parameters
+CONVECTION_PARAMS = {
+    "zero": (),
+    "constant": ("c",),
+    "sigma_only": ("sigma_kind", "sigma_params", "r"),
+    "signed_power": ("a1", "alpha"),
+    "gradient_power": ("a2", "beta", "signed"),
+    "manufactured_p3q2": (),
+    "manufactured_plus_power": ("a1", "alpha", "a2", "beta"),
+}
 
 
 # ---------------------------------------------------------------------------

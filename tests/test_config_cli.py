@@ -13,7 +13,6 @@ from competefem.solver import _levenberg_step
 from competefem.config import (
     ConfigError,
     build_instance,
-    emit_config,
     parse_config,
     parse_config_dict,
 )
@@ -124,9 +123,9 @@ class TestParseConfig:
             "initial_guess": "exact",
         }
         spec = parse_config_dict(obj)
-        again = parse_config_dict(json.loads(emit_config(spec)))
+        again = parse_config_dict(json.loads(spec.to_json()))
         assert again == spec
-        assert emit_config(again) == emit_config(spec)
+        assert again.to_json() == spec.to_json()
 
     def test_mesh_domain(self, tmp_path):
         obj = dict(MINIMAL, domain={
@@ -216,6 +215,150 @@ class TestIntegerFields:
             parse_config_dict(dict(MINIMAL, tol="abc"))
         assert err.value.code == "BAD_FIELD"
         assert parse_config_dict(dict(MINIMAL, tol=None)).tol == 1e-10
+
+
+def _f(**f):
+    return {"f": f}
+
+
+def _envelope(**env):
+    return _f(kind="zero", envelope=env)
+
+
+def _lift(**u0):
+    return {"f": CONVOLUTION_CLI["f"], "T": {"kind": "boundary_lift", "u0": u0}}
+
+
+def _kernel(**kernel):
+    return {"f": CONVOLUTION_CLI["f"], "T": {"kind": "convolution", "kernel": kernel}}
+
+
+NODAL = {"kind": "nodal", "x": [0.0, 1.0], "values": [1.0, 1.0]}
+
+# every float field of a config: its name, and the patch that sets it to a value
+FLOAT_FIELDS = {
+    "p": lambda v: {"p": v},
+    "q": lambda v: {"q": v},
+    "tol": lambda v: {"tol": v},
+    "eps_reg": lambda v: {"eps_reg": v},
+    "safety": lambda v: {"safety": v},
+    "p_crit": lambda v: {"p_crit": v},
+    "domain.a": lambda v: {"domain": dict(MINIMAL["domain"], a=v)},
+    "domain.b": lambda v: {"domain": dict(MINIMAL["domain"], b=v)},
+    "f.a1": lambda v: _f(kind="signed_power", a1=v, alpha=1.0),
+    "f.alpha": lambda v: _f(kind="signed_power", a1=0.1, alpha=v),
+    "f.a2": lambda v: _f(kind="gradient_power", a2=v, beta=1.0),
+    "f.beta": lambda v: _f(kind="gradient_power", a2=0.1, beta=v),
+    "f.c": lambda v: _f(kind="constant", c=v),
+    "f.r": lambda v: _f(kind="sigma_only", r=v),
+    "envelope.a1": lambda v: _envelope(a1=v),
+    "envelope.a2": lambda v: _envelope(a2=v),
+    "envelope.alpha": lambda v: _envelope(alpha=v),
+    "envelope.beta": lambda v: _envelope(beta=v),
+    "envelope.r": lambda v: _envelope(r=v),
+    "sigma.c": lambda v: _envelope(sigma={"kind": "constant", "c": v}),
+    "sigma.x": lambda v: _envelope(sigma=dict(NODAL, x=v)),
+    "sigma.x[1]": lambda v: _envelope(sigma=dict(NODAL, x=[0.0, v])),
+    "sigma.values": lambda v: _envelope(sigma=dict(NODAL, values=v)),
+    "sigma.values[1]": lambda v: _envelope(sigma=dict(NODAL, values=[1.0, v])),
+    "u0.a": lambda v: _lift(kind="affine", a=v),
+    "u0.b": lambda v: _lift(kind="affine", b=v),
+    "u0.ax": lambda v: _lift(kind="affine", ax=v),
+    "u0.ay": lambda v: _lift(kind="affine", ay=v),
+    "kernel.width": lambda v: _kernel(shape="box", width=v),
+    "kernel.scale": lambda v: _kernel(shape="hat", width=0.25, scale=v),
+    "kernel.sigma": lambda v: _kernel(shape="truncated_gaussian", sigma=v, radius=0.2),
+    "kernel.radius": lambda v: _kernel(shape="truncated_gaussian", sigma=0.05, radius=v),
+}
+# fields whose null means their default
+NULL_MEANS_DEFAULT = {"tol", "p_crit"}
+
+BOOL_FIELDS = {"f.signed": lambda v: _f(kind="gradient_power", a2=0.1, beta=1.0, signed=v)}
+
+OBJECT_FIELDS = {
+    "f": lambda v: {"f": v},
+    "T": lambda v: {"T": v},
+    "envelope": lambda v: _f(kind="zero", envelope=v),
+    "sigma": lambda v: _envelope(sigma=v),
+    "sigma_params": lambda v: _f(kind="sigma_only", sigma_params=v),
+    "u0": lambda v: {"f": CONVOLUTION_CLI["f"], "T": {"kind": "boundary_lift", "u0": v}},
+    "kernel": lambda v: {"f": CONVOLUTION_CLI["f"], "T": {"kind": "convolution", "kernel": v}},
+    "estimator": lambda v: {"estimator": v},
+}
+
+NOT_NUMBERS = ["abc", "3", True, [1], float("nan"), float("inf"), None]
+NOT_BOOLS = ["abc", "no", 1, 0.0, [1], float("nan"), float("inf"), None]
+NOT_OBJECTS = ["abc", "3", True, [1], float("nan"), float("inf"), None]
+
+
+def _typed_cases():
+    for table, values in ((FLOAT_FIELDS, NOT_NUMBERS), (BOOL_FIELDS, NOT_BOOLS),
+                          (OBJECT_FIELDS, NOT_OBJECTS)):
+        for field, patch in sorted(table.items()):
+            for value in values:
+                if value is None and field in NULL_MEANS_DEFAULT:
+                    continue
+                yield pytest.param(field, patch, value, id=f"{field}={value!r}")
+
+
+class TestTypedFields:
+    @pytest.mark.parametrize("field,patch,value", list(_typed_cases()))
+    def test_wrong_types_rejected(self, field, patch, value):
+        # each once passed coerced ("3" -> 3.0, "no" -> true, NaN unchecked) or crashed
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(dict(MINIMAL, **patch(value)))
+        assert err.value.code == "BAD_FIELD"
+        name = field.split(".")[-1].split("[")[0]
+        assert repr(name) in str(err.value)
+
+    @pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
+    def test_each_patch_alone_is_valid(self, field):
+        # so that the rejections above come from the patched value alone
+        value = {"p": 3.0, "q": 2.0, "safety": 1.5, "p_crit": 7.0, "domain.a": 0,
+                 "sigma.x": [0, 1], "sigma.values": [1, 2], "f.r": 2.0, "envelope.r": 2.0,
+                 "kernel.radius": 0.2}.get(field, 0.5)
+        parse_config_dict(dict(MINIMAL, **FLOAT_FIELDS[field](value)))
+
+    def test_signed_is_a_boolean(self):
+        spec = parse_config_dict(dict(MINIMAL, **BOOL_FIELDS["f.signed"](False)))
+        assert spec.f["signed"] is False
+
+
+UNKNOWN_KEYS = {
+    "domain": {"domain": dict(MINIMAL["domain"], n=3)},
+    "domain-unit-square": {"domain": {"kind": "unit_square", "elements": 4}},
+    "f": _f(kind="signed_power", a1=0.1, alpah=2.0),
+    "f-zero": _f(kind="zero", a1=0.1),
+    "envelope": _envelope(gamma=1.0),
+    "sigma": _envelope(sigma={"kind": "zero", "c": 1.0}),
+    "sigma_params": _f(kind="sigma_only", sigma_params={"c": 1.0, "d": 2.0}),
+    "T": {"T": {"kind": "identity", "kernel": {"shape": "box", "width": 0.25}}},
+    "T-window": {"f": CONVOLUTION_CLI["f"], "T": dict(CONVOLUTION_CLI["T"], window_factor=1.0)},
+    "kernel": _kernel(shape="box", width=0.25, radius=0.1),
+    "u0": _lift(kind="affine", a=1.0, slope=2.0),
+    "estimator": {"estimator": {"foo": 1}},
+}
+
+
+@pytest.mark.parametrize("where", sorted(UNKNOWN_KEYS))
+def test_unknown_nested_keys_rejected(where):
+    # these were once ignored, or echoed into the report without effect
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(dict(MINIMAL, **UNKNOWN_KEYS[where]))
+    assert err.value.code == "BAD_FIELD"
+    key = {"domain": "n", "domain-unit-square": "elements", "f": "alpah", "f-zero": "a1",
+           "envelope": "gamma", "sigma": "c", "sigma_params": "d", "T": "kernel",
+           "T-window": "window_factor", "kernel": "radius", "u0": "slope",
+           "estimator": "foo"}[where]
+    assert repr(key) in str(err.value)
+
+
+def test_initial_guess_is_null_or_exact():
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(dict(MINIMAL, initial_guess="zero"))
+    assert err.value.code == "UNKNOWN_CATALOG"
+    assert "null" in str(err.value) and '"exact"' in str(err.value)
+    assert parse_config_dict(dict(MINIMAL, initial_guess=None)).initial_guess is None
 
 
 def test_cli_import_leaves_scipy_special_out():
@@ -337,10 +480,17 @@ class TestCli:
                                           initial_guess=None))
         assert main(["study", str(cfg), "--out-dir", str(tmp_path)]) == 1
 
-    def test_config_error_exit_1(self, tmp_path):
+    def test_config_error_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, q=5.0))
         assert main(["solve", str(cfg)]) == 1
-        assert main(["solve", str(tmp_path / "missing.json")]) == 1
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"f": "\xe4"}')
+        # a directory and a non-UTF-8 file once ended in a traceback
+        for path, code in ((tmp_path / "missing.json", "NOT_FOUND"), (tmp_path, "NOT_FOUND"),
+                           (latin1, "MALFORMED_JSON")):
+            capsys.readouterr()
+            assert main(["solve", str(path)]) == 1
+            assert capsys.readouterr().err.startswith(f"configuration error [{code}]: ")
 
     @pytest.mark.parametrize("patch,argv,code", [
         ({"seed": -5}, [], "BAD_FIELD"),
@@ -348,14 +498,17 @@ class TestCli:
         ({"domain": {"kind": "unit_square"}, "f": CONVOLUTION_CLI["f"],
           "T": CONVOLUTION_CLI["T"], "initial_guess": None}, [], "UNSUPPORTED_DOMAIN"),
         ({"f": CONVOLUTION_CLI["f"],
-          "T": {"kind": "convolution", "kernel": {"shape": "box", "width": 3.0}}}, [], "KERNEL"),
+          "T": {"kind": "convolution", "kernel": {"shape": "box", "width": 0.0}}}, [], "BAD_FIELD"),
         ({"domain": {"kind": "interval", "a": 0.0, "b": 1.0, "elements": 1}, "levels": 1},
          [], "MESH"),
         ({"domain": {"kind": "unit_square"}, "levels": 1, "initial_guess": None}, [], "MESH"),
         ({"estimator": {"starts": "abc"}}, [], "BAD_FIELD"),
+        ({"policy": "warn", "f": {"kind": "manufactured_p3q2", "envelope": {"a1": float("nan")}}},
+         [], "BAD_FIELD"),
+        ({"domain": {"kind": "mesh", "mesh": {"dim": 1}}}, [], "DOMAIN_INVALID"),
     ], ids=["negative-seed", "negative-seed-override", "convolution-on-square",
-            "kernel-wider-than-domain", "interval-without-interior", "square-without-interior",
-            "non-integer-starts"])
+            "kernel-without-width", "interval-without-interior", "square-without-interior",
+            "non-integer-starts", "nan-envelope-under-warn", "mesh-without-nodes"])
     def test_inputs_that_cannot_run_exit_1(self, tmp_path, capsys, patch, argv, code):
         # each once ended in a traceback from deep inside the solve
         cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, **patch))

@@ -192,11 +192,15 @@ class TestApply:
         with pytest.raises(NotImplementedError, match="1D"):
             apply(T, h.zero(2))
 
-    def test_kernel_support_window_error(self, unit_hierarchy):
-        T = convolution_operator(Kernel("box", {"width": 6.0}), window_factor=1.0)
-        u = unit_hierarchy.zero(2)
-        with pytest.raises(KernelError, match="evaluation window"):
-            apply(T, u)
+    @pytest.mark.parametrize("width", [2.5, 6.0])
+    def test_kernel_wider_than_domain_averages(self, unit_hierarchy, rng, width):
+        # a box reaching past both ends of (0, 1) sees all of u from every x,
+        # so rho * u is the constant (1/width) * integral of u
+        u = unit_hierarchy.function(3, rng.standard_normal(unit_hierarchy.level(3).n_free))
+        img = apply(convolution_operator(Kernel("box", {"width": width})), u)
+        mean = np.sum(u.coeffs) / 16 / width  # each hat of the 16-element level has mass 1/16
+        np.testing.assert_allclose(img.values, mean, rtol=1e-13, atol=1e-15)
+        assert np.max(np.abs(img.gradients)) <= 1e-14
 
     def test_kernel_catalog_errors(self):
         with pytest.raises(KeyError, match="unknown kernel shape"):

@@ -3,6 +3,9 @@
 Every other module evaluates P1 functions through the level operators
 (``grad_op``, ``qp_op`` and their transposes), ``nodal_samples`` or
 ``point_operators``, and none scatters coefficients onto nodes.
+
+The config module converts raw values only in its ``_as_*`` readers and
+constructs runtime objects only in its three builders.
 """
 
 import ast
@@ -31,3 +34,32 @@ def test_raw_tables_and_einsum_only_in_discretization():
             offenders += [f"{path.name}:{getattr(node, 'lineno', '?')} {n}"
                           for n in names if n in RAW]
     assert offenders == []
+
+
+CONVERSIONS = {"float", "int", "bool"}
+BUILDERS = {"build_domain", "build_convection", "build_operator"}
+BUILT_ONLY = {"Kernel", "GrowthEnvelope", "IntrinsicOperator", "SigmaWeight", "LiftFunction",
+              "convection_from_catalog", "identity_operator", "boundary_lift_operator",
+              "convolution_operator", "interval_mesh", "unit_square_mesh", "from_json_dict"}
+
+
+def _calls(path):
+    """(enclosing top-level definition or None, called name, line) for each call."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                yield owner, name, node.lineno
+
+
+def test_config_converts_in_readers_and_constructs_in_builders():
+    calls = list(_calls(Path(competefem.__file__).parent / "config.py"))
+    offenders = [f"config.py:{line} {name} in {owner}" for owner, name, line in calls
+                 if (name in CONVERSIONS and not (owner or "").startswith("_as_"))
+                 or (name in BUILT_ONLY and owner not in BUILDERS)]
+    assert offenders == []
+    # the guard sees what it guards
+    assert ("build_operator", "Kernel") in {(owner, name) for owner, name, _ in calls}
+    assert ("_as_float", "float") in {(owner, name) for owner, name, _ in calls}
