@@ -221,14 +221,16 @@ def _f_config(obj, p: float, p_crit: float) -> tuple[dict, ConvectionTerm]:
     return {"kind": kind, **params, "envelope": envelope}, term
 
 
-def _t_config(obj, p: float, envelope: dict) -> dict:
+def _t_config(obj, p: float, envelope: dict, n_dim: int) -> dict:
     kind, section = _entry(obj, "T", _T_PARAMS, "identity")
     violated = certificate_rule(kind, p, envelope["alpha"], envelope["beta"])
     _require(violated is None, "UNSUPPORTED_CERTIFICATE", violated)
     T = {"kind": kind}
     if kind == "boundary_lift":
-        u0_kind, u0 = _entry(section, "u0", LIFT_PARAMS, "zero")
-        T["u0"] = {"kind": u0_kind, **_params(u0, LIFT_PARAMS[u0_kind])}
+        # a parameter that u0 does not read in this dimension is refused
+        lift_params = LIFT_PARAMS[n_dim]
+        u0_kind, u0 = _entry(section, "u0", lift_params, "zero")
+        T["u0"] = {"kind": u0_kind, **_params(u0, lift_params[u0_kind])}
     if kind == "convolution":
         _require("kernel" in section, "BAD_FIELD", "convolution operator needs a kernel")
         shape, kernel = _entry(section, "kernel", KERNEL_PARAMS, None, kind_key="shape")
@@ -268,7 +270,7 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
     _require(quad_order >= 1, "BAD_FIELD", f"quad_order must be >= 1, got {quad_order}")
 
     f_cfg, term = _f_config(obj, p, p_crit)
-    t_cfg = _t_config(obj, p, f_cfg["envelope"])
+    t_cfg = _t_config(obj, p, f_cfg["envelope"], n_dim)
     _require(t_cfg["kind"] != "convolution" or n_dim == 1, "UNSUPPORTED_DOMAIN",
              "convolution operators are implemented for 1D domains")
 

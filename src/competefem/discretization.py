@@ -11,6 +11,9 @@ element gradients and to quadrature-point values, and their transposes.
 Every integral and every assembly in the package goes through them and the
 block forms defined next to them: the norms and pairings, the constants'
 Rayleigh quotients, and the residual and Jacobian of the Galerkin equation.
+The Jacobian lives on one fixed pattern per level, the free-node adjacency,
+which :class:`JacobianPattern` builds on first use together with the
+positions where element and quadrature-point terms land in it.
 :func:`point_operators` builds the same two maps at arbitrary points of a 1D
 level, which is how the convolution reads P1 functions.
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -170,6 +174,8 @@ def interval_mesh_from_nodes(nodes: np.ndarray) -> DomainMesh:
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or len(nodes) < 2:
         raise MeshError("interval mesh needs at least two nodes")
+    if not np.all(np.isfinite(nodes)):
+        raise MeshError("interval mesh nodes must be finite")
     if not np.all(np.diff(nodes) > 0):
         raise MeshError("interval mesh nodes must be strictly increasing")
     return DomainMesh(dim=1, nodes=nodes)
@@ -280,6 +286,11 @@ class Level:
     def n_free(self) -> int:
         return len(self.free)
 
+    @cached_property
+    def jacobian_pattern(self) -> "JacobianPattern":
+        """The pattern every Jacobian on this level fills; built by the first one."""
+        return _jacobian_pattern(self)
+
     def full_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal vector over all nodes with zeros on the boundary."""
         full = np.zeros(self.mesh.n_nodes)
@@ -366,6 +377,94 @@ def _value_load(lvl: Level, vals: np.ndarray, r: float) -> np.ndarray:
     """int |u|^{r-2} u phi_i per column and free dof i."""
     integrand = np.sign(vals) * np.abs(vals) ** (r - 1.0)
     return lvl.qp_op_t @ (lvl.qp_weights.reshape(-1, 1) * integrand)
+
+
+# ---------------------------------------------------------------------------
+# the Jacobian pattern of a level and the forms that fill it
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class JacobianPattern:
+    """CSR pattern of the free-node adjacency of a level, diagonal included.
+
+    Columns are sorted in each row.  ``grad_slots`` and ``qp_slots`` give the
+    data position of every term of :func:`_element_form` and
+    :func:`_point_form`, in their layouts (nv, nv, dim, n_el) and
+    (nv, nv, n_el, n_q) flattened; a term that couples a boundary node gets
+    the spare position ``nnz``, which :meth:`scatter` drops.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    grad_slots: np.ndarray
+    qp_slots: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def scatter(self, slots: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Data on the pattern: the sum of the terms at each position, in term order."""
+        return np.bincount(slots, terms.ravel(), minlength=self.nnz + 1)[:-1]
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix with ``data`` on this pattern; it shares the index arrays."""
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+def _jacobian_pattern(lvl: Level) -> JacobianPattern:
+    n = lvl.n_free
+    nodes = lvl.free_of_node[lvl.elem_nodes].T  # (nv, n_el), -1 on the boundary
+    rows, cols = nodes[:, None], nodes[None, :]
+    coupled = (rows >= 0) & (cols >= 0)
+    keys = rows * n + cols
+    entries = np.unique(keys[coupled])  # row-major, so CSR order with sorted columns
+    slots = np.where(coupled, np.searchsorted(entries, keys), entries.size)  # (nv, nv, n_el)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(entries // n, minlength=n))])
+    # scipy's own index type, so that wrapping data later converts nothing
+    proto = sp.csr_matrix((np.zeros(entries.size), entries % n, indptr), shape=(n, n))
+    (nv, n_el), (n_q, dim) = nodes.shape, (lvl.basis_at_qp.shape[0], lvl.mesh.dim)
+    return JacobianPattern(
+        indptr=proto.indptr,
+        indices=proto.indices,
+        grad_slots=np.broadcast_to(slots[:, :, None, :], (nv, nv, dim, n_el)).ravel(),
+        qp_slots=np.broadcast_to(slots[..., None], (nv, nv, n_el, n_q)).ravel(),
+    )
+
+
+def _element_form(lvl: Level, blocks: np.ndarray) -> np.ndarray:
+    """Pattern data of sum_e grad phi_a^T B_e grad phi_b, one (dim, dim) block per element.
+
+    ``blocks`` is shaped (dim, dim, n_el) like the level forms' gradients.
+    Each term is (grad phi_a^T B_e)_d (grad phi_b)_d; a position adds its
+    terms in (d, element) order.  The element axis is innermost throughout,
+    which keeps every product one long vector operation.
+    """
+    pat = lvl.jacobian_pattern
+    grad = lvl.grad_basis.transpose(1, 2, 0)  # (nv, dim, n_el)
+    left = (grad[:, :, None] * blocks).sum(axis=1)
+    return pat.scatter(pat.grad_slots, left[:, None] * grad[None])
+
+
+def _point_form(lvl: Level, value_weights, grad_weights) -> np.ndarray:
+    """Pattern data of sum_{e,q} phi_a (s_eq phi_b + xi_eq . grad phi_b) at the quadrature points.
+
+    ``value_weights`` s, shaped (n_el, n_q), and ``grad_weights`` xi, shaped
+    (n_el, n_q, dim), already carry the quadrature weights; either may be
+    None.  A position adds its terms pair of local nodes by pair, each in
+    (element, point) order.
+    """
+    pat = lvl.jacobian_pattern
+    basis = lvl.basis_at_qp.T[:, None, :]  # (nv, 1, n_q)
+    parts = []  # each (nv, n_el, n_q): the derivative in phi_b at every point
+    if value_weights is not None:
+        parts.append(value_weights * basis)
+    if grad_weights is not None:
+        grad = lvl.grad_basis.transpose(1, 2, 0)[..., None]  # (nv, dim, n_el, 1)
+        parts.append((grad * grad_weights.transpose(2, 0, 1)).sum(axis=1))
+    return pat.scatter(pat.qp_slots, basis[:, None] * sum(parts)[None])
 
 
 def _build_level(index: int, mesh: DomainMesh, quad_order: int,

@@ -156,8 +156,11 @@ class Kernel:
 # ---------------------------------------------------------------------------
 
 
-# lift kind -> the names of its parameters
-LIFT_PARAMS = {"zero": (), "affine": ("a", "b", "ax", "ay")}
+# space dimension -> lift kind -> the names of the parameters ``value`` reads there
+LIFT_PARAMS = {
+    1: {"zero": (), "affine": ("a", "b")},
+    2: {"zero": (), "affine": ("ax", "ay", "b")},
+}
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,7 @@ class LiftFunction:
                 )
             first = x[..., 0] if x.ndim > 1 and x.shape[-1] == 1 else x
             return float(self.params.get("a", 0.0)) * first + float(self.params.get("b", 0.0))
-        raise KeyError(f"unknown lift kind {self.kind!r}; choose {', '.join(LIFT_PARAMS)}")
+        raise KeyError(f"unknown lift kind {self.kind!r}; choose {', '.join(LIFT_PARAMS[1])}")
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}

@@ -4,7 +4,8 @@ The differential part is evaluated exactly on P1 spaces (gradients are
 constant per element).  Pairings, the residual and the Jacobian are all
 assembled on the level operators of :mod:`competefem.discretization`:
 element data goes to free dofs through ``grad_op_t`` and ``qp_op_t``, and
-the Jacobian is a sparse triple product of them with per-element blocks.
+the Jacobian fills the level's fixed pattern from per-element blocks and
+per-point load derivatives.
 
 The right-hand side f(x, s, xi) comes from a finite catalog; every entry
 carries the growth envelope it claims to satisfy, so the envelope can be
@@ -24,8 +25,10 @@ from .discretization import (
     FEFunction,
     LevelMismatchError,
     QuadratureSamples,
+    _element_form,
     _grad_force,
     _gradients,
+    _point_form,
     _value_integral,
     lebesgue_norm,
 )
@@ -250,8 +253,10 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         )
 
     if kind == "sigma_only":
-        sigma = SigmaWeight(params.get("sigma_kind", "constant"),
-                            params.get("sigma_params", {"c": 1.0}))
+        sigma_kind = params.get("sigma_kind", "constant")
+        # only the constant weight has a parameter to default
+        sigma = SigmaWeight(sigma_kind, params.get(
+            "sigma_params", {"c": 1.0} if sigma_kind == "constant" else {}))
         r = float(params.get("r", 2.0))
         return ConvectionTerm(
             kind, params, envelope(r=r, sigma=sigma),
@@ -492,47 +497,6 @@ def _flux_coefficients(m2: np.ndarray, r: float) -> tuple:
     return m2 ** ((r - 2.0) / 2.0), (r - 2.0) * c1
 
 
-def _flux_block(lvl, g: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal |e| (c0 I + c1 g g^T) in the row order of ``grad_op``.
-
-    ``g`` is shaped (dim, n_el, 1); element e's block couples rows
-    ``d * n_el + e`` for d < dim, so it sits on the diagonals 0 and +-n_el.
-    """
-    dim, n_el = g.shape[:2]
-    g = g[..., 0]
-    main = (lvl.elem_measure * (c0 + c1 * g * g)).ravel()
-    if dim == 1:
-        return sp.diags(main, format="csr")
-    off = lvl.elem_measure * c1 * g[0] * g[1]
-    return sp.diags([off, main, off], [-n_el, 0, n_el], format="csr")
-
-
-def _load_derivative(f: ConvectionTerm, T_image: QuadratureSamples, lvl) -> sp.csr_matrix:
-    """Quadrature-point derivative of f(x, u, grad u) in the free coefficients.
-
-    Row ``e * n_q + q`` is w_eq (f_s phi_k + f_xi . grad phi_k); the load's
-    derivative is ``qp_op_t`` applied to it.
-    """
-    args = _f_arguments(lvl, T_image.values, T_image.gradients)
-    w = lvl.qp_weights
-    D = sp.csr_matrix((w.size, lvl.n_free))
-    if f.d_s is not None:
-        fs = np.asarray(f.d_s(*args), dtype=float)
-        D = D + sp.diags((w * fs).ravel()) @ lvl.qp_op
-    if f.d_xi is not None:
-        fxi = np.asarray(f.d_xi(*args), dtype=float).reshape(*w.shape, -1)
-        # S[(e, q), (d, e)] = w_eq f_xi,eqd maps element gradients to the points
-        n_el, dim = w.shape[0], fxi.shape[-1]
-        cols = np.arange(dim) * n_el + np.arange(n_el)[:, None, None]
-        S = sp.csr_matrix(
-            ((w[..., None] * fxi).ravel(), np.broadcast_to(cols, fxi.shape).ravel(),
-             np.arange(0, fxi.size + 1, dim)),
-            shape=(w.size, dim * n_el),
-        )
-        D = D + S @ lvl.grad_op
-    return D
-
-
 def assemble_jacobian(
     u: FEFunction,
     T_image: Optional[QuadratureSamples],
@@ -551,8 +515,11 @@ def assemble_jacobian(
     what nonlocal intrinsic operators get and all a load that ignores the
     solution needs.  A local T with a solution-dependent f must pass its
     samples: without them it silently gets the chord Jacobian, not an
-    error.  The differential part is ``grad_op_t @ M @ grad_op``
-    with one block-diagonal M carrying both exponents.
+    error.  The matrix lives on the level's shared pattern
+    (``Level.jacobian_pattern``), built by the level's first Jacobian: the
+    flux part, one (dim, dim) block per element carrying both exponents,
+    and the load part, per quadrature point, are each summed onto it by one
+    ``bincount``, and the Jacobian is their difference.
     """
     if not 1 < q < p:
         raise ValueError(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
@@ -563,14 +530,23 @@ def assemble_jacobian(
     if T_image is not None:
         _check_samples(u, T_image, f)
     lvl = u.lvl
-    g = _combined_gradients(u, lift)
-    m2 = (g * g).sum(axis=0)[:, 0] + eps_reg**2
+    g = _combined_gradients(u, lift)[..., 0]
+    m2 = (g * g).sum(axis=0) + eps_reg**2
     (c0p, c1p), (c0q, c1q) = _flux_coefficients(m2, p), _flux_coefficients(m2, q)
-    J = lvl.grad_op_t @ _flux_block(lvl, g, c0p - c0q, c1p - c1q) @ lvl.grad_op
+    # |e| (c0 I + c1 g g^T) per element, shaped (dim, dim, n_el)
+    c0, c1 = c0p - c0q, c1p - c1q
+    blocks = lvl.elem_measure * (c0 * np.eye(len(g))[:, :, None] + c1 * g[:, None] * g[None])
+    data = _element_form(lvl, blocks)
     if T_image is not None and f.solution_dependent and (f.d_s is not None
                                                          or f.d_xi is not None):
-        J = J - lvl.qp_op_t @ _load_derivative(f, T_image, lvl)
-    return J.tocsr()
+        # w (f_s phi_b + f_xi . grad phi_b) at each quadrature point
+        args = _f_arguments(lvl, T_image.values, T_image.gradients)
+        w = lvl.qp_weights
+        ws = None if f.d_s is None else w * np.asarray(f.d_s(*args), dtype=float)
+        wxi = None if f.d_xi is None else (
+            w[..., None] * np.asarray(f.d_xi(*args), dtype=float).reshape(*w.shape, -1))
+        data = data - _point_form(lvl, ws, wxi)
+    return lvl.jacobian_pattern.matrix(data)
 
 
 # ---------------------------------------------------------------------------

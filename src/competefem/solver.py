@@ -7,8 +7,12 @@ runs one zero search: Levenberg-damped Newton from zero damping, projected
 to the ball, and on stall homotopy continuation towards the residual from a
 well-behaved anchor map.  The residual applies T at every iterate it
 evaluates; the Jacobian differentiates through f for a local T and keeps
-the load frozen (the chord rule) for a nonlocal one.  Failures are reported
-with the best iterate and the residual history, never silently.
+the load frozen (the chord rule) for a nonlocal one.  Every Jacobian of a
+level has the level's one pattern, so the symbolic work of a Newton step
+(the band ordering of the normal equations and where each product lands)
+is done once per pattern and each iteration only computes numbers.
+Failures are reported with the best iterate and the residual history,
+never silently.
 
 A sphere-sampling certificate documents that the nonnegativity hypothesis
 held at the radius actually used, so a zero exists even if the solver were
@@ -104,10 +108,11 @@ class NormalEquations:
     Every trial of one Newton iteration, lam = 0 included, solves from it.
     ``band`` is the lower band of ``G[perm][:, perm]`` in LAPACK ``ab``
     layout (main diagonal in the first row) and ``rhs`` is ``(-J^T r)[perm]``.
-    The lower layout lets the factorisation update unit-stride columns,
-    which OpenBLAS runs without the thread hand-offs that made the strided
-    upper layout 5 to 40 times slower at a half-bandwidth of 30 (two-thread
-    OpenBLAS on a 2-vCPU host).
+    ``perm`` is the reverse Cuthill-McKee order of the pattern, shared by
+    every Jacobian on it.  The lower layout lets the factorisation update
+    unit-stride columns, which OpenBLAS runs without the thread hand-offs
+    that made the strided upper layout 5 to 40 times slower at a
+    half-bandwidth of 30 (two-thread OpenBLAS on a 2-vCPU host).
     """
 
     band: np.ndarray
@@ -115,28 +120,117 @@ class NormalEquations:
     perm: np.ndarray
 
 
-def _normal_equations(J, r) -> NormalEquations:
-    """Form J^T J once per Jacobian and lay it out for banded Cholesky.
+@dataclass(frozen=True, eq=False)
+class _NormalPlan:
+    """The symbolic part of the normal equations of one CSR pattern of J.
 
-    Reverse Cuthill-McKee orders the unknowns so the band is narrow; the
-    ordering is recomputed per Jacobian because the sparse product drops
-    exact zeros, so the pattern of J^T J can change between iterates.
+    ``perm`` is the reverse Cuthill-McKee order of the pattern of J^T J.
+    Each pair of stored entries of one row of J whose product lands in the
+    lower band has data positions ``a`` and ``b`` and the flat band
+    position ``slot``; pairs come row by row, so each band entry sums its
+    products in row order.  ``rows`` and ``cols`` give every stored entry's
+    row and its column in the new order, and ``diag`` the data positions of
+    the stored diagonal.
     """
-    J = sp.csr_matrix(J)
-    G = (J.T @ J).tocsc()  # a product has no duplicate entries
-    G.sort_indices()  # so the ordering depends on the pattern alone
-    n = G.shape[0]
-    perm = reverse_cuthill_mckee(G, symmetric_mode=True)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(n, dtype=perm.dtype)
-    i = inv[G.indices]
-    j = inv[np.repeat(np.arange(n), np.diff(G.indptr))]
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple
+    perm: np.ndarray
+    width: int
+    a: np.ndarray
+    b: np.ndarray
+    slot: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    diag: np.ndarray
+
+    def fits(self, J) -> bool:
+        return (J.shape == self.shape and np.array_equal(J.indptr, self.indptr)
+                and np.array_equal(J.indices, self.indices))
+
+
+def _normal_plan(J: sp.csr_matrix) -> _NormalPlan:
+    n = J.shape[1]
+    counts = np.diff(J.indptr)
+    rows = np.repeat(np.arange(J.shape[0]), counts)
+    ones = sp.csr_matrix((np.ones(J.nnz), J.indices, J.indptr), shape=J.shape)
+    pattern = (ones.T @ ones).tocsc()  # ones cannot cancel, so this is J^T J's pattern
+    pattern.sort_indices()  # so the ordering depends on the pattern alone
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    inv = np.empty(n, dtype=np.intp)
+    inv[perm] = np.arange(n)
+    # every ordered pair (a, b) of entries of one row, row by row
+    per_entry = counts[rows]
+    a = np.repeat(np.arange(J.nnz), per_entry)
+    first = np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
+    b = J.indptr[rows[a]] + np.arange(a.size) - first
+    i, j = inv[J.indices[a]], inv[J.indices[b]]
     lower = i >= j
-    i, j, vals = i[lower], j[lower], G.data[lower]
-    width = int(np.max(i - j)) if vals.size else 0
-    band = np.zeros((width + 1, n))
-    band[i - j, j] = vals
-    return NormalEquations(band, -(J.T @ r)[perm], perm)
+    i, j = i[lower], j[lower]
+    return _NormalPlan(
+        indptr=J.indptr.copy(), indices=J.indices.copy(), shape=J.shape, perm=perm,
+        width=int(np.max(i - j)) if i.size else 0,
+        a=a[lower], b=b[lower], slot=(i - j) * n + j,
+        rows=rows, cols=inv[J.indices], diag=np.flatnonzero(J.indices == rows),
+    )
+
+
+# The plan of the pattern the last Jacobian had.  It is keyed on the
+# pattern's contents, so what it returns never depends on earlier calls.
+_last_plan = [None]
+
+
+def _plan_of(J: sp.csr_matrix) -> _NormalPlan:
+    """The plan of J's pattern, rebuilt only when the pattern differs from the last one."""
+    plan = _last_plan[0]
+    if plan is None or not plan.fits(J):
+        plan = _last_plan[0] = _normal_plan(J)
+    return plan
+
+
+def _normal_equations(J, r) -> NormalEquations:
+    """Fill J^T J and -J^T r and lay them out for banded Cholesky.
+
+    Only numbers are computed here: the ordering, the pairs of entries and
+    their band positions come from the plan of J's pattern, built by the
+    first Jacobian on that pattern, which for a level's Jacobians is every
+    one of them.  The band sums its products in the order of J's rows.
+    """
+    if not isinstance(J, sp.csr_matrix):
+        J = sp.csr_matrix(J)
+    plan = _plan_of(J)
+    n = J.shape[1]
+    band = _sums(plan.slot, J.data[plan.a] * J.data[plan.b], (plan.width + 1) * n)
+    rhs = -_sums(plan.cols, J.data * np.asarray(r)[plan.rows], n)
+    return NormalEquations(band.reshape(plan.width + 1, n), rhs, plan.perm)
+
+
+def _sums(slots, terms, length) -> np.ndarray:
+    """The terms summed at each slot in order; ``bincount`` of no terms gives integers."""
+    return np.bincount(slots, terms, minlength=length).astype(float, copy=False)
+
+
+def _blend(J, t: float) -> sp.csr_matrix:
+    """t J + (1 - t) I on J's CSR pattern, which must store the diagonal.
+
+    A level's Jacobian stores it, so the blend keeps the level's pattern and
+    plan.  A dense or finite-difference Jacobian whose CSR form dropped a
+    zero diagonal entry gets it back as an explicit zero, on a pattern with
+    a plan of its own.
+    """
+    if not isinstance(J, sp.csr_matrix):
+        J = sp.csr_matrix(J)
+    plan = _plan_of(J)
+    if plan.diag.size < J.shape[0]:
+        missing = np.setdiff1d(np.arange(J.shape[0]), plan.rows[plan.diag])
+        J = sp.csr_matrix((np.concatenate([J.data, np.zeros(missing.size)]),
+                           (np.concatenate([plan.rows, missing]),
+                            np.concatenate([J.indices, missing]))), shape=J.shape)
+        plan = _plan_of(J)
+    data = t * J.data
+    data[plan.diag] += 1.0 - t
+    return sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape)
 
 
 def _levenberg_step(normal: NormalEquations, lam):
@@ -181,16 +275,20 @@ def brouwer_zero(
     Strategy: Newton from ``x0`` (default the origin), projected onto the
     ball in the supplied norm, accepts a step only if it lowers ||F||^2.
     Each trial solves (J^T J + lam I) dx = -J^T F by a banded Cholesky
-    factorisation, from lam = 0 (the Newton step) up.  J^T J is formed, and
-    ordered by reverse Cuthill-McKee, once per Jacobian at its first trial
-    and shared by every damping value of that iteration; a rejected step or
-    a non-positive pivot (a singular J at lam = 0) makes lam grow.  If that
-    stalls, homotopy continuation blends the residual with the identity
-    anchor v (the duality map of the Euclidean coefficient norm), stepping
-    the blend towards the full residual with adaptive halving.  Non-convergence
-    produces an explicit failure result carrying the best iterate and
-    history.  Jacobians, from ``jac`` or by finite differences without it,
-    are used as CSR matrices; ``jac`` gets the array F was last called on.
+    factorisation, from lam = 0 (the Newton step) up.  J^T J is filled once
+    per Jacobian at its first trial and shared by every damping value of
+    that iteration; its reverse Cuthill-McKee order and band layout are
+    computed once per pattern of J, so every Jacobian of a level reuses
+    them.  A rejected step or a non-positive pivot (a singular J at
+    lam = 0) makes lam grow.  If that stalls, homotopy continuation blends
+    the residual with the identity anchor v (the duality map of the
+    Euclidean coefficient norm), stepping the blend towards the full
+    residual with adaptive halving; the blended Jacobian tJ + (1 - t)I
+    keeps J's pattern.  Non-convergence produces an explicit failure result
+    carrying the best iterate and history.  Jacobians, from ``jac`` or by
+    finite differences without it, are used as CSR matrices; ``jac`` gets
+    the array F was last called on and returns an array or a sparse matrix
+    without duplicate entries.
     """
     if x0 is None:
         if dim is None:
@@ -205,8 +303,6 @@ def brouwer_zero(
             return v * (R / n)
         return v
 
-    def jac_at(v, fv):
-        return sp.csr_matrix(jac(v) if jac is not None else _fd_jacobian(F, v, fv))
 
     history = []
 
@@ -229,12 +325,8 @@ def brouwer_zero(
             if res <= tol:
                 return x, fx, True, iters
             iters += 1
-            J = jac_at(x, fx)
-            if t == 1.0:
-                Jt = J
-            else:
-                Jt = (t * J + (1.0 - t) * sp.identity(J.shape[0], format="csr")).tocsr()
-            normal = _normal_equations(Jt, ft)
+            J = jac(x) if jac is not None else _fd_jacobian(F, x, fx)
+            normal = _normal_equations(J if t == 1.0 else _blend(J, t), ft)
             scale = 1.0 + phi
             accepted = None
             # a NaN residual never lets lam reach its cap; this bound stops it

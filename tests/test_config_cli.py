@@ -229,6 +229,10 @@ def _lift(**u0):
     return {"f": CONVOLUTION_CLI["f"], "T": {"kind": "boundary_lift", "u0": u0}}
 
 
+def _lift_on_square(**u0):
+    return dict(_lift(**u0), domain={"kind": "unit_square"}, initial_guess=None)
+
+
 def _kernel(**kernel):
     return {"f": CONVOLUTION_CLI["f"], "T": {"kind": "convolution", "kernel": kernel}}
 
@@ -263,8 +267,8 @@ FLOAT_FIELDS = {
     "sigma.values[1]": lambda v: _envelope(sigma=dict(NODAL, values=[1.0, v])),
     "u0.a": lambda v: _lift(kind="affine", a=v),
     "u0.b": lambda v: _lift(kind="affine", b=v),
-    "u0.ax": lambda v: _lift(kind="affine", ax=v),
-    "u0.ay": lambda v: _lift(kind="affine", ay=v),
+    "u0.ax": lambda v: _lift_on_square(kind="affine", ax=v),
+    "u0.ay": lambda v: _lift_on_square(kind="affine", ay=v),
     "kernel.width": lambda v: _kernel(shape="box", width=v),
     "kernel.scale": lambda v: _kernel(shape="hat", width=0.25, scale=v),
     "kernel.sigma": lambda v: _kernel(shape="truncated_gaussian", sigma=v, radius=0.2),
@@ -351,6 +355,46 @@ def test_unknown_nested_keys_rejected(where):
            "T-window": "window_factor", "kernel": "radius", "u0": "slope",
            "estimator": "foo"}[where]
     assert repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("lift,key", [
+    (_lift_on_square(kind="affine", a=5.0, b=0.1), "a"),
+    (_lift(kind="affine", ax=0.2, b=0.1), "ax"),
+    (_lift(kind="affine", ay=0.2, b=0.1), "ay"),
+], ids=["a-on-square", "ax-on-interval", "ay-on-interval"])
+def test_lift_parameters_of_the_other_dimension_rejected(lift, key):
+    # u0 reads a only in 1D and ax, ay only in 2D; these were echoed but inert
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(dict(MINIMAL, **lift))
+    assert err.value.code == "BAD_FIELD"
+    assert repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("lift,dim", [
+    (_lift(kind="affine", a=0.2, b=0.1), 1),
+    (_lift_on_square(kind="affine", ax=0.2, ay=-0.1, b=0.1), 2),
+], ids=["interval", "square"])
+def test_lift_parameters_of_the_domain_dimension_accepted(lift, dim):
+    spec = parse_config_dict(dict(MINIMAL, **lift))
+    u0 = build_instance(spec).operator.lift
+    assert spec.T["u0"] == {"kind": "affine", **lift["T"]["u0"]}
+    x = np.array([0.5]) if dim == 1 else np.array([[0.5, 0.25]])
+    expected = 0.2 * 0.5 + 0.1 if dim == 1 else 0.2 * 0.5 - 0.1 * 0.25 + 0.1
+    np.testing.assert_allclose(u0.value(x), [expected])
+
+
+@pytest.mark.parametrize("sigma_kind", ["manufactured_abs", "manufactured_plus", "zero"])
+def test_sigma_only_takes_a_parameterless_weight(sigma_kind):
+    # the weight's default parameter c belongs to the constant kind alone
+    spec = parse_config_dict(dict(MINIMAL, f={"kind": "sigma_only", "sigma_kind": sigma_kind}))
+    assert spec.f["envelope"]["sigma"] == {"kind": sigma_kind}
+    assert '"c"' not in json.dumps(spec.f)
+    assert build_instance(spec).envelope.sigma.params == {}
+
+
+def test_sigma_only_defaults_to_the_unit_constant():
+    spec = parse_config_dict(dict(MINIMAL, f={"kind": "sigma_only"}))
+    assert spec.f["envelope"]["sigma"] == {"kind": "constant", "c": 1.0}
 
 
 def test_initial_guess_is_null_or_exact():
@@ -506,9 +550,12 @@ class TestCli:
         ({"policy": "warn", "f": {"kind": "manufactured_p3q2", "envelope": {"a1": float("nan")}}},
          [], "BAD_FIELD"),
         ({"domain": {"kind": "mesh", "mesh": {"dim": 1}}}, [], "DOMAIN_INVALID"),
+        ({"domain": {"kind": "mesh", "mesh": {"dim": 1, "nodes": [0, 1e308, float("inf")]}}},
+         [], "DOMAIN_INVALID"),
     ], ids=["negative-seed", "negative-seed-override", "convolution-on-square",
             "kernel-without-width", "interval-without-interior", "square-without-interior",
-            "non-integer-starts", "nan-envelope-under-warn", "mesh-without-nodes"])
+            "non-integer-starts", "nan-envelope-under-warn", "mesh-without-nodes",
+            "infinite-node"])
     def test_inputs_that_cannot_run_exit_1(self, tmp_path, capsys, patch, argv, code):
         # each once ended in a traceback from deep inside the solve
         cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, **patch))

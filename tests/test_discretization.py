@@ -80,6 +80,9 @@ class TestBuildHierarchy:
     def test_invalid_inputs(self):
         with pytest.raises(MeshError, match="strictly increasing"):
             interval_mesh_from_nodes(np.array([0.0, 0.5, 0.4, 1.0]))
+        for nodes in ([0.0, 1e308, np.inf], [-np.inf, 0.0], [0.0, np.nan, 1.0]):
+            with pytest.raises(MeshError, match="finite"):
+                interval_mesh_from_nodes(np.array(nodes))
         with pytest.raises(MeshError, match="degenerate|negatively"):
             triangle_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
                           np.array([[0, 1, 2]]))

@@ -6,6 +6,9 @@ Every other module evaluates P1 functions through the level operators
 
 The config module converts raw values only in its ``_as_*`` readers and
 constructs runtime objects only in its three builders.
+
+The solver and the assembly build no sparse diagonal or identity matrix:
+a Newton iteration fills a fixed pattern instead.
 """
 
 import ast
@@ -63,3 +66,20 @@ def test_config_converts_in_readers_and_constructs_in_builders():
     # the guard sees what it guards
     assert ("build_operator", "Kernel") in {(owner, name) for owner, name, _ in calls}
     assert ("_as_float", "float") in {(owner, name) for owner, name, _ in calls}
+
+
+SPARSE_BUILDERS = {"diags", "identity"}
+
+
+def _sparse_builder_calls(path):
+    return [f"{path.name}:{line} {name}" for _, name, line in _calls(path)
+            if name in SPARSE_BUILDERS]
+
+
+def test_newton_iterations_build_no_sparse_diagonals():
+    package = Path(competefem.__file__).parent
+    offenders = [call for name in ("solver.py", "operators.py")
+                 for call in _sparse_builder_calls(package / name)]
+    assert offenders == []
+    # the guard sees what it guards: the constants still build a diagonal
+    assert _sparse_builder_calls(package / "constants.py")

@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from competefem.discretization import (
     LevelMismatchError,
+    _element_form,
     _gradients,
     build_hierarchy,
     grad_norm_p,
@@ -26,7 +28,6 @@ from competefem.intrinsic import (
 from competefem.operators import (
     GrowthEnvelope,
     SigmaWeight,
-    _flux_block,
     _flux_coefficients,
     _grad_mag,
     _x_coord,
@@ -150,9 +151,10 @@ class TestAssembleJacobian:
         h = build_hierarchy(interval_mesh(0.0, 1.0, 2), 1)
         u = h.function(1, [0.3])
         lvl = h.level(1)
-        g = _gradients(lvl, u.coeffs[:, None])
-        M = _flux_block(lvl, g, *_flux_coefficients((g * g).sum(axis=0)[:, 0], 2.0))
-        K = (lvl.grad_op_t @ M @ lvl.grad_op).toarray()
+        g = _gradients(lvl, u.coeffs[:, None])[..., 0]
+        c0, c1 = _flux_coefficients((g * g).sum(axis=0), 2.0)
+        blocks = lvl.elem_measure * (c0 + c1 * g * g)[None]  # (1, 1, n_el)
+        K = lvl.jacobian_pattern.matrix(_element_form(lvl, blocks)).toarray()
         np.testing.assert_allclose(K, [[4.0]], rtol=1e-14)
 
     def test_exponent_order_rejected(self, unit_hierarchy):
@@ -213,6 +215,107 @@ class TestAssembleJacobian:
         # samples that are passed are still checked against u's quadrature
         with pytest.raises(LevelMismatchError, match="do not match"):
             assemble_jacobian(u, sample(h.function(3, rng.standard_normal(15))), f, 3.0, 2.0)
+
+
+def _sparse_reference_jacobian(u, img, f, p, q, eps, lift):
+    """grad_op_t @ M @ grad_op - qp_op_t @ D with M and D built as sparse matrices."""
+    lvl = u.lvl
+    g = _gradients(lvl, u.block)[..., 0]
+    if lift is not None:
+        g = g + lift.gradients[..., 0]
+    dim, n_el = g.shape
+    m2 = (g * g).sum(axis=0) + eps**2
+
+    def coefficients(r):
+        # an element with no free node may have m2 = 0; its c1 is zero
+        c1 = (r - 2) * np.where(m2 > 0, m2, 1.0) ** ((r - 4) / 2)
+        return m2 ** ((r - 2) / 2), np.where(m2 > 0, c1, 0.0)
+
+    (c0p, c1p), (c0q, c1q) = coefficients(p), coefficients(q)
+    elems = np.arange(n_el)
+    rows, cols, vals = [], [], []
+    for d in range(dim):
+        for e in range(dim):
+            rows.append(d * n_el + elems)
+            cols.append(e * n_el + elems)
+            vals.append(lvl.elem_measure * ((d == e) * (c0p - c0q)
+                                            + (c1p - c1q) * g[d] * g[e]))
+    M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dim * n_el, dim * n_el))
+    J = lvl.grad_op_t @ M @ lvl.grad_op
+    if img is not None and f.solution_dependent:
+        x = lvl.qp_points[..., 0] if dim == 1 else lvl.qp_points
+        xi = img.gradients[..., 0] if dim == 1 else img.gradients
+        w = lvl.qp_weights.ravel()
+        n_pts = w.size
+        fs = np.broadcast_to(f.d_s(x, img.values, xi), lvl.qp_weights.shape).ravel()
+        D = sp.diags(w * fs) @ lvl.qp_op
+        fxi = np.asarray(f.d_xi(x, img.values, xi)).reshape(n_pts, dim)
+        elem_of_point = np.repeat(elems, lvl.qp_weights.shape[1])
+        S = sp.csr_matrix(((w[:, None] * fxi).ravel(),
+                           (np.repeat(np.arange(n_pts), dim),
+                            (np.arange(dim) * n_el + elem_of_point[:, None]).ravel())),
+                          shape=(n_pts, dim * n_el))
+        J = J - lvl.qp_op_t @ (D + S @ lvl.grad_op)
+    return J.toarray()
+
+
+class TestJacobianAgainstSparseProducts:
+    """The pattern fill against the sparse triple products it replaced."""
+
+    @pytest.fixture(params=["interval", "square"])
+    def hierarchy(self, request):
+        if request.param == "interval":
+            return build_hierarchy(interval_mesh(0.0, 1.0, 4), 4)
+        return build_hierarchy(unit_square_mesh(), 3)
+
+    @pytest.mark.parametrize("case", ["x-only", "identity", "lift", "q-below-two"])
+    def test_matches(self, hierarchy, case):
+        h = hierarchy
+        n = h.n_levels
+        p, q, eps = (3.0, 1.5, 1e-3) if case == "q-below-two" else (3.0, 2.0, 0.0)
+        if case == "x-only":
+            f = convection_from_catalog("manufactured_p3q2")
+        else:
+            f = convection_from_catalog("manufactured_plus_power",
+                                        {"a1": 0.1, "alpha": 2.0, "a2": 0.1, "beta": 2.0})
+        if case == "lift":
+            params = {"a": 0.7, "b": 0.2} if h.dim == 1 else {"ax": 0.5, "ay": -0.3, "b": 0.1}
+            T = boundary_lift_operator(LiftFunction("affine", params))
+            lift = lift_on(T, h, n)
+        else:
+            T, lift = IntrinsicOperator(kind="identity"), None
+        u = h.function(n, 0.5 * np.random.default_rng(3).standard_normal(h.level(n).n_free))
+        img = apply(T, u) if f.solution_dependent else None
+        J = assemble_jacobian(u, img, f, p, q, eps_reg=eps, lift=lift)
+        ref = _sparse_reference_jacobian(u, img, f, p, q, eps, lift)
+        np.testing.assert_allclose(J.toarray(), ref, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_every_jacobian_of_a_level_shares_its_pattern(self, hierarchy, rng):
+        h = hierarchy
+        n = h.n_levels
+        lvl = h.level(n)
+        f = convection_from_catalog("signed_power", {"a1": 0.5, "alpha": 2.0})
+        mats = []
+        for _ in range(2):
+            u = h.function(n, rng.standard_normal(lvl.n_free))
+            mats.append(assemble_jacobian(u, sample(u), f, 3.0, 2.0))
+        pattern = lvl.jacobian_pattern
+        for J in mats:
+            assert np.shares_memory(J.indices, pattern.indices)
+            assert np.shares_memory(J.indptr, pattern.indptr)
+            # the diagonal is stored
+            rows = np.repeat(np.arange(lvl.n_free), np.diff(J.indptr))
+            assert np.array_equal(J.indices[J.indices == rows], np.arange(lvl.n_free))
+
+    def test_pattern_is_built_by_the_first_jacobian(self):
+        # building the hierarchy, which set-up times, leaves it unbuilt
+        h = build_hierarchy(unit_square_mesh(), 2)
+        lvl = h.level(2)
+        assert "jacobian_pattern" not in vars(lvl)
+        assemble_jacobian(h.zero(2), None, convection_from_catalog("zero"), 3.0, 2.0)
+        assert "jacobian_pattern" in vars(lvl)
 
 
 class TestAssemblyAgainstElementLoops:

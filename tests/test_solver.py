@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from competefem.config import build_instance, parse_config_dict
 from competefem.constants import critical_surrogate
@@ -30,6 +31,7 @@ from competefem.solver import (
     SPHERE_CHUNK,
     HypothesisRefusal,
     ProblemInstance,
+    _blend,
     _levenberg_step,
     _normal_equations,
     brouwer_zero,
@@ -300,6 +302,68 @@ class TestLevenbergStep:
         assert counts["damped"] > 0
         assert counts["normal"] <= counts["jacobian"]
         assert counts["normal"] < counts["damped"]
+
+
+class TestSymbolicPlan:
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.75])
+    @pytest.mark.parametrize("domain,level", [("interval", 4), ("unit_square", 3)])
+    def test_blend_is_t_J_plus_one_minus_t_identity(self, domain, level, t):
+        J, _ = _galerkin_jacobian(domain, level, "manufactured_plus_power")
+        blended = _blend(J, t)
+        reference = (t * J + (1.0 - t) * sp.identity(J.shape[0])).toarray()
+        np.testing.assert_array_equal(blended.toarray(), reference)
+        # on J's own pattern
+        assert np.array_equal(blended.indices, J.indices)
+        assert np.array_equal(blended.indptr, J.indptr)
+
+    def test_dense_jacobian_gets_its_zero_diagonal_stored(self):
+        J = TestNewtonFallback.J  # zero diagonal entries in rows 0 and 2
+        blended = _blend(J, 0.5)
+        assert blended.nnz == np.count_nonzero(J) + 2
+        np.testing.assert_array_equal(blended.toarray(), 0.5 * J + 0.5 * np.eye(3))
+
+    def test_explicit_zeros_leave_the_numbers_unchanged(self):
+        # the level pattern stores entries whose value is zero; the normal
+        # equations on it hold the same numbers as on the pattern without them
+        J, r = _galerkin_jacobian("unit_square", 3, "constant")
+        data = J.data.copy()
+        data[::4] = 0.0
+        with_zeros = sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape)
+        without = sp.csr_matrix(with_zeros.toarray())
+        assert without.nnz < with_zeros.nnz
+        a, b = _normal_equations(with_zeros, r), _normal_equations(without, r)
+        G = without.T @ without
+        for normal in (a, b):
+            n = len(r)
+            full = np.zeros((n, n))
+            for k in range(normal.band.shape[0]):
+                full[np.arange(k, n), np.arange(n - k)] = normal.band[k, :n - k]
+            full = full + np.tril(full, -1).T
+            np.testing.assert_allclose(full, G.toarray()[np.ix_(normal.perm, normal.perm)],
+                                       rtol=1e-15, atol=0)
+            np.testing.assert_allclose(normal.rhs, -(without.T @ r)[normal.perm], rtol=1e-15)
+
+    def test_ordering_is_computed_once_per_pattern(self, unit_hierarchy, monkeypatch):
+        # a homotopy solve makes many Jacobians of one level, and orders once
+        orderings, jacobians = [], []
+
+        def counting(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr("competefem.solver._last_plan", [None])
+        monkeypatch.setattr("competefem.solver.reverse_cuthill_mckee",
+                            counting(orderings, reverse_cuthill_mckee))
+        monkeypatch.setattr("competefem.solver.assemble_jacobian",
+                            counting(jacobians, assemble_jacobian))
+        inst = make_instance(unit_hierarchy, "constant", {"c": 1.0})
+        out = solve_level(inst, 1, 2.0)
+        assert out.path == "homotopy" and len(jacobians) > 10
+        assert len(orderings) == 1
+        solve_level(inst, 2, 2.0)  # another level, another pattern
+        assert len(orderings) == 2
 
 
 class TestSolveLevel:
