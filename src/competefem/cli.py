@@ -98,6 +98,8 @@ def cmd_constants(spec: ProblemSpec, out_dir: str) -> int:
 
 def cmd_study(spec: ProblemSpec, out_dir: str) -> int:
     """Convergence study against the manufactured solution of the catalog entry."""
+    if spec.initial_guess is None:
+        spec = dataclasses.replace(spec, initial_guess="exact")
     inst = build_instance(spec)
     if inst.convection.exact is None:
         print("study needs a manufactured right-hand side with a known solution",
@@ -112,9 +114,6 @@ def cmd_study(spec: ProblemSpec, out_dir: str) -> int:
         )
         return 1
     paths = _report_paths(out_dir)
-    if spec.initial_guess is None:
-        spec = dataclasses.replace(spec, initial_guess="exact")
-        inst = build_instance(spec)
     try:
         report = run_hierarchy(
             inst, config_echo=spec.to_json_dict(), test_set_size=spec.test_set_size

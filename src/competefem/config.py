@@ -26,7 +26,7 @@ from .discretization import (DomainMesh, MeshError, build_hierarchy, interval_me
                              unit_square_mesh)
 from .intrinsic import (KERNEL_PARAMS, LIFT_PARAMS, IntrinsicOperator, Kernel, KernelError,
                         LiftFunction, boundary_lift_operator, certificate_rule,
-                        convolution_operator, identity_operator)
+                        convolution_operator, identity_operator, inert_exponent)
 from .operators import (CONVECTION_PARAMS, SIGMA_PARAMS, ConvectionTerm, SigmaWeight,
                         convection_from_catalog)
 from .solver import ProblemInstance
@@ -48,7 +48,6 @@ class ProblemSpec:
     p: float
     q: float
     levels: int
-    quad_order: int
     f: dict
     T: dict
     policy: str
@@ -201,14 +200,23 @@ def _sigma_config(envelope: dict) -> dict:
     return sigma
 
 
-def _f_config(obj, p: float, p_crit: float) -> tuple[dict, ConvectionTerm]:
-    """The canonical f section and the term it builds."""
+def _f_config(obj, p: float, p_crit: float, t_kind: str) -> tuple[dict, ConvectionTerm]:
+    """The canonical f section and the term it builds.
+
+    An exponent whose coefficient is zero is inert.  Unless f or its
+    envelope sets it, it takes the value that the certificate of T accepts.
+    """
     kind, section = _entry(obj, "f", CONVECTION_PARAMS, "zero", extra=("envelope",))
     params = _params(section, CONVECTION_PARAMS[kind])
     env_obj = _as_object(section, "envelope", {})
     _check_keys(env_obj, (*_ENVELOPE_NUMBERS, "sigma"), "envelope")
-    term = build_convection({"kind": kind, **params,
-                             "envelope": _params(env_obj, _ENVELOPE_NUMBERS)})
+    env_params = _params(env_obj, _ENVELOPE_NUMBERS)
+    term = build_convection({"kind": kind, **params, "envelope": env_params})
+    inert = {exponent: inert_exponent(t_kind, p)
+             for coeff, exponent in (("a1", "alpha"), ("a2", "beta"))
+             if getattr(term.envelope, coeff) == 0 and exponent not in {**params, **env_params}}
+    if inert:
+        term = build_convection({"kind": kind, **params, "envelope": {**env_params, **inert}})
     env = term.envelope
     # the catalog's weight, which is also sigma_only's own, is read even when overridden
     own = _sigma_config({"sigma": {"kind": env.sigma.kind, **env.sigma.params}})
@@ -221,8 +229,7 @@ def _f_config(obj, p: float, p_crit: float) -> tuple[dict, ConvectionTerm]:
     return {"kind": kind, **params, "envelope": envelope}, term
 
 
-def _t_config(obj, p: float, envelope: dict, n_dim: int) -> dict:
-    kind, section = _entry(obj, "T", _T_PARAMS, "identity")
+def _t_config(kind: str, section: dict, p: float, envelope: dict, n_dim: int) -> dict:
     violated = certificate_rule(kind, p, envelope["alpha"], envelope["beta"])
     _require(violated is None, "UNSUPPORTED_CERTIFICATE", violated)
     T = {"kind": kind}
@@ -266,11 +273,10 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
 
     levels = _as_int(obj, "levels", 5)
     _require(levels >= 1, "BAD_FIELD", f"levels must be >= 1, got {levels}")
-    quad_order = _as_int(obj, "quad_order", 4)
-    _require(quad_order >= 1, "BAD_FIELD", f"quad_order must be >= 1, got {quad_order}")
 
-    f_cfg, term = _f_config(obj, p, p_crit)
-    t_cfg = _t_config(obj, p, f_cfg["envelope"], n_dim)
+    t_kind, t_section = _entry(obj, "T", _T_PARAMS, "identity")
+    f_cfg, term = _f_config(obj, p, p_crit, t_kind)
+    t_cfg = _t_config(t_kind, t_section, p, f_cfg["envelope"], n_dim)
     _require(t_cfg["kind"] != "convolution" or n_dim == 1, "UNSUPPORTED_DOMAIN",
              "convolution operators are implemented for 1D domains")
 
@@ -317,7 +323,7 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
     _require(seed >= 0, "BAD_FIELD", f"seed must be >= 0, got {seed}")
 
     return ProblemSpec(
-        domain=domain, p=p, q=q, levels=levels, quad_order=quad_order,
+        domain=domain, p=p, q=q, levels=levels,
         f=f_cfg, T=t_cfg, policy=policy, tol=tol, eps_reg=eps_reg,
         seed=seed, p_crit=p_crit, safety=safety,
         sphere_samples=sphere_samples, estimator=estimator,
@@ -373,7 +379,7 @@ def build_operator(T: dict) -> IntrinsicOperator:
 
 def build_instance(spec: ProblemSpec) -> ProblemInstance:
     """Resolve a validated spec into meshes, catalog objects, and solver knobs."""
-    hierarchy = build_hierarchy(build_domain(spec.domain), spec.levels, spec.quad_order)
+    hierarchy = build_hierarchy(build_domain(spec.domain), spec.levels)
     term = build_convection(spec.f)
     return ProblemInstance(
         hierarchy=hierarchy,

@@ -59,10 +59,6 @@ _GL4_W = np.array(
     ]
 )
 
-# 2-point rule, used when quad_order <= 2 is requested.
-_GL2_T = np.array([0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0))])
-_GL2_W = np.array([0.5, 0.5])
-
 # Symmetric degree-4 triangle rule (6 points), barycentric coordinates.
 _TRI4_A = 0.445948490915965
 _TRI4_B = 0.091576213509771
@@ -78,18 +74,6 @@ _TRI4_BARY = np.array(
 )
 _TRI4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 _TRI4_W = _TRI4_W / _TRI4_W.sum()
-
-# Degree-2 triangle rule (3 midpoints of edges), for quad_order <= 2.
-_TRI2_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-_TRI2_W = np.array([1.0, 1.0, 1.0]) / 3.0
-
-
-def _interval_rule(quad_order: int):
-    return (_GL2_T, _GL2_W) if quad_order <= 2 else (_GL4_T, _GL4_W)
-
-
-def _triangle_rule(quad_order: int):
-    return (_TRI2_BARY, _TRI2_W) if quad_order <= 2 else (_TRI4_BARY, _TRI4_W)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,7 +451,7 @@ def _point_form(lvl: Level, value_weights, grad_weights) -> np.ndarray:
     return pat.scatter(pat.qp_slots, basis[:, None] * sum(parts)[None])
 
 
-def _build_level(index: int, mesh: DomainMesh, quad_order: int,
+def _build_level(index: int, mesh: DomainMesh,
                  coarse: Level | None = None, parents: np.ndarray | None = None) -> Level:
     """Level ``index`` on ``mesh``.
 
@@ -483,7 +467,7 @@ def _build_level(index: int, mesh: DomainMesh, quad_order: int,
 
     measures = mesh.element_measures()
     if mesh.dim == 1:
-        t, w = _interval_rule(quad_order)
+        t, w = _GL4_T, _GL4_W
         elem_nodes = np.column_stack([np.arange(mesh.n_elements), np.arange(1, mesh.n_nodes)])
         x0 = mesh.nodes[:-1]
         h = measures
@@ -494,7 +478,7 @@ def _build_level(index: int, mesh: DomainMesh, quad_order: int,
         grad[:, 0, 0] = -1.0 / h
         grad[:, 1, 0] = 1.0 / h
     else:
-        bary, w = _triangle_rule(quad_order)
+        bary, w = _TRI4_BARY, _TRI4_W
         elem_nodes = mesh.triangles
         v = mesh.vertices[mesh.triangles]  # (n_el, 3, 2)
         qp = np.einsum("qk,ekd->eqd", bary, v)
@@ -552,7 +536,6 @@ class SpaceHierarchy:
     """Increasing sequence of P1 spaces X_1 in X_2 in ... on nested meshes."""
 
     levels: tuple
-    quad_order: int
 
     @property
     def n_levels(self) -> int:
@@ -590,7 +573,7 @@ class SpaceHierarchy:
         return FEFunction(self, n, np.asarray(fn(pts), dtype=float))
 
 
-def build_hierarchy(domain: DomainMesh, levels: int, quad_order: int = 4) -> SpaceHierarchy:
+def build_hierarchy(domain: DomainMesh, levels: int) -> SpaceHierarchy:
     """Construct ``levels`` nested spaces by uniform refinement of ``domain``.
 
     Level 1 is the base mesh itself.  Boundary nodes never carry degrees of
@@ -599,19 +582,17 @@ def build_hierarchy(domain: DomainMesh, levels: int, quad_order: int = 4) -> Spa
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    if quad_order < 1:
-        raise ValueError(f"quad_order must be >= 1, got {quad_order}")
     if domain.dim not in (1, 2):
         raise MeshError(f"unsupported mesh dimension {domain.dim}")
-    out = [_build_level(1, domain, quad_order)]
+    out = [_build_level(1, domain)]
     for idx in range(2, levels + 1):
         mesh, parents = _refine(out[-1].mesh)
-        out.append(_build_level(idx, mesh, quad_order, out[-1], parents))
+        out.append(_build_level(idx, mesh, out[-1], parents))
     if out[-1].n_free < 1:
         raise MeshError(
             "finest level has no interior nodes; refine the base mesh or add levels"
         )
-    return SpaceHierarchy(levels=tuple(out), quad_order=quad_order)
+    return SpaceHierarchy(levels=tuple(out))
 
 
 @dataclass(frozen=True, eq=False)

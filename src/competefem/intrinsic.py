@@ -112,20 +112,6 @@ class Kernel:
     def l1_norm(self) -> float:
         return self.scale
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        s = self.support_radius
-        inside = np.abs(t) <= s
-        if self.shape == "box":
-            return np.where(inside, self.scale / (2.0 * s), 0.0)
-        if self.shape == "hat":
-            return np.where(inside, (self.scale / s) * (1.0 - np.abs(t) / s), 0.0)
-        from scipy.special import erf  # only this kernel pays for the import
-
-        sigma = float(self.params["sigma"])
-        z = sigma * math.sqrt(2.0 * math.pi) * erf(s / (sigma * math.sqrt(2.0)))
-        return np.where(inside, self.scale * np.exp(-0.5 * (t / sigma) ** 2) / z, 0.0)
-
     def antiderivative(self, t: np.ndarray) -> np.ndarray:
         """P(t) = integral of the kernel over (-inf, t], exact per shape."""
         t = np.asarray(t, dtype=float)
@@ -137,18 +123,13 @@ class Kernel:
             left = 0.5 * self.scale * (1.0 + tc / s) ** 2
             right = self.scale - 0.5 * self.scale * (1.0 - tc / s) ** 2
             return np.where(tc <= 0.0, left, right)
-        from scipy.special import erf
+        from scipy.special import erf  # only this kernel pays for the import
 
         sigma = float(self.params["sigma"])
         tc = np.clip(t, -s, s)
         num = erf(tc / (sigma * math.sqrt(2.0))) + erf(s / (sigma * math.sqrt(2.0)))
         den = 2.0 * erf(s / (sigma * math.sqrt(2.0)))
         return self.scale * num / den
-
-    def to_json_dict(self) -> dict:
-        out = {"shape": self.shape}
-        out.update({k: float(v) for k, v in self.params.items()})
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +166,6 @@ class LiftFunction:
             first = x[..., 0] if x.ndim > 1 and x.shape[-1] == 1 else x
             return float(self.params.get("a", 0.0)) * first + float(self.params.get("b", 0.0))
         raise KeyError(f"unknown lift kind {self.kind!r}; choose {', '.join(LIFT_PARAMS[1])}")
-
-    def to_json_dict(self) -> dict:
-        out = {"kind": self.kind}
-        out.update({k: float(v) for k, v in self.params.items()})
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +358,14 @@ def certificate_rule(kind: str, p: float, alpha: float, beta: float) -> str | No
             f"got alpha={alpha}, beta={beta}")
 
 
+def inert_exponent(kind: str, p: float) -> float:
+    """An exponent that :func:`certificate_rule` accepts for ``kind``: p-1, at most 1 for identity.
+
+    An envelope exponent whose coefficient is zero takes it unless set.
+    """
+    return min(1.0, p - 1.0) if kind == "identity" else p - 1.0
+
+
 def certificate(
     T: IntrinsicOperator,
     p: float,
@@ -448,10 +432,6 @@ class CertificateCheck:
     worst_margin: float
     worst_trial: int
     n_trials: int
-
-    @property
-    def holds(self) -> bool:
-        return self.worst_margin <= 0.0
 
 
 def certificate_check(

@@ -560,10 +560,6 @@ class GrowthCheckReport:
     worst_sample: tuple
     n_samples: int
 
-    @property
-    def holds(self) -> bool:
-        return self.worst_margin <= 0.0
-
 
 def growth_envelope_check(f: ConvectionTerm, samples) -> GrowthCheckReport:
     """Worst |f| - envelope over a sample set; nonpositive means it holds."""

@@ -1,18 +1,22 @@
 """Constructive core: ball-constrained zero finding and the level hierarchy.
 
+Each level's Galerkin equation is one :class:`LevelProblem`, built by
+``ProblemInstance.at``.  Its residual applies T (unless f is x-only), its
+Jacobian differentiates through f for a local T and keeps the load frozen
+(the chord rule) for a nonlocal one, and it measures the W^{1,p}_0
+seminorm.  The zero search, the sphere certificate and the diagnostics all
+evaluate the equation through it, vectors and coefficient blocks alike.
+
 Existence theory guarantees a zero of the Galerkin residual inside the ball
 of the safeguard radius whenever the pairing against the sphere is
 nonnegative.  That argument is non-constructive, so numerically each level
 runs one zero search: Levenberg-damped Newton from zero damping, projected
 to the ball, and on stall homotopy continuation towards the residual from a
-well-behaved anchor map.  The residual applies T at every iterate it
-evaluates; the Jacobian differentiates through f for a local T and keeps
-the load frozen (the chord rule) for a nonlocal one.  Every Jacobian of a
-level has the level's one pattern, so the symbolic work of a Newton step
-(the band ordering of the normal equations and where each product lands)
-is done once per pattern and each iteration only computes numbers.
-Failures are reported with the best iterate and the residual history,
-never silently.
+well-behaved anchor map.  Every Jacobian of a level has the level's one
+pattern, so the symbolic work of a Newton step (the band ordering of the
+normal equations and where each product lands) is done once per pattern
+and each iteration only computes numbers.  Failures are reported with the
+best iterate and the residual history, never silently.
 
 A sphere-sampling certificate documents that the nonnegativity hypothesis
 held at the radius actually used, so a zero exists even if the solver were
@@ -39,8 +43,8 @@ from .constants import (
     coercivity_radius,
     compose_c0,
 )
-from .discretization import (FEFunction, SpaceHierarchy, _column_dots, _grad_integral,
-                             _gradients, grad_norm_p, prolongate, sine_mode)
+from .discretization import (FEFunction, Level, NodalSamples, SpaceHierarchy, _column_dots,
+                             _grad_integral, _gradients, grad_norm_p, prolongate, sine_mode)
 from .intrinsic import IntrinsicOperator, apply as apply_operator, certificate, lift_on
 from .operators import (
     ConvectionTerm,
@@ -419,109 +423,63 @@ class ProblemInstance:
     def envelope(self) -> GrowthEnvelope:
         return self.convection.envelope
 
-    def lift_for(self, level: int):
-        if self.operator.kind == "boundary_lift":
-            return lift_on(self.operator, self.hierarchy, level)
-        return None
+    def at(self, n: int) -> "LevelProblem":
+        """The Galerkin equation of level n."""
+        lift = lift_on(self.operator, self.hierarchy, n) \
+            if self.operator.kind == "boundary_lift" else None
+        return LevelProblem(self.hierarchy, n, lift, self.operator, self.convection,
+                            self.p, self.q, self.eps_reg)
 
 
-@dataclass(frozen=True)
-class LevelSolve:
-    level: int
-    u: FEFunction
-    residual_sup: float
-    newton_iters: int
-    continuation_stages: int
-    radius: float
-    grad_norm: float
-    apriori_margin: float
-    energy_gap: float
-    sphere_margin: Optional[float]
-    sphere_negative: int
-    converged: bool
-    sphere_q05: Optional[float] = None
-    sphere_median: Optional[float] = None
+@dataclass(frozen=True, eq=False)
+class LevelProblem:
+    """The Galerkin equation -Lap_p(u + u0) + Lap_q(u + u0) = f(x, T(u), grad T(u)) on level n.
+
+    ``lift`` is u0 on the level for a boundary lift, else None.
+    """
+
+    hierarchy: SpaceHierarchy
+    n: int
+    lift: Optional[NodalSamples]
+    operator: IntrinsicOperator
+    convection: ConvectionTerm
+    p: float
+    q: float
+    eps_reg: float
 
     @property
-    def path(self) -> str:
-        """How the level's zero search ended: ``newton``, ``homotopy`` or ``failed``."""
-        return _path(self.converged, self.continuation_stages)
+    def lvl(self) -> Level:
+        return self.hierarchy.level(self.n)
 
+    def residual(self, c: np.ndarray) -> tuple:
+        """(values, samples): the residual at c and the samples of T(c) it took.
 
-def _image_of(inst: ProblemInstance, u: FEFunction):
-    """T(u) for the convection term, or None when f is x-only and never reads it."""
-    if inst.convection.solution_dependent:
-        return apply_operator(inst.operator, u)
-    return None
+        c is a coefficient vector or an (n_free, k) block, whose residual has
+        k columns.  T is applied once, and not at all when f is x-only
+        (samples None).
+        """
+        u = self.hierarchy.function(self.n, c)
+        samples = apply_operator(self.operator, u) if self.convection.solution_dependent \
+            else None
+        values = assemble_residual(u, samples, self.convection, self.p, self.q,
+                                   lift=self.lift).values
+        return values, samples
 
+    def jacobian(self, c: np.ndarray, samples) -> sp.csr_matrix:
+        """The Jacobian at c, through f at the ``samples`` of T(c) for a local T.
 
-def solve_level(
-    inst: ProblemInstance,
-    n: int,
-    R: float,
-    warm: Optional[FEFunction] = None,
-) -> LevelSolve:
-    """Solve the Galerkin equation on level n inside the safeguard ball.
+        A nonlocal T keeps the load frozen (the chord rule).
+        """
+        return assemble_jacobian(self.hierarchy.function(self.n, c),
+                                 samples if self.operator.is_local else None,
+                                 self.convection, self.p, self.q,
+                                 eps_reg=self.eps_reg, lift=self.lift)
 
-    One ball-constrained zero search on the residual, which applies T to
-    every iterate it evaluates.  For a local operator (identity, boundary
-    lift) the Jacobian differentiates through f at the samples of T the
-    residual just took at the same iterate; for a nonlocal one
-    (convolution) it keeps the load frozen (the chord rule).  The residual
-    sup, the energy gap and convergence come from the residual the search
-    last evaluated.
-    """
-    h = inst.hierarchy
-    lift = inst.lift_for(n)
-    chord = not inst.operator.is_local
-    last = [None]  # the samples of T the residual last took
-
-    def gnorm(c):
-        return grad_norm_p(h.function(n, c), inst.p)
-
-    def F(c):
-        u = h.function(n, c)
-        last[0] = _image_of(inst, u)
-        return assemble_residual(u, last[0], inst.convection, inst.p, inst.q,
-                                 lift=lift).values
-
-    def J(c):
-        u = h.function(n, c)
-        # brouwer_zero only differentiates at the iterate F last evaluated
-        img = None if chord else last[0]
-        return assemble_jacobian(u, img, inst.convection, inst.p, inst.q,
-                                 eps_reg=inst.eps_reg, lift=lift)
-
-    # The operator is non-monotone, so the discrete equation can have several
-    # solutions and Newton converges to the one nearest its start.  A supplied
-    # initial-guess function acts as a branch selector and is interpolated on
-    # every level; otherwise levels warm-start from the prolongated previous
-    # solution and the base level starts at the origin.
-    if inst.initial_guess is not None:
-        coeffs = np.array(h.interpolate(n, inst.initial_guess).coeffs, dtype=float)
-    elif warm is not None:
-        coeffs = np.array(warm.coeffs, dtype=float)
-    else:
-        coeffs = np.zeros(h.level(n).n_free)
-
-    res = brouwer_zero(F, R, x0=coeffs, jac=J, norm=gnorm, tol=inst.tol)
-    u = h.function(n, res.x)
-    gn = grad_norm_p(u, inst.p)
-    return LevelSolve(
-        level=n,
-        u=u,
-        residual_sup=res.residual_sup,
-        newton_iters=res.newton_iters,
-        continuation_stages=res.continuation_stages,
-        radius=R,
-        grad_norm=gn,
-        apriori_margin=R - gn,
-        # the equation tested with u itself
-        energy_gap=abs(float(res.fx @ res.x)),
-        sphere_margin=None,
-        sphere_negative=0,
-        converged=res.converged,
-    )
+    def norms(self, c: np.ndarray):
+        """||grad u||_p of a coefficient vector, or of each column of an (n_free, k) block."""
+        if np.ndim(c) == 1:
+            return grad_norm_p(self.hierarchy.function(self.n, c), self.p)
+        return _grad_integral(self.lvl, _gradients(self.lvl, c), self.p) ** (1.0 / self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,6 +501,78 @@ class SpherePairings:
         return float(np.quantile(self.values, q)) if self.values.size else None
 
 
+@dataclass(frozen=True)
+class LevelSolve:
+    level: int
+    u: FEFunction
+    residual_sup: float
+    newton_iters: int
+    continuation_stages: int
+    radius: float
+    grad_norm: float
+    apriori_margin: float
+    energy_gap: float
+    converged: bool
+    sphere: SpherePairings = SpherePairings(np.empty(0))
+
+    @property
+    def path(self) -> str:
+        """How the level's zero search ended: ``newton``, ``homotopy`` or ``failed``."""
+        return _path(self.converged, self.continuation_stages)
+
+
+def solve_level(
+    inst: ProblemInstance,
+    n: int,
+    R: float,
+    warm: Optional[FEFunction] = None,
+) -> LevelSolve:
+    """Solve the Galerkin equation on level n inside the safeguard ball.
+
+    One ball-constrained zero search on the level problem's residual.  Its
+    Jacobian gets the samples of T the residual just took at the same
+    iterate.  The residual sup, the energy gap and convergence come from
+    the residual the search last evaluated.
+    """
+    h = inst.hierarchy
+    prob = inst.at(n)
+    last = [None]  # the samples of T the residual last took
+
+    def F(c):
+        values, last[0] = prob.residual(c)
+        return values
+
+    # The operator is non-monotone, so the discrete equation can have several
+    # solutions and Newton converges to the one nearest its start.  A supplied
+    # initial-guess function acts as a branch selector and is interpolated on
+    # every level; otherwise levels warm-start from the prolongated previous
+    # solution and the base level starts at the origin.
+    if inst.initial_guess is not None:
+        coeffs = np.array(h.interpolate(n, inst.initial_guess).coeffs, dtype=float)
+    elif warm is not None:
+        coeffs = np.array(warm.coeffs, dtype=float)
+    else:
+        coeffs = np.zeros(h.level(n).n_free)
+
+    # brouwer_zero only differentiates at the iterate F last evaluated
+    res = brouwer_zero(F, R, x0=coeffs, jac=lambda c: prob.jacobian(c, last[0]),
+                       norm=prob.norms, tol=inst.tol)
+    gn = prob.norms(res.x)
+    return LevelSolve(
+        level=n,
+        u=h.function(n, res.x),
+        residual_sup=res.residual_sup,
+        newton_iters=res.newton_iters,
+        continuation_stages=res.continuation_stages,
+        radius=R,
+        grad_norm=gn,
+        apriori_margin=R - gn,
+        # the equation tested with u itself
+        energy_gap=abs(float(res.fx @ res.x)),
+        converged=res.converged,
+    )
+
+
 def sphere_certificate(
     inst: ProblemInstance,
     n: int,
@@ -558,22 +588,18 @@ def sphere_certificate(
     drawing them one at a time, and each block takes one application of T
     and one residual.
     """
-    h = inst.hierarchy
-    lvl = h.level(n)
-    if lvl.n_free == 0 or n_samples <= 0:
+    n_free = inst.hierarchy.level(n).n_free
+    if n_free == 0 or n_samples <= 0:
         return SpherePairings(np.empty(0))
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 929, int(n))))
-    lift = inst.lift_for(n)
-    f = inst.convection
+    prob = inst.at(n)
     pairings = []
     for start in range(0, n_samples, SPHERE_CHUNK):
-        c = rng.standard_normal((min(SPHERE_CHUNK, n_samples - start), lvl.n_free)).T
-        g = _grad_integral(lvl, _gradients(lvl, c), inst.p) ** (1.0 / inst.p)
+        c = rng.standard_normal((min(SPHERE_CHUNK, n_samples - start), n_free)).T
+        g = prob.norms(c)
         keep = g != 0
         c = c[:, keep] * (R / g[keep])
-        v = h.function(n, c)
-        res = assemble_residual(v, _image_of(inst, v), f, inst.p, inst.q, lift=lift)
-        pairings.append(_column_dots(res.values, c))
+        pairings.append(_column_dots(prob.residual(c)[0], c))
     return SpherePairings(np.concatenate(pairings))
 
 
@@ -606,16 +632,14 @@ def convergence_diagnostics(
     """
     h = inst.hierarchy
     top = u.level
-    lvl = h.level(top)
-    lift = inst.lift_for(top)
+    prob = inst.at(top)
+    lvl = prob.lvl
 
     hats = np.eye(min(test_set_size, lvl.n_free), lvl.n_free)
     sines = [sine_mode(h, top, k).coeffs for k in range(1, 5)]
     test_rows = np.vstack([hats] + sines)
     tests = test_rows.T  # the (n_free, n_tests) block
-    test_norms = np.maximum(
-        _grad_integral(lvl, _gradients(lvl, tests), inst.p) ** (1.0 / inst.p), 1e-300
-    )
+    test_norms = np.maximum(prob.norms(tests), 1e-300)
 
     rows = []
     for solve in solves:
@@ -623,15 +647,14 @@ def convergence_diagnostics(
             continue
         un = prolongate(solve.u, top)
         diff = h.function(top, un.coeffs - u.coeffs)
-        img = _image_of(inst, un)
 
         # int (u_n - u) phi_j dx for every free hat j, paired with each test
         mass = lvl.qp_op_t @ (lvl.qp_weights * diff.values_at_qp()).ravel()
         weak = max(abs(float(mass @ phi)) for phi in test_rows)
 
         # the residual of u_n paired with every test at once
-        res = assemble_residual(un, img, inst.convection, inst.p, inst.q, lift=lift)
-        residual_gap = float(np.max(np.abs(_column_dots(res.values[:, None], tests))
+        values, _ = prob.residual(un.coeffs)
+        residual_gap = float(np.max(np.abs(_column_dots(values[:, None], tests))
                                     / test_norms))
 
         rows.append(
@@ -639,8 +662,8 @@ def convergence_diagnostics(
                 level=solve.level,
                 weak_gap=weak,
                 residual_gap=residual_gap,
-                pairing_gap=competing_pairing(un, diff, inst.p, inst.q, lift=lift),
-                full_gap=float(res.values @ diff.coeffs),
+                pairing_gap=competing_pairing(un, diff, inst.p, inst.q, lift=prob.lift),
+                full_gap=float(values @ diff.coeffs),
             )
         )
     return rows
@@ -695,10 +718,10 @@ class SolveReport:
                     "outer_iters": 0,
                     "continuation_stages": s.continuation_stages,
                     "path": s.path,
-                    "sphere_margin": s.sphere_margin,
-                    "sphere_negative": s.sphere_negative,
-                    "sphere_q05": s.sphere_q05,
-                    "sphere_median": s.sphere_median,
+                    "sphere_margin": s.sphere.margin,
+                    "sphere_negative": s.sphere.negative,
+                    "sphere_q05": s.sphere.quantile(0.05),
+                    "sphere_median": s.sphere.quantile(0.5),
                     "converged": s.converged,
                     "diag_a": None if d is None else d.weak_gap,
                     "diag_b": None if d is None else d.residual_gap,
@@ -824,10 +847,8 @@ def run_hierarchy(
     for n in range(1, top + 1):
         if h.level(n).n_free == 0:
             continue
-        result = solve_level(inst, n, R, warm=warm)
-        sphere = sphere_certificate(inst, n, R, inst.sphere_samples, inst.seed)
-        result = replace(result, sphere_margin=sphere.margin, sphere_negative=sphere.negative,
-                         sphere_q05=sphere.quantile(0.05), sphere_median=sphere.quantile(0.5))
+        result = replace(solve_level(inst, n, R, warm=warm),
+                         sphere=sphere_certificate(inst, n, R, inst.sphere_samples, inst.seed))
         solves.append(result)
         if not result.converged:
             base.status = "solver_failure"

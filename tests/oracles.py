@@ -354,14 +354,14 @@ def sphere_pairings_loop(inst, n: int, R: float, n_samples: int, seed: int) -> n
     skipped.
     """
     from competefem.discretization import grad_norm_p, sample
-    from competefem.intrinsic import apply
+    from competefem.intrinsic import apply, lift_on
     from competefem.operators import assemble_residual
 
     h = inst.hierarchy
     lvl = h.level(n)
     f = inst.convection
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 929, int(n))))
-    lift = inst.lift_for(n)
+    lift = lift_on(inst.operator, h, n) if inst.operator.kind == "boundary_lift" else None
     out = []
     for _ in range(n_samples):
         c = rng.standard_normal(lvl.n_free)

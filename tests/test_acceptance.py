@@ -188,8 +188,8 @@ class TestCriterion4:
         ok = worst <= 1e-2
 
         inst, rep, _ = manufactured_run
-        negatives = sum(s.sphere_negative for s in rep.levels)
-        margins = min(s.sphere_margin for s in rep.levels)
+        negatives = sum(s.sphere.negative for s in rep.levels)
+        margins = min(s.sphere.margin for s in rep.levels)
         ok = ok and negatives == 0 and inst.sphere_samples == 1000
         report(4, ok,
                f"worst oracle distance {worst:.2e} over 50 maps (<= 1e-2); "

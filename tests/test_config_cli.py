@@ -37,7 +37,6 @@ class TestParseConfig:
     def test_minimal_fills_defaults(self, tmp_path):
         spec = parse_config(write_config(tmp_path, MINIMAL))
         assert spec.levels == 5
-        assert spec.quad_order == 4
         assert spec.policy == "refuse"
         assert spec.tol == 1e-10
         assert spec.p_crit == 6.0
@@ -80,6 +79,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(write_config(tmp_path, bad))
         assert err.value.code == "BAD_FIELD"
+
+    def test_quad_order_refused(self):
+        # every value from 3 up chose the same rule, so the key is gone
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(dict(MINIMAL, quad_order=4))
+        assert err.value.code == "BAD_FIELD"
+        assert "'quad_order'" in str(err.value)
 
     def test_certificate_support_enforced(self, tmp_path):
         bad = dict(MINIMAL, f={"kind": "signed_power", "a1": 0.1, "alpha": 3.0})
@@ -185,7 +191,6 @@ INTEGER_FIELDS = {
     "refine_factor": lambda v: {
         "f": CONVOLUTION_CLI["f"], "T": dict(CONVOLUTION_CLI["T"], refine_factor=v)},
     "levels": lambda v: {"levels": v},
-    "quad_order": lambda v: {"quad_order": v},
     "sphere_samples": lambda v: {"sphere_samples": v},
     "starts": lambda v: {"estimator": {"starts": v}},
     "iters": lambda v: {"estimator": {"iters": v}},
@@ -395,6 +400,44 @@ def test_sigma_only_takes_a_parameterless_weight(sigma_kind):
 def test_sigma_only_defaults_to_the_unit_constant():
     spec = parse_config_dict(dict(MINIMAL, f={"kind": "sigma_only"}))
     assert spec.f["envelope"]["sigma"] == {"kind": "constant", "c": 1.0}
+
+
+_CONVOLUTION_T = {"kind": "convolution", "kernel": {"shape": "box", "width": 0.25}}
+
+
+# configs whose zero coefficients leave an exponent inert, with the (alpha, beta)
+# each echoes; the catalog's default 1 for both once got them refused
+INERT_EXPONENTS = {
+    "zero-below-2": ({"domain": {"kind": "unit_square"}, "p": 1.8, "q": 1.4,
+                      "eps_reg": 1e-3, "f": {"kind": "zero"}}, (0.8, 0.8)),
+    "constant-lift": ({"f": {"kind": "constant"},
+                       "T": {"kind": "boundary_lift", "u0": {"kind": "affine", "b": 0.1}}},
+                      (2.0, 2.0)),
+    "manufactured-convolution": ({"f": {"kind": "manufactured_p3q2"}, "T": _CONVOLUTION_T},
+                                 (2.0, 2.0)),
+    "inert-beta-convolution": ({"f": {"kind": "manufactured_plus_power", "a1": 0.1, "alpha": 2},
+                                "T": _CONVOLUTION_T}, (2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INERT_EXPONENTS))
+def test_inert_exponents_take_a_certified_default(case):
+    patch, exponents = INERT_EXPONENTS[case]
+    spec = parse_config_dict(dict(MINIMAL, **patch))
+    assert (spec.f["envelope"]["alpha"], spec.f["envelope"]["beta"]) == exponents
+    assert parse_config_dict(spec.to_json_dict()) == spec
+    env = build_instance(spec).envelope
+    assert (env.alpha, env.beta) == exponents
+
+
+def test_set_inert_exponents_are_kept():
+    # an exponent that f or its envelope sets is echoed as set, and judged by the rule
+    spec = parse_config_dict(dict(MINIMAL, f={"kind": "zero", "envelope": {"alpha": 0.5}}))
+    assert (spec.f["envelope"]["alpha"], spec.f["envelope"]["beta"]) == (0.5, 1.0)
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(dict(MINIMAL, f={"kind": "signed_power", "a1": 0.0, "alpha": 1.0},
+                               T=_CONVOLUTION_T))
+    assert err.value.code == "UNSUPPORTED_CERTIFICATE"
 
 
 def test_initial_guess_is_null_or_exact():
@@ -636,12 +679,3 @@ class TestCli:
             assert level["sphere_margin"] is None
             assert level["sphere_q05"] is None and level["sphere_median"] is None
 
-    @pytest.mark.parametrize("quad_order", [1, 2, 4])
-    def test_readme_config_solves_at_every_quad_order(self, tmp_path, quad_order):
-        # a 1D rule with two points once made x look like a 2D point array
-        cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, quad_order=quad_order,
-                                          levels=3, sphere_samples=1000))
-        out = tmp_path / "out"
-        assert main(["solve", str(cfg), "--out-dir", str(out)]) == 0
-        report = json.loads((out / "solve_report.json").read_text())
-        assert report["status"] == "ok" and len(report["levels"]) == 3

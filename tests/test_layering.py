@@ -9,6 +9,10 @@ constructs runtime objects only in its three builders.
 
 The solver and the assembly build no sparse diagonal or identity matrix:
 a Newton iteration fills a fixed pattern instead.
+
+In the solver, only the level problem evaluates the Galerkin equation: it
+alone assembles the residual and the Jacobian and applies T, and the lift
+is looked up only where a level problem is built.
 """
 
 import ast
@@ -83,3 +87,23 @@ def test_newton_iterations_build_no_sparse_diagonals():
     assert offenders == []
     # the guard sees what it guards: the constants still build a diagonal
     assert _sparse_builder_calls(package / "constants.py")
+
+
+# solver.py call -> the top-level definitions that may make it
+EQUATION_CALLS = {
+    "assemble_residual": {"LevelProblem"},
+    "assemble_jacobian": {"LevelProblem"},
+    "apply_operator": {"LevelProblem"},
+    "lift_on": {"LevelProblem", "ProblemInstance"},
+}
+
+
+def test_solver_states_the_galerkin_equation_once():
+    calls = list(_calls(Path(competefem.__file__).parent / "solver.py"))
+    offenders = [f"solver.py:{line} {name} in {owner}" for owner, name, line in calls
+                 if name in EQUATION_CALLS and owner not in EQUATION_CALLS[name]]
+    assert offenders == []
+    # the guard sees what it guards
+    made = {(owner, name) for owner, name, _ in calls}
+    assert {("LevelProblem", "assemble_residual"), ("LevelProblem", "assemble_jacobian"),
+            ("LevelProblem", "apply_operator"), ("ProblemInstance", "lift_on")} <= made

@@ -690,8 +690,8 @@ class TestRunHierarchy:
             assert s.energy_gap <= inst.tol * len(s.u.coeffs) * max(
                 1.0, float(np.linalg.norm(s.u.coeffs))
             )
-            assert s.sphere_negative == 0
-            assert s.sphere_margin <= s.sphere_q05 <= s.sphere_median
+            assert s.sphere.negative == 0
+            assert s.sphere.margin <= s.sphere.quantile(0.05) <= s.sphere.quantile(0.5)
         # diagnostics rows exclude the finest level and decay
         levels = [d.level for d in report.diagnostics]
         assert levels == [1, 2, 3, 4]
