@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +104,50 @@ class TestBuildHierarchy:
         mesh = interval_mesh(0.0, 1.0, 7)
         assert mesh.measure == pytest.approx(np.sum(mesh.element_measures()), rel=1e-15)
         assert unit_square_mesh().measure == pytest.approx(1.0, rel=1e-15)
+
+
+def _node_coords(mesh):
+    return mesh.nodes[:, None] if mesh.dim == 1 else mesh.vertices
+
+
+# every level uses one rule per dimension: 4-point Gauss-Legendre on intervals,
+# the symmetric 6-point rule on triangles; (mesh, degree the rule is exact to)
+QUADRATURE_MESHES = {
+    "interval": (lambda: interval_mesh_from_nodes(np.array([-0.3, 0.1, 0.25, 1.4, 2.0])), 7),
+    "triangle": (irregular_mesh, 4),
+}
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("kind", sorted(QUADRATURE_MESHES))
+    def test_rule_exact_to_its_degree(self, kind):
+        # oracle: int_e prod_i lambda_i^a_i = |e| dim! prod_i a_i! / (sum a + dim)!
+        # for the barycentric coordinates lambda_i, which the P1 basis is
+        make_mesh, degree = QUADRATURE_MESHES[kind]
+        for lvl in build_hierarchy(make_mesh(), 2).levels:
+            nv = lvl.basis_at_qp.shape[1]
+            for exps in itertools.product(range(degree + 1), repeat=nv):
+                n = sum(exps)
+                if n > degree:
+                    continue
+                vals = np.prod(lvl.basis_at_qp ** np.array(exps), axis=1)
+                exact = (lvl.elem_measure * math.factorial(nv - 1)
+                         * np.prod([math.factorial(a) for a in exps])
+                         / math.factorial(n + nv - 1))
+                np.testing.assert_allclose(lvl.qp_weights @ vals, exact, rtol=1e-13)
+
+    @pytest.mark.parametrize("kind", sorted(QUADRATURE_MESHES))
+    def test_points_sit_where_the_basis_puts_them(self, kind):
+        # a point array of shape (n_el, n_q, dim) in 1D too, each point the
+        # basis-weighted mean of its element's vertices
+        lvl = build_hierarchy(QUADRATURE_MESHES[kind][0](), 2).level(2)
+        n_q = lvl.basis_at_qp.shape[0]
+        assert lvl.qp_points.shape == (len(lvl.elem_nodes), n_q, lvl.mesh.dim)
+        assert lvl.qp_weights.shape == (len(lvl.elem_nodes), n_q)
+        assert np.all(lvl.basis_at_qp > 0)
+        verts = _node_coords(lvl.mesh)[lvl.elem_nodes]
+        np.testing.assert_allclose(
+            lvl.qp_points, np.einsum("qk,ekd->eqd", lvl.basis_at_qp, verts), rtol=0, atol=1e-15)
 
 
 class TestProlongate:
