@@ -11,7 +11,10 @@ factorised once per level and one loop steps all of them, through the level
 operators and block forms of :mod:`competefem.discretization` that also
 carry the residual, the Jacobian and the norms.  Each start still takes its
 own steps, and each exponent its own starts, so an estimate does not depend
-on which other exponents were ascended beside it.  The raw
+on which other exponents were ascended beside it.  A step backtracks from
+twice the last accepted one until the sufficient-increase (Armijo) test
+with constant ``ASCENT_ARMIJO`` holds (Nocedal and Wright, Numerical
+Optimization, section 3.1).  The raw
 numbers are ratios attained by finite element functions, so they stay
 lower bounds of the true constants; reports say whether each estimator
 converged and, per level, the most steps any start took.  A configurable
@@ -20,6 +23,12 @@ keep both numbers.  The first eigenvalue of the p-Laplacian is the same
 Rayleigh quotient read the other way: lambda_1 = S_p,raw^{-p}, an upper
 bound because S_p,raw is a lower bound.  It comes from the ascent at r = p
 and has no optimiser of its own.
+
+The solver asks only for the exponents that some decision reads
+(``solver.required_exponents``).  The checks and ``compose_c0`` read a
+pair constant only under a positive coefficient.  Under a zero one its
+term is exactly 0.0, which is also what the product with the constant
+would give, and reports show the constant as None.
 
 When the critical Sobolev exponent is unavailable (p >= space dimension at
 desk scale) a finite surrogate is used everywhere; the default is 2p.  The
@@ -150,6 +159,10 @@ class EstimateResult:
 
 
 ASCENT_TOL = 1e-11  # relative gain of one step below which an ascent stops
+# sufficient-increase (Armijo) constant of the backtracking test; on a line
+# whose gain is locally quadratic it rejects any trial past 1.8 times the
+# line optimum, so doubling the last accepted step cannot lock near 2 times it
+ASCENT_ARMIJO = 0.1
 
 
 def _stiffness_solve(lvl):
@@ -231,7 +244,7 @@ def _ascend_embedding(lvl, rs, p, blocks, iters, tol):
             # rejected like any trial that fails the Armijo test
             trial = trial / _grad_integral(lvl, _gradients(lvl, trial), p) ** (1.0 / p)
             trial_N = _r_norms(lvl, _qp_values(lvl, trial), _exponent_slices(owner[trying], rs))
-            ok = trial_N > N[trying] + 1e-4 * t[trying] * slope[trying]
+            ok = trial_N > N[trying] + ASCENT_ARMIJO * t[trying] * slope[trying]
             hit = trying[ok]
             cand[:, hit], cN[hit] = trial[:, ok], trial_N[ok]
             accepted[hit] = True
@@ -419,10 +432,20 @@ class HypothesisReport:
         }
 
 
+def _pair(constants: EmbeddingConstants, coeff: float, r: float):
+    """S_r when its coefficient is positive; None, unread, under a zero one."""
+    return constants.S(r) if coeff > 0 else None
+
+
+def _term(coeff: float, k: float, s) -> float:
+    # an unread pair constant (None) stands under a zero coefficient
+    return 0.0 if s is None else coeff * k * s
+
+
 def _smallness_value(a1, k1, s_a, a2, k2, s_b) -> float:
     # shared expression so that specialised checks agree bitwise with the
     # generic one under constant substitution
-    return a1 * k1 * s_a + a2 * k2 * s_b
+    return _term(a1, k1, s_a) + _term(a2, k2, s_b)
 
 
 def check_growth_smallness(
@@ -436,8 +459,8 @@ def check_growth_smallness(
     """a1 K1 S_{pc/(pc-alpha)} + a2 K2 S_{p/(p-beta)} must stay below one."""
     pc = constants.p_crit
     p = constants.p
-    s_a = constants.S(pc / (pc - alpha))
-    s_b = constants.S(p / (p - beta))
+    s_a = _pair(constants, a1, pc / (pc - alpha))
+    s_b = _pair(constants, a2, p / (p - beta))
     value = _smallness_value(a1, cert.value_coeff, s_a, a2, cert.grad_coeff, s_b)
     return HypothesisReport(
         name="growth_smallness",
@@ -462,8 +485,8 @@ def check_lift_condition(a1: float, a2: float, p: float,
     pc = constants.p_crit
     m = max(2.0 ** (p - 2.0), 1.0)
     k1 = m * constants.S(pc) ** (p - 1.0)
-    s_a = constants.S(pc / (pc - p + 1.0))
-    s_b = constants.S(1.0)
+    s_a = _pair(constants, a1, pc / (pc - p + 1.0))
+    s_b = _pair(constants, a2, 1.0)
     value = _smallness_value(a1, k1, s_a, a2, m, s_b)
     return HypothesisReport(
         name="lift_condition",
@@ -493,8 +516,8 @@ def check_convolution_condition(
         raise ConstantLookupError("no whole-space constant surrogate available")
     factor = n_dim ** (p - 1.0) * kernel_l1 ** (p - 1.0)
     k1 = factor * constants.s_space ** (p - 1.0)
-    s_a = constants.S(pc / (pc - p + 1.0))
-    s_b = constants.S(1.0)
+    s_a = _pair(constants, a1, pc / (pc - p + 1.0))
+    s_b = _pair(constants, a2, 1.0)
     value = _smallness_value(a1, k1, s_a, a2, factor, s_b)
     return HypothesisReport(
         name="convolution_condition",
@@ -591,12 +614,12 @@ def compose_c0(env, sigma_dual_norm: float, cert, constants: EmbeddingConstants)
 
     Collects the convection contributions that do not scale with the leading
     power: S_r ||sigma||_{r'} plus the certificate offset paired with the
-    same embedding constants as the growth terms.
+    same embedding constants as the growth terms.  As in the checks, a pair
+    constant is read only under a positive coefficient.
     """
     pc = constants.p_crit
     p = constants.p
     c0 = constants.S(env.r) * sigma_dual_norm
-    if env.a1 > 0 or cert.offset > 0:
-        c0 += env.a1 * cert.offset * constants.S(pc / (pc - env.alpha))
-        c0 += env.a2 * cert.offset * constants.S(p / (p - env.beta))
+    c0 += _term(env.a1, cert.offset, _pair(constants, env.a1, pc / (pc - env.alpha)))
+    c0 += _term(env.a2, cert.offset, _pair(constants, env.a2, p / (p - env.beta)))
     return float(c0)

@@ -750,18 +750,26 @@ class SolveReport:
 
 
 def required_exponents(inst: ProblemInstance) -> list:
+    """The exponents whose S_r some decision reads.
+
+    Always S_r at the envelope's r (for c0), S_p (for lambda_1) and S_pc
+    (for the certificate and S_space).  Under a1 > 0 also S_{pc/(pc-alpha)},
+    and S_{pc/(pc-p+1)} for the lift and convolution checks; under a2 > 0
+    also S_{p/(p-beta)}, and S_1 for those checks.
+    """
     env = inst.envelope
     pc = inst.p_crit
     p = inst.p
-    wanted = {
-        env.r,
-        p,
-        pc,
-        1.0,
-        pc / (pc - env.alpha),
-        p / (p - env.beta),
-        pc / (pc - p + 1.0),
-    }
+    paired = inst.operator.kind in ("boundary_lift", "convolution")
+    wanted = {env.r, p, pc}
+    if env.a1 > 0:
+        wanted.add(pc / (pc - env.alpha))
+        if paired:
+            wanted.add(pc / (pc - p + 1.0))
+    if env.a2 > 0:
+        wanted.add(p / (p - env.beta))
+        if paired:
+            wanted.add(1.0)
     return sorted(wanted)
 
 

@@ -19,8 +19,10 @@ from competefem.constants import (
     estimate_embedding_constant,
     estimate_lambda1p,
 )
+from competefem.config import build_instance, parse_config_dict
 from competefem.discretization import build_hierarchy, interval_mesh, unit_square_mesh
 from competefem.intrinsic import IntrinsicCertificate
+from competefem.solver import constants_and_hypotheses
 
 from oracles import lambda1_closed_form, lambda1_shooting
 
@@ -109,10 +111,7 @@ class TestEmbeddingEstimate:
         res = estimate_embedding_constant(h, r, 3.0)
         assert res.converged is True
         assert len(res.iters) == h.n_levels
-        assert all(0 < n <= 300 for n in res.iters)
-        # the 3-dof base level is left out: at r = 2 its doubled steps keep
-        # landing near twice the line optimum and it takes 131 steps
-        assert max(res.iters[1:]) <= 100
+        assert all(0 < n <= 100 for n in res.iters)
 
 
 # raw S_r on the 5-level interval at p = 3 from the preconditioned ascent
@@ -196,6 +195,30 @@ class TestBuildConstants:
         build_constants(h, 3.0, 6.0, [1.0, 2.0, 6.0], iters=20, starts=2)
         assert calls == [(h.level(n).n_free,) * 2 for n in (2, 3)]
 
+    def test_no_ascent_locks_on_the_doubled_step(self):
+        # the trial step doubles the last accepted one; a weak sufficient
+        # increase test let it settle near twice the line optimum, and the
+        # 3-dof base level then ran up to the 300-step cap at r = 1 and 1.2
+        h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 7)
+        ec = build_constants(h, 3.0, 6.0, [1.0, 1.2, 1.5, 2.0, 6.0])
+        assert sorted(ec.entries) == [1.0, 1.2, 1.5, 2.0, 3.0, 6.0]
+        for r, entry in ec.entries.items():
+            assert entry.converged is True, r
+            assert entry.iters[0] <= 40, (r, entry.iters)
+
+    def test_critical_constant_converges_below_the_dimension(self):
+        # p = 1.8 on the square has p* = 18; at level 3 three random starts
+        # used to run all 300 steps near an inferior local maximum
+        spec = parse_config_dict({
+            "domain": {"kind": "unit_square"}, "p": 1.8, "q": 1.4, "levels": 4,
+            "eps_reg": 1e-3,
+            "f": {"kind": "constant", "c": 1.0, "envelope": {"alpha": 0.5, "beta": 0.5}},
+        })
+        ec, _, _ = constants_and_hypotheses(build_instance(spec))
+        entry = ec.entries[18.0]
+        assert entry.converged is True
+        assert entry.raw >= 0.499444163052 * (1.0 - 1e-10)
+
     def test_entries_and_lookup(self, unit_hierarchy):
         ec = build_constants(unit_hierarchy, 3.0, 6.0, [1.0, 2.0, 6.0],
                              iters=100, starts=3)
@@ -240,6 +263,17 @@ class TestSmallnessChecks:
         ec = make_constants(entries={1.5: 1.0})
         with pytest.raises(ConstantLookupError, match="1.2"):
             check_growth_smallness(0.3, 0.2, make_cert(1.0, 1.0), ec, 1.0, 1.0)
+
+    def test_zero_coefficient_reads_no_pair_constant(self):
+        # nothing is estimated at 1.2 or 1.0: their coefficients are zero
+        ec = make_constants(entries={1.5: 1.0, 6.0: 1.0})
+        report = check_growth_smallness(0.0, 0.2, make_cert(1.0, 1.0), ec, 1.0, 1.0)
+        assert report.value == 0.2
+        assert report.constants["S_value_pair"] is None
+        assert report.constants["S_grad_pair"] == 1.0
+        report = check_lift_condition(0.2, 0.0, 3.0, ec)
+        assert report.value == pytest.approx(0.4)
+        assert report.constants["S_value_pair"] == 1.0 and report.constants["S_1"] is None
 
     def test_lift_condition_examples(self):
         # p = 3 and all constants one: value = 2 (a1 + a2)

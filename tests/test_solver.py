@@ -10,7 +10,13 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from competefem.config import build_instance, parse_config_dict
-from competefem.constants import critical_surrogate
+from competefem.constants import (
+    _key,
+    build_constants,
+    coercivity_radius,
+    compose_c0,
+    critical_surrogate,
+)
 from competefem.discretization import (
     build_hierarchy,
     grad_norm_p,
@@ -35,7 +41,9 @@ from competefem.solver import (
     _levenberg_step,
     _normal_equations,
     brouwer_zero,
+    constants_and_hypotheses,
     convergence_diagnostics,
+    required_exponents,
     run_hierarchy,
     solve_level,
     sphere_certificate,
@@ -665,6 +673,84 @@ class TestSphereCertificate:
         sphere = sphere_certificate(make_instance(unit_hierarchy), 4, 1.0, 300, seed=2)
         assert sphere.margin <= sphere.quantile(0.05) <= sphere.quantile(0.5)
         assert sphere.quantile(0.05) == float(np.quantile(sphere.values, 0.05))
+
+
+class _ReadLog:
+    """Embedding constants that record the exponent of every S_r read off them."""
+
+    def __init__(self, constants):
+        self._constants, self.read = constants, set()
+
+    def __getattr__(self, name):
+        return getattr(self._constants, name)
+
+    def S(self, r):
+        self.read.add(_key(r))
+        return self._constants.S(r)
+
+    def S_raw(self, r):
+        self.read.add(_key(r))
+        return self._constants.S_raw(r)
+
+    @property
+    def s_space(self):
+        self.read.add(_key(self._constants.p_crit))
+        return self._constants.s_space
+
+
+def _every_exponent(inst):
+    """Every exponent a check or c0 could read, whatever the coefficients."""
+    env, p, pc = inst.envelope, inst.p, inst.p_crit
+    return [env.r, p, pc, 1.0, pc / (pc - env.alpha), p / (p - env.beta), pc / (pc - p + 1.0)]
+
+
+_OPERATORS = {
+    "identity": identity_operator,
+    "boundary_lift": lambda: boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05})),
+    "convolution": lambda: convolution_operator(Kernel("box", {"width": 0.25})),
+}
+
+
+class TestRequiredExponents:
+    @pytest.mark.parametrize("a2", [0.0, 0.05])
+    @pytest.mark.parametrize("a1", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", sorted(_OPERATORS))
+    def test_estimates_exactly_the_constants_read(self, monkeypatch, kind, a1, a2):
+        # identity takes alpha = beta = 1, so each pair sits at its own
+        # exponent; the lift and convolution certificates need p - 1
+        h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 3)
+        e = 1.0 if kind == "identity" else 2.0
+        inst = dataclasses.replace(
+            make_instance(h, "manufactured_plus_power",
+                          {"a1": a1, "alpha": e, "a2": a2, "beta": e}, T=_OPERATORS[kind]()),
+            estimator_starts=2, estimator_iters=40)
+
+        def decide(exponents=None):
+            # constants, reports, kappa, c0 and R as run_hierarchy forms them
+            def build(h, p, p_crit, required, **kw):
+                return _ReadLog(build_constants(h, p, p_crit, exponents or required, **kw))
+
+            monkeypatch.setattr("competefem.solver.build_constants", build)
+            constants, cert, reports = constants_and_hypotheses(inst)
+            sigma = inst.envelope.sigma.dual_norm(h.level(h.n_levels), inst.envelope.r)
+            c0 = compose_c0(inst.envelope, sigma, cert, constants)
+            kappa = reports[0].value
+            R = coercivity_radius(kappa, h.measure, inst.p, inst.q, c0)
+            return constants, reports, [kappa.hex(), c0.hex(), R.hex()]
+
+        log, reports, bits = decide()
+        # S_p is estimated for lambda_1, which reads no S_r
+        assert log.read | {_key(inst.p)} == {_key(r) for r in required_exponents(inst)}
+        assert sorted(log.entries) == sorted({_key(r) for r in required_exponents(inst)})
+        assert decide(_every_exponent(inst))[2] == bits
+        # a pair constant under a zero coefficient is reported as null
+        for report in reports:
+            assert (report.constants["S_value_pair"] is None) == (a1 == 0)
+            second = report.constants.get("S_grad_pair", report.constants.get("S_1"))
+            assert (second is None) == (a2 == 0)
+        assert [r.name for r in reports][1:] == {
+            "identity": [], "boundary_lift": ["lift_condition"],
+            "convolution": ["convolution_condition"]}[kind]
 
 
 class TestRunHierarchy:
