@@ -11,13 +11,17 @@ factorised once per level and one loop steps all of them, through the level
 operators and block forms of :mod:`competefem.discretization` that also
 carry the residual, the Jacobian and the norms.  Each start still takes its
 own steps, and each exponent its own starts, so an estimate does not depend
-on which other exponents were ascended beside it.  A step backtracks from
-twice the last accepted one until the sufficient-increase (Armijo) test
-with constant ``ASCENT_ARMIJO`` holds (Nocedal and Wright, Numerical
-Optimization, section 3.1).  The raw
-numbers are ratios attained by finite element functions, so they stay
-lower bounds of the true constants; reports say whether each estimator
-converged and, per level, the most steps any start took.  A configurable
+on which other exponents were ascended beside it.  Random starts are drawn
+on the first level with free dofs only, where each exponent ascends the sine
+interpolant and ``starts - 1`` seeded random vectors; every finer level
+polishes two starts per exponent, the sine interpolant and the prolongated
+best of the coarser level.  A step backtracks from twice the last accepted
+one until the sufficient-increase (Armijo) test with constant
+``ASCENT_ARMIJO`` holds (Nocedal and Wright, Numerical Optimization,
+section 3.1).  The raw numbers are ratios attained by finite element
+functions, so they stay lower bounds of the true constants; reports say
+whether each estimator converged and, per level, the raw value and the
+most steps any start took.  A configurable
 safety factor inflates them before they enter any hypothesis check; reports
 keep both numbers.  The first eigenvalue of the p-Laplacian is the same
 Rayleigh quotient read the other way: lambda_1 = S_p,raw^{-p}, an upper
@@ -90,6 +94,7 @@ class SEstimate:
     provenance: str
     converged: bool = False
     iters: tuple = ()  # per level, the most ascent steps any start took
+    per_level: tuple = ()  # raw value on each level
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +142,8 @@ class EmbeddingConstants:
             "lambda1p_converged": self.lambda1p_converged,
             "S": {
                 repr(k): {"raw": e.raw, "value": e.value, "provenance": e.provenance,
-                          "converged": e.converged, "iters": list(e.iters)}
+                          "converged": e.converged, "iters": list(e.iters),
+                          "per_level": list(e.per_level)}
                 for k, e in sorted(self.entries.items())
             },
             "S_space": {"value": self.s_space, "provenance": self.s_space_provenance},
@@ -272,9 +278,11 @@ def _ascend_embedding(lvl, rs, p, blocks, iters, tol):
 def _estimate_embedding_constants(h, rs, p, starts, iters, tol, safety, seed):
     """One :class:`EstimateResult` per exponent of ``rs``, ascended together.
 
-    Each exponent keeps its own starts (the sine interpolant, the
-    prolongated best of the coarser level, then random vectors from its own
-    generator), so its result does not depend on the other exponents.
+    Each exponent keeps its own starts, so its result does not depend on the
+    other exponents.  On the first level with free dofs these are the sine
+    interpolant and ``starts - 1`` random vectors from the exponent's own
+    generator, which draws on that level only; every finer level ascends the
+    sine interpolant and the prolongated best of the coarser level.
     """
     for r in rs:
         if r < 1:
@@ -291,11 +299,10 @@ def _estimate_embedding_constants(h, rs, p, starts, iters, tol, safety, seed):
         sine = sine_mode(h, n).coeffs
         blocks = []
         for rng, best in zip(rngs, best_coeffs):
-            candidates = [sine]
-            if best is not None:
-                candidates.append(lvl.prolongation @ best)
-            for _ in range(max(0, starts - 1)):
-                candidates.append(rng.standard_normal(lvl.n_free))
+            if best is None:  # the first level with free dofs
+                candidates = [sine] + [rng.standard_normal(lvl.n_free) for _ in range(starts - 1)]
+            else:
+                candidates = [sine, lvl.prolongation @ best]
             blocks.append(np.column_stack([c for c in candidates if np.any(c)]))
         row = []
         for i, (vals, coeffs, conv, taken) in enumerate(
@@ -324,13 +331,14 @@ def estimate_embedding_constant(
 ) -> EstimateResult:
     """Estimate S_r = sup ||u||_r / ||grad u||_p over the finest level.
 
-    Projected ascent along the H^1_0 gradient with multiple deterministic
-    starts (a sine interpolant, seeded random vectors, and the prolongated
-    best of the coarser level).  The raw maximum is a lower bound of the
-    true constant; ``value`` is the raw number times the safety factor.
-    ``iters`` holds, per level, the most steps any start took.  This is the
-    one-exponent case of :func:`build_constants`' estimation, with the same
-    numbers bit for bit.
+    Projected ascent along the H^1_0 gradient with deterministic starts: a
+    sine interpolant and ``starts - 1`` seeded random vectors on the first
+    level with free dofs, then on each finer level the sine interpolant and
+    the prolongated best of the coarser level.  The raw maximum is a lower
+    bound of the true constant; ``value`` is the raw number times the safety
+    factor.  ``iters`` holds, per level, the most steps any start took.  This
+    is the one-exponent case of :func:`build_constants`' estimation, with the
+    same numbers bit for bit.
     """
     return _estimate_embedding_constants(h, [r], p, starts, iters, tol, safety, seed)[0]
 
@@ -387,7 +395,7 @@ def build_constants(
             raw=est.raw, value=est.value,
             provenance=("H^1_0-preconditioned projected ascent over the finest "
                         "level, times safety factor"),
-            converged=est.converged, iters=est.iters,
+            converged=est.converged, iters=est.iters, per_level=est.per_level,
         )
         if r == _key(p):
             lam = _eigenvalue_of(est, p)

@@ -177,8 +177,8 @@ class TestBuildConstants:
         assert sorted(ec.entries) == sorted(set(exponents) | {3.0})
         for r, entry in ec.entries.items():
             est = estimate_embedding_constant(h, r, 3.0, safety=1.25, **kw)
-            assert (entry.raw, entry.value, entry.converged, entry.iters) == \
-                (est.raw, est.value, est.converged, est.iters)
+            assert (entry.raw, entry.value, entry.converged, entry.iters, entry.per_level) == \
+                (est.raw, est.value, est.converged, est.iters, est.per_level)
         lam = estimate_lambda1p(h, 3.0, **kw)
         assert ec.lambda_profile == lam.per_level
         assert (ec.lambda1p, ec.lambda1p_converged) == (lam.value, lam.converged)
@@ -239,6 +239,67 @@ class TestBuildConstants:
         ec = build_constants(unit_hierarchy, 3.0, 6.0, [6.0], iters=80, starts=2)
         assert ec.s_space == pytest.approx(ec.S(6.0))
         assert "surrogate" in ec.s_space_provenance or "standing in" in ec.s_space_provenance
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_hierarchy(interval_mesh(0.0, 1.0, 4), 5), _square_hierarchy,
+    ], ids=["interval", "square"])
+    def test_entries_carry_the_per_level_profile(self, make):
+        h = make()
+        ec = build_constants(h, 3.0, 6.0, [1.0, 2.0, 6.0], iters=100, starts=3)
+        reported = ec.to_json_dict()["S"]
+        for r, entry in ec.entries.items():
+            prof = entry.per_level
+            assert len(prof) == h.n_levels
+            assert prof[-1] == entry.raw
+            assert all(b >= a - 1e-12 for a, b in zip(prof, prof[1:]))
+            assert reported[repr(r)]["per_level"] == list(prof)
+
+
+def _ascended_blocks(monkeypatch, h, exponents, starts):
+    """Per level that ascends, the start block of each exponent."""
+    levels = []
+    ascend = competefem.constants._ascend_embedding
+
+    def recording(lvl, rs, p, blocks, iters, tol):
+        levels.append([b.copy() for b in blocks])
+        return ascend(lvl, rs, p, blocks, iters, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(competefem.constants, "_ascend_embedding", recording)
+        build_constants(h, 3.0, 6.0, exponents, iters=30, starts=starts)
+    return levels
+
+
+def _widths(levels):
+    return [[b.shape[1] for b in blocks] for blocks in levels]
+
+
+class TestStartRule:
+    """Random starts are drawn on the first level with free dofs only."""
+
+    @pytest.mark.parametrize("starts", [1, 3, 8])
+    @pytest.mark.parametrize("make, first", [
+        (lambda: build_hierarchy(interval_mesh(0.0, 1.0, 4), 4), 1), (_square_hierarchy, 2),
+    ], ids=["interval", "square"])
+    def test_finer_levels_ascend_the_sine_and_the_prolongated_best(
+            self, monkeypatch, make, first, starts):
+        h = make()
+        assert h.level(first).n_free > 0 and all(h.level(n).n_free == 0 for n in range(1, first))
+        widths = _widths(_ascended_blocks(monkeypatch, h, [1.0, 2.0, 6.0], starts))
+        n_rs = 4  # the exponents and p = 3
+        assert len(widths) == h.n_levels - first + 1
+        assert widths[0] == [1 + (starts - 1)] * n_rs  # the sine and the random starts
+        assert all(w == [2] * n_rs for w in widths[1:])
+
+    def test_starts_change_only_the_base_block(self, monkeypatch):
+        h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 4)
+        few = _ascended_blocks(monkeypatch, h, [2.0, 6.0], 2)
+        many = _ascended_blocks(monkeypatch, h, [2.0, 6.0], 5)
+        assert _widths(few[:1]) == [[2, 2, 2]] and _widths(many[:1]) == [[5, 5, 5]]
+        assert _widths(few[1:]) == _widths(many[1:]) == [[2, 2, 2]] * (h.n_levels - 1)
+        # more starts append draws from the same stream to the base block
+        for a, b in zip(few[0], many[0]):
+            assert np.array_equal(a, b[:, :2])
 
 
 class TestSmallnessChecks:

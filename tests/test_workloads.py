@@ -2,7 +2,8 @@
 
 Every level that converges today must keep converging by the same path, so
 a change that moves ``levels_converged`` fails here, not only in the
-benchmark.  The workload configs are read, never written.
+benchmark; and every embedding constant's ascent must keep converging.  The
+workload configs are read, never written.
 """
 
 import json
@@ -32,7 +33,12 @@ def test_converged_levels_keep_their_path(tmp_path, workload):
     out = tmp_path / "out"
     rc = main(["solve", str(WORKLOADS / f"{workload}.json"), "--out-dir", str(out),
                "--seed", "11"])
-    levels = json.loads((out / "solve_report.json").read_text())["levels"]
+    report = json.loads((out / "solve_report.json").read_text())
+    levels = report["levels"]
     paths = {lv["level"]: lv["path"] for lv in levels if lv["converged"]}
     assert {n: paths.get(n) for n in EXPECTED[workload]} == EXPECTED[workload]
     assert rc == (0 if all(lv["converged"] for lv in levels) else 3)
+    constants = report["constants"]
+    assert constants["lambda1p_converged"] is True
+    assert {r: s["converged"] for r, s in constants["S"].items()} == \
+        dict.fromkeys(constants["S"], True)
