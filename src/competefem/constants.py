@@ -89,8 +89,10 @@ def _key(r: float) -> float:
 
 @dataclass(frozen=True)
 class SEstimate:
+    """One estimated constant: its finest-level value and how it was obtained."""
+
     raw: float
-    value: float  # raw times the safety factor
+    value: float  # the reported value; for S_r, raw times the safety factor
     provenance: str
     converged: bool = False
     iters: tuple = ()  # per level, the most ascent steps any start took
@@ -148,15 +150,6 @@ class EmbeddingConstants:
             },
             "S_space": {"value": self.s_space, "provenance": self.s_space_provenance},
         }
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    value: float
-    raw: float
-    per_level: tuple
-    converged: bool
-    iters: tuple  # per level, the most ascent steps any start took
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +269,7 @@ def _ascend_embedding(lvl, rs, p, blocks, iters, tol):
 
 
 def _estimate_embedding_constants(h, rs, p, starts, iters, tol, safety, seed):
-    """One :class:`EstimateResult` per exponent of ``rs``, ascended together.
+    """One :class:`SEstimate` per exponent of ``rs``, ascended together.
 
     Each exponent keeps its own starts, so its result does not depend on the
     other exponents.  On the first level with free dofs these are the sine
@@ -314,8 +307,10 @@ def _estimate_embedding_constants(h, rs, p, starts, iters, tol, safety, seed):
     results = []
     for per_level in zip(*levels):
         prof, steps, conv = zip(*per_level)
-        results.append(EstimateResult(value=safety * prof[-1], raw=prof[-1], per_level=prof,
-                                      converged=all(conv), iters=steps))
+        results.append(SEstimate(raw=prof[-1], value=safety * prof[-1],
+                                 provenance=("H^1_0-preconditioned projected ascent over "
+                                             "the finest level, times safety factor"),
+                                 converged=all(conv), iters=steps, per_level=prof))
     return results
 
 
@@ -328,7 +323,7 @@ def estimate_embedding_constant(
     tol: float = ASCENT_TOL,
     safety: float = 1.1,
     seed: int = 0,
-) -> EstimateResult:
+) -> SEstimate:
     """Estimate S_r = sup ||u||_r / ||grad u||_p over the finest level.
 
     Projected ascent along the H^1_0 gradient with deterministic starts: a
@@ -343,14 +338,15 @@ def estimate_embedding_constant(
     return _estimate_embedding_constants(h, [r], p, starts, iters, tol, safety, seed)[0]
 
 
-def _eigenvalue_of(s_p: EstimateResult, p: float) -> EstimateResult:
+def _eigenvalue_of(s_p: SEstimate, p: float) -> SEstimate:
     """lambda_1 = S_p^{-p}, level by level, from the raw ascent at r = p.
 
     A level without free dofs has no eigenfunction and reads infinity.
     """
     per_level = tuple(s ** -p if s > 0 else math.inf for s in s_p.per_level)
-    return EstimateResult(value=per_level[-1], raw=per_level[-1], per_level=per_level,
-                          converged=s_p.converged, iters=s_p.iters)
+    return SEstimate(raw=per_level[-1], value=per_level[-1],
+                     provenance="S_p,raw^(-p) of the ascent at r = p",
+                     converged=s_p.converged, iters=s_p.iters, per_level=per_level)
 
 
 def estimate_lambda1p(
@@ -359,7 +355,7 @@ def estimate_lambda1p(
     starts: int = 8,
     iters: int = 300,
     seed: int = 0,
-) -> EstimateResult:
+) -> SEstimate:
     """First p-Laplacian eigenvalue, read off the embedding ascent at r = p.
 
     lambda_1 = S_p,raw^{-p} is an upper bound of the true eigenvalue because
@@ -388,17 +384,9 @@ def build_constants(
     entry equals :func:`estimate_embedding_constant` at its exponent.
     """
     rs = sorted({_key(r) for r in exponents} | {_key(p)})
-    estimates = _estimate_embedding_constants(h, rs, p, starts, iters, ASCENT_TOL, safety, seed)
-    entries = {}
-    for r, est in zip(rs, estimates):
-        entries[r] = SEstimate(
-            raw=est.raw, value=est.value,
-            provenance=("H^1_0-preconditioned projected ascent over the finest "
-                        "level, times safety factor"),
-            converged=est.converged, iters=est.iters, per_level=est.per_level,
-        )
-        if r == _key(p):
-            lam = _eigenvalue_of(est, p)
+    entries = dict(zip(rs, _estimate_embedding_constants(h, rs, p, starts, iters, ASCENT_TOL,
+                                                         safety, seed)))
+    lam = _eigenvalue_of(entries[_key(p)], p)
     s_space = None
     prov = ""
     if _key(p_crit) in entries:

@@ -15,14 +15,17 @@ offset) asserting
 
 which is validated numerically by :func:`certificate_check`.
 
-Convolution is one sparse operator pair per set of evaluation points:
-(rho * u)(x) = V c and (rho * u')(x) = G c on the free coefficients c.  Both
-come from product integration on a uniform grid aligned with the mesh: the
-kernel is integrated exactly over each cell, so kernel support edges cost no
-accuracy, and u is read at the cell midpoints through the discretization's
-point operators.  The solver applies T to every iterate, so the pair at a
-level's quadrature points is kept, one per level; pairs at other points are
-built per call.
+Convolution is product integration on a uniform grid of cells aligned with
+the mesh: u and u' are read at the cell midpoints through the
+discretization's point operators, and the kernel is integrated exactly over
+each cell, so kernel support edges cost no accuracy.  Box and hat kernels
+are short sums of truncated powers, so rho convolved with the cell
+histogram is a few differences of its running integrals, read off a sparse
+map at O(n + m) cost (Heckbert, *Filtering by repeated integration*,
+SIGGRAPH 1986).  The truncated Gaussian has no such form and keeps a sparse
+pair (V, G) with (rho * u)(x) = V c and (rho * u')(x) = G c.  The solver
+applies T to every iterate, so the operator at a level's quadrature points
+is kept, one per level; operators at other points are built per call.
 """
 
 from __future__ import annotations
@@ -112,9 +115,26 @@ class Kernel:
     def l1_norm(self) -> float:
         return self.scale
 
+    @property
+    def truncated_powers(self) -> tuple | None:
+        """(d, knots, c) with kernel(t) = sum_k c_k (t - knots_k)_+^d / d!, or None.
+
+        Box and hat only; the truncated Gaussian has no such finite form.
+        """
+        s, scale = self.support_radius, self.scale
+        if self.shape == "box":
+            return 0, np.array([-s, s]), scale / (2.0 * s) * np.array([1.0, -1.0])
+        if self.shape == "hat":
+            return 1, np.array([-s, 0.0, s]), scale / s**2 * np.array([1.0, -2.0, 1.0])
+        return None
+
     def antiderivative(self, t: np.ndarray) -> np.ndarray:
-        """P(t) = integral of the kernel over (-inf, t], exact per shape."""
-        t = np.asarray(t, dtype=float)
+        """P(t) = integral of the kernel over (-inf, t], exact per shape.
+
+        Box and hat keep the precision of a long double ``t``.
+        """
+        t = np.asarray(t)
+        t = t.astype(np.result_type(t, 1.0), copy=False)
         s = self.support_radius
         if self.shape == "box":
             return self.scale * np.clip((t + s) / (2.0 * s), 0.0, 1.0)
@@ -181,7 +201,7 @@ class IntrinsicOperator:
     kernel: Kernel | None = None
     lift: LiftFunction | None = None
     refine_factor: int = 4
-    # level -> (V, G) at its quadrature points; an entry dies with its level
+    # level -> its convolution map at the quadrature points; an entry dies with its level
     _conv_cache: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False
     )
@@ -234,19 +254,31 @@ def lift_on(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> Noda
 
 # -- convolution ---------------------------------------------------------------
 
-# rows of the weight matrix formed at a time; W itself is never held whole
+# rows of the truncated Gaussian's weight matrix formed at a time; W itself
+# is never held whole
 CONV_CHUNK = 256
 
 
-def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray) -> tuple:
-    """(V, G) in CSR with (rho * u)(x) = V @ c and (rho * u')(x) = G @ c.
+def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
+    """The map c -> ((rho * u)(x), (rho * u')(x)) on an (n_free, k) block c.
 
-    Product integration on cells aligned with the mesh: W[i, j] is the
-    kernel's mass over cell j seen from x_i, and u is read at the cell
-    midpoints through the values and gradients maps P and D of
-    :func:`~competefem.discretization.point_operators`, so V = W P and
-    G = W D.  W is formed ``CONV_CHUNK`` rows at a time, and each chunk of
-    V and G is stored sparse before the next is formed.
+    Product integration on m uniform cells aligned with the mesh: u and u'
+    are read at the cell midpoints through the values and gradients maps P
+    and D of :func:`~competefem.discretization.point_operators`, and each
+    cell's value is weighed by the kernel's mass over that cell seen from x.
+
+    A box or hat kernel is sum_k c_k (t - t_k)_+^d / d!, so the weighed sum
+    at x is sum_k c_k F(x - t_k), with F the (d + 1)-fold running integral
+    of the cell histogram.  d + 1 cumsums give F and its lower integrals at
+    the cell edges, and a sparse map reads F at each x - t_k by its exact
+    Taylor form on the cell that holds it (:func:`_running_read`).  A point
+    right of the midpoint of the domain reads running integrals taken from
+    b, so no point differences sums much larger than its window.  One
+    stacked product [P; D] c gives the histograms of u and u' from both
+    ends, so a column costs O(n + m) and no (points x cells) array is
+    formed.  The truncated Gaussian has no such form: its weights W are
+    formed ``CONV_CHUNK`` rows at a time, and V = W P and G = W D are kept
+    in CSR.
     """
     if level.mesh.dim != 1:
         raise NotImplementedError("convolution operators are implemented for 1D domains")
@@ -261,30 +293,85 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray) -> t
     edges = a + (b - a) * np.arange(m + 1) / m
     P, D = point_operators(level, 0.5 * (edges[:-1] + edges[1:]))
     x = points.reshape(-1)
-    V, G = [sp.csr_matrix((0, level.n_free))], [sp.csr_matrix((0, level.n_free))]
-    for s in range(0, len(x), CONV_CHUNK):
-        A = kernel.antiderivative(x[s:s + CONV_CHUNK, None] - edges[None, :])
-        W = A[:, :-1] - A[:, 1:]
-        V.append(sp.csr_matrix(W @ P))
-        G.append(sp.csr_matrix(W @ D))
-    return sp.vstack(V, format="csr"), sp.vstack(G, format="csr")
+    powers = kernel.truncated_powers
+    if powers is None:
+        V, G = [sp.csr_matrix((0, level.n_free))], [sp.csr_matrix((0, level.n_free))]
+        for s in range(0, len(x), CONV_CHUNK):
+            A = kernel.antiderivative(x[s:s + CONV_CHUNK, None] - edges[None, :])
+            W = A[:, :-1] - A[:, 1:]
+            V.append(sp.csr_matrix(W @ P))
+            G.append(sp.csr_matrix(W @ D))
+        V, G = sp.vstack(V, format="csr"), sp.vstack(G, format="csr")
+        return lambda c: (V @ c, G @ c)
+    degree, knots, coeffs = powers
+    order = degree + 1
+    # box and hat are even, so the far half is the near half mirrored; the
+    # rows of ``cells`` read u, then u', on the cells counted from a, then
+    # from b
+    cells = sp.vstack([P, P[::-1], D, D[::-1]], format="csr")
+    far = x > 0.5 * (a + b)
+    read = _running_read(np.where(far, a + b - x, x) - knots[:, None], far, coeffs, order, edges)
+    widths = np.diff(edges)
+    widths = np.stack([widths, widths[::-1]])[..., None]
+    taylor = [widths**i / math.factorial(i) for i in range(order + 1)]
+
+    def convolve(c: np.ndarray) -> tuple:
+        k = c.shape[1]
+        # F[kind, n, side, j]: the n-fold running integral at the j-th edge
+        # of the histogram of u (kind 0) or u' (kind 1), from a or from b
+        F = np.zeros((2, order + 1, 2, m + 1, k))
+        F[:, 0, :, :m] = (cells @ c).reshape(2, 2, m, k)
+        for n in range(1, order + 1):
+            # F_n is a polynomial on each cell: its step over the cell is the
+            # Taylor sum of the lower integrals at the cell's first edge
+            step = F[:, n, :, 1:]
+            np.multiply(taylor[1], F[:, n - 1, :, :m], out=step)
+            for i in range(2, n + 1):
+                step += taylor[i] * F[:, n - i, :, :m]
+            np.cumsum(step, axis=2, out=step)
+        return read @ F[0].reshape(-1, k), read @ F[1].reshape(-1, k)
+
+    return convolve
 
 
-def _image(M: sp.csr_matrix, u: FEFunction, shape: tuple) -> np.ndarray:
-    """M applied to u, shaped ``shape``; a block u adds a leading sample axis."""
-    return (M @ u.block).T.reshape(u.coeffs.shape[1:] + shape)
+def _running_read(z: np.ndarray, far: np.ndarray, coeffs: np.ndarray, order: int,
+                  edges: np.ndarray) -> sp.csr_matrix:
+    """Sparse map from the running integrals F to sum_k coeffs_k F_order(z[k]).
+
+    ``z`` is (knots, points), and a ``far`` point reads the integrals from
+    the other end.  F is laid out as in ``convolve`` of
+    :func:`_conv_operators`: integral order, then side, then edge.  On the
+    cell from edge e_j, F_order(z) is sum_i F_{order-i}(e_j) (z - e_j)^i / i!,
+    with order + 1 entries; past the last edge that cell extends to the
+    right (where F_0 = 0), and left of the first edge F_order is 0.
+    """
+    n_edges = len(edges)
+    j = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, n_edges - 1)
+    i = np.arange(order + 1)
+    taylor = (z - edges[j])[..., None] ** i / [math.factorial(k) for k in i]
+    live = np.broadcast_to((z >= edges[0])[..., None], taylor.shape)
+    rows = np.broadcast_to(np.arange(z.shape[1])[:, None], taylor.shape)
+    cols = ((order - i) * 2 + far[:, None]) * n_edges + j[..., None]
+    weights = coeffs[:, None, None] * taylor
+    return sp.csr_matrix((weights[live], (rows[live], cols[live])),
+                         shape=(z.shape[1], (order + 1) * n_edges * 2))
+
+
+def _image(out: np.ndarray, u: FEFunction, shape: tuple) -> np.ndarray:
+    """The (points, k) image of u's block shaped ``shape``; a block u adds a sample axis first."""
+    return out.T.reshape(u.coeffs.shape[1:] + shape)
 
 
 def convolution_values(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> np.ndarray:
     """(rho * u)(x) with u extended by zero outside the domain."""
     x = np.asarray(x, dtype=float)
-    return _image(_conv_operators(T, u.lvl, x)[0], u, x.shape)
+    return _image(_conv_operators(T, u.lvl, x)(u.block)[0], u, x.shape)
 
 
 def convolution_gradient_values(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> np.ndarray:
     """(rho * u')(x), the derivative of the mollified function."""
     x = np.asarray(x, dtype=float)
-    return _image(_conv_operators(T, u.lvl, x)[1], u, x.shape)
+    return _image(_conv_operators(T, u.lvl, x)(u.block)[1], u, x.shape)
 
 
 def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
@@ -303,14 +390,14 @@ def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
     lvl = u.lvl
     if lvl not in T._conv_cache:
         T._conv_cache[lvl] = _conv_operators(T, lvl, lvl.qp_points[..., 0])
-    V, G = T._conv_cache[lvl]
+    values, gradients = T._conv_cache[lvl](u.block)
     shape = lvl.qp_weights.shape
     return QuadratureSamples(
         level=u.level,
         points=lvl.qp_points,
         weights=lvl.qp_weights,
-        values=_image(V, u, shape),
-        gradients=_image(G, u, shape)[..., None],
+        values=_image(values, u, shape),
+        gradients=_image(gradients, u, shape)[..., None],
     )
 
 

@@ -234,14 +234,17 @@ def load_vector(values_at_qp: np.ndarray, lvl) -> np.ndarray:
     return out
 
 
-def convolution_reference(T, lvl, coeffs, x) -> tuple:
-    """(rho * u)(x) and (rho * u')(x) for each column of an (n_free, k) block.
+def convolution_terms(T, lvl, coeffs, x) -> tuple:
+    """(W, vals, slopes) of product integration for each column of an (n_free, k) block.
 
-    Product integration on the cells a convolution operator uses on a 1D
-    level: the whole weight matrix from differences of the kernel's
-    antiderivative at the cell edges, u at the cell midpoints by np.interp
-    of its nodal vector, u' as the slope of the element holding each
-    midpoint.  Returns two (len(x), k) arrays.
+    The cells are those a convolution operator uses on a 1D level.  W is the
+    whole weight matrix from differences of the kernel's antiderivative at
+    the cell edges, formed in extended precision for box and hat: in double
+    each entry carries an absolute error of about eps times the kernel's
+    mass, and the O(1/h) slopes of a rough u carry that past 1e-13 of
+    (rho * u') on fine levels.  The truncated Gaussian's erf is double only.
+    vals is u at the cell midpoints by np.interp of its nodal vector, slopes
+    u' as the slope of the element holding each midpoint; both (m, k).
     """
     nodes = lvl.mesh.nodes
     a, b = nodes[0], nodes[-1]
@@ -250,7 +253,9 @@ def convolution_reference(T, lvl, coeffs, x) -> tuple:
     m = max(1, int(round((b - a) / (h_min / max(1, int(np.ceil(h_min / target)))))))
     edges = a + (b - a) * np.arange(m + 1) / m
     mid = 0.5 * (edges[:-1] + edges[1:])
-    A = T.kernel.antiderivative(np.asarray(x, dtype=float).reshape(-1, 1) - edges[None, :])
+    dtype = float if T.kernel.shape == "truncated_gaussian" else np.longdouble
+    x = np.asarray(x, dtype=dtype).reshape(-1, 1)
+    A = T.kernel.antiderivative(x - edges.astype(dtype)[None, :])
     W = A[:, :-1] - A[:, 1:]
     elem = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(nodes) - 2)
     vals, slopes = [], []
@@ -258,7 +263,16 @@ def convolution_reference(T, lvl, coeffs, x) -> tuple:
         full = lvl.full_values(c)
         vals.append(np.interp(mid, nodes, full))
         slopes.append((np.diff(full) / np.diff(nodes))[elem])
-    return W @ np.column_stack(vals), W @ np.column_stack(slopes)
+    return W, np.column_stack(vals), np.column_stack(slopes)
+
+
+def convolution_reference(T, lvl, coeffs, x) -> tuple:
+    """(rho * u)(x) and (rho * u')(x) for each column of an (n_free, k) block.
+
+    The products of :func:`convolution_terms`; two (len(x), k) arrays.
+    """
+    W, vals, slopes = convolution_terms(T, lvl, coeffs, x)
+    return (W @ vals).astype(float), (W @ slopes).astype(float)
 
 
 def _element_matrix(block: np.ndarray, lvl) -> sp.csr_matrix:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from competefem.discretization import (
     build_hierarchy,
     grad_norm_p,
     interval_mesh,
+    interval_mesh_from_nodes,
     lebesgue_norm,
     sample,
     unit_square_mesh,
@@ -124,8 +126,8 @@ class TestApply:
             convolution_gradient_values(T, u, x)
             apply(T, u)
         assert len(T._conv_cache) <= 1
-        V, G = T._conv_cache[h.level(2)]
-        np.testing.assert_array_equal(V @ u.coeffs, apply(T, u).values.ravel())
+        values, _ = T._conv_cache[h.level(2)](u.block)
+        np.testing.assert_array_equal(values.ravel(), apply(T, u).values.ravel())
 
     def test_lift_built_once_per_level(self, monkeypatch):
         built = []
@@ -209,6 +211,84 @@ class TestApply:
             Kernel("box", {"width": 0.0})
         with pytest.raises(KernelError, match="scale"):
             Kernel("hat", {"width": 1.0, "scale": -2.0})
+
+
+class TestRunningIntegrals:
+    """Box and hat kernels applied through running integrals of the cell histogram."""
+
+    KERNELS = [
+        ("box", {"width": 0.25}),
+        ("hat", {"width": 0.25}),
+        ("hat", {"width": 0.375, "scale": 2.0}),
+    ]
+
+    @pytest.fixture(scope="class")
+    def uneven(self):
+        # an inline non-uniform mesh of (0, 1) whose convolution cells, like
+        # every kernel radius here, are dyadic, so x +- s sits exactly on a
+        # cell edge
+        return build_hierarchy(interval_mesh_from_nodes([0.0, 0.125, 0.25, 0.5, 0.625, 1.0]), 3)
+
+    @staticmethod
+    def _points(T, lvl):
+        """Every cell edge shifted by -s and +s, and points on both sides of (0, 1)."""
+        m = oracles.convolution_terms(T, lvl, np.zeros((lvl.n_free, 1)), [0.5])[0].shape[1]
+        s = T.kernel.support_radius
+        edges = np.arange(m + 1) / m
+        outside = np.array([-2 * s, -s, -0.5 * s, -1e-3, 1 + 1e-3, 1 + 0.5 * s, 1 + s, 1 + 2 * s])
+        return np.concatenate([edges - s, edges + s, outside])
+
+    @pytest.mark.parametrize("shape,params", KERNELS)
+    @pytest.mark.parametrize("k", [None, 3], ids=["vector", "block"])
+    def test_matches_dense_product_integration(self, uneven, shape, params, k, rng):
+        T = convolution_operator(Kernel(shape, params))
+        for n in range(1, 4):
+            lvl = uneven.level(n)
+            x = self._points(T, lvl)
+            coeffs = rng.standard_normal(lvl.n_free if k is None else (lvl.n_free, k))
+            u = uneven.function(n, coeffs)
+            W, vals, slopes = oracles.convolution_terms(T, lvl, u.block, x)
+            for got, cells in ((convolution_values(T, u, x), vals),
+                               (convolution_gradient_values(T, u, x), slopes)):
+                want = (W @ cells).astype(float).T.reshape(got.shape)
+                bound = (np.abs(W) @ np.abs(cells)).astype(float).T.reshape(got.shape)
+                assert np.all(np.abs(got - want) <= 1e-12 * bound)
+                assert np.all(bound[..., -5:-2] > 0)  # points just outside still see (0, 1)
+
+    @pytest.mark.parametrize("shape,params", KERNELS[:2])
+    def test_apply_needs_no_antiderivative(self, deep_hierarchy, shape, params, monkeypatch, rng):
+        T = convolution_operator(Kernel(shape, params))
+        lvl = deep_hierarchy.level(4)
+        coeffs = rng.standard_normal((lvl.n_free, 2))
+        want = oracles.convolution_reference(T, lvl, coeffs, lvl.qp_points[..., 0])
+
+        def refuse(kernel, t):
+            raise AssertionError("box and hat must not form cell weights")
+
+        monkeypatch.setattr(Kernel, "antiderivative", refuse)
+        img = apply(T, deep_hierarchy.function(4, coeffs))
+        for got, ref in ((img.values, want[0]), (img.gradients[..., 0], want[1])):
+            np.testing.assert_allclose(got, ref.T.reshape(got.shape), rtol=0,
+                                       atol=1e-13 * np.abs(ref).max())
+
+    def test_deep_level_is_cheap(self):
+        # L10 of the 4-element interval has 2047 free dofs; a dense-banded
+        # pair there holds about 130 MB while it is built
+        h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 10)
+        lvl = h.level(10)
+        assert lvl.n_free == 2047
+        u = h.interpolate(10, lambda x: np.sin(np.pi * x) + x * x * (1 - x))
+        T = convolution_operator(Kernel("box", {"width": 0.25}))
+        tracemalloc.start()
+        try:
+            first = apply(T, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        second = apply(T, u)
+        np.testing.assert_array_equal(second.values, first.values)
+        np.testing.assert_array_equal(second.gradients, first.gradients)
 
 
 class TestConvolveGradient:
