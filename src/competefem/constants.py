@@ -114,21 +114,19 @@ class EmbeddingConstants:
     s_space: float | None = None
     s_space_provenance: str = ""
 
-    def S(self, r: float) -> float:
+    def _entry(self, r: float) -> SEstimate:
         try:
-            return self.entries[_key(r)].value
+            return self.entries[_key(r)]
         except KeyError:
             raise ConstantLookupError(
                 f"no embedding constant estimated at exponent r = {r}"
             ) from None
 
+    def S(self, r: float) -> float:
+        return self._entry(r).value
+
     def S_raw(self, r: float) -> float:
-        try:
-            return self.entries[_key(r)].raw
-        except KeyError:
-            raise ConstantLookupError(
-                f"no embedding constant estimated at exponent r = {r}"
-            ) from None
+        return self._entry(r).raw
 
     def with_entry(self, r: float, est: SEstimate) -> "EmbeddingConstants":
         return replace(self, entries={**self.entries, _key(r): est})

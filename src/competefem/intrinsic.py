@@ -362,16 +362,15 @@ def _image(out: np.ndarray, u: FEFunction, shape: tuple) -> np.ndarray:
     return out.T.reshape(u.coeffs.shape[1:] + shape)
 
 
-def convolution_values(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> np.ndarray:
-    """(rho * u)(x) with u extended by zero outside the domain."""
-    x = np.asarray(x, dtype=float)
-    return _image(_conv_operators(T, u.lvl, x)(u.block)[0], u, x.shape)
+def convolution_images(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> tuple:
+    """((rho * u)(x), (rho * u')(x)) with u extended by zero outside the domain.
 
-
-def convolution_gradient_values(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> np.ndarray:
-    """(rho * u')(x), the derivative of the mollified function."""
+    The second image is the derivative of the mollified function; both come
+    from one convolution map of u's level at the points x.
+    """
     x = np.asarray(x, dtype=float)
-    return _image(_conv_operators(T, u.lvl, x)(u.block)[1], u, x.shape)
+    values, gradients = _conv_operators(T, u.lvl, x)(u.block)
+    return _image(values, u, x.shape), _image(gradients, u, x.shape)
 
 
 def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:

@@ -16,6 +16,7 @@ constructing :class:`ConvectionTerm` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,13 +90,13 @@ class SigmaWeight:
 
 
 # sigma kind -> the names of its parameters
-SIGMA_PARAMS = {
+SIGMA_PARAMS = MappingProxyType({
     "zero": (),
     "constant": ("c",),
     "manufactured_abs": (),
     "manufactured_plus": (),
     "nodal": ("x", "values"),
-}
+})
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
 
 
 # convection kind -> the names of its parameters
-CONVECTION_PARAMS = {
+CONVECTION_PARAMS = MappingProxyType({
     "zero": (),
     "constant": ("c",),
     "sigma_only": ("sigma_kind", "sigma_params", "r"),
@@ -362,7 +363,7 @@ CONVECTION_PARAMS = {
     "gradient_power": ("a2", "beta", "signed"),
     "manufactured_p3q2": (),
     "manufactured_plus_power": ("a1", "alpha", "a2", "beta"),
-}
+})
 
 
 # ---------------------------------------------------------------------------

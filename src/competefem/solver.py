@@ -12,9 +12,9 @@ of the safeguard radius whenever the pairing against the sphere is
 nonnegative.  That argument is non-constructive, so numerically each level
 runs one zero search: Levenberg-damped Newton from zero damping, projected
 to the ball, and on stall homotopy continuation towards the residual from a
-well-behaved anchor map.  Every Jacobian of a level has the level's one
+well-behaved anchor map.  Every Jacobian of a search has the first one's
 pattern, so the symbolic work of a Newton step (the band ordering of the
-normal equations and where each product lands) is done once per pattern
+normal equations and where each product lands) is done once per search
 and each iteration only computes numbers.  Failures are reported with the
 best iterate and the residual history, never silently.
 
@@ -139,7 +139,6 @@ class _NormalPlan:
 
     indptr: np.ndarray
     indices: np.ndarray
-    shape: tuple
     perm: np.ndarray
     width: int
     a: np.ndarray
@@ -149,9 +148,8 @@ class _NormalPlan:
     cols: np.ndarray
     diag: np.ndarray
 
-    def fits(self, J) -> bool:
-        return (J.shape == self.shape and np.array_equal(J.indptr, self.indptr)
-                and np.array_equal(J.indices, self.indices))
+    def fits(self, J: sp.csr_matrix) -> bool:
+        return np.array_equal(J.indptr, self.indptr) and np.array_equal(J.indices, self.indices)
 
 
 def _normal_plan(J: sp.csr_matrix) -> _NormalPlan:
@@ -173,68 +171,29 @@ def _normal_plan(J: sp.csr_matrix) -> _NormalPlan:
     lower = i >= j
     i, j = i[lower], j[lower]
     return _NormalPlan(
-        indptr=J.indptr.copy(), indices=J.indices.copy(), shape=J.shape, perm=perm,
+        indptr=J.indptr, indices=J.indices, perm=perm,
         width=int(np.max(i - j)) if i.size else 0,
         a=a[lower], b=b[lower], slot=(i - j) * n + j,
         rows=rows, cols=inv[J.indices], diag=np.flatnonzero(J.indices == rows),
     )
 
 
-# The plan of the pattern the last Jacobian had.  It is keyed on the
-# pattern's contents, so what it returns never depends on earlier calls.
-_last_plan = [None]
-
-
-def _plan_of(J: sp.csr_matrix) -> _NormalPlan:
-    """The plan of J's pattern, rebuilt only when the pattern differs from the last one."""
-    plan = _last_plan[0]
-    if plan is None or not plan.fits(J):
-        plan = _last_plan[0] = _normal_plan(J)
-    return plan
-
-
-def _normal_equations(J, r) -> NormalEquations:
-    """Fill J^T J and -J^T r and lay them out for banded Cholesky.
+def _normal_equations(plan: _NormalPlan, data: np.ndarray, r) -> NormalEquations:
+    """Fill J^T J and -J^T r from J's ``data`` on the plan's pattern, for banded Cholesky.
 
     Only numbers are computed here: the ordering, the pairs of entries and
-    their band positions come from the plan of J's pattern, built by the
-    first Jacobian on that pattern, which for a level's Jacobians is every
-    one of them.  The band sums its products in the order of J's rows.
+    their band positions come from the plan.  The band sums its products in
+    the order of J's rows.
     """
-    if not isinstance(J, sp.csr_matrix):
-        J = sp.csr_matrix(J)
-    plan = _plan_of(J)
-    n = J.shape[1]
-    band = _sums(plan.slot, J.data[plan.a] * J.data[plan.b], (plan.width + 1) * n)
-    rhs = -_sums(plan.cols, J.data * np.asarray(r)[plan.rows], n)
+    n = plan.perm.size
+    band = _sums(plan.slot, data[plan.a] * data[plan.b], (plan.width + 1) * n)
+    rhs = -_sums(plan.cols, data * np.asarray(r)[plan.rows], n)
     return NormalEquations(band.reshape(plan.width + 1, n), rhs, plan.perm)
 
 
 def _sums(slots, terms, length) -> np.ndarray:
     """The terms summed at each slot in order; ``bincount`` of no terms gives integers."""
     return np.bincount(slots, terms, minlength=length).astype(float, copy=False)
-
-
-def _blend(J, t: float) -> sp.csr_matrix:
-    """t J + (1 - t) I on J's CSR pattern, which must store the diagonal.
-
-    A level's Jacobian stores it, so the blend keeps the level's pattern and
-    plan.  A dense or finite-difference Jacobian whose CSR form dropped a
-    zero diagonal entry gets it back as an explicit zero, on a pattern with
-    a plan of its own.
-    """
-    if not isinstance(J, sp.csr_matrix):
-        J = sp.csr_matrix(J)
-    plan = _plan_of(J)
-    if plan.diag.size < J.shape[0]:
-        missing = np.setdiff1d(np.arange(J.shape[0]), plan.rows[plan.diag])
-        J = sp.csr_matrix((np.concatenate([J.data, np.zeros(missing.size)]),
-                           (np.concatenate([plan.rows, missing]),
-                            np.concatenate([J.indices, missing]))), shape=J.shape)
-        plan = _plan_of(J)
-    data = t * J.data
-    data[plan.diag] += 1.0 - t
-    return sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape)
 
 
 def _levenberg_step(normal: NormalEquations, lam):
@@ -253,62 +212,63 @@ def _levenberg_step(normal: NormalEquations, lam):
     return dx
 
 
-def _fd_jacobian(F, x, fx):
-    n = len(x)
-    J = np.empty((n, n))
-    for j in range(n):
-        d = 1e-8 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xp[j] += d
-        J[:, j] = (F(xp) - fx) / d
-    return J
-
-
 def brouwer_zero(
     F: Callable[[np.ndarray], np.ndarray],
     R: float,
     *,
-    x0: Optional[np.ndarray] = None,
-    dim: Optional[int] = None,
-    jac: Optional[Callable] = None,
-    norm: Optional[Callable[[np.ndarray], float]] = None,
+    x0: np.ndarray,
+    jac: Callable[[np.ndarray], sp.csr_matrix],
+    norm: Callable[[np.ndarray], float],
     tol: float = 1e-10,
 ) -> BrouwerResult:
-    """Find v with ||F(v)||_sup <= tol and ||v|| <= R.
+    """Find v with ||F(v)||_sup <= tol and norm(v) <= R, starting from ``x0``.
 
-    Strategy: Newton from ``x0`` (default the origin), projected onto the
-    ball in the supplied norm, accepts a step only if it lowers ||F||^2.
-    Each trial solves (J^T J + lam I) dx = -J^T F by a banded Cholesky
-    factorisation, from lam = 0 (the Newton step) up.  J^T J is filled once
-    per Jacobian at its first trial and shared by every damping value of
-    that iteration; its reverse Cuthill-McKee order and band layout are
-    computed once per pattern of J, so every Jacobian of a level reuses
-    them.  A rejected step or a non-positive pivot (a singular J at
-    lam = 0) makes lam grow.  If that stalls, homotopy continuation blends
-    the residual with the identity anchor v (the duality map of the
-    Euclidean coefficient norm), stepping the blend towards the full
-    residual with adaptive halving; the blended Jacobian tJ + (1 - t)I
-    keeps J's pattern.  Non-convergence produces an explicit failure result
-    carrying the best iterate and history.  Jacobians, from ``jac`` or by
-    finite differences without it, are used as CSR matrices; ``jac`` gets
-    the array F was last called on and returns an array or a sparse matrix
-    without duplicate entries.
+    Strategy: Newton, projected onto the ball of ``norm``, accepts a step
+    only if it lowers ||F||^2.  Each trial solves (J^T J + lam I) dx =
+    -J^T F by a banded Cholesky factorisation, from lam = 0 (the Newton
+    step) up.  J^T J is filled once per Jacobian at its first trial and
+    shared by every damping value of that iteration.  A rejected step or a
+    non-positive pivot (a singular J at lam = 0) makes lam grow.  If that
+    stalls, homotopy continuation blends the residual with the identity
+    anchor v (the duality map of the Euclidean coefficient norm), stepping
+    the blend towards the full residual with adaptive halving; the blended
+    Jacobian tJ + (1 - t)I scales J's data and adds 1 - t on its stored
+    diagonal.  Non-convergence produces an explicit failure result carrying
+    the best iterate and history.
+
+    ``jac`` gets the array F was last called on and returns a CSR matrix
+    without duplicate entries.  Every Jacobian of one search has the first
+    one's pattern, and that pattern stores the whole diagonal; the search
+    builds the reverse Cuthill-McKee order and band layout of the normal
+    equations once, from its first Jacobian, and raises ``ValueError`` when
+    a Jacobian breaks this contract.
     """
-    if x0 is None:
-        if dim is None:
-            raise ValueError("brouwer_zero needs x0 or dim")
-        x0 = np.zeros(dim)
     x0 = np.asarray(x0, dtype=float)
-    nrm = norm if norm is not None else lambda v: float(np.linalg.norm(v))
 
     def project(v):
-        n = nrm(v)
+        n = norm(v)
         if n > R and n > 0:
             return v * (R / n)
         return v
 
-
     history = []
+    plan = None  # the normal-equation plan of the search's one Jacobian pattern
+
+    def normal_equations(x, ft, t):
+        """The normal equations of t J(x) + (1 - t) I and the blended residual ft."""
+        nonlocal plan
+        J = jac(x)
+        if plan is None:
+            plan = _normal_plan(J)
+            if plan.diag.size < J.shape[0]:
+                raise ValueError("the first Jacobian's pattern lacks a diagonal entry")
+        elif not plan.fits(J):
+            raise ValueError("a Jacobian's pattern differs from the search's first one")
+        data = J.data
+        if t != 1.0:
+            data = t * data
+            data[plan.diag] += 1.0 - t
+        return _normal_equations(plan, data, ft)
 
     def newton_solve(x, t):
         """Levenberg-damped Newton on F_t(v) = t F(v) + (1-t) v.
@@ -329,8 +289,7 @@ def brouwer_zero(
             if res <= tol:
                 return x, fx, True, iters
             iters += 1
-            J = jac(x) if jac is not None else _fd_jacobian(F, x, fx)
-            normal = _normal_equations(J if t == 1.0 else _blend(J, t), ft)
+            normal = normal_equations(x, ft, t)
             scale = 1.0 + phi
             accepted = None
             # a NaN residual never lets lam reach its cap; this bound stops it
@@ -669,7 +628,7 @@ def convergence_diagnostics(
     return rows
 
 
-CSV_COLUMNS = [
+CSV_COLUMNS = (
     "level",
     "dim",
     "grad_norm_p",
@@ -681,7 +640,7 @@ CSV_COLUMNS = [
     "diag_c_strong",
     "diag_c_full",
     "newton_iters",
-]
+)
 
 
 @dataclass
@@ -746,7 +705,7 @@ class SolveReport:
 
     def csv_rows(self) -> list:
         levels = self.to_json_dict()["levels"]
-        return [CSV_COLUMNS] + [[lv[c] for c in CSV_COLUMNS] for lv in levels]
+        return [list(CSV_COLUMNS)] + [[lv[c] for c in CSV_COLUMNS] for lv in levels]
 
 
 def required_exponents(inst: ProblemInstance) -> list:

@@ -62,12 +62,21 @@ def lambda1_closed_form(p: float, length: float = 1.0) -> float:
     return (p - 1.0) * (pi_p / length) ** p
 
 
+def full_csr(M) -> sp.csr_matrix:
+    """The dense matrix M as CSR storing every entry, zeros included."""
+    M = np.asarray(M, dtype=float)
+    rows, cols = M.shape
+    return sp.csr_matrix((M.ravel(), np.tile(np.arange(cols), rows),
+                          np.arange(0, rows * cols + 1, cols)), shape=M.shape)
+
+
 def random_monotone_map(rng: np.random.Generator, dim: int, R: float):
     """Monotone map A v + c ||v||^2 v - b with its unique zero inside the ball.
 
     Eigenvalues of A live in [0.5, 2] and ||b|| <= 0.4 * lambda_min * R, so
     <F(v), v> >= lambda_min R^2 + c R^4 - ||b|| R > 0 on the sphere and the
-    zero is unique by strict monotonicity.
+    zero is unique by strict monotonicity.  Returns F, its Jacobian
+    A + c (||v||^2 I + 2 v v^T) as a dense matrix, and A, b, c.
     """
     Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     eigs = rng.uniform(0.5, 2.0, size=dim)
@@ -82,7 +91,10 @@ def random_monotone_map(rng: np.random.Generator, dim: int, R: float):
         out = v @ A.T + c * np.sum(v**2, axis=1, keepdims=True) * v - b
         return out[0] if out.shape[0] == 1 else out
 
-    return F, A, b, c
+    def jac(v):
+        return A + c * (float(v @ v) * np.eye(dim) + 2.0 * np.outer(v, v))
+
+    return F, jac, A, b, c
 
 
 def grid_search_zero(F, R: float, dim: int, step: float = 1e-3) -> np.ndarray:

@@ -36,15 +36,14 @@ from competefem.intrinsic import (
     boundary_lift_operator,
     certificate,
     certificate_check,
-    convolution_gradient_values,
+    convolution_images,
     convolution_operator,
-    convolution_values,
     identity_operator,
 )
 from competefem.operators import convection_from_catalog
 from competefem.solver import brouwer_zero, run_hierarchy
 
-from oracles import grid_search_zero, lambda1_shooting, random_monotone_map
+from oracles import full_csr, grid_search_zero, lambda1_shooting, random_monotone_map
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -180,8 +179,9 @@ class TestCriterion4:
         worst = 0.0
         for k in range(50):
             dim = 2 if k < 25 else 3
-            F, A, b, c = random_monotone_map(rng, dim, R)
-            res = brouwer_zero(lambda v: np.atleast_1d(F(v)), R, dim=dim, tol=1e-12)
+            F, dF, A, b, c = random_monotone_map(rng, dim, R)
+            res = brouwer_zero(lambda v: np.atleast_1d(F(v)), R, x0=np.zeros(dim),
+                               jac=lambda v: full_csr(dF(v)), norm=np.linalg.norm, tol=1e-12)
             assert res.converged
             oracle = grid_search_zero(F, R, dim)
             worst = max(worst, float(np.linalg.norm(res.x - oracle)))
@@ -270,9 +270,10 @@ class TestCriterion6:
         fd_ok = True
         xs = np.linspace(0.2, 0.8, 25)
         for T in (operators[3][1], operators[4][1]):
-            fd = (convolution_values(T, u, xs + 1e-3)
-                  - convolution_values(T, u, xs - 1e-3)) / 2e-3
-            direct = convolution_gradient_values(T, u, xs)
+            # one convolution map for the stencil's points and the points themselves
+            values, gradients = convolution_images(T, u, np.stack([xs + 1e-3, xs - 1e-3, xs]))
+            fd = (values[0] - values[1]) / 2e-3
+            direct = gradients[2]
             if np.max(np.abs(fd - direct)) > 1e-3:
                 fd_ok = False
         ok = ok and fd_ok

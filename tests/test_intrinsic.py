@@ -24,9 +24,8 @@ from competefem.intrinsic import (
     boundary_lift_operator,
     certificate,
     certificate_check,
-    convolution_gradient_values,
+    convolution_images,
     convolution_operator,
-    convolution_values,
     identity_operator,
     lift_on,
 )
@@ -89,7 +88,7 @@ class TestApply:
         # the interpolant of the parabola adds an O(h^2) perturbation
         u = fine_hierarchy.interpolate(1, lambda x: x * (1 - x))
         T = convolution_operator(Kernel("box", {"width": 0.25}), refine_factor=16)
-        val = convolution_values(T, u, np.array([0.5]))[0]
+        val = convolution_images(T, u, np.array([0.5]))[0][0]
         assert val == pytest.approx(0.24479166666666667, abs=1e-4)
 
     def test_box_convolution_converges_to_exact(self):
@@ -99,7 +98,7 @@ class TestApply:
             h = build_hierarchy(interval_mesh(0.0, 1.0, m), 1)
             u = h.interpolate(1, lambda x: x * (1 - x))
             T = convolution_operator(Kernel("box", {"width": 0.25}), refine_factor=16)
-            errs.append(abs(convolution_values(T, u, np.array([0.5]))[0] - target))
+            errs.append(abs(convolution_images(T, u, np.array([0.5]))[0][0] - target))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 4e-6  # dominated by the h^2/4 interpolation error
 
@@ -122,8 +121,7 @@ class TestApply:
         u = h.interpolate(2, lambda x: x * (1 - x))
         for k in range(30):
             x = np.linspace(0.0, 1.0, 5 + k)
-            convolution_values(T, u, x)
-            convolution_gradient_values(T, u, x)
+            convolution_images(T, u, x)
             apply(T, u)
         assert len(T._conv_cache) <= 1
         values, _ = T._conv_cache[h.level(2)](u.block)
@@ -248,8 +246,7 @@ class TestRunningIntegrals:
             coeffs = rng.standard_normal(lvl.n_free if k is None else (lvl.n_free, k))
             u = uneven.function(n, coeffs)
             W, vals, slopes = oracles.convolution_terms(T, lvl, u.block, x)
-            for got, cells in ((convolution_values(T, u, x), vals),
-                               (convolution_gradient_values(T, u, x), slopes)):
+            for got, cells in zip(convolution_images(T, u, x), (vals, slopes)):
                 want = (W @ cells).astype(float).T.reshape(got.shape)
                 bound = (np.abs(W) @ np.abs(cells)).astype(float).T.reshape(got.shape)
                 assert np.all(np.abs(got - want) <= 1e-12 * bound)
@@ -301,7 +298,7 @@ class TestConvolveGradient:
         # u locally linear and a symmetric kernel: mollified slope is the slope
         u = fine_hierarchy.interpolate(1, lambda x: np.minimum(x, 1 - x))
         T = convolution_operator(Kernel("hat", {"width": 0.2}), refine_factor=8)
-        g = convolution_gradient_values(T, u, np.array([0.25, 0.3]))
+        _, g = convolution_images(T, u, np.array([0.25, 0.3]))
         np.testing.assert_allclose(g, 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("shape,params", [
@@ -316,8 +313,10 @@ class TestConvolveGradient:
         T = convolution_operator(Kernel(shape, params), refine_factor=16)
         x = np.linspace(0.15, 0.85, 29)
         step = 1e-3
-        fd = (convolution_values(T, u, x + step) - convolution_values(T, u, x - step)) / (2 * step)
-        direct = convolution_gradient_values(T, u, x)
+        # one convolution map for the stencil's points and the points themselves
+        values, gradients = convolution_images(T, u, np.stack([x + step, x - step, x]))
+        fd = (values[0] - values[1]) / (2 * step)
+        direct = gradients[2]
         assert np.max(np.abs(fd - direct)) < 1e-3
 
 

@@ -8,7 +8,8 @@ The config module converts raw values only in its ``_as_*`` readers and
 constructs runtime objects only in its three builders.
 
 The solver and the assembly build no sparse diagonal or identity matrix:
-a Newton iteration fills a fixed pattern instead.
+a Newton iteration fills a fixed pattern instead.  Neither binds a mutable
+container at module level, so no state outlives the call that made it.
 
 In the solver, only the level problem evaluates the Galerkin equation: it
 alone assembles the residual and the Jacobian and applies T, and the lift
@@ -87,6 +88,37 @@ def test_newton_iterations_build_no_sparse_diagonals():
     assert offenders == []
     # the guard sees what it guards: the constants still build a diagonal
     assert _sparse_builder_calls(package / "constants.py")
+
+
+CONTAINERS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _module_containers(source, filename="<snippet>"):
+    """Each module-level name bound to a list, dict or set literal, or a call to one of them."""
+    found = []
+    for node in ast.parse(source, filename=filename).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        called = getattr(value.func, "id", None) if isinstance(value, ast.Call) else None
+        if isinstance(value, CONTAINERS) or called in {"list", "dict", "set"}:
+            found += [f"{filename}:{node.lineno} {ast.unparse(target)}" for target in targets]
+    return found
+
+
+def test_solver_and_assembly_keep_no_module_state():
+    package = Path(competefem.__file__).parent
+    offenders = [binding for name in ("solver.py", "operators.py")
+                 for binding in _module_containers((package / name).read_text(), name)]
+    assert offenders == []
+    # the guard sees what it guards
+    snippet = "_last_plan = [None]\nCACHE: dict = {}\nseen = set()\nN = 3\nNAMES = ('a',)\n"
+    assert _module_containers(snippet) == [
+        "<snippet>:1 _last_plan", "<snippet>:2 CACHE", "<snippet>:3 seen"]
 
 
 # solver.py call -> the top-level definitions that may make it

@@ -37,9 +37,9 @@ from competefem.solver import (
     SPHERE_CHUNK,
     HypothesisRefusal,
     ProblemInstance,
-    _blend,
     _levenberg_step,
     _normal_equations,
+    _normal_plan,
     brouwer_zero,
     constants_and_hypotheses,
     convergence_diagnostics,
@@ -49,7 +49,7 @@ from competefem.solver import (
     sphere_certificate,
 )
 
-from oracles import grid_search_zero, random_monotone_map, sphere_pairings_loop
+from oracles import full_csr, grid_search_zero, random_monotone_map, sphere_pairings_loop
 
 
 def make_instance(h, f_kind="manufactured_p3q2", f_params=None, T=None,
@@ -64,21 +64,32 @@ def make_instance(h, f_kind="manufactured_p3q2", f_params=None, T=None,
     )
 
 
+def search(F, dF, R, x0, **kwargs):
+    """brouwer_zero in the Euclidean ball with the analytic Jacobian dF on a full pattern."""
+    return brouwer_zero(F, R, x0=np.asarray(x0, dtype=float), jac=lambda v: full_csr(dF(v)),
+                        norm=np.linalg.norm, **kwargs)
+
+
+def _normal(J, r):
+    """The normal equations of the CSR matrix J, planned on its own pattern."""
+    return _normal_equations(_normal_plan(J), J.data, r)
+
+
 class TestBrouwerZero:
     def test_identity_map(self):
-        res = brouwer_zero(lambda v: v, 1.0, dim=1)
+        res = search(lambda v: v, lambda v: np.eye(1), 1.0, [0.0])
         assert res.converged
         np.testing.assert_allclose(res.x, [0.0], atol=1e-10)
 
     def test_scalar_cubic(self):
         # v^3 - v - 6 = 0 has the root 2; the sphere values are 0 and 24
-        res = brouwer_zero(lambda v: v**3 - v - 6.0, 2.0, dim=1)
+        res = search(lambda v: v**3 - v - 6.0, lambda v: np.diag(3.0 * v**2 - 1.0), 2.0, [0.0])
         assert res.converged
         np.testing.assert_allclose(res.x, [2.0], atol=1e-8)
 
     def test_translation(self):
         target = np.array([1.0, 0.0])
-        res = brouwer_zero(lambda v: v - target, 2.0, dim=2)
+        res = search(lambda v: v - target, lambda v: np.eye(2), 2.0, [0.0, 0.0])
         assert res.converged
         np.testing.assert_allclose(res.x, target, atol=1e-10)
 
@@ -90,45 +101,42 @@ class TestBrouwerZero:
             seen.append(np.linalg.norm(v))
             return v - np.array([5.0, 0.0])  # zero outside the ball
 
-        res = brouwer_zero(F, R, dim=2)
+        res = search(F, lambda v: np.eye(2), R, [0.0, 0.0])
         assert all(n <= R * (1 + 1e-6) for n in seen)
         assert not res.converged
         assert "best residual" in res.message
         assert res.history
 
     def test_failure_reports_best_iterate(self):
-        res = brouwer_zero(lambda v: v**2 + 1.0, 1.0, dim=1)
+        res = search(lambda v: v**2 + 1.0, lambda v: np.diag(2.0 * v), 1.0, [0.0])
         assert not res.converged
         assert res.residual_sup >= 1.0
         assert np.abs(res.x) <= 1.0 + 1e-9
 
     def test_custom_norm_projection(self):
         # ball in a weighted norm twice the Euclidean one
-        res = brouwer_zero(lambda v: v - np.array([3.0]), 2.0, dim=1,
+        res = brouwer_zero(lambda v: v - np.array([3.0]), 2.0, x0=np.zeros(1),
+                           jac=lambda v: full_csr(np.eye(1)),
                            norm=lambda v: 2.0 * float(np.abs(v[0])))
         assert np.abs(res.x[0]) <= 1.0 + 1e-9
-
-    def test_needs_start_or_dim(self):
-        with pytest.raises(ValueError, match="x0 or dim"):
-            brouwer_zero(lambda v: v, 1.0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_grid_search_oracle(self, dim):
         rng = np.random.default_rng(42 + dim)
         for _ in range(5):
-            F, A, b, c = random_monotone_map(rng, dim, 1.0)
-            res = brouwer_zero(lambda v: np.atleast_1d(F(v)), 1.0, dim=dim, tol=1e-12)
+            F, dF, A, b, c = random_monotone_map(rng, dim, 1.0)
+            res = search(lambda v: np.atleast_1d(F(v)), dF, 1.0, np.zeros(dim), tol=1e-12)
             assert res.converged
             oracle = grid_search_zero(F, 1.0, dim)
             assert np.linalg.norm(res.x - oracle) <= 1e-2
 
     def test_path_names_how_the_search_ended(self):
-        assert brouwer_zero(lambda v: v - 0.5, 1.0, dim=2).path == "newton"
-        failed = brouwer_zero(lambda v: v**2 + 1.0, 1.0, dim=1)
+        assert search(lambda v: v - 0.5, lambda v: np.eye(2), 1.0, [0.0, 0.0]).path == "newton"
+        failed = search(lambda v: v**2 + 1.0, lambda v: np.diag(2.0 * v), 1.0, [0.0])
         assert failed.path == "failed"
         # from -3 the damped steps stall at v = -1/sqrt(3), where F' = 0 makes
         # a local minimum of ||F||^2, and the homotopy finds the root 2
-        res = brouwer_zero(lambda v: v**3 - v - 6.0, 4.0, x0=np.array([-3.0]))
+        res = search(lambda v: v**3 - v - 6.0, lambda v: np.diag(3.0 * v**2 - 1.0), 4.0, [-3.0])
         assert res.converged and res.continuation_stages > 0
         assert res.path == "homotopy"
 
@@ -142,7 +150,7 @@ class TestBrouwerZero:
             seen.append((v.copy(), v + 0.5 * v**3 - target))
             return seen[-1][1]
 
-        res = brouwer_zero(F, 2.0, dim=2, jac=lambda v: np.diag(1.0 + 1.5 * v**2))
+        res = search(F, lambda v: np.diag(1.0 + 1.5 * v**2), 2.0, [0.0, 0.0])
         assert res.path == "newton" and res.newton_iters > 1
         assert len(seen) == 1 + res.newton_iters
         np.testing.assert_array_equal(seen[-1][0], res.x)
@@ -155,20 +163,38 @@ class TestBrouwerZero:
         if case == "homotopy":
             def F(v):
                 return v**3 - v - 6.0
-            res = brouwer_zero(F, 4.0, x0=np.array([-3.0]))
+            res = search(F, lambda v: np.diag(3.0 * v**2 - 1.0), 4.0, [-3.0])
         else:
             def F(v):
                 return v**2 + 1.0
-            res = brouwer_zero(F, 1.0, dim=1)
+            res = search(F, lambda v: np.diag(2.0 * v), 1.0, [0.0])
         assert res.path == case
         np.testing.assert_array_equal(res.fx, F(res.x))
         assert res.residual_sup == float(np.max(np.abs(F(res.x))))
 
     def test_dense_jacobian_through_the_homotopy(self):
-        res = brouwer_zero(lambda v: v**3 - v - 6.0, 4.0, x0=np.array([-3.0]),
-                           jac=lambda v: np.diag(3.0 * v**2 - 1.0))
+        res = search(lambda v: v**3 - v - 6.0, lambda v: np.diag(3.0 * v**2 - 1.0), 4.0, [-3.0])
         assert res.path == "homotopy"
         np.testing.assert_allclose(res.x, [2.0], atol=1e-8)
+
+    def test_a_later_jacobian_on_another_pattern_is_refused(self):
+        # the first Jacobian stores the zero off-diagonal entries, later ones drop them
+        target = np.array([1.0, -0.5])
+        patterns = iter([full_csr, sp.csr_matrix])
+
+        def jac(v):
+            return next(patterns, sp.csr_matrix)(np.diag(1.0 + 1.5 * v**2))
+
+        with pytest.raises(ValueError, match="differs from the search's first one"):
+            brouwer_zero(lambda v: v + 0.5 * v**3 - target, 2.0, x0=np.zeros(2), jac=jac,
+                         norm=np.linalg.norm)
+
+    def test_a_first_pattern_without_its_diagonal_is_refused(self):
+        J = sp.csr_matrix(TestNewtonFallback.J)  # no entries at (0, 0) and (2, 2)
+        assert J.nnz == 5
+        with pytest.raises(ValueError, match="lacks a diagonal entry"):
+            brouwer_zero(lambda v: J @ v - TestNewtonFallback.rhs, 1.0, x0=np.zeros(3),
+                         jac=lambda v: J, norm=np.linalg.norm)
 
 
 class TestNewtonFallback:
@@ -177,23 +203,19 @@ class TestNewtonFallback:
     J = np.array([[0.0, 2.0, 0.0], [2.0, -4.0, 2.0], [0.0, 2.0, 0.0]])
     rhs = np.array([1.0, -0.5, 0.25])
 
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-    def test_levenberg_step_is_finite(self, sparse):
-        J = sp.csr_matrix(self.J) if sparse else self.J
+    def test_levenberg_step_is_finite(self):
         lam = 1e-10
-        dx = _levenberg_step(_normal_equations(J, self.rhs), lam)
+        dx = _levenberg_step(_normal(sp.csr_matrix(self.J), self.rhs), lam)
         assert dx is not None and np.all(np.isfinite(dx))
         normal = self.J.T @ self.J + lam * np.eye(3)
         np.testing.assert_allclose(normal @ dx, -self.J.T @ self.rhs, atol=1e-8)
 
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-    def test_undamped_singular_normal_equations_have_no_step(self, sparse):
+    def test_undamped_singular_normal_equations_have_no_step(self):
         # J^T J = [[4, -8, 4], [-8, 24, -8], [4, -8, 4]] is singular; in the
         # pattern's order its Cholesky factor meets an exact zero pivot
-        J = sp.csr_matrix(self.J) if sparse else self.J
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _levenberg_step(_normal_equations(J, self.rhs), 0.0) is None
+            assert _levenberg_step(_normal(sp.csr_matrix(self.J), self.rhs), 0.0) is None
 
 
 def _galerkin_jacobian(domain, level, kind, seed=5):
@@ -231,26 +253,17 @@ class TestLevenbergStep:
             return (np.linalg.norm(A @ dx - b)
                     / (np.linalg.norm(A, 2) * np.linalg.norm(dx) + np.linalg.norm(b)))
 
-        dx = _levenberg_step(_normal_equations(Jt, r), lam)
+        dx = _levenberg_step(_normal(Jt, r), lam)
         assert dx is not None
         assert backward_error(dx) <= 1e-13
         assert backward_error(np.linalg.solve(A, b)) <= 1e-13
 
     def test_band_is_narrow_in_two_dimensions(self):
         J, r = _galerkin_jacobian("unit_square", 4, "constant")
-        normal = _normal_equations(J, r)
+        normal = _normal(J, r)
         natural = J.T @ J
         rows, cols = natural.nonzero()
         assert 1 < normal.band.shape[0] - 1 < int(np.max(np.abs(rows - cols)))
-
-    def test_dense_jacobian_gives_the_csr_step_bitwise(self):
-        J, r = _galerkin_jacobian("unit_square", 4, "manufactured_plus_power")
-        dense = J.toarray()
-        for lam in (1e-8, 1.0):
-            np.testing.assert_array_equal(
-                _levenberg_step(_normal_equations(dense, r), lam),
-                _levenberg_step(_normal_equations(sp.csr_matrix(dense), r), lam),
-            )
 
     def test_nonsingular_linear_map_takes_one_undamped_step(self, monkeypatch):
         # the Newton step is the lam = 0 Cholesky step of the normal equations
@@ -258,9 +271,9 @@ class TestLevenbergStep:
         b = np.array([1.0, -2.0, 0.5])
         normals, lams = [], []
 
-        def counting_normal(J, r):
+        def counting_normal(plan, data, r):
             normals.append(1)
-            return _normal_equations(J, r)
+            return _normal_equations(plan, data, r)
 
         def counting_step(normal, lam):
             lams.append(lam)
@@ -268,7 +281,7 @@ class TestLevenbergStep:
 
         monkeypatch.setattr("competefem.solver._normal_equations", counting_normal)
         monkeypatch.setattr("competefem.solver._levenberg_step", counting_step)
-        res = brouwer_zero(lambda v: A @ v - b, 10.0, dim=3, jac=lambda v: A)
+        res = search(lambda v: A @ v - b, lambda v: A, 10.0, np.zeros(3))
         assert res.path == "newton" and res.newton_iters == 1
         assert len(normals) == 1 and lams == [0.0]
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b), atol=1e-12)
@@ -313,22 +326,32 @@ class TestLevenbergStep:
 
 
 class TestSymbolicPlan:
-    @pytest.mark.parametrize("t", [0.0, 0.3, 0.75])
     @pytest.mark.parametrize("domain,level", [("interval", 4), ("unit_square", 3)])
-    def test_blend_is_t_J_plus_one_minus_t_identity(self, domain, level, t):
+    def test_blend_is_t_J_plus_one_minus_t_identity(self, domain, level, monkeypatch):
+        # a linear map whose zero lies outside the ball makes Newton stall
+        # and the homotopy run stages at several t < 1
         J, _ = _galerkin_jacobian(domain, level, "manufactured_plus_power")
-        blended = _blend(J, t)
-        reference = (t * J + (1.0 - t) * sp.identity(J.shape[0])).toarray()
-        np.testing.assert_array_equal(blended.toarray(), reference)
-        # on J's own pattern
-        assert np.array_equal(blended.indices, J.indices)
-        assert np.array_equal(blended.indptr, J.indptr)
+        n = J.shape[0]
+        x = np.ones(n)
+        seen = []
 
-    def test_dense_jacobian_gets_its_zero_diagonal_stored(self):
-        J = TestNewtonFallback.J  # zero diagonal entries in rows 0 and 2
-        blended = _blend(J, 0.5)
-        assert blended.nnz == np.count_nonzero(J) + 2
-        np.testing.assert_array_equal(blended.toarray(), 0.5 * J + 0.5 * np.eye(3))
+        def recording(plan, data, r):
+            seen.append((plan, data.copy()))
+            return _normal_equations(plan, data, r)
+
+        monkeypatch.setattr("competefem.solver._normal_equations", recording)
+        res = brouwer_zero(lambda v: J @ (v - x), 0.5 * np.linalg.norm(x), x0=np.zeros(n),
+                           jac=lambda v: J, norm=np.linalg.norm)
+        ts = {t for t, _ in res.history}
+        assert res.continuation_stages > 0 and len(ts) > 2
+        references = {t: (t * J + (1.0 - t) * sp.identity(n)).toarray() for t in ts}
+        for plan, data in seen:
+            # on J's own pattern
+            assert np.array_equal(plan.indices, J.indices)
+            assert np.array_equal(plan.indptr, J.indptr)
+            blended = sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape).toarray()
+            assert any(np.array_equal(blended, ref) for ref in references.values())
+        assert sum(not np.array_equal(data, J.data) for _, data in seen) > 2
 
     def test_explicit_zeros_leave_the_numbers_unchanged(self):
         # the level pattern stores entries whose value is zero; the normal
@@ -339,7 +362,7 @@ class TestSymbolicPlan:
         with_zeros = sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape)
         without = sp.csr_matrix(with_zeros.toarray())
         assert without.nnz < with_zeros.nnz
-        a, b = _normal_equations(with_zeros, r), _normal_equations(without, r)
+        a, b = _normal(with_zeros, r), _normal(without, r)
         G = without.T @ without
         for normal in (a, b):
             n = len(r)
@@ -351,7 +374,7 @@ class TestSymbolicPlan:
                                        rtol=1e-15, atol=0)
             np.testing.assert_allclose(normal.rhs, -(without.T @ r)[normal.perm], rtol=1e-15)
 
-    def test_ordering_is_computed_once_per_pattern(self, unit_hierarchy, monkeypatch):
+    def test_ordering_is_computed_once_per_search(self, unit_hierarchy, monkeypatch):
         # a homotopy solve makes many Jacobians of one level, and orders once
         orderings, jacobians = [], []
 
@@ -361,7 +384,6 @@ class TestSymbolicPlan:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr("competefem.solver._last_plan", [None])
         monkeypatch.setattr("competefem.solver.reverse_cuthill_mckee",
                             counting(orderings, reverse_cuthill_mckee))
         monkeypatch.setattr("competefem.solver.assemble_jacobian",
@@ -372,6 +394,8 @@ class TestSymbolicPlan:
         assert len(orderings) == 1
         solve_level(inst, 2, 2.0)  # another level, another pattern
         assert len(orderings) == 2
+        solve_level(inst, 1, 2.0)  # no plan outlives its search
+        assert len(orderings) == 3
 
 
 class TestSolveLevel:
