@@ -203,19 +203,22 @@ class TestNewtonFallback:
     J = np.array([[0.0, 2.0, 0.0], [2.0, -4.0, 2.0], [0.0, 2.0, 0.0]])
     rhs = np.array([1.0, -0.5, 0.25])
 
-    def test_levenberg_step_is_finite(self):
+    # the same matrix stored in full, zero diagonal included, and sparse
+    @pytest.mark.parametrize("stored", [full_csr, sp.csr_matrix], ids=["dense", "sparse"])
+    def test_levenberg_step_is_finite(self, stored):
         lam = 1e-10
-        dx = _levenberg_step(_normal(sp.csr_matrix(self.J), self.rhs), lam)
+        dx = _levenberg_step(_normal(stored(self.J), self.rhs), lam)
         assert dx is not None and np.all(np.isfinite(dx))
         normal = self.J.T @ self.J + lam * np.eye(3)
         np.testing.assert_allclose(normal @ dx, -self.J.T @ self.rhs, atol=1e-8)
 
-    def test_undamped_singular_normal_equations_have_no_step(self):
+    @pytest.mark.parametrize("stored", [full_csr, sp.csr_matrix], ids=["dense", "sparse"])
+    def test_undamped_singular_normal_equations_have_no_step(self, stored):
         # J^T J = [[4, -8, 4], [-8, 24, -8], [4, -8, 4]] is singular; in the
         # pattern's order its Cholesky factor meets an exact zero pivot
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _levenberg_step(_normal(sp.csr_matrix(self.J), self.rhs), 0.0) is None
+            assert _levenberg_step(_normal(stored(self.J), self.rhs), 0.0) is None
 
 
 def _galerkin_jacobian(domain, level, kind, seed=5):
@@ -326,8 +329,21 @@ class TestLevenbergStep:
 
 
 class TestSymbolicPlan:
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.75])
     @pytest.mark.parametrize("domain,level", [("interval", 4), ("unit_square", 3)])
-    def test_blend_is_t_J_plus_one_minus_t_identity(self, domain, level, monkeypatch):
+    def test_blend_is_t_J_plus_one_minus_t_identity(self, domain, level, t):
+        # the search blends on J's data: scale it by t, add 1 - t at plan.diag
+        J, _ = _galerkin_jacobian(domain, level, "manufactured_plus_power")
+        plan = _normal_plan(J)
+        data = t * J.data
+        data[plan.diag] += 1.0 - t
+        blended = sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape)
+        reference = (t * J + (1.0 - t) * sp.identity(J.shape[0])).toarray()
+        np.testing.assert_array_equal(blended.toarray(), reference)
+        assert plan.diag.size == J.shape[0]
+
+    @pytest.mark.parametrize("domain,level", [("interval", 4), ("unit_square", 3)])
+    def test_homotopy_blends_on_the_jacobian_pattern(self, domain, level, monkeypatch):
         # a linear map whose zero lies outside the ball makes Newton stall
         # and the homotopy run stages at several t < 1
         J, _ = _galerkin_jacobian(domain, level, "manufactured_plus_power")
