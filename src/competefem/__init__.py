@@ -43,13 +43,12 @@ from .constants import (
     EmbeddingConstants,
     HypothesisReport,
     build_constants,
-    check_convolution_condition,
-    check_growth_smallness,
-    check_lift_condition,
+    check_smallness,
     coercivity_radius,
     critical_surrogate,
     estimate_embedding_constant,
     estimate_lambda1p,
+    smallness_pairings,
 )
 from .solver import (
     BrouwerResult,

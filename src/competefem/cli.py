@@ -91,7 +91,7 @@ def cmd_constants(spec: ProblemSpec, out_dir: str) -> int:
     payload = constants.to_json_dict()
     payload["config"] = spec.to_json_dict()
     _write(paths["constants"], canonical_json(payload))
-    print(f"lambda1p = {constants.lambda1p}; "
+    print(f"lambda1p = {payload['lambda1p']}; "
           f"S entries: {sorted(constants.entries)}; safety = {constants.safety}")
     return 0
 

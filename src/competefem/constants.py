@@ -1,4 +1,4 @@
-"""Embedding constants, growth smallness checks, and the safeguard radius.
+"""Embedding constants, the growth smallness check, and the safeguard radius.
 
 The Dirichlet embedding constants S_r with ||u||_r <= S_r ||grad u||_p are
 estimated by projected ascent of the Rayleigh-type ratio over the finite
@@ -28,10 +28,12 @@ Rayleigh quotient read the other way: lambda_1 = S_p,raw^{-p}, an upper
 bound because S_p,raw is a lower bound.  It comes from the ascent at r = p
 and has no optimiser of its own.
 
-The solver asks only for the exponents that some decision reads
-(``solver.required_exponents``).  The checks and ``compose_c0`` read a
-pair constant only under a positive coefficient.  Under a zero one its
-term is exactly 0.0, which is also what the product with the constant
+Each smallness condition a1 K1 S_a + a2 K2 S_b < 1 is a row of
+:func:`smallness_pairings`, the exponents of S_a and S_b; K1 and K2 are the
+growth certificate's.  :func:`check_smallness` evaluates a row, and the
+solver estimates only the exponents some row or ``compose_c0`` reads.  A
+pair constant is read only under a positive coefficient.  Under a zero one
+its term is exactly 0.0, which is also what the product with the constant
 would give, and reports show the constant as None.
 
 When the critical Sobolev exponent is unavailable (p >= space dimension at
@@ -108,9 +110,6 @@ class EmbeddingConstants:
     p_crit: float
     safety: float
     entries: dict = field(default_factory=dict)     # key(r) -> SEstimate
-    lambda1p: float | None = None
-    lambda_profile: tuple = ()
-    lambda1p_converged: bool = False
     s_space: float | None = None
     s_space_provenance: str = ""
 
@@ -128,18 +127,26 @@ class EmbeddingConstants:
     def S_raw(self, r: float) -> float:
         return self._entry(r).raw
 
+    @property
+    def eigenvalue(self) -> SEstimate | None:
+        """lambda_1 read off the S_p entry; None without that entry."""
+        s_p = self.entries.get(_key(self.p))
+        return None if s_p is None else _eigenvalue_of(s_p, self.p)
+
     def with_entry(self, r: float, est: SEstimate) -> "EmbeddingConstants":
         return replace(self, entries={**self.entries, _key(r): est})
 
     def to_json_dict(self) -> dict:
+        # without S_p: no eigenvalue, an empty profile, not converged
+        lam = self.eigenvalue or SEstimate(raw=None, value=None, provenance="")
         return {
             "p": self.p,
             "N": self.n_dim,
             "p_crit": self.p_crit,
             "safety": self.safety,
-            "lambda1p": self.lambda1p,
-            "lambda1p_profile": list(self.lambda_profile),
-            "lambda1p_converged": self.lambda1p_converged,
+            "lambda1p": lam.value,
+            "lambda1p_profile": list(lam.per_level),
+            "lambda1p_converged": lam.converged,
             "S": {
                 repr(k): {"raw": e.raw, "value": e.value, "provenance": e.provenance,
                           "converged": e.converged, "iters": list(e.iters),
@@ -376,7 +383,7 @@ def build_constants(
     iters: int = 300,
     seed: int = 0,
 ) -> EmbeddingConstants:
-    """Estimate every requested embedding constant, S_p always, and the eigenvalue.
+    """Estimate every requested embedding constant, S_p always, which gives the eigenvalue.
 
     All exponents are ascended together, one block per level, and each
     entry equals :func:`estimate_embedding_constant` at its exponent.
@@ -384,7 +391,6 @@ def build_constants(
     rs = sorted({_key(r) for r in exponents} | {_key(p)})
     entries = dict(zip(rs, _estimate_embedding_constants(h, rs, p, starts, iters, ASCENT_TOL,
                                                          safety, seed)))
-    lam = _eigenvalue_of(entries[_key(p)], p)
     s_space = None
     prov = ""
     if _key(p_crit) in entries:
@@ -397,8 +403,6 @@ def build_constants(
             prov += " (no critical exponent when p >= N)"
     return EmbeddingConstants(
         p=p, n_dim=h.dim, p_crit=p_crit, safety=safety, entries=entries,
-        lambda1p=lam.value, lambda_profile=lam.per_level,
-        lambda1p_converged=lam.converged,
         s_space=s_space, s_space_provenance=prov,
     )
 
@@ -436,94 +440,41 @@ def _term(coeff: float, k: float, s) -> float:
     return 0.0 if s is None else coeff * k * s
 
 
-def _smallness_value(a1, k1, s_a, a2, k2, s_b) -> float:
-    # shared expression so that specialised checks agree bitwise with the
-    # generic one under constant substitution
-    return _term(a1, k1, s_a) + _term(a2, k2, s_b)
+def smallness_pairings(kind, p: float, p_crit: float, alpha: float, beta: float) -> list:
+    """``(name, r_value, r_grad)`` of every smallness condition of operator ``kind``.
 
-
-def check_growth_smallness(
-    a1: float,
-    a2: float,
-    cert,
-    constants: EmbeddingConstants,
-    alpha: float,
-    beta: float,
-) -> HypothesisReport:
-    """a1 K1 S_{pc/(pc-alpha)} + a2 K2 S_{p/(p-beta)} must stay below one."""
-    pc = constants.p_crit
-    p = constants.p
-    s_a = _pair(constants, a1, pc / (pc - alpha))
-    s_b = _pair(constants, a2, p / (p - beta))
-    value = _smallness_value(a1, cert.value_coeff, s_a, a2, cert.grad_coeff, s_b)
-    return HypothesisReport(
-        name="growth_smallness",
-        value=value,
-        margin=1.0 - value,
-        passed=value < 1.0,
-        constants={
-            "a1": a1, "a2": a2, "K1": cert.value_coeff, "K2": cert.grad_coeff,
-            "S_value_pair": s_a, "S_grad_pair": s_b, "alpha": alpha, "beta": beta,
-        },
-    )
-
-
-def check_lift_condition(a1: float, a2: float, p: float,
-                         constants: EmbeddingConstants) -> HypothesisReport:
-    """Smallness for the nonhomogeneous problem via the additive lift.
-
-    Instantiates the generic smallness with K1 = m S_{pc}^{p-1}, K2 = m,
-    m = max(2^{p-2}, 1), at alpha = beta = p-1, pairing the convection parts
-    with S_{pc/(pc-p+1)} and S_1.
+    Each condition is a1 K1 S_{r_value} + a2 K2 S_{r_grad} < 1.  The generic
+    one comes first for any kind (``None`` gives it alone): its exponents
+    pc/(pc-alpha) and p/(p-beta) pair the growth envelope with the embedding.
+    The nonhomogeneous problem (``boundary_lift``) and the mollified one
+    (``convolution``) also state it at alpha = beta = p-1 with the
+    convection parts paired with S_{pc/(pc-p+1)} and S_1.
     """
-    pc = constants.p_crit
-    m = max(2.0 ** (p - 2.0), 1.0)
-    k1 = m * constants.S(pc) ** (p - 1.0)
-    s_a = _pair(constants, a1, pc / (pc - p + 1.0))
-    s_b = _pair(constants, a2, 1.0)
-    value = _smallness_value(a1, k1, s_a, a2, m, s_b)
-    return HypothesisReport(
-        name="lift_condition",
-        value=value,
-        margin=1.0 - value,
-        passed=value < 1.0,
-        constants={
-            "a1": a1, "a2": a2, "K1": k1, "K2": m, "max_factor": m,
-            "S_crit": constants.S(pc), "S_value_pair": s_a, "S_1": s_b, "p": p,
-        },
-    )
+    pairings = [("growth_smallness", p_crit / (p_crit - alpha), p / (p - beta))]
+    paired = {"boundary_lift": "lift_condition", "convolution": "convolution_condition"}
+    if kind in paired:
+        pairings.append((paired[kind], p_crit / (p_crit - p + 1.0), 1.0))
+    return pairings
 
 
-def check_convolution_condition(
-    a1: float,
-    a2: float,
-    p: float,
-    n_dim: int,
-    kernel_l1: float,
-    constants: EmbeddingConstants,
-) -> HypothesisReport:
-    """Smallness for the mollified problem, scaled by (N ||rho||_1)^{p-1}."""
-    if not kernel_l1 > 0:
-        raise HypothesisError(f"kernel L1 norm must be positive, got {kernel_l1}")
-    pc = constants.p_crit
-    if constants.s_space is None:
-        raise ConstantLookupError("no whole-space constant surrogate available")
-    factor = n_dim ** (p - 1.0) * kernel_l1 ** (p - 1.0)
-    k1 = factor * constants.s_space ** (p - 1.0)
-    s_a = _pair(constants, a1, pc / (pc - p + 1.0))
-    s_b = _pair(constants, a2, 1.0)
-    value = _smallness_value(a1, k1, s_a, a2, factor, s_b)
-    return HypothesisReport(
-        name="convolution_condition",
-        value=value,
-        margin=1.0 - value,
-        passed=value < 1.0,
-        constants={
-            "a1": a1, "a2": a2, "K1": k1, "K2": factor, "kernel_l1": kernel_l1,
-            "S_space": constants.s_space, "S_value_pair": s_a, "S_1": s_b,
-            "p": p, "N": n_dim,
-        },
-    )
+def check_smallness(pairing, a1: float, a2: float, cert,
+                    constants: EmbeddingConstants) -> HypothesisReport:
+    """a1 K1 S_{r_value} + a2 K2 S_{r_grad} must stay below one.
+
+    ``pairing`` is a row of :func:`smallness_pairings`; K1 and K2 are the
+    certificate's.  A paired condition reports what its certificate formed
+    K1 and K2 from, and S_{r_grad} as S_1.
+    """
+    name, r_value, r_grad = pairing
+    s_a, s_b = _pair(constants, a1, r_value), _pair(constants, a2, r_grad)
+    value = _term(a1, cert.value_coeff, s_a) + _term(a2, cert.grad_coeff, s_b)
+    if name == "growth_smallness":
+        rest = {"S_grad_pair": s_b, "alpha": cert.alpha, "beta": cert.beta}
+    else:
+        rest = {"S_1": s_b, **cert.factors}
+    return HypothesisReport(name=name, value=value, margin=1.0 - value, passed=value < 1.0,
+                            constants={"a1": a1, "a2": a2, "K1": cert.value_coeff,
+                                       "K2": cert.grad_coeff, "S_value_pair": s_a, **rest})
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +559,12 @@ def compose_c0(env, sigma_dual_norm: float, cert, constants: EmbeddingConstants)
 
     Collects the convection contributions that do not scale with the leading
     power: S_r ||sigma||_{r'} plus the certificate offset paired with the
-    same embedding constants as the growth terms.  As in the checks, a pair
-    constant is read only under a positive coefficient.
+    same embedding constants as the generic smallness condition.  As in the
+    checks, a pair constant is read only under a positive coefficient.
     """
-    pc = constants.p_crit
-    p = constants.p
+    _, r_value, r_grad = smallness_pairings(None, constants.p, constants.p_crit,
+                                            env.alpha, env.beta)[0]
     c0 = constants.S(env.r) * sigma_dual_norm
-    c0 += _term(env.a1, cert.offset, _pair(constants, env.a1, pc / (pc - env.alpha)))
-    c0 += _term(env.a2, cert.offset, _pair(constants, env.a2, p / (p - env.beta)))
+    c0 += _term(env.a1, cert.offset, _pair(constants, env.a1, r_value))
+    c0 += _term(env.a2, cert.offset, _pair(constants, env.a2, r_grad))
     return float(c0)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
+from .constants import ConstantLookupError
 from .discretization import (
     FEFunction,
     Level,
@@ -415,6 +416,8 @@ class IntrinsicCertificate:
     alpha: float
     beta: float
     provenance: str
+    # what a paired smallness check reports K1 and K2 to be formed from
+    factors: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -465,7 +468,9 @@ def certificate(
     :func:`certificate_rule` says which combinations are supported; identity
     reaches alpha, beta < p-1 through the elementary split
     t^a <= t^{p-1} + 1.  ``constants`` provides the embedding estimates; the
-    lift case also needs a hierarchy to measure the norms of u0.
+    lift case also needs a hierarchy to measure the norms of u0, and the
+    convolution case the whole-space constant S_space.  The lift and
+    convolution certificates carry the factors of K1 and K2 in ``factors``.
     """
     violated = certificate_rule(T.kind, p, alpha, beta)
     if violated is not None:
@@ -489,16 +494,20 @@ def certificate(
         pc, lvl = constants.p_crit, hierarchy.level(u0.level)
         u0_val = float(_value_integral(lvl.qp_weights, u0.values.reshape(-1, 1), pc)[0] ** (1 / pc))
         u0_grad = float(_grad_integral(lvl, u0.gradients, p)[0] ** (1 / p))
+        s_crit = constants.S(pc)
         return IntrinsicCertificate(
-            value_coeff=m * constants.S(constants.p_crit) ** (p - 1.0),
+            value_coeff=m * s_crit ** (p - 1.0),
             grad_coeff=m,
             offset=m * max(u0_val ** (p - 1.0), u0_grad ** (p - 1.0)),
             alpha=alpha,
             beta=beta,
             provenance="boundary_lift: convexity split of |u + u0| with measured u0 norms",
+            factors={"max_factor": m, "S_crit": s_crit, "p": p},
         )
 
     if T.kind == "convolution":
+        if constants.s_space is None:
+            raise ConstantLookupError("no whole-space constant S_space available")
         n_dim = constants.n_dim
         l1 = T.kernel.l1_norm
         return IntrinsicCertificate(
@@ -508,6 +517,7 @@ def certificate(
             alpha=alpha,
             beta=beta,
             provenance="convolution: Young inequality and the mollifier derivative rule",
+            factors={"kernel_l1": l1, "S_space": constants.s_space, "p": p, "N": n_dim},
         )
 
     raise CertificateError(f"no certificate for operator kind {T.kind!r}")

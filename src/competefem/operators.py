@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .constants import smallness_pairings
 from .discretization import (
     FEFunction,
     LevelMismatchError,
@@ -585,25 +586,19 @@ def convection_functional_bound(
 ) -> float:
     """Upper bound for |int f(x, T(u), grad T(u)) v dx| from the envelope.
 
-    Combines the Hoelder pairs (r, r'), (p_crit/alpha-type, its conjugate)
-    and (p/beta-type, its conjugate) applied to the three envelope parts.
+    Combines the Hoelder pairs (r, r'), (p_crit/alpha, its conjugate) and
+    (p/beta, its conjugate) applied to the three envelope parts; the two
+    conjugates are the exponents of the generic smallness condition.
     """
     if u.level != v.level:
         raise LevelMismatchError(f"levels differ: {u.level} vs {v.level}")
     su = T_image
+    _, r_value, r_grad = smallness_pairings(None, p, p_crit, env.alpha, env.beta)[0]
     bound = env.sigma.dual_norm(u.lvl, env.r) * lebesgue_norm(v, env.r)
     if env.a1 > 0:
-        bound += (
-            env.a1
-            * su.value_norm(p_crit) ** env.alpha
-            * lebesgue_norm(v, p_crit / (p_crit - env.alpha))
-        )
+        bound += env.a1 * su.value_norm(p_crit) ** env.alpha * lebesgue_norm(v, r_value)
     if env.a2 > 0:
-        bound += (
-            env.a2
-            * su.grad_norm(p) ** env.beta
-            * lebesgue_norm(v, p / (p - env.beta))
-        )
+        bound += env.a2 * su.grad_norm(p) ** env.beta * lebesgue_norm(v, r_grad)
     return float(bound)
 
 

@@ -37,11 +37,10 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from .constants import (
     EmbeddingConstants,
     build_constants,
-    check_convolution_condition,
-    check_growth_smallness,
-    check_lift_condition,
+    check_smallness,
     coercivity_radius,
     compose_c0,
+    smallness_pairings,
 )
 from .discretization import (FEFunction, Level, NodalSamples, SpaceHierarchy, _column_dots,
                              _grad_integral, _gradients, grad_norm_p, prolongate, sine_mode)
@@ -712,23 +711,18 @@ def required_exponents(inst: ProblemInstance) -> list:
     """The exponents whose S_r some decision reads.
 
     Always S_r at the envelope's r (for c0), S_p (for lambda_1) and S_pc
-    (for the certificate and S_space).  Under a1 > 0 also S_{pc/(pc-alpha)},
-    and S_{pc/(pc-p+1)} for the lift and convolution checks; under a2 > 0
-    also S_{p/(p-beta)}, and S_1 for those checks.
+    (for the certificate and S_space); then, for every smallness condition
+    of the operator kind, its value exponent under a1 > 0 and its gradient
+    exponent under a2 > 0.
     """
     env = inst.envelope
-    pc = inst.p_crit
-    p = inst.p
-    paired = inst.operator.kind in ("boundary_lift", "convolution")
-    wanted = {env.r, p, pc}
-    if env.a1 > 0:
-        wanted.add(pc / (pc - env.alpha))
-        if paired:
-            wanted.add(pc / (pc - p + 1.0))
-    if env.a2 > 0:
-        wanted.add(p / (p - env.beta))
-        if paired:
-            wanted.add(1.0)
+    wanted = {env.r, inst.p, inst.p_crit}
+    for _, r_value, r_grad in smallness_pairings(inst.operator.kind, inst.p, inst.p_crit,
+                                                 env.alpha, env.beta):
+        if env.a1 > 0:
+            wanted.add(r_value)
+        if env.a2 > 0:
+            wanted.add(r_grad)
     return sorted(wanted)
 
 
@@ -746,18 +740,9 @@ def constants_and_hypotheses(inst: ProblemInstance):
         iters=inst.estimator_iters, seed=inst.seed,
     )
     cert = certificate(inst.operator, inst.p, env.alpha, env.beta, constants, hierarchy=h)
-    reports = [
-        check_growth_smallness(env.a1, env.a2, cert, constants, env.alpha, env.beta)
-    ]
-    if inst.operator.kind == "boundary_lift":
-        reports.append(check_lift_condition(env.a1, env.a2, inst.p, constants))
-    if inst.operator.kind == "convolution":
-        reports.append(
-            check_convolution_condition(
-                env.a1, env.a2, inst.p, constants.n_dim,
-                inst.operator.kernel.l1_norm, constants,
-            )
-        )
+    reports = [check_smallness(pairing, env.a1, env.a2, cert, constants)
+               for pairing in smallness_pairings(inst.operator.kind, inst.p, inst.p_crit,
+                                                 env.alpha, env.beta)]
     return constants, cert, reports
 
 

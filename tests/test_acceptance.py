@@ -16,10 +16,10 @@ from competefem.constants import (
     EmbeddingConstants,
     SEstimate,
     build_constants,
-    check_growth_smallness,
-    check_lift_condition,
+    check_smallness,
     estimate_embedding_constant,
     estimate_lambda1p,
+    smallness_pairings,
 )
 from competefem.discretization import (
     build_hierarchy,
@@ -286,6 +286,8 @@ class TestCriterion6:
 class TestCriterion7:
     def test_lift_check_equals_generic_check_bitwise(self):
         rng = np.random.default_rng(505)
+        h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 2)
+        lift = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
         mismatches = 0
         for _ in range(100):
             p = float(rng.uniform(2.1, 4.0))
@@ -304,13 +306,17 @@ class TestCriterion7:
             # generic check sees the same number at exponent p/(p-beta) = p
             ec = ec.with_entry(p, SEstimate(s_one, s_one, "t"))
 
+            # the lift condition on the lift certificate, against the generic
+            # condition on K1 = m S_pc^{p-1}, K2 = m, m = max(2^{p-2}, 1)
+            lift_cert = certificate(lift, p, p - 1.0, p - 1.0, ec, hierarchy=h)
             m = max(2.0 ** (p - 2.0), 1.0)
             cert = IntrinsicCertificate(
                 value_coeff=m * ec.S(pc) ** (p - 1.0), grad_coeff=m, offset=0.0,
                 alpha=p - 1.0, beta=p - 1.0, provenance="substitution",
             )
-            a = check_lift_condition(a1, a2, p, ec)
-            b = check_growth_smallness(a1, a2, cert, ec, p - 1.0, p - 1.0)
+            generic, paired = smallness_pairings(lift.kind, p, pc, p - 1.0, p - 1.0)
+            a = check_smallness(paired, a1, a2, lift_cert, ec)
+            b = check_smallness(generic, a1, a2, cert, ec)
             if a.value != b.value or a.margin != b.margin or a.passed != b.passed:
                 mismatches += 1
         ok = mismatches == 0

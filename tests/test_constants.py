@@ -11,17 +11,23 @@ from competefem.constants import (
     HypothesisError,
     SEstimate,
     build_constants,
-    check_convolution_condition,
-    check_growth_smallness,
-    check_lift_condition,
+    check_smallness,
     coercivity_radius,
     critical_surrogate,
     estimate_embedding_constant,
     estimate_lambda1p,
+    smallness_pairings,
 )
 from competefem.config import build_instance, parse_config_dict
 from competefem.discretization import build_hierarchy, interval_mesh, unit_square_mesh
-from competefem.intrinsic import IntrinsicCertificate
+from competefem.intrinsic import (
+    IntrinsicCertificate,
+    Kernel,
+    LiftFunction,
+    boundary_lift_operator,
+    certificate,
+    convolution_operator,
+)
 from competefem.solver import constants_and_hypotheses
 
 from oracles import lambda1_closed_form, lambda1_shooting
@@ -179,9 +185,7 @@ class TestBuildConstants:
             est = estimate_embedding_constant(h, r, 3.0, safety=1.25, **kw)
             assert (entry.raw, entry.value, entry.converged, entry.iters, entry.per_level) == \
                 (est.raw, est.value, est.converged, est.iters, est.per_level)
-        lam = estimate_lambda1p(h, 3.0, **kw)
-        assert ec.lambda_profile == lam.per_level
-        assert (ec.lambda1p, ec.lambda1p_converged) == (lam.value, lam.converged)
+        assert ec.eigenvalue == estimate_lambda1p(h, 3.0, **kw)
 
     def test_one_factorisation_per_level(self, monkeypatch):
         calls = []
@@ -224,16 +228,17 @@ class TestBuildConstants:
                              iters=100, starts=3)
         assert ec.S(2.0) > 0
         assert ec.S_raw(2.0) < ec.S(2.0)
-        assert ec.lambda1p is not None
+        assert ec.eigenvalue is not None
         with pytest.raises(ConstantLookupError, match="4.5"):
             ec.S(4.5)
 
     def test_eigenvalue_is_the_s_p_reading(self, unit_hierarchy):
         # p is estimated although the exponents leave it out
         ec = build_constants(unit_hierarchy, 3.0, 6.0, [2.0], iters=100, starts=3)
-        assert ec.lambda1p == ec.S_raw(3.0) ** -3.0
-        assert ec.lambda_profile[-1] == ec.lambda1p
-        assert ec.lambda1p_converged is ec.entries[3.0].converged
+        lam = ec.eigenvalue
+        assert lam.value == ec.S_raw(3.0) ** -3.0
+        assert lam.per_level[-1] == lam.value
+        assert lam.converged is ec.entries[3.0].converged
 
     def test_space_surrogate_flagged(self, unit_hierarchy):
         ec = build_constants(unit_hierarchy, 3.0, 6.0, [6.0], iters=80, starts=2)
@@ -302,67 +307,89 @@ class TestStartRule:
             assert np.array_equal(a, b[:, :2])
 
 
+def _check(kind, row, a1, a2, cert, ec):
+    """The report of row ``row`` of the smallness table of operator ``kind``."""
+    pairing = smallness_pairings(kind, ec.p, ec.p_crit, cert.alpha, cert.beta)[row]
+    return check_smallness(pairing, a1, a2, cert, ec)
+
+
+def _generic(a1, a2, cert, ec):
+    return _check(None, 0, a1, a2, cert, ec)
+
+
+def _lift(a1, a2, ec, hierarchy):
+    """The lift condition, on the certificate of an affine lift at alpha = beta = p-1."""
+    T = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
+    cert = certificate(T, ec.p, ec.p - 1.0, ec.p - 1.0, ec, hierarchy=hierarchy)
+    return _check(T.kind, 1, a1, a2, cert, ec)
+
+
+def _convolution(a1, a2, ec, mass):
+    """The convolution condition, on the certificate of a box kernel of L1 norm ``mass``."""
+    T = convolution_operator(Kernel("box", {"width": 0.25, "scale": mass}))
+    cert = certificate(T, ec.p, ec.p - 1.0, ec.p - 1.0, ec)
+    return _check(T.kind, 1, a1, a2, cert, ec)
+
+
 class TestSmallnessChecks:
     def test_no_convection_passes(self):
         ec = make_constants(entries={1.2: 1.0, 1.5: 1.0})
-        report = check_growth_smallness(0.0, 0.0, make_cert(1.0, 1.0), ec, 1.0, 1.0)
+        report = _generic(0.0, 0.0, make_cert(1.0, 1.0), ec)
         assert report.passed and report.value == 0.0 and report.margin == 1.0
 
     def test_simple_arithmetic_pass(self):
         ec = make_constants(entries={6.0 / 5.0: 1.0, 1.5: 1.0})
-        report = check_growth_smallness(0.3, 0.2, make_cert(1.0, 1.0), ec, 1.0, 1.0)
+        report = _generic(0.3, 0.2, make_cert(1.0, 1.0), ec)
         assert report.value == pytest.approx(0.5)
         assert report.passed
 
     def test_simple_arithmetic_fail(self):
         ec = make_constants(entries={6.0 / 5.0: 1.0, 1.5: 1.0})
-        report = check_growth_smallness(1.0, 0.2, make_cert(1.0, 1.0), ec, 1.0, 1.0)
+        report = _generic(1.0, 0.2, make_cert(1.0, 1.0), ec)
         assert report.value == pytest.approx(1.2)
         assert not report.passed
 
     def test_missing_exponent_named(self):
         ec = make_constants(entries={1.5: 1.0})
         with pytest.raises(ConstantLookupError, match="1.2"):
-            check_growth_smallness(0.3, 0.2, make_cert(1.0, 1.0), ec, 1.0, 1.0)
+            _generic(0.3, 0.2, make_cert(1.0, 1.0), ec)
 
-    def test_zero_coefficient_reads_no_pair_constant(self):
+    def test_zero_coefficient_reads_no_pair_constant(self, unit_hierarchy):
         # nothing is estimated at 1.2 or 1.0: their coefficients are zero
         ec = make_constants(entries={1.5: 1.0, 6.0: 1.0})
-        report = check_growth_smallness(0.0, 0.2, make_cert(1.0, 1.0), ec, 1.0, 1.0)
+        report = _generic(0.0, 0.2, make_cert(1.0, 1.0), ec)
         assert report.value == 0.2
         assert report.constants["S_value_pair"] is None
         assert report.constants["S_grad_pair"] == 1.0
-        report = check_lift_condition(0.2, 0.0, 3.0, ec)
+        report = _lift(0.2, 0.0, ec, unit_hierarchy)
         assert report.value == pytest.approx(0.4)
         assert report.constants["S_value_pair"] == 1.0 and report.constants["S_1"] is None
 
-    def test_lift_condition_examples(self):
+    def test_lift_condition_examples(self, unit_hierarchy):
         # p = 3 and all constants one: value = 2 (a1 + a2)
         ec = make_constants(entries={6.0: 1.0, 1.0: 1.0, 1.5: 1.0})
-        assert check_lift_condition(0.0, 0.0, 3.0, ec).margin == 1.0
-        rep = check_lift_condition(0.2, 0.1, 3.0, ec)
+        assert _lift(0.0, 0.0, ec, unit_hierarchy).margin == 1.0
+        rep = _lift(0.2, 0.1, ec, unit_hierarchy)
         assert rep.value == pytest.approx(0.6)
         assert rep.passed
-        rep = check_lift_condition(0.4, 0.2, 3.0, ec)
+        rep = _lift(0.4, 0.2, ec, unit_hierarchy)
         assert rep.value == pytest.approx(1.2)
         assert not rep.passed
 
     def test_convolution_condition_examples(self):
         ec = make_constants(entries={6.0: 1.0, 1.0: 1.0, 1.5: 1.0}, s_space=1.0)
-        rep = check_convolution_condition(0.2, 0.1, 3.0, 1, 1.0, ec)
+        rep = _convolution(0.2, 0.1, ec, 1.0)
         assert rep.value == pytest.approx(0.3)
         assert rep.passed
-        rep = check_convolution_condition(0.2, 0.1, 3.0, 1, 2.0, ec)
+        rep = _convolution(0.2, 0.1, ec, 2.0)
         assert rep.value == pytest.approx(1.2)  # kernel mass 2 scales by 2^{p-1}
         assert not rep.passed
-        with pytest.raises(HypothesisError, match="positive"):
-            check_convolution_condition(0.2, 0.1, 3.0, 1, 0.0, ec)
 
     def test_pure_arithmetic_is_reproducible(self):
         ec = make_constants(entries={6.0 / 5.0: 0.37, 1.5: 0.52})
         cert = make_cert(0.81, 0.64)
-        a = check_growth_smallness(0.3, 0.2, cert, ec, 1.0, 1.0).value
-        b = check_growth_smallness(0.3, 0.2, cert, ec, 1.0, 1.0).value
+        a = _generic(0.3, 0.2, cert, ec).value
+        b = _generic(0.3, 0.2, cert, ec).value
         assert a == b
 
 
@@ -407,7 +434,14 @@ class TestJsonShape:
         entry = obj["S"][repr(2.0)]
         assert entry["raw"] < entry["value"]
         assert entry["converged"] is ec.entries[2.0].converged
-        assert obj["lambda1p_converged"] is ec.lambda1p_converged
+        assert obj["lambda1p_converged"] is ec.eigenvalue.converged
+
+    def test_no_eigenvalue_without_the_s_p_entry(self):
+        ec = make_constants(entries={2.0: 1.0})
+        assert ec.eigenvalue is None
+        obj = ec.to_json_dict()
+        assert (obj["lambda1p"], obj["lambda1p_profile"], obj["lambda1p_converged"]) == \
+            (None, [], False)
 
     def test_convergence_flags_reach_the_report(self, unit_hierarchy):
         # 5 ascent steps cannot meet the 1e-11 improvement test; the

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from competefem.constants import ConstantLookupError
 from competefem.discretization import (
     build_hierarchy,
     grad_norm_p,
@@ -375,12 +376,19 @@ class TestCertificates:
         T = convolution_operator(Kernel("box", {"width": 0.25, "scale": 2.0}))
         cert = certificate(T, 3.0, 2.0, 2.0, FakeConstants(s_space=1.0))
         assert cert.grad_coeff == pytest.approx(4.0)  # (N ||rho||_1)^{p-1}
+        assert cert.factors == {"kernel_l1": 2.0, "S_space": 1.0, "p": 3.0, "N": 1}
+
+    def test_convolution_without_the_whole_space_constant_names_it(self):
+        T = convolution_operator(Kernel("box", {"width": 0.25}))
+        with pytest.raises(ConstantLookupError, match="S_space"):
+            certificate(T, 3.0, 2.0, 2.0, FakeConstants(s_space=None))
 
     def test_lift_with_zero_u0(self, unit_hierarchy):
         T = boundary_lift_operator(LiftFunction("zero"))
         cert = certificate(T, 3.0, 2.0, 2.0, FakeConstants(), hierarchy=unit_hierarchy)
         assert cert.grad_coeff == pytest.approx(2.0)  # max(2^{p-2}, 1)
         assert cert.offset == pytest.approx(0.0)
+        assert cert.factors == {"max_factor": 2.0, "S_crit": 1.0, "p": 3.0}
 
     def test_identity_unit_constant(self):
         cert = certificate(identity_operator(), 3.0, 1.0, 1.0, FakeConstants(s_value=1.0))

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+import competefem.constants
 from competefem.config import build_instance, parse_config_dict
 from competefem.constants import (
     _key,
@@ -21,7 +22,9 @@ from competefem.discretization import (
     build_hierarchy,
     grad_norm_p,
     interval_mesh,
+    lebesgue_norm,
     prolongate,
+    sample,
     unit_square_mesh,
 )
 from competefem.intrinsic import (
@@ -32,7 +35,8 @@ from competefem.intrinsic import (
     convolution_operator,
     identity_operator,
 )
-from competefem.operators import assemble_jacobian, assemble_residual, convection_from_catalog
+from competefem.operators import (assemble_jacobian, assemble_residual, convection_from_catalog,
+                                  convection_functional_bound)
 from competefem.solver import (
     SPHERE_CHUNK,
     HypothesisRefusal,
@@ -791,6 +795,60 @@ class TestRequiredExponents:
         assert [r.name for r in reports][1:] == {
             "identity": [], "boundary_lift": ["lift_condition"],
             "convolution": ["convolution_condition"]}[kind]
+
+
+class TestSmallnessPairings:
+    @pytest.mark.parametrize("kind", sorted(_OPERATORS))
+    def test_every_decision_reads_the_one_table(self, monkeypatch, kind):
+        # shift every exponent of the table; the estimates, each check, c0 and
+        # the convection bound must all move with it, and nothing may ask for
+        # an unshifted one
+        h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 3)
+        e = 1.0 if kind == "identity" else 2.0
+        inst = dataclasses.replace(
+            make_instance(h, "manufactured_plus_power",
+                          {"a1": 0.05, "alpha": e, "a2": 0.05, "beta": e}, T=_OPERATORS[kind]()),
+            estimator_starts=2, estimator_iters=40)
+        table = competefem.constants.smallness_pairings
+
+        def shifted(*args):
+            return [(name, r_value + 0.25, r_grad + 0.5) for name, r_value, r_grad in table(*args)]
+
+        for module in ("constants", "operators", "solver"):
+            monkeypatch.setattr(f"competefem.{module}.smallness_pairings", shifted)
+        monkeypatch.setattr("competefem.solver.build_constants",
+                            lambda *args, **kw: _ReadLog(build_constants(*args, **kw)))
+        env, p, pc = inst.envelope, inst.p, inst.p_crit
+        pairings = shifted(kind, p, pc, e, e)
+        assert len(pairings) == (1 if kind == "identity" else 2)
+        pair_keys = {_key(r) for _, r_value, r_grad in pairings for r in (r_value, r_grad)}
+        assert {_key(r) for r in required_exponents(inst)} == {_key(env.r), _key(p), _key(pc)} | pair_keys
+
+        constants, cert, reports = constants_and_hypotheses(inst)
+        assert [r.name for r in reports] == [name for name, _, _ in pairings]
+        for report, (_, r_value, r_grad) in zip(reports, pairings):
+            s_a, s_b = constants.S(r_value), constants.S(r_grad)
+            assert report.constants["S_value_pair"] == s_a
+            assert report.constants.get("S_grad_pair", report.constants.get("S_1")) == s_b
+            assert report.value == 0.05 * cert.value_coeff * s_a + 0.05 * cert.grad_coeff * s_b
+
+        constants.read.clear()
+        sigma = env.sigma.dual_norm(h.level(h.n_levels), env.r)
+        c0 = compose_c0(env, sigma, cert, constants)
+        _, r_value, r_grad = pairings[0]
+        assert constants.read == {_key(env.r), _key(r_value), _key(r_grad)}
+        assert c0 == (constants.S(env.r) * sigma + 0.05 * cert.offset * constants.S(r_value)
+                      + 0.05 * cert.offset * constants.S(r_grad))
+
+        # the Hoelder bound of the convection functional pairs v alike
+        rng = np.random.default_rng(3)
+        u, v = (h.function(h.n_levels, rng.standard_normal(h.level(h.n_levels).n_free))
+                for _ in range(2))
+        img = sample(u)
+        assert convection_functional_bound(u, v, img, env, p, pc) == (
+            sigma * lebesgue_norm(v, env.r)
+            + 0.05 * img.value_norm(pc) ** e * lebesgue_norm(v, r_value)
+            + 0.05 * img.grad_norm(p) ** e * lebesgue_norm(v, r_grad))
 
 
 class TestRunHierarchy:
