@@ -197,6 +197,9 @@ def _sigma_config(envelope: dict) -> dict:
         sigma["x"], sigma["values"] = _as_floats(section, "x"), _as_floats(section, "values")
         _require(len(sigma["x"]) == len(sigma["values"]), "BAD_FIELD",
                  "nodal sigma needs arrays 'x' and 'values' of one length")
+        # np.interp reads any other order as a wrong weight, silently
+        _require(all(a < b for a, b in zip(sigma["x"], sigma["x"][1:])), "BAD_FIELD",
+                 f"nodal sigma needs a strictly increasing array 'x', got {sigma['x']}")
     return sigma
 
 

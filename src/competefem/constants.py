@@ -110,8 +110,6 @@ class EmbeddingConstants:
     p_crit: float
     safety: float
     entries: dict = field(default_factory=dict)     # key(r) -> SEstimate
-    s_space: float | None = None
-    s_space_provenance: str = ""
 
     def _entry(self, r: float) -> SEstimate:
         try:
@@ -133,12 +131,22 @@ class EmbeddingConstants:
         s_p = self.entries.get(_key(self.p))
         return None if s_p is None else _eigenvalue_of(s_p, self.p)
 
+    @property
+    def s_space(self) -> float | None:
+        """The whole-space constant, for which the S_pc entry stands in; None without it."""
+        s_pc = self.entries.get(_key(self.p_crit))
+        return None if s_pc is None else s_pc.value
+
     def with_entry(self, r: float, est: SEstimate) -> "EmbeddingConstants":
         return replace(self, entries={**self.entries, _key(r): est})
 
     def to_json_dict(self) -> dict:
         # without S_p: no eigenvalue, an empty profile, not converged
         lam = self.eigenvalue or SEstimate(raw=None, value=None, provenance="")
+        space = "" if self.s_space is None else (
+            "domain estimate at the critical surrogate standing in for the whole-space constant"
+            + (f" at p* = Np/(N-p) = {critical_surrogate(self.p, self.n_dim):.12g} (p < N)"
+               if self.p < self.n_dim else " (no critical exponent when p >= N)"))
         return {
             "p": self.p,
             "N": self.n_dim,
@@ -153,7 +161,7 @@ class EmbeddingConstants:
                           "per_level": list(e.per_level)}
                 for k, e in sorted(self.entries.items())
             },
-            "S_space": {"value": self.s_space, "provenance": self.s_space_provenance},
+            "S_space": {"value": self.s_space, "provenance": space},
         }
 
 
@@ -391,20 +399,7 @@ def build_constants(
     rs = sorted({_key(r) for r in exponents} | {_key(p)})
     entries = dict(zip(rs, _estimate_embedding_constants(h, rs, p, starts, iters, ASCENT_TOL,
                                                          safety, seed)))
-    s_space = None
-    prov = ""
-    if _key(p_crit) in entries:
-        s_space = entries[_key(p_crit)].value
-        prov = ("domain estimate at the critical surrogate standing in for the "
-                "whole-space constant")
-        if p < h.dim:
-            prov += f" at p* = Np/(N-p) = {h.dim * p / (h.dim - p):.12g} (p < N)"
-        else:
-            prov += " (no critical exponent when p >= N)"
-    return EmbeddingConstants(
-        p=p, n_dim=h.dim, p_crit=p_crit, safety=safety, entries=entries,
-        s_space=s_space, s_space_provenance=prov,
-    )
+    return EmbeddingConstants(p=p, n_dim=h.dim, p_crit=p_crit, safety=safety, entries=entries)
 
 
 # ---------------------------------------------------------------------------

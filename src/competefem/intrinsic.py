@@ -173,19 +173,15 @@ class LiftFunction:
     params: dict = field(default_factory=dict)
 
     def value(self, x: np.ndarray) -> np.ndarray:
+        """u0 at points x whose trailing axis, of length N, holds the coordinates."""
         x = np.asarray(x, dtype=float)
         if self.kind == "zero":
-            shape = x.shape[:-1] if x.ndim > 1 and x.shape[-1] in (1, 2) else x.shape
-            return np.zeros(shape)
+            return np.zeros(x.shape[:-1])
         if self.kind == "affine":
-            if x.ndim > 1 and x.shape[-1] == 2:
-                return (
-                    float(self.params.get("ax", 0.0)) * x[..., 0]
-                    + float(self.params.get("ay", 0.0)) * x[..., 1]
-                    + float(self.params.get("b", 0.0))
-                )
-            first = x[..., 0] if x.ndim > 1 and x.shape[-1] == 1 else x
-            return float(self.params.get("a", 0.0)) * first + float(self.params.get("b", 0.0))
+            a, ax, ay, b = (float(self.params.get(k, 0.0)) for k in ("a", "ax", "ay", "b"))
+            if x.shape[-1] == 2:
+                return ax * x[..., 0] + ay * x[..., 1] + b
+            return a * x[..., 0] + b
         raise KeyError(f"unknown lift kind {self.kind!r}; choose {', '.join(LIFT_PARAMS[1])}")
 
 
@@ -247,7 +243,7 @@ def lift_on(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> Noda
     lvl = hierarchy.level(level)
     hit = T._lift_cache.get(lvl)
     if hit is None:
-        pts = lvl.mesh.nodes if hierarchy.dim == 1 else lvl.mesh.vertices
+        pts = lvl.mesh.nodes[:, None] if hierarchy.dim == 1 else lvl.mesh.vertices
         nodal = np.asarray(T.lift.value(pts), dtype=float)
         hit = T._lift_cache[lvl] = nodal_samples(lvl, nodal)
     return hit

@@ -10,7 +10,8 @@ per-point load derivatives.
 The right-hand side f(x, s, xi) comes from a finite catalog; every entry
 carries the growth envelope it claims to satisfy, so the envelope can be
 checked numerically on samples.  Custom evaluators can be supplied by
-constructing :class:`ConvectionTerm` directly.
+constructing :class:`ConvectionTerm` directly.  In every dimension x and xi
+reach f with a trailing space axis of length N (one in 1D).
 """
 
 from __future__ import annotations
@@ -46,16 +47,6 @@ def holder_conjugate(r: float) -> float:
 # ---------------------------------------------------------------------------
 # sigma weights (the integrable part of the growth envelope)
 # ---------------------------------------------------------------------------
-
-
-def _x_coord(x, s) -> np.ndarray:
-    """First component of a point x (or a gradient xi) passed with the samples s.
-
-    x and xi carry a trailing space axis exactly when they have more axes
-    than s; otherwise they already are that component.
-    """
-    x = np.asarray(x, dtype=float)
-    return x[..., 0] if x.ndim > np.ndim(s) else x
 
 
 @dataclass(frozen=True)
@@ -116,9 +107,9 @@ class GrowthEnvelope:
 
     def __call__(self, x, s, xi) -> np.ndarray:
         return (
-            self.sigma(_x_coord(x, s))
+            self.sigma(np.asarray(x, dtype=float)[..., 0])
             + self.a1 * np.abs(np.asarray(s, dtype=float)) ** self.alpha
-            + self.a2 * _grad_mag(xi, s) ** self.beta
+            + self.a2 * _grad_mag(xi) ** self.beta
         )
 
     def validate(self, p: float, p_crit: float) -> None:
@@ -162,13 +153,13 @@ class ExactSolution:
 class ConvectionTerm:
     """Right-hand side evaluator with growth metadata.
 
-    ``fn(x, s, xi)`` must accept broadcastable arrays; x and xi carry a
-    trailing space axis exactly when they have more axes than s (in 2D),
-    and are scalar-shaped like s otherwise (in 1D).  ``d_s``/``d_xi`` are
-    the partial derivatives that the Jacobian uses when the intrinsic
-    operator is local; leave them None to force a chord (frozen right-hand
-    side) rule, which a nonlocal operator always gets.  Either way the
-    residual applies T to every iterate.
+    ``fn(x, s, xi)`` must accept broadcastable arrays.  x and xi carry a
+    trailing space axis of length N in every dimension, one in 1D, so they
+    have one axis more than s, and ``d_xi`` returns an array shaped like xi.
+    ``d_s``/``d_xi`` are the partial derivatives that the Jacobian uses when
+    the intrinsic operator is local; leave them None to force a chord (frozen
+    right-hand side) rule, which a nonlocal operator always gets.  Either way
+    the residual applies T to every iterate.
     ``solution_dependent`` is false when f ignores s and xi, so callers may
     skip the intrinsic operator; directly built terms are assumed to use them.
     """
@@ -187,12 +178,12 @@ class ConvectionTerm:
         return self.fn(x, s, xi)
 
 
-def _grad_mag(xi, s) -> np.ndarray:
-    """|xi|, over its trailing space axis when it has more axes than s."""
+def _grad_mag(xi) -> np.ndarray:
+    """|xi| over its trailing space axis; a single component needs no square root."""
     xi = np.asarray(xi, dtype=float)
-    if xi.ndim > np.ndim(s):
-        return np.sqrt(np.sum(xi**2, axis=-1))
-    return np.abs(xi)
+    if xi.shape[-1] == 1:
+        return np.abs(xi[..., 0])
+    return np.sqrt(np.sum(xi**2, axis=-1))
 
 
 def _zeros_like_s(x, s, xi):
@@ -201,16 +192,6 @@ def _zeros_like_s(x, s, xi):
 
 def _zeros_like_xi(x, s, xi):
     return np.zeros_like(np.asarray(xi, dtype=float))
-
-
-def _x_only(profile, x, s):
-    """profile of the first coordinate of x, broadcast against the samples s."""
-    first = _x_coord(x, s)
-    return profile(first) * np.ones(np.broadcast(first, s).shape)
-
-
-def _manufactured_value(x, s):
-    return _x_only(lambda t: 4.0 * np.abs(1.0 - 2.0 * t) - 2.0, x, s)
 
 
 _MANUFACTURED_EXACT = ExactSolution(
@@ -234,39 +215,31 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
     def envelope(a1=0.0, a2=0.0, alpha=1.0, beta=1.0, r=2.0, sigma=SigmaWeight("zero")):
         return GrowthEnvelope(a1=a1, a2=a2, alpha=alpha, beta=beta, r=r, sigma=sigma)
 
+    def x_only(sigma, profile=None, r=2.0, **extra):
+        """A term of x alone: ``profile`` (sigma itself by default) of the first coordinate."""
+        profile = profile or sigma
+
+        def fn(x, s, xi):
+            first = np.asarray(x, dtype=float)[..., 0]
+            return profile(first) * np.ones(np.broadcast(first, s).shape)
+
+        return ConvectionTerm(kind, params, envelope(r=r, sigma=sigma), fn=fn,
+                              d_s=_zeros_like_s, d_xi=_zeros_like_xi,
+                              solution_dependent=False, **extra)
+
     if kind == "zero":
-        return ConvectionTerm(
-            kind, params, envelope(),
-            fn=_zeros_like_s,
-            d_s=_zeros_like_s,
-            d_xi=_zeros_like_xi,
-            solution_dependent=False,
-        )
+        return x_only(SigmaWeight("zero"))
 
     if kind == "constant":
         c = float(params.get("c", 1.0))
-        return ConvectionTerm(
-            kind, params,
-            envelope(sigma=SigmaWeight("constant", {"c": abs(c)})),
-            fn=lambda x, s, xi: _x_only(lambda t: c, x, s),
-            d_s=_zeros_like_s,
-            d_xi=_zeros_like_xi,
-            solution_dependent=False,
-        )
+        return x_only(SigmaWeight("constant", {"c": abs(c)}), lambda t: c)
 
     if kind == "sigma_only":
         sigma_kind = params.get("sigma_kind", "constant")
         # only the constant weight has a parameter to default
         sigma = SigmaWeight(sigma_kind, params.get(
             "sigma_params", {"c": 1.0} if sigma_kind == "constant" else {}))
-        r = float(params.get("r", 2.0))
-        return ConvectionTerm(
-            kind, params, envelope(r=r, sigma=sigma),
-            fn=lambda x, s, xi: _x_only(sigma, x, s),
-            d_s=_zeros_like_s,
-            d_xi=_zeros_like_xi,
-            solution_dependent=False,
-        )
+        return x_only(sigma, r=float(params.get("r", 2.0)))
 
     if kind == "signed_power":
         a1 = float(params.get("a1", 1.0))
@@ -288,19 +261,18 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         signed = bool(params.get("signed", False))
 
         def fn(x, s, xi):
-            out = a2 * _grad_mag(xi, s) ** beta
+            out = a2 * _grad_mag(xi) ** beta
             if signed:
-                out = out * np.sign(_x_coord(xi, s))
+                out = out * np.sign(xi[..., 0])
             return out
 
         def d_xi(x, s, xi):
             # sign(xi_1) is piecewise constant, so it passes through a.e.
-            xi = np.asarray(xi, dtype=float)
-            mag = np.maximum(_grad_mag(xi, s), 1e-300)
+            mag = np.maximum(_grad_mag(xi), 1e-300)
             scal = a2 * beta * mag ** (beta - 2.0)
             if signed:
-                scal = scal * np.sign(_x_coord(xi, s))
-            return scal[..., None] * xi if xi.ndim > np.asarray(s).ndim else scal * xi
+                scal = scal * np.sign(xi[..., 0])
+            return scal[..., None] * xi
 
         return ConvectionTerm(
             kind, params, envelope(a2=a2, beta=beta),
@@ -310,27 +282,20 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         )
 
     if kind == "manufactured_p3q2":
-        return ConvectionTerm(
-            kind, params,
-            envelope(r=2.0, sigma=SigmaWeight("manufactured_abs")),
-            fn=lambda x, s, xi: _manufactured_value(x, s),
-            d_s=_zeros_like_s,
-            d_xi=_zeros_like_xi,
-            exact=_MANUFACTURED_EXACT,
-            guess_profile=_manufactured_guess,
-            solution_dependent=False,
-        )
+        return x_only(SigmaWeight("manufactured_abs"), lambda t: 4.0 * np.abs(1.0 - 2.0 * t) - 2.0,
+                      exact=_MANUFACTURED_EXACT, guess_profile=_manufactured_guess)
 
     if kind == "manufactured_plus_power":
         a1 = float(params.get("a1", 0.0))
         alpha = float(params.get("alpha", 1.0))
         a2 = float(params.get("a2", 0.0))
         beta = float(params.get("beta", 1.0))
+        base = convection_from_catalog("manufactured_p3q2")
         value_part = convection_from_catalog("signed_power", {"a1": a1, "alpha": alpha})
         grad_part = convection_from_catalog("gradient_power", {"a2": a2, "beta": beta})
 
         def fn(x, s, xi):
-            out = _manufactured_value(x, s)
+            out = base.fn(x, s, xi)
             if a1:
                 out = out + value_part.fn(x, s, xi)
             if a2:
@@ -437,11 +402,10 @@ def _check_samples(u: FEFunction, T_image: Optional[QuadratureSamples],
 def _f_arguments(lvl, values: np.ndarray, gradients: np.ndarray) -> tuple:
     """(x, s, xi) at the quadrature points from samples s = T(u), xi = grad T(u).
 
-    In 1D x and xi drop their space axis; in 2D x gets the leading axes of
-    s, so that x and xi have one axis more than s (see ``_x_coord``).
+    x and xi keep their trailing space axis, of length N, in every
+    dimension, and x gets the leading axes of s, so that x and xi have one
+    axis more than s.
     """
-    if lvl.mesh.dim == 1:
-        return lvl.qp_points[..., 0], values, gradients[..., 0]
     x = lvl.qp_points.reshape((1,) * (values.ndim - 2) + lvl.qp_points.shape)
     return x, values, gradients
 
@@ -545,8 +509,7 @@ def assemble_jacobian(
         args = _f_arguments(lvl, T_image.values, T_image.gradients)
         w = lvl.qp_weights
         ws = None if f.d_s is None else w * np.asarray(f.d_s(*args), dtype=float)
-        wxi = None if f.d_xi is None else (
-            w[..., None] * np.asarray(f.d_xi(*args), dtype=float).reshape(*w.shape, -1))
+        wxi = None if f.d_xi is None else w[..., None] * np.asarray(f.d_xi(*args), dtype=float)
         data = data - _point_form(lvl, ws, wxi)
     return lvl.jacobian_pattern.matrix(data)
 

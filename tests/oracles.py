@@ -319,8 +319,7 @@ def p_part_jacobian(g: np.ndarray, r: float, eps: float, lvl) -> sp.csr_matrix:
 
 def f_part_jacobian(f, T_image, lvl) -> sp.csr_matrix:
     """Derivative of the load over all nodes, f differentiated through (s, xi)."""
-    x = lvl.qp_points[..., 0] if lvl.mesh.dim == 1 else lvl.qp_points
-    xi = T_image.gradients[..., 0] if lvl.mesh.dim == 1 else T_image.gradients
+    x, xi = lvl.qp_points, T_image.gradients
     n = lvl.mesh.n_nodes
     J = sp.csr_matrix((n, n))
     if f.d_s is not None:
@@ -329,8 +328,6 @@ def f_part_jacobian(f, T_image, lvl) -> sp.csr_matrix:
         J = J + _element_matrix(block, lvl)
     if f.d_xi is not None:
         fxi = np.asarray(f.d_xi(x, T_image.values, xi), dtype=float)
-        if lvl.mesh.dim == 1:
-            fxi = fxi[..., None]
         # columns see grad(phi_l), constant per element; rows see phi_k at qp
         block = np.einsum("eqd,qk,eld->ekl", lvl.qp_weights[..., None] * fxi,
                           lvl.basis_at_qp, lvl.grad_basis)
@@ -349,9 +346,7 @@ def galerkin_residual(u, T_image, f, p: float, q: float, lift=None) -> np.ndarra
     """Free entries of the all-node residual force_p - force_q - load."""
     lvl = u.lvl
     g = _total_gradients(u, lift)
-    x = lvl.qp_points[..., 0] if lvl.mesh.dim == 1 else lvl.qp_points
-    xi = T_image.gradients[..., 0] if lvl.mesh.dim == 1 else T_image.gradients
-    fvals = np.asarray(f(x, T_image.values, xi), dtype=float)
+    fvals = np.asarray(f(lvl.qp_points, T_image.values, T_image.gradients), dtype=float)
     nodal = gradient_force(g, p, lvl) - gradient_force(g, q, lvl) - load_vector(fvals, lvl)
     return nodal[lvl.free]
 

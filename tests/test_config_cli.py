@@ -383,9 +383,23 @@ def test_lift_parameters_of_the_domain_dimension_accepted(lift, dim):
     spec = parse_config_dict(dict(MINIMAL, **lift))
     u0 = build_instance(spec).operator.lift
     assert spec.T["u0"] == {"kind": "affine", **lift["T"]["u0"]}
-    x = np.array([0.5]) if dim == 1 else np.array([[0.5, 0.25]])
+    x = np.array([[0.5]]) if dim == 1 else np.array([[0.5, 0.25]])
     expected = 0.2 * 0.5 + 0.1 if dim == 1 else 0.2 * 0.5 - 0.1 * 0.25 + 0.1
     np.testing.assert_allclose(u0.value(x), [expected])
+
+
+@pytest.mark.parametrize("route", ["sigma_params", "envelope"])
+@pytest.mark.parametrize("x", [[1.0, 0.0], [0.0, 0.0, 1.0]], ids=["decreasing", "repeated"])
+def test_nodal_sigma_needs_strictly_increasing_x(route, x):
+    # np.interp read these as a wrong weight: x = [1, 0] gave 1 at x = 0.25
+    sigma = {"x": x, "values": [float(i) for i in range(len(x))]}
+    f = ({"kind": "sigma_only", "sigma_kind": "nodal", "sigma_params": sigma}
+         if route == "sigma_params" else
+         {"kind": "zero", "envelope": {"sigma": {"kind": "nodal", **sigma}}})
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(dict(MINIMAL, f=f))
+    assert err.value.code == "BAD_FIELD"
+    assert "strictly increasing array 'x'" in str(err.value)
 
 
 @pytest.mark.parametrize("sigma_kind", ["manufactured_abs", "manufactured_plus", "zero"])

@@ -33,9 +33,8 @@ from competefem.solver import constants_and_hypotheses
 from oracles import lambda1_closed_form, lambda1_shooting
 
 
-def make_constants(p=3.0, p_crit=6.0, entries=None, s_space=None, safety=1.0):
-    ec = EmbeddingConstants(p=p, n_dim=1, p_crit=p_crit, safety=safety,
-                            s_space=s_space)
+def make_constants(p=3.0, p_crit=6.0, entries=None, safety=1.0):
+    ec = EmbeddingConstants(p=p, n_dim=1, p_crit=p_crit, safety=safety)
     for r, val in (entries or {}).items():
         ec = ec.with_entry(r, SEstimate(raw=val, value=val, provenance="test"))
     return ec
@@ -243,7 +242,16 @@ class TestBuildConstants:
     def test_space_surrogate_flagged(self, unit_hierarchy):
         ec = build_constants(unit_hierarchy, 3.0, 6.0, [6.0], iters=80, starts=2)
         assert ec.s_space == pytest.approx(ec.S(6.0))
-        assert "surrogate" in ec.s_space_provenance or "standing in" in ec.s_space_provenance
+        provenance = ec.to_json_dict()["S_space"]["provenance"]
+        assert "surrogate" in provenance or "standing in" in provenance
+
+    def test_space_constant_is_read_off_the_critical_entry(self):
+        ec = make_constants(entries={1.5: 0.4})
+        assert ec.s_space is None
+        assert ec.to_json_dict()["S_space"] == {"value": None, "provenance": ""}
+        ec = ec.with_entry(6.0, SEstimate(raw=0.7, value=0.8, provenance="test"))
+        assert ec.s_space == 0.8
+        assert ec.to_json_dict()["S_space"]["provenance"].endswith("when p >= N)")
 
     @pytest.mark.parametrize("make", [
         lambda: build_hierarchy(interval_mesh(0.0, 1.0, 4), 5), _square_hierarchy,
@@ -377,7 +385,7 @@ class TestSmallnessChecks:
         assert not rep.passed
 
     def test_convolution_condition_examples(self):
-        ec = make_constants(entries={6.0: 1.0, 1.0: 1.0, 1.5: 1.0}, s_space=1.0)
+        ec = make_constants(entries={6.0: 1.0, 1.0: 1.0, 1.5: 1.0})
         rep = _convolution(0.2, 0.1, ec, 1.0)
         assert rep.value == pytest.approx(0.3)
         assert rep.passed

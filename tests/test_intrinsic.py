@@ -157,7 +157,7 @@ class TestApply:
         h = build_hierarchy(mesh, 4)
         for n in range(1, 5):
             lvl, u0 = h.level(n), lift_on(T, h, n)
-            pts = lvl.mesh.nodes if h.dim == 1 else lvl.mesh.vertices
+            pts = lvl.mesh.nodes[:, None] if h.dim == 1 else lvl.mesh.vertices
             np.testing.assert_array_equal(u0.nodal, T.lift.value(pts))
             grads = oracles.nodal_element_gradients(lvl, u0.nodal)
             np.testing.assert_array_equal(u0.gradients[..., 0].T, grads)

@@ -26,11 +26,11 @@ from competefem.intrinsic import (
     lift_on,
 )
 from competefem.operators import (
+    ConvectionTerm,
     GrowthEnvelope,
     SigmaWeight,
     _flux_coefficients,
     _grad_mag,
-    _x_coord,
     assemble_jacobian,
     assemble_residual,
     competing_pairing,
@@ -244,8 +244,7 @@ def _sparse_reference_jacobian(u, img, f, p, q, eps, lift):
                       shape=(dim * n_el, dim * n_el))
     J = lvl.grad_op_t @ M @ lvl.grad_op
     if img is not None and f.solution_dependent:
-        x = lvl.qp_points[..., 0] if dim == 1 else lvl.qp_points
-        xi = img.gradients[..., 0] if dim == 1 else img.gradients
+        x, xi = lvl.qp_points, img.gradients
         w = lvl.qp_weights.ravel()
         n_pts = w.size
         fs = np.broadcast_to(f.d_s(x, img.values, xi), lvl.qp_weights.shape).ravel()
@@ -441,6 +440,37 @@ class TestBlockForms:
         assert convection_integral(u, None, f) == convection_integral(u, img, f)
 
 
+class TestRightHandSideArguments:
+    """f, d_s and d_xi get x and xi with a trailing space axis in every dimension."""
+
+    @pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 4), unit_square_mesh()],
+                             ids=["interval", "square"])
+    @pytest.mark.parametrize("k", [None, 3], ids=["vector", "block"])
+    def test_x_and_xi_end_in_the_space_axis(self, mesh, k):
+        h = build_hierarchy(mesh, 2)
+        lvl = h.level(2)
+        seen = {}
+
+        def recorder(name, like_xi=False):
+            def record(x, s, xi):
+                seen.setdefault(name, []).append((np.shape(x), np.shape(s), np.shape(xi)))
+                return np.zeros_like(xi if like_xi else s)
+            return record
+
+        f = ConvectionTerm("recorder", {}, convection_from_catalog("zero").envelope,
+                           fn=recorder("fn"), d_s=recorder("d_s"),
+                           d_xi=recorder("d_xi", like_xi=True))
+        shape = (lvl.n_free,) if k is None else (lvl.n_free, k)
+        u = h.function(2, np.random.default_rng(7).standard_normal(shape))
+        assemble_residual(u, sample(u), f, 3.0, 2.0)
+        if k is None:
+            assemble_jacobian(u, sample(u), f, 3.0, 2.0)
+        assert set(seen) == ({"fn"} if k else {"fn", "d_s", "d_xi"})
+        for x, s, xi in (shapes for calls in seen.values() for shapes in calls):
+            assert x[-1] == xi[-1] == h.dim
+            assert len(x) == len(xi) == len(s) + 1
+
+
 class TestNoWarningsAtVanishingGradient:
     """q < 2 on the unit square: the corner triangles have zero gradient."""
 
@@ -460,12 +490,12 @@ def _written_out_plus_power(a1, alpha, a2, beta):
     """manufactured_plus_power with its power parts written out in place."""
 
     def fn(x, s, xi):
-        out = (4.0 * np.abs(1.0 - 2.0 * _x_coord(x, s)) - 2.0) * np.ones(
-            np.broadcast(_x_coord(x, s), s).shape)
+        out = (4.0 * np.abs(1.0 - 2.0 * x[..., 0]) - 2.0) * np.ones(
+            np.broadcast(x[..., 0], s).shape)
         if a1:
             out = out + a1 * np.sign(s) * np.abs(s) ** alpha
         if a2:
-            out = out + a2 * _grad_mag(xi, s) ** beta
+            out = out + a2 * _grad_mag(xi) ** beta
         return out
 
     def d_s(x, s, xi):
@@ -477,9 +507,9 @@ def _written_out_plus_power(a1, alpha, a2, beta):
         xi = np.asarray(xi, dtype=float)
         if not a2:
             return np.zeros_like(xi)
-        mag = np.maximum(_grad_mag(xi, s), 1e-300)
+        mag = np.maximum(_grad_mag(xi), 1e-300)
         scal = a2 * beta * mag ** (beta - 2.0)
-        return scal[..., None] * xi if xi.ndim > np.asarray(s).ndim else scal * xi
+        return scal[..., None] * xi
 
     return fn, d_s, d_xi
 
@@ -494,9 +524,9 @@ class TestCatalogComposition:
         )
         ref_fn, ref_d_s, ref_d_xi = _written_out_plus_power(a1, alpha, a2, beta)
         shape = (5, 3)
-        x = rng.uniform(0.0, 1.0, shape + ((2,) if dim == 2 else ()))
+        x = rng.uniform(0.0, 1.0, shape + (dim,))
         s = rng.standard_normal(shape)
-        xi = rng.standard_normal(shape + ((2,) if dim == 2 else ()))
+        xi = rng.standard_normal(shape + (dim,))
         for got, ref in ((f.fn, ref_fn), (f.d_s, ref_d_s), (f.d_xi, ref_d_xi)):
             np.testing.assert_array_equal(got(x, s, xi), ref(x, s, xi))
 
@@ -510,12 +540,12 @@ class TestCatalogComposition:
 class TestGrowthEnvelope:
     def test_zero_f_any_envelope(self):
         f = convection_from_catalog("zero")
-        samples = [(0.2, 1.0, -3.0), (0.9, -2.0, 0.5)]
+        samples = [([0.2], 1.0, [-3.0]), ([0.9], -2.0, [0.5])]
         assert growth_envelope_check(f, samples).worst_margin <= 0.0
 
     def test_signed_power_is_tight(self):
         f = convection_from_catalog("signed_power", {"a1": 0.7, "alpha": 1.5})
-        samples = [(0.1, s, 0.0) for s in (-2.0, -0.5, 0.3, 4.0)]
+        samples = [([0.1], s, [0.0]) for s in (-2.0, -0.5, 0.3, 4.0)]
         report = growth_envelope_check(f, samples)
         assert report.worst_margin == pytest.approx(0.0, abs=1e-14)
 
@@ -527,7 +557,7 @@ class TestGrowthEnvelope:
 
         f = dataclasses.replace(f, envelope=fat)
         xs = np.linspace(0.0, 1.0, 101)
-        report = growth_envelope_check(f, [(x, 0.0, 0.0) for x in xs])
+        report = growth_envelope_check(f, [([x], 0.0, [0.0]) for x in xs])
         assert report.worst_margin <= 0.0
 
     def test_range_validation(self):
