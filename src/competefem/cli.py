@@ -1,8 +1,9 @@
 """Command line front end: solve, check, constants, study.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 failed hypothesis
-check under the refuse policy, 3 solver failure.  Reports are written even
-on failure paths so a batch run always leaves evidence behind.
+check that stops the run, 3 solver failure; ``EXIT_CODES`` maps a report's
+status to its code.  Reports are written even on failure paths so a batch
+run always leaves evidence behind.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from .config import (ConfigError, ProblemSpec, build_instance, canonical_json, p
                      parse_config_dict)
 from .discretization import MeshError, _value_integral
 from .intrinsic import CertificateError
-from .solver import HypothesisRefusal, constants_and_hypotheses, run_hierarchy
+from .solver import constants_and_hypotheses, run_hierarchy
+
+EXIT_CODES = {"ok": 0, "hypothesis_failed": 2, "solver_failure": 3}
+
+# the level fields of the solve report that its CSV repeats
+CSV_COLUMNS = ("level", "dim", "grad_norm_p", "residual_sup", "R", "apriori_margin",
+               "diag_a", "diag_b", "diag_c_strong", "diag_c_full", "newton_iters")
 
 
 def _write(path: Path, text: str) -> None:
@@ -34,42 +41,32 @@ def _write_csv(path: Path, rows) -> None:
         writer.writerows(rows)
 
 
-def _report_paths(out_dir: str):
-    d = Path(out_dir)
-    return {
-        "solve_json": d / "solve_report.json",
-        "solve_csv": d / "solve_report.csv",
-        "hypothesis": d / "hypothesis_report.json",
-        "constants": d / "constants.json",
-        "study": d / "study.csv",
-    }
+def _finish(report, summary: str) -> int:
+    """Print how the run ended and return the exit code of its status.
+
+    A run the hypothesis stopped prints its message alone; any other prints
+    ``summary``, then the message of a solver failure.
+    """
+    if report.status == "hypothesis_failed":
+        print(f"hypothesis failed: {report.message}")
+    else:
+        print(summary)
+    if report.status == "solver_failure":
+        print(report.message)
+    return EXIT_CODES[report.status]
 
 
 def cmd_solve(spec: ProblemSpec, out_dir: str) -> int:
-    inst = build_instance(spec)
-    paths = _report_paths(out_dir)
-    try:
-        report = run_hierarchy(
-            inst, config_echo=spec.to_json_dict(), test_set_size=spec.test_set_size
-        )
-    except HypothesisRefusal as exc:
-        report = exc.reports
-        _write(paths["solve_json"], canonical_json(report.to_json_dict()))
-        _write_csv(paths["solve_csv"], report.csv_rows())
-        print(f"hypothesis failed: {report.message}")
-        return 2
-    _write(paths["solve_json"], canonical_json(report.to_json_dict()))
-    _write_csv(paths["solve_csv"], report.csv_rows())
-    print(f"status: {report.status}; levels solved: {len(report.levels)}; "
-          f"R = {report.radius}")
-    if report.status == "solver_failure":
-        print(report.message)
-        return 3
-    return 0
+    report = run_hierarchy(build_instance(spec), config_echo=spec.to_json_dict())
+    payload = report.to_json_dict()
+    _write(Path(out_dir) / "solve_report.json", canonical_json(payload))
+    _write_csv(Path(out_dir) / "solve_report.csv",
+               [CSV_COLUMNS] + [[lv[c] for c in CSV_COLUMNS] for lv in payload["levels"]])
+    return _finish(report, f"status: {report.status}; levels solved: {len(report.levels)}; "
+                           f"R = {report.radius}")
 
 
 def cmd_check(spec: ProblemSpec, out_dir: str) -> int:
-    paths = _report_paths(out_dir)
     constants, cert, reports = constants_and_hypotheses(build_instance(spec))
     payload = {
         "config": spec.to_json_dict(),
@@ -78,19 +75,18 @@ def cmd_check(spec: ProblemSpec, out_dir: str) -> int:
         "reports": [r.to_json_dict() for r in reports],
         "all_pass": all(r.passed for r in reports),
     }
-    _write(paths["hypothesis"], canonical_json(payload))
+    _write(Path(out_dir) / "hypothesis_report.json", canonical_json(payload))
     for r in reports:
         print(f"{r.name}: value = {r.value:.6g}, margin = {r.margin:.6g}, "
               f"{'pass' if r.passed else 'FAIL'}")
-    return 0 if payload["all_pass"] else 2
+    return EXIT_CODES["ok" if payload["all_pass"] else "hypothesis_failed"]
 
 
 def cmd_constants(spec: ProblemSpec, out_dir: str) -> int:
-    paths = _report_paths(out_dir)
     constants, _, _ = constants_and_hypotheses(build_instance(spec))
     payload = constants.to_json_dict()
     payload["config"] = spec.to_json_dict()
-    _write(paths["constants"], canonical_json(payload))
+    _write(Path(out_dir) / "constants.json", canonical_json(payload))
     print(f"lambda1p = {payload['lambda1p']}; "
           f"S entries: {sorted(constants.entries)}; safety = {constants.safety}")
     return 0
@@ -113,15 +109,12 @@ def cmd_study(spec: ProblemSpec, out_dir: str) -> int:
             file=sys.stderr,
         )
         return 1
-    paths = _report_paths(out_dir)
-    try:
-        report = run_hierarchy(
-            inst, config_echo=spec.to_json_dict(), test_set_size=spec.test_set_size
-        )
-    except HypothesisRefusal as exc:
-        _write(paths["study"], "")
-        print(f"hypothesis failed: {exc.reports.message}")
-        return 2
+    mesh = inst.hierarchy.level(1).mesh
+    if mesh.dim != 1 or (mesh.nodes[0], mesh.nodes[-1]) != exact.interval:
+        print(f"manufactured solution is exact on the interval {exact.interval} only",
+              file=sys.stderr)
+        return 1
+    report = run_hierarchy(inst, config_echo=spec.to_json_dict())
 
     h = inst.hierarchy
     rows = [["level", "dim", "h_max", "error_w1p", "rate_w1p", "error_l2", "rate_l2"]]
@@ -136,20 +129,16 @@ def cmd_study(spec: ProblemSpec, out_dir: str) -> int:
         e_w1p = float(_value_integral(lvl.qp_weights, mag, inst.p)[0] ** (1.0 / inst.p))
         v_err = s.u.values_at_qp() - np.asarray(exact.value(x), dtype=float)
         e_l2 = float(_value_integral(lvl.qp_weights, v_err.reshape(-1, 1), 2.0)[0] ** 0.5)
-        h_max = float(np.max(lvl.elem_measure)) if h.dim == 1 else float(
-            np.sqrt(np.max(lvl.elem_measure))
-        )
+        h_max = float(np.max(lvl.elem_measure))
         rate_w = "" if prev is None else repr(float(np.log2(prev[0] / e_w1p)))
         rate_l = "" if prev is None else repr(float(np.log2(prev[1] / e_l2)))
         rows.append([s.level, len(s.u.coeffs), repr(h_max), repr(e_w1p), rate_w,
                      repr(e_l2), rate_l])
         prev = (e_w1p, e_l2)
-    _write_csv(paths["study"], rows)
-    print(f"study rows written: {len(rows) - 1}; finest error_w1p = {prev[0]}")
-    if report.status == "solver_failure":
-        print(report.message)
-        return 3
-    return 0
+    # a run the hypothesis stopped leaves an empty table
+    _write_csv(Path(out_dir) / "study.csv", [] if report.status == "hypothesis_failed" else rows)
+    return _finish(report, f"study rows written: {len(rows) - 1}; "
+                           f"finest error_w1p = {None if prev is None else prev[0]}")
 
 
 def main(argv=None) -> int:

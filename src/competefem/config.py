@@ -400,4 +400,5 @@ def build_instance(spec: ProblemSpec) -> ProblemInstance:
         estimator_starts=spec.estimator["starts"],
         estimator_iters=spec.estimator["iters"],
         initial_guess=term.guess_profile if spec.initial_guess == "exact" else None,
+        test_set_size=spec.test_set_size,
     )

@@ -104,6 +104,7 @@ class Kernel:
 
     @property
     def scale(self) -> float:
+        """The kernel's L1 norm."""
         return float(self.params.get("scale", 1.0))
 
     @property
@@ -111,10 +112,6 @@ class Kernel:
         if self.shape in ("box", "hat"):
             return 0.5 * float(self.params["width"])
         return float(self.params["radius"])
-
-    @property
-    def l1_norm(self) -> float:
-        return self.scale
 
     @property
     def truncated_powers(self) -> tuple | None:
@@ -505,7 +502,7 @@ def certificate(
         if constants.s_space is None:
             raise ConstantLookupError("no whole-space constant S_space available")
         n_dim = constants.n_dim
-        l1 = T.kernel.l1_norm
+        l1 = T.kernel.scale
         return IntrinsicCertificate(
             value_coeff=constants.s_space ** (p - 1.0) * n_dim ** (p - 1.0) * l1 ** (p - 1.0),
             grad_coeff=n_dim ** (p - 1.0) * l1 ** (p - 1.0),

@@ -140,13 +140,15 @@ class GrowthEnvelope:
 class ExactSolution:
     """Closed-form solution a manufactured right-hand side was built for.
 
-    ``value`` and ``gradient`` are functions of the first coordinate.
+    It solves the Dirichlet problem on ``interval`` = (a, b) alone, and
+    ``value`` and ``gradient`` are functions of x there.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     p: float
     q: float
+    interval: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +201,7 @@ _MANUFACTURED_EXACT = ExactSolution(
     gradient=lambda t: 1.0 - 2.0 * t,
     p=3.0,
     q=2.0,
+    interval=(0.0, 1.0),
 )
 
 

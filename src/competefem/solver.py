@@ -61,14 +61,6 @@ MAX_CONTINUATION_DEPTH = 6
 SPHERE_CHUNK = 64
 
 
-class HypothesisRefusal(RuntimeError):
-    """The hypothesis check failed and the policy forbids solving."""
-
-    def __init__(self, message, reports):
-        super().__init__(message)
-        self.reports = reports
-
-
 # ---------------------------------------------------------------------------
 # ball-constrained zero finding
 # ---------------------------------------------------------------------------
@@ -368,14 +360,15 @@ class ProblemInstance:
     operator: IntrinsicOperator
     p_crit: float
     tol: float
-    eps_reg: float = 0.0
-    seed: int = 0
-    policy: str = "refuse"
-    safety: float = 1.1
-    sphere_samples: int = 1000
-    estimator_starts: int = 8
-    estimator_iters: int = 300
-    initial_guess: Optional[Callable] = None
+    eps_reg: float
+    seed: int
+    policy: str
+    safety: float
+    sphere_samples: int
+    estimator_starts: int
+    estimator_iters: int
+    initial_guess: Optional[Callable]
+    test_set_size: int
 
     @property
     def envelope(self) -> GrowthEnvelope:
@@ -531,25 +524,21 @@ def solve_level(
     )
 
 
-def sphere_certificate(
-    inst: ProblemInstance,
-    n: int,
-    R: float,
-    n_samples: int,
-    seed: int,
-) -> SpherePairings:
+def sphere_certificate(inst: ProblemInstance, n: int, R: float) -> SpherePairings:
     """Sample <A(v), v> on the sphere of radius R in the W^{1,p}_0 seminorm.
 
-    Each sample is a standard normal coefficient vector scaled onto the
-    sphere; samples of zero norm are skipped.  Blocks of ``SPHERE_CHUNK``
-    rows are drawn from one seeded stream, which gives the same vectors as
-    drawing them one at a time, and each block takes one application of T
-    and one residual.
+    ``inst.sphere_samples`` samples are taken, each a standard normal
+    coefficient vector scaled onto the sphere; samples of zero norm are
+    skipped.  Blocks of ``SPHERE_CHUNK`` rows are drawn from one stream
+    seeded by ``inst.seed``, which gives the same vectors as drawing them
+    one at a time, and each block takes one application of T and one
+    residual.
     """
     n_free = inst.hierarchy.level(n).n_free
+    n_samples = inst.sphere_samples
     if n_free == 0 or n_samples <= 0:
         return SpherePairings(np.empty(0))
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 929, int(n))))
+    rng = np.random.default_rng(np.random.SeedSequence((int(inst.seed), 929, int(n))))
     prob = inst.at(n)
     pairings = []
     for start in range(0, n_samples, SPHERE_CHUNK):
@@ -575,16 +564,11 @@ class DiagnosticsRow:
     full_gap: float        # pairing_gap minus the convection integral
 
 
-def convergence_diagnostics(
-    inst: ProblemInstance,
-    solves: list,
-    u: FEFunction,
-    test_set_size: int = 8,
-) -> list:
+def convergence_diagnostics(inst: ProblemInstance, solves: list, u: FEFunction) -> list:
     """Finite diagnostics of the approximation sequence against its finest member.
 
-    The dual test set consists of the first ``test_set_size`` nodal hats of
-    the finest level plus interpolants of the first four sine modes.  The
+    The dual test set consists of the first ``inst.test_set_size`` nodal
+    hats of the finest level plus interpolants of the first four sine modes.  The
     finest solution stands in for the weak limit, so the finest level itself
     is excluded from the rows.
     """
@@ -593,7 +577,7 @@ def convergence_diagnostics(
     prob = inst.at(top)
     lvl = prob.lvl
 
-    hats = np.eye(min(test_set_size, lvl.n_free), lvl.n_free)
+    hats = np.eye(min(inst.test_set_size, lvl.n_free), lvl.n_free)
     sines = [sine_mode(h, top, k).coeffs for k in range(1, 5)]
     test_rows = np.vstack([hats] + sines)
     tests = test_rows.T  # the (n_free, n_tests) block
@@ -625,21 +609,6 @@ def convergence_diagnostics(
             )
         )
     return rows
-
-
-CSV_COLUMNS = (
-    "level",
-    "dim",
-    "grad_norm_p",
-    "residual_sup",
-    "R",
-    "apriori_margin",
-    "diag_a",
-    "diag_b",
-    "diag_c_strong",
-    "diag_c_full",
-    "newton_iters",
-)
 
 
 @dataclass
@@ -702,10 +671,6 @@ class SolveReport:
             "levels": levels,
         }
 
-    def csv_rows(self) -> list:
-        levels = self.to_json_dict()["levels"]
-        return [list(CSV_COLUMNS)] + [[lv[c] for c in CSV_COLUMNS] for lv in levels]
-
 
 def required_exponents(inst: ProblemInstance) -> list:
     """The exponents whose S_r some decision reads.
@@ -746,22 +711,19 @@ def constants_and_hypotheses(inst: ProblemInstance):
     return constants, cert, reports
 
 
-def run_hierarchy(
-    inst: ProblemInstance,
-    levels: Optional[int] = None,
-    config_echo: Optional[dict] = None,
-    test_set_size: int = 8,
-) -> SolveReport:
+def run_hierarchy(inst: ProblemInstance, config_echo: Optional[dict] = None) -> SolveReport:
     """Solve every level, certify the sphere condition, and diagnose limits.
 
-    The safeguard radius is computed once from the instance constants; each
-    level warm-starts from the prolongated previous solution.  Any level
-    failure aborts with a partial report (status ``solver_failure``); a
-    failed smallness check aborts beforehand under the ``refuse`` policy and
-    when no finite radius exists.
+    Every outcome is a report.  A failed smallness check stops the run
+    before any level is solved (status ``hypothesis_failed``, no radius)
+    under the ``refuse`` policy, and under ``warn`` when kappa >= 1 leaves
+    no finite radius.  Otherwise the safeguard radius is computed once from
+    the instance constants, each level warm-starts from the prolongated
+    previous solution, and a level that does not converge ends the run with
+    the levels solved so far (status ``solver_failure``).
     """
     h = inst.hierarchy
-    top = h.n_levels if levels is None else min(levels, h.n_levels)
+    top = h.n_levels
 
     constants, cert, reports = constants_and_hypotheses(inst)
     failed = [r for r in reports if not r.passed]
@@ -777,14 +739,14 @@ def run_hierarchy(
         if inst.policy == "refuse":
             base.status = "hypothesis_failed"
             base.message = f"hypothesis checks failed: {names}"
-            raise HypothesisRefusal(base.message, base)
+            return base
         if kappa >= 1.0:
             base.status = "hypothesis_failed"
             base.message = (
                 f"hypothesis checks failed ({names}) and kappa = {kappa:.6g} >= 1 "
                 "leaves no finite safeguard radius; cannot continue even under warn"
             )
-            raise HypothesisRefusal(base.message, base)
+            return base
         base.message = f"continuing despite failed checks: {names}"
 
     sigma_norm = inst.envelope.sigma.dual_norm(h.level(top), inst.envelope.r)
@@ -800,7 +762,7 @@ def run_hierarchy(
         if h.level(n).n_free == 0:
             continue
         result = replace(solve_level(inst, n, R, warm=warm),
-                         sphere=sphere_certificate(inst, n, R, inst.sphere_samples, inst.seed))
+                         sphere=sphere_certificate(inst, n, R))
         solves.append(result)
         if not result.converged:
             base.status = "solver_failure"
@@ -810,7 +772,5 @@ def run_hierarchy(
             return base
         warm = prolongate(result.u, min(n + 1, top))
     if solves:
-        base.diagnostics = convergence_diagnostics(
-            inst, solves, solves[-1].u, test_set_size=test_set_size
-        )
+        base.diagnostics = convergence_diagnostics(inst, solves, solves[-1].u)
     return base

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,12 @@ from competefem.discretization import build_hierarchy, interval_mesh
 def unit_hierarchy():
     """Interval (0,1), 4 base elements, 5 levels (finest h = 1/64)."""
     return build_hierarchy(interval_mesh(0.0, 1.0, 4), 5)
+
+
+@pytest.fixture(scope="session")
+def unit_levels():
+    """n -> the first n levels of ``unit_hierarchy`` as a hierarchy of their own."""
+    return functools.cache(lambda n: build_hierarchy(interval_mesh(0.0, 1.0, 4), n))
 
 
 @pytest.fixture

@@ -65,10 +65,9 @@ def manufactured_spec(levels=7, sphere=1000, seed=0):
 
 @pytest.fixture(scope="module")
 def manufactured_run():
-    spec = manufactured_spec()
-    inst = build_instance(spec)
+    inst = build_instance(manufactured_spec())
     t0 = time.perf_counter()
-    rep = run_hierarchy(inst, test_set_size=spec.test_set_size)
+    rep = run_hierarchy(inst)
     elapsed = time.perf_counter() - t0
     return inst, rep, elapsed
 
@@ -260,7 +259,7 @@ class TestCriterion6:
             for u in self._trials(h, rng):
                 img = apply(T, u)
                 slack = 1e-8 + grid_cell**2 * 10 * np.max(np.abs(u.coeffs))
-                if img.value_norm(3.0) > T.kernel.l1_norm * lebesgue_norm(u, 3.0) + slack:
+                if img.value_norm(3.0) > T.kernel.scale * lebesgue_norm(u, 3.0) + slack:
                     young_ok = False
                     break
         ok = ok and young_ok

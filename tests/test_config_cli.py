@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +183,27 @@ SQUARE_CLI = {
     "f": {"kind": "constant", "c": 5.0},
     "seed": 3,
     "sphere_samples": 32,
+}
+
+
+# one small config for each way a run ends; a1 = 20 puts kappa above one
+_SMALL = dict(MANUFACTURED_CLI, levels=2, sphere_samples=10)
+_TOO_LARGE = dict(_SMALL, initial_guess=None,
+                  f={"kind": "manufactured_p3q2", "envelope": {"a1": 20.0, "alpha": 1.0}})
+_REFUSED = "hypothesis failed: hypothesis checks failed: growth_smallness\n"
+_NO_RADIUS = (r"hypothesis failed: hypothesis checks failed \(growth_smallness\) and "
+              r"kappa = \S+ >= 1 leaves no finite safeguard radius; "
+              r"cannot continue even under warn\n")
+_LEVEL_1_FAILED = r"level 1 did not converge \(residual sup \S+\)\n"
+# outcome -> (config, exit code, stdout of solve, stdout of study), stdouts as patterns
+CLI_OUTCOMES = {
+    "ok": (_SMALL, 0, r"status: ok; levels solved: 2; R = \S+\n",
+           r"study rows written: 2; finest error_w1p = \S+\n"),
+    "refuse": (_TOO_LARGE, 2, re.escape(_REFUSED), re.escape(_REFUSED)),
+    "warn-kappa-above-one": (dict(_TOO_LARGE, policy="warn"), 2, _NO_RADIUS, _NO_RADIUS),
+    "solver-failure": (dict(_SMALL, tol=1e-300), 3,
+                       r"status: solver_failure; levels solved: 1; R = \S+\n" + _LEVEL_1_FAILED,
+                       r"study rows written: 1; finest error_w1p = \S+\n" + _LEVEL_1_FAILED),
 }
 
 
@@ -693,3 +715,44 @@ class TestCli:
             assert level["sphere_margin"] is None
             assert level["sphere_q05"] is None and level["sphere_median"] is None
 
+    @pytest.mark.parametrize("outcome", sorted(CLI_OUTCOMES))
+    def test_solve_outcomes(self, tmp_path, capsys, outcome):
+        config, code, stdout, _ = CLI_OUTCOMES[outcome]
+        out = tmp_path / "out"
+        assert main(["solve", str(write_config(tmp_path, config)), "--out-dir", str(out)]) == code
+        assert re.fullmatch(stdout, capsys.readouterr().out)
+        assert sorted(p.name for p in out.iterdir()) == ["solve_report.csv", "solve_report.json"]
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["status"] == {0: "ok", 2: "hypothesis_failed", 3: "solver_failure"}[code]
+        rows = (out / "solve_report.csv").read_text().splitlines()
+        assert rows[0].startswith("level,") and len(rows) == 1 + len(report["levels"])
+        assert (report["R"] is None) == (code == 2)
+
+    @pytest.mark.parametrize("outcome", sorted(CLI_OUTCOMES))
+    def test_study_outcomes(self, tmp_path, capsys, outcome):
+        config, code, _, stdout = CLI_OUTCOMES[outcome]
+        out = tmp_path / "out"
+        assert main(["study", str(write_config(tmp_path, config)), "--out-dir", str(out)]) == code
+        assert re.fullmatch(stdout, capsys.readouterr().out)
+        assert [p.name for p in out.iterdir()] == ["study.csv"]
+        rows = (out / "study.csv").read_text().splitlines()
+        # a run the hypothesis stopped leaves an empty table
+        assert len(rows) == {0: 3, 2: 0, 3: 2}[code]
+
+    @pytest.mark.parametrize("domain", [
+        {"kind": "unit_square"},
+        {"kind": "interval", "a": 0.0, "b": 2.0, "elements": 4},
+        {"kind": "mesh", "mesh": {"dim": 1, "nodes": [0.0, 0.25, 0.5, 0.75, 1.5]}},
+    ], ids=["unit-square", "interval-0-2", "mesh-0-1.5"])
+    def test_study_refuses_domains_its_solution_does_not_solve(self, tmp_path, capsys, domain):
+        # x(1 - x) is the Dirichlet solution on (0, 1) only
+        cfg = write_config(tmp_path, dict(_SMALL, domain=domain))
+        out = tmp_path / "out"
+        assert main(["study", str(cfg), "--out-dir", str(out)]) == 1
+        assert "exact on the interval (0.0, 1.0) only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_study_accepts_a_mesh_of_the_unit_interval(self, tmp_path):
+        mesh = {"dim": 1, "nodes": [0.0, 0.2, 0.45, 0.7, 1.0]}
+        cfg = write_config(tmp_path, dict(_SMALL, domain={"kind": "mesh", "mesh": mesh}))
+        assert main(["study", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0

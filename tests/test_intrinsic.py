@@ -359,8 +359,8 @@ class TestYoungInequality:
             u = fine_hierarchy.function(1, rng.standard_normal(63))
             img = apply(T, u)
             lhs = img.value_norm(3.0)
-            rhs = T.kernel.l1_norm * lebesgue_norm(u, 3.0)
-            quad_slack = grid_cell**2 * T.kernel.l1_norm * np.max(np.abs(u.coeffs)) * 10
+            rhs = T.kernel.scale * lebesgue_norm(u, 3.0)
+            quad_slack = grid_cell**2 * T.kernel.scale * np.max(np.abs(u.coeffs)) * 10
             assert lhs <= rhs + 1e-8 + quad_slack
 
 

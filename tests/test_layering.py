@@ -14,6 +14,9 @@ container at module level, so no state outlives the call that made it.
 In the solver, only the level problem evaluates the Galerkin equation: it
 alone assembles the residual and the Jacobian and applies T, and the lift
 is looked up only where a level problem is built.
+
+Every run ends in a report: ``run_hierarchy`` raises nothing itself, and
+the command line takes the exit code of a run's status from its one table.
 """
 
 import ast
@@ -139,3 +142,31 @@ def test_solver_states_the_galerkin_equation_once():
     made = {(owner, name) for owner, name, _ in calls}
     assert {("LevelProblem", "assemble_residual"), ("LevelProblem", "assemble_jacobian"),
             ("LevelProblem", "apply_operator"), ("ProblemInstance", "lift_on")} <= made
+
+
+def _returned_run_codes(source, filename="<snippet>"):
+    """Each literal 2 or 3, the exit codes of run outcomes, in a return statement."""
+    return [f"{filename}:{const.lineno} {const.value}"
+            for node in ast.walk(ast.parse(source, filename=filename))
+            if isinstance(node, ast.Return) and node.value is not None
+            for const in ast.walk(node.value)
+            if isinstance(const, ast.Constant) and type(const.value) is int
+            and const.value in (2, 3)]
+
+
+def _raises_in(source, name):
+    """The lines of the raise statements in the top-level function ``name``."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    return [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Raise)]
+
+
+def test_every_run_ends_in_a_report_and_one_table_maps_its_exit_code():
+    package = Path(competefem.__file__).parent
+    assert _returned_run_codes((package / "cli.py").read_text(), "cli.py") == []
+    solver = (package / "solver.py").read_text()
+    assert _raises_in(solver, "run_hierarchy") == []
+    # the guard sees what it guards
+    snippet = "def f(ok):\n    return 0 if ok else 2\n\ndef g():\n    return 3\n"
+    assert _returned_run_codes(snippet) == ["<snippet>:2 2", "<snippet>:5 3"]
+    assert _raises_in(solver, "brouwer_zero")

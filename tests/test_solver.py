@@ -39,7 +39,6 @@ from competefem.operators import (assemble_jacobian, assemble_residual, convecti
                                   convection_functional_bound)
 from competefem.solver import (
     SPHERE_CHUNK,
-    HypothesisRefusal,
     ProblemInstance,
     _levenberg_step,
     _normal_equations,
@@ -62,9 +61,9 @@ def make_instance(h, f_kind="manufactured_p3q2", f_params=None, T=None,
     return ProblemInstance(
         hierarchy=h, p=3.0, q=2.0, convection=f,
         operator=T or identity_operator(),
-        p_crit=critical_surrogate(3.0, 1), tol=tol, seed=seed, policy=policy,
-        sphere_samples=sphere, estimator_starts=4, estimator_iters=150,
-        initial_guess=guess,
+        p_crit=critical_surrogate(3.0, 1), tol=tol, eps_reg=0.0, seed=seed, policy=policy,
+        safety=1.1, sphere_samples=sphere, estimator_starts=4, estimator_iters=150,
+        initial_guess=guess, test_set_size=8,
     )
 
 
@@ -549,13 +548,13 @@ class TestSolveLevel:
     @pytest.mark.parametrize("T", [
         identity_operator(), convolution_operator(Kernel("box", {"width": 0.25})),
     ], ids=["identity", "convolution"])
-    def test_x_only_rhs_applies_no_T(self, unit_hierarchy, monkeypatch, T):
+    def test_x_only_rhs_applies_no_T(self, unit_levels, monkeypatch, T):
         # a constant f never reads T(u); marked solution dependent (without
         # derivatives, like the x-only term) it gets T(u) applied and ignores it
         f = convection_from_catalog("constant", {"c": 1.0})
         # the convolution certificate needs alpha = beta = p - 1
         f = dataclasses.replace(f, envelope=dataclasses.replace(f.envelope, alpha=2.0, beta=2.0))
-        inst = dataclasses.replace(make_instance(unit_hierarchy, T=T, sphere=64), convection=f)
+        inst = dataclasses.replace(make_instance(unit_levels(4), T=T, sphere=64), convection=f)
         marked = dataclasses.replace(
             inst, convection=dataclasses.replace(f, solution_dependent=True,
                                                  d_s=None, d_xi=None))
@@ -566,9 +565,9 @@ class TestSolveLevel:
             return apply(op, u)
 
         monkeypatch.setattr("competefem.solver.apply_operator", counting_apply)
-        report = run_hierarchy(inst, levels=4)
+        report = run_hierarchy(inst)
         assert report.status == "ok" and not calls
-        reference = run_hierarchy(marked, levels=4)
+        reference = run_hierarchy(marked)
         assert calls
         assert json.dumps(report.to_json_dict(), sort_keys=True) == json.dumps(
             reference.to_json_dict(), sort_keys=True
@@ -639,22 +638,22 @@ def _record_searches(monkeypatch):
 
 class TestSphereCertificate:
     def test_manufactured_no_negative_pairings(self, unit_hierarchy):
-        inst = make_instance(unit_hierarchy)
-        sphere = sphere_certificate(inst, 4, 1.2983, 200, seed=3)
+        inst = dataclasses.replace(make_instance(unit_hierarchy), sphere_samples=200, seed=3)
+        sphere = sphere_certificate(inst, 4, 1.2983)
         assert sphere.negative == 0
         assert sphere.margin >= 0.0
 
     def test_small_radius_detects_violations(self, unit_hierarchy):
         # far inside the safeguard radius the load term dominates
-        inst = make_instance(unit_hierarchy)
-        sphere = sphere_certificate(inst, 3, 1e-3, 100, seed=3)
+        inst = dataclasses.replace(make_instance(unit_hierarchy), sphere_samples=100, seed=3)
+        sphere = sphere_certificate(inst, 3, 1e-3)
         assert sphere.margin < 0.0
         assert sphere.negative > 0
 
     def test_deterministic_given_seed(self, unit_hierarchy):
-        inst = make_instance(unit_hierarchy)
-        a = sphere_certificate(inst, 3, 1.0, 64, seed=11)
-        b = sphere_certificate(inst, 3, 1.0, 64, seed=11)
+        inst = dataclasses.replace(make_instance(unit_hierarchy), sphere_samples=64, seed=11)
+        a = sphere_certificate(inst, 3, 1.0)
+        b = sphere_certificate(inst, 3, 1.0)
         np.testing.assert_array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("n_samples", [0, 1, SPHERE_CHUNK - 1, SPHERE_CHUNK + 1, 1000])
@@ -676,7 +675,8 @@ class TestSphereCertificate:
             T = convolution_operator(Kernel("box", {"width": 0.25}))
             inst = make_instance(unit_hierarchy, "manufactured_plus_power", power, T=T)
         n = inst.hierarchy.n_levels
-        block = sphere_certificate(inst, n, R, n_samples, seed=5)
+        block = sphere_certificate(dataclasses.replace(inst, sphere_samples=n_samples, seed=5),
+                                   n, R)
         loop = sphere_pairings_loop(inst, n, R, n_samples, seed=5)
         assert block.values.shape == loop.shape == (n_samples,)
         assert block.negative == int(np.count_nonzero(loop < 0))
@@ -709,12 +709,13 @@ class TestSphereCertificate:
 
         monkeypatch.setattr("competefem.solver.apply_operator", counting_apply)
         n_samples = 2 * SPHERE_CHUNK + 3
-        sphere_certificate(inst, 4, 1.0, n_samples, seed=1)
+        sphere_certificate(dataclasses.replace(inst, sphere_samples=n_samples, seed=1), 4, 1.0)
         assert len(calls) <= math.ceil(n_samples / SPHERE_CHUNK)
         assert sum(shape[1] for shape in calls) == n_samples
 
     def test_quantiles_are_ordered(self, unit_hierarchy):
-        sphere = sphere_certificate(make_instance(unit_hierarchy), 4, 1.0, 300, seed=2)
+        inst = dataclasses.replace(make_instance(unit_hierarchy), sphere_samples=300, seed=2)
+        sphere = sphere_certificate(inst, 4, 1.0)
         assert sphere.margin <= sphere.quantile(0.05) <= sphere.quantile(0.5)
         assert sphere.quantile(0.05) == float(np.quantile(sphere.values, 0.05))
 
@@ -882,60 +883,65 @@ class TestRunHierarchy:
         gaps = [d.weak_gap for d in report.diagnostics]
         assert gaps[-1] < gaps[0]
 
-    def test_refuse_policy_raises(self, unit_hierarchy):
+    def test_refuse_policy_stops_before_solving(self, unit_hierarchy):
         inst = make_instance(unit_hierarchy, "signed_power",
                              {"a1": 20.0, "alpha": 1.0}, sphere=10)
-        with pytest.raises(HypothesisRefusal) as err:
-            run_hierarchy(inst)
-        assert err.value.reports.status == "hypothesis_failed"
-        assert not err.value.reports.hypothesis[0].passed
+        report = run_hierarchy(inst)
+        assert report.status == "hypothesis_failed"
+        assert not report.hypothesis[0].passed
+        assert report.message == "hypothesis checks failed: growth_smallness"
+        assert report.radius is None and report.levels == []
 
     def test_warn_policy_still_needs_finite_radius(self, unit_hierarchy):
         # with the smallness value at or above one no safeguard ball exists,
         # so even the warn policy has to stop
         inst = make_instance(unit_hierarchy, "signed_power",
                              {"a1": 20.0, "alpha": 1.0}, policy="warn", sphere=10)
-        with pytest.raises(HypothesisRefusal, match="no finite safeguard radius"):
-            run_hierarchy(inst)
+        report = run_hierarchy(inst)
+        assert report.status == "hypothesis_failed"
+        assert not report.hypothesis[0].passed
+        assert "no finite safeguard radius" in report.message
+        assert report.radius is None and report.levels == []
 
-    def test_warn_policy_passes_through_when_checks_hold(self, unit_hierarchy):
-        inst = make_instance(unit_hierarchy, "signed_power",
+    def test_warn_policy_passes_through_when_checks_hold(self, unit_levels):
+        inst = make_instance(unit_levels(3), "signed_power",
                              {"a1": 0.2, "alpha": 1.0}, policy="warn", sphere=10)
-        report = run_hierarchy(inst, levels=3)
+        report = run_hierarchy(inst)
         assert report.status == "ok"
 
-    def test_convolution_tends_to_identity_solution(self, unit_hierarchy):
+    def test_convolution_tends_to_identity_solution(self, unit_levels):
         # a near-delta kernel reproduces the local problem; the identity run
         # is the oracle (alpha = beta = p-1 as the certificates require)
         params = {"a1": 0.3, "alpha": 2.0, "a2": 0.0, "beta": 2.0}
+        h = unit_levels(4)
         inst_id = make_instance(
-            unit_hierarchy, "manufactured_plus_power", params,
+            h, "manufactured_plus_power", params,
             guess=lambda x: x * (1 - x), sphere=10,
         )
-        rep_id = run_hierarchy(inst_id, levels=4)
+        rep_id = run_hierarchy(inst_id)
         u_ref = rep_id.levels[-1].u
 
         dists = []
         for width in (0.2, 0.05, 0.0125):
             T = convolution_operator(Kernel("box", {"width": width}), refine_factor=4)
             inst = make_instance(
-                unit_hierarchy, "manufactured_plus_power", params,
+                h, "manufactured_plus_power", params,
                 T=T, guess=lambda x: x * (1 - x), sphere=10,
             )
-            rep = run_hierarchy(inst, levels=4)
+            rep = run_hierarchy(inst)
             assert rep.status == "ok"
-            diff = unit_hierarchy.function(4, rep.levels[-1].u.coeffs - u_ref.coeffs)
+            diff = h.function(4, rep.levels[-1].u.coeffs - u_ref.coeffs)
             dists.append(grad_norm_p(diff, 3.0))
         assert dists[0] > dists[-1]
         assert dists[-1] < 5e-3
 
 
 class TestDiagnostics:
-    def test_identical_solutions_give_zero(self, unit_hierarchy):
+    def test_identical_solutions_give_zero(self, unit_levels):
         # feed the coarse solution itself as the stand-in limit: every
         # diagnostic against it must vanish identically
-        inst = make_instance(unit_hierarchy, sphere=0)
-        report = run_hierarchy(inst, levels=3)
+        inst = make_instance(unit_levels(3), sphere=0)
+        report = run_hierarchy(inst)
         coarse = report.levels[0]
         rows = convergence_diagnostics(inst, [coarse], prolongate(coarse.u, 3))
         assert len(rows) == 1
@@ -946,31 +952,32 @@ class TestDiagnostics:
         assert convergence_diagnostics(inst, report.levels[-1:],
                                        report.levels[-1].u) == []
 
-    def test_pairing_identity_between_streams(self, unit_hierarchy):
+    def test_pairing_identity_between_streams(self, unit_levels):
         # full = strong - convection integral, checked against an
         # independent quadrature of the right-hand side
         from competefem.intrinsic import apply as apply_operator
         from competefem.operators import convection_integral
 
-        inst = make_instance(unit_hierarchy, "manufactured_plus_power",
+        h = unit_levels(4)
+        inst = make_instance(h, "manufactured_plus_power",
                              {"a1": 0.3, "alpha": 2.0}, guess=lambda x: x * (1 - x),
                              sphere=0)
-        report = run_hierarchy(inst, levels=4)
+        report = run_hierarchy(inst)
         u = report.levels[-1].u
         rows = convergence_diagnostics(inst, report.levels, u)
         for row, solve in zip(rows, report.levels):
             un = prolongate(solve.u, u.level)
-            diff = unit_hierarchy.function(u.level, un.coeffs - u.coeffs)
+            diff = h.function(u.level, un.coeffs - u.coeffs)
             img = apply_operator(inst.operator, un)
             expected = row.pairing_gap - convection_integral(diff, img, inst.convection)
             assert row.full_gap == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 class TestDeterminism:
-    def test_identical_runs_bitwise_equal(self, unit_hierarchy):
-        inst = make_instance(unit_hierarchy, guess=lambda x: x * (1 - x), sphere=64)
-        a = run_hierarchy(inst, levels=4)
-        b = run_hierarchy(inst, levels=4)
+    def test_identical_runs_bitwise_equal(self, unit_levels):
+        inst = make_instance(unit_levels(4), guess=lambda x: x * (1 - x), sphere=64)
+        a = run_hierarchy(inst)
+        b = run_hierarchy(inst)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
