@@ -267,12 +267,13 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
     the cell edges, and a sparse map reads F at each x - t_k by its exact
     Taylor form on the cell that holds it (:func:`_running_read`).  A point
     right of the midpoint of the domain reads running integrals taken from
-    b, so no point differences sums much larger than its window.  One
-    stacked product [P; D] c gives the histograms of u and u' from both
-    ends, so a column costs O(n + m) and no (points x cells) array is
-    formed.  The truncated Gaussian has no such form: its weights W are
-    formed ``CONV_CHUNK`` rows at a time, and V = W P and G = W D are kept
-    in CSR.
+    b, so no point differences sums much larger than its window.  The
+    products [P; P mirrored] c and [D; D mirrored] c give the histograms of
+    u and of u' from both ends.  The image of u is read before the running
+    integrals of u' are formed, so one image's integrals are held at a
+    time, a column costs O(n + m), and no (points x cells) array is formed.
+    The truncated Gaussian has no such form: its weights W are formed
+    ``CONV_CHUNK`` rows at a time, and V = W P and G = W D are kept in CSR.
     """
     if level.mesh.dim != 1:
         raise NotImplementedError("convolution operators are implemented for 1D domains")
@@ -300,30 +301,33 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
     degree, knots, coeffs = powers
     order = degree + 1
     # box and hat are even, so the far half is the near half mirrored; the
-    # rows of ``cells`` read u, then u', on the cells counted from a, then
-    # from b
-    cells = sp.vstack([P, P[::-1], D, D[::-1]], format="csr")
+    # rows of each histogram map read the cells counted from a, then from b
+    histograms = [sp.vstack([M, M[::-1]], format="csr") for M in (P, D)]
     far = x > 0.5 * (a + b)
     read = _running_read(np.where(far, a + b - x, x) - knots[:, None], far, coeffs, order, edges)
     widths = np.diff(edges)
     widths = np.stack([widths, widths[::-1]])[..., None]
     taylor = [widths**i / math.factorial(i) for i in range(order + 1)]
 
-    def convolve(c: np.ndarray) -> tuple:
+    def image(histogram: sp.csr_matrix, c: np.ndarray) -> np.ndarray:
         k = c.shape[1]
-        # F[kind, n, side, j]: the n-fold running integral at the j-th edge
-        # of the histogram of u (kind 0) or u' (kind 1), from a or from b
-        F = np.zeros((2, order + 1, 2, m + 1, k))
-        F[:, 0, :, :m] = (cells @ c).reshape(2, 2, m, k)
+        # F[n, side, j]: the n-fold running integral of the histogram at the
+        # j-th edge, from a or from b
+        F = np.zeros((order + 1, 2, m + 1, k))
+        F[0, :, :m] = (histogram @ c).reshape(2, m, k)
         for n in range(1, order + 1):
             # F_n is a polynomial on each cell: its step over the cell is the
             # Taylor sum of the lower integrals at the cell's first edge
-            step = F[:, n, :, 1:]
-            np.multiply(taylor[1], F[:, n - 1, :, :m], out=step)
+            step = F[n, :, 1:]
+            np.multiply(taylor[1], F[n - 1, :, :m], out=step)
             for i in range(2, n + 1):
-                step += taylor[i] * F[:, n - i, :, :m]
-            np.cumsum(step, axis=2, out=step)
-        return read @ F[0].reshape(-1, k), read @ F[1].reshape(-1, k)
+                step += taylor[i] * F[n - i, :, :m]
+            np.cumsum(step, axis=1, out=step)
+        return read @ F.reshape(-1, k)
+
+    def convolve(c: np.ndarray) -> tuple:
+        # the image of u is read before the running integrals of u' are formed
+        return tuple(image(histogram, c) for histogram in histograms)
 
     return convolve
 
@@ -333,7 +337,7 @@ def _running_read(z: np.ndarray, far: np.ndarray, coeffs: np.ndarray, order: int
     """Sparse map from the running integrals F to sum_k coeffs_k F_order(z[k]).
 
     ``z`` is (knots, points), and a ``far`` point reads the integrals from
-    the other end.  F is laid out as in ``convolve`` of
+    the other end.  F is laid out as in ``image`` of
     :func:`_conv_operators`: integral order, then side, then edge.  On the
     cell from edge e_j, F_order(z) is sum_i F_{order-i}(e_j) (z - e_j)^i / i!,
     with order + 1 entries; past the last edge that cell extends to the

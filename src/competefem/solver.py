@@ -20,8 +20,10 @@ best iterate and the residual history, never silently.
 
 A sphere-sampling certificate documents that the nonnegativity hypothesis
 held at the radius actually used, so a zero exists even if the solver were
-to miss it.  Its samples are evaluated in blocks of ``SPHERE_CHUNK``
-coefficient vectors, one block residual and one application of T each.
+to miss it.  Its samples are evaluated in blocks, one block residual and
+one application of T each.  A block takes as many samples as fit in
+``SPHERE_BUDGET`` quadrature-point values (at least one), so it has fewer
+columns on finer levels and its memory does not grow with the level.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ from .operators import (
 MAX_NEWTON = 100
 # Halvings of the continuation step before the homotopy gives up.
 MAX_CONTINUATION_DEPTH = 6
-# Sphere samples evaluated per block; bounds the block's memory.
-SPHERE_CHUNK = 64
+# Quadrature-point values per block of sphere samples: a level with Q
+# quadrature points takes max(1, SPHERE_BUDGET // Q) samples per block.
+SPHERE_BUDGET = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -529,20 +532,23 @@ def sphere_certificate(inst: ProblemInstance, n: int, R: float) -> SpherePairing
 
     ``inst.sphere_samples`` samples are taken, each a standard normal
     coefficient vector scaled onto the sphere; samples of zero norm are
-    skipped.  Blocks of ``SPHERE_CHUNK`` rows are drawn from one stream
-    seeded by ``inst.seed``, which gives the same vectors as drawing them
-    one at a time, and each block takes one application of T and one
-    residual.
+    skipped.  Blocks of ``SPHERE_BUDGET // Q`` rows (at least one), with Q
+    the level's quadrature points, are drawn from one stream seeded by
+    ``inst.seed``, which gives the same vectors as drawing them one at a
+    time, and each block takes one application of T and one residual.
+    Every column is evaluated on its own, so the pairings do not depend on
+    the block width.
     """
-    n_free = inst.hierarchy.level(n).n_free
+    lvl = inst.hierarchy.level(n)
     n_samples = inst.sphere_samples
-    if n_free == 0 or n_samples <= 0:
+    if lvl.n_free == 0 or n_samples <= 0:
         return SpherePairings(np.empty(0))
     rng = np.random.default_rng(np.random.SeedSequence((int(inst.seed), 929, int(n))))
     prob = inst.at(n)
+    width = max(1, SPHERE_BUDGET // lvl.qp_weights.size)
     pairings = []
-    for start in range(0, n_samples, SPHERE_CHUNK):
-        c = rng.standard_normal((min(SPHERE_CHUNK, n_samples - start), n_free)).T
+    for start in range(0, n_samples, width):
+        c = rng.standard_normal((min(width, n_samples - start), lvl.n_free)).T
         g = prob.norms(c)
         keep = g != 0
         c = c[:, keep] * (R / g[keep])

@@ -269,6 +269,20 @@ class TestRunningIntegrals:
             np.testing.assert_allclose(got, ref.T.reshape(got.shape), rtol=0,
                                        atol=1e-13 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("shape,params", KERNELS[:2])
+    def test_block_columns_equal_columns_applied_alone(self, uneven, deep_hierarchy, shape,
+                                                       params, rng):
+        # the sphere certificate's pairings keep their bits at any block width
+        # only if each column of a block is convolved on its own
+        T = convolution_operator(Kernel(shape, params))
+        for h, n in ((uneven, 3), (deep_hierarchy, 6)):
+            coeffs = rng.standard_normal((h.level(n).n_free, 5))
+            block = apply(T, h.function(n, coeffs))
+            for j in range(coeffs.shape[1]):
+                alone = apply(T, h.function(n, coeffs[:, j]))
+                np.testing.assert_array_equal(block.values[j], alone.values)
+                np.testing.assert_array_equal(block.gradients[j], alone.gradients)
+
     def test_deep_level_is_cheap(self):
         # L10 of the 4-element interval has 2047 free dofs; a dense-banded
         # pair there holds about 130 MB while it is built

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import competefem.constants
+import competefem.solver
 from competefem.config import build_instance, parse_config_dict
 from competefem.constants import (
     _key,
@@ -38,7 +40,6 @@ from competefem.intrinsic import (
 from competefem.operators import (assemble_jacobian, assemble_residual, convection_from_catalog,
                                   convection_functional_bound)
 from competefem.solver import (
-    SPHERE_CHUNK,
     ProblemInstance,
     _levenberg_step,
     _normal_equations,
@@ -53,6 +54,10 @@ from competefem.solver import (
 )
 
 from oracles import full_csr, grid_search_zero, random_monotone_map, sphere_pairings_loop
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+SPHERE_CASES = ["identity-1d", "identity-square", "lift-1d", "convolution-1d",
+                "hat-convolution-1d"]
 
 
 def make_instance(h, f_kind="manufactured_p3q2", f_params=None, T=None,
@@ -656,12 +661,9 @@ class TestSphereCertificate:
         b = sphere_certificate(inst, 3, 1.0)
         np.testing.assert_array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("n_samples", [0, 1, SPHERE_CHUNK - 1, SPHERE_CHUNK + 1, 1000])
-    @pytest.mark.parametrize("case", ["identity-1d", "identity-square", "lift-1d",
-                                      "convolution-1d"])
-    def test_blocks_match_the_per_sample_loop(self, unit_hierarchy, case, n_samples):
-        # at this radius about half the pairings of 1000 samples are negative
-        R = 0.75
+    @staticmethod
+    def _case(unit_hierarchy, case):
+        """An instance of ``case`` and the level whose sphere it samples."""
         power = {"a1": 0.3, "alpha": 2.0, "a2": 0.2, "beta": 2.0}
         if case == "identity-1d":  # x-only f: T is never applied
             inst = make_instance(unit_hierarchy)
@@ -672,9 +674,25 @@ class TestSphereCertificate:
             T = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
             inst = make_instance(unit_hierarchy, "manufactured_plus_power", power, T=T)
         else:
-            T = convolution_operator(Kernel("box", {"width": 0.25}))
+            shape = "hat" if case == "hat-convolution-1d" else "box"
+            T = convolution_operator(Kernel(shape, {"width": 0.25}))
             inst = make_instance(unit_hierarchy, "manufactured_plus_power", power, T=T)
-        n = inst.hierarchy.n_levels
+        return inst, inst.hierarchy.n_levels
+
+    @staticmethod
+    def _width(inst, n):
+        """Sphere samples per block on level n, under the budget in force."""
+        return max(1, competefem.solver.SPHERE_BUDGET // inst.hierarchy.level(n).qp_weights.size)
+
+    @pytest.mark.parametrize("n_samples", [0, 1, "width-1", "width+1", 1000])
+    @pytest.mark.parametrize("case", SPHERE_CASES)
+    def test_blocks_match_the_per_sample_loop(self, unit_hierarchy, case, n_samples):
+        # at this radius about half the pairings of 1000 samples are negative
+        R = 0.75
+        inst, n = self._case(unit_hierarchy, case)
+        width = self._width(inst, n)
+        assert 1 < width < 1000
+        n_samples = {"width-1": width - 1, "width+1": width + 1}.get(n_samples, n_samples)
         block = sphere_certificate(dataclasses.replace(inst, sphere_samples=n_samples, seed=5),
                                    n, R)
         loop = sphere_pairings_loop(inst, n, R, n_samples, seed=5)
@@ -687,14 +705,31 @@ class TestSphereCertificate:
         np.testing.assert_allclose(block.values, loop, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(loop)))
 
-    def test_chunked_draws_equal_sequential_draws(self):
+    @pytest.mark.parametrize("case", SPHERE_CASES)
+    def test_pairings_do_not_depend_on_the_block_width(self, unit_hierarchy, case,
+                                                       monkeypatch):
+        # each column of a block is evaluated on its own, so the bits of every
+        # pairing are the same for any budget
+        inst, n = self._case(unit_hierarchy, case)
+        inst = dataclasses.replace(inst, sphere_samples=300, seed=5)
+        assert self._width(inst, n) < 300
+        wide = sphere_certificate(inst, n, 0.75)
+        monkeypatch.setattr(competefem.solver, "SPHERE_BUDGET",
+                            7 * inst.hierarchy.level(n).qp_weights.size)
+        assert self._width(inst, n) == 7
+        narrow = sphere_certificate(inst, n, 0.75)
+        np.testing.assert_array_equal(narrow.values, wide.values)
+
+    def test_chunked_draws_equal_sequential_draws(self, unit_hierarchy):
         seed = np.random.SeedSequence((3, 929, 4))
-        n, n_samples = 31, 2 * SPHERE_CHUNK + 5
+        lvl = unit_hierarchy.level(4)
+        n, width = lvl.n_free, self._width(make_instance(unit_hierarchy), 4)
+        n_samples = 2 * width + 5
         one = np.random.default_rng(seed)
         sequential = np.stack([one.standard_normal(n) for _ in range(n_samples)])
         chunked = np.random.default_rng(seed)
-        blocks = [chunked.standard_normal((min(SPHERE_CHUNK, n_samples - s), n))
-                  for s in range(0, n_samples, SPHERE_CHUNK)]
+        blocks = [chunked.standard_normal((min(width, n_samples - s), n))
+                  for s in range(0, n_samples, width)]
         np.testing.assert_array_equal(np.vstack(blocks), sequential)
 
     def test_applies_T_once_per_block(self, unit_hierarchy, monkeypatch):
@@ -708,10 +743,28 @@ class TestSphereCertificate:
             return apply(op, u)
 
         monkeypatch.setattr("competefem.solver.apply_operator", counting_apply)
-        n_samples = 2 * SPHERE_CHUNK + 3
+        width = self._width(inst, 4)
+        n_samples = 2 * width + 3
         sphere_certificate(dataclasses.replace(inst, sphere_samples=n_samples, seed=1), 4, 1.0)
-        assert len(calls) <= math.ceil(n_samples / SPHERE_CHUNK)
+        assert len(calls) <= math.ceil(n_samples / width)
         assert sum(shape[1] for shape in calls) == n_samples
+
+    def test_block_memory_does_not_grow_with_the_level(self):
+        # conv-1d-deep's config on level 9, where blocks of 64 samples
+        # peaked at 26 MB and each further level doubled that
+        config = json.loads((WORKLOADS / "conv-1d-deep.json").read_text())
+        inst = build_instance(parse_config_dict({**config, "levels": 9}))
+        h = inst.hierarchy
+        # the level's solve builds the convolution map before the sphere is sampled
+        apply(inst.operator, h.function(9, np.zeros(h.level(9).n_free)))
+        tracemalloc.start()
+        try:
+            sphere = sphere_certificate(inst, 9, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sphere.values.size == inst.sphere_samples == 1000
+        assert peak < 8e6
 
     def test_quantiles_are_ordered(self, unit_hierarchy):
         inst = dataclasses.replace(make_instance(unit_hierarchy), sphere_samples=300, seed=2)
