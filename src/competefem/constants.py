@@ -75,14 +75,20 @@ class HypothesisError(ValueError):
 
 
 def critical_surrogate(p: float, n_dim: int, override: float | None = None) -> float:
-    """Np/(N-p) when p < N, otherwise a finite stand-in (default 2p)."""
+    """Np/(N-p) when p < N, otherwise a finite stand-in (default 2p).
+
+    An override must exceed p and, when p < N, stay at most the Sobolev
+    exponent Np/(N-p), past which W^{1,p}_0 does not embed.
+    """
+    sobolev = n_dim * p / (n_dim - p) if p < n_dim else math.inf
     if override is not None:
         if override <= p:
             raise ValueError(f"critical surrogate must exceed p, got {override} <= {p}")
+        if override > sobolev:
+            raise ValueError(f"critical surrogate must be at most Np/(N-p) = {sobolev:.12g} "
+                             f"when p < N, got {override}")
         return float(override)
-    if p < n_dim:
-        return n_dim * p / (n_dim - p)
-    return 2.0 * p
+    return sobolev if p < n_dim else 2.0 * p
 
 
 def _key(r: float) -> float:
@@ -252,8 +258,8 @@ def _ascend_embedding(lvl, rs, p, blocks, iters, tol):
             if not trying.size:
                 break
             trial = coeffs[:, trying] + t[trying] * direction[:, trying]
-            # a zero or overflowing trial gives nan or zero below and is
-            # rejected like any trial that fails the Armijo test
+            # a zero trial, or one with an infinite norm, gives nan or zero
+            # below and is rejected like any trial that fails the Armijo test
             trial = trial / _grad_integral(lvl, _gradients(lvl, trial), p) ** (1.0 / p)
             trial_N = _r_norms(lvl, _qp_values(lvl, trial), _exponent_slices(owner[trying], rs))
             ok = trial_N > N[trying] + ASCENT_ARMIJO * t[trying] * slope[trying]

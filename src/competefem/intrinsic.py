@@ -18,14 +18,13 @@ which is validated numerically by :func:`certificate_check`.
 Convolution is product integration on a uniform grid of cells aligned with
 the mesh: u and u' are read at the cell midpoints through the
 discretization's point operators, and the kernel is integrated exactly over
-each cell, so kernel support edges cost no accuracy.  Box and hat kernels
-are short sums of truncated powers, so rho convolved with the cell
-histogram is a few differences of its running integrals, read off a sparse
-map at O(n + m) cost (Heckbert, *Filtering by repeated integration*,
-SIGGRAPH 1986).  The truncated Gaussian has no such form and keeps a sparse
-pair (V, G) with (rho * u)(x) = V c and (rho * u')(x) = G c.  The solver
-applies T to every iterate, so the operator at a level's quadrature points
-is kept, one per level; operators at other points are built per call.
+each cell, so kernel support edges cost no accuracy.  Every kernel is a
+cardinal B-spline, a short sum of truncated powers, so rho convolved with
+the cell histogram is a few differences of its running integrals, read off
+a sparse map at O(n + m) cost (Heckbert, *Filtering by repeated
+integration*, SIGGRAPH 1986).  The solver applies T to every iterate, so
+the operator at a level's quadrature points is kept, one per level;
+operators at other points are built per call.
 """
 
 from __future__ import annotations
@@ -70,35 +69,31 @@ class KernelError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# kernel shape -> the degree of its cardinal B-spline
+KERNEL_DEGREES = {"box": 0, "hat": 1, "cubic_bspline": 3}
 # kernel shape -> the names of its parameters
-KERNEL_PARAMS = {
-    "box": ("width", "scale"),
-    "hat": ("width", "scale"),
-    "truncated_gaussian": ("sigma", "radius", "scale"),
-}
+KERNEL_PARAMS = {shape: ("width", "scale") for shape in KERNEL_DEGREES}
 
 
 @dataclass(frozen=True)
 class Kernel:
     """Compactly supported 1D mollifier with exact L1 norm ``scale``.
 
-    Shapes: ``box`` and ``hat`` have total support ``width``; the truncated
-    Gaussian is cut at ``radius`` and renormalised, so its L1 norm is exact.
+    Every shape is the cardinal B-spline of degree d (``KERNEL_DEGREES``) on
+    d + 1 equal pieces of the total support ``width``, centred at 0: ``box``
+    (d = 0), ``hat`` (d = 1) and ``cubic_bspline`` (d = 3).
     """
 
     shape: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.shape not in KERNEL_PARAMS:
+        if self.shape not in KERNEL_DEGREES:
             raise KeyError(
-                f"unknown kernel shape {self.shape!r}; choose {', '.join(KERNEL_PARAMS)}"
+                f"unknown kernel shape {self.shape!r}; choose {', '.join(KERNEL_DEGREES)}"
             )
-        if self.shape in ("box", "hat") and not float(self.params.get("width", 0)) > 0:
+        if not float(self.params.get("width", 0)) > 0:
             raise KernelError(f"{self.shape} kernel needs a positive width")
-        if self.shape == "truncated_gaussian":
-            if not float(self.params.get("sigma", 0)) > 0 or not float(self.params.get("radius", 0)) > 0:
-                raise KernelError("truncated_gaussian kernel needs positive sigma and radius")
         if not float(self.params.get("scale", 1.0)) > 0:
             raise KernelError("kernel scale (its L1 norm) must be positive")
 
@@ -109,45 +104,20 @@ class Kernel:
 
     @property
     def support_radius(self) -> float:
-        if self.shape in ("box", "hat"):
-            return 0.5 * float(self.params["width"])
-        return float(self.params["radius"])
+        return 0.5 * float(self.params["width"])
 
     @property
-    def truncated_powers(self) -> tuple | None:
-        """(d, knots, c) with kernel(t) = sum_k c_k (t - knots_k)_+^d / d!, or None.
+    def truncated_powers(self) -> tuple:
+        """(d, knots, c) with kernel(t) = sum_k c_k (t - knots_k)_+^d / d!.
 
-        Box and hat only; the truncated Gaussian has no such finite form.
+        With s = width / 2 and h = width / (d + 1), the knots are -s + k h
+        and c_k = scale (-1)^k C(d + 1, k) / h^(d + 1), for k = 0 .. d + 1.
         """
-        s, scale = self.support_radius, self.scale
-        if self.shape == "box":
-            return 0, np.array([-s, s]), scale / (2.0 * s) * np.array([1.0, -1.0])
-        if self.shape == "hat":
-            return 1, np.array([-s, 0.0, s]), scale / s**2 * np.array([1.0, -2.0, 1.0])
-        return None
-
-    def antiderivative(self, t: np.ndarray) -> np.ndarray:
-        """P(t) = integral of the kernel over (-inf, t], exact per shape.
-
-        Box and hat keep the precision of a long double ``t``.
-        """
-        t = np.asarray(t)
-        t = t.astype(np.result_type(t, 1.0), copy=False)
-        s = self.support_radius
-        if self.shape == "box":
-            return self.scale * np.clip((t + s) / (2.0 * s), 0.0, 1.0)
-        if self.shape == "hat":
-            tc = np.clip(t, -s, s)
-            left = 0.5 * self.scale * (1.0 + tc / s) ** 2
-            right = self.scale - 0.5 * self.scale * (1.0 - tc / s) ** 2
-            return np.where(tc <= 0.0, left, right)
-        from scipy.special import erf  # only this kernel pays for the import
-
-        sigma = float(self.params["sigma"])
-        tc = np.clip(t, -s, s)
-        num = erf(tc / (sigma * math.sqrt(2.0))) + erf(s / (sigma * math.sqrt(2.0)))
-        den = 2.0 * erf(s / (sigma * math.sqrt(2.0)))
-        return self.scale * num / den
+        d = KERNEL_DEGREES[self.shape]
+        h = float(self.params["width"]) / (d + 1)
+        k = np.arange(d + 2)
+        binomials = np.array([(-1) ** i * math.comb(d + 1, i) for i in range(d + 2)])
+        return d, -self.support_radius + k * h, self.scale / h ** (d + 1) * binomials
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +218,6 @@ def lift_on(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> Noda
 
 # -- convolution ---------------------------------------------------------------
 
-# rows of the truncated Gaussian's weight matrix formed at a time; W itself
-# is never held whole
-CONV_CHUNK = 256
-
 
 def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
     """The map c -> ((rho * u)(x), (rho * u')(x)) on an (n_free, k) block c.
@@ -261,7 +227,7 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
     and D of :func:`~competefem.discretization.point_operators`, and each
     cell's value is weighed by the kernel's mass over that cell seen from x.
 
-    A box or hat kernel is sum_k c_k (t - t_k)_+^d / d!, so the weighed sum
+    The kernel is sum_k c_k (t - t_k)_+^d / d!, so the weighed sum
     at x is sum_k c_k F(x - t_k), with F the (d + 1)-fold running integral
     of the cell histogram.  d + 1 cumsums give F and its lower integrals at
     the cell edges, and a sparse map reads F at each x - t_k by its exact
@@ -272,8 +238,6 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
     u and of u' from both ends.  The image of u is read before the running
     integrals of u' are formed, so one image's integrals are held at a
     time, a column costs O(n + m), and no (points x cells) array is formed.
-    The truncated Gaussian has no such form: its weights W are formed
-    ``CONV_CHUNK`` rows at a time, and V = W P and G = W D are kept in CSR.
     """
     if level.mesh.dim != 1:
         raise NotImplementedError("convolution operators are implemented for 1D domains")
@@ -288,19 +252,9 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
     edges = a + (b - a) * np.arange(m + 1) / m
     P, D = point_operators(level, 0.5 * (edges[:-1] + edges[1:]))
     x = points.reshape(-1)
-    powers = kernel.truncated_powers
-    if powers is None:
-        V, G = [sp.csr_matrix((0, level.n_free))], [sp.csr_matrix((0, level.n_free))]
-        for s in range(0, len(x), CONV_CHUNK):
-            A = kernel.antiderivative(x[s:s + CONV_CHUNK, None] - edges[None, :])
-            W = A[:, :-1] - A[:, 1:]
-            V.append(sp.csr_matrix(W @ P))
-            G.append(sp.csr_matrix(W @ D))
-        V, G = sp.vstack(V, format="csr"), sp.vstack(G, format="csr")
-        return lambda c: (V @ c, G @ c)
-    degree, knots, coeffs = powers
+    degree, knots, coeffs = kernel.truncated_powers
     order = degree + 1
-    # box and hat are even, so the far half is the near half mirrored; the
+    # the kernel is even, so the far half is the near half mirrored; the
     # rows of each histogram map read the cells counted from a, then from b
     histograms = [sp.vstack([M, M[::-1]], format="csr") for M in (P, D)]
     far = x > 0.5 * (a + b)

@@ -10,6 +10,8 @@ level operators they check.  The convolution reference forms its whole
 weight matrix and reads P1 functions by np.interp of their nodal vectors.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
@@ -246,15 +248,42 @@ def load_vector(values_at_qp: np.ndarray, lvl) -> np.ndarray:
     return out
 
 
+def kernel_antiderivative(kernel, t: np.ndarray) -> np.ndarray:
+    """P(t) = integral of the kernel over (-inf, t], exact per shape.
+
+    Box and hat are closed forms.  The cubic B-spline on four pieces of width
+    h is sum_k c_k (t - t_k)_+^4 / 4! with knots t_k = -s + k h and
+    c_k = scale (-1)^k C(4, k) / h^4, summed at t clipped to the support.
+    All keep the precision of a long double ``t``.
+    """
+    t = np.asarray(t)
+    t = t.astype(np.result_type(t, 1.0), copy=False)
+    s = kernel.support_radius
+    if kernel.shape == "box":
+        return kernel.scale * np.clip((t + s) / (2.0 * s), 0.0, 1.0)
+    if kernel.shape == "hat":
+        tc = np.clip(t, -s, s)
+        left = 0.5 * kernel.scale * (1.0 + tc / s) ** 2
+        right = kernel.scale - 0.5 * kernel.scale * (1.0 - tc / s) ** 2
+        return np.where(tc <= 0.0, left, right)
+    assert kernel.shape == "cubic_bspline", kernel.shape
+    h = 2.0 * s / 4
+    tc = np.clip(t, -s, s)
+    # squared twice: a long double ** 4 is far slower
+    terms = [(-1) ** k * math.comb(4, k) * (np.maximum(tc - (-s + k * h), 0.0) ** 2) ** 2
+             for k in range(5)]
+    return kernel.scale / h**4 * sum(terms) / math.factorial(4)
+
+
 def convolution_terms(T, lvl, coeffs, x) -> tuple:
     """(W, vals, slopes) of product integration for each column of an (n_free, k) block.
 
     The cells are those a convolution operator uses on a 1D level.  W is the
-    whole weight matrix from differences of the kernel's antiderivative at
-    the cell edges, formed in extended precision for box and hat: in double
-    each entry carries an absolute error of about eps times the kernel's
-    mass, and the O(1/h) slopes of a rough u carry that past 1e-13 of
-    (rho * u') on fine levels.  The truncated Gaussian's erf is double only.
+    whole weight matrix from differences of :func:`kernel_antiderivative` at
+    the cell edges, formed in extended precision: in double each entry
+    carries an absolute error of about eps times the kernel's mass, and the
+    O(1/h) slopes of a rough u carry that past 1e-13 of (rho * u') on fine
+    levels.
     vals is u at the cell midpoints by np.interp of its nodal vector, slopes
     u' as the slope of the element holding each midpoint; both (m, k).
     """
@@ -265,9 +294,8 @@ def convolution_terms(T, lvl, coeffs, x) -> tuple:
     m = max(1, int(round((b - a) / (h_min / max(1, int(np.ceil(h_min / target)))))))
     edges = a + (b - a) * np.arange(m + 1) / m
     mid = 0.5 * (edges[:-1] + edges[1:])
-    dtype = float if T.kernel.shape == "truncated_gaussian" else np.longdouble
-    x = np.asarray(x, dtype=dtype).reshape(-1, 1)
-    A = T.kernel.antiderivative(x - edges.astype(dtype)[None, :])
+    x = np.asarray(x, dtype=np.longdouble).reshape(-1, 1)
+    A = kernel_antiderivative(T.kernel, x - edges.astype(np.longdouble)[None, :])
     W = A[:, :-1] - A[:, 1:]
     elem = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(nodes) - 2)
     vals, slopes = [], []

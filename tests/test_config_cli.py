@@ -68,6 +68,25 @@ class TestParseConfig:
                 parse_config(write_config(tmp_path, bad))
             assert err.value.code == code
 
+    def test_truncated_gaussian_kernel_refused(self):
+        # the kernel was removed: it alone needed dense weights per level
+        bad = dict(MINIMAL, **_kernel(shape="truncated_gaussian", sigma=0.05, radius=0.2))
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(bad)
+        assert err.value.code == "UNKNOWN_CATALOG"
+        assert "'truncated_gaussian'" in str(err.value) and '"cubic_bspline"' in str(err.value)
+
+    @pytest.mark.parametrize("p_crit", [18.5, 100.0])
+    def test_p_crit_above_the_sobolev_exponent_refused(self, p_crit):
+        # p = 1.8 < N = 2 on the unit square: W^{1,p}_0 embeds in L^r only
+        # up to r = Np/(N-p) = 18
+        square = dict(MINIMAL, domain={"kind": "unit_square"}, p=1.8, q=1.4, eps_reg=1e-8)
+        assert parse_config_dict(dict(square, p_crit=17.9)).p_crit == 17.9
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(dict(square, p_crit=p_crit))
+        assert err.value.code == "BAD_FIELD"
+        assert "Np/(N-p) = 18" in str(err.value)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -298,8 +317,6 @@ FLOAT_FIELDS = {
     "u0.ay": lambda v: _lift_on_square(kind="affine", ay=v),
     "kernel.width": lambda v: _kernel(shape="box", width=v),
     "kernel.scale": lambda v: _kernel(shape="hat", width=0.25, scale=v),
-    "kernel.sigma": lambda v: _kernel(shape="truncated_gaussian", sigma=v, radius=0.2),
-    "kernel.radius": lambda v: _kernel(shape="truncated_gaussian", sigma=0.05, radius=v),
 }
 # fields whose null means their default
 NULL_MEANS_DEFAULT = {"tol", "p_crit"}
@@ -346,8 +363,8 @@ class TestTypedFields:
     def test_each_patch_alone_is_valid(self, field):
         # so that the rejections above come from the patched value alone
         value = {"p": 3.0, "q": 2.0, "safety": 1.5, "p_crit": 7.0, "domain.a": 0,
-                 "sigma.x": [0, 1], "sigma.values": [1, 2], "f.r": 2.0, "envelope.r": 2.0,
-                 "kernel.radius": 0.2}.get(field, 0.5)
+                 "sigma.x": [0, 1], "sigma.values": [1, 2], "f.r": 2.0,
+                 "envelope.r": 2.0}.get(field, 0.5)
         parse_config_dict(dict(MINIMAL, **FLOAT_FIELDS[field](value)))
 
     def test_signed_is_a_boolean(self):
@@ -485,7 +502,7 @@ def test_initial_guess_is_null_or_exact():
 
 
 def test_cli_import_leaves_scipy_special_out():
-    # only the truncated-Gaussian kernel needs scipy.special
+    # no module of the package imports scipy.special, and none should pull it in
     code = "import sys, competefem.cli; print('scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True,

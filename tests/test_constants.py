@@ -57,6 +57,12 @@ class TestCriticalSurrogate:
         assert critical_surrogate(3.0, 1, override=9.0) == 9.0
         with pytest.raises(ValueError, match="exceed p"):
             critical_surrogate(3.0, 1, override=2.0)
+        # W^{1,1.8}_0 of a planar domain embeds in L^r only up to r = 18
+        star = critical_surrogate(1.8, 2)
+        assert critical_surrogate(1.8, 2, override=star) == star
+        with pytest.raises(ValueError, match=r"at most Np/\(N-p\) = 18 "):
+            critical_surrogate(1.8, 2, override=100.0)
+        assert critical_surrogate(3.0, 2, override=100.0) == 100.0  # p >= N: no cap
 
 
 class TestLambdaEstimate:

@@ -749,10 +749,12 @@ class TestSphereCertificate:
         assert len(calls) <= math.ceil(n_samples / width)
         assert sum(shape[1] for shape in calls) == n_samples
 
-    def test_block_memory_does_not_grow_with_the_level(self):
+    @pytest.mark.parametrize("shape", ["box", "cubic_bspline"])
+    def test_block_memory_does_not_grow_with_the_level(self, shape):
         # conv-1d-deep's config on level 9, where blocks of 64 samples
         # peaked at 26 MB and each further level doubled that
         config = json.loads((WORKLOADS / "conv-1d-deep.json").read_text())
+        config["T"]["kernel"]["shape"] = shape
         inst = build_instance(parse_config_dict({**config, "levels": 9}))
         h = inst.hierarchy
         # the level's solve builds the convolution map before the sphere is sampled
