@@ -17,14 +17,11 @@ from .discretization import (
 from .operators import (
     ConvectionTerm,
     GrowthEnvelope,
-    ResidualVector,
     SigmaWeight,
     assemble_jacobian,
     assemble_residual,
     competing_pairing,
     convection_from_catalog,
-    convection_functional_bound,
-    growth_envelope_check,
     p_laplace_pairing,
 )
 from .intrinsic import (
@@ -35,7 +32,6 @@ from .intrinsic import (
     apply,
     boundary_lift_operator,
     certificate,
-    certificate_check,
     convolution_operator,
     identity_operator,
 )

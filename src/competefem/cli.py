@@ -26,7 +26,7 @@ EXIT_CODES = {"ok": 0, "hypothesis_failed": 2, "solver_failure": 3}
 
 # the level fields of the solve report that its CSV repeats
 CSV_COLUMNS = ("level", "dim", "grad_norm_p", "residual_sup", "R", "apriori_margin",
-               "diag_a", "diag_b", "diag_c_strong", "diag_c_full", "newton_iters")
+               "weak_gap", "residual_gap", "pairing_gap", "full_gap", "newton_iters")
 
 
 def _write(path: Path, text: str) -> None:

@@ -27,8 +27,8 @@ from .discretization import (DomainMesh, MeshError, build_hierarchy, interval_me
 from .intrinsic import (KERNEL_PARAMS, LIFT_PARAMS, IntrinsicOperator, Kernel, KernelError,
                         LiftFunction, boundary_lift_operator, certificate_rule,
                         convolution_operator, identity_operator, inert_exponent)
-from .operators import (CONVECTION_PARAMS, SIGMA_PARAMS, ConvectionTerm, SigmaWeight,
-                        convection_from_catalog)
+from .operators import (CONVECTION_PARAMS, SIGMA_PARAMS, ConvectionTerm, GrowthEnvelope,
+                        SigmaWeight, convection_from_catalog)
 from .solver import ProblemInstance
 
 
@@ -63,9 +63,6 @@ class ProblemSpec:
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
 
 
 def canonical_json(obj) -> str:
@@ -171,8 +168,8 @@ _T_PARAMS = {"identity": (), "boundary_lift": ("u0",), "convolution": ("kernel",
 _ENVELOPE_NUMBERS = ("a1", "a2", "alpha", "beta", "r")
 
 
-def _domain_config(obj) -> tuple[dict, int]:
-    """The canonical domain and its dimension."""
+def _domain_config(obj) -> tuple[dict, DomainMesh]:
+    """The canonical domain and its mesh."""
     kind, section = _entry(obj, "domain", _DOMAIN_PARAMS, "interval", code="DOMAIN_INVALID")
     domain = {"kind": kind}
     if kind == "interval":
@@ -181,7 +178,7 @@ def _domain_config(obj) -> tuple[dict, int]:
     if kind == "mesh":
         domain["mesh"] = _as_object(section, "mesh", code="DOMAIN_INVALID")
     try:
-        return domain, build_domain(domain).dim
+        return domain, build_domain(domain)
     except MeshError as exc:
         raise ConfigError("DOMAIN_INVALID", str(exc)) from None
     except (KeyError, TypeError, ValueError) as exc:
@@ -203,32 +200,59 @@ def _sigma_config(envelope: dict) -> dict:
     return sigma
 
 
-def _f_config(obj, p: float, p_crit: float, t_kind: str) -> tuple[dict, ConvectionTerm]:
+def _refuse_false_envelope(own: GrowthEnvelope, env: GrowthEnvelope, mesh: DomainMesh) -> None:
+    """Refuse an envelope that does not dominate the kind's own, so may not bound f.
+
+    Each positive own coefficient needs the same exponent and a coefficient
+    no smaller, and sigma must be no smaller anywhere in the domain's range
+    of the first coordinate.  Both weights are piecewise linear in it, so
+    comparing them at the range's ends and at every kink inside is exact.
+    """
+    for coeff, exponent in (("a1", "alpha"), ("a2", "beta")):
+        floor, power = getattr(own, coeff), getattr(own, exponent)
+        _require(floor == 0 or (getattr(env, exponent) == power and getattr(env, coeff) >= floor),
+                 "H1_RANGE", f"the envelope must keep f's own {exponent} = {power} and "
+                 f"{coeff} >= {floor}, got {exponent} = {getattr(env, exponent)}, "
+                 f"{coeff} = {getattr(env, coeff)}")
+    first = mesh.nodes if mesh.dim == 1 else mesh.vertices[:, 0]
+    lo, hi = min(first), max(first)
+    points = [lo, hi, *(t for t in own.sigma.kinks + env.sigma.kinks if lo < t < hi)]
+    for t in points:
+        _require(env.sigma(t) >= own.sigma(t), "H1_RANGE", f"the envelope's sigma falls "
+                 f"below f's own weight {own.sigma.kind!r} at first coordinate {t:g}")
+
+
+def _f_config(obj, p: float, p_crit: float, t_kind: str,
+              mesh: DomainMesh) -> tuple[dict, ConvectionTerm]:
     """The canonical f section and the term it builds.
 
     An exponent whose coefficient is zero is inert.  Unless f or its
     envelope sets it, it takes the value that the certificate of T accepts.
+    An envelope override must dominate the kind's own envelope.
     """
     kind, section = _entry(obj, "f", CONVECTION_PARAMS, "zero", extra=("envelope",))
     params = _params(section, CONVECTION_PARAMS[kind])
     env_obj = _as_object(section, "envelope", {})
     _check_keys(env_obj, (*_ENVELOPE_NUMBERS, "sigma"), "envelope")
     env_params = _params(env_obj, _ENVELOPE_NUMBERS)
+    if "sigma" in env_obj:
+        env_params["sigma"] = _sigma_config(env_obj)
     term = build_convection({"kind": kind, **params, "envelope": env_params})
     inert = {exponent: inert_exponent(t_kind, p)
              for coeff, exponent in (("a1", "alpha"), ("a2", "beta"))
              if getattr(term.envelope, coeff) == 0 and exponent not in {**params, **env_params}}
     if inert:
         term = build_convection({"kind": kind, **params, "envelope": {**env_params, **inert}})
-    env = term.envelope
-    # the catalog's weight, which is also sigma_only's own, is read even when overridden
-    own = _sigma_config({"sigma": {"kind": env.sigma.kind, **env.sigma.params}})
+    env, own = term.envelope, build_convection({"kind": kind, **params}).envelope
     envelope = {k: getattr(env, k) for k in _ENVELOPE_NUMBERS}
-    envelope["sigma"] = _sigma_config(env_obj) if "sigma" in env_obj else own
+    # the catalog's weight, which is also sigma_only's own, is read even when overridden
+    envelope["sigma"] = env_params.get(
+        "sigma", _sigma_config({"sigma": {"kind": own.sigma.kind, **own.sigma.params}}))
     try:
         env.validate(p, p_crit)
     except ValueError as exc:
         raise ConfigError("H1_RANGE", str(exc)) from None
+    _refuse_false_envelope(own, env, mesh)
     return {"kind": kind, **params, "envelope": envelope}, term
 
 
@@ -266,7 +290,8 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
         "EXPONENT_ORDER",
         f"exponents must satisfy 1 < q < p, got q={q}, p={p}",
     )
-    domain, n_dim = _domain_config(obj)
+    domain, mesh = _domain_config(obj)
+    n_dim = mesh.dim
 
     p_crit_override = None if obj.get("p_crit") is None else _as_float(obj, "p_crit")
     try:
@@ -278,7 +303,7 @@ def parse_config_dict(obj: dict) -> ProblemSpec:
     _require(levels >= 1, "BAD_FIELD", f"levels must be >= 1, got {levels}")
 
     t_kind, t_section = _entry(obj, "T", _T_PARAMS, "identity")
-    f_cfg, term = _f_config(obj, p, p_crit, t_kind)
+    f_cfg, term = _f_config(obj, p, p_crit, t_kind, mesh)
     t_cfg = _t_config(t_kind, t_section, p, f_cfg["envelope"], n_dim)
     _require(t_cfg["kind"] != "convolution" or n_dim == 1, "UNSUPPORTED_DOMAIN",
              "convolution operators are implemented for 1D domains")

@@ -47,7 +47,7 @@ defaults to p* = Np/(N-p), and the provenance names it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,19 +117,13 @@ class EmbeddingConstants:
     safety: float
     entries: dict = field(default_factory=dict)     # key(r) -> SEstimate
 
-    def _entry(self, r: float) -> SEstimate:
+    def S(self, r: float) -> float:
         try:
-            return self.entries[_key(r)]
+            return self.entries[_key(r)].value
         except KeyError:
             raise ConstantLookupError(
                 f"no embedding constant estimated at exponent r = {r}"
             ) from None
-
-    def S(self, r: float) -> float:
-        return self._entry(r).value
-
-    def S_raw(self, r: float) -> float:
-        return self._entry(r).raw
 
     @property
     def eigenvalue(self) -> SEstimate | None:
@@ -142,9 +136,6 @@ class EmbeddingConstants:
         """The whole-space constant, for which the S_pc entry stands in; None without it."""
         s_pc = self.entries.get(_key(self.p_crit))
         return None if s_pc is None else s_pc.value
-
-    def with_entry(self, r: float, est: SEstimate) -> "EmbeddingConstants":
-        return replace(self, entries={**self.entries, _key(r): est})
 
     def to_json_dict(self) -> dict:
         # without S_p: no eigenvalue, an empty profile, not converged

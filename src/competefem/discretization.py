@@ -23,7 +23,6 @@ summation order, so results are deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,19 +122,6 @@ class DomainMesh:
         uniq, counts = np.unique(edges, axis=0, return_counts=True)
         return np.unique(uniq[counts == 1])
 
-    def refine(self) -> "DomainMesh":
-        """Uniformly refine: bisect intervals, split triangles into four."""
-        return _refine(self)[0]
-
-    def to_json_dict(self) -> dict:
-        if self.dim == 1:
-            return {"dim": 1, "nodes": [float(x) for x in self.nodes]}
-        return {
-            "dim": 2,
-            "vertices": [[float(a), float(b)] for a, b in self.vertices],
-            "triangles": [[int(i), int(j), int(k)] for i, j, k in self.triangles],
-        }
-
     @staticmethod
     def from_json_dict(obj: dict) -> "DomainMesh":
         if obj.get("dim") == 1:
@@ -145,13 +131,6 @@ class DomainMesh:
                 np.asarray(obj["vertices"], dtype=float), np.asarray(obj["triangles"], dtype=int)
             )
         raise MeshError(f"mesh dim must be 1 or 2, got {obj.get('dim')!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "DomainMesh":
-        return DomainMesh.from_json_dict(json.loads(text))
 
 
 def interval_mesh_from_nodes(nodes: np.ndarray) -> DomainMesh:
@@ -274,12 +253,6 @@ class Level:
     def jacobian_pattern(self) -> "JacobianPattern":
         """The pattern every Jacobian on this level fills; built by the first one."""
         return _jacobian_pattern(self)
-
-    def full_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Nodal vector over all nodes with zeros on the boundary."""
-        full = np.zeros(self.mesh.n_nodes)
-        full[self.free] = coeffs
-        return full
 
 
 def _free_operator(local: np.ndarray, elem_nodes: np.ndarray, free_of_node: np.ndarray,
@@ -554,9 +527,6 @@ class SpaceHierarchy:
             raise LevelMismatchError(f"level {n} outside 1..{self.n_levels}")
         return self.levels[n - 1]
 
-    def dims(self):
-        return [lvl.n_free for lvl in self.levels]
-
     def zero(self, n: int) -> "FEFunction":
         return FEFunction(self, n, np.zeros(self.level(n).n_free))
 
@@ -627,9 +597,6 @@ class FEFunction:
         """The coefficients as an (n_free, k) block; one function is k = 1."""
         return self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
 
-    def full_values(self) -> np.ndarray:
-        return self.lvl.full_values(self.coeffs)
-
     def element_gradients(self) -> np.ndarray:
         """Constant gradient per element, shape (n_el, dim)."""
         return _gradients(self.lvl, self.coeffs)[..., 0].T
@@ -642,22 +609,14 @@ class FEFunction:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureSamples:
-    """Values and gradients at the quadrature points of one level."""
+    """Values and gradients of a function, or of T of one, at the quadrature points of a level.
+
+    The points and weights are the level's ``qp_points`` and ``qp_weights``.
+    """
 
     level: int
-    points: np.ndarray     # (n_el, n_q, dim)
-    weights: np.ndarray    # (n_el, n_q)
     values: np.ndarray     # (n_el, n_q), or (k, n_el, n_q) for a block
     gradients: np.ndarray  # (n_el, n_q, dim), or (k, n_el, n_q, dim) for a block
-
-    def value_norm(self, r: float) -> float:
-        if r < 1:
-            raise ValueError(f"Lebesgue exponent must satisfy r >= 1, got {r}")
-        return float(_value_integral(self.weights, self.values.reshape(-1, 1), r)[0] ** (1.0 / r))
-
-    def grad_norm(self, p: float) -> float:
-        mag = np.sqrt(np.sum(self.gradients**2, axis=-1))
-        return float(_value_integral(self.weights, mag.reshape(-1, 1), p)[0] ** (1.0 / p))
 
 
 def sample(u: FEFunction) -> QuadratureSamples:
@@ -675,13 +634,7 @@ def sample(u: FEFunction) -> QuadratureSamples:
     grads = np.broadcast_to(grads, (k, n_el, n_q, dim))
     if u.coeffs.ndim == 1:
         values, grads = values[0], grads[0]
-    return QuadratureSamples(
-        level=u.level,
-        points=lvl.qp_points,
-        weights=lvl.qp_weights,
-        values=values,
-        gradients=grads,
-    )
+    return QuadratureSamples(level=u.level, values=values, gradients=grads)
 
 
 @dataclass(frozen=True, eq=False)

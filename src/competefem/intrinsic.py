@@ -13,7 +13,7 @@ offset) asserting
     ||T(u)||_{p_crit}^alpha  <= value_coeff ||grad u||_p^{p-1} + offset
     ||grad T(u)||_p^beta     <= grad_coeff  ||grad u||_p^{p-1} + offset
 
-which is validated numerically by :func:`certificate_check`.
+from the embedding estimates and, for the lift, the measured norms of u0.
 
 Convolution is product integration on a uniform grid of cells aligned with
 the mesh: u and u' are read at the cell midpoints through the
@@ -23,8 +23,7 @@ cardinal B-spline, a short sum of truncated powers, so rho convolved with
 the cell histogram is a few differences of its running integrals, read off
 a sparse map at O(n + m) cost (Heckbert, *Filtering by repeated
 integration*, SIGGRAPH 1986).  The solver applies T to every iterate, so
-the operator at a level's quadrature points is kept, one per level;
-operators at other points are built per call.
+the operator at a level's quadrature points is kept, one per level.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .discretization import (
     SpaceHierarchy,
     _grad_integral,
     _value_integral,
-    grad_norm_p,
     nodal_samples,
     point_operators,
     sample,
@@ -309,22 +307,6 @@ def _running_read(z: np.ndarray, far: np.ndarray, coeffs: np.ndarray, order: int
                          shape=(z.shape[1], (order + 1) * n_edges * 2))
 
 
-def _image(out: np.ndarray, u: FEFunction, shape: tuple) -> np.ndarray:
-    """The (points, k) image of u's block shaped ``shape``; a block u adds a sample axis first."""
-    return out.T.reshape(u.coeffs.shape[1:] + shape)
-
-
-def convolution_images(T: IntrinsicOperator, u: FEFunction, x: np.ndarray) -> tuple:
-    """((rho * u)(x), (rho * u')(x)) with u extended by zero outside the domain.
-
-    The second image is the derivative of the mollified function; both come
-    from one convolution map of u's level at the points x.
-    """
-    x = np.asarray(x, dtype=float)
-    values, gradients = _conv_operators(T, u.lvl, x)(u.block)
-    return _image(values, u, x.shape), _image(gradients, u, x.shape)
-
-
 def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
     """Values and gradients of T(u) at the quadrature points of u's level.
 
@@ -342,14 +324,10 @@ def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
     if lvl not in T._conv_cache:
         T._conv_cache[lvl] = _conv_operators(T, lvl, lvl.qp_points[..., 0])
     values, gradients = T._conv_cache[lvl](u.block)
-    shape = lvl.qp_weights.shape
-    return QuadratureSamples(
-        level=u.level,
-        points=lvl.qp_points,
-        weights=lvl.qp_weights,
-        values=_image(values, u, shape),
-        gradients=_image(gradients, u, shape)[..., None],
-    )
+    # the (points, k) images, shaped like the samples of u: a block adds a sample axis first
+    shape = u.coeffs.shape[1:] + lvl.qp_weights.shape
+    return QuadratureSamples(level=u.level, values=values.T.reshape(shape),
+                             gradients=gradients.T.reshape(shape)[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -472,33 +450,3 @@ def certificate(
         )
 
     raise CertificateError(f"no certificate for operator kind {T.kind!r}")
-
-
-@dataclass(frozen=True)
-class CertificateCheck:
-    worst_margin: float
-    worst_trial: int
-    n_trials: int
-
-
-def certificate_check(
-    T: IntrinsicOperator,
-    cert: IntrinsicCertificate,
-    trials,
-    p: float,
-    p_crit: float,
-) -> CertificateCheck:
-    """Worst violation of the certified inequalities over trial functions."""
-    worst = -np.inf
-    arg = -1
-    n = 0
-    for i, u in enumerate(trials):
-        img = apply(T, u)
-        drive = grad_norm_p(u, p) ** (p - 1.0)
-        m1 = img.value_norm(p_crit) ** cert.alpha - cert.value_coeff * drive - cert.offset
-        m2 = img.grad_norm(p) ** cert.beta - cert.grad_coeff * drive - cert.offset
-        m = max(m1, m2)
-        n += 1
-        if m > worst:
-            worst, arg = m, i
-    return CertificateCheck(worst_margin=float(worst), worst_trial=arg, n_trials=n)

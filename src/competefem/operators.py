@@ -8,8 +8,8 @@ the Jacobian fills the level's fixed pattern from per-element blocks and
 per-point load derivatives.
 
 The right-hand side f(x, s, xi) comes from a finite catalog; every entry
-carries the growth envelope it claims to satisfy, so the envelope can be
-checked numerically on samples.  Custom evaluators can be supplied by
+carries the growth envelope it satisfies, and the config parser refuses an
+override that does not dominate it.  Custom evaluators can be supplied by
 constructing :class:`ConvectionTerm` directly.  In every dimension x and xi
 reach f with a trailing space axis of length N (one in 1D).
 """
@@ -23,7 +23,6 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .constants import smallness_pairings
 from .discretization import (
     FEFunction,
     LevelMismatchError,
@@ -33,7 +32,6 @@ from .discretization import (
     _gradients,
     _point_form,
     _value_integral,
-    lebesgue_norm,
 )
 
 
@@ -71,6 +69,15 @@ class SigmaWeight:
             vals = np.asarray(self.params["values"], dtype=float)
             return np.interp(first, xs, vals)
         raise KeyError(f"unknown sigma weight kind {self.kind!r}")
+
+    @property
+    def kinks(self) -> tuple:
+        """The first coordinates where the weight, piecewise linear in it, changes slope."""
+        if self.kind == "manufactured_abs":
+            return (0.25, 0.5, 0.75)
+        if self.kind == "manufactured_plus":
+            return (0.5,)
+        return tuple(self.params["x"]) if self.kind == "nodal" else ()
 
     def dual_norm(self, lvl, r: float) -> float:
         """||sigma||_{r'} by the level's quadrature; sup over its points when r = 1."""
@@ -370,22 +377,6 @@ def competing_pairing(u: FEFunction, v: FEFunction, p: float, q: float, lift=Non
     return p_laplace_pairing(u, v, p, lift) - p_laplace_pairing(u, v, q, lift)
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualVector:
-    """Galerkin residual against every free basis function of one level.
-
-    ``values`` is shaped like the coefficients it was assembled at: (n_free,)
-    for one function, (n_free, k) for a block.
-    """
-
-    level: int
-    values: np.ndarray
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-
 def _check_samples(u: FEFunction, T_image: Optional[QuadratureSamples],
                    f: ConvectionTerm) -> None:
     """Samples of T(u) must match u's quadrature; an x-only f may take None."""
@@ -435,14 +426,15 @@ def assemble_residual(
     p: float,
     q: float,
     lift=None,
-) -> ResidualVector:
+) -> np.ndarray:
     """Residual of the Galerkin equation at u, one entry per free hat.
 
     Component i is <-Lap_p w + Lap_q w, phi_i> - int f(x, T(u), grad T(u))
     phi_i dx with w = u + lift.  The differential part is exact; the load
     uses the level's quadrature and the supplied samples of T(u), which an
-    x-only f does not need (pass None).  A block u with k columns takes
-    samples with k leading and gives k residual columns.
+    x-only f does not need (pass None).  The values are shaped like u's
+    coefficients: (n_free,) for one function, and a block u with k columns
+    takes samples with k leading and gives (n_free, k).
     """
     if not 1 < q < p:
         raise ValueError(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
@@ -451,7 +443,7 @@ def assemble_residual(
     g = _combined_gradients(u, lift)
     flux = _grad_force(lvl, g, p) - _grad_force(lvl, g, q)
     values = flux - _convection_load(f, T_image, lvl)
-    return ResidualVector(level=u.level, values=values.reshape(u.coeffs.shape))
+    return values.reshape(u.coeffs.shape)
 
 
 def _flux_coefficients(m2: np.ndarray, r: float) -> tuple:
@@ -515,61 +507,3 @@ def assemble_jacobian(
         wxi = None if f.d_xi is None else w[..., None] * np.asarray(f.d_xi(*args), dtype=float)
         data = data - _point_form(lvl, ws, wxi)
     return lvl.jacobian_pattern.matrix(data)
-
-
-# ---------------------------------------------------------------------------
-# growth checks and the convection functional bound
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthCheckReport:
-    worst_margin: float
-    worst_sample: tuple
-    n_samples: int
-
-
-def growth_envelope_check(f: ConvectionTerm, samples) -> GrowthCheckReport:
-    """Worst |f| - envelope over a sample set; nonpositive means it holds."""
-    worst = -np.inf
-    arg = None
-    n = 0
-    for x, s, xi in samples:
-        margin = float(np.abs(f(x, s, xi)) - f.envelope(x, s, xi))
-        n += 1
-        if margin > worst:
-            worst, arg = margin, (x, s, xi)
-    return GrowthCheckReport(worst_margin=worst, worst_sample=arg, n_samples=n)
-
-
-def convection_functional_bound(
-    u: FEFunction,
-    v: FEFunction,
-    T_image: QuadratureSamples,
-    env: GrowthEnvelope,
-    p: float,
-    p_crit: float,
-) -> float:
-    """Upper bound for |int f(x, T(u), grad T(u)) v dx| from the envelope.
-
-    Combines the Hoelder pairs (r, r'), (p_crit/alpha, its conjugate) and
-    (p/beta, its conjugate) applied to the three envelope parts; the two
-    conjugates are the exponents of the generic smallness condition.
-    """
-    if u.level != v.level:
-        raise LevelMismatchError(f"levels differ: {u.level} vs {v.level}")
-    su = T_image
-    _, r_value, r_grad = smallness_pairings(None, p, p_crit, env.alpha, env.beta)[0]
-    bound = env.sigma.dual_norm(u.lvl, env.r) * lebesgue_norm(v, env.r)
-    if env.a1 > 0:
-        bound += env.a1 * su.value_norm(p_crit) ** env.alpha * lebesgue_norm(v, r_value)
-    if env.a2 > 0:
-        bound += env.a2 * su.grad_norm(p) ** env.beta * lebesgue_norm(v, r_grad)
-    return float(bound)
-
-
-def convection_integral(v: FEFunction, T_image: Optional[QuadratureSamples],
-                        f: ConvectionTerm) -> float:
-    """int f(x, T(u), grad T(u)) v dx by the level quadrature (None for x-only f)."""
-    _check_samples(v, T_image, f)
-    return float(_convection_load(f, T_image, v.lvl)[:, 0] @ v.coeffs)

@@ -28,7 +28,7 @@ columns on finer levels and its memory does not grow with the level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -415,9 +415,8 @@ class LevelProblem:
         u = self.hierarchy.function(self.n, c)
         samples = apply_operator(self.operator, u) if self.convection.solution_dependent \
             else None
-        values = assemble_residual(u, samples, self.convection, self.p, self.q,
-                                   lift=self.lift).values
-        return values, samples
+        return assemble_residual(u, samples, self.convection, self.p, self.q,
+                                 lift=self.lift), samples
 
     def jacobian(self, c: np.ndarray, samples) -> sp.csr_matrix:
         """The Jacobian at c, through f at the ``samples`` of T(c) for a local T.
@@ -570,6 +569,10 @@ class DiagnosticsRow:
     full_gap: float        # pairing_gap minus the convection integral
 
 
+# the gaps of a diagnostics row, which each level of the report carries by name
+GAPS = tuple(f.name for f in fields(DiagnosticsRow) if f.name != "level")
+
+
 def convergence_diagnostics(inst: ProblemInstance, solves: list, u: FEFunction) -> list:
     """Finite diagnostics of the approximation sequence against its finest member.
 
@@ -656,10 +659,7 @@ class SolveReport:
                     "sphere_q05": s.sphere.quantile(0.05),
                     "sphere_median": s.sphere.quantile(0.5),
                     "converged": s.converged,
-                    "diag_a": None if d is None else d.weak_gap,
-                    "diag_b": None if d is None else d.residual_gap,
-                    "diag_c_strong": None if d is None else d.pairing_gap,
-                    "diag_c_full": None if d is None else d.full_gap,
+                    **{gap: None if d is None else getattr(d, gap) for gap in GAPS},
                     "coefficients": [float(c) for c in s.u.coeffs],
                 }
             )

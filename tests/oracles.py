@@ -3,6 +3,9 @@
 Everything here is deliberately decoupled from the package internals:
 the eigenvalue oracle integrates the ODE and bisects, the zero-finding
 oracle scans a grid, and derivative checks use plain finite differences.
+The links of the existence proof (the certified growth of T and the
+Hoelder bound of the convection functional) are evaluated on trial
+functions by quadrature sums of their own.
 The assembly references loop over elements with the raw tables of a level
 (``elem_nodes``, ``grad_basis``, ``basis_at_qp``), scatter into all nodes
 and only then restrict to the free ones, so they share nothing with the
@@ -206,6 +209,13 @@ def prolongation(coarse, fine) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 
 
+def full_values(lvl, coeffs) -> np.ndarray:
+    """Nodal vector over all nodes of a level with zeros on the boundary."""
+    full = np.zeros(lvl.mesh.n_nodes)
+    full[lvl.free] = coeffs
+    return full
+
+
 def nodal_element_gradients(lvl, nodal) -> np.ndarray:
     """Constant gradient per element of a P1 function given at every node, (n_el, dim)."""
     return np.einsum("ek,ekd->ed", nodal[lvl.elem_nodes], lvl.grad_basis)
@@ -213,7 +223,7 @@ def nodal_element_gradients(lvl, nodal) -> np.ndarray:
 
 def element_gradients(lvl, coeffs) -> np.ndarray:
     """Constant gradient per element, shape (n_el, dim)."""
-    return nodal_element_gradients(lvl, lvl.full_values(coeffs))
+    return nodal_element_gradients(lvl, full_values(lvl, coeffs))
 
 
 def nodal_values_at_qp(lvl, nodal) -> np.ndarray:
@@ -223,7 +233,7 @@ def nodal_values_at_qp(lvl, nodal) -> np.ndarray:
 
 def values_at_qp(lvl, coeffs) -> np.ndarray:
     """Values at the quadrature points, shape (n_el, n_q)."""
-    return nodal_values_at_qp(lvl, lvl.full_values(coeffs))
+    return nodal_values_at_qp(lvl, full_values(lvl, coeffs))
 
 
 def gradient_force(u_grads: np.ndarray, r: float, lvl) -> np.ndarray:
@@ -300,7 +310,7 @@ def convolution_terms(T, lvl, coeffs, x) -> tuple:
     elem = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(nodes) - 2)
     vals, slopes = [], []
     for c in coeffs.T:
-        full = lvl.full_values(c)
+        full = full_values(lvl, c)
         vals.append(np.interp(mid, nodes, full))
         slopes.append((np.diff(full) / np.diff(nodes))[elem])
     return W, np.column_stack(vals), np.column_stack(slopes)
@@ -419,6 +429,85 @@ def sphere_pairings_loop(inst, n: int, R: float, n_samples: int, seed: int) -> n
             continue
         v = h.function(n, c * (R / g))
         img = apply(inst.operator, v) if f.solution_dependent else sample(v)
-        out.append(float(assemble_residual(v, img, f, inst.p, inst.q, lift=lift).values
-                         @ v.coeffs))
+        out.append(float(assemble_residual(v, img, f, inst.p, inst.q, lift=lift) @ v.coeffs))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# links of the existence proof on trial functions
+# ---------------------------------------------------------------------------
+
+
+def samples_value_norm(lvl, T_image, r: float) -> np.ndarray:
+    """||s||_r of samples at a level's quadrature points; one per sample of a block."""
+    integrand = lvl.qp_weights * np.abs(T_image.values) ** r
+    return np.sum(integrand, axis=(-2, -1)) ** (1.0 / r)
+
+
+def samples_grad_norm(lvl, T_image, p: float) -> np.ndarray:
+    """||xi||_p of gradient samples at a level's quadrature points; one per sample of a block."""
+    mag = np.sqrt(np.sum(T_image.gradients**2, axis=-1))
+    return np.sum(lvl.qp_weights * mag**p, axis=(-2, -1)) ** (1.0 / p)
+
+
+def grad_norms(lvl, block: np.ndarray, p: float) -> np.ndarray:
+    """||grad u||_p of each column of an (n_free, k) block, element by element."""
+    return np.array([np.sum(lvl.elem_measure
+                            * np.linalg.norm(element_gradients(lvl, c), axis=1) ** p)
+                     ** (1.0 / p) for c in block.T])
+
+
+def certificate_margins(T, cert, u, p: float, p_crit: float) -> np.ndarray:
+    """The certified growth inequalities of T on each column of the block u.
+
+    Per column, the larger of ||T u||_pc^alpha - K1 D - K3 and
+    ||grad T u||_p^beta - K2 D - K3 with D = ||grad u||_p^(p-1); a column
+    within the certificate gives a nonpositive margin.
+    """
+    from competefem.intrinsic import apply
+
+    lvl = u.lvl
+    img = apply(T, u)
+    drive = grad_norms(lvl, u.block, p) ** (p - 1.0)
+    value = samples_value_norm(lvl, img, p_crit) ** cert.alpha - cert.value_coeff * drive
+    grad = samples_grad_norm(lvl, img, p) ** cert.beta - cert.grad_coeff * drive
+    return np.maximum(value, grad) - cert.offset
+
+
+def convection_integral(v, T_image, f) -> float:
+    """int f(x, T(u), grad T(u)) v dx by the level quadrature, point by point.
+
+    An x-only f may take None for the samples.
+    """
+    lvl = v.lvl
+    if T_image is None:
+        s, xi = np.zeros(lvl.qp_weights.shape), np.zeros(lvl.qp_points.shape)
+    else:
+        s, xi = T_image.values, T_image.gradients
+    fvals = np.asarray(f(lvl.qp_points, s, xi), dtype=float)
+    return float(np.sum(lvl.qp_weights * fvals * values_at_qp(lvl, v.coeffs)))
+
+
+def holder_bound(u, v, T_image, env, p: float, p_crit: float) -> float:
+    """Upper bound for |int f(x, T(u), grad T(u)) v dx| from the growth envelope.
+
+    Hoelder's inequality on each envelope part: sigma with (r, r'), the
+    value part with (p_crit/alpha, its conjugate) and the gradient part with
+    (p/beta, its conjugate).  The two conjugates are read from the generic
+    row of ``competefem.constants.smallness_pairings`` at call time, so the
+    bound pairs v with the exponents that the smallness check uses.
+    """
+    import competefem.constants
+    from competefem.discretization import lebesgue_norm
+
+    lvl = u.lvl
+    _, r_value, r_grad = competefem.constants.smallness_pairings(
+        None, p, p_crit, env.alpha, env.beta)[0]
+    bound = env.sigma.dual_norm(lvl, env.r) * lebesgue_norm(v, env.r)
+    if env.a1 > 0:
+        bound += (env.a1 * samples_value_norm(lvl, T_image, p_crit) ** env.alpha
+                  * lebesgue_norm(v, r_value))
+    if env.a2 > 0:
+        bound += (env.a2 * samples_grad_norm(lvl, T_image, p) ** env.beta
+                  * lebesgue_norm(v, r_grad))
+    return float(bound)

@@ -14,6 +14,7 @@ from competefem.solver import _levenberg_step
 from competefem.config import (
     ConfigError,
     build_instance,
+    canonical_json,
     parse_config,
     parse_config_dict,
 )
@@ -149,9 +150,9 @@ class TestParseConfig:
             "initial_guess": "exact",
         }
         spec = parse_config_dict(obj)
-        again = parse_config_dict(json.loads(spec.to_json()))
+        again = parse_config_dict(json.loads(canonical_json(spec.to_json_dict())))
         assert again == spec
-        assert again.to_json() == spec.to_json()
+        assert canonical_json(again.to_json_dict()) == canonical_json(spec.to_json_dict())
 
     def test_mesh_domain(self, tmp_path):
         obj = dict(MINIMAL, domain={
@@ -159,7 +160,7 @@ class TestParseConfig:
         })
         spec = parse_config_dict(obj)
         inst = build_instance(spec)
-        assert inst.hierarchy.dims()[0] == 2
+        assert inst.hierarchy.level(1).n_free == 2
 
 
 class TestBuildInstance:
@@ -493,6 +494,62 @@ def test_set_inert_exponents_are_kept():
     assert err.value.code == "UNSUPPORTED_CERTIFICATE"
 
 
+# f of the deep convolution workload with its coefficients raised to 5
+_POWERS = {"kind": "manufactured_plus_power", "a1": 5.0, "a2": 5.0, "alpha": 2.0, "beta": 2.0}
+_ABS_KINKS = {"kind": "nodal", "x": [0.0, 0.25, 0.5, 0.75, 1.0]}
+_PLUS = {"kind": "sigma_only", "sigma_kind": "manufactured_plus"}
+
+
+def _override(f, **envelope):
+    return {"f": dict(f, envelope=envelope)}
+
+
+# f.envelope overrides below the kind's own envelope, with the part of the
+# refusal that names what they drop
+FALSE_ENVELOPES = {
+    "dropped-powers": (dict(_override(_POWERS, a1=0.0, a2=0.0), levels=5, T=_CONVOLUTION_T),
+                       "keep f's own alpha = 2.0 and a1 >= 5.0"),
+    "smaller-a2": (_override(_POWERS, a2=4.5), "keep f's own beta = 2.0 and a2 >= 5.0"),
+    "other-alpha": (_override(_POWERS, a1=50.0, alpha=1.5), "alpha = 2.0 and a1 >= 5.0"),
+    "zero-sigma": (_override({"kind": "manufactured_p3q2"}, sigma={"kind": "zero"}),
+                   "below f's own weight 'manufactured_abs' at first coordinate 0"),
+    "dip-at-a-kink": (_override({"kind": "manufactured_p3q2"},
+                                sigma=dict(_ABS_KINKS, values=[2.0, 0.0, 1.9, 0.0, 2.0])),
+                      "at first coordinate 0.5"),
+    "constant-below-an-end": (_override(_PLUS, sigma={"kind": "constant", "c": 4.0}),
+                              "below f's own weight 'manufactured_plus' at first coordinate 0"),
+}
+# overrides that dominate it, one of them only on the domain's range
+TRUE_ENVELOPES = {
+    "widened": _override({"kind": "manufactured_p3q2"}, a1=20.0, alpha=1.0),
+    "larger-powers": _override(_POWERS, a1=6.0, a2=5.0),
+    "nodal-through-the-kinks": _override({"kind": "manufactured_p3q2"},
+                                         sigma=dict(_ABS_KINKS, values=[2.0, 0.0, 2.0, 0.0, 2.0])),
+    "constant-above-the-range": dict(
+        _override(_PLUS, sigma={"kind": "constant", "c": 4.0}),
+        domain={"kind": "interval", "a": 0.25, "b": 0.75, "elements": 4}),
+    "square": dict(_override({"kind": "manufactured_p3q2"}, sigma={"kind": "constant", "c": 2.0}),
+                   domain={"kind": "unit_square"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALSE_ENVELOPES))
+def test_envelope_below_the_kinds_own_refused(case):
+    patch, named = FALSE_ENVELOPES[case]
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict(dict(MINIMAL, **patch))
+    assert err.value.code == "H1_RANGE"
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(TRUE_ENVELOPES))
+def test_envelope_above_the_kinds_own_accepted(case):
+    spec = parse_config_dict(dict(MINIMAL, **TRUE_ENVELOPES[case]))
+    assert parse_config_dict(spec.to_json_dict()) == spec
+    envelope = TRUE_ENVELOPES[case]["f"]["envelope"]
+    assert {k: spec.f["envelope"][k] for k in envelope} == envelope
+
+
 def test_initial_guess_is_null_or_exact():
     with pytest.raises(ConfigError) as err:
         parse_config_dict(dict(MINIMAL, initial_guess="zero"))
@@ -520,7 +577,7 @@ class TestCli:
         assert len(report["levels"]) == 4
         csv_text = (out / "solve_report.csv").read_text().splitlines()
         assert csv_text[0] == ("level,dim,grad_norm_p,residual_sup,R,apriori_margin,"
-                               "diag_a,diag_b,diag_c_strong,diag_c_full,newton_iters")
+                               "weak_gap,residual_gap,pairing_gap,full_gap,newton_iters")
         assert len(csv_text) == 5
 
     def test_csv_cells_equal_json_values(self, tmp_path):
@@ -531,7 +588,7 @@ class TestCli:
         with (out / "solve_report.csv").open(newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert len(rows) == len(levels)
-        assert levels[-1]["diag_a"] is None  # the finest level has no diagnostics
+        assert levels[-1]["weak_gap"] is None  # the finest level has no diagnostics
         for row, level in zip(rows, levels):
             for column, cell in zip(header, row):
                 value = level[column]

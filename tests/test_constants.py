@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,10 +35,9 @@ from oracles import lambda1_closed_form, lambda1_shooting
 
 
 def make_constants(p=3.0, p_crit=6.0, entries=None, safety=1.0):
-    ec = EmbeddingConstants(p=p, n_dim=1, p_crit=p_crit, safety=safety)
-    for r, val in (entries or {}).items():
-        ec = ec.with_entry(r, SEstimate(raw=val, value=val, provenance="test"))
-    return ec
+    return EmbeddingConstants(p=p, n_dim=1, p_crit=p_crit, safety=safety, entries={
+        competefem.constants._key(r): SEstimate(raw=val, value=val, provenance="test")
+        for r, val in (entries or {}).items()})
 
 
 def make_cert(k1, k2, k3=0.0, alpha=1.0, beta=1.0):
@@ -232,7 +232,7 @@ class TestBuildConstants:
         ec = build_constants(unit_hierarchy, 3.0, 6.0, [1.0, 2.0, 6.0],
                              iters=100, starts=3)
         assert ec.S(2.0) > 0
-        assert ec.S_raw(2.0) < ec.S(2.0)
+        assert ec.entries[2.0].raw < ec.S(2.0)
         assert ec.eigenvalue is not None
         with pytest.raises(ConstantLookupError, match="4.5"):
             ec.S(4.5)
@@ -241,7 +241,7 @@ class TestBuildConstants:
         # p is estimated although the exponents leave it out
         ec = build_constants(unit_hierarchy, 3.0, 6.0, [2.0], iters=100, starts=3)
         lam = ec.eigenvalue
-        assert lam.value == ec.S_raw(3.0) ** -3.0
+        assert lam.value == ec.entries[3.0].raw ** -3.0
         assert lam.per_level[-1] == lam.value
         assert lam.converged is ec.entries[3.0].converged
 
@@ -255,7 +255,8 @@ class TestBuildConstants:
         ec = make_constants(entries={1.5: 0.4})
         assert ec.s_space is None
         assert ec.to_json_dict()["S_space"] == {"value": None, "provenance": ""}
-        ec = ec.with_entry(6.0, SEstimate(raw=0.7, value=0.8, provenance="test"))
+        ec = dataclasses.replace(
+            ec, entries={**ec.entries, 6.0: SEstimate(raw=0.7, value=0.8, provenance="test")})
         assert ec.s_space == 0.8
         assert ec.to_json_dict()["S_space"]["provenance"].endswith("when p >= N)")
 

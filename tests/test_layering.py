@@ -17,6 +17,11 @@ is looked up only where a level problem is built.
 
 Every run ends in a report: ``run_hierarchy`` raises nothing itself, and
 the command line takes the exit code of a run's status from its one table.
+
+The library holds only what it runs: every public name a module defines,
+class members included, is referenced by another module, used in its own,
+or allowed by name with its reason.  The package ``__init__`` only
+re-exports, so its imports count as no reference.
 """
 
 import ast
@@ -170,3 +175,69 @@ def test_every_run_ends_in_a_report_and_one_table_maps_its_exit_code():
     snippet = "def f(ok):\n    return 0 if ok else 2\n\ndef g():\n    return 3\n"
     assert _returned_run_codes(snippet) == ["<snippet>:2 2", "<snippet>:5 3"]
     assert _raises_in(solver, "brouwer_zero")
+
+
+# public names that no module of the package reads, each with its reason
+UNREFERENCED_ALLOWED = {
+    "constants.estimate_lambda1p": "bound by the benchmark's traced solve, "
+                                   "which raises if it is missing",
+    "discretization.lebesgue_norm": "reference L^r norm the tests measure against",
+    "discretization.zero": "SpaceHierarchy.zero, the zero function the tests construct",
+}
+
+
+def _public_definitions(tree):
+    """(name, node) of each public top-level definition and class member."""
+    found = []
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for item in [node, *members]:
+            if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                found.append((item.name, item))
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                found += [(t.id, item) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found if not name.startswith("_")]
+
+
+def _references(tree):
+    """(name, node) of every name, attribute, imported name and keyword in a module."""
+    for node in ast.walk(tree):
+        name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                or (node.name if isinstance(node, ast.alias) else None)
+                or (node.arg if isinstance(node, ast.keyword) else None))
+        if name:
+            yield name, node
+
+
+def _unreferenced(sources):
+    """``module.name`` of each public name that neither another module nor its own reads."""
+    trees = {mod: ast.parse(text, filename=mod) for mod, text in sources.items()}
+    unread = []
+    for mod, tree in trees.items():
+        if mod == "__init__":
+            continue
+        elsewhere = {name for other, t in trees.items() if other not in (mod, "__init__")
+                     for name, _ in _references(t)}
+        for name, definition in _public_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if name not in elsewhere and not any(
+                    n == name and id(node) not in inside for n, node in _references(tree)):
+                unread.append(f"{mod}.{name}")
+    return unread
+
+
+def test_the_library_holds_only_what_it_reads():
+    package = Path(competefem.__file__).parent
+    unread = _unreferenced({path.stem: path.read_text() for path in sorted(package.glob("*.py"))})
+    # an entry that the package comes to read leaves the list
+    assert sorted(unread) == sorted(UNREFERENCED_ALLOWED)
+    # the guard sees what it guards
+    snippet = {
+        "a": "N = 1\nM = 2\nclass C:\n    x: int\n    y: int\n"
+             "    def used(self):\n        return self.x\n"
+             "    def unread(self):\n        return M\n",
+        "b": "from a import C\nC().used()\n",
+        "__init__": "from a import N, C\n",
+    }
+    assert sorted(_unreferenced(snippet)) == ["a.N", "a.unread", "a.y"]

@@ -37,8 +37,7 @@ from competefem.intrinsic import (
     convolution_operator,
     identity_operator,
 )
-from competefem.operators import (assemble_jacobian, assemble_residual, convection_from_catalog,
-                                  convection_functional_bound)
+from competefem.operators import assemble_jacobian, assemble_residual, convection_from_catalog
 from competefem.solver import (
     ProblemInstance,
     _levenberg_step,
@@ -53,6 +52,7 @@ from competefem.solver import (
     sphere_certificate,
 )
 
+import oracles
 from oracles import full_csr, grid_search_zero, random_monotone_map, sphere_pairings_loop
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -240,7 +240,7 @@ def _galerkin_jacobian(domain, level, kind, seed=5):
         h.level(level).n_free))
     img = apply(identity_operator(), u) if f.solution_dependent else None
     return (assemble_jacobian(u, img, f, 3.0, 2.0),
-            assemble_residual(u, img, f, 3.0, 2.0).values)
+            assemble_residual(u, img, f, 3.0, 2.0))
 
 
 class TestLevenbergStep:
@@ -788,10 +788,6 @@ class _ReadLog:
         self.read.add(_key(r))
         return self._constants.S(r)
 
-    def S_raw(self, r):
-        self.read.add(_key(r))
-        return self._constants.S_raw(r)
-
     @property
     def s_space(self):
         self.read.add(_key(self._constants.p_crit))
@@ -857,7 +853,7 @@ class TestSmallnessPairings:
     @pytest.mark.parametrize("kind", sorted(_OPERATORS))
     def test_every_decision_reads_the_one_table(self, monkeypatch, kind):
         # shift every exponent of the table; the estimates, each check, c0 and
-        # the convection bound must all move with it, and nothing may ask for
+        # the tests' Hoelder bound must all move with it, and nothing may ask for
         # an unshifted one
         h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 3)
         e = 1.0 if kind == "identity" else 2.0
@@ -870,7 +866,7 @@ class TestSmallnessPairings:
         def shifted(*args):
             return [(name, r_value + 0.25, r_grad + 0.5) for name, r_value, r_grad in table(*args)]
 
-        for module in ("constants", "operators", "solver"):
+        for module in ("constants", "solver"):
             monkeypatch.setattr(f"competefem.{module}.smallness_pairings", shifted)
         monkeypatch.setattr("competefem.solver.build_constants",
                             lambda *args, **kw: _ReadLog(build_constants(*args, **kw)))
@@ -900,11 +896,11 @@ class TestSmallnessPairings:
         rng = np.random.default_rng(3)
         u, v = (h.function(h.n_levels, rng.standard_normal(h.level(h.n_levels).n_free))
                 for _ in range(2))
-        img = sample(u)
-        assert convection_functional_bound(u, v, img, env, p, pc) == (
+        img, lvl = sample(u), u.lvl
+        assert oracles.holder_bound(u, v, img, env, p, pc) == (
             sigma * lebesgue_norm(v, env.r)
-            + 0.05 * img.value_norm(pc) ** e * lebesgue_norm(v, r_value)
-            + 0.05 * img.grad_norm(p) ** e * lebesgue_norm(v, r_grad))
+            + 0.05 * oracles.samples_value_norm(lvl, img, pc) ** e * lebesgue_norm(v, r_value)
+            + 0.05 * oracles.samples_grad_norm(lvl, img, p) ** e * lebesgue_norm(v, r_grad))
 
 
 class TestRunHierarchy:
@@ -1011,7 +1007,6 @@ class TestDiagnostics:
         # full = strong - convection integral, checked against an
         # independent quadrature of the right-hand side
         from competefem.intrinsic import apply as apply_operator
-        from competefem.operators import convection_integral
 
         h = unit_levels(4)
         inst = make_instance(h, "manufactured_plus_power",
@@ -1024,7 +1019,7 @@ class TestDiagnostics:
             un = prolongate(solve.u, u.level)
             diff = h.function(u.level, un.coeffs - u.coeffs)
             img = apply_operator(inst.operator, un)
-            expected = row.pairing_gap - convection_integral(diff, img, inst.convection)
+            expected = row.pairing_gap - oracles.convection_integral(diff, img, inst.convection)
             assert row.full_gap == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
