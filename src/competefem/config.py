@@ -232,6 +232,9 @@ def _f_config(obj, p: float, p_crit: float, t_kind: str,
     """
     kind, section = _entry(obj, "f", CONVECTION_PARAMS, "zero", extra=("envelope",))
     params = _params(section, CONVECTION_PARAMS[kind])
+    if kind == "sigma_only":  # the weight is read before the catalog takes its magnitude
+        _sigma_config({"sigma": {"kind": params.get("sigma_kind", "constant"),
+                                 **params.get("sigma_params", {})}})
     env_obj = _as_object(section, "envelope", {})
     _check_keys(env_obj, (*_ENVELOPE_NUMBERS, "sigma"), "envelope")
     env_params = _params(env_obj, _ENVELOPE_NUMBERS)

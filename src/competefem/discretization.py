@@ -646,7 +646,6 @@ class NodalSamples:
     """
 
     level: int
-    nodal: np.ndarray      # (n_nodes,)
     gradients: np.ndarray  # (dim, n_el, 1)
     values: np.ndarray     # (n_el, n_q)
 
@@ -660,7 +659,6 @@ def nodal_samples(lvl: Level, nodal: np.ndarray) -> NodalSamples:
     grad_op, qp_op = _operators(lvl.grad_basis, lvl.basis_at_qp, lvl.elem_nodes, every, len(every))
     return NodalSamples(
         level=lvl.index,
-        nodal=nodal,
         gradients=(grad_op @ nodal).reshape(lvl.mesh.dim, lvl.mesh.n_elements, 1),
         values=(qp_op @ nodal).reshape(lvl.qp_weights.shape),
     )

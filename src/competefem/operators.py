@@ -70,6 +70,11 @@ class SigmaWeight:
             return np.interp(first, xs, vals)
         raise KeyError(f"unknown sigma weight kind {self.kind!r}")
 
+    def magnitude(self) -> "SigmaWeight":
+        """|self|, also for nodal values of either sign: interp(|v|) bounds |interp(v)|."""
+        return SigmaWeight(self.kind, {k: np.abs(v).tolist() if k in ("c", "values") else v
+                                       for k, v in self.params.items()})
+
     @property
     def kinks(self) -> tuple:
         """The first coordinates where the weight, piecewise linear in it, changes slope."""
@@ -247,9 +252,9 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
     if kind == "sigma_only":
         sigma_kind = params.get("sigma_kind", "constant")
         # only the constant weight has a parameter to default
-        sigma = SigmaWeight(sigma_kind, params.get(
+        weight = SigmaWeight(sigma_kind, params.get(
             "sigma_params", {"c": 1.0} if sigma_kind == "constant" else {}))
-        return x_only(sigma, r=float(params.get("r", 2.0)))
+        return x_only(weight.magnitude(), weight, r=float(params.get("r", 2.0)))
 
     if kind == "signed_power":
         a1 = float(params.get("a1", 1.0))

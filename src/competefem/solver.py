@@ -28,7 +28,7 @@ columns on finer levels and its memory does not grow with the level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,17 +86,13 @@ class BrouwerResult:
     @property
     def path(self) -> str:
         """How the search ended: ``newton``, ``homotopy`` or ``failed``."""
-        return _path(self.converged, self.continuation_stages)
+        if not self.converged:
+            return "failed"
+        return "homotopy" if self.continuation_stages else "newton"
 
 
 def _sup(v: np.ndarray) -> float:
     return float(np.max(np.abs(v), initial=0.0))
-
-
-def _path(converged: bool, continuation_stages: int) -> str:
-    if not converged:
-        return "failed"
-    return "homotopy" if continuation_stages else "newton"
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,43 +431,60 @@ class LevelProblem:
         return _grad_integral(self.lvl, _gradients(self.lvl, c), self.p) ** (1.0 / self.p)
 
 
+# the gaps of a level against the finest solution, which stands in for the weak limit
+GAPS = (
+    "weak_gap",      # sup_j |<phi_j, u_n - u>| over the dual test set
+    "residual_gap",  # sup_j |<A(u_n) - load, phi_j>| / ||phi_j||
+    "pairing_gap",   # <-Lap_p u_n + Lap_q u_n, u_n - u>
+    "full_gap",      # pairing_gap minus the convection integral
+)
+
+
 @dataclass(frozen=True, eq=False)
-class SpherePairings:
-    """<A(v), v> at the sampled points v of the sphere, in draw order."""
-
-    values: np.ndarray
-
-    @property
-    def margin(self) -> Optional[float]:
-        """The smallest pairing; None without samples."""
-        return float(self.values.min()) if self.values.size else None
-
-    @property
-    def negative(self) -> int:
-        return int(np.count_nonzero(self.values < 0))
-
-    def quantile(self, q: float) -> Optional[float]:
-        return float(np.quantile(self.values, q)) if self.values.size else None
-
-
-@dataclass(frozen=True)
 class LevelSolve:
-    level: int
+    """One level of a hierarchy run: its solution, its zero search and what was measured there.
+
+    ``sphere`` holds <A(v), v> at the sampled points v of the sphere of
+    radius ``radius``, in draw order.  ``gaps`` maps each of ``GAPS`` to its
+    value; it is None on the finest level and before the run is diagnosed.
+    """
+
     u: FEFunction
-    residual_sup: float
-    newton_iters: int
-    continuation_stages: int
+    search: BrouwerResult
     radius: float
     grad_norm: float
-    apriori_margin: float
-    energy_gap: float
-    converged: bool
-    sphere: SpherePairings = SpherePairings(np.empty(0))
+    sphere: np.ndarray
+    gaps: Optional[dict]
 
     @property
-    def path(self) -> str:
-        """How the level's zero search ended: ``newton``, ``homotopy`` or ``failed``."""
-        return _path(self.converged, self.continuation_stages)
+    def level(self) -> int:
+        return self.u.level
+
+    def to_json_dict(self) -> dict:
+        """The level's row of the solve report."""
+        search, sphere = self.search, self.sphere
+        return {
+            "level": self.level,
+            "dim": len(self.u.coeffs),
+            "grad_norm_p": self.grad_norm,
+            "residual_sup": search.residual_sup,
+            "R": self.radius,
+            "apriori_margin": self.radius - self.grad_norm,
+            # the equation tested with u itself
+            "energy_gap": abs(float(search.fx @ search.x)),
+            "newton_iters": search.newton_iters,
+            # one zero search per level; the benchmark harness reads the key
+            "outer_iters": 0,
+            "continuation_stages": search.continuation_stages,
+            "path": search.path,
+            "sphere_margin": float(sphere.min()) if sphere.size else None,
+            "sphere_negative": int(np.count_nonzero(sphere < 0)),
+            "sphere_q05": float(np.quantile(sphere, 0.05)) if sphere.size else None,
+            "sphere_median": float(np.quantile(sphere, 0.5)) if sphere.size else None,
+            "converged": search.converged,
+            **{gap: None if self.gaps is None else self.gaps[gap] for gap in GAPS},
+            "coefficients": [float(c) for c in self.u.coeffs],
+        }
 
 
 def solve_level(
@@ -510,24 +523,12 @@ def solve_level(
     # brouwer_zero only differentiates at the iterate F last evaluated
     res = brouwer_zero(F, R, x0=coeffs, jac=lambda c: prob.jacobian(c, last[0]),
                        norm=prob.norms, tol=inst.tol)
-    gn = prob.norms(res.x)
-    return LevelSolve(
-        level=n,
-        u=h.function(n, res.x),
-        residual_sup=res.residual_sup,
-        newton_iters=res.newton_iters,
-        continuation_stages=res.continuation_stages,
-        radius=R,
-        grad_norm=gn,
-        apriori_margin=R - gn,
-        # the equation tested with u itself
-        energy_gap=abs(float(res.fx @ res.x)),
-        converged=res.converged,
-    )
+    return LevelSolve(h.function(n, res.x), res, R, prob.norms(res.x),
+                      sphere=np.empty(0), gaps=None)
 
 
-def sphere_certificate(inst: ProblemInstance, n: int, R: float) -> SpherePairings:
-    """Sample <A(v), v> on the sphere of radius R in the W^{1,p}_0 seminorm.
+def sphere_certificate(inst: ProblemInstance, n: int, R: float) -> np.ndarray:
+    """Sample <A(v), v> on the sphere of radius R in the W^{1,p}_0 seminorm, in draw order.
 
     ``inst.sphere_samples`` samples are taken, each a standard normal
     coefficient vector scaled onto the sphere; samples of zero norm are
@@ -541,7 +542,7 @@ def sphere_certificate(inst: ProblemInstance, n: int, R: float) -> SpherePairing
     lvl = inst.hierarchy.level(n)
     n_samples = inst.sphere_samples
     if lvl.n_free == 0 or n_samples <= 0:
-        return SpherePairings(np.empty(0))
+        return np.empty(0)
     rng = np.random.default_rng(np.random.SeedSequence((int(inst.seed), 929, int(n))))
     prob = inst.at(n)
     width = max(1, SPHERE_BUDGET // lvl.qp_weights.size)
@@ -552,7 +553,7 @@ def sphere_certificate(inst: ProblemInstance, n: int, R: float) -> SpherePairing
         keep = g != 0
         c = c[:, keep] * (R / g[keep])
         pairings.append(_column_dots(prob.residual(c)[0], c))
-    return SpherePairings(np.concatenate(pairings))
+    return np.concatenate(pairings)
 
 
 # ---------------------------------------------------------------------------
@@ -560,26 +561,14 @@ def sphere_certificate(inst: ProblemInstance, n: int, R: float) -> SpherePairing
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
-    level: int
-    weak_gap: float        # sup_j |<phi_j, u_n - u>| over the dual test set
-    residual_gap: float    # sup_j |<A(u_n) - load, phi_j>| / ||phi_j||
-    pairing_gap: float     # <-Lap_p u_n + Lap_q u_n, u_n - u>
-    full_gap: float        # pairing_gap minus the convection integral
-
-
-# the gaps of a diagnostics row, which each level of the report carries by name
-GAPS = tuple(f.name for f in fields(DiagnosticsRow) if f.name != "level")
-
-
-def convergence_diagnostics(inst: ProblemInstance, solves: list, u: FEFunction) -> list:
+def convergence_diagnostics(inst: ProblemInstance, solves: list, u: FEFunction) -> dict:
     """Finite diagnostics of the approximation sequence against its finest member.
 
-    The dual test set consists of the first ``inst.test_set_size`` nodal
-    hats of the finest level plus interpolants of the first four sine modes.  The
-    finest solution stands in for the weak limit, so the finest level itself
-    is excluded from the rows.
+    Returns ``{level: {gap: value}}`` with the gaps of ``GAPS``.  The dual
+    test set consists of the first ``inst.test_set_size`` nodal hats of the
+    finest level plus interpolants of the first four sine modes.  The finest
+    solution stands in for the weak limit, so the finest level itself is
+    excluded.
     """
     h = inst.hierarchy
     top = u.level
@@ -592,7 +581,7 @@ def convergence_diagnostics(inst: ProblemInstance, solves: list, u: FEFunction) 
     tests = test_rows.T  # the (n_free, n_tests) block
     test_norms = np.maximum(prob.norms(tests), 1e-300)
 
-    rows = []
+    rows = {}
     for solve in solves:
         if solve.level >= top:
             continue
@@ -608,15 +597,12 @@ def convergence_diagnostics(inst: ProblemInstance, solves: list, u: FEFunction) 
         residual_gap = float(np.max(np.abs(_column_dots(values[:, None], tests))
                                     / test_norms))
 
-        rows.append(
-            DiagnosticsRow(
-                level=solve.level,
-                weak_gap=weak,
-                residual_gap=residual_gap,
-                pairing_gap=competing_pairing(un, diff, inst.p, inst.q, lift=prob.lift),
-                full_gap=float(values @ diff.coeffs),
-            )
-        )
+        rows[solve.level] = {
+            "weak_gap": weak,
+            "residual_gap": residual_gap,
+            "pairing_gap": competing_pairing(un, diff, inst.p, inst.q, lift=prob.lift),
+            "full_gap": float(values @ diff.coeffs),
+        }
     return rows
 
 
@@ -630,39 +616,11 @@ class SolveReport:
     hypothesis: list
     certificate: Optional[object]
     levels: list
-    diagnostics: list
     seed: int
     config: Optional[dict] = None
     message: str = ""
 
     def to_json_dict(self) -> dict:
-        diag_by_level = {d.level: d for d in self.diagnostics}
-        levels = []
-        for s in self.levels:
-            d = diag_by_level.get(s.level)
-            levels.append(
-                {
-                    "level": s.level,
-                    "dim": len(s.u.coeffs),
-                    "grad_norm_p": s.grad_norm,
-                    "residual_sup": s.residual_sup,
-                    "R": s.radius,
-                    "apriori_margin": s.apriori_margin,
-                    "energy_gap": s.energy_gap,
-                    "newton_iters": s.newton_iters,
-                    # one zero search per level; the benchmark harness reads the key
-                    "outer_iters": 0,
-                    "continuation_stages": s.continuation_stages,
-                    "path": s.path,
-                    "sphere_margin": s.sphere.margin,
-                    "sphere_negative": s.sphere.negative,
-                    "sphere_q05": s.sphere.quantile(0.05),
-                    "sphere_median": s.sphere.quantile(0.5),
-                    "converged": s.converged,
-                    **{gap: None if d is None else getattr(d, gap) for gap in GAPS},
-                    "coefficients": [float(c) for c in s.u.coeffs],
-                }
-            )
         return {
             "status": self.status,
             "message": self.message,
@@ -674,7 +632,7 @@ class SolveReport:
             "constants": None if self.constants is None else self.constants.to_json_dict(),
             "certificate": None if self.certificate is None else self.certificate.to_json_dict(),
             "hypothesis": [r.to_json_dict() for r in self.hypothesis],
-            "levels": levels,
+            "levels": [s.to_json_dict() for s in self.levels],
         }
 
 
@@ -737,7 +695,7 @@ def run_hierarchy(inst: ProblemInstance, config_echo: Optional[dict] = None) -> 
 
     base = SolveReport(
         status="ok", radius=None, kappa=kappa, c0=None, constants=constants,
-        hypothesis=reports, certificate=cert, levels=[], diagnostics=[],
+        hypothesis=reports, certificate=cert, levels=[],
         seed=inst.seed, config=config_echo,
     )
     if failed:
@@ -761,22 +719,21 @@ def run_hierarchy(inst: ProblemInstance, config_echo: Optional[dict] = None) -> 
     base.radius = R
     base.c0 = c0
 
-    solves = []
-    base.levels = solves
     warm = None
     for n in range(1, top + 1):
         if h.level(n).n_free == 0:
             continue
         result = replace(solve_level(inst, n, R, warm=warm),
                          sphere=sphere_certificate(inst, n, R))
-        solves.append(result)
-        if not result.converged:
+        base.levels.append(result)
+        if not result.search.converged:
             base.status = "solver_failure"
             base.message = (
-                f"level {n} did not converge (residual sup {result.residual_sup:.3e})"
+                f"level {n} did not converge (residual sup {result.search.residual_sup:.3e})"
             )
             return base
         warm = prolongate(result.u, min(n + 1, top))
-    if solves:
-        base.diagnostics = convergence_diagnostics(inst, solves, solves[-1].u)
+    if base.levels:
+        gaps = convergence_diagnostics(inst, base.levels, base.levels[-1].u)
+        base.levels = [replace(s, gaps=gaps.get(s.level)) for s in base.levels]
     return base

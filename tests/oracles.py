@@ -373,27 +373,30 @@ def f_part_jacobian(f, T_image, lvl) -> sp.csr_matrix:
     return J
 
 
-def _total_gradients(u, lift) -> np.ndarray:
+def _total_gradients(u, lift_nodal) -> np.ndarray:
     g = element_gradients(u.lvl, u.coeffs)
-    if lift is not None:
-        g = g + nodal_element_gradients(u.lvl, lift.nodal)
+    if lift_nodal is not None:
+        g = g + nodal_element_gradients(u.lvl, lift_nodal)
     return g
 
 
-def galerkin_residual(u, T_image, f, p: float, q: float, lift=None) -> np.ndarray:
-    """Free entries of the all-node residual force_p - force_q - load."""
+def galerkin_residual(u, T_image, f, p: float, q: float, lift_nodal=None) -> np.ndarray:
+    """Free entries of the all-node residual force_p - force_q - load.
+
+    ``lift_nodal`` holds the lift's values at every node, boundary included.
+    """
     lvl = u.lvl
-    g = _total_gradients(u, lift)
+    g = _total_gradients(u, lift_nodal)
     fvals = np.asarray(f(lvl.qp_points, T_image.values, T_image.gradients), dtype=float)
     nodal = gradient_force(g, p, lvl) - gradient_force(g, q, lvl) - load_vector(fvals, lvl)
     return nodal[lvl.free]
 
 
 def galerkin_jacobian(u, T_image, f, p: float, q: float, eps: float = 0.0,
-                      lift=None) -> np.ndarray:
+                      lift_nodal=None) -> np.ndarray:
     """Free block of the all-node Jacobian, f differentiated, as a dense array."""
     lvl = u.lvl
-    g = _total_gradients(u, lift)
+    g = _total_gradients(u, lift_nodal)
     J = p_part_jacobian(g, p, eps, lvl) - p_part_jacobian(g, q, eps, lvl)
     J = J - f_part_jacobian(f, T_image, lvl)
     return J[lvl.free][:, lvl.free].toarray()

@@ -302,6 +302,11 @@ FLOAT_FIELDS = {
     "f.beta": lambda v: _f(kind="gradient_power", a2=0.1, beta=v),
     "f.c": lambda v: _f(kind="constant", c=v),
     "f.r": lambda v: _f(kind="sigma_only", r=v),
+    "sigma_params.c": lambda v: _f(kind="sigma_only", sigma_params={"c": v}),
+    "sigma_params.values": lambda v: _f(kind="sigma_only", sigma_kind="nodal",
+                                        sigma_params={"x": [0.0, 1.0], "values": v}),
+    "sigma_params.values[1]": lambda v: _f(kind="sigma_only", sigma_kind="nodal",
+                                           sigma_params={"x": [0.0, 1.0], "values": [1.0, v]}),
     "envelope.a1": lambda v: _envelope(a1=v),
     "envelope.a2": lambda v: _envelope(a2=v),
     "envelope.alpha": lambda v: _envelope(alpha=v),
@@ -364,7 +369,8 @@ class TestTypedFields:
     def test_each_patch_alone_is_valid(self, field):
         # so that the rejections above come from the patched value alone
         value = {"p": 3.0, "q": 2.0, "safety": 1.5, "p_crit": 7.0, "domain.a": 0,
-                 "sigma.x": [0, 1], "sigma.values": [1, 2], "f.r": 2.0,
+                 "sigma.x": [0, 1], "sigma.values": [1, 2], "sigma_params.values": [1, 2],
+                 "f.r": 2.0,
                  "envelope.r": 2.0}.get(field, 0.5)
         parse_config_dict(dict(MINIMAL, **FLOAT_FIELDS[field](value)))
 
@@ -454,6 +460,24 @@ def test_sigma_only_takes_a_parameterless_weight(sigma_kind):
 def test_sigma_only_defaults_to_the_unit_constant():
     spec = parse_config_dict(dict(MINIMAL, f={"kind": "sigma_only"}))
     assert spec.f["envelope"]["sigma"] == {"kind": "constant", "c": 1.0}
+
+
+@pytest.mark.parametrize("sigma_kind,sigma_params,envelope", [
+    ("constant", {"c": -2.0}, {"c": 2.0}),
+    ("nodal", {"x": [0.0, 1.0], "values": [-1.0, -1.0]}, {"values": [1.0, 1.0]}),
+    ("nodal", {"x": [0.0, 1.0], "values": [-1.0, 2.0]}, {"values": [1.0, 2.0]}),
+], ids=["constant-negative", "nodal-negative", "nodal-sign-change"])
+def test_sigma_only_echoes_the_weights_magnitude(sigma_kind, sigma_params, envelope):
+    # f keeps the signed weight; the envelope echoes and installs its magnitude
+    f = {"kind": "sigma_only", "sigma_kind": sigma_kind, "sigma_params": sigma_params}
+    spec = parse_config_dict(dict(MINIMAL, f=f))
+    assert spec.f["sigma_params"] == sigma_params
+    assert {k: spec.f["envelope"]["sigma"][k] for k in envelope} == envelope
+    assert parse_config_dict(spec.to_json_dict()) == spec
+    inst = build_instance(spec)
+    term, x = inst.convection, inst.hierarchy.level(3).qp_points
+    s, xi = np.zeros(x.shape[:-1]), np.zeros(x.shape)
+    assert np.max(np.abs(term(x, s, xi)) - term.envelope(x, s, xi)) <= 0.0
 
 
 _CONVOLUTION_T = {"kind": "convolution", "kernel": {"shape": "box", "width": 0.25}}
@@ -567,7 +591,28 @@ def test_cli_import_leaves_scipy_special_out():
     assert out.stdout.strip() == "False"
 
 
+def _readme_level_keys():
+    """The keys that README lists for a level of ``solve_report.json``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("Each level in the JSON carries exactly these keys:\n", 1)[1]
+    return re.findall(r"`(\w+)`", block.split("\n\n", 1)[0])
+
+
 class TestCli:
+    @pytest.mark.parametrize("config,code", [(MANUFACTURED_CLI, 0), (dict(_SMALL, tol=1e-300), 3)],
+                             ids=["ok", "solver-failure"])
+    def test_level_rows_carry_the_keys_readme_lists(self, tmp_path, config, code):
+        keys = _readme_level_keys()
+        assert len(keys) == len(set(keys)) == 21
+        out = tmp_path / "out"
+        assert main(["solve", str(write_config(tmp_path, config)), "--out-dir", str(out)]) == code
+        levels = json.loads((out / "solve_report.json").read_text())["levels"]
+        assert levels
+        for level in levels:
+            assert sorted(level) == sorted(keys)
+            assert level["apriori_margin"] == level["R"] - level["grad_norm_p"]
+            assert level["energy_gap"] >= 0
+
     def test_solve_writes_reports(self, tmp_path):
         cfg = write_config(tmp_path, MANUFACTURED_CLI)
         out = tmp_path / "out"

@@ -333,20 +333,22 @@ class TestAssemblyAgainstElementLoops:
         h = hierarchy
         n = h.n_levels
         if T_kind == "identity":
-            T, lift = IntrinsicOperator(kind="identity"), None
+            T, lift, lift_nodal = IntrinsicOperator(kind="identity"), None, None
         else:
             params = {"a": 0.7, "b": 0.2} if h.dim == 1 else {"ax": 0.5, "ay": -0.3, "b": 0.1}
             T = IntrinsicOperator(kind="boundary_lift", lift=LiftFunction("affine", params))
             lift = lift_on(T, h, n)
+            mesh = h.level(n).mesh
+            lift_nodal = T.lift.value(mesh.nodes[:, None] if h.dim == 1 else mesh.vertices)
         f = convection_from_catalog(f_kind, f_params)
         rng = np.random.default_rng(11)
         u = h.function(n, 0.5 * rng.standard_normal(h.level(n).n_free))
         img = apply(T, u)
         res = assemble_residual(u, img, f, p, q, lift=lift)
-        ref = oracles.galerkin_residual(u, img, f, p, q, lift=lift)
+        ref = oracles.galerkin_residual(u, img, f, p, q, lift_nodal=lift_nodal)
         np.testing.assert_allclose(res, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
         J = assemble_jacobian(u, img, f, p, q, eps_reg=eps, lift=lift).toarray()
-        ref = oracles.galerkin_jacobian(u, img, f, p, q, eps=eps, lift=lift)
+        ref = oracles.galerkin_jacobian(u, img, f, p, q, eps=eps, lift_nodal=lift_nodal)
         np.testing.assert_allclose(J, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
 
@@ -560,6 +562,24 @@ class TestGrowthEnvelope:
         x = np.linspace(0.0, 1.0, 101)[:, None]
         s, xi = np.zeros(101), np.zeros((101, 1))
         assert np.max(np.abs(f(x, s, xi)) - f.envelope(x, s, xi)) <= 0.0
+
+    @pytest.mark.parametrize("sigma_kind,sigma_params", [
+        ("constant", {"c": -2.0}),
+        ("nodal", {"x": [0.0, 1.0], "values": [-1.0, -1.0]}),
+        ("nodal", {"x": [0.0, 1.0], "values": [-1.0, 2.0]}),
+    ], ids=["constant-negative", "nodal-negative", "nodal-sign-change"])
+    def test_sigma_only_bounds_a_negative_weight(self, unit_hierarchy, sigma_kind, sigma_params):
+        # f keeps the signed weight and its envelope is the weight's magnitude;
+        # an envelope of the signed weight once lay below |f| everywhere
+        f = convection_from_catalog("sigma_only", {"sigma_kind": sigma_kind,
+                                                   "sigma_params": sigma_params})
+        x = unit_hierarchy.level(4).qp_points
+        s, xi = np.zeros(x.shape[:-1]), np.zeros(x.shape)
+        values = f(x, s, xi)
+        assert np.min(values) < 0.0
+        assert np.max(np.abs(values) - f.envelope(x, s, xi)) <= 0.0
+        if sigma_kind == "nodal":
+            assert f.envelope.sigma.params["values"] == [abs(v) for v in sigma_params["values"]]
 
     def test_range_validation(self):
         env = GrowthEnvelope(a1=0.1, a2=0.1, alpha=5.0, beta=1.0, r=2.0,

@@ -313,8 +313,8 @@ class TestLevenbergStep:
 
         monkeypatch.setattr("competefem.solver._levenberg_step", recording)
         out = solve_level(inst, 11, 1.5)
-        assert out.converged and out.path == "newton"
-        assert len(lams) == out.newton_iters and set(lams) == {0.0}
+        assert out.search.converged and out.search.path == "newton"
+        assert len(lams) == out.search.newton_iters and set(lams) == {0.0}
 
     def test_forms_normal_equations_once_per_jacobian(self, unit_hierarchy, monkeypatch):
         # constant f on the 3-dof base level stalls Newton and needs the homotopy
@@ -330,7 +330,7 @@ class TestLevenbergStep:
                          ("damped", _levenberg_step)):
             monkeypatch.setattr(f"competefem.solver.{fn.__name__}", counting(name, fn))
         out = solve_level(make_instance(unit_hierarchy, "constant", {"c": 1.0}), 1, 2.0)
-        assert out.converged and out.path == "homotopy"
+        assert out.search.converged and out.search.path == "homotopy"
         assert counts["damped"] > 0
         assert counts["normal"] <= counts["jacobian"]
         assert counts["normal"] < counts["damped"]
@@ -414,7 +414,7 @@ class TestSymbolicPlan:
                             counting(jacobians, assemble_jacobian))
         inst = make_instance(unit_hierarchy, "constant", {"c": 1.0})
         out = solve_level(inst, 1, 2.0)
-        assert out.path == "homotopy" and len(jacobians) > 10
+        assert out.search.path == "homotopy" and len(jacobians) > 10
         assert len(orderings) == 1
         solve_level(inst, 2, 2.0)  # another level, another pattern
         assert len(orderings) == 2
@@ -426,9 +426,9 @@ class TestSolveLevel:
     def test_zero_rhs_gives_zero(self, unit_hierarchy):
         inst = make_instance(unit_hierarchy, "zero")
         out = solve_level(inst, 3, 1.0)
-        assert out.converged
+        assert out.search.converged
         np.testing.assert_allclose(out.u.coeffs, 0.0, atol=1e-12)
-        assert out.residual_sup <= 1e-12
+        assert out.search.residual_sup <= 1e-12
 
     def test_manufactured_error_decreases(self, unit_hierarchy):
         h = unit_hierarchy
@@ -436,7 +436,7 @@ class TestSolveLevel:
         errs = []
         for n in range(1, 6):
             out = solve_level(inst, n, 1.3)
-            assert out.converged
+            assert out.search.converged
             exact = h.interpolate(n, lambda x: x * (1 - x))
             errs.append(grad_norm_p(h.function(n, out.u.coeffs - exact.coeffs), 3.0))
         assert errs[-1] < errs[0]
@@ -456,10 +456,9 @@ class TestSolveLevel:
         )
         searches = _record_searches(monkeypatch)
         out = solve_level(inst, 3, 1.5)
-        assert out.converged and out.residual_sup <= inst.tol
+        assert out.search.converged and out.search.residual_sup <= inst.tol
         assert len(searches) == 1
-        assert out.residual_sup == searches[0].residual_sup
-        assert out.newton_iters == searches[0].newton_iters
+        assert out.search is searches[0]
 
     def test_convolution_applies_T_once_per_residual(self, unit_hierarchy, monkeypatch):
         # the residual applies T at every iterate; the chord Jacobian, the
@@ -489,8 +488,8 @@ class TestSolveLevel:
 
         monkeypatch.setattr("competefem.solver.brouwer_zero", search)
         out = solve_level(inst, 4, 1.5)
-        assert out.converged and jacobians
-        assert len(applied) == len(residuals) == len(searched) > out.newton_iters
+        assert out.search.converged and jacobians
+        assert len(applied) == len(residuals) == len(searched) > out.search.newton_iters
 
     def test_path_is_the_path_of_the_one_search(self, unit_hierarchy, monkeypatch):
         # strong power terms and a start far from the solution: one Newton
@@ -504,8 +503,8 @@ class TestSolveLevel:
         searches = _record_searches(monkeypatch)
         out = solve_level(inst, 1, 1.5)
         assert len(searches) == 1
-        assert out.converged and out.path == searches[0].path == "newton"
-        assert out.continuation_stages == searches[0].continuation_stages == 0
+        assert out.search.converged and out.search.path == searches[0].path == "newton"
+        assert out.search.continuation_stages == searches[0].continuation_stages == 0
 
     @pytest.mark.parametrize("guess", [None, "exact"])
     @pytest.mark.parametrize("shape,a1,a2,width", [
@@ -526,8 +525,8 @@ class TestSolveLevel:
         warm = None
         for n in range(1, 6):
             out = solve_level(inst, n, 1.5, warm=warm)
-            assert out.converged and out.residual_sup <= inst.tol
-            assert len(searches) == n and out.path == searches[-1].path
+            assert out.search.converged and out.search.residual_sup <= inst.tol
+            assert len(searches) == n and out.search.path == searches[-1].path
             warm = prolongate(out.u, min(n + 1, 5))
 
     def test_conv_1d_deep_levels_are_pinned(self):
@@ -547,7 +546,7 @@ class TestSolveLevel:
                              / "conv_1d_deep_coefficients.json").read_text())
         for n in range(1, 6):
             out = solve_level(inst, n, 1.5)
-            assert out.converged and out.path == "newton"
+            assert out.search.converged and out.search.path == "newton"
             np.testing.assert_allclose(out.u.coeffs, pinned[str(n)], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("T", [
@@ -597,7 +596,7 @@ class TestSolveLevel:
         monkeypatch.setattr("competefem.solver.assemble_jacobian", recording)
         searches = _record_searches(monkeypatch)
         out = solve_level(inst, 2, 2.0)
-        assert out.converged and out.residual_sup <= inst.tol
+        assert out.search.converged and out.search.residual_sup <= inst.tol
         assert len(searches) == 1
         assert flags and all(flags)
 
@@ -623,7 +622,7 @@ class TestSolveLevel:
         for name, fn in zip(counts, (apply, assemble_residual, assemble_jacobian)):
             monkeypatch.setattr(f"competefem.solver.{name}", counting(name, fn))
         for n in range(1, 4):
-            assert solve_level(inst, n, 2.0).converged
+            assert solve_level(inst, n, 2.0).search.converged
         assert counts["assemble_jacobian"] > 0
         assert counts["apply_operator"] == counts["assemble_residual"]
 
@@ -645,21 +644,21 @@ class TestSphereCertificate:
     def test_manufactured_no_negative_pairings(self, unit_hierarchy):
         inst = dataclasses.replace(make_instance(unit_hierarchy), sphere_samples=200, seed=3)
         sphere = sphere_certificate(inst, 4, 1.2983)
-        assert sphere.negative == 0
-        assert sphere.margin >= 0.0
+        assert np.count_nonzero(sphere < 0) == 0
+        assert sphere.min() >= 0.0
 
     def test_small_radius_detects_violations(self, unit_hierarchy):
         # far inside the safeguard radius the load term dominates
         inst = dataclasses.replace(make_instance(unit_hierarchy), sphere_samples=100, seed=3)
         sphere = sphere_certificate(inst, 3, 1e-3)
-        assert sphere.margin < 0.0
-        assert sphere.negative > 0
+        assert sphere.min() < 0.0
+        assert np.count_nonzero(sphere < 0) > 0
 
     def test_deterministic_given_seed(self, unit_hierarchy):
         inst = dataclasses.replace(make_instance(unit_hierarchy), sphere_samples=64, seed=11)
         a = sphere_certificate(inst, 3, 1.0)
         b = sphere_certificate(inst, 3, 1.0)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     @staticmethod
     def _case(unit_hierarchy, case):
@@ -696,13 +695,12 @@ class TestSphereCertificate:
         block = sphere_certificate(dataclasses.replace(inst, sphere_samples=n_samples, seed=5),
                                    n, R)
         loop = sphere_pairings_loop(inst, n, R, n_samples, seed=5)
-        assert block.values.shape == loop.shape == (n_samples,)
-        assert block.negative == int(np.count_nonzero(loop < 0))
+        assert block.shape == loop.shape == (n_samples,)
+        assert np.count_nonzero(block < 0) == np.count_nonzero(loop < 0)
         if n_samples == 0:
-            assert block.margin is None and block.quantile(0.05) is None
             return
-        assert block.margin == pytest.approx(loop.min(), rel=1e-12)
-        np.testing.assert_allclose(block.values, loop, rtol=1e-12,
+        assert block.min() == pytest.approx(loop.min(), rel=1e-12)
+        np.testing.assert_allclose(block, loop, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(loop)))
 
     @pytest.mark.parametrize("case", SPHERE_CASES)
@@ -718,7 +716,7 @@ class TestSphereCertificate:
                             7 * inst.hierarchy.level(n).qp_weights.size)
         assert self._width(inst, n) == 7
         narrow = sphere_certificate(inst, n, 0.75)
-        np.testing.assert_array_equal(narrow.values, wide.values)
+        np.testing.assert_array_equal(narrow, wide)
 
     def test_chunked_draws_equal_sequential_draws(self, unit_hierarchy):
         seed = np.random.SeedSequence((3, 929, 4))
@@ -765,14 +763,24 @@ class TestSphereCertificate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sphere.values.size == inst.sphere_samples == 1000
+        assert sphere.size == inst.sphere_samples == 1000
         assert peak < 8e6
 
-    def test_quantiles_are_ordered(self, unit_hierarchy):
+    def test_level_row_reads_the_pairings(self, unit_hierarchy):
+        # a small radius, so that some pairings are negative
         inst = dataclasses.replace(make_instance(unit_hierarchy), sphere_samples=300, seed=2)
-        sphere = sphere_certificate(inst, 4, 1.0)
-        assert sphere.margin <= sphere.quantile(0.05) <= sphere.quantile(0.5)
-        assert sphere.quantile(0.05) == float(np.quantile(sphere.values, 0.05))
+        sphere = sphere_certificate(inst, 4, 1e-3)
+        solved = solve_level(inst, 4, 1.0)
+        row = dataclasses.replace(solved, sphere=sphere).to_json_dict()
+        assert row["sphere_margin"] == float(sphere.min())
+        assert row["sphere_negative"] == int(np.count_nonzero(sphere < 0)) > 0
+        assert row["sphere_q05"] == float(np.quantile(sphere, 0.05))
+        assert row["sphere_median"] == float(np.quantile(sphere, 0.5))
+        assert row["sphere_margin"] <= row["sphere_q05"] <= row["sphere_median"]
+        # without samples the three values are None and nothing is negative
+        row = solved.to_json_dict()
+        assert solved.sphere.size == 0 and row["sphere_negative"] == 0
+        assert row["sphere_margin"] is row["sphere_q05"] is row["sphere_median"] is None
 
 
 class _ReadLog:
@@ -910,10 +918,10 @@ class TestRunHierarchy:
         assert report.status == "ok"
         for s in report.levels:
             np.testing.assert_allclose(s.u.coeffs, 0.0, atol=1e-12)
-        for d in report.diagnostics:
-            assert d.weak_gap == pytest.approx(0.0, abs=1e-15)
-            assert d.pairing_gap == pytest.approx(0.0, abs=1e-15)
-            assert d.full_gap == pytest.approx(0.0, abs=1e-15)
+        for d in (s.gaps for s in report.levels[:-1]):
+            assert d["weak_gap"] == pytest.approx(0.0, abs=1e-15)
+            assert d["pairing_gap"] == pytest.approx(0.0, abs=1e-15)
+            assert d["full_gap"] == pytest.approx(0.0, abs=1e-15)
 
     def test_manufactured_report_quality(self, unit_hierarchy):
         inst = make_instance(unit_hierarchy, guess=lambda x: x * (1 - x), sphere=100)
@@ -922,16 +930,17 @@ class TestRunHierarchy:
         # a-priori bound from the safeguard radius holds on every level
         for s in report.levels:
             assert s.grad_norm <= report.radius * (1 + 1e-6)
-            assert s.residual_sup <= inst.tol
-            assert s.energy_gap <= inst.tol * len(s.u.coeffs) * max(
+            row = s.to_json_dict()
+            assert row["residual_sup"] <= inst.tol
+            assert row["energy_gap"] <= inst.tol * len(s.u.coeffs) * max(
                 1.0, float(np.linalg.norm(s.u.coeffs))
             )
-            assert s.sphere.negative == 0
-            assert s.sphere.margin <= s.sphere.quantile(0.05) <= s.sphere.quantile(0.5)
+            assert row["sphere_negative"] == 0
+            assert row["sphere_margin"] <= row["sphere_q05"] <= row["sphere_median"]
         # diagnostics rows exclude the finest level and decay
-        levels = [d.level for d in report.diagnostics]
+        levels = [s.level for s in report.levels if s.gaps is not None]
         assert levels == [1, 2, 3, 4]
-        gaps = [d.weak_gap for d in report.diagnostics]
+        gaps = [s.gaps["weak_gap"] for s in report.levels[:-1]]
         assert gaps[-1] < gaps[0]
 
     def test_refuse_policy_stops_before_solving(self, unit_hierarchy):
@@ -995,13 +1004,14 @@ class TestDiagnostics:
         report = run_hierarchy(inst)
         coarse = report.levels[0]
         rows = convergence_diagnostics(inst, [coarse], prolongate(coarse.u, 3))
-        assert len(rows) == 1
-        assert rows[0].weak_gap == 0.0
-        assert rows[0].pairing_gap == 0.0
-        assert rows[0].full_gap == pytest.approx(0.0, abs=1e-18)
+        assert list(rows) == [coarse.level]
+        row = rows[coarse.level]
+        assert row["weak_gap"] == 0.0
+        assert row["pairing_gap"] == 0.0
+        assert row["full_gap"] == pytest.approx(0.0, abs=1e-18)
         # the finest level never produces a row
         assert convergence_diagnostics(inst, report.levels[-1:],
-                                       report.levels[-1].u) == []
+                                       report.levels[-1].u) == {}
 
     def test_pairing_identity_between_streams(self, unit_levels):
         # full = strong - convection integral, checked against an
@@ -1015,12 +1025,16 @@ class TestDiagnostics:
         report = run_hierarchy(inst)
         u = report.levels[-1].u
         rows = convergence_diagnostics(inst, report.levels, u)
-        for row, solve in zip(rows, report.levels):
+        assert list(rows) == [s.level for s in report.levels[:-1]]
+        for solve in report.levels[:-1]:
+            row = rows[solve.level]
+            assert row == solve.gaps
             un = prolongate(solve.u, u.level)
             diff = h.function(u.level, un.coeffs - u.coeffs)
             img = apply_operator(inst.operator, un)
-            expected = row.pairing_gap - oracles.convection_integral(diff, img, inst.convection)
-            assert row.full_gap == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            expected = row["pairing_gap"] - oracles.convection_integral(diff, img,
+                                                                        inst.convection)
+            assert row["full_gap"] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 class TestDeterminism:
