@@ -11,7 +11,8 @@ Existence theory guarantees a zero of the Galerkin residual inside the ball
 of the safeguard radius whenever the pairing against the sphere is
 nonnegative.  That argument is non-constructive, so numerically each level
 runs one zero search: Levenberg-damped Newton from zero damping, projected
-to the ball, and on stall homotopy continuation towards the residual from a
+to the ball, from each start the level offers in turn, and, when every
+start stalls, homotopy continuation towards the residual from a
 well-behaved anchor map.  Every Jacobian of a search has the first one's
 pattern, so the symbolic work of a Newton step (the band ordering of the
 normal equations and where each product lands) is done once per search
@@ -78,6 +79,7 @@ class BrouwerResult:
     continuation_stages: int
     history: list
     message: str
+    start: Optional[int] = None  # the index of the start whose Newton run converged
 
     @property
     def residual_sup(self) -> float:
@@ -213,6 +215,12 @@ def brouwer_zero(
 ) -> BrouwerResult:
     """Find v with ||F(v)||_sup <= tol and norm(v) <= R, starting from ``x0``.
 
+    ``x0`` is one start or a (k, n) array of k starts.  Damped Newton runs
+    from each start in turn and the search returns at the first that
+    converges (``start`` is its index); only when none does, the homotopy
+    runs from the origin.  A failure returns the best iterate of all
+    attempts, the earlier one on a tie.
+
     Strategy: Newton, projected onto the ball of ``norm``, accepts a step
     only if it lowers ||F||^2.  Each trial solves (J^T J + lam I) dx =
     -J^T F by a banded Cholesky factorisation, from lam = 0 (the Newton
@@ -233,7 +241,7 @@ def brouwer_zero(
     equations once, from its first Jacobian, and raises ``ValueError`` when
     a Jacobian breaks this contract.
     """
-    x0 = np.asarray(x0, dtype=float)
+    starts = np.atleast_2d(np.asarray(x0, dtype=float))
 
     def project(v):
         n = norm(v)
@@ -304,22 +312,25 @@ def brouwer_zero(
         history.append((t, res))
         return x, fx, res <= tol, iters
 
-    if x0.size == 0:
-        return BrouwerResult(x0, x0, True, 0, 0, history, "empty system")
+    if starts.shape[1] == 0:
+        return BrouwerResult(starts[0], starts[0], True, 0, 0, history, "empty system", 0)
 
     total_iters = 0
-    x, fx, ok, it = newton_solve(x0, 1.0)
-    total_iters += it
-    if ok:
-        return BrouwerResult(x, fx, True, total_iters, 0, history, "newton")
+    best_x = best_fx = None
+    for k, start in enumerate(starts):
+        x, fx, ok, it = newton_solve(start, 1.0)
+        total_iters += it
+        if ok:
+            return BrouwerResult(x, fx, True, total_iters, 0, history, "newton", k)
+        if best_fx is None or _sup(fx) < _sup(best_fx):
+            best_x, best_fx = x, fx
 
     # homotopy continuation from the anchor solution at t = 0 (the origin)
     stages = 0
     depth = 0
     t = 0.0
     dt = 0.25
-    xh = np.zeros_like(x0)
-    best_x, best_fx = x, fx
+    xh = np.zeros(starts.shape[1])
     while t < 1.0 and depth <= MAX_CONTINUATION_DEPTH:
         t_next = min(1.0, t + dt)
         cand, fc, ok, it = newton_solve(xh, t_next)
@@ -444,6 +455,8 @@ GAPS = (
 class LevelSolve:
     """One level of a hierarchy run: its solution, its zero search and what was measured there.
 
+    ``start`` names the start whose Newton run converged (``guess``,
+    ``coarser`` or ``origin``), None after a homotopy or a failure.
     ``sphere`` holds <A(v), v> at the sampled points v of the sphere of
     radius ``radius``, in draw order.  ``gaps`` maps each of ``GAPS`` to its
     value; it is None on the finest level and before the run is diagnosed.
@@ -453,6 +466,7 @@ class LevelSolve:
     search: BrouwerResult
     radius: float
     grad_norm: float
+    start: Optional[str]
     sphere: np.ndarray
     gaps: Optional[dict]
 
@@ -477,6 +491,7 @@ class LevelSolve:
             "outer_iters": 0,
             "continuation_stages": search.continuation_stages,
             "path": search.path,
+            "start": self.start,
             "sphere_margin": float(sphere.min()) if sphere.size else None,
             "sphere_negative": int(np.count_nonzero(sphere < 0)),
             "sphere_q05": float(np.quantile(sphere, 0.05)) if sphere.size else None,
@@ -495,9 +510,9 @@ def solve_level(
 ) -> LevelSolve:
     """Solve the Galerkin equation on level n inside the safeguard ball.
 
-    One ball-constrained zero search on the level problem's residual.  Its
-    Jacobian gets the samples of T the residual just took at the same
-    iterate.  The residual sup, the energy gap and convergence come from
+    One ball-constrained zero search on the level problem's residual, from
+    the starts named below.  Its Jacobian gets the samples of T the residual
+    just took at the same iterate.  The residual sup, the energy gap and convergence come from
     the residual the search last evaluated.
     """
     h = inst.hierarchy
@@ -510,20 +525,24 @@ def solve_level(
 
     # The operator is non-monotone, so the discrete equation can have several
     # solutions and Newton converges to the one nearest its start.  A supplied
-    # initial-guess function acts as a branch selector and is interpolated on
-    # every level; otherwise levels warm-start from the prolongated previous
-    # solution and the base level starts at the origin.
+    # initial-guess function acts as a branch selector: its interpolant is
+    # every level's first start, and the prolongated coarser zero is tried
+    # only when Newton from the guess fails, so such a level ends on the
+    # coarser zero's branch.  Without a guess, levels start from the coarser
+    # zero and the base level from the origin.
+    starts = {}
     if inst.initial_guess is not None:
-        coeffs = np.array(h.interpolate(n, inst.initial_guess).coeffs, dtype=float)
-    elif warm is not None:
-        coeffs = np.array(warm.coeffs, dtype=float)
-    else:
-        coeffs = np.zeros(h.level(n).n_free)
+        starts["guess"] = h.interpolate(n, inst.initial_guess).coeffs
+    if warm is not None:
+        starts["coarser"] = warm.coeffs
+    if not starts:
+        starts["origin"] = np.zeros(h.level(n).n_free)
 
     # brouwer_zero only differentiates at the iterate F last evaluated
-    res = brouwer_zero(F, R, x0=coeffs, jac=lambda c: prob.jacobian(c, last[0]),
-                       norm=prob.norms, tol=inst.tol)
+    res = brouwer_zero(F, R, x0=np.array(list(starts.values()), dtype=float),
+                       jac=lambda c: prob.jacobian(c, last[0]), norm=prob.norms, tol=inst.tol)
     return LevelSolve(h.function(n, res.x), res, R, prob.norms(res.x),
+                      start=None if res.start is None else list(starts)[res.start],
                       sphere=np.empty(0), gaps=None)
 
 
@@ -682,9 +701,10 @@ def run_hierarchy(inst: ProblemInstance, config_echo: Optional[dict] = None) -> 
     before any level is solved (status ``hypothesis_failed``, no radius)
     under the ``refuse`` policy, and under ``warn`` when kappa >= 1 leaves
     no finite radius.  Otherwise the safeguard radius is computed once from
-    the instance constants, each level warm-starts from the prolongated
-    previous solution, and a level that does not converge ends the run with
-    the levels solved so far (status ``solver_failure``).
+    the instance constants, each level's search gets the prolongated
+    previous solution as a start (after the initial guess, if any), and a
+    level that does not converge ends the run with the levels solved so far
+    (status ``solver_failure``).
     """
     h = inst.hierarchy
     top = h.n_levels

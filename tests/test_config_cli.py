@@ -603,7 +603,7 @@ class TestCli:
                              ids=["ok", "solver-failure"])
     def test_level_rows_carry_the_keys_readme_lists(self, tmp_path, config, code):
         keys = _readme_level_keys()
-        assert len(keys) == len(set(keys)) == 21
+        assert len(keys) == len(set(keys)) == 22
         out = tmp_path / "out"
         assert main(["solve", str(write_config(tmp_path, config)), "--out-dir", str(out)]) == code
         levels = json.loads((out / "solve_report.json").read_text())["levels"]

@@ -148,6 +148,50 @@ class TestBrouwerZero:
         assert res.converged and res.continuation_stages > 0
         assert res.path == "homotopy"
 
+    def test_starts_are_tried_in_order(self):
+        # Newton from -3 stalls at v = -1/sqrt(3) and the second start
+        # converges by Newton, so no homotopy runs
+        F, dF = (lambda v: v**3 - v - 6.0), (lambda v: np.diag(3.0 * v**2 - 1.0))
+        both = search(F, dF, 4.0, [[-3.0], [1.5]])
+        first, second = search(F, dF, 4.0, [-3.0]), search(F, dF, 4.0, [1.5])
+        assert both.path == "newton" and both.start == 1 and both.continuation_stages == 0
+        np.testing.assert_array_equal(both.x, second.x)
+        # the history holds the stalled attempt from -3, then the one from 1.5
+        stalled = len(both.history) - len(second.history)
+        assert both.history == first.history[:stalled] + second.history
+        assert all(t == 1.0 for t, _ in first.history[:stalled])
+        assert first.history[stalled][0] < 1.0  # where the lone search's homotopy begins
+        assert both.newton_iters > second.newton_iters
+
+    def test_failing_starts_return_the_best_attempt(self):
+        # F = (v^2 - 1)^2 + 1/2 + v/5 has no root.  Newton stalls near v = 1
+        # (F ~ 0.70) from 1.2 and at the minimum near v = -1.02 (F ~ 0.2976)
+        # from -1.2.  The homotopy's best iterate (F ~ 0.2998) beats the stall
+        # near 1 but not the one near -1.02, whichever order the starts take.
+        def F(v):
+            return (v**2 - 1.0) ** 2 + 0.5 + 0.2 * v
+
+        def dF(v):
+            return np.diag(4.0 * v * (v**2 - 1.0) + 0.2)
+
+        alone = search(F, dF, 1.5, [-1.2])
+        for order in ([[1.2], [-1.2]], [[-1.2], [1.2]]):
+            res = search(F, dF, 1.5, order)
+            assert res.path == "failed" and res.start is None
+            np.testing.assert_array_equal(res.x, alone.x)
+            np.testing.assert_array_equal(res.fx, F(res.x))
+        assert res.residual_sup < search(F, dF, 1.5, [1.2]).residual_sup
+
+    @pytest.mark.parametrize("x0", [[-3.0], [[-3.0]]], ids=["vector", "one-row"])
+    def test_one_start_keeps_the_single_start_search(self, x0):
+        # the counts and bits the search gave from -3 before it took several
+        # starts: 34 Newton iterations over 4 homotopy stages
+        res = search(lambda v: v**3 - v - 6.0, lambda v: np.diag(3.0 * v**2 - 1.0), 4.0, x0)
+        assert (res.newton_iters, res.continuation_stages, len(res.history)) == (34, 4, 38)
+        assert res.x.tolist() == [2.00000000000321]
+        assert res.start is None
+        assert search(lambda v: v - 0.5, lambda v: np.eye(2), 1.0, [0.0, 0.0]).start == 0
+
     def test_newton_exit_reuses_the_last_residual(self):
         # a search that converges by Newton evaluates F once at the start and
         # once per trial step, and returns the last value it evaluated
