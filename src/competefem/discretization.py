@@ -251,7 +251,7 @@ class Level:
 
     @cached_property
     def jacobian_pattern(self) -> "JacobianPattern":
-        """The pattern every Jacobian on this level fills; built by the first one."""
+        """The pattern every Jacobian on this level fills; built on first use."""
         return _jacobian_pattern(self)
 
 
@@ -365,11 +365,6 @@ class JacobianPattern:
         """Data on the pattern: the sum of the terms at each position, in term order."""
         return np.bincount(slots, terms.ravel(), minlength=self.nnz + 1)[:-1]
 
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """The CSR matrix with ``data`` on this pattern; it shares the index arrays."""
-        n = len(self.indptr) - 1
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
 
 def _jacobian_pattern(lvl: Level) -> JacobianPattern:
     n = lvl.n_free
@@ -379,13 +374,10 @@ def _jacobian_pattern(lvl: Level) -> JacobianPattern:
     keys = rows * n + cols
     entries = np.unique(keys[coupled])  # row-major, so CSR order with sorted columns
     slots = np.where(coupled, np.searchsorted(entries, keys), entries.size)  # (nv, nv, n_el)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(entries // n, minlength=n))])
-    # scipy's own index type, so that wrapping data later converts nothing
-    proto = sp.csr_matrix((np.zeros(entries.size), entries % n, indptr), shape=(n, n))
     (nv, n_el), (n_q, dim) = nodes.shape, (lvl.basis_at_qp.shape[0], lvl.mesh.dim)
     return JacobianPattern(
-        indptr=proto.indptr,
-        indices=proto.indices,
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(entries // n, minlength=n))]),
+        indices=entries % n,
         grad_slots=np.broadcast_to(slots[:, :, None, :], (nv, nv, dim, n_el)).ravel(),
         qp_slots=np.broadcast_to(slots[..., None], (nv, nv, n_el, n_q)).ravel(),
     )

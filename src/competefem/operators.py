@@ -21,7 +21,6 @@ from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .discretization import (
     FEFunction,
@@ -471,8 +470,8 @@ def assemble_jacobian(
     q: float,
     eps_reg: float = 0.0,
     lift=None,
-) -> sp.csr_matrix:
-    """Directional derivative of :func:`assemble_residual` at u.
+) -> np.ndarray:
+    """Directional derivative of :func:`assemble_residual` at u, as data on the level's pattern.
 
     The residual itself is never regularised; ``eps_reg`` only smooths the
     Jacobian coefficient near vanishing gradients and is mandatory when an
@@ -481,10 +480,10 @@ def assemble_jacobian(
     what nonlocal intrinsic operators get and all a load that ignores the
     solution needs.  A local T with a solution-dependent f must pass its
     samples: without them it silently gets the chord Jacobian, not an
-    error.  The matrix lives on the level's shared pattern
-    (``Level.jacobian_pattern``), built by the level's first Jacobian: the
-    flux part, one (dim, dim) block per element carrying both exponents,
-    and the load part, per quadrature point, are each summed onto it by one
+    error.  The result is the data of the matrix on the level's one pattern
+    (``Level.jacobian_pattern``), in its CSR order: the flux part, one
+    (dim, dim) block per element carrying both exponents, and the load
+    part, per quadrature point, are each summed onto it by one
     ``bincount``, and the Jacobian is their difference.
     """
     if not 1 < q < p:
@@ -511,4 +510,4 @@ def assemble_jacobian(
         ws = None if f.d_s is None else w * np.asarray(f.d_s(*args), dtype=float)
         wxi = None if f.d_xi is None else w[..., None] * np.asarray(f.d_xi(*args), dtype=float)
         data = data - _point_form(lvl, ws, wxi)
-    return lvl.jacobian_pattern.matrix(data)
+    return data

@@ -1,11 +1,12 @@
 """Constructive core: ball-constrained zero finding and the level hierarchy.
 
 Each level's Galerkin equation is one :class:`LevelProblem`, built by
-``ProblemInstance.at``.  Its residual applies T (unless f is x-only), its
-Jacobian differentiates through f for a local T and keeps the load frozen
-(the chord rule) for a nonlocal one, and it measures the W^{1,p}_0
-seminorm.  The zero search, the sphere certificate and the diagnostics all
-evaluate the equation through it, vectors and coefficient blocks alike.
+``ProblemInstance.at``.  Its residual applies T (unless f is x-only) and
+hands out the Jacobian at the same iterate, which differentiates through f
+at the same samples of T for a local T and keeps the load frozen (the
+chord rule) for a nonlocal one; it also measures the W^{1,p}_0 seminorm.
+The zero search, the sphere certificate and the diagnostics all evaluate
+the equation through it, vectors and coefficient blocks alike.
 
 Existence theory guarantees a zero of the Galerkin residual inside the ball
 of the safeguard radius whenever the pairing against the sphere is
@@ -13,11 +14,12 @@ nonnegative.  That argument is non-constructive, so numerically each level
 runs one zero search: Levenberg-damped Newton from zero damping, projected
 to the ball, from each start the level offers in turn, and, when every
 start stalls, homotopy continuation towards the residual from a
-well-behaved anchor map.  Every Jacobian of a search has the first one's
-pattern, so the symbolic work of a Newton step (the band ordering of the
-normal equations and where each product lands) is done once per search
-and each iteration only computes numbers.  Failures are reported with the
-best iterate and the residual history, never silently.
+well-behaved anchor map.  Every Jacobian of a search is data on the one
+pattern the search is given, so the symbolic work of a Newton step (the
+band ordering of the normal equations and where each product lands) is
+done once per search and each iteration only computes numbers.  Failures
+are reported with the best iterate and the residual history, never
+silently.
 
 A sphere-sampling certificate documents that the nonnegativity hypothesis
 held at the radius actually used, so a zero exists even if the solver were
@@ -118,7 +120,7 @@ class NormalEquations:
 
 @dataclass(frozen=True, eq=False)
 class _NormalPlan:
-    """The symbolic part of the normal equations of one CSR pattern of J.
+    """The symbolic part of the normal equations of one square CSR pattern of J.
 
     ``perm`` is the reverse Cuthill-McKee order of the pattern of J^T J.
     Each pair of stored entries of one row of J whose product lands in the
@@ -129,8 +131,6 @@ class _NormalPlan:
     the stored diagonal.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
     perm: np.ndarray
     width: int
     a: np.ndarray
@@ -140,33 +140,31 @@ class _NormalPlan:
     cols: np.ndarray
     diag: np.ndarray
 
-    def fits(self, J: sp.csr_matrix) -> bool:
-        return np.array_equal(J.indptr, self.indptr) and np.array_equal(J.indices, self.indices)
 
-
-def _normal_plan(J: sp.csr_matrix) -> _NormalPlan:
-    n = J.shape[1]
-    counts = np.diff(J.indptr)
-    rows = np.repeat(np.arange(J.shape[0]), counts)
-    ones = sp.csr_matrix((np.ones(J.nnz), J.indices, J.indptr), shape=J.shape)
-    pattern = (ones.T @ ones).tocsc()  # ones cannot cancel, so this is J^T J's pattern
-    pattern.sort_indices()  # so the ordering depends on the pattern alone
-    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+def _normal_plan(pattern) -> _NormalPlan:
+    """The plan of a square CSR pattern: anything with ``indptr`` and ``indices``."""
+    indptr, indices = pattern.indptr, pattern.indices
+    n = len(indptr) - 1
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(n), counts)
+    ones = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    gram = (ones.T @ ones).tocsc()  # ones cannot cancel, so this is J^T J's pattern
+    gram.sort_indices()  # so the ordering depends on the pattern alone
+    perm = reverse_cuthill_mckee(gram, symmetric_mode=True)
     inv = np.empty(n, dtype=np.intp)
     inv[perm] = np.arange(n)
     # every ordered pair (a, b) of entries of one row, row by row
     per_entry = counts[rows]
-    a = np.repeat(np.arange(J.nnz), per_entry)
+    a = np.repeat(np.arange(len(indices)), per_entry)
     first = np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
-    b = J.indptr[rows[a]] + np.arange(a.size) - first
-    i, j = inv[J.indices[a]], inv[J.indices[b]]
+    b = indptr[rows[a]] + np.arange(a.size) - first
+    i, j = inv[indices[a]], inv[indices[b]]
     lower = i >= j
     i, j = i[lower], j[lower]
     return _NormalPlan(
-        indptr=J.indptr, indices=J.indices, perm=perm,
-        width=int(np.max(i - j)) if i.size else 0,
+        perm=perm, width=int(np.max(i - j)) if i.size else 0,
         a=a[lower], b=b[lower], slot=(i - j) * n + j,
-        rows=rows, cols=inv[J.indices], diag=np.flatnonzero(J.indices == rows),
+        rows=rows, cols=inv[indices], diag=np.flatnonzero(indices == rows),
     )
 
 
@@ -205,15 +203,19 @@ def _levenberg_step(normal: NormalEquations, lam):
 
 
 def brouwer_zero(
-    F: Callable[[np.ndarray], np.ndarray],
+    F: Callable[[np.ndarray], tuple],
     R: float,
     *,
     x0: np.ndarray,
-    jac: Callable[[np.ndarray], sp.csr_matrix],
+    pattern,
     norm: Callable[[np.ndarray], float],
     tol: float = 1e-10,
 ) -> BrouwerResult:
     """Find v with ||F(v)||_sup <= tol and norm(v) <= R, starting from ``x0``.
+
+    ``F(v)`` returns the pair ``(F(v), jacobian)``, where ``jacobian()``
+    takes no arguments and returns the data of the Jacobian at v on
+    ``pattern``, in its CSR order.
 
     ``x0`` is one start or a (k, n) array of k starts.  Damped Newton runs
     from each start in turn and the search returns at the first that
@@ -234,14 +236,19 @@ def brouwer_zero(
     diagonal.  Non-convergence produces an explicit failure result carrying
     the best iterate and history.
 
-    ``jac`` gets the array F was last called on and returns a CSR matrix
-    without duplicate entries.  Every Jacobian of one search has the first
-    one's pattern, and that pattern stores the whole diagonal; the search
-    builds the reverse Cuthill-McKee order and band layout of the normal
-    equations once, from its first Jacobian, and raises ``ValueError`` when
-    a Jacobian breaks this contract.
+    ``pattern`` is a square CSR pattern (anything with ``indptr`` and
+    ``indices``) without duplicate entries that stores the whole diagonal.
+    The search builds the reverse Cuthill-McKee order and band layout of the
+    normal equations once, from it, and raises ``ValueError`` when the
+    pattern lacks a diagonal entry or a Jacobian's data has another length.
     """
     starts = np.atleast_2d(np.asarray(x0, dtype=float))
+    history = []
+    if starts.shape[1] == 0:
+        return BrouwerResult(starts[0], starts[0], True, 0, 0, history, "empty system", 0)
+    plan = _normal_plan(pattern)
+    if plan.diag.size < plan.perm.size:
+        raise ValueError("the Jacobian pattern lacks a diagonal entry")
 
     def project(v):
         n = norm(v)
@@ -249,20 +256,12 @@ def brouwer_zero(
             return v * (R / n)
         return v
 
-    history = []
-    plan = None  # the normal-equation plan of the search's one Jacobian pattern
-
-    def normal_equations(x, ft, t):
-        """The normal equations of t J(x) + (1 - t) I and the blended residual ft."""
-        nonlocal plan
-        J = jac(x)
-        if plan is None:
-            plan = _normal_plan(J)
-            if plan.diag.size < J.shape[0]:
-                raise ValueError("the first Jacobian's pattern lacks a diagonal entry")
-        elif not plan.fits(J):
-            raise ValueError("a Jacobian's pattern differs from the search's first one")
-        data = J.data
+    def normal_equations(jacobian, ft, t):
+        """The normal equations of t J + (1 - t) I and the blended residual ft."""
+        data = jacobian()
+        if len(data) != len(plan.rows):
+            raise ValueError(f"a Jacobian has {len(data)} entries, its pattern "
+                             f"{len(plan.rows)}")
         if t != 1.0:
             data = t * data
             data[plan.diag] += 1.0 - t
@@ -278,7 +277,7 @@ def brouwer_zero(
         iters = 0
         x = project(x)
         lam = 0.0
-        fx = F(x)
+        fx, jx = F(x)
         ft = t * fx + (1.0 - t) * x
         phi = 0.5 * float(ft @ ft)
         for _ in range(MAX_NEWTON):
@@ -287,7 +286,7 @@ def brouwer_zero(
             if res <= tol:
                 return x, fx, True, iters
             iters += 1
-            normal = normal_equations(x, ft, t)
+            normal = normal_equations(jx, ft, t)
             scale = 1.0 + phi
             accepted = None
             # a NaN residual never lets lam reach its cap; this bound stops it
@@ -295,11 +294,11 @@ def brouwer_zero(
                 dx = _levenberg_step(normal, lam)
                 if dx is not None:
                     cand = project(x + dx)
-                    fc = F(cand)
+                    fc, jc = F(cand)
                     ftc = t * fc + (1.0 - t) * cand
                     phic = 0.5 * float(ftc @ ftc)
                     if (phic < phi and not np.array_equal(cand, x)) or phic < 0.5 * tol * tol:
-                        accepted = (cand, fc, ftc, phic)
+                        accepted = (cand, fc, jc, ftc, phic)
                         lam = lam / 3.0 if lam > 1e-14 * scale else 0.0
                         break
                 lam = max(lam * 10.0, 1e-10 * scale)
@@ -307,13 +306,10 @@ def brouwer_zero(
                     break
             if accepted is None:
                 return x, fx, False, iters
-            x, fx, ft, phi = accepted
+            x, fx, jx, ft, phi = accepted
         res = _sup(ft)
         history.append((t, res))
         return x, fx, res <= tol, iters
-
-    if starts.shape[1] == 0:
-        return BrouwerResult(starts[0], starts[0], True, 0, 0, history, "empty system", 0)
 
     total_iters = 0
     best_x = best_fx = None
@@ -413,27 +409,25 @@ class LevelProblem:
         return self.hierarchy.level(self.n)
 
     def residual(self, c: np.ndarray) -> tuple:
-        """(values, samples): the residual at c and the samples of T(c) it took.
+        """(values, jacobian): the residual at c and the call that assembles its Jacobian there.
 
         c is a coefficient vector or an (n_free, k) block, whose residual has
-        k columns.  T is applied once, and not at all when f is x-only
-        (samples None).
+        k columns.  T is applied once, and not at all when f is x-only.
+        ``jacobian()``, for a vector c, returns the Jacobian at c as data on
+        ``lvl.jacobian_pattern``: through f at the same samples of T(c) for a
+        local T, with the load frozen (the chord rule) for a nonlocal one.
         """
         u = self.hierarchy.function(self.n, c)
         samples = apply_operator(self.operator, u) if self.convection.solution_dependent \
             else None
+
+        def jacobian():
+            return assemble_jacobian(u, samples if self.operator.is_local else None,
+                                     self.convection, self.p, self.q,
+                                     eps_reg=self.eps_reg, lift=self.lift)
+
         return assemble_residual(u, samples, self.convection, self.p, self.q,
-                                 lift=self.lift), samples
-
-    def jacobian(self, c: np.ndarray, samples) -> sp.csr_matrix:
-        """The Jacobian at c, through f at the ``samples`` of T(c) for a local T.
-
-        A nonlocal T keeps the load frozen (the chord rule).
-        """
-        return assemble_jacobian(self.hierarchy.function(self.n, c),
-                                 samples if self.operator.is_local else None,
-                                 self.convection, self.p, self.q,
-                                 eps_reg=self.eps_reg, lift=self.lift)
+                                 lift=self.lift), jacobian
 
     def norms(self, c: np.ndarray):
         """||grad u||_p of a coefficient vector, or of each column of an (n_free, k) block."""
@@ -511,18 +505,12 @@ def solve_level(
     """Solve the Galerkin equation on level n inside the safeguard ball.
 
     One ball-constrained zero search on the level problem's residual, from
-    the starts named below.  Its Jacobian gets the samples of T the residual
-    just took at the same iterate.  The residual sup, the energy gap and convergence come from
-    the residual the search last evaluated.
+    the starts named below, with the Jacobian that the residual hands out at
+    each iterate on the level's pattern.  The residual sup, the energy gap
+    and convergence come from the residual the search last evaluated.
     """
     h = inst.hierarchy
     prob = inst.at(n)
-    last = [None]  # the samples of T the residual last took
-
-    def F(c):
-        values, last[0] = prob.residual(c)
-        return values
-
     # The operator is non-monotone, so the discrete equation can have several
     # solutions and Newton converges to the one nearest its start.  A supplied
     # initial-guess function acts as a branch selector: its interpolant is
@@ -538,9 +526,8 @@ def solve_level(
     if not starts:
         starts["origin"] = np.zeros(h.level(n).n_free)
 
-    # brouwer_zero only differentiates at the iterate F last evaluated
-    res = brouwer_zero(F, R, x0=np.array(list(starts.values()), dtype=float),
-                       jac=lambda c: prob.jacobian(c, last[0]), norm=prob.norms, tol=inst.tol)
+    res = brouwer_zero(prob.residual, R, x0=np.array(list(starts.values()), dtype=float),
+                       pattern=prob.lvl.jacobian_pattern, norm=prob.norms, tol=inst.tol)
     return LevelSolve(h.function(n, res.x), res, R, prob.norms(res.x),
                       start=None if res.start is None else list(starts)[res.start],
                       sphere=np.empty(0), gaps=None)

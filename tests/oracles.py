@@ -75,6 +75,12 @@ def full_csr(M) -> sp.csr_matrix:
                           np.arange(0, rows * cols + 1, cols)), shape=M.shape)
 
 
+def pattern_csr(pattern, data) -> sp.csr_matrix:
+    """The square CSR matrix with ``data`` on a pattern with ``indptr`` and ``indices``."""
+    n = len(pattern.indptr) - 1
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+
+
 def random_monotone_map(rng: np.random.Generator, dim: int, R: float):
     """Monotone map A v + c ||v||^2 v - b with its unique zero inside the ball.
 

@@ -180,8 +180,9 @@ class TestCriterion4:
         for k in range(50):
             dim = 2 if k < 25 else 3
             F, dF, A, b, c = random_monotone_map(rng, dim, R)
-            res = brouwer_zero(lambda v: np.atleast_1d(F(v)), R, x0=np.zeros(dim),
-                               jac=lambda v: full_csr(dF(v)), norm=np.linalg.norm, tol=1e-12)
+            res = brouwer_zero(lambda v: (np.atleast_1d(F(v)), lambda: full_csr(dF(v)).data),
+                               R, x0=np.zeros(dim), pattern=full_csr(np.zeros((dim, dim))),
+                               norm=np.linalg.norm, tol=1e-12)
             assert res.converged
             oracle = grid_search_zero(F, R, dim)
             worst = max(worst, float(np.linalg.norm(res.x - oracle)))

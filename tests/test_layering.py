@@ -8,8 +8,9 @@ The config module converts raw values only in its ``_as_*`` readers and
 constructs runtime objects only in its three builders.
 
 The solver and the assembly build no sparse diagonal or identity matrix:
-a Newton iteration fills a fixed pattern instead.  Neither binds a mutable
-container at module level, so no state outlives the call that made it.
+a Newton iteration fills a fixed pattern instead, and the assembly does
+not import ``scipy.sparse`` at all.  Neither binds a mutable container at
+module level, so no state outlives the call that made it.
 
 In the solver, only the level problem evaluates the Galerkin equation: it
 alone assembles the residual and the Jacobian and applies T, and the lift
@@ -20,8 +21,10 @@ the command line takes the exit code of a run's status from its one table.
 
 The library holds only what it runs: every public name a module defines,
 class members included, is referenced by another module, used in its own,
-or allowed by name with its reason.  The package ``__init__`` only
-re-exports, so its imports count as no reference.
+or allowed by name with its reason.  A class member counts as read only
+through an attribute (``x.name``), not through a keyword argument or a
+bare name.  The package ``__init__`` only re-exports, so its imports count
+as no reference.
 """
 
 import ast
@@ -89,6 +92,17 @@ def _sparse_builder_calls(path):
             if name in SPARSE_BUILDERS]
 
 
+def _imported_modules(path):
+    """Every module an import statement of the file names."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append(node.module)
+    return found
+
+
 def test_newton_iterations_build_no_sparse_diagonals():
     package = Path(competefem.__file__).parent
     offenders = [call for name in ("solver.py", "operators.py")
@@ -96,6 +110,14 @@ def test_newton_iterations_build_no_sparse_diagonals():
     assert offenders == []
     # the guard sees what it guards: the constants still build a diagonal
     assert _sparse_builder_calls(package / "constants.py")
+
+
+def test_the_assembly_imports_no_sparse_matrices():
+    package = Path(competefem.__file__).parent
+    assert [m for m in _imported_modules(package / "operators.py")
+            if m.startswith("scipy.sparse")] == []
+    # the guard sees what it guards: the solver plans on a sparse pattern
+    assert "scipy.sparse" in _imported_modules(package / "solver.py")
 
 
 CONTAINERS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
@@ -183,21 +205,24 @@ UNREFERENCED_ALLOWED = {
                                    "which raises if it is missing",
     "discretization.lebesgue_norm": "reference L^r norm the tests measure against",
     "discretization.zero": "SpaceHierarchy.zero, the zero function the tests construct",
+    "solver.history": "BrouwerResult.history, the residual history of a zero search "
+                      "that the tests read; no report writes it yet",
 }
 
 
 def _public_definitions(tree):
-    """(name, node) of each public top-level definition and class member."""
+    """(name, node, member) of each public top-level definition and class member."""
     found = []
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else []
         for item in [node, *members]:
+            member = item is not node
             if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
-                found.append((item.name, item))
+                found.append((item.name, item, member))
             elif isinstance(item, (ast.Assign, ast.AnnAssign)):
                 targets = item.targets if isinstance(item, ast.Assign) else [item.target]
-                found += [(t.id, item) for t in targets if isinstance(t, ast.Name)]
-    return [(name, node) for name, node in found if not name.startswith("_")]
+                found += [(t.id, item, member) for t in targets if isinstance(t, ast.Name)]
+    return [entry for entry in found if not entry[0].startswith("_")]
 
 
 def _references(tree):
@@ -211,18 +236,24 @@ def _references(tree):
 
 
 def _unreferenced(sources):
-    """``module.name`` of each public name that neither another module nor its own reads."""
+    """``module.name`` of each public name that neither another module nor its own reads.
+
+    A class member is read only through an attribute.
+    """
     trees = {mod: ast.parse(text, filename=mod) for mod, text in sources.items()}
     unread = []
     for mod, tree in trees.items():
         if mod == "__init__":
             continue
-        elsewhere = {name for other, t in trees.items() if other not in (mod, "__init__")
-                     for name, _ in _references(t)}
-        for name, definition in _public_definitions(tree):
+        elsewhere = {(name, isinstance(node, ast.Attribute))
+                     for other, t in trees.items() if other not in (mod, "__init__")
+                     for name, node in _references(t)}
+        for name, definition, member in _public_definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
-            if name not in elsewhere and not any(
-                    n == name and id(node) not in inside for n, node in _references(tree)):
+            kinds = {True} if member else {True, False}
+            if not any((name, kind) in elsewhere for kind in kinds) and not any(
+                    n == name and isinstance(node, ast.Attribute) in kinds
+                    and id(node) not in inside for n, node in _references(tree)):
                 unread.append(f"{mod}.{name}")
     return unread
 
@@ -233,11 +264,12 @@ def test_the_library_holds_only_what_it_reads():
     # an entry that the package comes to read leaves the list
     assert sorted(unread) == sorted(UNREFERENCED_ALLOWED)
     # the guard sees what it guards
+    # z is passed only by keyword and shadowed by a local variable
     snippet = {
-        "a": "N = 1\nM = 2\nclass C:\n    x: int\n    y: int\n"
+        "a": "N = 1\nM = 2\nclass C:\n    x: int\n    y: int\n    z: int\n"
              "    def used(self):\n        return self.x\n"
              "    def unread(self):\n        return M\n",
-        "b": "from a import C\nC().used()\n",
+        "b": "from a import C\nz = 1\nC(z=z).used()\n",
         "__init__": "from a import N, C\n",
     }
-    assert sorted(_unreferenced(snippet)) == ["a.N", "a.unread", "a.y"]
+    assert sorted(_unreferenced(snippet)) == ["a.N", "a.unread", "a.y", "a.z"]

@@ -53,7 +53,8 @@ from competefem.solver import (
 )
 
 import oracles
-from oracles import full_csr, grid_search_zero, random_monotone_map, sphere_pairings_loop
+from oracles import (full_csr, grid_search_zero, pattern_csr, random_monotone_map,
+                     sphere_pairings_loop)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 SPHERE_CASES = ["identity-1d", "identity-square", "lift-1d", "convolution-1d",
@@ -72,10 +73,21 @@ def make_instance(h, f_kind="manufactured_p3q2", f_params=None, T=None,
     )
 
 
+def full_pattern(n):
+    """The CSR pattern that stores every entry of an n x n matrix."""
+    return full_csr(np.zeros((n, n)))
+
+
+def with_jacobian(F, J):
+    """F for brouwer_zero: F(v) and the data of the CSR matrix J(v) on its pattern."""
+    return lambda v: (F(v), lambda: J(v).data)
+
+
 def search(F, dF, R, x0, **kwargs):
     """brouwer_zero in the Euclidean ball with the analytic Jacobian dF on a full pattern."""
-    return brouwer_zero(F, R, x0=np.asarray(x0, dtype=float), jac=lambda v: full_csr(dF(v)),
-                        norm=np.linalg.norm, **kwargs)
+    x0 = np.asarray(x0, dtype=float)
+    return brouwer_zero(with_jacobian(F, lambda v: full_csr(dF(v))), R, x0=x0,
+                        pattern=full_pattern(x0.shape[-1]), norm=np.linalg.norm, **kwargs)
 
 
 def _normal(J, r):
@@ -123,8 +135,9 @@ class TestBrouwerZero:
 
     def test_custom_norm_projection(self):
         # ball in a weighted norm twice the Euclidean one
-        res = brouwer_zero(lambda v: v - np.array([3.0]), 2.0, x0=np.zeros(1),
-                           jac=lambda v: full_csr(np.eye(1)),
+        res = brouwer_zero(with_jacobian(lambda v: v - np.array([3.0]),
+                                         lambda v: full_csr(np.eye(1))),
+                           2.0, x0=np.zeros(1), pattern=full_pattern(1),
                            norm=lambda v: 2.0 * float(np.abs(v[0])))
         assert np.abs(res.x[0]) <= 1.0 + 1e-9
 
@@ -230,23 +243,24 @@ class TestBrouwerZero:
         np.testing.assert_allclose(res.x, [2.0], atol=1e-8)
 
     def test_a_later_jacobian_on_another_pattern_is_refused(self):
-        # the first Jacobian stores the zero off-diagonal entries, later ones drop them
+        # the first Jacobian stores the zero off-diagonal entries of the full
+        # pattern, later ones drop them, so their data is too short
         target = np.array([1.0, -0.5])
         patterns = iter([full_csr, sp.csr_matrix])
 
         def jac(v):
             return next(patterns, sp.csr_matrix)(np.diag(1.0 + 1.5 * v**2))
 
-        with pytest.raises(ValueError, match="differs from the search's first one"):
-            brouwer_zero(lambda v: v + 0.5 * v**3 - target, 2.0, x0=np.zeros(2), jac=jac,
-                         norm=np.linalg.norm)
+        with pytest.raises(ValueError, match="a Jacobian has 2 entries, its pattern 4"):
+            brouwer_zero(with_jacobian(lambda v: v + 0.5 * v**3 - target, jac), 2.0,
+                         x0=np.zeros(2), pattern=full_pattern(2), norm=np.linalg.norm)
 
     def test_a_first_pattern_without_its_diagonal_is_refused(self):
         J = sp.csr_matrix(TestNewtonFallback.J)  # no entries at (0, 0) and (2, 2)
         assert J.nnz == 5
         with pytest.raises(ValueError, match="lacks a diagonal entry"):
-            brouwer_zero(lambda v: J @ v - TestNewtonFallback.rhs, 1.0, x0=np.zeros(3),
-                         jac=lambda v: J, norm=np.linalg.norm)
+            brouwer_zero(with_jacobian(lambda v: J @ v - TestNewtonFallback.rhs, lambda v: J),
+                         1.0, x0=np.zeros(3), pattern=J, norm=np.linalg.norm)
 
 
 class TestNewtonFallback:
@@ -283,7 +297,7 @@ def _galerkin_jacobian(domain, level, kind, seed=5):
     u = h.function(level, 0.1 * np.random.default_rng(seed).standard_normal(
         h.level(level).n_free))
     img = apply(identity_operator(), u) if f.solution_dependent else None
-    return (assemble_jacobian(u, img, f, 3.0, 2.0),
+    return (pattern_csr(u.lvl.jacobian_pattern, assemble_jacobian(u, img, f, 3.0, 2.0)),
             assemble_residual(u, img, f, 3.0, 2.0))
 
 
@@ -408,15 +422,17 @@ class TestSymbolicPlan:
             return _normal_equations(plan, data, r)
 
         monkeypatch.setattr("competefem.solver._normal_equations", recording)
-        res = brouwer_zero(lambda v: J @ (v - x), 0.5 * np.linalg.norm(x), x0=np.zeros(n),
-                           jac=lambda v: J, norm=np.linalg.norm)
+        res = brouwer_zero(with_jacobian(lambda v: J @ (v - x), lambda v: J),
+                           0.5 * np.linalg.norm(x), x0=np.zeros(n), pattern=J,
+                           norm=np.linalg.norm)
         ts = {t for t, _ in res.history}
         assert res.continuation_stages > 0 and len(ts) > 2
         references = {t: (t * J + (1.0 - t) * sp.identity(n)).toarray() for t in ts}
+        own = _normal_plan(J)
         for plan, data in seen:
             # on J's own pattern
-            assert np.array_equal(plan.indices, J.indices)
-            assert np.array_equal(plan.indptr, J.indptr)
+            assert np.array_equal(plan.perm, own.perm)
+            assert np.array_equal(plan.diag, own.diag)
             blended = sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape).toarray()
             assert any(np.array_equal(blended, ref) for ref in references.values())
         assert sum(not np.array_equal(data, J.data) for _, data in seen) > 2
@@ -464,6 +480,30 @@ class TestSymbolicPlan:
         assert len(orderings) == 2
         solve_level(inst, 1, 2.0)  # no plan outlives its search
         assert len(orderings) == 3
+
+    def test_newton_iterations_build_no_sparse_matrix(self, monkeypatch):
+        # the Jacobians are data on the level's pattern: a level solve builds
+        # the same CSR matrices however many Newton iterations it takes
+        made = []
+        csr_matrix = sp.csr_matrix
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return csr_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "csr_matrix", counting)
+        counts = {}
+        # Newton from the exact profile, and the homotopy of a constant f
+        for f_kind, f_params, guess in (("manufactured_p3q2", {}, lambda x: x * (1 - x)),
+                                        ("constant", {"c": 1.0}, None)):
+            h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 1)  # its pattern is not built yet
+            inst = make_instance(h, f_kind, f_params, guess=guess)
+            made.clear()
+            out = solve_level(inst, 1, 2.0)
+            assert out.search.converged
+            counts[out.search.newton_iters] = len(made)
+        assert len(counts) == 2 and max(counts) > 10
+        assert len(set(counts.values())) == 1
 
 
 class TestSolveLevel:

@@ -5,7 +5,8 @@ a change that moves ``levels_converged`` fails here, not only in the
 benchmark; and every embedding constant's ascent must keep converging.  The
 workload configs are read, never written.  Two configs that used to fail
 with a positive sphere margin, lift1d and convNU, must keep converging
-from the starts that mend them.
+from the starts that mend them.  long1d keeps visible a level that
+converges only by the identity homotopy, and a failure above it.
 """
 
 import json
@@ -85,3 +86,22 @@ def test_failure_table_rows_converge_by_newton(tmp_path, config, starts):
     levels = json.loads((out / "solve_report.json").read_text())["levels"]
     assert all(lv["converged"] and lv["path"] == "newton" for lv in levels)
     assert [lv["start"] for lv in levels] == starts
+
+
+# long1d: the README problem on (0, 2), whose L1 (2 dofs) converges only by
+# the identity homotopy and whose L3 fails with a sampled sphere margin of
+# +14 (a known solver defect)
+LONG1D = {
+    "domain": {"kind": "interval", "a": 0.0, "b": 2.0, "elements": 3},
+    "levels": 3, "f": {"kind": "manufactured_p3q2"}, "initial_guess": "exact",
+}
+
+
+def test_long1d_converges_by_the_homotopy_and_fails_above(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(LONG1D))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out-dir", str(out), "--seed", "11"]) == 3
+    levels = json.loads((out / "solve_report.json").read_text())["levels"]
+    assert {lv["level"]: lv["path"] for lv in levels if lv["converged"]} == {
+        1: "homotopy", 2: "newton"}
