@@ -110,7 +110,7 @@ def cmd_study(spec: ProblemSpec, out_dir: str) -> int:
         )
         return 1
     mesh = inst.hierarchy.level(1).mesh
-    if mesh.dim != 1 or (mesh.nodes[0], mesh.nodes[-1]) != exact.interval:
+    if mesh.dim != 1 or (mesh.vertices[0, 0], mesh.vertices[-1, 0]) != exact.interval:
         print(f"manufactured solution is exact on the interval {exact.interval} only",
               file=sys.stderr)
         return 1

@@ -214,7 +214,7 @@ def _refuse_false_envelope(own: GrowthEnvelope, env: GrowthEnvelope, mesh: Domai
                  "H1_RANGE", f"the envelope must keep f's own {exponent} = {power} and "
                  f"{coeff} >= {floor}, got {exponent} = {getattr(env, exponent)}, "
                  f"{coeff} = {getattr(env, coeff)}")
-    first = mesh.nodes if mesh.dim == 1 else mesh.vertices[:, 0]
+    first = mesh.vertices[:, 0]
     lo, hi = min(first), max(first)
     points = [lo, hi, *(t for t in own.sigma.kinks + env.sigma.kinks if lo < t < hi)]
     for t in points:

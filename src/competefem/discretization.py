@@ -1,10 +1,13 @@
 """Nested piecewise-linear finite element spaces and their level operators.
 
-Levels are produced by uniform refinement (midpoint bisection of intervals,
-red refinement of triangles), so the space on every level is contained in
-the next one and prolongation is exact.  P1 elements keep |grad u| constant
-on each element, which makes the W^{1,p} seminorm exact for any p > 1;
-Lebesgue norms are computed with a fixed Gauss rule per element.
+A mesh is one simplicial mesh in every dimension: vertices of shape
+(n, dim) and cells of shape (n_el, dim + 1), intervals in 1D and triangles
+in 2D, checked once in :func:`_checked`.  Levels are produced by uniform
+refinement (midpoint bisection of intervals, red refinement of triangles),
+so the space on every level is contained in the next one and prolongation
+is exact.  P1 elements keep |grad u| constant on each element, which makes
+the W^{1,p} seminorm exact for any p > 1; Lebesgue norms are computed with
+a fixed rule per element, one per dimension.
 
 Each level carries one set of sparse operators, from free coefficients to
 element gradients and to quadrature-point values, and their transposes.
@@ -72,82 +75,123 @@ _TRI4_BARY = np.array(
     ]
 )
 _TRI4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
-_TRI4_W = _TRI4_W / _TRI4_W.sum()
+# the rule of each dimension: its points in barycentric coordinates (the
+# interval's point t is (1 - t, t)) and its weights, which sum to one
+_QUADRATURE = {
+    1: (np.column_stack([1.0 - _GL4_T, _GL4_T]), _GL4_W),
+    2: (_TRI4_BARY, _TRI4_W / _TRI4_W.sum()),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class DomainMesh:
-    """Conforming mesh of a bounded domain, 1D interval or 2D triangulation.
+    """Conforming simplicial mesh of a bounded domain in one or two dimensions.
 
-    1D meshes store strictly increasing node coordinates; 2D meshes store a
-    vertex array of shape (n, 2) and positively oriented triangles as index
-    triples.  ``measure`` is the total Lebesgue measure, computed as the sum
-    of element measures.
+    ``vertices`` has shape (n, dim) and ``cells`` shape (n_el, dim + 1), one
+    row of vertex indices per interval or triangle.  Every cell has positive
+    measure: triangles are positively oriented, and a 1D mesh has
+    increasing vertices and the cells [i, i + 1], which
+    :func:`point_operators` and the convolution rely on.  ``measure`` is
+    the total Lebesgue measure, computed as the sum of cell measures.
     """
 
-    dim: int
-    nodes: np.ndarray | None = None
-    vertices: np.ndarray | None = None
-    triangles: np.ndarray | None = None
+    vertices: np.ndarray
+    cells: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.vertices.shape[1]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes) if self.dim == 1 else len(self.vertices)
+        return len(self.vertices)
 
     @property
     def n_elements(self) -> int:
-        return len(self.nodes) - 1 if self.dim == 1 else len(self.triangles)
+        return len(self.cells)
 
     @property
     def measure(self) -> float:
         return float(np.sum(self.element_measures()))
 
     def element_measures(self) -> np.ndarray:
+        """Length of each interval, or signed area of each triangle."""
+        v = self.vertices[self.cells]
+        e = v[:, 1:] - v[:, :1]  # row k: vertex k + 1 minus vertex 0
         if self.dim == 1:
-            return np.diff(self.nodes)
-        v = self.vertices[self.triangles]
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+            return e[:, 0, 0]
+        return 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
 
     def boundary_nodes(self) -> np.ndarray:
-        if self.dim == 1:
-            return np.array([0, len(self.nodes) - 1])
-        edges = np.sort(
-            np.vstack(
-                [self.triangles[:, [0, 1]], self.triangles[:, [1, 2]], self.triangles[:, [2, 0]]]
-            ),
-            axis=1,
-        )
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
-        return np.unique(uniq[counts == 1])
+        """The vertices of the facets that belong to one cell only."""
+        keys, counts = np.unique(_facets(self.cells, self.n_nodes)[1], return_counts=True)
+        return np.unique(np.unravel_index(keys[counts == 1], (self.n_nodes,) * self.dim))
 
     @staticmethod
     def from_json_dict(obj: dict) -> "DomainMesh":
         if obj.get("dim") == 1:
-            return interval_mesh_from_nodes(np.asarray(obj["nodes"], dtype=float))
+            return interval_mesh_from_nodes(obj["nodes"])
         if obj.get("dim") == 2:
-            return triangle_mesh(
-                np.asarray(obj["vertices"], dtype=float), np.asarray(obj["triangles"], dtype=int)
-            )
+            return triangle_mesh(obj["vertices"], obj["triangles"])
         raise MeshError(f"mesh dim must be 1 or 2, got {obj.get('dim')!r}")
 
 
+def _facets(cells: np.ndarray, n: int) -> tuple:
+    """Facet k of each cell, the cell without its vertex k, and one integer key per facet.
+
+    Rows run cell by cell, k innermost.  The key of a facet encodes its
+    sorted vertices, so ``np.unique`` works on a flat array.
+    """
+    d = cells.shape[1]
+    facets = cells[:, [[j for j in range(d) if j != k] for k in range(d)]].reshape(-1, d - 1)
+    return facets, np.ravel_multi_index(np.sort(facets).T, (n,) * (d - 1))
+
+
+def _checked(vertices: np.ndarray, cells: np.ndarray) -> DomainMesh:
+    """The mesh on ``vertices`` and ``cells``, checked alike in every dimension.
+
+    The vertices are finite and each lies in a cell, every cell has positive
+    measure, and each facet lies in one cell or in two on its opposite sides.
+    """
+    if len(cells) == 0:
+        raise MeshError("mesh needs at least one cell")
+    if cells.min() < 0 or cells.max() >= len(vertices):
+        raise MeshError("cell vertex indices out of range")
+    if not np.all(np.isfinite(vertices)):
+        raise MeshError("mesh vertices must be finite")
+    unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(vertices)) == 0)
+    if len(unused):
+        raise MeshError(f"vertex {unused[0]} lies in no cell")
+    mesh = DomainMesh(vertices=vertices, cells=cells)
+    measures = mesh.element_measures()
+    if np.any(measures <= 0):
+        bad = int(np.argmin(measures))
+        raise MeshError(f"cell {bad} is degenerate or negatively oriented ({measures[bad]:g}): "
+                        f"interval nodes must be strictly increasing, triangles counterclockwise")
+    # two cells on one facet orient it oppositely: facet k takes (-1)^k times
+    # the sign of the permutation that sorts its one or two vertices.  So a
+    # facet that two cells orient alike, or that three cells hold, overlaps.
+    facets, keys = _facets(cells, len(vertices))
+    even = np.tile(np.arange(cells.shape[1]) % 2 == 0, len(cells))
+    oriented = np.sort(2 * keys + (even == (facets[:, -1] >= facets[:, 0])))
+    twice = oriented[1:][oriented[1:] == oriented[:-1]]
+    if len(twice):
+        at = np.unravel_index(twice[0] // 2, (len(vertices),) * (cells.shape[1] - 1))
+        raise MeshError(f"cells overlap at facet {[int(i) for i in at]}: "
+                        f"{np.count_nonzero(oriented == twice[0])} cells lie on one side of it")
+    return mesh
+
+
 def interval_mesh_from_nodes(nodes: np.ndarray) -> DomainMesh:
+    """The 1D mesh on increasing ``nodes``, with the cells [i, i + 1]."""
     nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or len(nodes) < 2:
-        raise MeshError("interval mesh needs at least two nodes")
-    if not np.all(np.isfinite(nodes)):
-        raise MeshError("interval mesh nodes must be finite")
-    if not np.all(np.diff(nodes) > 0):
-        raise MeshError("interval mesh nodes must be strictly increasing")
-    return DomainMesh(dim=1, nodes=nodes)
+    if nodes.ndim != 1:
+        raise MeshError("interval mesh nodes must be a flat list")
+    return _checked(nodes[:, None], np.arange(len(nodes) - 1)[:, None] + np.arange(2))
 
 
 def interval_mesh(a: float, b: float, elements: int) -> DomainMesh:
     """Uniform mesh of (a, b) with the given number of elements."""
-    if not b > a:
-        raise MeshError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
     if elements < 1:
         raise MeshError("interval mesh needs at least one element")
     return interval_mesh_from_nodes(np.linspace(a, b, elements + 1))
@@ -160,16 +204,7 @@ def triangle_mesh(vertices: np.ndarray, triangles: np.ndarray) -> DomainMesh:
         raise MeshError("2D mesh vertices must have shape (n, 2)")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError("2D mesh triangles must have shape (m, 3)")
-    if triangles.min() < 0 or triangles.max() >= len(vertices):
-        raise MeshError("triangle indices out of vertex range")
-    mesh = DomainMesh(dim=2, vertices=vertices, triangles=triangles)
-    areas = mesh.element_measures()
-    if np.any(areas <= 0):
-        bad = int(np.argmin(areas))
-        raise MeshError(
-            f"triangle {bad} is degenerate or negatively oriented (signed area {areas[bad]:g})"
-        )
-    return mesh
+    return _checked(vertices, triangles)
 
 
 def unit_square_mesh() -> DomainMesh:
@@ -183,31 +218,33 @@ def _refine(mesh: DomainMesh) -> tuple:
     """Uniform refinement of ``mesh`` and its parent table.
 
     Row i of ``parents`` holds the two coarse nodes whose midpoint fine node
-    i is; an old node keeps its index and is its own parent twice.  New
-    triangle nodes are numbered in the order their edge is first met,
-    triangle by triangle and edges ab, bc, ca within each.
+    i is; an old node is its own parent twice.  In 1D old nodes and
+    midpoints interleave, so the vertices stay increasing and the cells
+    [i, i + 1].  On triangles an old node keeps its index, and new nodes
+    are numbered in the order their edge is first met, triangle by
+    triangle and edges ab, bc, ca within each.  A refined checked mesh
+    passes the check, so it is not repeated.
     """
     n = mesh.n_nodes
     old = np.repeat(np.arange(n)[:, None], 2, axis=1)
     if mesh.dim == 1:
         parents = np.empty((2 * n - 1, 2), dtype=int)
         parents[0::2] = old
-        parents[1::2] = np.column_stack([np.arange(n - 1), np.arange(1, n)])
-        mids = 0.5 * (mesh.nodes[parents[:, 0]] + mesh.nodes[parents[:, 1]])
-        return DomainMesh(dim=1, nodes=mids), parents
-    edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    _, first, edge_of = np.unique(edges[:, 0] * n + edges[:, 1],
-                                  return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=int)
-    rank[np.argsort(first)] = np.arange(len(first))
-    ab, bc, ca = (n + rank[edge_of]).reshape(-1, 3).T
-    a, b, c = mesh.triangles.T
-    tris = np.array([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-    parents = np.vstack([old, edges[np.sort(first)]])
+        parents[1::2] = mesh.cells
+        cells = np.arange(2 * n - 2)[:, None] + np.arange(2)
+    else:
+        edges = np.sort(mesh.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, edge_of = np.unique(edges[:, 0] * n + edges[:, 1],
+                                      return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=int)
+        rank[np.argsort(first)] = np.arange(len(first))
+        ab, bc, ca = (n + rank[edge_of]).reshape(-1, 3).T
+        a, b, c = mesh.cells.T
+        tris = np.array([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+        parents = np.vstack([old, edges[np.sort(first)]])
+        cells = tris.transpose(2, 0, 1).reshape(-1, 3)
     verts = mesh.vertices
-    fine = triangle_mesh(0.5 * (verts[parents[:, 0]] + verts[parents[:, 1]]),
-                         tris.transpose(2, 0, 1).reshape(-1, 3))
-    return fine, parents
+    return DomainMesh(0.5 * (verts[parents[:, 0]] + verts[parents[:, 1]]), cells), parents
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +270,6 @@ class Level:
     mesh: DomainMesh
     free: np.ndarray            # interior node indices
     free_of_node: np.ndarray    # node index -> free index or -1
-    elem_nodes: np.ndarray      # (n_el, nv)
     elem_measure: np.ndarray    # (n_el,)
     grad_basis: np.ndarray      # (n_el, nv, dim), gradients of local hats
     basis_at_qp: np.ndarray     # (n_q, nv), reference basis values
@@ -255,16 +291,16 @@ class Level:
         return _jacobian_pattern(self)
 
 
-def _free_operator(local: np.ndarray, elem_nodes: np.ndarray, free_of_node: np.ndarray,
+def _free_operator(local: np.ndarray, cells: np.ndarray, free_of_node: np.ndarray,
                    n_free: int) -> sp.csr_matrix:
-    """CSR matrix whose row ``i`` puts weight ``local[i, k]`` on node ``elem_nodes[i, k]``.
+    """CSR matrix whose row ``i`` puts weight ``local[i, k]`` on node ``cells[i, k]``.
 
-    ``local`` and ``elem_nodes`` broadcast to a common (..., nv) shape whose
+    ``local`` and ``cells`` broadcast to a common (..., nv) shape whose
     leading axes are flattened into rows in C order.  Entries on boundary
     nodes are dropped, so the matrix acts on free coefficients; each row
     keeps the rest in local node order, the order of the element sums.
     """
-    local, cols = np.broadcast_arrays(local, free_of_node[elem_nodes])
+    local, cols = np.broadcast_arrays(local, free_of_node[cells])
     nv = local.shape[-1]
     local, cols = local.reshape(-1, nv), cols.reshape(-1, nv)
     keep = cols >= 0
@@ -272,11 +308,11 @@ def _free_operator(local: np.ndarray, elem_nodes: np.ndarray, free_of_node: np.n
     return sp.csr_matrix((local[keep], cols[keep], indptr), shape=(len(cols), n_free))
 
 
-def _operators(grad: np.ndarray, basis: np.ndarray, elem_nodes: np.ndarray,
+def _operators(grad: np.ndarray, basis: np.ndarray, cells: np.ndarray,
                free_of_node: np.ndarray, n_free: int) -> tuple:
     """``grad_op`` and ``qp_op`` on the columns that ``free_of_node`` gives each node."""
-    grad_op = _free_operator(np.transpose(grad, (2, 0, 1)), elem_nodes, free_of_node, n_free)
-    qp_op = _free_operator(basis, elem_nodes[:, None, :], free_of_node, n_free)
+    grad_op = _free_operator(np.transpose(grad, (2, 0, 1)), cells, free_of_node, n_free)
+    qp_op = _free_operator(basis, cells[:, None, :], free_of_node, n_free)
     return grad_op, qp_op
 
 
@@ -368,7 +404,7 @@ class JacobianPattern:
 
 def _jacobian_pattern(lvl: Level) -> JacobianPattern:
     n = lvl.n_free
-    nodes = lvl.free_of_node[lvl.elem_nodes].T  # (nv, n_el), -1 on the boundary
+    nodes = lvl.free_of_node[lvl.mesh.cells].T  # (nv, n_el), -1 on the boundary
     rows, cols = nodes[:, None], nodes[None, :]
     coupled = (rows >= 0) & (cols >= 0)
     keys = rows * n + cols
@@ -431,44 +467,29 @@ def _build_level(index: int, mesh: DomainMesh,
     free_of_node[free] = np.arange(len(free))
 
     measures = mesh.element_measures()
+    basis, w = _QUADRATURE[mesh.dim]
+    v = mesh.vertices[mesh.cells]  # (n_el, nv, dim)
+    e = v[:, 1:] - v[:, :1]  # the edge matrix E of each cell, row k: vertex k + 1 minus vertex 0
+    # the gradient of barycentric coordinate k is E^-1 times its reference
+    # gradient, (-1, ..., -1) or a unit vector; inv_t holds E^-T.  The
+    # points and inv_t keep the arithmetic of each dimension's own formula.
     if mesh.dim == 1:
-        t, w = _GL4_T, _GL4_W
-        elem_nodes = np.column_stack([np.arange(mesh.n_elements), np.arange(1, mesh.n_nodes)])
-        x0 = mesh.nodes[:-1]
-        h = measures
-        qp = (x0[:, None] + np.outer(h, t))[:, :, None]
-        qw = np.outer(h, w)
-        basis = np.column_stack([1.0 - t, t])
-        grad = np.empty((mesh.n_elements, 2, 1))
-        grad[:, 0, 0] = -1.0 / h
-        grad[:, 1, 0] = 1.0 / h
+        qp = (v[:, 0] + np.outer(measures, basis[:, 1]))[..., None]
+        inv_t = 1.0 / e
     else:
-        bary, w = _TRI4_BARY, _TRI4_W
-        elem_nodes = mesh.triangles
-        v = mesh.vertices[mesh.triangles]  # (n_el, 3, 2)
-        qp = np.einsum("qk,ekd->eqd", bary, v)
-        qw = np.outer(measures, w)
-        basis = bary
-        # gradients of barycentric coordinates: rows of inv(B)^T applied to
-        # reference gradients (-1,-1), (1,0), (0,1)
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        inv_t = np.empty((mesh.n_elements, 2, 2))
-        inv_t[:, 0, 0] = e2[:, 1] / det
-        inv_t[:, 0, 1] = -e1[:, 1] / det
-        inv_t[:, 1, 0] = -e2[:, 0] / det
-        inv_t[:, 1, 1] = e1[:, 0] / det
-        ref_grad = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        grad = np.einsum("kr,erd->ekd", ref_grad, np.transpose(inv_t, (0, 2, 1)))
+        qp = np.einsum("qk,ekd->eqd", basis, v)
+        adj_t = np.stack([e[:, 1, 1], -e[:, 1, 0], -e[:, 0, 1], e[:, 0, 0]], axis=1)
+        inv_t = (adj_t / (2.0 * measures)[:, None]).reshape(-1, 2, 2)  # det E = 2 |cell|
+    ref_grad = np.vstack([-np.ones(mesh.dim), np.eye(mesh.dim)])
+    grad = np.einsum("kr,erd->ekd", ref_grad, inv_t)
+    qw = np.outer(measures, w)
 
-    grad_op, qp_op = _operators(grad, basis, elem_nodes, free_of_node, len(free))
+    grad_op, qp_op = _operators(grad, basis, mesh.cells, free_of_node, len(free))
     return Level(
         index=index,
         mesh=mesh,
         free=free,
         free_of_node=free_of_node,
-        elem_nodes=elem_nodes,
         elem_measure=measures,
         grad_basis=grad,
         basis_at_qp=basis,
@@ -526,13 +547,15 @@ class SpaceHierarchy:
         return FEFunction(self, n, np.asarray(coeffs, dtype=float))
 
     def interpolate(self, n: int, fn) -> "FEFunction":
-        """Nodal interpolant of a callable on level n (boundary set to zero)."""
+        """Nodal interpolant of a callable on level n (boundary set to zero).
+
+        ``fn`` gets the free vertices (n_free, dim) in every dimension and
+        returns one value each, shaped (n_free,) or (n_free, 1), so the 1D
+        ``lambda x: x * (1 - x)`` works as it is; any other size raises.
+        """
         lvl = self.level(n)
-        if self.dim == 1:
-            pts = lvl.mesh.nodes[lvl.free]
-        else:
-            pts = lvl.mesh.vertices[lvl.free]
-        return FEFunction(self, n, np.asarray(fn(pts), dtype=float))
+        values = np.asarray(fn(lvl.mesh.vertices[lvl.free]), dtype=float)
+        return FEFunction(self, n, values.reshape(lvl.n_free))
 
 
 def build_hierarchy(domain: DomainMesh, levels: int) -> SpaceHierarchy:
@@ -648,7 +671,7 @@ def nodal_samples(lvl: Level, nodal: np.ndarray) -> NodalSamples:
     It goes through the level's operators, built with every node kept.
     """
     every = np.arange(lvl.mesh.n_nodes)
-    grad_op, qp_op = _operators(lvl.grad_basis, lvl.basis_at_qp, lvl.elem_nodes, every, len(every))
+    grad_op, qp_op = _operators(lvl.grad_basis, lvl.basis_at_qp, lvl.mesh.cells, every, len(every))
     return NodalSamples(
         level=lvl.index,
         gradients=(grad_op @ nodal).reshape(lvl.mesh.dim, lvl.mesh.n_elements, 1),
@@ -659,15 +682,15 @@ def nodal_samples(lvl: Level, nodal: np.ndarray) -> NodalSamples:
 def point_operators(lvl: Level, x: np.ndarray) -> tuple:
     """Sparse maps from free coefficients to values and gradients at the points ``x``.
 
-    1D levels only.  A point at fraction t of element e weighs the element's
-    nodes by 1 - t and t, and takes ``grad_op``'s row e as its gradient; a
-    point on a node belongs to the element on its right, the last node to
-    the last element.
+    1D levels only, whose vertices increase and whose element e is [e, e + 1].
+    A point at fraction t of element e weighs the element's nodes by 1 - t
+    and t, and takes ``grad_op``'s row e as its gradient; a point on a node
+    belongs to the element on its right, the last node to the last element.
     """
-    nodes = lvl.mesh.nodes
+    nodes = lvl.mesh.vertices[:, 0]
     elem = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, lvl.mesh.n_elements - 1)
     t = (x - nodes[elem]) / lvl.elem_measure[elem]
-    values = _free_operator(np.column_stack([1.0 - t, t]), lvl.elem_nodes[elem],
+    values = _free_operator(np.column_stack([1.0 - t, t]), lvl.mesh.cells[elem],
                             lvl.free_of_node, lvl.n_free)
     return values, lvl.grad_op[elem]
 
@@ -685,23 +708,15 @@ def prolongate(u: FEFunction, target_level: int) -> FEFunction:
 
 
 def sine_mode(h: SpaceHierarchy, n: int, k: int = 1) -> FEFunction:
-    """Interpolant on level n of the k-th Dirichlet sine mode of the bounding box.
+    """Interpolant on level n of the k-th Dirichlet sine mode of the bounding box [lo, hi].
 
-    In 2D the mode is the product of the k-th modes of both coordinates,
-    taken after mapping the box onto the unit square.
+    The mode is the product over the coordinates of sin(k pi (x - lo) / (hi - lo)).
+    A mesh whose cells have positive measure spans every coordinate, so
+    hi > lo.
     """
-    lvl = h.level(n)
-    if h.dim == 1:
-        a, b = lvl.mesh.nodes[0], lvl.mesh.nodes[-1]
-        return h.interpolate(n, lambda x: np.sin(k * np.pi * (x - a) / (b - a)))
-    lo = lvl.mesh.vertices.min(axis=0)
-    hi = lvl.mesh.vertices.max(axis=0)
-
-    def mode(pts):
-        t = (pts - lo) / np.where(hi > lo, hi - lo, 1.0)
-        return np.sin(k * np.pi * t[:, 0]) * np.sin(k * np.pi * t[:, 1])
-
-    return h.interpolate(n, mode)
+    vertices = h.level(n).mesh.vertices
+    lo, hi = vertices.min(axis=0), vertices.max(axis=0)
+    return h.interpolate(n, lambda x: np.prod(np.sin(k * np.pi * (x - lo) / (hi - lo)), axis=1))
 
 
 def grad_norm_p(u: FEFunction, p: float) -> float:

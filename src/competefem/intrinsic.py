@@ -208,8 +208,7 @@ def lift_on(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> Noda
     lvl = hierarchy.level(level)
     hit = T._lift_cache.get(lvl)
     if hit is None:
-        pts = lvl.mesh.nodes[:, None] if hierarchy.dim == 1 else lvl.mesh.vertices
-        nodal = np.asarray(T.lift.value(pts), dtype=float)
+        nodal = np.asarray(T.lift.value(lvl.mesh.vertices), dtype=float)
         hit = T._lift_cache[lvl] = nodal_samples(lvl, nodal)
     return hit
 
@@ -236,11 +235,12 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
     u and of u' from both ends.  The image of u is read before the running
     integrals of u' are formed, so one image's integrals are held at a
     time, a column costs O(n + m), and no (points x cells) array is formed.
+    A 1D mesh has increasing vertices, so the first and the last are a and b.
     """
     if level.mesh.dim != 1:
         raise NotImplementedError("convolution operators are implemented for 1D domains")
     kernel = T.kernel
-    a, b = float(level.mesh.nodes[0]), float(level.mesh.nodes[-1])
+    a, b = float(level.mesh.vertices[0, 0]), float(level.mesh.vertices[-1, 0])
     h_min = float(np.min(level.elem_measure))
     target = min(h_min, 2.0 * kernel.support_radius) / max(1, T.refine_factor)
     # align cells with the mesh spacing where possible so that gradients of

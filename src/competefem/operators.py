@@ -217,9 +217,8 @@ _MANUFACTURED_EXACT = ExactSolution(
 
 
 def _manufactured_guess(pts):
-    """The exact profile at nodes as ``SpaceHierarchy.interpolate`` passes them."""
-    pts = np.asarray(pts, dtype=float)
-    return _MANUFACTURED_EXACT.value(pts if pts.ndim == 1 else pts[:, 0])
+    """The exact profile, a function of the first coordinate, at (n, dim) points."""
+    return _MANUFACTURED_EXACT.value(np.asarray(pts, dtype=float)[:, 0])
 
 
 def convection_from_catalog(kind: str, params: dict | None = None) -> ConvectionTerm:

@@ -7,7 +7,7 @@ The links of the existence proof (the certified growth of T and the
 Hoelder bound of the convection functional) are evaluated on trial
 functions by quadrature sums of their own.
 The assembly references loop over elements with the raw tables of a level
-(``elem_nodes``, ``grad_basis``, ``basis_at_qp``), scatter into all nodes
+(``mesh.cells``, ``grad_basis``, ``basis_at_qp``), scatter into all nodes
 and only then restrict to the free ones, so they share nothing with the
 level operators they check.  The convolution reference forms its whole
 weight matrix and reads P1 functions by np.interp of their nodal vectors.
@@ -200,7 +200,7 @@ def prolongation(coarse, fine) -> sp.csr_matrix:
         pairs = {(i, i + 1): 2 * i + 1 for i in range(nc - 1)}
     else:
         rows = list(range(nc))
-        pairs = refine_triangles(coarse.mesh.vertices, coarse.mesh.triangles)[2]
+        pairs = refine_triangles(coarse.mesh.vertices, coarse.mesh.cells)[2]
     cols, vals = list(range(nc)), [1.0] * nc
     for (i, j), m in pairs.items():
         rows += [m, m]
@@ -224,7 +224,7 @@ def full_values(lvl, coeffs) -> np.ndarray:
 
 def nodal_element_gradients(lvl, nodal) -> np.ndarray:
     """Constant gradient per element of a P1 function given at every node, (n_el, dim)."""
-    return np.einsum("ek,ekd->ed", nodal[lvl.elem_nodes], lvl.grad_basis)
+    return np.einsum("ek,ekd->ed", nodal[lvl.mesh.cells], lvl.grad_basis)
 
 
 def element_gradients(lvl, coeffs) -> np.ndarray:
@@ -234,7 +234,7 @@ def element_gradients(lvl, coeffs) -> np.ndarray:
 
 def nodal_values_at_qp(lvl, nodal) -> np.ndarray:
     """Values at the quadrature points of a P1 function given at every node, (n_el, n_q)."""
-    return np.einsum("ek,qk->eq", nodal[lvl.elem_nodes], lvl.basis_at_qp)
+    return np.einsum("ek,qk->eq", nodal[lvl.mesh.cells], lvl.basis_at_qp)
 
 
 def values_at_qp(lvl, coeffs) -> np.ndarray:
@@ -252,7 +252,7 @@ def gradient_force(u_grads: np.ndarray, r: float, lvl) -> np.ndarray:
             coef = np.where(mag > 0, mag ** (r - 2.0), 0.0)
     contrib = np.einsum("e,ekd,ed->ek", lvl.elem_measure * coef, lvl.grad_basis, u_grads)
     out = np.zeros(lvl.mesh.n_nodes)
-    np.add.at(out, lvl.elem_nodes, contrib)
+    np.add.at(out, lvl.mesh.cells, contrib)
     return out
 
 
@@ -260,7 +260,7 @@ def load_vector(values_at_qp: np.ndarray, lvl) -> np.ndarray:
     """Nodal assembly of int values * phi_i dx."""
     contrib = np.einsum("eq,qk->ek", lvl.qp_weights * values_at_qp, lvl.basis_at_qp)
     out = np.zeros(lvl.mesh.n_nodes)
-    np.add.at(out, lvl.elem_nodes, contrib)
+    np.add.at(out, lvl.mesh.cells, contrib)
     return out
 
 
@@ -303,7 +303,7 @@ def convolution_terms(T, lvl, coeffs, x) -> tuple:
     vals is u at the cell midpoints by np.interp of its nodal vector, slopes
     u' as the slope of the element holding each midpoint; both (m, k).
     """
-    nodes = lvl.mesh.nodes
+    nodes = lvl.mesh.vertices[:, 0]
     a, b = nodes[0], nodes[-1]
     h_min = np.min(np.diff(nodes))
     target = min(h_min, 2.0 * T.kernel.support_radius) / max(1, T.refine_factor)
@@ -332,9 +332,9 @@ def convolution_reference(T, lvl, coeffs, x) -> tuple:
 
 
 def _element_matrix(block: np.ndarray, lvl) -> sp.csr_matrix:
-    nv = lvl.elem_nodes.shape[1]
-    rows = np.repeat(lvl.elem_nodes, nv, axis=1).ravel()
-    cols = np.tile(lvl.elem_nodes, (1, nv)).ravel()
+    nv = lvl.mesh.cells.shape[1]
+    rows = np.repeat(lvl.mesh.cells, nv, axis=1).ravel()
+    cols = np.tile(lvl.mesh.cells, (1, nv)).ravel()
     n = lvl.mesh.n_nodes
     return sp.coo_matrix((block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 

@@ -176,7 +176,7 @@ class TestBuildInstance:
                                       initial_guess="exact"))
         inst = build_instance(spec)
         assert inst.initial_guess is not None
-        np.testing.assert_allclose(inst.initial_guess(np.array([0.5])), 0.25)
+        np.testing.assert_allclose(inst.initial_guess(np.array([[0.5]])), 0.25)
 
 
 MANUFACTURED_CLI = {
@@ -282,6 +282,14 @@ def _lift_on_square(**u0):
 
 def _kernel(**kernel):
     return {"f": CONVOLUTION_CLI["f"], "T": {"kind": "convolution", "kernel": kernel}}
+
+
+def _inline_square(vertices, triangles):
+    """A short solve on an inline 2D mesh of the unit square."""
+    return {"domain": {"kind": "mesh", "mesh": {"dim": 2, "vertices": vertices,
+                                                "triangles": triangles}},
+            "levels": 3, "f": {"kind": "constant", "c": 1.0}, "sphere_samples": 20,
+            "initial_guess": None}
 
 
 NODAL = {"kind": "nodal", "x": [0.0, 1.0], "values": [1.0, 1.0]}
@@ -750,10 +758,16 @@ class TestCli:
         ({"domain": {"kind": "mesh", "mesh": {"dim": 1}}}, [], "DOMAIN_INVALID"),
         ({"domain": {"kind": "mesh", "mesh": {"dim": 1, "nodes": [0, 1e308, float("inf")]}}},
          [], "DOMAIN_INVALID"),
+        (_inline_square([[0, 0], [1, 0], [1, 1], [0, float("nan")]], [[0, 1, 2], [0, 2, 3]]),
+         [], "DOMAIN_INVALID"),
+        (_inline_square([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], [[0, 1, 2], [0, 2, 3]]),
+         [], "DOMAIN_INVALID"),
+        (_inline_square([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3], [0, 1, 2]]),
+         [], "DOMAIN_INVALID"),
     ], ids=["negative-seed", "negative-seed-override", "convolution-on-square",
             "kernel-without-width", "interval-without-interior", "square-without-interior",
             "non-integer-starts", "nan-envelope-under-warn", "mesh-without-nodes",
-            "infinite-node"])
+            "infinite-node", "nan-vertex", "vertex-in-no-triangle", "repeated-triangle"])
     def test_inputs_that_cannot_run_exit_1(self, tmp_path, capsys, patch, argv, code):
         # each once ended in a traceback from deep inside the solve
         cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, **patch))

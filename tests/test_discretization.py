@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -45,6 +46,19 @@ def irregular_mesh():
     return triangle_mesh(verts, tris)
 
 
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+# (vertices, triangles, message) of unit squares that once built a hierarchy:
+# a NaN vertex and a vertex in no triangle made the stiffness matrix
+# singular, a repeated triangle doubled the area and freed corner 1, and
+# two triangles on one side of their shared edge overlap
+INVALID_SQUARES = [
+    (SQUARE[:3] + [[0.0, np.nan]], [[0, 1, 2], [0, 2, 3]], "finite"),
+    (SQUARE + [[0.5, 0.5]], [[0, 1, 2], [0, 2, 3]], "no cell"),
+    (SQUARE, [[0, 1, 2], [0, 2, 3], [0, 1, 2]], "overlap"),
+    (SQUARE, [[0, 1, 2], [0, 1, 3]], "overlap"),
+]
+
+
 class TestBuildHierarchy:
     def test_free_dims_interval(self):
         h = build_hierarchy(interval_mesh(0.0, 1.0, 2), 3)
@@ -54,7 +68,7 @@ class TestBuildHierarchy:
         h = build_hierarchy(interval_mesh(0.0, 1.0, 2), 1)
         assert [lvl.n_free for lvl in h.levels] == [1]
         lvl = h.level(1)
-        assert lvl.mesh.nodes[lvl.free[0]] == pytest.approx(0.5)
+        assert lvl.mesh.vertices[lvl.free[0], 0] == pytest.approx(0.5)
 
     def test_dims_strictly_increasing(self):
         h = build_hierarchy(interval_mesh(0.0, 1.0, 3), 5)
@@ -66,7 +80,7 @@ class TestBuildHierarchy:
         # count interior vertices through the boundary-edge criterion
         h = build_hierarchy(unit_square_mesh(), 3)
         for lvl in h.levels:
-            tris = lvl.mesh.triangles
+            tris = lvl.mesh.cells
             edges = np.sort(
                 np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1
             )
@@ -88,6 +102,9 @@ class TestBuildHierarchy:
         with pytest.raises(MeshError, match="degenerate|negatively"):
             triangle_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
                           np.array([[0, 1, 2]]))
+        for verts, tris, match in INVALID_SQUARES:
+            with pytest.raises(MeshError, match=match):
+                triangle_mesh(np.array(verts), np.array(tris))
         with pytest.raises(ValueError, match="levels"):
             build_hierarchy(interval_mesh(0.0, 1.0, 2), 0)
 
@@ -104,10 +121,6 @@ class TestBuildHierarchy:
         mesh = interval_mesh(0.0, 1.0, 7)
         assert mesh.measure == pytest.approx(np.sum(mesh.element_measures()), rel=1e-15)
         assert unit_square_mesh().measure == pytest.approx(1.0, rel=1e-15)
-
-
-def _node_coords(mesh):
-    return mesh.nodes[:, None] if mesh.dim == 1 else mesh.vertices
 
 
 # every level uses one rule per dimension: 4-point Gauss-Legendre on intervals,
@@ -142,10 +155,10 @@ class TestQuadrature:
         # basis-weighted mean of its element's vertices
         lvl = build_hierarchy(QUADRATURE_MESHES[kind][0](), 2).level(2)
         n_q = lvl.basis_at_qp.shape[0]
-        assert lvl.qp_points.shape == (len(lvl.elem_nodes), n_q, lvl.mesh.dim)
-        assert lvl.qp_weights.shape == (len(lvl.elem_nodes), n_q)
+        assert lvl.qp_points.shape == (len(lvl.mesh.cells), n_q, lvl.mesh.dim)
+        assert lvl.qp_weights.shape == (len(lvl.mesh.cells), n_q)
         assert np.all(lvl.basis_at_qp > 0)
-        verts = _node_coords(lvl.mesh)[lvl.elem_nodes]
+        verts = lvl.mesh.vertices[lvl.mesh.cells]
         np.testing.assert_allclose(
             lvl.qp_points, np.einsum("qk,ekd->eqd", lvl.basis_at_qp, verts), rtol=0, atol=1e-15)
 
@@ -161,7 +174,7 @@ class TestProlongate:
         u = h.function(1, [1.0])
         v = prolongate(u, 2)
         lvl = h.level(2)
-        np.testing.assert_allclose(lvl.mesh.nodes[lvl.free], [0.25, 0.5, 0.75])
+        np.testing.assert_allclose(lvl.mesh.vertices[lvl.free, 0], [0.25, 0.5, 0.75])
         np.testing.assert_allclose(v.coeffs, [0.5, 1.0, 0.5])
 
     def test_downward_prolongation_rejected(self, unit_hierarchy):
@@ -203,17 +216,18 @@ class TestRefinement:
     def test_triangles_bitwise(self, base, levels):
         h = build_hierarchy(base(), levels)
         for coarse, fine in zip(h.levels, h.levels[1:]):
-            verts, tris, _ = oracles.refine_triangles(coarse.mesh.vertices, coarse.mesh.triangles)
+            verts, tris, _ = oracles.refine_triangles(coarse.mesh.vertices, coarse.mesh.cells)
             assert np.array_equal(fine.mesh.vertices, verts)
-            assert np.array_equal(fine.mesh.triangles, tris)
+            assert np.array_equal(fine.mesh.cells, tris)
             assert _same_csr(fine.prolongation, oracles.prolongation(coarse, fine))
 
     def test_interval_bitwise(self, unit_hierarchy):
         for coarse, fine in zip(unit_hierarchy.levels, unit_hierarchy.levels[1:]):
+            x = coarse.mesh.vertices[:, 0]
             nodes = np.empty(2 * coarse.mesh.n_nodes - 1)
-            nodes[0::2] = coarse.mesh.nodes
-            nodes[1::2] = 0.5 * (coarse.mesh.nodes[:-1] + coarse.mesh.nodes[1:])
-            assert np.array_equal(fine.mesh.nodes, nodes)
+            nodes[0::2] = x
+            nodes[1::2] = 0.5 * (x[:-1] + x[1:])
+            assert np.array_equal(fine.mesh.vertices[:, 0], nodes)
             assert _same_csr(fine.prolongation, oracles.prolongation(coarse, fine))
 
 
@@ -373,7 +387,30 @@ class TestMeshJson:
             '{"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],'
             ' "triangles": [[0, 1, 2], [0, 2, 3]]}'))
         np.testing.assert_allclose(again.vertices, mesh.vertices)
-        np.testing.assert_array_equal(again.triangles, mesh.triangles)
+        np.testing.assert_array_equal(again.cells, mesh.cells)
+
+    def test_one_layout_in_every_dimension(self):
+        # a 1D mesh is increasing vertices of shape (n, 1) and the cells
+        # [i, i + 1] on every level; both dimensions keep only these fields
+        assert [f.name for f in dataclasses.fields(DomainMesh)] == ["vertices", "cells"]
+        for lvl in build_hierarchy(interval_mesh_from_nodes([0.0, 0.2, 0.45, 1.0]), 4).levels:
+            n = lvl.mesh.n_nodes
+            assert lvl.mesh.vertices.shape == (n, 1)
+            assert np.all(np.diff(lvl.mesh.vertices[:, 0]) > 0)
+            assert np.array_equal(lvl.mesh.cells, np.column_stack([np.arange(n - 1),
+                                                                   np.arange(1, n)]))
+            assert np.array_equal(lvl.mesh.boundary_nodes(), [0, n - 1])
+        for lvl in build_hierarchy(irregular_mesh(), 3).levels:
+            assert lvl.mesh.vertices.shape == (lvl.mesh.n_nodes, 2)
+            assert lvl.mesh.cells.shape == (lvl.mesh.n_elements, 3)
+
+    def test_interpolate_passes_points_and_takes_one_value_each(self):
+        h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 2)
+        lvl = h.level(2)
+        x = lvl.mesh.vertices[lvl.free, 0]
+        assert np.array_equal(h.interpolate(2, lambda p: p * (1 - p)).coeffs, x * (1 - x))
+        with pytest.raises(ValueError):
+            h.interpolate(2, lambda p: np.hstack([p, p]))
 
     def test_bad_dim_rejected(self):
         with pytest.raises(MeshError, match="dim"):

@@ -165,8 +165,7 @@ class TestApply:
         h = build_hierarchy(mesh, 4)
         for n in range(1, 5):
             lvl, u0 = h.level(n), lift_on(T, h, n)
-            pts = lvl.mesh.nodes[:, None] if h.dim == 1 else lvl.mesh.vertices
-            nodal = T.lift.value(pts)
+            nodal = T.lift.value(lvl.mesh.vertices)
             grads = oracles.nodal_element_gradients(lvl, nodal)
             np.testing.assert_array_equal(u0.gradients[..., 0].T, grads)
             vals = oracles.nodal_values_at_qp(lvl, nodal)

@@ -1,4 +1,4 @@
-"""Only the discretization layer touches the raw P1 tables of a level.
+"""Only the discretization layer touches the raw P1 tables of a level and the cells of its mesh.
 
 Every other module evaluates P1 functions through the level operators
 (``grad_op``, ``qp_op`` and their transposes), ``nodal_samples`` or
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import competefem
 
-RAW = {"elem_nodes", "grad_basis", "basis_at_qp", "einsum",
+RAW = {"cells", "grad_basis", "basis_at_qp", "einsum",
        "free", "free_of_node", "_free_operator"}
 
 
@@ -47,7 +47,7 @@ def test_raw_tables_and_einsum_only_in_discretization():
             elif isinstance(node, ast.alias):
                 names = [node.name]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names = [node.value]  # getattr(lvl, "elem_nodes")
+                names = [node.value]  # getattr(mesh, "cells")
             else:
                 continue
             offenders += [f"{path.name}:{getattr(node, 'lineno', '?')} {n}"

@@ -345,7 +345,7 @@ class TestAssemblyAgainstElementLoops:
             T = IntrinsicOperator(kind="boundary_lift", lift=LiftFunction("affine", params))
             lift = lift_on(T, h, n)
             mesh = h.level(n).mesh
-            lift_nodal = T.lift.value(mesh.nodes[:, None] if h.dim == 1 else mesh.vertices)
+            lift_nodal = T.lift.value(mesh.vertices)
         f = convection_from_catalog(f_kind, f_params)
         rng = np.random.default_rng(11)
         u = h.function(n, 0.5 * rng.standard_normal(h.level(n).n_free))
