@@ -481,12 +481,15 @@ def coercivity_radius(
     q: float,
     c0: float,
 ) -> float:
-    """Largest root R of (1-kappa) t^{p-1} - |Omega|^{(p-q)/p} t^{q-1} - c0.
+    """Largest root R of g(t) = (1-kappa) t^{p-1} - |Omega|^{(p-q)/p} t^{q-1} - c0.
 
     Beyond R the operator pairing against the sphere is nonnegative, so a
-    discrete solution exists inside the ball of radius R.  Root found by
-    bracket expansion plus bisection, then polished; the nonnegativity of g
-    past R is re-verified on a log grid.
+    discrete solution exists inside the ball of radius R.  In s = t^{q-1},
+    g is h(s) = (1-kappa) s^m - w s - c0 with m = (p-1)/(q-1) > 1: convex,
+    h(0) = -c0 <= 0 and h -> inf, so its largest root is simple, h >= 0 past
+    it, and Newton from any s with h(s) > 0 decreases to it monotonically
+    (Ortega and Rheinboldt, 1970).  One Newton step on g then removes the
+    rounding that t = s^{1/(q-1)} magnifies.  ArithmeticError if R overflows.
     """
     if not kappa < 1.0:
         raise HypothesisError(
@@ -497,52 +500,24 @@ def coercivity_radius(
             f"invalid radius inputs: kappa={kappa}, |Omega|={omega_measure}, p={p}, q={q}, c0={c0}"
         )
     w = omega_measure ** ((p - q) / p)
+    m = (p - 1.0) / (q - 1.0)
 
-    def g(t):
-        return (1.0 - kappa) * t ** (p - 1.0) - w * t ** (q - 1.0) - c0
+    def h(s):
+        return (1.0 - kappa) * s ** m - w * s - c0
 
-    def dg(t):
-        return (1.0 - kappa) * (p - 1.0) * t ** (p - 2.0) - w * (q - 1.0) * t ** (q - 2.0)
-
-    hi = 1.0
-    for _ in range(400):
-        if g(hi) > 0:
+    s = 1.0
+    while h(s) <= 0:
+        s *= 2.0
+    while True:
+        step = h(s) / ((1.0 - kappa) * m * s ** (m - 1.0) - w)
+        if not s - step < s:
             break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("failed to bracket the safeguard radius from above")
-    lo = hi / 2.0
-    for _ in range(2000):
-        if g(lo) <= 0:
-            break
-        lo /= 2.0
-    else:
-        raise ArithmeticError("failed to bracket the safeguard radius from below")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    R = 0.5 * (lo + hi)
-    for _ in range(3):
-        d = dg(R)
-        if d <= 0:
-            break
-        step = g(R) / d
-        if abs(step) > 0.5 * R:
-            break
-        R -= step
-    if R < lo or abs(g(R)) > abs(g(0.5 * (lo + hi))):
-        R = 0.5 * (lo + hi)
-    # g must stay nonnegative past R; allow rounding noise right at R
-    grid = R * np.logspace(0.0, 2.0, 60)
-    vals = (1.0 - kappa) * grid ** (p - 1.0) - w * grid ** (q - 1.0) - c0
-    floor = -1e-8 * max(1.0, abs(c0), (1.0 - kappa) * R ** (p - 1.0))
-    if np.any(vals < floor):
-        raise ArithmeticError("safeguard radius verification failed on the log grid")
+        s -= step
+    R = s ** (1.0 / (q - 1.0))
+    R -= ((1.0 - kappa) * R ** (p - 1.0) - w * R ** (q - 1.0) - c0) / (
+        (1.0 - kappa) * (p - 1.0) * R ** (p - 2.0) - w * (q - 1.0) * R ** (q - 2.0))
+    if not math.isfinite(R):
+        raise ArithmeticError(f"the safeguard radius overflows a float: p={p}, q={q}, c0={c0}")
     return float(R)
 
 

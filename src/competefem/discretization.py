@@ -122,10 +122,14 @@ class DomainMesh:
             return e[:, 0, 0]
         return 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
 
+    def boundary_facets(self) -> np.ndarray:
+        """The facets that belong to one cell only, a row of sorted vertices each."""
+        keys, counts = np.unique(_facets(self.cells, self.n_nodes)[1], return_counts=True)
+        return np.stack(np.unravel_index(keys[counts == 1], (self.n_nodes,) * self.dim), axis=-1)
+
     def boundary_nodes(self) -> np.ndarray:
         """The vertices of the facets that belong to one cell only."""
-        keys, counts = np.unique(_facets(self.cells, self.n_nodes)[1], return_counts=True)
-        return np.unique(np.unravel_index(keys[counts == 1], (self.n_nodes,) * self.dim))
+        return np.unique(self.boundary_facets())
 
     @staticmethod
     def from_json_dict(obj: dict) -> "DomainMesh":
@@ -152,6 +156,7 @@ def _checked(vertices: np.ndarray, cells: np.ndarray) -> DomainMesh:
 
     The vertices are finite and each lies in a cell, every cell has positive
     measure, and each facet lies in one cell or in two on its opposite sides.
+    In 2D no vertex lies inside a boundary edge, so no node hangs.
     """
     if len(cells) == 0:
         raise MeshError("mesh needs at least one cell")
@@ -179,6 +184,21 @@ def _checked(vertices: np.ndarray, cells: np.ndarray) -> DomainMesh:
         at = np.unravel_index(twice[0] // 2, (len(vertices),) * (cells.shape[1] - 1))
         raise MeshError(f"cells overlap at facet {[int(i) for i in at]}: "
                         f"{np.count_nonzero(oriented == twice[0])} cells lie on one side of it")
+    if mesh.dim == 2:
+        # a hanging node leaves a vertex of one boundary edge strictly inside
+        # another; refinement keeps a conforming mesh conforming
+        ends = mesh.boundary_facets()
+        corners = np.unique(ends)
+        e = vertices[ends[:, 1:]] - vertices[ends[:, :1]]  # (edges, 1, 2)
+        r = vertices[corners] - vertices[ends[:, :1]]  # (edges, corners, 2)
+        length2 = np.sum(e * e, axis=-1)
+        along = np.sum(r * e, axis=-1) / length2
+        off = np.abs(e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0])  # distance times length
+        hanging = np.argwhere((along > 0) & (along < 1) & (off <= 1e-12 * length2))
+        if len(hanging):
+            i, j = hanging[0]
+            raise MeshError(f"vertex {corners[j]} lies inside boundary edge {ends[i].tolist()}: "
+                            f"a hanging node makes the mesh non-conforming")
     return mesh
 
 

@@ -177,8 +177,6 @@ class ConvectionTerm:
     skip the intrinsic operator; directly built terms are assumed to use them.
     """
 
-    kind: str
-    params: dict
     envelope: GrowthEnvelope
     fn: Callable
     d_s: Optional[Callable] = None
@@ -236,7 +234,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             first = np.asarray(x, dtype=float)[..., 0]
             return profile(first) * np.ones(np.broadcast(first, s).shape)
 
-        return ConvectionTerm(kind, params, envelope(r=r, sigma=sigma), fn=fn,
+        return ConvectionTerm(envelope(r=r, sigma=sigma), fn=fn,
                               d_s=_zeros_like_s, d_xi=_zeros_like_xi,
                               solution_dependent=False, **extra)
 
@@ -262,7 +260,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         d_s = (lambda x, s, xi: a1 * alpha * np.abs(s) ** (alpha - 1.0)) \
             if alpha >= 1.0 else None
         return ConvectionTerm(
-            kind, params, envelope(a1=a1, alpha=alpha),
+            envelope(a1=a1, alpha=alpha),
             fn=lambda x, s, xi: a1 * np.sign(s) * np.abs(s) ** alpha,
             d_s=d_s,
             d_xi=_zeros_like_xi,
@@ -288,7 +286,7 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
             return scal[..., None] * xi
 
         return ConvectionTerm(
-            kind, params, envelope(a2=a2, beta=beta),
+            envelope(a2=a2, beta=beta),
             fn=fn,
             d_s=_zeros_like_s,
             d_xi=d_xi if beta >= 1.0 else None,
@@ -320,7 +318,6 @@ def convection_from_catalog(kind: str, params: dict | None = None) -> Convection
         # power parts carry their own derivatives, None (chord rule) where
         # those are unbounded near zero
         return ConvectionTerm(
-            kind, params,
             envelope(a1=a1, a2=a2, alpha=alpha, beta=beta, r=2.0,
                      sigma=SigmaWeight("manufactured_abs")),
             fn=fn,

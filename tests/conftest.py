@@ -2,8 +2,14 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from competefem.discretization import build_hierarchy, interval_mesh
+
+# every @given test draws the same examples on every run; each test still
+# sets its own max_examples and deadline
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@
 
 Everything here is deliberately decoupled from the package internals:
 the eigenvalue oracle integrates the ODE and bisects, the zero-finding
-oracle scans a grid, and derivative checks use plain finite differences.
+oracle scans a grid, the safeguard radius is bracketed for Brent's
+method, and derivative checks use plain finite differences.
 The links of the existence proof (the certified growth of T and the
 Hoelder bound of the convection functional) are evaluated on trial
 functions by quadrature sums of their own.
@@ -18,6 +19,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 
 def shooting_endpoint(lam: float, p: float) -> float:
@@ -157,6 +159,40 @@ def grid_search_zero(F, R: float, dim: int, step: float = 1e-3) -> np.ndarray:
                 best_val, fine_pt = vals[j], pts[j]
         return fine_pt
     raise ValueError(f"grid search oracle supports dims 2 and 3, got {dim}")
+
+
+def safeguard_terms(t, kappa: float, omega_measure: float, p: float, q: float, c0: float):
+    """The terms (1-kappa) t^{p-q}, w and c0 t^{1-q} of g(t) / t^{q-1}.
+
+    g(t) = (1-kappa) t^{p-1} - w t^{q-1} - c0 with w = |Omega|^{(p-q)/p} is
+    the safeguard polynomial.  Divided by t^{q-1} it keeps its sign on t > 0,
+    increases in t, and stays finite near roots whose t^{p-1} overflows.
+    """
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        return ((1.0 - kappa) * t ** (p - q), omega_measure ** ((p - q) / p),
+                c0 * t ** (1.0 - q))
+
+
+def safeguard_root(kappa: float, omega_measure: float, p: float, q: float, c0: float) -> float:
+    """Largest root of the safeguard polynomial by Brent's method; inf past the float range.
+
+    Doubling from t = 1 and then halving brackets the one positive root of
+    the increasing g(t) / t^{q-1}.
+    """
+    def quotient(t):
+        lead, w, tail = safeguard_terms(t, kappa, omega_measure, p, q, c0)
+        return float(lead - w - tail)
+
+    hi = 1.0
+    while quotient(hi) <= 0:
+        hi *= 2.0
+    if math.isinf(hi):
+        return math.inf
+    lo = hi / 2.0
+    while quotient(lo) > 0:
+        lo /= 2.0
+    return brentq(quotient, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------

@@ -764,12 +764,16 @@ class TestCli:
          [], "DOMAIN_INVALID"),
         (_inline_square([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3], [0, 1, 2]]),
          [], "DOMAIN_INVALID"),
+        (_inline_square([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
+                        [[0, 1, 2], [0, 4, 3], [4, 2, 3]]), [], "DOMAIN_INVALID"),
     ], ids=["negative-seed", "negative-seed-override", "convolution-on-square",
             "kernel-without-width", "interval-without-interior", "square-without-interior",
             "non-integer-starts", "nan-envelope-under-warn", "mesh-without-nodes",
-            "infinite-node", "nan-vertex", "vertex-in-no-triangle", "repeated-triangle"])
+            "infinite-node", "nan-vertex", "vertex-in-no-triangle", "repeated-triangle",
+            "hanging-node"])
     def test_inputs_that_cannot_run_exit_1(self, tmp_path, capsys, patch, argv, code):
-        # each once ended in a traceback from deep inside the solve
+        # each once ended in a traceback from deep inside the solve, apart from
+        # the hanging node, which was solved as a slit domain
         cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, **patch))
         assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out"), *argv]) == 1
         assert capsys.readouterr().err.startswith(f"configuration error [{code}]: ")

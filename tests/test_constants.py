@@ -31,7 +31,7 @@ from competefem.intrinsic import (
 )
 from competefem.solver import constants_and_hypotheses
 
-from oracles import lambda1_closed_form, lambda1_shooting
+from oracles import lambda1_closed_form, lambda1_shooting, safeguard_root, safeguard_terms
 
 
 def make_constants(p=3.0, p_crit=6.0, entries=None, safety=1.0):
@@ -439,6 +439,50 @@ class TestCoercivityRadius:
             coercivity_radius(0.5, -1.0, 3.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             coercivity_radius(0.5, 1.0, 2.0, 3.0, 0.5)
+
+    def test_random_inputs_against_brent(self):
+        # kappa in [0, 0.999], |Omega| in [0.05, 8], q in [1.01, 3], p - q
+        # log-uniform in [1e-3, 5], c0 zero or log-uniform in [1e-3, 1e3]
+        rng = np.random.default_rng(33)
+        returned = 0
+        for _ in range(2500):
+            kappa, omega = rng.uniform(0.0, 0.999), rng.uniform(0.05, 8.0)
+            q = rng.uniform(1.01, 3.0)
+            p = q + 10.0 ** rng.uniform(-3.0, math.log10(5.0))
+            c0 = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 3.0)
+            root = safeguard_root(kappa, omega, p, q, c0)
+            try:
+                R = coercivity_radius(kappa, omega, p, q, c0)
+            except ArithmeticError:
+                # only where t^{p-1} at the root, times the overshoot 2^m of
+                # doubling s = t^{q-1}, m = (p-1)/(q-1), leaves the float range
+                assert (p - 1.0) * math.log2(root) > 1023.0 - (p - 1.0) / (q - 1.0)
+                continue
+            returned += 1
+            assert abs(R - root) <= 1e-12 * root
+            # g, through g / t^{q-1} of its sign, changes sign within 1e-12
+            # of R and stays nonnegative past it
+            lead, w, tail = safeguard_terms(R * np.array([1.0 - 1e-12, 1.0 + 1e-12]),
+                                            kappa, omega, p, q, c0)
+            assert lead[0] - w - tail[0] < 0.0 < lead[1] - w - tail[1]
+            with np.errstate(over="ignore"):
+                lead, w, tail = safeguard_terms(R * np.logspace(0.0, 2.0, 60),
+                                                kappa, omega, p, q, c0)
+            assert np.all(lead - w - tail >= -1e-12 * (lead + w + tail))
+            # nondecreasing in c0 to the same 1e-12: at p - q near 1e-3 the
+            # root's condition number 1/(p - q) lifts rounding above the shift
+            # a larger c0 makes, and a few draws come out lower by about 1e-13
+            try:
+                R_more = coercivity_radius(kappa, omega, p, q, 2.0 * c0 + 1e-3)
+            except ArithmeticError:
+                continue
+            assert R_more >= R * (1.0 - 1e-12)
+        assert returned >= 2000
+
+    def test_overflowing_root_raises(self):
+        # 0.1 t^1.001 - t - 10 vanishes near t = 10^1000
+        with pytest.raises(ArithmeticError):
+            coercivity_radius(0.9, 1.0, 2.001, 2.0, 10.0)
 
 
 class TestJsonShape:

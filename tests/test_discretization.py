@@ -50,12 +50,14 @@ SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 # (vertices, triangles, message) of unit squares that once built a hierarchy:
 # a NaN vertex and a vertex in no triangle made the stiffness matrix
 # singular, a repeated triangle doubled the area and freed corner 1, and
-# two triangles on one side of their shared edge overlap
+# two triangles on one side of their shared edge overlap; a vertex hanging
+# on the diagonal was solved as a slit domain with no dof on the diagonal
 INVALID_SQUARES = [
     (SQUARE[:3] + [[0.0, np.nan]], [[0, 1, 2], [0, 2, 3]], "finite"),
     (SQUARE + [[0.5, 0.5]], [[0, 1, 2], [0, 2, 3]], "no cell"),
     (SQUARE, [[0, 1, 2], [0, 2, 3], [0, 1, 2]], "overlap"),
     (SQUARE, [[0, 1, 2], [0, 1, 3]], "overlap"),
+    (SQUARE + [[0.5, 0.5]], [[0, 1, 2], [0, 4, 3], [4, 2, 3]], "hanging"),
 ]
 
 

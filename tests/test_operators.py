@@ -463,7 +463,7 @@ class TestRightHandSideArguments:
                 return np.zeros_like(xi if like_xi else s)
             return record
 
-        f = ConvectionTerm("recorder", {}, convection_from_catalog("zero").envelope,
+        f = ConvectionTerm(convection_from_catalog("zero").envelope,
                            fn=recorder("fn"), d_s=recorder("d_s"),
                            d_xi=recorder("d_xi", like_xi=True))
         shape = (lvl.n_free,) if k is None else (lvl.n_free, k)
