@@ -240,13 +240,13 @@ def _f_config(obj, p: float, p_crit: float, t_kind: str,
     env_params = _params(env_obj, _ENVELOPE_NUMBERS)
     if "sigma" in env_obj:
         env_params["sigma"] = _sigma_config(env_obj)
-    term = build_convection({"kind": kind, **params, "envelope": env_params})
+    own = build_convection({"kind": kind, **params}).envelope
     inert = {exponent: inert_exponent(t_kind, p)
              for coeff, exponent in (("a1", "alpha"), ("a2", "beta"))
-             if getattr(term.envelope, coeff) == 0 and exponent not in {**params, **env_params}}
-    if inert:
-        term = build_convection({"kind": kind, **params, "envelope": {**env_params, **inert}})
-    env, own = term.envelope, build_convection({"kind": kind, **params}).envelope
+             if env_params.get(coeff, getattr(own, coeff)) == 0
+             and exponent not in {**params, **env_params}}
+    term = build_convection({"kind": kind, **params, "envelope": {**env_params, **inert}})
+    env = term.envelope
     envelope = {k: getattr(env, k) for k in _ENVELOPE_NUMBERS}
     # the catalog's weight, which is also sigma_only's own, is read even when overridden
     envelope["sigma"] = env_params.get(

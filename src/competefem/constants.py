@@ -489,7 +489,8 @@ def coercivity_radius(
     h(0) = -c0 <= 0 and h -> inf, so its largest root is simple, h >= 0 past
     it, and Newton from any s with h(s) > 0 decreases to it monotonically
     (Ortega and Rheinboldt, 1970).  One Newton step on g then removes the
-    rounding that t = s^{1/(q-1)} magnifies.  ArithmeticError if R overflows.
+    rounding that t = s^{1/(q-1)} magnifies.  OverflowError if R, or a power
+    of it on the way, overflows a float.
     """
     if not kappa < 1.0:
         raise HypothesisError(
@@ -505,19 +506,23 @@ def coercivity_radius(
     def h(s):
         return (1.0 - kappa) * s ** m - w * s - c0
 
-    s = 1.0
-    while h(s) <= 0:
-        s *= 2.0
-    while True:
-        step = h(s) / ((1.0 - kappa) * m * s ** (m - 1.0) - w)
-        if not s - step < s:
-            break
-        s -= step
-    R = s ** (1.0 / (q - 1.0))
-    R -= ((1.0 - kappa) * R ** (p - 1.0) - w * R ** (q - 1.0) - c0) / (
-        (1.0 - kappa) * (p - 1.0) * R ** (p - 2.0) - w * (q - 1.0) * R ** (q - 2.0))
-    if not math.isfinite(R):
-        raise ArithmeticError(f"the safeguard radius overflows a float: p={p}, q={q}, c0={c0}")
+    try:
+        s = 1.0
+        while h(s) <= 0:
+            s *= 2.0
+        while True:
+            step = h(s) / ((1.0 - kappa) * m * s ** (m - 1.0) - w)
+            if not s - step < s:
+                break
+            s -= step
+        R = s ** (1.0 / (q - 1.0))
+        R -= ((1.0 - kappa) * R ** (p - 1.0) - w * R ** (q - 1.0) - c0) / (
+            (1.0 - kappa) * (p - 1.0) * R ** (p - 2.0) - w * (q - 1.0) * R ** (q - 2.0))
+        if not math.isfinite(R):
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError(f"the safeguard radius R overflows a float at kappa = {kappa:.6g} "
+                            f"and c0 = {c0:.6g} (p = {p}, q = {q})") from None
     return float(R)
 
 

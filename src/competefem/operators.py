@@ -16,6 +16,7 @@ reach f with a trailing space axis of length N (one in 1D).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Optional
@@ -170,9 +171,10 @@ class ConvectionTerm:
     trailing space axis of length N in every dimension, one in 1D, so they
     have one axis more than s, and ``d_xi`` returns an array shaped like xi.
     ``d_s``/``d_xi`` are the partial derivatives that the Jacobian uses when
-    the intrinsic operator is local; leave them None to force a chord (frozen
-    right-hand side) rule, which a nonlocal operator always gets.  Either way
-    the residual applies T to every iterate.
+    the intrinsic operator is local.  A None partial is not differentiated:
+    that is exact when f does not depend on the argument, and the chord
+    (frozen right-hand side) rule in it otherwise; a nonlocal operator gets
+    the chord rule in both.  Either way the residual applies T to every iterate.
     ``solution_dependent`` is false when f ignores s and xi, so callers may
     skip the intrinsic operator; directly built terms are assumed to use them.
     """
@@ -197,14 +199,6 @@ def _grad_mag(xi) -> np.ndarray:
     return np.sqrt(np.sum(xi**2, axis=-1))
 
 
-def _zeros_like_s(x, s, xi):
-    return np.zeros_like(np.asarray(s, dtype=float))
-
-
-def _zeros_like_xi(x, s, xi):
-    return np.zeros_like(np.asarray(xi, dtype=float))
-
-
 _MANUFACTURED_EXACT = ExactSolution(
     value=lambda t: t * (1.0 - t),
     gradient=lambda t: 1.0 - 2.0 * t,
@@ -219,127 +213,111 @@ def _manufactured_guess(pts):
     return _MANUFACTURED_EXACT.value(np.asarray(pts, dtype=float)[:, 0])
 
 
+def _envelope(a1=0.0, a2=0.0, alpha=1.0, beta=1.0, r=2.0, sigma=SigmaWeight("zero")):
+    return GrowthEnvelope(a1=a1, a2=a2, alpha=alpha, beta=beta, r=r, sigma=sigma)
+
+
+def _x_only(sigma, profile=None, r=2.0, **extra) -> ConvectionTerm:
+    """A term of x alone: ``profile`` (sigma itself by default) of the first coordinate."""
+    profile = profile or sigma
+
+    def fn(x, s, xi):
+        first = np.asarray(x, dtype=float)[..., 0]
+        return profile(first) * np.ones(np.broadcast(first, s).shape)
+
+    return ConvectionTerm(_envelope(r=r, sigma=sigma), fn=fn, solution_dependent=False, **extra)
+
+
+def _zero() -> ConvectionTerm:
+    return _x_only(SigmaWeight("zero"))
+
+
+def _constant(c=1.0) -> ConvectionTerm:
+    return _x_only(SigmaWeight("constant", {"c": abs(c)}), lambda t: c)
+
+
+def _sigma_only(sigma_kind="constant", sigma_params=None, r=2.0) -> ConvectionTerm:
+    sigma_params = dict(sigma_params or {})
+    if sigma_kind == "constant":  # the only weight with a parameter to default
+        sigma_params.setdefault("c", 1.0)
+    weight = SigmaWeight(sigma_kind, sigma_params)
+    return _x_only(weight.magnitude(), weight, r=r)
+
+
+def _signed_power(a1=1.0, alpha=1.0) -> ConvectionTerm:
+    # below alpha = 1 the derivative blows up at s = 0, so leave it to
+    # the chord rule instead of feeding Newton an unbounded coefficient
+    d_s = (lambda x, s, xi: a1 * alpha * np.abs(s) ** (alpha - 1.0)) if alpha >= 1.0 else None
+    return ConvectionTerm(_envelope(a1=a1, alpha=alpha),
+                          fn=lambda x, s, xi: a1 * np.sign(s) * np.abs(s) ** alpha, d_s=d_s)
+
+
+def _gradient_power(a2=1.0, beta=1.0, signed=False) -> ConvectionTerm:
+    def fn(x, s, xi):
+        out = a2 * _grad_mag(xi) ** beta
+        if signed:
+            out = out * np.sign(xi[..., 0])
+        return out
+
+    def d_xi(x, s, xi):
+        # sign(xi_1) is piecewise constant, so it passes through a.e.
+        mag = np.maximum(_grad_mag(xi), 1e-300)
+        scal = a2 * beta * mag ** (beta - 2.0)
+        if signed:
+            scal = scal * np.sign(xi[..., 0])
+        return scal[..., None] * xi
+
+    return ConvectionTerm(_envelope(a2=a2, beta=beta), fn=fn,
+                          d_xi=d_xi if beta >= 1.0 else None)
+
+
+def _manufactured_p3q2() -> ConvectionTerm:
+    return _x_only(SigmaWeight("manufactured_abs"), lambda t: 4.0 * np.abs(1.0 - 2.0 * t) - 2.0,
+                   exact=_MANUFACTURED_EXACT, guess_profile=_manufactured_guess)
+
+
+def _manufactured_plus_power(a1=0.0, alpha=1.0, a2=0.0, beta=1.0) -> ConvectionTerm:
+    base = _manufactured_p3q2()
+    value_part, grad_part = _signed_power(a1, alpha), _gradient_power(a2, beta)
+
+    def fn(x, s, xi):
+        out = base.fn(x, s, xi)
+        if a1:
+            out = out + value_part.fn(x, s, xi)
+        if a2:
+            out = out + grad_part.fn(x, s, xi)
+        return out
+
+    # no closed-form solution once the power terms act, but the unperturbed
+    # parabola still selects the right branch as an initial profile; the
+    # power parts carry their own derivatives, None (chord rule) where
+    # those are unbounded near zero
+    return ConvectionTerm(
+        _envelope(a1=a1, a2=a2, alpha=alpha, beta=beta, sigma=SigmaWeight("manufactured_abs")),
+        fn=fn, d_s=value_part.d_s if a1 else None, d_xi=grad_part.d_xi if a2 else None,
+        guess_profile=_manufactured_guess, solution_dependent=bool(a1 or a2))
+
+
+# convection kind -> its builder, named after it; the keyword arguments of a
+# builder are the kind's parameters, with their defaults
+_CATALOG = MappingProxyType({build.__name__[1:]: build for build in (
+    _zero, _constant, _sigma_only, _signed_power, _gradient_power, _manufactured_p3q2,
+    _manufactured_plus_power)})
+
+# convection kind -> the names of its parameters, read off its builder
+CONVECTION_PARAMS = MappingProxyType(
+    {kind: tuple(inspect.signature(build).parameters) for kind, build in _CATALOG.items()})
+
+
 def convection_from_catalog(kind: str, params: dict | None = None) -> ConvectionTerm:
-    """Build a catalog right-hand side together with its default envelope."""
-    params = dict(params or {})
+    """Build a catalog right-hand side together with its default envelope.
 
-    def envelope(a1=0.0, a2=0.0, alpha=1.0, beta=1.0, r=2.0, sigma=SigmaWeight("zero")):
-        return GrowthEnvelope(a1=a1, a2=a2, alpha=alpha, beta=beta, r=r, sigma=sigma)
-
-    def x_only(sigma, profile=None, r=2.0, **extra):
-        """A term of x alone: ``profile`` (sigma itself by default) of the first coordinate."""
-        profile = profile or sigma
-
-        def fn(x, s, xi):
-            first = np.asarray(x, dtype=float)[..., 0]
-            return profile(first) * np.ones(np.broadcast(first, s).shape)
-
-        return ConvectionTerm(envelope(r=r, sigma=sigma), fn=fn,
-                              d_s=_zeros_like_s, d_xi=_zeros_like_xi,
-                              solution_dependent=False, **extra)
-
-    if kind == "zero":
-        return x_only(SigmaWeight("zero"))
-
-    if kind == "constant":
-        c = float(params.get("c", 1.0))
-        return x_only(SigmaWeight("constant", {"c": abs(c)}), lambda t: c)
-
-    if kind == "sigma_only":
-        sigma_kind = params.get("sigma_kind", "constant")
-        # only the constant weight has a parameter to default
-        weight = SigmaWeight(sigma_kind, params.get(
-            "sigma_params", {"c": 1.0} if sigma_kind == "constant" else {}))
-        return x_only(weight.magnitude(), weight, r=float(params.get("r", 2.0)))
-
-    if kind == "signed_power":
-        a1 = float(params.get("a1", 1.0))
-        alpha = float(params.get("alpha", 1.0))
-        # below alpha = 1 the derivative blows up at s = 0, so leave it to
-        # the chord rule instead of feeding Newton an unbounded coefficient
-        d_s = (lambda x, s, xi: a1 * alpha * np.abs(s) ** (alpha - 1.0)) \
-            if alpha >= 1.0 else None
-        return ConvectionTerm(
-            envelope(a1=a1, alpha=alpha),
-            fn=lambda x, s, xi: a1 * np.sign(s) * np.abs(s) ** alpha,
-            d_s=d_s,
-            d_xi=_zeros_like_xi,
-        )
-
-    if kind == "gradient_power":
-        a2 = float(params.get("a2", 1.0))
-        beta = float(params.get("beta", 1.0))
-        signed = bool(params.get("signed", False))
-
-        def fn(x, s, xi):
-            out = a2 * _grad_mag(xi) ** beta
-            if signed:
-                out = out * np.sign(xi[..., 0])
-            return out
-
-        def d_xi(x, s, xi):
-            # sign(xi_1) is piecewise constant, so it passes through a.e.
-            mag = np.maximum(_grad_mag(xi), 1e-300)
-            scal = a2 * beta * mag ** (beta - 2.0)
-            if signed:
-                scal = scal * np.sign(xi[..., 0])
-            return scal[..., None] * xi
-
-        return ConvectionTerm(
-            envelope(a2=a2, beta=beta),
-            fn=fn,
-            d_s=_zeros_like_s,
-            d_xi=d_xi if beta >= 1.0 else None,
-        )
-
-    if kind == "manufactured_p3q2":
-        return x_only(SigmaWeight("manufactured_abs"), lambda t: 4.0 * np.abs(1.0 - 2.0 * t) - 2.0,
-                      exact=_MANUFACTURED_EXACT, guess_profile=_manufactured_guess)
-
-    if kind == "manufactured_plus_power":
-        a1 = float(params.get("a1", 0.0))
-        alpha = float(params.get("alpha", 1.0))
-        a2 = float(params.get("a2", 0.0))
-        beta = float(params.get("beta", 1.0))
-        base = convection_from_catalog("manufactured_p3q2")
-        value_part = convection_from_catalog("signed_power", {"a1": a1, "alpha": alpha})
-        grad_part = convection_from_catalog("gradient_power", {"a2": a2, "beta": beta})
-
-        def fn(x, s, xi):
-            out = base.fn(x, s, xi)
-            if a1:
-                out = out + value_part.fn(x, s, xi)
-            if a2:
-                out = out + grad_part.fn(x, s, xi)
-            return out
-
-        # no closed-form solution once the power terms act, but the unperturbed
-        # parabola still selects the right branch as an initial profile; the
-        # power parts carry their own derivatives, None (chord rule) where
-        # those are unbounded near zero
-        return ConvectionTerm(
-            envelope(a1=a1, a2=a2, alpha=alpha, beta=beta, r=2.0,
-                     sigma=SigmaWeight("manufactured_abs")),
-            fn=fn,
-            d_s=value_part.d_s if a1 else _zeros_like_s,
-            d_xi=grad_part.d_xi if a2 else _zeros_like_xi,
-            guess_profile=_manufactured_guess,
-            solution_dependent=bool(a1 or a2),
-        )
-
-    raise KeyError(f"unknown convection kind {kind!r}; catalog: {', '.join(CONVECTION_PARAMS)}")
-
-
-# convection kind -> the names of its parameters
-CONVECTION_PARAMS = MappingProxyType({
-    "zero": (),
-    "constant": ("c",),
-    "sigma_only": ("sigma_kind", "sigma_params", "r"),
-    "signed_power": ("a1", "alpha"),
-    "gradient_power": ("a2", "beta", "signed"),
-    "manufactured_p3q2": (),
-    "manufactured_plus_power": ("a1", "alpha", "a2", "beta"),
-})
+    ``params`` are the keyword arguments of the kind's builder; a parameter
+    the kind does not take raises TypeError.
+    """
+    if kind not in _CATALOG:
+        raise KeyError(f"unknown convection kind {kind!r}; catalog: {', '.join(_CATALOG)}")
+    return _CATALOG[kind](**(params or {}))
 
 
 # ---------------------------------------------------------------------------

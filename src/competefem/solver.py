@@ -384,29 +384,24 @@ class ProblemInstance:
         """The Galerkin equation of level n."""
         lift = lift_on(self.operator, self.hierarchy, n) \
             if self.operator.kind == "boundary_lift" else None
-        return LevelProblem(self.hierarchy, n, lift, self.operator, self.convection,
-                            self.p, self.q, self.eps_reg)
+        return LevelProblem(self, n, lift)
 
 
 @dataclass(frozen=True, eq=False)
 class LevelProblem:
     """The Galerkin equation -Lap_p(u + u0) + Lap_q(u + u0) = f(x, T(u), grad T(u)) on level n.
 
-    ``lift`` is u0 on the level for a boundary lift, else None.
+    ``lift`` is u0 on the level for a boundary lift, else None; the
+    exponents, T, f and the hierarchy are those of ``inst``.
     """
 
-    hierarchy: SpaceHierarchy
+    inst: ProblemInstance
     n: int
     lift: Optional[NodalSamples]
-    operator: IntrinsicOperator
-    convection: ConvectionTerm
-    p: float
-    q: float
-    eps_reg: float
 
     @property
     def lvl(self) -> Level:
-        return self.hierarchy.level(self.n)
+        return self.inst.hierarchy.level(self.n)
 
     def residual(self, c: np.ndarray) -> tuple:
         """(values, jacobian): the residual at c and the call that assembles its Jacobian there.
@@ -417,23 +412,25 @@ class LevelProblem:
         ``lvl.jacobian_pattern``: through f at the same samples of T(c) for a
         local T, with the load frozen (the chord rule) for a nonlocal one.
         """
-        u = self.hierarchy.function(self.n, c)
-        samples = apply_operator(self.operator, u) if self.convection.solution_dependent \
+        inst = self.inst
+        u = inst.hierarchy.function(self.n, c)
+        samples = apply_operator(inst.operator, u) if inst.convection.solution_dependent \
             else None
 
         def jacobian():
-            return assemble_jacobian(u, samples if self.operator.is_local else None,
-                                     self.convection, self.p, self.q,
-                                     eps_reg=self.eps_reg, lift=self.lift)
+            return assemble_jacobian(u, samples if inst.operator.is_local else None,
+                                     inst.convection, inst.p, inst.q,
+                                     eps_reg=inst.eps_reg, lift=self.lift)
 
-        return assemble_residual(u, samples, self.convection, self.p, self.q,
+        return assemble_residual(u, samples, inst.convection, inst.p, inst.q,
                                  lift=self.lift), jacobian
 
     def norms(self, c: np.ndarray):
         """||grad u||_p of a coefficient vector, or of each column of an (n_free, k) block."""
+        p = self.inst.p
         if np.ndim(c) == 1:
-            return grad_norm_p(self.hierarchy.function(self.n, c), self.p)
-        return _grad_integral(self.lvl, _gradients(self.lvl, c), self.p) ** (1.0 / self.p)
+            return grad_norm_p(self.inst.hierarchy.function(self.n, c), p)
+        return _grad_integral(self.lvl, _gradients(self.lvl, c), p) ** (1.0 / p)
 
 
 # the gaps of a level against the finest solution, which stands in for the weak limit
@@ -687,7 +684,8 @@ def run_hierarchy(inst: ProblemInstance, config_echo: Optional[dict] = None) -> 
     Every outcome is a report.  A failed smallness check stops the run
     before any level is solved (status ``hypothesis_failed``, no radius)
     under the ``refuse`` policy, and under ``warn`` when kappa >= 1 leaves
-    no finite radius.  Otherwise the safeguard radius is computed once from
+    no finite radius; so does a radius that overflows a float, after c0 is
+    reported.  Otherwise the safeguard radius is computed once from
     the instance constants, each level's search gets the prolongated
     previous solution as a start (after the initial guess, if any), and a
     level that does not converge ends the run with the levels solved so far
@@ -721,10 +719,13 @@ def run_hierarchy(inst: ProblemInstance, config_echo: Optional[dict] = None) -> 
         base.message = f"continuing despite failed checks: {names}"
 
     sigma_norm = inst.envelope.sigma.dual_norm(h.level(top), inst.envelope.r)
-    c0 = compose_c0(inst.envelope, sigma_norm, cert, constants)
-    R = coercivity_radius(kappa, h.measure, inst.p, inst.q, c0)
+    base.c0 = compose_c0(inst.envelope, sigma_norm, cert, constants)
+    try:
+        R = coercivity_radius(kappa, h.measure, inst.p, inst.q, base.c0)
+    except OverflowError as exc:
+        base.status, base.message = "hypothesis_failed", str(exc)
+        return base
     base.radius = R
-    base.c0 = c0
 
     warm = None
     for n in range(1, top + 1):

@@ -215,6 +215,11 @@ _NO_RADIUS = (r"hypothesis failed: hypothesis checks failed \(growth_smallness\)
               r"kappa = \S+ >= 1 leaves no finite safeguard radius; "
               r"cannot continue even under warn\n")
 _LEVEL_1_FAILED = r"level 1 did not converge \(residual sup \S+\)\n"
+# a weight near the largest float puts the safeguard radius beyond it
+_OVERFLOW = dict(_SMALL, f={"kind": "manufactured_p3q2", "envelope": {
+    "a1": 5.0, "alpha": 1.0, "r": 1.0, "sigma": {"kind": "constant", "c": 1e308}}})
+_NO_FLOAT_RADIUS = (r"hypothesis failed: the safeguard radius R overflows a float at "
+                    r"kappa = \S+ and c0 = \S+ \(p = 3.0, q = 2.0\)\n")
 # outcome -> (config, exit code, stdout of solve, stdout of study), stdouts as patterns
 CLI_OUTCOMES = {
     "ok": (_SMALL, 0, r"status: ok; levels solved: 2; R = \S+\n",
@@ -224,6 +229,7 @@ CLI_OUTCOMES = {
     "solver-failure": (dict(_SMALL, tol=1e-300), 3,
                        r"status: solver_failure; levels solved: 1; R = \S+\n" + _LEVEL_1_FAILED,
                        r"study rows written: 1; finest error_w1p = \S+\n" + _LEVEL_1_FAILED),
+    "radius-overflow": (_OVERFLOW, 2, _NO_FLOAT_RADIUS, _NO_FLOAT_RADIUS),
 }
 
 
@@ -875,6 +881,41 @@ class TestCli:
         rows = (out / "study.csv").read_text().splitlines()
         # a run the hypothesis stopped leaves an empty table
         assert len(rows) == {0: 3, 2: 0, 3: 2}[code]
+
+    def test_overflowing_radius_ends_in_a_report(self, tmp_path, capsys):
+        # kappa is about 0.9 < 1, so every check passes, and R is near 10^1000;
+        # the run once ended in an uncaught OverflowError
+        cfg = write_config(tmp_path, {"p": 2.001, "q": 2.0, "levels": 3, "sphere_samples": 20,
+                                      "f": {"kind": "signed_power", "a1": 7.0, "alpha": 1.0}})
+        out = tmp_path / "out"
+        assert main(["solve", str(cfg), "--out-dir", str(out)]) == 2
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["status"] == "hypothesis_failed"
+        assert all(r["pass"] for r in report["hypothesis"])
+        assert report["R"] is None and report["c0"] > 0 and report["levels"] == []
+        assert report["message"] == (f"the safeguard radius R overflows a float at kappa = "
+                                     f"{report['kappa']:.6g} and c0 = {report['c0']:.6g} "
+                                     f"(p = 2.001, q = 2.0)")
+        assert capsys.readouterr().out == f"hypothesis failed: {report['message']}\n"
+
+    def test_empty_sigma_params_take_the_default_weight(self, tmp_path):
+        # an empty sigma_params once lost the constant weight's default c and
+        # ended in a KeyError in both solve and check
+        outputs = []
+        for name, extra in (("missing", {}), ("empty", {"sigma_params": {}})):
+            f = {"kind": "sigma_only", "sigma_kind": "constant", **extra}
+            cfg = write_config(tmp_path, {"levels": 2, "f": f, "sphere_samples": 5}, f"{name}.json")
+            out = tmp_path / name
+            assert main(["solve", str(cfg), "--out-dir", str(out)]) == 0
+            assert main(["check", str(cfg), "--out-dir", str(out)]) == 0
+            outputs.append([json.loads((out / report).read_text())
+                            for report in ("solve_report.json", "hypothesis_report.json")])
+        for missing, empty in zip(*outputs):
+            echo = empty.pop("config")
+            # the echo differs only by the key the config sets
+            assert echo["f"].pop("sigma_params") == {}
+            assert missing.pop("config") == echo
+            assert missing == empty
 
     @pytest.mark.parametrize("domain", [
         {"kind": "unit_square"},

@@ -26,6 +26,8 @@ from competefem.intrinsic import (
     lift_on,
 )
 from competefem.operators import (
+    CONVECTION_PARAMS,
+    SIGMA_PARAMS,
     ConvectionTerm,
     GrowthEnvelope,
     SigmaWeight,
@@ -505,14 +507,10 @@ def _written_out_plus_power(a1, alpha, a2, beta):
         return out
 
     def d_s(x, s, xi):
-        if not a1:
-            return np.zeros_like(np.asarray(s, dtype=float))
         return a1 * alpha * np.abs(s) ** (alpha - 1.0)
 
     def d_xi(x, s, xi):
         xi = np.asarray(xi, dtype=float)
-        if not a2:
-            return np.zeros_like(xi)
         mag = np.maximum(_grad_mag(xi), 1e-300)
         scal = a2 * beta * mag ** (beta - 2.0)
         return scal[..., None] * xi
@@ -533,14 +531,105 @@ class TestCatalogComposition:
         x = rng.uniform(0.0, 1.0, shape + (dim,))
         s = rng.standard_normal(shape)
         xi = rng.standard_normal(shape + (dim,))
-        for got, ref in ((f.fn, ref_fn), (f.d_s, ref_d_s), (f.d_xi, ref_d_xi)):
-            np.testing.assert_array_equal(got(x, s, xi), ref(x, s, xi))
+        np.testing.assert_array_equal(f.fn(x, s, xi), ref_fn(x, s, xi))
+        # a power part with a zero coefficient leaves its partial undifferentiated
+        for got, ref, coeff in ((f.d_s, ref_d_s, a1), (f.d_xi, ref_d_xi, a2)):
+            if coeff:
+                np.testing.assert_array_equal(got(x, s, xi), ref(x, s, xi))
+            else:
+                assert got is None
 
     def test_unbounded_power_derivatives_fall_back_to_chord(self):
         f = convection_from_catalog(
             "manufactured_plus_power", {"a1": 0.3, "alpha": 0.5, "a2": 0.2, "beta": 0.5}
         )
         assert f.d_s is None and f.d_xi is None
+
+
+def _draw_sigma(rng):
+    kind = rng.choice(list(SIGMA_PARAMS))
+    params = {"constant": {"c": rng.uniform(-3.0, 3.0)},
+              "nodal": {"x": [0.0, 0.4, 1.0], "values": list(rng.uniform(-2.0, 2.0, 3))}}
+    return {"sigma_kind": str(kind), "sigma_params": params.get(kind, {}),
+            "r": rng.uniform(1.0, 4.0)}
+
+
+# convection kind -> a random draw of its parameters
+_CATALOG_DRAWS = {
+    "zero": lambda rng: {},
+    "constant": lambda rng: {"c": rng.uniform(-3.0, 3.0)},
+    "sigma_only": _draw_sigma,
+    "signed_power": lambda rng: {"a1": rng.uniform(0.1, 2.0), "alpha": rng.uniform(0.5, 3.0)},
+    "gradient_power": lambda rng: {"a2": rng.uniform(0.1, 2.0), "beta": rng.uniform(0.5, 3.0),
+                                   "signed": bool(rng.integers(2))},
+    "manufactured_p3q2": lambda rng: {},
+    "manufactured_plus_power": lambda rng: {
+        "a1": rng.choice([0.0, rng.uniform(0.1, 2.0)]), "alpha": rng.uniform(0.5, 3.0),
+        "a2": rng.choice([0.0, rng.uniform(0.1, 2.0)]), "beta": rng.uniform(0.5, 3.0)},
+}
+
+
+def _away_from_zero(rng, shape):
+    """Values of either sign with modulus in [0.5, 2], where every catalog f is smooth."""
+    return rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 2.0, shape)
+
+
+class TestCatalog:
+    """Every catalog kind, at its defaults and at seeded draws of its parameters."""
+
+    def test_every_kind_has_draws_of_its_own_parameters(self):
+        assert set(_CATALOG_DRAWS) == set(CONVECTION_PARAMS)
+        rng = np.random.default_rng(0)
+        for kind, draw in _CATALOG_DRAWS.items():
+            assert set(draw(rng)) <= set(CONVECTION_PARAMS[kind])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("draw", [None, 0, 1, 2], ids=["defaults", "draw0", "draw1", "draw2"])
+    @pytest.mark.parametrize("kind", sorted(CONVECTION_PARAMS))
+    def test_bound_partials_and_dependence(self, kind, draw, dim):
+        rng = np.random.default_rng([dim, sorted(CONVECTION_PARAMS).index(kind),
+                                     0 if draw is None else draw + 1])
+        params = {} if draw is None else _CATALOG_DRAWS[kind](rng)
+        f = convection_from_catalog(kind, params)
+        shape = (6, 4)
+        x = rng.uniform(0.0, 1.0, shape + (dim,))
+        s, xi = _away_from_zero(rng, shape), _away_from_zero(rng, shape + (dim,))
+        values = f.fn(x, s, xi)
+        assert np.all(np.abs(values) <= f.envelope(x, s, xi) * (1 + 1e-12) + 1e-14)
+
+        # f ignores an argument exactly when perturbing it changes nothing
+        other_s, other_xi = _away_from_zero(rng, shape), _away_from_zero(rng, shape + (dim,))
+        ignores_s = np.array_equal(f.fn(x, other_s, xi), values)
+        ignores_xi = np.array_equal(f.fn(x, s, other_xi), values)
+        assert f.solution_dependent == (not (ignores_s and ignores_xi))
+        # an argument that f ignores has no partial to assemble
+        assert not ignores_s or f.d_s is None
+        assert not ignores_xi or f.d_xi is None
+
+        if f.d_s is not None:
+            h = 1e-6 * np.maximum(np.abs(s), 1.0)
+            fd = (f.fn(x, s + h, xi) - f.fn(x, s - h, xi)) / (2 * h)
+            np.testing.assert_allclose(f.d_s(x, s, xi), fd, rtol=1e-6)
+        if f.d_xi is not None:
+            got = f.d_xi(x, s, xi)
+            for k in range(dim):
+                step = np.zeros(dim)
+                step[k] = 1e-6
+                fd = (f.fn(x, s, xi + step) - f.fn(x, s, xi - step)) / 2e-6
+                np.testing.assert_allclose(got[..., k], fd, rtol=1e-6)
+
+    def test_empty_sigma_params_take_the_default_weight(self):
+        x = np.linspace(0.0, 1.0, 5)[:, None]
+        s, xi = np.zeros(5), np.zeros((5, 1))
+        bare = convection_from_catalog("sigma_only")
+        empty = convection_from_catalog("sigma_only", {"sigma_params": {}})
+        assert empty.envelope == bare.envelope
+        np.testing.assert_array_equal(empty(x, s, xi), bare(x, s, xi))
+
+    @pytest.mark.parametrize("kind", sorted(CONVECTION_PARAMS))
+    def test_unknown_parameter_raises(self, kind):
+        with pytest.raises(TypeError):
+            convection_from_catalog(kind, {"not_a_parameter": 1.0})
 
 
 class TestGrowthEnvelope:
