@@ -25,15 +25,13 @@ from .operators import (
     p_laplace_pairing,
 )
 from .intrinsic import (
+    BoundaryLift,
+    Convolution,
+    Identity,
     IntrinsicCertificate,
     IntrinsicOperator,
-    Kernel,
-    LiftFunction,
     apply,
-    boundary_lift_operator,
     certificate,
-    convolution_operator,
-    identity_operator,
 )
 from .constants import (
     EmbeddingConstants,

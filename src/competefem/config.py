@@ -24,9 +24,8 @@ from pathlib import Path
 from .constants import critical_surrogate
 from .discretization import (DomainMesh, MeshError, build_hierarchy, interval_mesh,
                              unit_square_mesh)
-from .intrinsic import (KERNEL_PARAMS, LIFT_PARAMS, IntrinsicOperator, Kernel, KernelError,
-                        LiftFunction, boundary_lift_operator, certificate_rule,
-                        convolution_operator, identity_operator, inert_exponent)
+from .intrinsic import (KERNEL_PARAMS, LIFT_PARAMS, BoundaryLift, Convolution, Identity,
+                        IntrinsicOperator, KernelError, certificate_rule, inert_exponent)
 from .operators import (CONVECTION_PARAMS, SIGMA_PARAMS, ConvectionTerm, GrowthEnvelope,
                         SigmaWeight, convection_from_catalog)
 from .solver import ProblemInstance
@@ -192,11 +191,6 @@ def _sigma_config(envelope: dict) -> dict:
         sigma["c"] = abs(_as_float(section, "c", 1.0))
     if kind == "nodal":
         sigma["x"], sigma["values"] = _as_floats(section, "x"), _as_floats(section, "values")
-        _require(len(sigma["x"]) == len(sigma["values"]), "BAD_FIELD",
-                 "nodal sigma needs arrays 'x' and 'values' of one length")
-        # np.interp reads any other order as a wrong weight, silently
-        _require(all(a < b for a, b in zip(sigma["x"], sigma["x"][1:])), "BAD_FIELD",
-                 f"nodal sigma needs a strictly increasing array 'x', got {sigma['x']}")
     return sigma
 
 
@@ -240,12 +234,15 @@ def _f_config(obj, p: float, p_crit: float, t_kind: str,
     env_params = _params(env_obj, _ENVELOPE_NUMBERS)
     if "sigma" in env_obj:
         env_params["sigma"] = _sigma_config(env_obj)
-    own = build_convection({"kind": kind, **params}).envelope
-    inert = {exponent: inert_exponent(t_kind, p)
-             for coeff, exponent in (("a1", "alpha"), ("a2", "beta"))
-             if env_params.get(coeff, getattr(own, coeff)) == 0
-             and exponent not in {**params, **env_params}}
-    term = build_convection({"kind": kind, **params, "envelope": {**env_params, **inert}})
+    try:  # a nodal weight checks its own nodes
+        own = build_convection({"kind": kind, **params}).envelope
+        inert = {exponent: inert_exponent(t_kind, p)
+                 for coeff, exponent in (("a1", "alpha"), ("a2", "beta"))
+                 if env_params.get(coeff, getattr(own, coeff)) == 0
+                 and exponent not in {**params, **env_params}}
+        term = build_convection({"kind": kind, **params, "envelope": {**env_params, **inert}})
+    except ValueError as exc:
+        raise ConfigError("BAD_FIELD", str(exc)) from None
     env = term.envelope
     envelope = {k: getattr(env, k) for k in _ENVELOPE_NUMBERS}
     # the catalog's weight, which is also sigma_only's own, is read even when overridden
@@ -272,8 +269,9 @@ def _t_config(kind: str, section: dict, p: float, envelope: dict, n_dim: int) ->
         _require("kernel" in section, "BAD_FIELD", "convolution operator needs a kernel")
         shape, kernel = _entry(section, "kernel", KERNEL_PARAMS, None, kind_key="shape")
         T["kernel"] = {"shape": shape, **_params(kernel, KERNEL_PARAMS[shape])}
-        T["refine_factor"] = _as_int(section, "refine_factor", 4)
-        _require(T["refine_factor"] >= 1, "BAD_FIELD", "refine_factor must be >= 1")
+        T["refine_factor"] = _as_int(section, "refine_factor", Convolution.refine_factor)
+        # Convolution checks every range, but a missing width is a missing argument
+        _require("width" in kernel, "BAD_FIELD", f"{shape} kernel needs a positive width")
     try:
         build_operator(T)
     except KernelError as exc:
@@ -401,11 +399,10 @@ def build_convection(f: dict) -> ConvectionTerm:
 
 def build_operator(T: dict) -> IntrinsicOperator:
     if T["kind"] == "identity":
-        return identity_operator()
+        return Identity()
     if T["kind"] == "boundary_lift":
-        return boundary_lift_operator(LiftFunction(T["u0"]["kind"], _without(T["u0"], "kind")))
-    kernel = Kernel(T["kernel"]["shape"], _without(T["kernel"], "shape"))
-    return convolution_operator(kernel, T["refine_factor"])
+        return BoundaryLift(**_without(T["u0"], "kind"))
+    return Convolution(**T["kernel"], refine_factor=T["refine_factor"])
 
 
 def build_instance(spec: ProblemSpec) -> ProblemInstance:

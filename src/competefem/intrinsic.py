@@ -1,14 +1,16 @@
 """Intrinsic operators composed inside the convection term.
 
-Three pluggable instances of a continuous map T from the Dirichlet space
-into W^{1,p}:
+Three instances of a continuous map T from the Dirichlet space into
+W^{1,p}, one frozen class each, whose fields are the parameters of its kind:
 
-* ``identity``       T(u) = u
-* ``boundary_lift``  T(u) = u + u0 for an ambient function u0
-* ``convolution``    T(u) = rho * u with u extended by zero outside the domain
+* ``Identity()``                       T(u) = u
+* ``BoundaryLift(a, ax, ay, b)``       T(u) = u + u0 for an affine ambient function u0
+* ``Convolution(shape, width, scale, refine_factor)``
+                                       T(u) = rho * u with u extended by zero outside the domain
 
-Each instance can produce a growth certificate (value_coeff, grad_coeff,
-offset) asserting
+``IntrinsicOperator`` is their union, and the functions below dispatch on
+the class attribute ``kind``.  Each instance can produce a growth
+certificate (value_coeff, grad_coeff, offset) asserting
 
     ||T(u)||_{p_crit}^alpha  <= value_coeff ||grad u||_p^{p-1} + offset
     ||grad T(u)||_p^beta     <= grad_coeff  ||grad u||_p^{p-1} + offset
@@ -23,7 +25,9 @@ cardinal B-spline, a short sum of truncated powers, so rho convolved with
 the cell histogram is a few differences of its running integrals, read off
 a sparse map at O(n + m) cost (Heckbert, *Filtering by repeated
 integration*, SIGGRAPH 1986).  The solver applies T to every iterate, so
-the operator at a level's quadrature points is kept, one per level.
+a ``Convolution`` keeps its map at a level's quadrature points and a
+``BoundaryLift`` its samples of u0, one per level, in a weak cache of its
+own; ``dataclasses.replace`` gives the copy an empty one.
 """
 
 from __future__ import annotations
@@ -57,13 +61,13 @@ class CertificateError(ValueError):
 
 
 class KernelError(ValueError):
-    """Kernel parameters outside their range."""
+    """Convolution parameters (the kernel's or the grid's) outside their range."""
 
     code = "KERNEL"
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# the operators: one frozen class per kind, whose fields are its parameters
 # ---------------------------------------------------------------------------
 
 
@@ -71,38 +75,81 @@ class KernelError(ValueError):
 KERNEL_DEGREES = {"box": 0, "hat": 1, "cubic_bspline": 3}
 # kernel shape -> the names of its parameters
 KERNEL_PARAMS = {shape: ("width", "scale") for shape in KERNEL_DEGREES}
+# space dimension -> lift kind -> the names of the parameters ``value`` reads there
+LIFT_PARAMS = {
+    1: {"zero": (), "affine": ("a", "b")},
+    2: {"zero": (), "affine": ("ax", "ay", "b")},
+}
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Compactly supported 1D mollifier with exact L1 norm ``scale``.
+@dataclass(frozen=True, eq=False)
+class Identity:
+    """T(u) = u."""
+
+    kind = "identity"
+    is_local = True
+
+
+@dataclass(frozen=True, eq=False)
+class BoundaryLift:
+    """T(u) = u + u0 for the affine ambient function u0, whose trace may be nonzero.
+
+    u0 is a x + b in 1D and ax x + ay y + b in 2D; ``BoundaryLift()`` is the zero lift.
+    """
+
+    kind = "boundary_lift"
+    is_local = True
+    a: float = 0.0
+    ax: float = 0.0
+    ay: float = 0.0
+    b: float = 0.0
+    # level -> u0 sampled on that level; an entry dies with its level, and a copy starts empty
+    _cache: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """u0 at points x whose trailing axis, of length N, holds the coordinates."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] == 2:
+            return self.ax * x[..., 0] + self.ay * x[..., 1] + self.b
+        return self.a * x[..., 0] + self.b
+
+
+@dataclass(frozen=True, eq=False)
+class Convolution:
+    """T(u) = rho * u for a compactly supported 1D mollifier rho with exact L1 norm ``scale``.
 
     Every shape is the cardinal B-spline of degree d (``KERNEL_DEGREES``) on
     d + 1 equal pieces of the total support ``width``, centred at 0: ``box``
-    (d = 0), ``hat`` (d = 1) and ``cubic_bspline`` (d = 3).
+    (d = 0), ``hat`` (d = 1) and ``cubic_bspline`` (d = 3).  The grid of
+    cells is ``refine_factor`` times finer than the mesh or the kernel.
     """
 
+    kind = "convolution"
+    is_local = False
     shape: str
-    params: dict = field(default_factory=dict)
+    width: float
+    scale: float = 1.0
+    refine_factor: int = 4
+    # level -> its convolution map at the quadrature points; an entry dies with its level
+    _cache: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     def __post_init__(self):
         if self.shape not in KERNEL_DEGREES:
             raise KeyError(
                 f"unknown kernel shape {self.shape!r}; choose {', '.join(KERNEL_DEGREES)}"
             )
-        if not float(self.params.get("width", 0)) > 0:
+        if not self.refine_factor >= 1:
+            raise KernelError("refine_factor must be >= 1")
+        if not float(self.width) > 0:
             raise KernelError(f"{self.shape} kernel needs a positive width")
-        if not float(self.params.get("scale", 1.0)) > 0:
+        if not float(self.scale) > 0:
             raise KernelError("kernel scale (its L1 norm) must be positive")
 
     @property
-    def scale(self) -> float:
-        """The kernel's L1 norm."""
-        return float(self.params.get("scale", 1.0))
-
-    @property
     def support_radius(self) -> float:
-        return 0.5 * float(self.params["width"])
+        return 0.5 * float(self.width)
 
     @property
     def truncated_powers(self) -> tuple:
@@ -112,111 +159,32 @@ class Kernel:
         and c_k = scale (-1)^k C(d + 1, k) / h^(d + 1), for k = 0 .. d + 1.
         """
         d = KERNEL_DEGREES[self.shape]
-        h = float(self.params["width"]) / (d + 1)
+        h = float(self.width) / (d + 1)
         k = np.arange(d + 2)
         binomials = np.array([(-1) ** i * math.comb(d + 1, i) for i in range(d + 2)])
         return d, -self.support_radius + k * h, self.scale / h ** (d + 1) * binomials
 
 
-# ---------------------------------------------------------------------------
-# ambient lift functions
-# ---------------------------------------------------------------------------
-
-
-# space dimension -> lift kind -> the names of the parameters ``value`` reads there
-LIFT_PARAMS = {
-    1: {"zero": (), "affine": ("a", "b")},
-    2: {"zero": (), "affine": ("ax", "ay", "b")},
-}
-
-
-@dataclass(frozen=True)
-class LiftFunction:
-    """Closed-form ambient function u0 with nonzero trace allowed."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        """u0 at points x whose trailing axis, of length N, holds the coordinates."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            return np.zeros(x.shape[:-1])
-        if self.kind == "affine":
-            a, ax, ay, b = (float(self.params.get(k, 0.0)) for k in ("a", "ax", "ay", "b"))
-            if x.shape[-1] == 2:
-                return ax * x[..., 0] + ay * x[..., 1] + b
-            return a * x[..., 0] + b
-        raise KeyError(f"unknown lift kind {self.kind!r}; choose {', '.join(LIFT_PARAMS[1])}")
-
-
-# ---------------------------------------------------------------------------
-# the operator
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class IntrinsicOperator:
-    """Continuous map applied to the argument of the convection term."""
-
-    kind: str
-    kernel: Kernel | None = None
-    lift: LiftFunction | None = None
-    refine_factor: int = 4
-    # level -> its convolution map at the quadrature points; an entry dies with its level
-    _conv_cache: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, repr=False
-    )
-    # level -> u0 sampled on that level
-    _lift_cache: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, repr=False
-    )
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "boundary_lift", "convolution"):
-            raise KeyError(
-                f"unknown intrinsic operator kind {self.kind!r}; "
-                "choose identity, boundary_lift or convolution"
-            )
-        if self.kind == "convolution" and self.kernel is None:
-            raise ValueError("convolution operator needs a kernel")
-        if self.kind == "boundary_lift" and self.lift is None:
-            raise ValueError("boundary_lift operator needs a lift function u0")
-
-    @property
-    def is_local(self) -> bool:
-        return self.kind in ("identity", "boundary_lift")
-
-
-def identity_operator() -> IntrinsicOperator:
-    return IntrinsicOperator(kind="identity")
-
-
-def boundary_lift_operator(lift: LiftFunction) -> IntrinsicOperator:
-    return IntrinsicOperator(kind="boundary_lift", lift=lift)
-
-
-def convolution_operator(kernel: Kernel, refine_factor: int = 4) -> IntrinsicOperator:
-    return IntrinsicOperator(kind="convolution", kernel=kernel, refine_factor=refine_factor)
+IntrinsicOperator = Identity | BoundaryLift | Convolution
 
 
 # -- boundary lift -------------------------------------------------------------
 
 
-def lift_on(T: IntrinsicOperator, hierarchy: SpaceHierarchy, level: int) -> NodalSamples:
+def lift_on(T: BoundaryLift, hierarchy: SpaceHierarchy, level: int) -> NodalSamples:
     """The lift u0 of a boundary_lift operator, interpolated on a level once."""
     lvl = hierarchy.level(level)
-    hit = T._lift_cache.get(lvl)
+    hit = T._cache.get(lvl)
     if hit is None:
-        nodal = np.asarray(T.lift.value(lvl.mesh.vertices), dtype=float)
-        hit = T._lift_cache[lvl] = nodal_samples(lvl, nodal)
+        nodal = np.asarray(T.value(lvl.mesh.vertices), dtype=float)
+        hit = T._cache[lvl] = nodal_samples(lvl, nodal)
     return hit
 
 
 # -- convolution ---------------------------------------------------------------
 
 
-def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
+def _conv_operators(T: Convolution, level: Level, points: np.ndarray):
     """The map c -> ((rho * u)(x), (rho * u')(x)) on an (n_free, k) block c.
 
     Product integration on m uniform cells aligned with the mesh: u and u'
@@ -239,10 +207,9 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
     """
     if level.mesh.dim != 1:
         raise NotImplementedError("convolution operators are implemented for 1D domains")
-    kernel = T.kernel
     a, b = float(level.mesh.vertices[0, 0]), float(level.mesh.vertices[-1, 0])
     h_min = float(np.min(level.elem_measure))
-    target = min(h_min, 2.0 * kernel.support_radius) / max(1, T.refine_factor)
+    target = min(h_min, 2.0 * T.support_radius) / T.refine_factor
     # align cells with the mesh spacing where possible so that gradients of
     # P1 functions are constant on every cell of a uniform mesh
     cell = h_min / max(1, int(math.ceil(h_min / target)))
@@ -250,7 +217,7 @@ def _conv_operators(T: IntrinsicOperator, level: Level, points: np.ndarray):
     edges = a + (b - a) * np.arange(m + 1) / m
     P, D = point_operators(level, 0.5 * (edges[:-1] + edges[1:]))
     x = points.reshape(-1)
-    degree, knots, coeffs = kernel.truncated_powers
+    degree, knots, coeffs = T.truncated_powers
     order = degree + 1
     # the kernel is even, so the far half is the near half mirrored; the
     # rows of each histogram map read the cells counted from a, then from b
@@ -321,9 +288,9 @@ def apply(T: IntrinsicOperator, u: FEFunction) -> QuadratureSamples:
         return replace(base, values=base.values + u0.values,
                        gradients=base.gradients + u0.gradients[..., 0].T[:, None, :])
     lvl = u.lvl
-    if lvl not in T._conv_cache:
-        T._conv_cache[lvl] = _conv_operators(T, lvl, lvl.qp_points[..., 0])
-    values, gradients = T._conv_cache[lvl](u.block)
+    if lvl not in T._cache:
+        T._cache[lvl] = _conv_operators(T, lvl, lvl.qp_points[..., 0])
+    values, gradients = T._cache[lvl](u.block)
     # the (points, k) images, shaped like the samples of u: a block adds a sample axis first
     shape = u.coeffs.shape[1:] + lvl.qp_weights.shape
     return QuadratureSamples(level=u.level, values=values.T.reshape(shape),
@@ -434,19 +401,16 @@ def certificate(
             factors={"max_factor": m, "S_crit": s_crit, "p": p},
         )
 
-    if T.kind == "convolution":
-        if constants.s_space is None:
-            raise ConstantLookupError("no whole-space constant S_space available")
-        n_dim = constants.n_dim
-        l1 = T.kernel.scale
-        return IntrinsicCertificate(
-            value_coeff=constants.s_space ** (p - 1.0) * n_dim ** (p - 1.0) * l1 ** (p - 1.0),
-            grad_coeff=n_dim ** (p - 1.0) * l1 ** (p - 1.0),
-            offset=0.0,
-            alpha=alpha,
-            beta=beta,
-            provenance="convolution: Young inequality and the mollifier derivative rule",
-            factors={"kernel_l1": l1, "S_space": constants.s_space, "p": p, "N": n_dim},
-        )
-
-    raise CertificateError(f"no certificate for operator kind {T.kind!r}")
+    if constants.s_space is None:
+        raise ConstantLookupError("no whole-space constant S_space available")
+    n_dim = constants.n_dim
+    l1 = float(T.scale)
+    return IntrinsicCertificate(
+        value_coeff=constants.s_space ** (p - 1.0) * n_dim ** (p - 1.0) * l1 ** (p - 1.0),
+        grad_coeff=n_dim ** (p - 1.0) * l1 ** (p - 1.0),
+        offset=0.0,
+        alpha=alpha,
+        beta=beta,
+        provenance="convolution: Young inequality and the mollifier derivative rule",
+        factors={"kernel_l1": l1, "S_space": constants.s_space, "p": p, "N": n_dim},
+    )

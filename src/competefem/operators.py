@@ -54,6 +54,15 @@ class SigmaWeight:
     kind: str
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.kind == "nodal":
+            x = self.params["x"]
+            if len(x) != len(self.params["values"]):
+                raise ValueError("nodal sigma needs arrays 'x' and 'values' of one length")
+            # np.interp reads any other order as a wrong weight, silently
+            if not all(a < b for a, b in zip(x, x[1:])):
+                raise ValueError(f"nodal sigma needs a strictly increasing array 'x', got {x}")
+
     def __call__(self, first: np.ndarray) -> np.ndarray:
         first = np.asarray(first, dtype=float)
         if self.kind == "zero":

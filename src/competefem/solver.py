@@ -484,7 +484,7 @@ class LevelSolve:
             "path": search.path,
             "start": self.start,
             "sphere_margin": float(sphere.min()) if sphere.size else None,
-            "sphere_negative": int(np.count_nonzero(sphere < 0)),
+            "sphere_negative": int(np.count_nonzero(~(np.isfinite(sphere) & (sphere >= 0)))),
             "sphere_q05": float(np.quantile(sphere, 0.05)) if sphere.size else None,
             "sphere_median": float(np.quantile(sphere, 0.5)) if sphere.size else None,
             "converged": search.converged,

@@ -342,12 +342,12 @@ def convolution_terms(T, lvl, coeffs, x) -> tuple:
     nodes = lvl.mesh.vertices[:, 0]
     a, b = nodes[0], nodes[-1]
     h_min = np.min(np.diff(nodes))
-    target = min(h_min, 2.0 * T.kernel.support_radius) / max(1, T.refine_factor)
+    target = min(h_min, 2.0 * T.support_radius) / T.refine_factor
     m = max(1, int(round((b - a) / (h_min / max(1, int(np.ceil(h_min / target)))))))
     edges = a + (b - a) * np.arange(m + 1) / m
     mid = 0.5 * (edges[:-1] + edges[1:])
     x = np.asarray(x, dtype=np.longdouble).reshape(-1, 1)
-    A = kernel_antiderivative(T.kernel, x - edges.astype(np.longdouble)[None, :])
+    A = kernel_antiderivative(T, x - edges.astype(np.longdouble)[None, :])
     W = A[:, :-1] - A[:, 1:]
     elem = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(nodes) - 2)
     vals, slopes = [], []

@@ -30,15 +30,13 @@ from competefem.discretization import (
     sample,
 )
 from competefem.intrinsic import (
+    BoundaryLift,
+    Convolution,
+    Identity,
     IntrinsicCertificate,
-    Kernel,
-    LiftFunction,
     _conv_operators,
     apply,
-    boundary_lift_operator,
     certificate,
-    convolution_operator,
-    identity_operator,
 )
 from competefem.operators import convection_from_catalog
 from competefem.solver import brouwer_zero, run_hierarchy
@@ -240,15 +238,11 @@ class TestCriterion6:
         rng = np.random.default_rng(404)
 
         operators = [
-            ("identity", identity_operator(), 1.0, 1.0),
-            ("lift(a=0.5)", boundary_lift_operator(
-                LiftFunction("affine", {"a": 0.5, "b": 0.25})), 2.0, 2.0),
-            ("lift(a=-2)", boundary_lift_operator(
-                LiftFunction("affine", {"a": -2.0, "b": 1.0})), 2.0, 2.0),
-            ("conv(box)", convolution_operator(Kernel("box", {"width": 0.25}),
-                                               refine_factor=8), 2.0, 2.0),
-            ("conv(hat)", convolution_operator(Kernel("hat", {"width": 0.3}),
-                                               refine_factor=8), 2.0, 2.0),
+            ("identity", Identity(), 1.0, 1.0),
+            ("lift(a=0.5)", BoundaryLift(a=0.5, b=0.25), 2.0, 2.0),
+            ("lift(a=-2)", BoundaryLift(a=-2.0, b=1.0), 2.0, 2.0),
+            ("conv(box)", Convolution("box", 0.25, refine_factor=8), 2.0, 2.0),
+            ("conv(hat)", Convolution("hat", 0.3, refine_factor=8), 2.0, 2.0),
         ]
         worst = {}
         for name, T, alpha, beta in operators:
@@ -265,7 +259,7 @@ class TestCriterion6:
                 img = apply(T, u)
                 slack = 1e-8 + grid_cell**2 * 10 * np.max(np.abs(u.coeffs))
                 lhs = samples_value_norm(h.level(1), img, 3.0)
-                if lhs > T.kernel.scale * lebesgue_norm(u, 3.0) + slack:
+                if lhs > T.scale * lebesgue_norm(u, 3.0) + slack:
                     young_ok = False
                     break
         ok = ok and young_ok
@@ -294,7 +288,7 @@ class TestCriterion7:
     def test_lift_check_equals_generic_check_bitwise(self):
         rng = np.random.default_rng(505)
         h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 2)
-        lift = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
+        lift = BoundaryLift(a=0.1, b=0.05)
         mismatches = 0
         for _ in range(100):
             p = float(rng.uniform(2.1, 4.0))

@@ -77,6 +77,17 @@ class TestParseConfig:
         assert err.value.code == "UNKNOWN_CATALOG"
         assert "'truncated_gaussian'" in str(err.value) and '"cubic_bspline"' in str(err.value)
 
+    @pytest.mark.parametrize("T,message", [
+        ({"kind": "convolution", "kernel": {"shape": "hat"}}, "hat kernel needs a positive width"),
+        ({"kind": "convolution", "kernel": {"shape": "box", "width": 0.25}, "refine_factor": 0},
+         "refine_factor must be >= 1"),
+    ], ids=["missing-width", "refine-factor-zero"])
+    def test_convolution_out_of_range_refused(self, T, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(dict(MINIMAL, T=T))
+        assert err.value.code == "BAD_FIELD"
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("p_crit", [18.5, 100.0])
     def test_p_crit_above_the_sobolev_exponent_refused(self, p_crit):
         # p = 1.8 < N = 2 on the unit square: W^{1,p}_0 embeds in L^r only
@@ -441,7 +452,7 @@ def test_lift_parameters_of_the_other_dimension_rejected(lift, key):
 ], ids=["interval", "square"])
 def test_lift_parameters_of_the_domain_dimension_accepted(lift, dim):
     spec = parse_config_dict(dict(MINIMAL, **lift))
-    u0 = build_instance(spec).operator.lift
+    u0 = build_instance(spec).operator
     assert spec.T["u0"] == {"kind": "affine", **lift["T"]["u0"]}
     x = np.array([[0.5]]) if dim == 1 else np.array([[0.5, 0.25]])
     expected = 0.2 * 0.5 + 0.1 if dim == 1 else 0.2 * 0.5 - 0.1 * 0.25 + 0.1
@@ -605,11 +616,38 @@ def test_cli_import_leaves_scipy_special_out():
     assert out.stdout.strip() == "False"
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 def _readme_level_keys():
     """The keys that README lists for a level of ``solve_report.json``."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
+    text = README.read_text()
     block = text.split("Each level in the JSON carries exactly these keys:\n", 1)[1]
     return re.findall(r"`(\w+)`", block.split("\n\n", 1)[0])
+
+
+def _readme_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+
+
+def test_readme_python_examples_run():
+    blocks = _readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_json_examples_parse():
+    # a block is one config, or one config per line
+    blocks = _readme_blocks("json")
+    assert len(blocks) >= 2
+    for block in blocks:
+        try:
+            configs = [json.loads(block)]
+        except json.JSONDecodeError:
+            configs = [json.loads(line) for line in block.splitlines() if line.strip()]
+        for config in configs:
+            parse_config_dict(config)
 
 
 class TestCli:

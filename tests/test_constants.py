@@ -22,12 +22,10 @@ from competefem.constants import (
 from competefem.config import build_instance, parse_config_dict
 from competefem.discretization import build_hierarchy, interval_mesh, unit_square_mesh
 from competefem.intrinsic import (
+    BoundaryLift,
+    Convolution,
     IntrinsicCertificate,
-    Kernel,
-    LiftFunction,
-    boundary_lift_operator,
     certificate,
-    convolution_operator,
 )
 from competefem.solver import constants_and_hypotheses
 
@@ -334,14 +332,14 @@ def _generic(a1, a2, cert, ec):
 
 def _lift(a1, a2, ec, hierarchy):
     """The lift condition, on the certificate of an affine lift at alpha = beta = p-1."""
-    T = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
+    T = BoundaryLift(a=0.1, b=0.05)
     cert = certificate(T, ec.p, ec.p - 1.0, ec.p - 1.0, ec, hierarchy=hierarchy)
     return _check(T.kind, 1, a1, a2, cert, ec)
 
 
 def _convolution(a1, a2, ec, mass):
     """The convolution condition, on the certificate of a box kernel of L1 norm ``mass``."""
-    T = convolution_operator(Kernel("box", {"width": 0.25, "scale": mass}))
+    T = Convolution("box", 0.25, scale=mass)
     cert = certificate(T, ec.p, ec.p - 1.0, ec.p - 1.0, ec)
     return _check(T.kind, 1, a1, a2, cert, ec)
 

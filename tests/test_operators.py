@@ -17,12 +17,10 @@ from competefem.discretization import (
     unit_square_mesh,
 )
 from competefem.intrinsic import (
-    IntrinsicOperator,
-    Kernel,
-    LiftFunction,
+    BoundaryLift,
+    Convolution,
+    Identity,
     apply,
-    boundary_lift_operator,
-    convolution_operator,
     lift_on,
 )
 from competefem.operators import (
@@ -127,10 +125,10 @@ class TestEmptyLevel:
     """A level without free dofs gives empty blocks of the usual shapes."""
 
     @pytest.mark.parametrize("mesh,T", [
-        (unit_square_mesh(), IntrinsicOperator(kind="identity")),
+        (unit_square_mesh(), Identity()),
         (unit_square_mesh(),
-         boundary_lift_operator(LiftFunction("affine", {"ax": 0.5, "ay": -0.3, "b": 0.1}))),
-        (interval_mesh(0.0, 1.0, 1), convolution_operator(Kernel("box", {"width": 0.25}))),
+         BoundaryLift(ax=0.5, ay=-0.3, b=0.1)),
+        (interval_mesh(0.0, 1.0, 1), Convolution("box", 0.25)),
     ], ids=["identity-square", "lift-square", "convolution-1d"])
     @pytest.mark.parametrize("k", [None, 3], ids=["one", "block"])
     def test_shapes(self, mesh, T, k):
@@ -285,10 +283,10 @@ class TestJacobianAgainstSparseProducts:
                                         {"a1": 0.1, "alpha": 2.0, "a2": 0.1, "beta": 2.0})
         if case == "lift":
             params = {"a": 0.7, "b": 0.2} if h.dim == 1 else {"ax": 0.5, "ay": -0.3, "b": 0.1}
-            T = boundary_lift_operator(LiftFunction("affine", params))
+            T = BoundaryLift(**params)
             lift = lift_on(T, h, n)
         else:
-            T, lift = IntrinsicOperator(kind="identity"), None
+            T, lift = Identity(), None
         u = h.function(n, 0.5 * np.random.default_rng(3).standard_normal(h.level(n).n_free))
         img = apply(T, u) if f.solution_dependent else None
         J = jacobian(u, img, f, p, q, eps_reg=eps, lift=lift)
@@ -341,13 +339,13 @@ class TestAssemblyAgainstElementLoops:
         h = hierarchy
         n = h.n_levels
         if T_kind == "identity":
-            T, lift, lift_nodal = IntrinsicOperator(kind="identity"), None, None
+            T, lift, lift_nodal = Identity(), None, None
         else:
             params = {"a": 0.7, "b": 0.2} if h.dim == 1 else {"ax": 0.5, "ay": -0.3, "b": 0.1}
-            T = IntrinsicOperator(kind="boundary_lift", lift=LiftFunction("affine", params))
+            T = BoundaryLift(**params)
             lift = lift_on(T, h, n)
             mesh = h.level(n).mesh
-            lift_nodal = T.lift.value(mesh.vertices)
+            lift_nodal = T.value(mesh.vertices)
         f = convection_from_catalog(f_kind, f_params)
         rng = np.random.default_rng(11)
         u = h.function(n, 0.5 * rng.standard_normal(h.level(n).n_free))
@@ -369,16 +367,16 @@ class TestBlockForms:
                             "convolution-1d"])
     def case(self, request):
         if request.param == "identity-square":
-            h, T = build_hierarchy(unit_square_mesh(), 3), IntrinsicOperator(kind="identity")
+            h, T = build_hierarchy(unit_square_mesh(), 3), Identity()
         elif request.param == "lift-square":
             h = build_hierarchy(unit_square_mesh(), 3)
-            T = boundary_lift_operator(LiftFunction("affine", {"ax": 0.5, "ay": -0.3, "b": 0.1}))
+            T = BoundaryLift(ax=0.5, ay=-0.3, b=0.1)
         else:
             h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 4)
             T = {
-                "identity-1d": IntrinsicOperator(kind="identity"),
-                "lift-1d": boundary_lift_operator(LiftFunction("affine", {"a": 0.7, "b": 0.2})),
-                "convolution-1d": convolution_operator(Kernel("hat", {"width": 0.3})),
+                "identity-1d": Identity(),
+                "lift-1d": BoundaryLift(a=0.7, b=0.2),
+                "convolution-1d": Convolution("hat", 0.3),
             }[request.param]
         n = h.n_levels
         lift = lift_on(T, h, n) if T.kind == "boundary_lift" else None
@@ -675,6 +673,19 @@ class TestGrowthEnvelope:
         assert np.max(np.abs(values) - f.envelope(x, s, xi)) <= 0.0
         if sigma_kind == "nodal":
             assert f.envelope.sigma.params["values"] == [abs(v) for v in sigma_params["values"]]
+
+    @pytest.mark.parametrize("nodes,message", [
+        ({"x": [1.0, 0.0], "values": [0.0, 1.0]}, "strictly increasing array 'x'"),
+        ({"x": [0.0, 0.0, 1.0], "values": [0.0, 1.0, 2.0]}, "strictly increasing array 'x'"),
+        ({"x": [0.0, 1.0], "values": [0.0, 1.0, 2.0]}, "of one length"),
+    ], ids=["decreasing", "repeated", "lengths"])
+    def test_nodal_weight_checks_its_nodes(self, nodes, message):
+        # np.interp read x = [1, 0] as the weight 1 at 0.25, where it is 0.75,
+        # and only the config checked the nodes
+        with pytest.raises(ValueError, match=message):
+            SigmaWeight("nodal", nodes)
+        with pytest.raises(ValueError, match=message):
+            convection_from_catalog("sigma_only", {"sigma_kind": "nodal", "sigma_params": nodes})
 
     def test_range_validation(self):
         env = GrowthEnvelope(a1=0.1, a2=0.1, alpha=5.0, beta=1.0, r=2.0,

@@ -29,14 +29,7 @@ from competefem.discretization import (
     sample,
     unit_square_mesh,
 )
-from competefem.intrinsic import (
-    Kernel,
-    LiftFunction,
-    apply,
-    boundary_lift_operator,
-    convolution_operator,
-    identity_operator,
-)
+from competefem.intrinsic import BoundaryLift, Convolution, Identity, apply
 from competefem.operators import assemble_jacobian, assemble_residual, convection_from_catalog
 from competefem.solver import (
     ProblemInstance,
@@ -66,7 +59,7 @@ def make_instance(h, f_kind="manufactured_p3q2", f_params=None, T=None,
     f = convection_from_catalog(f_kind, f_params or {})
     return ProblemInstance(
         hierarchy=h, p=3.0, q=2.0, convection=f,
-        operator=T or identity_operator(),
+        operator=T or Identity(),
         p_crit=critical_surrogate(3.0, 1), tol=tol, eps_reg=0.0, seed=seed, policy=policy,
         safety=1.1, sphere_samples=sphere, estimator_starts=4, estimator_iters=150,
         initial_guess=guess, test_set_size=8,
@@ -296,7 +289,7 @@ def _galerkin_jacobian(domain, level, kind, seed=5):
     f = convection_from_catalog(kind, params)
     u = h.function(level, 0.1 * np.random.default_rng(seed).standard_normal(
         h.level(level).n_free))
-    img = apply(identity_operator(), u) if f.solution_dependent else None
+    img = apply(Identity(), u) if f.solution_dependent else None
     return (pattern_csr(u.lvl.jacobian_pattern, assemble_jacobian(u, img, f, 3.0, 2.0)),
             assemble_residual(u, img, f, 3.0, 2.0))
 
@@ -533,7 +526,7 @@ class TestSolveLevel:
         assert out.grad_norm <= R * (1 + 1e-6)
 
     def test_convolution_is_one_search(self, unit_hierarchy, monkeypatch):
-        T = convolution_operator(Kernel("box", {"width": 0.1}), refine_factor=4)
+        T = Convolution("box", 0.1, refine_factor=4)
         inst = make_instance(
             unit_hierarchy, "manufactured_plus_power",
             {"a1": 0.3, "alpha": 2.0}, T=T, guess=lambda x: x * (1 - x),
@@ -547,7 +540,7 @@ class TestSolveLevel:
     def test_convolution_applies_T_once_per_residual(self, unit_hierarchy, monkeypatch):
         # the residual applies T at every iterate; the chord Jacobian, the
         # reported residual and the energy gap apply none
-        T = convolution_operator(Kernel("box", {"width": 0.1}), refine_factor=4)
+        T = Convolution("box", 0.1, refine_factor=4)
         inst = make_instance(
             unit_hierarchy, "manufactured_plus_power",
             {"a1": 0.3, "alpha": 2.0}, T=T, guess=lambda x: x * (1 - x),
@@ -578,7 +571,7 @@ class TestSolveLevel:
     def test_path_is_the_path_of_the_one_search(self, unit_hierarchy, monkeypatch):
         # strong power terms and a start far from the solution: one Newton
         # search converges, and the level reports that search's path
-        T = convolution_operator(Kernel("box", {"width": 0.5}), refine_factor=4)
+        T = Convolution("box", 0.5, refine_factor=4)
         inst = make_instance(
             unit_hierarchy, "manufactured_plus_power",
             {"a1": 1.0, "alpha": 2.0, "a2": 0.5, "beta": 2.0}, T=T,
@@ -599,7 +592,7 @@ class TestSolveLevel:
                                         shape, a1, a2, width, guess):
         # corners of a sweep over the power coefficients and the kernel
         # width: every level converges, warm-started like run_hierarchy
-        T = convolution_operator(Kernel(shape, {"width": width}))
+        T = Convolution(shape, width)
         inst = make_instance(
             unit_hierarchy, "manufactured_plus_power",
             {"a1": a1, "a2": a2, "alpha": 2.0, "beta": 2.0}, T=T,
@@ -634,7 +627,7 @@ class TestSolveLevel:
             np.testing.assert_allclose(out.u.coeffs, pinned[str(n)], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("T", [
-        identity_operator(), convolution_operator(Kernel("box", {"width": 0.25})),
+        Identity(), Convolution("box", 0.25),
     ], ids=["identity", "convolution"])
     def test_x_only_rhs_applies_no_T(self, unit_levels, monkeypatch, T):
         # a constant f never reads T(u); marked solution dependent (without
@@ -664,7 +657,7 @@ class TestSolveLevel:
     def test_local_solution_dependent_lift_differentiates_f(self, unit_hierarchy,
                                                             monkeypatch):
         # a local T is differentiated through f: the Jacobian gets samples of T
-        T = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
+        T = BoundaryLift(a=0.1, b=0.05)
         inst = make_instance(
             unit_hierarchy, "manufactured_plus_power",
             {"a1": 0.05, "a2": 0.05, "alpha": 2.0, "beta": 2.0}, T=T,
@@ -754,11 +747,11 @@ class TestSphereCertificate:
             inst = make_instance(build_hierarchy(unit_square_mesh(), 4),
                                  "manufactured_plus_power", power)
         elif case == "lift-1d":
-            T = boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05}))
+            T = BoundaryLift(a=0.1, b=0.05)
             inst = make_instance(unit_hierarchy, "manufactured_plus_power", power, T=T)
         else:
             shape = "hat" if case == "hat-convolution-1d" else "box"
-            T = convolution_operator(Kernel(shape, {"width": 0.25}))
+            T = Convolution(shape, 0.25)
             inst = make_instance(unit_hierarchy, "manufactured_plus_power", power, T=T)
         return inst, inst.hierarchy.n_levels
 
@@ -815,7 +808,7 @@ class TestSphereCertificate:
         np.testing.assert_array_equal(np.vstack(blocks), sequential)
 
     def test_applies_T_once_per_block(self, unit_hierarchy, monkeypatch):
-        T = convolution_operator(Kernel("box", {"width": 0.25}))
+        T = Convolution("box", 0.25)
         inst = make_instance(unit_hierarchy, "manufactured_plus_power",
                              {"a1": 0.3, "alpha": 2.0}, T=T)
         calls = []
@@ -866,6 +859,15 @@ class TestSphereCertificate:
         assert solved.sphere.size == 0 and row["sphere_negative"] == 0
         assert row["sphere_margin"] is row["sphere_q05"] is row["sphere_median"] is None
 
+    def test_pairings_that_are_not_finite_count_against_the_certificate(self, unit_hierarchy):
+        # on a sphere of radius 5e153 the pairings overflowed to NaN and +inf,
+        # none of them counted, and the certificate read as passed
+        solved = solve_level(make_instance(unit_hierarchy), 4, 1.0)
+        sphere = np.array([0.5, np.nan, np.inf, -np.inf, -1.0, 0.0, np.nan])
+        with np.errstate(invalid="ignore"):  # the quantiles of NaN and inf
+            row = dataclasses.replace(solved, sphere=sphere).to_json_dict()
+        assert row["sphere_negative"] == 5
+
 
 class _ReadLog:
     """Embedding constants that record the exponent of every S_r read off them."""
@@ -893,9 +895,9 @@ def _every_exponent(inst):
 
 
 _OPERATORS = {
-    "identity": identity_operator,
-    "boundary_lift": lambda: boundary_lift_operator(LiftFunction("affine", {"a": 0.1, "b": 0.05})),
-    "convolution": lambda: convolution_operator(Kernel("box", {"width": 0.25})),
+    "identity": Identity,
+    "boundary_lift": lambda: BoundaryLift(a=0.1, b=0.05),
+    "convolution": lambda: Convolution("box", 0.25),
 }
 
 
@@ -1067,7 +1069,7 @@ class TestRunHierarchy:
 
         dists = []
         for width in (0.2, 0.05, 0.0125):
-            T = convolution_operator(Kernel("box", {"width": width}), refine_factor=4)
+            T = Convolution("box", width, refine_factor=4)
             inst = make_instance(
                 h, "manufactured_plus_power", params,
                 T=T, guess=lambda x: x * (1 - x), sphere=10,
