@@ -9,7 +9,6 @@ from .discretization import (
     build_hierarchy,
     grad_norm_p,
     interval_mesh,
-    lebesgue_norm,
     prolongate,
     sample,
     unit_square_mesh,

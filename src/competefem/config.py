@@ -65,7 +65,8 @@ class ProblemSpec:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text of a report: sorted keys, and ``ValueError`` on NaN or inf, which JSON lacks."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

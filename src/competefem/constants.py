@@ -351,9 +351,9 @@ def estimate_embedding_constant(
 def _eigenvalue_of(s_p: SEstimate, p: float) -> SEstimate:
     """lambda_1 = S_p^{-p}, level by level, from the raw ascent at r = p.
 
-    A level without free dofs has no eigenfunction and reads infinity.
+    A level without free dofs has no eigenfunction and reads None.
     """
-    per_level = tuple(s ** -p if s > 0 else math.inf for s in s_p.per_level)
+    per_level = tuple(s ** -p if s > 0 else None for s in s_p.per_level)
     return SEstimate(raw=per_level[-1], value=per_level[-1],
                      provenance="S_p,raw^(-p) of the ascent at r = p",
                      converged=s_p.converged, iters=s_p.iters, per_level=per_level)

@@ -560,9 +560,6 @@ class SpaceHierarchy:
             raise LevelMismatchError(f"level {n} outside 1..{self.n_levels}")
         return self.levels[n - 1]
 
-    def zero(self, n: int) -> "FEFunction":
-        return FEFunction(self, n, np.zeros(self.level(n).n_free))
-
     def function(self, n: int, coeffs) -> "FEFunction":
         return FEFunction(self, n, np.asarray(coeffs, dtype=float))
 
@@ -745,12 +742,3 @@ def grad_norm_p(u: FEFunction, p: float) -> float:
         raise ValueError(f"gradient norm exponent must satisfy p > 1, got {p}")
     lvl = u.lvl
     return float(_grad_integral(lvl, _gradients(lvl, u.coeffs[:, None]), p)[0] ** (1.0 / p))
-
-
-def lebesgue_norm(u: FEFunction, r: float) -> float:
-    """L^r norm by the level's Gauss rule (exact when the rule covers |u|^r)."""
-    if r < 1:
-        raise ValueError(f"Lebesgue exponent must satisfy r >= 1, got {r}")
-    lvl = u.lvl
-    vals = _qp_values(lvl, u.coeffs[:, None])
-    return float(_value_integral(lvl.qp_weights, vals, r)[0] ** (1.0 / r))

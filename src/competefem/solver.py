@@ -10,11 +10,12 @@ the equation through it, vectors and coefficient blocks alike.
 
 Existence theory guarantees a zero of the Galerkin residual inside the ball
 of the safeguard radius whenever the pairing against the sphere is
-nonnegative.  That argument is non-constructive, so numerically each level
-runs one zero search: Levenberg-damped Newton from zero damping, projected
-to the ball, from each start the level offers in turn, and, when every
-start stalls, homotopy continuation towards the residual from a
-well-behaved anchor map.  Every Jacobian of a search is data on the one
+nonnegative.  Numerically each level runs one zero search: Levenberg-damped
+Newton from zero damping, projected to the ball, from each start the level
+offers in turn.  When every start stalls and f ignores T(u), the equation
+is the gradient of an energy whose minimiser inside the ball is a zero
+(the direct method), so the search descends it and Newton finishes; any
+other level fails at once.  Every Jacobian of a search is data on the one
 pattern the search is given, so the symbolic work of a Newton step (the
 band ordering of the normal equations and where each product lands) is
 done once per search and each iteration only computes numbers.  Failures
@@ -40,7 +41,9 @@ from scipy.linalg import solveh_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .constants import (
+    ASCENT_ARMIJO,
     EmbeddingConstants,
+    _stiffness_solve,
     build_constants,
     check_smallness,
     coercivity_radius,
@@ -53,15 +56,15 @@ from .intrinsic import IntrinsicOperator, apply as apply_operator, certificate, 
 from .operators import (
     ConvectionTerm,
     GrowthEnvelope,
+    _combined_gradients,
+    _convection_load,
     assemble_jacobian,
     assemble_residual,
     competing_pairing,
 )
 
-# Newton iterations per zero search, and per continuation stage.
+# Newton iterations per start, and steps of the energy descent.
 MAX_NEWTON = 100
-# Halvings of the continuation step before the homotopy gives up.
-MAX_CONTINUATION_DEPTH = 6
 # Quadrature-point values per block of sphere samples: a level with Q
 # quadrature points takes max(1, SPHERE_BUDGET // Q) samples per block.
 SPHERE_BUDGET = 2**16
@@ -77,9 +80,8 @@ class BrouwerResult:
     x: np.ndarray
     fx: np.ndarray  # F(x), as the search last evaluated it
     converged: bool
-    newton_iters: int
-    continuation_stages: int
-    history: list
+    newton_iters: int  # Newton iterations and descent steps of every attempt
+    history: list  # the residual sup at each iterate, in order
     message: str
     start: Optional[int] = None  # the index of the start whose Newton run converged
 
@@ -89,10 +91,10 @@ class BrouwerResult:
 
     @property
     def path(self) -> str:
-        """How the search ended: ``newton``, ``homotopy`` or ``failed``."""
+        """How the search ended: ``newton`` (from a start), ``energy`` or ``failed``."""
         if not self.converged:
             return "failed"
-        return "homotopy" if self.continuation_stages else "newton"
+        return "energy" if self.start is None else "newton"
 
 
 def _sup(v: np.ndarray) -> float:
@@ -127,8 +129,7 @@ class _NormalPlan:
     lower band has data positions ``a`` and ``b`` and the flat band
     position ``slot``; pairs come row by row, so each band entry sums its
     products in row order.  ``rows`` and ``cols`` give every stored entry's
-    row and its column in the new order, and ``diag`` the data positions of
-    the stored diagonal.
+    row and its column in the new order.
     """
 
     perm: np.ndarray
@@ -138,7 +139,6 @@ class _NormalPlan:
     slot: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    diag: np.ndarray
 
 
 def _normal_plan(pattern) -> _NormalPlan:
@@ -164,7 +164,7 @@ def _normal_plan(pattern) -> _NormalPlan:
     return _NormalPlan(
         perm=perm, width=int(np.max(i - j)) if i.size else 0,
         a=a[lower], b=b[lower], slot=(i - j) * n + j,
-        rows=rows, cols=inv[indices], diag=np.flatnonzero(indices == rows),
+        rows=rows, cols=inv[indices],
     )
 
 
@@ -210,45 +210,38 @@ def brouwer_zero(
     pattern,
     norm: Callable[[np.ndarray], float],
     tol: float = 1e-10,
+    energy: Optional[Callable[[np.ndarray], float]] = None,
+    metric: Optional[Callable[[], Callable]] = None,
 ) -> BrouwerResult:
     """Find v with ||F(v)||_sup <= tol and norm(v) <= R, starting from ``x0``.
 
     ``F(v)`` returns the pair ``(F(v), jacobian)``, where ``jacobian()``
-    takes no arguments and returns the data of the Jacobian at v on
-    ``pattern``, in its CSR order.
+    returns the data of the Jacobian at v on ``pattern``, a square CSR
+    pattern without duplicates (anything with ``indptr`` and ``indices``),
+    and data of another length raises ``ValueError``.  ``x0`` is one start
+    or a (k, n) array of k starts.
 
-    ``x0`` is one start or a (k, n) array of k starts.  Damped Newton runs
-    from each start in turn and the search returns at the first that
-    converges (``start`` is its index); only when none does, the homotopy
-    runs from the origin.  A failure returns the best iterate of all
-    attempts, the earlier one on a tie.
-
-    Strategy: Newton, projected onto the ball of ``norm``, accepts a step
-    only if it lowers ||F||^2.  Each trial solves (J^T J + lam I) dx =
-    -J^T F by a banded Cholesky factorisation, from lam = 0 (the Newton
-    step) up.  J^T J is filled once per Jacobian at its first trial and
-    shared by every damping value of that iteration.  A rejected step or a
-    non-positive pivot (a singular J at lam = 0) makes lam grow.  If that
-    stalls, homotopy continuation blends the residual with the identity
-    anchor v (the duality map of the Euclidean coefficient norm), stepping
-    the blend towards the full residual with adaptive halving; the blended
-    Jacobian tJ + (1 - t)I scales J's data and adds 1 - t on its stored
-    diagonal.  Non-convergence produces an explicit failure result carrying
-    the best iterate and history.
-
-    ``pattern`` is a square CSR pattern (anything with ``indptr`` and
-    ``indices``) without duplicate entries that stores the whole diagonal.
-    The search builds the reverse Cuthill-McKee order and band layout of the
-    normal equations once, from it, and raises ``ValueError`` when the
-    pattern lacks a diagonal entry or a Jacobian's data has another length.
+    Damped Newton, projected onto the ball of ``norm``, runs from each start
+    in turn and the search returns at the first that converges (``start``
+    is its index).  It accepts a step only if it lowers ||F||^2.  Each trial
+    solves (J^T J + lam I) dx = -J^T F by banded Cholesky from lam = 0 (the
+    Newton step) up, in an order and band layout planned once per search;
+    J^T J is filled once per Jacobian, and a rejected step or a non-positive
+    pivot makes lam grow.  When no start converges and F is the gradient of
+    ``energy``, the energy is descended from the last start and Newton runs
+    from where the descent stops (``start`` None).  A descent step is the
+    lam = 0 step when it points downhill, else the gradient in the metric
+    whose Gram solve ``metric()`` returns (F without one), halved until the
+    energy falls by ``ASCENT_ARMIJO`` times the linear prediction; the
+    descent stops at a zero, after ``MAX_NEWTON`` steps, or where the
+    energy's rounding cannot tell two iterates apart.  A failure returns
+    the best iterate of all attempts, the earlier one on a tie.
     """
     starts = np.atleast_2d(np.asarray(x0, dtype=float))
     history = []
     if starts.shape[1] == 0:
-        return BrouwerResult(starts[0], starts[0], True, 0, 0, history, "empty system", 0)
+        return BrouwerResult(starts[0], starts[0], True, 0, history, "empty system", 0)
     plan = _normal_plan(pattern)
-    if plan.diag.size < plan.perm.size:
-        raise ValueError("the Jacobian pattern lacks a diagonal entry")
 
     def project(v):
         n = norm(v)
@@ -256,19 +249,15 @@ def brouwer_zero(
             return v * (R / n)
         return v
 
-    def normal_equations(jacobian, ft, t):
-        """The normal equations of t J + (1 - t) I and the blended residual ft."""
+    def normal_equations(jacobian, fx):
         data = jacobian()
         if len(data) != len(plan.rows):
             raise ValueError(f"a Jacobian has {len(data)} entries, its pattern "
                              f"{len(plan.rows)}")
-        if t != 1.0:
-            data = t * data
-            data[plan.diag] += 1.0 - t
-        return _normal_equations(plan, data, ft)
+        return _normal_equations(plan, data, fx)
 
-    def newton_solve(x, t):
-        """Levenberg-damped Newton on F_t(v) = t F(v) + (1-t) v.
+    def newton_solve(x):
+        """Levenberg-damped Newton on F from x.
 
         Damping grows on rejection, which shortens and bends the step
         towards steepest descent, so exactly singular Jacobians cannot kick
@@ -278,15 +267,14 @@ def brouwer_zero(
         x = project(x)
         lam = 0.0
         fx, jx = F(x)
-        ft = t * fx + (1.0 - t) * x
-        phi = 0.5 * float(ft @ ft)
+        phi = 0.5 * float(fx @ fx)
         for _ in range(MAX_NEWTON):
-            res = _sup(ft)
-            history.append((t, res))
+            res = _sup(fx)
+            history.append(res)
             if res <= tol:
                 return x, fx, True, iters
             iters += 1
-            normal = normal_equations(jx, ft, t)
+            normal = normal_equations(jx, fx)
             scale = 1.0 + phi
             accepted = None
             # a NaN residual never lets lam reach its cap; this bound stops it
@@ -295,10 +283,9 @@ def brouwer_zero(
                 if dx is not None:
                     cand = project(x + dx)
                     fc, jc = F(cand)
-                    ftc = t * fc + (1.0 - t) * cand
-                    phic = 0.5 * float(ftc @ ftc)
+                    phic = 0.5 * float(fc @ fc)
                     if (phic < phi and not np.array_equal(cand, x)) or phic < 0.5 * tol * tol:
-                        accepted = (cand, fc, jc, ftc, phic)
+                        accepted = (cand, fc, jc, phic)
                         lam = lam / 3.0 if lam > 1e-14 * scale else 0.0
                         break
                 lam = max(lam * 10.0, 1e-10 * scale)
@@ -306,48 +293,53 @@ def brouwer_zero(
                     break
             if accepted is None:
                 return x, fx, False, iters
-            x, fx, jx, ft, phi = accepted
-        res = _sup(ft)
-        history.append((t, res))
+            x, fx, jx, phi = accepted
+        res = _sup(fx)
+        history.append(res)
         return x, fx, res <= tol, iters
+
+    def descend(x):
+        """Armijo descent of the energy from x, projected to the ball; returns (x, steps)."""
+        x, solve = project(x), None
+        e, (fx, jx) = energy(x), F(x)
+        for step in range(MAX_NEWTON):
+            history.append(_sup(fx))
+            if history[-1] <= tol:
+                return x, step
+            d = _levenberg_step(normal_equations(jx, fx), 0.0)
+            if d is None or not float(fx @ d) < 0.0:
+                solve = solve or (metric() if metric is not None else np.asarray)
+                d = -solve(fx)
+            for _ in range(60):
+                cand = project(x + d)
+                ec = energy(cand)
+                if ec < e + ASCENT_ARMIJO * float(fx @ d):
+                    break
+                d = 0.5 * d
+            else:
+                return x, step + 1
+            x, e, (fx, jx) = cand, ec, F(cand)
+        return x, MAX_NEWTON
 
     total_iters = 0
     best_x = best_fx = None
     for k, start in enumerate(starts):
-        x, fx, ok, it = newton_solve(start, 1.0)
+        x, fx, ok, it = newton_solve(start)
         total_iters += it
         if ok:
-            return BrouwerResult(x, fx, True, total_iters, 0, history, "newton", k)
+            return BrouwerResult(x, fx, True, total_iters, history, "newton", k)
         if best_fx is None or _sup(fx) < _sup(best_fx):
             best_x, best_fx = x, fx
-
-    # homotopy continuation from the anchor solution at t = 0 (the origin)
-    stages = 0
-    depth = 0
-    t = 0.0
-    dt = 0.25
-    xh = np.zeros(starts.shape[1])
-    while t < 1.0 and depth <= MAX_CONTINUATION_DEPTH:
-        t_next = min(1.0, t + dt)
-        cand, fc, ok, it = newton_solve(xh, t_next)
-        total_iters += it
-        stages += 1
+    if energy is not None:
+        x, steps = descend(starts[-1])
+        x, fx, ok, it = newton_solve(x)
+        total_iters += steps + it
         if ok:
-            t, xh = t_next, cand
-            if _sup(fc) < _sup(best_fx):
-                best_x, best_fx = xh, fc
-            dt = min(0.25, dt * 1.5)
-        else:
-            dt *= 0.5
-            depth += 1
-    if t >= 1.0:
-        # the last stage ran at t = 1, so fc = F(xh)
-        return BrouwerResult(xh, fc, True, total_iters, stages, history, "homotopy")
-    return BrouwerResult(
-        best_x, best_fx, False, total_iters, stages, history,
-        f"no convergence after continuation depth {MAX_CONTINUATION_DEPTH}; "
-        f"best residual sup {_sup(best_fx):.3e}",
-    )
+            return BrouwerResult(x, fx, True, total_iters, history, "energy")
+        if _sup(fx) < _sup(best_fx):
+            best_x, best_fx = x, fx
+    return BrouwerResult(best_x, best_fx, False, total_iters, history,
+                         f"no convergence; best residual sup {_sup(best_fx):.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +417,22 @@ class LevelProblem:
         return assemble_residual(u, samples, inst.convection, inst.p, inst.q,
                                  lift=self.lift), jacobian
 
+    @property
+    def energy(self) -> Optional[Callable[[np.ndarray], float]]:
+        """E(c) = (1/p) int |grad(u+u0)|^p - (1/q) int |grad(u+u0)|^q - <load, c>, whose
+        gradient is the residual, when f ignores T(u); None when f reads it."""
+        inst, lvl = self.inst, self.lvl
+        if inst.convection.solution_dependent:
+            return None
+        load = _convection_load(inst.convection, None, lvl)[:, 0]
+
+        def energy(c):
+            g = _combined_gradients(inst.hierarchy.function(self.n, c), self.lift)
+            return float(_grad_integral(lvl, g, inst.p)[0] / inst.p
+                         - _grad_integral(lvl, g, inst.q)[0] / inst.q - load @ c)
+
+        return energy
+
     def norms(self, c: np.ndarray):
         """||grad u||_p of a coefficient vector, or of each column of an (n_free, k) block."""
         p = self.inst.p
@@ -447,7 +455,7 @@ class LevelSolve:
     """One level of a hierarchy run: its solution, its zero search and what was measured there.
 
     ``start`` names the start whose Newton run converged (``guess``,
-    ``coarser`` or ``origin``), None after a homotopy or a failure.
+    ``coarser`` or ``origin``), None after an energy descent or a failure.
     ``sphere`` holds <A(v), v> at the sampled points v of the sphere of
     radius ``radius``, in draw order.  ``gaps`` maps each of ``GAPS`` to its
     value; it is None on the finest level and before the run is diagnosed.
@@ -465,6 +473,12 @@ class LevelSolve:
     def level(self) -> int:
         return self.u.level
 
+    @property
+    def sphere_negative(self) -> int:
+        """How many sphere pairings are negative or not finite."""
+        return int(np.count_nonzero(~(np.isfinite(self.sphere) & (self.sphere >= 0))))
+
+    @np.errstate(invalid="ignore")  # statistics of NaN and inf pairings, written as null
     def to_json_dict(self) -> dict:
         """The level's row of the solve report."""
         search, sphere = self.search, self.sphere
@@ -478,19 +492,24 @@ class LevelSolve:
             # the equation tested with u itself
             "energy_gap": abs(float(search.fx @ search.x)),
             "newton_iters": search.newton_iters,
-            # one zero search per level; the benchmark harness reads the key
+            # one zero search per level, no homotopy; the benchmark harness reads both keys
             "outer_iters": 0,
-            "continuation_stages": search.continuation_stages,
+            "continuation_stages": 0,
             "path": search.path,
             "start": self.start,
-            "sphere_margin": float(sphere.min()) if sphere.size else None,
-            "sphere_negative": int(np.count_nonzero(~(np.isfinite(sphere) & (sphere >= 0)))),
-            "sphere_q05": float(np.quantile(sphere, 0.05)) if sphere.size else None,
-            "sphere_median": float(np.quantile(sphere, 0.5)) if sphere.size else None,
+            "sphere_margin": _finite(sphere.min() if sphere.size else None),
+            "sphere_negative": self.sphere_negative,
+            "sphere_q05": _finite(np.quantile(sphere, 0.05) if sphere.size else None),
+            "sphere_median": _finite(np.quantile(sphere, 0.5) if sphere.size else None),
             "converged": search.converged,
             **{gap: None if self.gaps is None else self.gaps[gap] for gap in GAPS},
             "coefficients": [float(c) for c in self.u.coeffs],
         }
+
+
+def _finite(x) -> Optional[float]:
+    """x as a report float; None for None and for NaN or inf, which strict JSON lacks."""
+    return None if x is None or not np.isfinite(x) else float(x)
 
 
 def solve_level(
@@ -503,8 +522,9 @@ def solve_level(
 
     One ball-constrained zero search on the level problem's residual, from
     the starts named below, with the Jacobian that the residual hands out at
-    each iterate on the level's pattern.  The residual sup, the energy gap
-    and convergence come from the residual the search last evaluated.
+    each iterate on the level's pattern, and the level's energy with the
+    H^1_0 metric.  The residual sup, the energy gap and convergence come
+    from the residual the search last evaluated.
     """
     h = inst.hierarchy
     prob = inst.at(n)
@@ -524,7 +544,8 @@ def solve_level(
         starts["origin"] = np.zeros(h.level(n).n_free)
 
     res = brouwer_zero(prob.residual, R, x0=np.array(list(starts.values()), dtype=float),
-                       pattern=prob.lvl.jacobian_pattern, norm=prob.norms, tol=inst.tol)
+                       pattern=prob.lvl.jacobian_pattern, norm=prob.norms, tol=inst.tol,
+                       energy=prob.energy, metric=lambda: _stiffness_solve(prob.lvl))
     return LevelSolve(h.function(n, res.x), res, R, prob.norms(res.x),
                       start=None if res.start is None else list(starts)[res.start],
                       sphere=np.empty(0), gaps=None)
@@ -555,7 +576,8 @@ def sphere_certificate(inst: ProblemInstance, n: int, R: float) -> np.ndarray:
         g = prob.norms(c)
         keep = g != 0
         c = c[:, keep] * (R / g[keep])
-        pairings.append(_column_dots(prob.residual(c)[0], c))
+        with np.errstate(over="ignore", invalid="ignore"):  # the report counts NaN and inf
+            pairings.append(_column_dots(prob.residual(c)[0], c))
     return np.concatenate(pairings)
 
 
@@ -630,7 +652,7 @@ class SolveReport:
             "seed": self.seed,
             "R": self.radius,
             "kappa": self.kappa,
-            "c0": self.c0,
+            "c0": _finite(self.c0),  # an overflowing c0 stops the run
             "config": self.config,
             "constants": None if self.constants is None else self.constants.to_json_dict(),
             "certificate": None if self.certificate is None else self.certificate.to_json_dict(),
@@ -687,9 +709,10 @@ def run_hierarchy(inst: ProblemInstance, config_echo: Optional[dict] = None) -> 
     no finite radius; so does a radius that overflows a float, after c0 is
     reported.  Otherwise the safeguard radius is computed once from
     the instance constants, each level's search gets the prolongated
-    previous solution as a start (after the initial guess, if any), and a
-    level that does not converge ends the run with the levels solved so far
-    (status ``solver_failure``).
+    previous solution as a start (after the initial guess, if any).  The
+    levels solved so far end the run at a level with a sphere pairing that
+    is negative or not finite (status ``hypothesis_failed``) or a level that
+    does not converge (status ``solver_failure``).
     """
     h = inst.hierarchy
     top = h.n_levels
@@ -734,6 +757,13 @@ def run_hierarchy(inst: ProblemInstance, config_echo: Optional[dict] = None) -> 
         result = replace(solve_level(inst, n, R, warm=warm),
                          sphere=sphere_certificate(inst, n, R))
         base.levels.append(result)
+        if result.sphere_negative:
+            base.status = "hypothesis_failed"
+            base.message = (
+                f"the sphere condition failed on level {n}: {result.sphere_negative} of "
+                f"{result.sphere.size} pairings <A(v), v> are negative or not finite"
+            )
+            return base
         if not result.search.converged:
             base.status = "solver_failure"
             base.message = (

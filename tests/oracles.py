@@ -14,12 +14,22 @@ level operators they check.  The convolution reference forms its whole
 weight matrix and reads P1 functions by np.interp of their nodal vectors.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+
+def read_report(path) -> dict:
+    """A report file parsed as strict JSON: a bare NaN, Infinity or -Infinity raises."""
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 def shooting_endpoint(lam: float, p: float) -> float:
@@ -276,6 +286,17 @@ def nodal_values_at_qp(lvl, nodal) -> np.ndarray:
 def values_at_qp(lvl, coeffs) -> np.ndarray:
     """Values at the quadrature points, shape (n_el, n_q)."""
     return nodal_values_at_qp(lvl, full_values(lvl, coeffs))
+
+
+def zero(h, n: int):
+    """The zero function on level n of the hierarchy h."""
+    return h.function(n, np.zeros(h.level(n).n_free))
+
+
+def lebesgue_norm(u, r: float) -> float:
+    """||u||_r by the level's Gauss rule, exact when the rule covers |u|^r."""
+    vals = values_at_qp(u.lvl, u.coeffs)
+    return float(np.sum(u.lvl.qp_weights * np.abs(vals) ** r) ** (1.0 / r))
 
 
 def gradient_force(u_grads: np.ndarray, r: float, lvl) -> np.ndarray:
@@ -543,7 +564,6 @@ def holder_bound(u, v, T_image, env, p: float, p_crit: float) -> float:
     bound pairs v with the exponents that the smallness check uses.
     """
     import competefem.constants
-    from competefem.discretization import lebesgue_norm
 
     lvl = u.lvl
     _, r_value, r_grad = competefem.constants.smallness_pairings(

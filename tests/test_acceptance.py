@@ -26,7 +26,6 @@ from competefem.discretization import (
     build_hierarchy,
     grad_norm_p,
     interval_mesh,
-    lebesgue_norm,
     sample,
 )
 from competefem.intrinsic import (
@@ -42,7 +41,7 @@ from competefem.operators import convection_from_catalog
 from competefem.solver import brouwer_zero, run_hierarchy
 
 from oracles import (certificate_margins, full_csr, grid_search_zero, lambda1_shooting,
-                     random_monotone_map, samples_value_norm)
+                     lebesgue_norm, random_monotone_map, samples_value_norm)
 
 
 def report(number: int, ok: bool, detail: str) -> None:

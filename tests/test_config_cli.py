@@ -19,6 +19,9 @@ from competefem.config import (
     parse_config_dict,
 )
 
+from oracles import read_report
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 MINIMAL = {
     "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "elements": 4},
@@ -206,7 +209,7 @@ CONVOLUTION_CLI = dict(
     T={"kind": "convolution", "kernel": {"shape": "box", "width": 0.25}},
 )
 
-# constant f on the unit square: levels 2 and 3 take the homotopy, and the
+# constant f on the unit square: levels 2 and 3 descend their energy, and the
 # solve runs Levenberg trials whose normal equations have a band wider than 1
 SQUARE_CLI = {
     "domain": {"kind": "unit_square"},
@@ -231,6 +234,14 @@ _OVERFLOW = dict(_SMALL, f={"kind": "manufactured_p3q2", "envelope": {
     "a1": 5.0, "alpha": 1.0, "r": 1.0, "sigma": {"kind": "constant", "c": 1e308}}})
 _NO_FLOAT_RADIUS = (r"hypothesis failed: the safeguard radius R overflows a float at "
                     r"kappa = \S+ and c0 = \S+ \(p = 3.0, q = 2.0\)\n")
+# hugeR: readme-1d whose weight near the largest float gives R = 5.4e153, on
+# whose sphere every pairing overflows to NaN or inf
+HUGE_R = {**json.loads((WORKLOADS / "readme-1d.json").read_text()),
+          "levels": 2, "sphere_samples": 10,
+          "f": {"kind": "manufactured_p3q2",
+                "envelope": {"r": 1, "sigma": {"kind": "constant", "c": 1e308}}}}
+_SPHERE_FAILED = (r"hypothesis failed: the sphere condition failed on level 1: "
+                  r"10 of 10 pairings <A\(v\), v> are negative or not finite\n")
 # outcome -> (config, exit code, stdout of solve, stdout of study), stdouts as patterns
 CLI_OUTCOMES = {
     "ok": (_SMALL, 0, r"status: ok; levels solved: 2; R = \S+\n",
@@ -241,6 +252,7 @@ CLI_OUTCOMES = {
                        r"status: solver_failure; levels solved: 1; R = \S+\n" + _LEVEL_1_FAILED,
                        r"study rows written: 1; finest error_w1p = \S+\n" + _LEVEL_1_FAILED),
     "radius-overflow": (_OVERFLOW, 2, _NO_FLOAT_RADIUS, _NO_FLOAT_RADIUS),
+    "sphere-failed": (HUGE_R, 2, _SPHERE_FAILED, _SPHERE_FAILED),
 }
 
 
@@ -658,7 +670,7 @@ class TestCli:
         assert len(keys) == len(set(keys)) == 22
         out = tmp_path / "out"
         assert main(["solve", str(write_config(tmp_path, config)), "--out-dir", str(out)]) == code
-        levels = json.loads((out / "solve_report.json").read_text())["levels"]
+        levels = read_report(out / "solve_report.json")["levels"]
         assert levels
         for level in levels:
             assert sorted(level) == sorted(keys)
@@ -669,7 +681,7 @@ class TestCli:
         cfg = write_config(tmp_path, MANUFACTURED_CLI)
         out = tmp_path / "out"
         assert main(["solve", str(cfg), "--out-dir", str(out)]) == 0
-        report = json.loads((out / "solve_report.json").read_text())
+        report = read_report(out / "solve_report.json")
         assert report["status"] == "ok"
         assert len(report["levels"]) == 4
         csv_text = (out / "solve_report.csv").read_text().splitlines()
@@ -681,7 +693,7 @@ class TestCli:
         cfg = write_config(tmp_path, MANUFACTURED_CLI)
         out = tmp_path / "out"
         assert main(["solve", str(cfg), "--out-dir", str(out)]) == 0
-        levels = json.loads((out / "solve_report.json").read_text())["levels"]
+        levels = read_report(out / "solve_report.json")["levels"]
         with (out / "solve_report.csv").open(newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert len(rows) == len(levels)
@@ -699,7 +711,7 @@ class TestCli:
                                           initial_guess=None))
         out = tmp_path / "out"
         assert main(["solve", str(cfg), "--out-dir", str(out)]) == 0
-        report = json.loads((out / "solve_report.json").read_text())
+        report = read_report(out / "solve_report.json")
         for row in report["levels"]:
             assert row["grad_norm_p"] == pytest.approx(0.0, abs=1e-12)
 
@@ -707,7 +719,7 @@ class TestCli:
         cfg = write_config(tmp_path, MANUFACTURED_CLI)
         out = tmp_path / "out"
         assert main(["check", str(cfg), "--out-dir", str(out)]) == 0
-        payload = json.loads((out / "hypothesis_report.json").read_text())
+        payload = read_report(out / "hypothesis_report.json")
         assert payload["all_pass"] is True
         assert payload["reports"][0]["margin"] == 1.0
 
@@ -716,7 +728,7 @@ class TestCli:
                        initial_guess=None)
         cfg2 = write_config(tmp_path, failing, "failing.json")
         assert main(["check", str(cfg2), "--out-dir", str(out)]) == 2
-        payload = json.loads((out / "hypothesis_report.json").read_text())
+        payload = read_report(out / "hypothesis_report.json")
         assert payload["all_pass"] is False
 
     def test_solve_hypothesis_refusal_exit_2_report_written(self, tmp_path):
@@ -726,7 +738,7 @@ class TestCli:
         cfg = write_config(tmp_path, failing)
         out = tmp_path / "out"
         assert main(["solve", str(cfg), "--out-dir", str(out)]) == 2
-        report = json.loads((out / "solve_report.json").read_text())
+        report = read_report(out / "solve_report.json")
         assert report["status"] == "hypothesis_failed"
         assert (out / "solve_report.csv").read_text().startswith("level,")
 
@@ -734,7 +746,7 @@ class TestCli:
         cfg = write_config(tmp_path, MANUFACTURED_CLI)
         out = tmp_path / "out"
         assert main(["constants", str(cfg), "--out-dir", str(out)]) == 0
-        payload = json.loads((out / "constants.json").read_text())
+        payload = read_report(out / "constants.json")
         assert payload["safety"] == 1.1
         assert payload["lambda1p"] > 0
         for entry in payload["S"].values():
@@ -749,7 +761,7 @@ class TestCli:
         }
         out = tmp_path / "out"
         assert main(["check", str(write_config(tmp_path, probe)), "--out-dir", str(out)]) == 0
-        payload = json.loads((out / "hypothesis_report.json").read_text())
+        payload = read_report(out / "hypothesis_report.json")
         constants = payload["constants"]
         assert constants["p_crit"] == pytest.approx(18.0, rel=1e-14)
         space = constants["S_space"]
@@ -827,7 +839,7 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["solve", str(cfg), "--out-dir", str(out),
                      "--levels", "3", "--seed", "99"]) == 0
-        report = json.loads((out / "solve_report.json").read_text())
+        report = read_report(out / "solve_report.json")
         assert len(report["levels"]) == 3
         assert report["seed"] == 99
 
@@ -842,6 +854,7 @@ class TestCli:
             (out2 / "solve_report.json").read_bytes()
         assert (out1 / "solve_report.csv").read_bytes() == \
             (out2 / "solve_report.csv").read_bytes()
+        read_report(out1 / "solve_report.json")
 
     def test_square_solve_runs_banded_levenberg_trials(self, tmp_path, monkeypatch):
         widths = []
@@ -861,12 +874,12 @@ class TestCli:
         def solve(config, name):
             assert main(["solve", str(write_config(tmp_path, config, name)),
                          "--out-dir", str(out)]) == 0
-            levels = json.loads((out / "solve_report.json").read_text())["levels"]
-            # a level's path sums up all of its zero searches
+            levels = read_report(out / "solve_report.json")["levels"]
+            # a level that converged from none of its starts descended its energy
             for lv in levels:
-                stages = lv["continuation_stages"]
                 assert lv["path"] == ("failed" if not lv["converged"]
-                                      else "homotopy" if stages else "newton")
+                                      else "energy" if lv["start"] is None else "newton")
+                assert lv["continuation_stages"] == 0
             return levels
 
         levels = solve(MANUFACTURED_CLI, "manufactured.json")
@@ -875,8 +888,7 @@ class TestCli:
         constant = dict(MINIMAL, f={"kind": "constant", "c": 1.0}, levels=3,
                         sphere_samples=32)
         levels = solve(constant, "constant.json")
-        assert [lv["path"] for lv in levels] == ["homotopy", "newton", "newton"]
-        assert levels[0]["continuation_stages"] > 0
+        assert [lv["path"] for lv in levels] == ["energy", "newton", "newton"]
         assert "path" not in (out / "solve_report.csv").read_text().splitlines()[0]
         # a nonlocal T also takes one zero search per level; the report keeps
         # the outer_iters key of the frozen-T passes it no longer makes, at 0
@@ -888,11 +900,11 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["solve", str(write_config(tmp_path, MANUFACTURED_CLI)),
                      "--out-dir", str(out)]) == 0
-        for level in json.loads((out / "solve_report.json").read_text())["levels"]:
+        for level in read_report(out / "solve_report.json")["levels"]:
             assert level["sphere_margin"] <= level["sphere_q05"] <= level["sphere_median"]
         cfg = write_config(tmp_path, dict(MANUFACTURED_CLI, sphere_samples=0), "none.json")
         assert main(["solve", str(cfg), "--out-dir", str(out)]) == 0
-        for level in json.loads((out / "solve_report.json").read_text())["levels"]:
+        for level in read_report(out / "solve_report.json")["levels"]:
             assert level["sphere_margin"] is None
             assert level["sphere_q05"] is None and level["sphere_median"] is None
 
@@ -903,11 +915,12 @@ class TestCli:
         assert main(["solve", str(write_config(tmp_path, config)), "--out-dir", str(out)]) == code
         assert re.fullmatch(stdout, capsys.readouterr().out)
         assert sorted(p.name for p in out.iterdir()) == ["solve_report.csv", "solve_report.json"]
-        report = json.loads((out / "solve_report.json").read_text())
+        report = read_report(out / "solve_report.json")
         assert report["status"] == {0: "ok", 2: "hypothesis_failed", 3: "solver_failure"}[code]
         rows = (out / "solve_report.csv").read_text().splitlines()
         assert rows[0].startswith("level,") and len(rows) == 1 + len(report["levels"])
-        assert (report["R"] is None) == (code == 2)
+        # a run stopped before its first level has no radius
+        assert (report["R"] is None) == (report["levels"] == [])
 
     @pytest.mark.parametrize("outcome", sorted(CLI_OUTCOMES))
     def test_study_outcomes(self, tmp_path, capsys, outcome):
@@ -920,6 +933,19 @@ class TestCli:
         # a run the hypothesis stopped leaves an empty table
         assert len(rows) == {0: 3, 2: 0, 3: 2}[code]
 
+    def test_failed_sphere_pairings_end_the_run(self, tmp_path, capsys):
+        # hugeR once exited 0 with status ok, and its report held bare NaN
+        out = tmp_path / "out"
+        assert main(["solve", str(write_config(tmp_path, HUGE_R)), "--out-dir", str(out),
+                     "--seed", "11"]) == 2
+        report = read_report(out / "solve_report.json")
+        assert report["status"] == "hypothesis_failed"
+        assert report["message"] in capsys.readouterr().out
+        assert report["R"] > 1e153 and all(r["pass"] for r in report["hypothesis"])
+        [level] = report["levels"]
+        assert level["converged"] and level["sphere_negative"] == 10
+        assert level["sphere_margin"] is level["sphere_q05"] is level["sphere_median"] is None
+
     def test_overflowing_radius_ends_in_a_report(self, tmp_path, capsys):
         # kappa is about 0.9 < 1, so every check passes, and R is near 10^1000;
         # the run once ended in an uncaught OverflowError
@@ -927,7 +953,7 @@ class TestCli:
                                       "f": {"kind": "signed_power", "a1": 7.0, "alpha": 1.0}})
         out = tmp_path / "out"
         assert main(["solve", str(cfg), "--out-dir", str(out)]) == 2
-        report = json.loads((out / "solve_report.json").read_text())
+        report = read_report(out / "solve_report.json")
         assert report["status"] == "hypothesis_failed"
         assert all(r["pass"] for r in report["hypothesis"])
         assert report["R"] is None and report["c0"] > 0 and report["levels"] == []
@@ -946,7 +972,7 @@ class TestCli:
             out = tmp_path / name
             assert main(["solve", str(cfg), "--out-dir", str(out)]) == 0
             assert main(["check", str(cfg), "--out-dir", str(out)]) == 0
-            outputs.append([json.loads((out / report).read_text())
+            outputs.append([read_report(out / report)
                             for report in ("solve_report.json", "hypothesis_report.json")])
         for missing, empty in zip(*outputs):
             echo = empty.pop("config")

@@ -202,8 +202,6 @@ def test_every_run_ends_in_a_report_and_one_table_maps_its_exit_code():
 UNREFERENCED_ALLOWED = {
     "constants.estimate_lambda1p": "bound by the benchmark's traced solve, "
                                    "which raises if it is missing",
-    "discretization.lebesgue_norm": "reference L^r norm the tests measure against",
-    "discretization.zero": "SpaceHierarchy.zero, the zero function the tests construct",
     "solver.history": "BrouwerResult.history, the residual history of a zero search "
                       "that the tests read; no report writes it yet",
 }

@@ -12,7 +12,6 @@ from competefem.discretization import (
     build_hierarchy,
     grad_norm_p,
     interval_mesh,
-    lebesgue_norm,
     sample,
     unit_square_mesh,
 )
@@ -39,7 +38,7 @@ from competefem.operators import (
 )
 
 import oracles
-from oracles import pattern_csr
+from oracles import lebesgue_norm, pattern_csr
 
 P_CRIT = 6.0  # surrogate for p = 3 in one dimension
 
@@ -51,7 +50,7 @@ def jacobian(u, *args, **kwargs):
 
 class TestCompetingPairing:
     def test_zero_function(self, unit_hierarchy, rng):
-        u = unit_hierarchy.zero(3)
+        u = oracles.zero(unit_hierarchy, 3)
         v = unit_hierarchy.function(3, rng.standard_normal(15))
         assert competing_pairing(u, v, 3.0, 2.0) == 0.0
 
@@ -81,10 +80,11 @@ class TestCompetingPairing:
 
     def test_level_mismatch(self, unit_hierarchy):
         with pytest.raises(LevelMismatchError):
-            competing_pairing(unit_hierarchy.zero(2), unit_hierarchy.zero(3), 3.0, 2.0)
+            competing_pairing(oracles.zero(unit_hierarchy, 2), oracles.zero(unit_hierarchy, 3),
+                              3.0, 2.0)
 
     def test_exponent_order_enforced(self, unit_hierarchy):
-        u = unit_hierarchy.zero(2)
+        u = oracles.zero(unit_hierarchy, 2)
         with pytest.raises(ValueError, match="1 < q < p"):
             competing_pairing(u, u, 2.0, 2.0)
 
@@ -92,13 +92,13 @@ class TestCompetingPairing:
 class TestAssembleResidual:
     def test_constant_load_gives_minus_h(self):
         h = build_hierarchy(interval_mesh(0.0, 1.0, 8), 1)
-        u = h.zero(1)
+        u = oracles.zero(h, 1)
         f = convection_from_catalog("constant", {"c": 1.0})
         r = assemble_residual(u, sample(u), f, 3.0, 2.0)
         np.testing.assert_allclose(r, -1.0 / 8.0, rtol=1e-14)
 
     def test_zero_everything(self, unit_hierarchy):
-        u = unit_hierarchy.zero(2)
+        u = oracles.zero(unit_hierarchy, 2)
         f = convection_from_catalog("zero")
         r = assemble_residual(u, sample(u), f, 3.0, 2.0)
         assert np.all(r == 0.0)
@@ -114,8 +114,8 @@ class TestAssembleResidual:
         assert sups[2] < 1e-4
 
     def test_sample_level_mismatch(self, unit_hierarchy):
-        u = unit_hierarchy.zero(3)
-        wrong = sample(unit_hierarchy.zero(2))
+        u = oracles.zero(unit_hierarchy, 3)
+        wrong = sample(oracles.zero(unit_hierarchy, 2))
         f = convection_from_catalog("zero")
         with pytest.raises(LevelMismatchError):
             assemble_residual(u, wrong, f, 3.0, 2.0)
@@ -161,7 +161,7 @@ class TestAssembleJacobian:
         np.testing.assert_allclose(K, [[4.0]], rtol=1e-14)
 
     def test_exponent_order_rejected(self, unit_hierarchy):
-        u = unit_hierarchy.zero(2)
+        u = oracles.zero(unit_hierarchy, 2)
         f = convection_from_catalog("zero")
         with pytest.raises(ValueError, match="1 < q < p"):
             assemble_jacobian(u, sample(u), f, 2.0, 2.0)
@@ -316,7 +316,7 @@ class TestJacobianAgainstSparseProducts:
         h = build_hierarchy(unit_square_mesh(), 2)
         lvl = h.level(2)
         assert "jacobian_pattern" not in vars(lvl)
-        assemble_jacobian(h.zero(2), None, convection_from_catalog("zero"), 3.0, 2.0)
+        assemble_jacobian(oracles.zero(h, 2), None, convection_from_catalog("zero"), 3.0, 2.0)
         assert "jacobian_pattern" in vars(lvl)
 
 
@@ -708,13 +708,13 @@ class TestConvectionFunctionalBound:
         u = h.function(3, rng.standard_normal(15))
         env = GrowthEnvelope(a1=0.2, a2=0.1, alpha=1.0, beta=1.0, r=2.0,
                              sigma=SigmaWeight("constant", {"c": 1.0}))
-        bound = oracles.holder_bound(u, h.zero(3), sample(u), env, 3.0, P_CRIT)
+        bound = oracles.holder_bound(u, oracles.zero(h, 3), sample(u), env, 3.0, P_CRIT)
         assert bound == 0.0
 
     def test_constant_sigma_reduces_to_l2(self, unit_hierarchy, rng):
         # sigma = 1, r = 2 on a unit interval: bound = ||v||_2
         h = unit_hierarchy
-        u = h.zero(3)
+        u = oracles.zero(h, 3)
         v = h.function(3, rng.standard_normal(15))
         env = GrowthEnvelope(a1=0.0, a2=0.0, alpha=1.0, beta=1.0, r=2.0,
                              sigma=SigmaWeight("constant", {"c": 1.0}))

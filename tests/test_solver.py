@@ -24,7 +24,6 @@ from competefem.discretization import (
     build_hierarchy,
     grad_norm_p,
     interval_mesh,
-    lebesgue_norm,
     prolongate,
     sample,
     unit_square_mesh,
@@ -32,6 +31,7 @@ from competefem.discretization import (
 from competefem.intrinsic import BoundaryLift, Convolution, Identity, apply
 from competefem.operators import assemble_jacobian, assemble_residual, convection_from_catalog
 from competefem.solver import (
+    MAX_NEWTON,
     ProblemInstance,
     _levenberg_step,
     _normal_equations,
@@ -46,7 +46,7 @@ from competefem.solver import (
 )
 
 import oracles
-from oracles import (full_csr, grid_search_zero, pattern_csr, random_monotone_map,
+from oracles import (full_csr, grid_search_zero, lebesgue_norm, pattern_csr, random_monotone_map,
                      sphere_pairings_loop)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -83,6 +83,19 @@ def search(F, dF, R, x0, **kwargs):
                         pattern=full_pattern(x0.shape[-1]), norm=np.linalg.norm, **kwargs)
 
 
+# v^3 - v - 6 = 0 has the root 2, and E = v^4/4 - v^2/2 - 6v is its energy
+def cubic(v):
+    return v**3 - v - 6.0
+
+
+def cubic_jacobian(v):
+    return np.diag(3.0 * v**2 - 1.0)
+
+
+def cubic_energy(v):
+    return float(np.sum(v**4 / 4.0 - v**2 / 2.0 - 6.0 * v))
+
+
 def _normal(J, r):
     """The normal equations of the CSR matrix J, planned on its own pattern."""
     return _normal_equations(_normal_plan(J), J.data, r)
@@ -95,10 +108,15 @@ class TestBrouwerZero:
         np.testing.assert_allclose(res.x, [0.0], atol=1e-10)
 
     def test_scalar_cubic(self):
-        # v^3 - v - 6 = 0 has the root 2; the sphere values are 0 and 24
-        res = search(lambda v: v**3 - v - 6.0, lambda v: np.diag(3.0 * v**2 - 1.0), 2.0, [0.0])
-        assert res.converged
+        # the sphere values are 0 and 24; Newton from 0 stalls at v = -1/sqrt(3)
+        # and the descent of the energy reaches the root on the sphere
+        res = search(cubic, cubic_jacobian, 2.0, [0.0], energy=cubic_energy)
+        assert res.converged and res.path == "energy"
         np.testing.assert_allclose(res.x, [2.0], atol=1e-8)
+        # without the energy the search fails at the stall
+        failed = search(cubic, cubic_jacobian, 2.0, [0.0])
+        assert failed.path == "failed"
+        np.testing.assert_allclose(failed.x, [-1.0 / np.sqrt(3.0)], atol=1e-7)
 
     def test_translation(self):
         target = np.array([1.0, 0.0])
@@ -149,31 +167,33 @@ class TestBrouwerZero:
         failed = search(lambda v: v**2 + 1.0, lambda v: np.diag(2.0 * v), 1.0, [0.0])
         assert failed.path == "failed"
         # from -3 the damped steps stall at v = -1/sqrt(3), where F' = 0 makes
-        # a local minimum of ||F||^2, and the homotopy finds the root 2
-        res = search(lambda v: v**3 - v - 6.0, lambda v: np.diag(3.0 * v**2 - 1.0), 4.0, [-3.0])
-        assert res.converged and res.continuation_stages > 0
-        assert res.path == "homotopy"
+        # a local minimum of ||F||^2; the descent of the energy finds the root 2
+        res = search(cubic, cubic_jacobian, 4.0, [-3.0], energy=cubic_energy)
+        assert res.converged and res.path == "energy" and res.start is None
+        assert search(cubic, cubic_jacobian, 4.0, [-3.0]).path == "failed"
 
     def test_starts_are_tried_in_order(self):
         # Newton from -3 stalls at v = -1/sqrt(3) and the second start
-        # converges by Newton, so no homotopy runs
-        F, dF = (lambda v: v**3 - v - 6.0), (lambda v: np.diag(3.0 * v**2 - 1.0))
-        both = search(F, dF, 4.0, [[-3.0], [1.5]])
-        first, second = search(F, dF, 4.0, [-3.0]), search(F, dF, 4.0, [1.5])
-        assert both.path == "newton" and both.start == 1 and both.continuation_stages == 0
+        # converges by Newton, so the energy is never descended
+        energy = []
+
+        def recording(v):
+            energy.append(v)
+            return cubic_energy(v)
+
+        both = search(cubic, cubic_jacobian, 4.0, [[-3.0], [1.5]], energy=recording)
+        first, second = search(cubic, cubic_jacobian, 4.0, [-3.0]), search(cubic, cubic_jacobian, 4.0, [1.5])
+        assert both.path == "newton" and both.start == 1 and not energy
         np.testing.assert_array_equal(both.x, second.x)
         # the history holds the stalled attempt from -3, then the one from 1.5
-        stalled = len(both.history) - len(second.history)
-        assert both.history == first.history[:stalled] + second.history
-        assert all(t == 1.0 for t, _ in first.history[:stalled])
-        assert first.history[stalled][0] < 1.0  # where the lone search's homotopy begins
-        assert both.newton_iters > second.newton_iters
+        assert first.path == "failed"
+        assert both.history == first.history + second.history
+        assert both.newton_iters == first.newton_iters + second.newton_iters
 
     def test_failing_starts_return_the_best_attempt(self):
         # F = (v^2 - 1)^2 + 1/2 + v/5 has no root.  Newton stalls near v = 1
         # (F ~ 0.70) from 1.2 and at the minimum near v = -1.02 (F ~ 0.2976)
-        # from -1.2.  The homotopy's best iterate (F ~ 0.2998) beats the stall
-        # near 1 but not the one near -1.02, whichever order the starts take.
+        # from -1.2, which is returned whichever order the starts take.
         def F(v):
             return (v**2 - 1.0) ** 2 + 0.5 + 0.2 * v
 
@@ -188,14 +208,14 @@ class TestBrouwerZero:
             np.testing.assert_array_equal(res.fx, F(res.x))
         assert res.residual_sup < search(F, dF, 1.5, [1.2]).residual_sup
 
-    @pytest.mark.parametrize("x0", [[-3.0], [[-3.0]]], ids=["vector", "one-row"])
-    def test_one_start_keeps_the_single_start_search(self, x0):
-        # the counts and bits the search gave from -3 before it took several
-        # starts: 34 Newton iterations over 4 homotopy stages
-        res = search(lambda v: v**3 - v - 6.0, lambda v: np.diag(3.0 * v**2 - 1.0), 4.0, x0)
-        assert (res.newton_iters, res.continuation_stages, len(res.history)) == (34, 4, 38)
-        assert res.x.tolist() == [2.00000000000321]
-        assert res.start is None
+    def test_one_start_is_a_vector_or_a_row(self):
+        # one start given as a vector or as a one-row array is the same search
+        vector, row = (search(cubic, cubic_jacobian, 4.0, x0, energy=cubic_energy)
+                       for x0 in ([-3.0], [[-3.0]]))
+        assert vector.path == row.path == "energy"
+        assert (vector.newton_iters, vector.history) == (row.newton_iters, row.history)
+        np.testing.assert_array_equal(vector.x, row.x)
+        assert vector.start is row.start is None
         assert search(lambda v: v - 0.5, lambda v: np.eye(2), 1.0, [0.0, 0.0]).start == 0
 
     def test_newton_exit_reuses_the_last_residual(self):
@@ -215,13 +235,12 @@ class TestBrouwerZero:
         assert res.fx is seen[-1][1]
         assert res.residual_sup == float(np.max(np.abs(res.fx)))
 
-    @pytest.mark.parametrize("case", ["homotopy", "failed"])
+    @pytest.mark.parametrize("case", ["energy", "failed"])
     def test_result_residual_is_F_at_x(self, case):
-        # the homotopy and the best-iterate failure also return F(x)
-        if case == "homotopy":
-            def F(v):
-                return v**3 - v - 6.0
-            res = search(F, lambda v: np.diag(3.0 * v**2 - 1.0), 4.0, [-3.0])
+        # the descent and the best-iterate failure also return F(x)
+        if case == "energy":
+            F = cubic
+            res = search(F, cubic_jacobian, 4.0, [-3.0], energy=cubic_energy)
         else:
             def F(v):
                 return v**2 + 1.0
@@ -230,10 +249,12 @@ class TestBrouwerZero:
         np.testing.assert_array_equal(res.fx, F(res.x))
         assert res.residual_sup == float(np.max(np.abs(F(res.x))))
 
-    def test_dense_jacobian_through_the_homotopy(self):
-        res = search(lambda v: v**3 - v - 6.0, lambda v: np.diag(3.0 * v**2 - 1.0), 4.0, [-3.0])
-        assert res.path == "homotopy"
-        np.testing.assert_allclose(res.x, [2.0], atol=1e-8)
+    def test_dense_jacobian_through_the_descent(self):
+        # the cubic in each of two coordinates: Newton from (-3, -3) stalls
+        # and the descent of the summed energy reaches the root (2, 2)
+        res = search(cubic, cubic_jacobian, 4.0, [-3.0, -3.0], energy=cubic_energy)
+        assert res.path == "energy"
+        np.testing.assert_allclose(res.x, [2.0, 2.0], atol=1e-8)
 
     def test_a_later_jacobian_on_another_pattern_is_refused(self):
         # the first Jacobian stores the zero off-diagonal entries of the full
@@ -248,12 +269,15 @@ class TestBrouwerZero:
             brouwer_zero(with_jacobian(lambda v: v + 0.5 * v**3 - target, jac), 2.0,
                          x0=np.zeros(2), pattern=full_pattern(2), norm=np.linalg.norm)
 
-    def test_a_first_pattern_without_its_diagonal_is_refused(self):
-        J = sp.csr_matrix(TestNewtonFallback.J)  # no entries at (0, 0) and (2, 2)
-        assert J.nnz == 5
-        with pytest.raises(ValueError, match="lacks a diagonal entry"):
-            brouwer_zero(with_jacobian(lambda v: J @ v - TestNewtonFallback.rhs, lambda v: J),
-                         1.0, x0=np.zeros(3), pattern=J, norm=np.linalg.norm)
+    def test_a_pattern_without_its_diagonal_is_searched(self):
+        # a cyclic permutation stores no diagonal entry; Newton takes one step
+        J = sp.csr_matrix(np.roll(np.eye(3), 1, axis=1))
+        assert J.diagonal().tolist() == [0.0] * 3
+        b = np.array([0.5, -0.25, 0.125])
+        res = brouwer_zero(with_jacobian(lambda v: J @ v - b, lambda v: J), 1.0,
+                           x0=np.zeros(3), pattern=J, norm=np.linalg.norm)
+        assert res.path == "newton" and res.newton_iters == 1
+        np.testing.assert_array_equal(J @ res.x, b)
 
 
 class TestNewtonFallback:
@@ -368,7 +392,7 @@ class TestLevenbergStep:
         assert len(lams) == out.search.newton_iters and set(lams) == {0.0}
 
     def test_forms_normal_equations_once_per_jacobian(self, unit_hierarchy, monkeypatch):
-        # constant f on the 3-dof base level stalls Newton and needs the homotopy
+        # constant f on the 3-dof base level stalls Newton and needs the descent
         counts = {"jacobian": 0, "normal": 0, "damped": 0}
 
         def counting(name, fn):
@@ -381,55 +405,13 @@ class TestLevenbergStep:
                          ("damped", _levenberg_step)):
             monkeypatch.setattr(f"competefem.solver.{fn.__name__}", counting(name, fn))
         out = solve_level(make_instance(unit_hierarchy, "constant", {"c": 1.0}), 1, 2.0)
-        assert out.search.converged and out.search.path == "homotopy"
+        assert out.search.converged and out.search.path == "energy"
         assert counts["damped"] > 0
         assert counts["normal"] <= counts["jacobian"]
         assert counts["normal"] < counts["damped"]
 
 
 class TestSymbolicPlan:
-    @pytest.mark.parametrize("t", [0.0, 0.3, 0.75])
-    @pytest.mark.parametrize("domain,level", [("interval", 4), ("unit_square", 3)])
-    def test_blend_is_t_J_plus_one_minus_t_identity(self, domain, level, t):
-        # the search blends on J's data: scale it by t, add 1 - t at plan.diag
-        J, _ = _galerkin_jacobian(domain, level, "manufactured_plus_power")
-        plan = _normal_plan(J)
-        data = t * J.data
-        data[plan.diag] += 1.0 - t
-        blended = sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape)
-        reference = (t * J + (1.0 - t) * sp.identity(J.shape[0])).toarray()
-        np.testing.assert_array_equal(blended.toarray(), reference)
-        assert plan.diag.size == J.shape[0]
-
-    @pytest.mark.parametrize("domain,level", [("interval", 4), ("unit_square", 3)])
-    def test_homotopy_blends_on_the_jacobian_pattern(self, domain, level, monkeypatch):
-        # a linear map whose zero lies outside the ball makes Newton stall
-        # and the homotopy run stages at several t < 1
-        J, _ = _galerkin_jacobian(domain, level, "manufactured_plus_power")
-        n = J.shape[0]
-        x = np.ones(n)
-        seen = []
-
-        def recording(plan, data, r):
-            seen.append((plan, data.copy()))
-            return _normal_equations(plan, data, r)
-
-        monkeypatch.setattr("competefem.solver._normal_equations", recording)
-        res = brouwer_zero(with_jacobian(lambda v: J @ (v - x), lambda v: J),
-                           0.5 * np.linalg.norm(x), x0=np.zeros(n), pattern=J,
-                           norm=np.linalg.norm)
-        ts = {t for t, _ in res.history}
-        assert res.continuation_stages > 0 and len(ts) > 2
-        references = {t: (t * J + (1.0 - t) * sp.identity(n)).toarray() for t in ts}
-        own = _normal_plan(J)
-        for plan, data in seen:
-            # on J's own pattern
-            assert np.array_equal(plan.perm, own.perm)
-            assert np.array_equal(plan.diag, own.diag)
-            blended = sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape).toarray()
-            assert any(np.array_equal(blended, ref) for ref in references.values())
-        assert sum(not np.array_equal(data, J.data) for _, data in seen) > 2
-
     def test_explicit_zeros_leave_the_numbers_unchanged(self):
         # the level pattern stores entries whose value is zero; the normal
         # equations on it hold the same numbers as on the pattern without them
@@ -452,7 +434,8 @@ class TestSymbolicPlan:
             np.testing.assert_allclose(normal.rhs, -(without.T @ r)[normal.perm], rtol=1e-15)
 
     def test_ordering_is_computed_once_per_search(self, unit_hierarchy, monkeypatch):
-        # a homotopy solve makes many Jacobians of one level, and orders once
+        # a solve that descends the energy makes many Jacobians of one level,
+        # and orders once
         orderings, jacobians = [], []
 
         def counting(calls, fn):
@@ -467,7 +450,7 @@ class TestSymbolicPlan:
                             counting(jacobians, assemble_jacobian))
         inst = make_instance(unit_hierarchy, "constant", {"c": 1.0})
         out = solve_level(inst, 1, 2.0)
-        assert out.search.path == "homotopy" and len(jacobians) > 10
+        assert out.search.path == "energy" and len(jacobians) > 10
         assert len(orderings) == 1
         solve_level(inst, 2, 2.0)  # another level, another pattern
         assert len(orderings) == 2
@@ -486,14 +469,15 @@ class TestSymbolicPlan:
 
         monkeypatch.setattr(sp, "csr_matrix", counting)
         counts = {}
-        # Newton from the exact profile, and the homotopy of a constant f
-        for f_kind, f_params, guess in (("manufactured_p3q2", {}, lambda x: x * (1 - x)),
-                                        ("constant", {"c": 1.0}, None)):
+        # Newton from the exact profile, and the descent of a constant f
+        for f_kind, f_params, guess, path in (
+                ("manufactured_p3q2", {}, lambda x: x * (1 - x), "newton"),
+                ("constant", {"c": 1.0}, None, "energy")):
             h = build_hierarchy(interval_mesh(0.0, 1.0, 4), 1)  # its pattern is not built yet
             inst = make_instance(h, f_kind, f_params, guess=guess)
             made.clear()
             out = solve_level(inst, 1, 2.0)
-            assert out.search.converged
+            assert out.search.converged and out.search.path == path
             counts[out.search.newton_iters] = len(made)
         assert len(counts) == 2 and max(counts) > 10
         assert len(set(counts.values())) == 1
@@ -581,7 +565,6 @@ class TestSolveLevel:
         out = solve_level(inst, 1, 1.5)
         assert len(searches) == 1
         assert out.search.converged and out.search.path == searches[0].path == "newton"
-        assert out.search.continuation_stages == searches[0].continuation_stages == 0
 
     @pytest.mark.parametrize("guess", [None, "exact"])
     @pytest.mark.parametrize("shape,a1,a2,width", [
@@ -630,12 +613,15 @@ class TestSolveLevel:
         Identity(), Convolution("box", 0.25),
     ], ids=["identity", "convolution"])
     def test_x_only_rhs_applies_no_T(self, unit_levels, monkeypatch, T):
-        # a constant f never reads T(u); marked solution dependent (without
-        # derivatives, like the x-only term) it gets T(u) applied and ignores it
-        f = convection_from_catalog("constant", {"c": 1.0})
+        # an x-only f never reads T(u); marked solution dependent (without
+        # derivatives, like the x-only term) it gets T(u) applied and ignores
+        # it.  From the guess every level converges by Newton, which the
+        # missing energy of the marked f does not reach.
+        f = convection_from_catalog("manufactured_p3q2", {})
         # the convolution certificate needs alpha = beta = p - 1
         f = dataclasses.replace(f, envelope=dataclasses.replace(f.envelope, alpha=2.0, beta=2.0))
-        inst = dataclasses.replace(make_instance(unit_levels(4), T=T, sphere=64), convection=f)
+        inst = dataclasses.replace(make_instance(unit_levels(4), T=T, sphere=64,
+                                                 guess=lambda x: x * (1 - x)), convection=f)
         marked = dataclasses.replace(
             inst, convection=dataclasses.replace(f, solution_dependent=True,
                                                  d_s=None, d_xi=None))
@@ -648,6 +634,7 @@ class TestSolveLevel:
         monkeypatch.setattr("competefem.solver.apply_operator", counting_apply)
         report = run_hierarchy(inst)
         assert report.status == "ok" and not calls
+        assert {lv.search.path for lv in report.levels} == {"newton"}
         reference = run_hierarchy(marked)
         assert calls
         assert json.dumps(report.to_json_dict(), sort_keys=True) == json.dumps(
@@ -672,9 +659,11 @@ class TestSolveLevel:
 
         monkeypatch.setattr("competefem.solver.assemble_jacobian", recording)
         searches = _record_searches(monkeypatch)
-        out = solve_level(inst, 2, 2.0)
+        # level 2 from the guess and the prolongated level-1 zero, as in a run
+        warm = prolongate(solve_level(inst, 1, 2.0).u, 2)
+        out = solve_level(inst, 2, 2.0, warm=warm)
         assert out.search.converged and out.search.residual_sup <= inst.tol
-        assert len(searches) == 1
+        assert len(searches) == 2 and out.start == "coarser"
         assert flags and all(flags)
 
     def test_local_T_applied_once_per_residual(self, monkeypatch):
@@ -698,10 +687,51 @@ class TestSolveLevel:
 
         for name, fn in zip(counts, (apply, assemble_residual, assemble_jacobian)):
             monkeypatch.setattr(f"competefem.solver.{name}", counting(name, fn))
+        warm = None  # each level also starts from the coarser zero, as in a run
         for n in range(1, 4):
-            assert solve_level(inst, n, 2.0).search.converged
+            out = solve_level(inst, n, 2.0, warm=warm)
+            assert out.search.converged
+            warm = prolongate(out.u, min(n + 1, 3))
         assert counts["assemble_jacobian"] > 0
         assert counts["apply_operator"] == counts["assemble_residual"]
+
+
+class TestLevelEnergy:
+    @pytest.mark.parametrize("T", [Identity(), BoundaryLift(a=0.1, ax=0.2, ay=-0.1, b=0.05)],
+                             ids=["identity", "lift"])
+    @pytest.mark.parametrize("domain,level", [("interval", 3), ("unit_square", 3)])
+    def test_gradient_is_the_residual(self, domain, level, T):
+        # central differences of E against the residual at a random iterate
+        mesh = interval_mesh(0.0, 1.0, 4) if domain == "interval" else unit_square_mesh()
+        if domain == "interval":
+            T = T if isinstance(T, Identity) else BoundaryLift(a=0.1, b=0.05)
+        prob = make_instance(build_hierarchy(mesh, level), T=T).at(level)
+        assert (prob.lift is None) == isinstance(T, Identity)
+        c = 0.3 * np.random.default_rng(7).standard_normal(prob.lvl.n_free)
+        energy, step = prob.energy, 1e-6
+        basis = np.eye(c.size)
+        slope = [(energy(c + step * e) - energy(c - step * e)) / (2.0 * step) for e in basis]
+        residual = prob.residual(c)[0]
+        np.testing.assert_allclose(slope, residual, rtol=0, atol=1e-7 * np.abs(residual).max())
+
+    def test_no_energy_when_f_reads_T(self, unit_hierarchy):
+        inst = make_instance(unit_hierarchy, "manufactured_plus_power",
+                             {"a1": 0.05, "a2": 0.0, "alpha": 2.0, "beta": 2.0})
+        assert inst.convection.solution_dependent and inst.at(2).energy is None
+        assert make_instance(unit_hierarchy).at(2).energy is not None
+
+    def test_a_level_without_energy_fails_at_once(self, unit_hierarchy):
+        # the boundary-lift level 2 from the guess alone: Newton stalls, and
+        # with f reading T(u) there is no energy to descend, so the search
+        # ends after its one Newton run
+        inst = make_instance(
+            unit_hierarchy, "manufactured_plus_power",
+            {"a1": 0.05, "a2": 0.05, "alpha": 2.0, "beta": 2.0}, T=BoundaryLift(a=0.1, b=0.05),
+            guess=lambda x: x * (1 - x),
+        )
+        out = solve_level(inst, 2, 2.0)
+        assert out.search.path == "failed" and out.start is None
+        assert out.search.newton_iters <= MAX_NEWTON  # the identity homotopy took 186
 
 
 def _record_searches(monkeypatch):
