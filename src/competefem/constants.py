@@ -56,6 +56,7 @@ from scipy.sparse.linalg import splu
 from .discretization import (
     SpaceHierarchy,
     _column_dots,
+    _finite,
     _grad_force,
     _grad_integral,
     _gradients,
@@ -415,10 +416,11 @@ class HypothesisReport:
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "value": self.value,
-            "margin": self.margin,
+            "value": _finite(self.value),
+            "margin": _finite(self.margin),
             "pass": self.passed,
-            "constants": dict(self.constants),
+            "constants": {**self.constants, "K1": _finite(self.constants["K1"]),
+                          "K2": _finite(self.constants["K2"])},
         }
 
 

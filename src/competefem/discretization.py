@@ -392,6 +392,11 @@ def _value_load(lvl: Level, vals: np.ndarray, r: float) -> np.ndarray:
     return lvl.qp_op_t @ (lvl.qp_weights.reshape(-1, 1) * integrand)
 
 
+def _finite(x) -> float | None:
+    """x as a report float; None for None and for NaN or inf, which strict JSON lacks."""
+    return None if x is None or not np.isfinite(x) else float(x)
+
+
 # ---------------------------------------------------------------------------
 # the Jacobian pattern of a level and the forms that fill it
 # ---------------------------------------------------------------------------

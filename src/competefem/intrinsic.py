@@ -46,6 +46,7 @@ from .discretization import (
     NodalSamples,
     QuadratureSamples,
     SpaceHierarchy,
+    _finite,
     _grad_integral,
     _value_integral,
     nodal_samples,
@@ -317,9 +318,9 @@ class IntrinsicCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "K1": self.value_coeff,
-            "K2": self.grad_coeff,
-            "K3": self.offset,
+            "K1": _finite(self.value_coeff),
+            "K2": _finite(self.grad_coeff),
+            "K3": _finite(self.offset),
             "alpha": self.alpha,
             "beta": self.beta,
             "provenance": self.provenance,
@@ -367,6 +368,7 @@ def certificate(
     lift case also needs a hierarchy to measure the norms of u0, and the
     convolution case the whole-space constant S_space.  The lift and
     convolution certificates carry the factors of K1 and K2 in ``factors``.
+    A constant that overflows a float is inf, never an exception.
     """
     violated = certificate_rule(T.kind, p, alpha, beta)
     if violated is not None:
@@ -388,8 +390,10 @@ def certificate(
             raise ValueError("boundary_lift certificate needs a hierarchy to measure u0")
         u0 = lift_on(T, hierarchy, hierarchy.n_levels)
         pc, lvl = constants.p_crit, hierarchy.level(u0.level)
-        u0_val = float(_value_integral(lvl.qp_weights, u0.values.reshape(-1, 1), pc)[0] ** (1 / pc))
-        u0_grad = float(_grad_integral(lvl, u0.gradients, p)[0] ** (1 / p))
+        with np.errstate(over="ignore"):  # a u0 too large for a float gives K3 = inf
+            u0_val = float(_value_integral(lvl.qp_weights, u0.values.reshape(-1, 1), pc)[0]
+                           ** (1 / pc))
+            u0_grad = float(_grad_integral(lvl, u0.gradients, p)[0] ** (1 / p))
         s_crit = constants.S(pc)
         return IntrinsicCertificate(
             value_coeff=m * s_crit ** (p - 1.0),
@@ -405,9 +409,13 @@ def certificate(
         raise ConstantLookupError("no whole-space constant S_space available")
     n_dim = constants.n_dim
     l1 = float(T.scale)
+    try:
+        l1_power = l1 ** (p - 1.0)
+    except OverflowError:  # a kernel mass whose power exceeds a float: K1 = K2 = inf
+        l1_power = math.inf
     return IntrinsicCertificate(
-        value_coeff=constants.s_space ** (p - 1.0) * n_dim ** (p - 1.0) * l1 ** (p - 1.0),
-        grad_coeff=n_dim ** (p - 1.0) * l1 ** (p - 1.0),
+        value_coeff=constants.s_space ** (p - 1.0) * n_dim ** (p - 1.0) * l1_power,
+        grad_coeff=n_dim ** (p - 1.0) * l1_power,
         offset=0.0,
         alpha=alpha,
         beta=beta,

@@ -16,11 +16,11 @@ offers in turn.  When every start stalls and f ignores T(u), the equation
 is the gradient of an energy whose minimiser inside the ball is a zero
 (the direct method), so the search descends it and Newton finishes; any
 other level fails at once.  Every Jacobian of a search is data on the one
-pattern the search is given, so the symbolic work of a Newton step (the
-band ordering of the normal equations and where each product lands) is
-done once per search and each iteration only computes numbers.  Failures
-are reported with the best iterate and the residual history, never
-silently.
+pattern the search is given, so one plan per search owns the linear
+algebra: it orders the normal equations and places each product in their
+band once, and every Newton iteration and descent step only fills and
+solves them.  Failures are reported with the best iterate and the
+residual history, never silently.
 
 A sphere-sampling certificate documents that the nonnegativity hypothesis
 held at the radius actually used, so a zero exists even if the solver were
@@ -51,7 +51,8 @@ from .constants import (
     smallness_pairings,
 )
 from .discretization import (FEFunction, Level, NodalSamples, SpaceHierarchy, _column_dots,
-                             _grad_integral, _gradients, grad_norm_p, prolongate, sine_mode)
+                             _finite, _grad_integral, _gradients, grad_norm_p, prolongate,
+                             sine_mode)
 from .intrinsic import IntrinsicOperator, apply as apply_operator, certificate, lift_on
 from .operators import (
     ConvectionTerm,
@@ -102,34 +103,20 @@ def _sup(v: np.ndarray) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class NormalEquations:
-    """J^T J and -J^T r of one Jacobian, in a bandwidth-reducing order.
-
-    Every trial of one Newton iteration, lam = 0 included, solves from it.
-    ``band`` is the lower band of ``G[perm][:, perm]`` in LAPACK ``ab``
-    layout (main diagonal in the first row) and ``rhs`` is ``(-J^T r)[perm]``.
-    ``perm`` is the reverse Cuthill-McKee order of the pattern, shared by
-    every Jacobian on it.  The lower layout lets the factorisation update
-    unit-stride columns, which OpenBLAS runs without the thread hand-offs
-    that made the strided upper layout 5 to 40 times slower at a
-    half-bandwidth of 30 (two-thread OpenBLAS on a 2-vCPU host).
-    """
-
-    band: np.ndarray
-    rhs: np.ndarray
-    perm: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class _NormalPlan:
-    """The symbolic part of the normal equations of one square CSR pattern of J.
+    """The normal equations of one square CSR pattern of J: ordered once, then filled and solved.
 
     ``perm`` is the reverse Cuthill-McKee order of the pattern of J^T J.
     Each pair of stored entries of one row of J whose product lands in the
     lower band has data positions ``a`` and ``b`` and the flat band
     position ``slot``; pairs come row by row, so each band entry sums its
     products in row order.  ``rows`` and ``cols`` give every stored entry's
-    row and its column in the new order.
+    row and its column in the new order.  The band is the lower band of
+    ``G[perm][:, perm]`` in LAPACK ``ab`` layout (main diagonal in the first
+    row).  The lower layout lets the factorisation update unit-stride
+    columns, which OpenBLAS runs without the thread hand-offs that made the
+    strided upper layout 5 to 40 times slower at a half-bandwidth of 30
+    (two-thread OpenBLAS on a 2-vCPU host).
     """
 
     perm: np.ndarray
@@ -140,66 +127,62 @@ class _NormalPlan:
     rows: np.ndarray
     cols: np.ndarray
 
+    @classmethod
+    def of(cls, pattern) -> "_NormalPlan":
+        """The plan of a square CSR pattern: anything with ``indptr`` and ``indices``."""
+        indptr, indices = pattern.indptr, pattern.indices
+        n = len(indptr) - 1
+        counts = np.diff(indptr)
+        rows = np.repeat(np.arange(n), counts)
+        ones = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        gram = (ones.T @ ones).tocsc()  # ones cannot cancel, so this is J^T J's pattern
+        gram.sort_indices()  # so the ordering depends on the pattern alone
+        perm = reverse_cuthill_mckee(gram, symmetric_mode=True)
+        inv = np.empty(n, dtype=np.intp)
+        inv[perm] = np.arange(n)
+        # every ordered pair (a, b) of entries of one row, row by row
+        per_entry = counts[rows]
+        a = np.repeat(np.arange(len(indices)), per_entry)
+        first = np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
+        b = indptr[rows[a]] + np.arange(a.size) - first
+        i, j = inv[indices[a]], inv[indices[b]]
+        lower = i >= j
+        i, j = i[lower], j[lower]
+        return cls(perm=perm, width=int(np.max(i - j)) if i.size else 0,
+                   a=a[lower], b=b[lower], slot=(i - j) * n + j,
+                   rows=rows, cols=inv[indices])
 
-def _normal_plan(pattern) -> _NormalPlan:
-    """The plan of a square CSR pattern: anything with ``indptr`` and ``indices``."""
-    indptr, indices = pattern.indptr, pattern.indices
-    n = len(indptr) - 1
-    counts = np.diff(indptr)
-    rows = np.repeat(np.arange(n), counts)
-    ones = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    gram = (ones.T @ ones).tocsc()  # ones cannot cancel, so this is J^T J's pattern
-    gram.sort_indices()  # so the ordering depends on the pattern alone
-    perm = reverse_cuthill_mckee(gram, symmetric_mode=True)
-    inv = np.empty(n, dtype=np.intp)
-    inv[perm] = np.arange(n)
-    # every ordered pair (a, b) of entries of one row, row by row
-    per_entry = counts[rows]
-    a = np.repeat(np.arange(len(indices)), per_entry)
-    first = np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
-    b = indptr[rows[a]] + np.arange(a.size) - first
-    i, j = inv[indices[a]], inv[indices[b]]
-    lower = i >= j
-    i, j = i[lower], j[lower]
-    return _NormalPlan(
-        perm=perm, width=int(np.max(i - j)) if i.size else 0,
-        a=a[lower], b=b[lower], slot=(i - j) * n + j,
-        rows=rows, cols=inv[indices],
-    )
+    def fill(self, data: np.ndarray, r) -> tuple:
+        """``(band, rhs)``: J^T J's band and ``(-J^T r)[perm]`` from J's ``data`` on the pattern.
 
+        Only numbers are computed here, each sum in the order of J's rows
+        (``bincount`` of no terms gives integers, hence the casts).  Data of
+        another length than the pattern's raises ``ValueError``.
+        """
+        if len(data) != len(self.rows):
+            raise ValueError(f"a Jacobian has {len(data)} entries, its pattern "
+                             f"{len(self.rows)}")
+        n = self.perm.size
+        band = np.bincount(self.slot, data[self.a] * data[self.b],
+                           minlength=(self.width + 1) * n).astype(float, copy=False)
+        rhs = np.bincount(self.cols, data * np.asarray(r)[self.rows],
+                          minlength=n).astype(float, copy=False)
+        return band.reshape(self.width + 1, n), -rhs
 
-def _normal_equations(plan: _NormalPlan, data: np.ndarray, r) -> NormalEquations:
-    """Fill J^T J and -J^T r from J's ``data`` on the plan's pattern, for banded Cholesky.
-
-    Only numbers are computed here: the ordering, the pairs of entries and
-    their band positions come from the plan.  The band sums its products in
-    the order of J's rows.
-    """
-    n = plan.perm.size
-    band = _sums(plan.slot, data[plan.a] * data[plan.b], (plan.width + 1) * n)
-    rhs = -_sums(plan.cols, data * np.asarray(r)[plan.rows], n)
-    return NormalEquations(band.reshape(plan.width + 1, n), rhs, plan.perm)
-
-
-def _sums(slots, terms, length) -> np.ndarray:
-    """The terms summed at each slot in order; ``bincount`` of no terms gives integers."""
-    return np.bincount(slots, terms, minlength=length).astype(float, copy=False)
-
-
-def _levenberg_step(normal: NormalEquations, lam):
-    """Solve (J^T J + lam I) dx = -J^T r by banded Cholesky; None if it fails."""
-    band = normal.band.copy()
-    band[0] += lam
-    try:
-        y = solveh_banded(band, normal.rhs, overwrite_ab=True, lower=True,
-                          check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(y)):
-        return None
-    dx = np.empty_like(y)
-    dx[normal.perm] = y
-    return dx
+    def step(self, normal: tuple, lam):
+        """dx of (J^T J + lam I) dx = -J^T r from ``fill``'s pair by banded Cholesky, or None."""
+        band = normal[0].copy()
+        band[0] += lam
+        try:
+            y = solveh_banded(band, normal[1], overwrite_ab=True, lower=True,
+                              check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(y)):
+            return None
+        dx = np.empty_like(y)
+        dx[self.perm] = y
+        return dx
 
 
 def brouwer_zero(
@@ -241,20 +224,13 @@ def brouwer_zero(
     history = []
     if starts.shape[1] == 0:
         return BrouwerResult(starts[0], starts[0], True, 0, history, "empty system", 0)
-    plan = _normal_plan(pattern)
+    plan = _NormalPlan.of(pattern)
 
     def project(v):
         n = norm(v)
         if n > R and n > 0:
             return v * (R / n)
         return v
-
-    def normal_equations(jacobian, fx):
-        data = jacobian()
-        if len(data) != len(plan.rows):
-            raise ValueError(f"a Jacobian has {len(data)} entries, its pattern "
-                             f"{len(plan.rows)}")
-        return _normal_equations(plan, data, fx)
 
     def newton_solve(x):
         """Levenberg-damped Newton on F from x.
@@ -274,12 +250,12 @@ def brouwer_zero(
             if res <= tol:
                 return x, fx, True, iters
             iters += 1
-            normal = normal_equations(jx, fx)
+            normal = plan.fill(jx(), fx)
             scale = 1.0 + phi
             accepted = None
             # a NaN residual never lets lam reach its cap; this bound stops it
             for _ in range(60):
-                dx = _levenberg_step(normal, lam)
+                dx = plan.step(normal, lam)
                 if dx is not None:
                     cand = project(x + dx)
                     fc, jc = F(cand)
@@ -306,7 +282,7 @@ def brouwer_zero(
             history.append(_sup(fx))
             if history[-1] <= tol:
                 return x, step
-            d = _levenberg_step(normal_equations(jx, fx), 0.0)
+            d = plan.step(plan.fill(jx(), fx), 0.0)
             if d is None or not float(fx @ d) < 0.0:
                 solve = solve or (metric() if metric is not None else np.asarray)
                 d = -solve(fx)
@@ -507,11 +483,6 @@ class LevelSolve:
         }
 
 
-def _finite(x) -> Optional[float]:
-    """x as a report float; None for None and for NaN or inf, which strict JSON lacks."""
-    return None if x is None or not np.isfinite(x) else float(x)
-
-
 def solve_level(
     inst: ProblemInstance,
     n: int,
@@ -651,7 +622,7 @@ class SolveReport:
             "message": self.message,
             "seed": self.seed,
             "R": self.radius,
-            "kappa": self.kappa,
+            "kappa": _finite(self.kappa),
             "c0": _finite(self.c0),  # an overflowing c0 stops the run
             "config": self.config,
             "constants": None if self.constants is None else self.constants.to_json_dict(),

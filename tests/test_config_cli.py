@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from competefem.cli import main
-from competefem.solver import _levenberg_step
+from competefem.solver import _NormalPlan
 from competefem.config import (
     ConfigError,
     build_instance,
@@ -22,6 +22,7 @@ from competefem.config import (
 from oracles import read_report
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+REPRODUCERS = Path(__file__).resolve().parent / "reproducers"
 
 MINIMAL = {
     "domain": {"kind": "interval", "a": 0.0, "b": 1.0, "elements": 4},
@@ -236,10 +237,7 @@ _NO_FLOAT_RADIUS = (r"hypothesis failed: the safeguard radius R overflows a floa
                     r"kappa = \S+ and c0 = \S+ \(p = 3.0, q = 2.0\)\n")
 # hugeR: readme-1d whose weight near the largest float gives R = 5.4e153, on
 # whose sphere every pairing overflows to NaN or inf
-HUGE_R = {**json.loads((WORKLOADS / "readme-1d.json").read_text()),
-          "levels": 2, "sphere_samples": 10,
-          "f": {"kind": "manufactured_p3q2",
-                "envelope": {"r": 1, "sigma": {"kind": "constant", "c": 1e308}}}}
+HUGE_R = json.loads((REPRODUCERS / "hugeR.json").read_text())
 _SPHERE_FAILED = (r"hypothesis failed: the sphere condition failed on level 1: "
                   r"10 of 10 pairings <A\(v\), v> are negative or not finite\n")
 # outcome -> (config, exit code, stdout of solve, stdout of study), stdouts as patterns
@@ -858,12 +856,13 @@ class TestCli:
 
     def test_square_solve_runs_banded_levenberg_trials(self, tmp_path, monkeypatch):
         widths = []
+        step = _NormalPlan.step
 
-        def counting_step(normal, lam):
-            widths.append(normal.band.shape[0] - 1)
-            return _levenberg_step(normal, lam)
+        def counting_step(plan, normal, lam):
+            widths.append(normal[0].shape[0] - 1)
+            return step(plan, normal, lam)
 
-        monkeypatch.setattr("competefem.solver._levenberg_step", counting_step)
+        monkeypatch.setattr(_NormalPlan, "step", counting_step)
         cfg = write_config(tmp_path, SQUARE_CLI)
         assert main(["solve", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
         assert widths and max(widths) > 1
@@ -945,6 +944,31 @@ class TestCli:
         [level] = report["levels"]
         assert level["converged"] and level["sphere_negative"] == 10
         assert level["sphere_margin"] is level["sphere_q05"] is level["sphere_median"] is None
+
+    @pytest.mark.parametrize("row,check_code", [("lift_huge", 0), ("conv_scale_huge", 2)])
+    def test_overflowing_certificate_ends_in_a_report(self, tmp_path, row, check_code):
+        # lift_huge's K3 is inf, which strict JSON refused; conv_scale_huge's
+        # kernel mass 1e200 raised OverflowError in the certificate; both
+        # commands once exited 1 with a traceback and no report
+        config, out = str(REPRODUCERS / f"{row}.json"), tmp_path / "out"
+        assert main(["check", config, "--out-dir", str(out)]) == check_code
+        checked = read_report(out / "hypothesis_report.json")
+        assert main(["solve", config, "--out-dir", str(out), "--seed", "11"]) == 2
+        report = read_report(out / "solve_report.json")
+        assert report["status"] == "hypothesis_failed" and report["levels"] == []
+        assert report["R"] is None and checked["certificate"] == report["certificate"]
+        assert checked["reports"] == report["hypothesis"]
+        cert = report["certificate"]
+        if row == "lift_huge":
+            assert cert["K3"] is None and cert["K1"] > 0 and cert["K2"] > 0
+            assert checked["all_pass"] and report["c0"] is None
+            assert report["message"].startswith("the safeguard radius R overflows a float")
+        else:
+            assert cert["K1"] is cert["K2"] is None and report["kappa"] is None
+            assert not any(r["pass"] for r in report["hypothesis"])
+            for r in report["hypothesis"]:
+                assert r["value"] is r["margin"] is None
+                assert r["constants"]["K1"] is r["constants"]["K2"] is None
 
     def test_overflowing_radius_ends_in_a_report(self, tmp_path, capsys):
         # kappa is about 0.9 < 1, so every check passes, and R is near 10^1000;

@@ -33,9 +33,7 @@ from competefem.operators import assemble_jacobian, assemble_residual, convectio
 from competefem.solver import (
     MAX_NEWTON,
     ProblemInstance,
-    _levenberg_step,
-    _normal_equations,
-    _normal_plan,
+    _NormalPlan,
     brouwer_zero,
     constants_and_hypotheses,
     convergence_diagnostics,
@@ -97,8 +95,15 @@ def cubic_energy(v):
 
 
 def _normal(J, r):
-    """The normal equations of the CSR matrix J, planned on its own pattern."""
-    return _normal_equations(_normal_plan(J), J.data, r)
+    """The plan of the CSR matrix J's own pattern and J's normal equations filled on it."""
+    plan = _NormalPlan.of(J)
+    return plan, plan.fill(J.data, r)
+
+
+def _step(J, r, lam):
+    """The Levenberg step of the CSR matrix J and the residual r, planned on J's pattern."""
+    plan, normal = _normal(J, r)
+    return plan.step(normal, lam)
 
 
 class TestBrouwerZero:
@@ -290,7 +295,7 @@ class TestNewtonFallback:
     @pytest.mark.parametrize("stored", [full_csr, sp.csr_matrix], ids=["dense", "sparse"])
     def test_levenberg_step_is_finite(self, stored):
         lam = 1e-10
-        dx = _levenberg_step(_normal(stored(self.J), self.rhs), lam)
+        dx = _step(stored(self.J), self.rhs, lam)
         assert dx is not None and np.all(np.isfinite(dx))
         normal = self.J.T @ self.J + lam * np.eye(3)
         np.testing.assert_allclose(normal @ dx, -self.J.T @ self.rhs, atol=1e-8)
@@ -301,7 +306,7 @@ class TestNewtonFallback:
         # pattern's order its Cholesky factor meets an exact zero pivot
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _levenberg_step(_normal(stored(self.J), self.rhs), 0.0) is None
+            assert _step(stored(self.J), self.rhs, 0.0) is None
 
 
 def _galerkin_jacobian(domain, level, kind, seed=5):
@@ -320,36 +325,33 @@ def _galerkin_jacobian(domain, level, kind, seed=5):
 
 class TestLevenbergStep:
     @pytest.mark.parametrize("lam", [1e-8, 1.0, 1e4])
-    @pytest.mark.parametrize("t", [1.0, 0.5], ids=["full", "blend"])
     @pytest.mark.parametrize("kind", ["constant", "manufactured_plus_power"],
                              ids=["symmetric", "nonsymmetric"])
     @pytest.mark.parametrize("domain,level", [("interval", 6), ("unit_square", 4)],
                              ids=["interval-L6", "square-L4"])
-    def test_backward_error_against_dense_solve(self, domain, level, kind, t, lam):
+    def test_backward_error_against_dense_solve(self, domain, level, kind, lam):
         J, r = _galerkin_jacobian(domain, level, kind)
         Jd = J.toarray()
         asymmetry = np.abs(Jd - Jd.T).max() / np.abs(Jd).max()
         assert (asymmetry < 1e-14) == (kind == "constant")
-        Jt = J if t == 1.0 else (t * J + (1.0 - t) * sp.identity(J.shape[0])).tocsr()
-        Jtd = Jt.toarray()
-        A = Jtd.T @ Jtd + lam * np.eye(len(r))
-        b = -Jtd.T @ r
+        A = Jd.T @ Jd + lam * np.eye(len(r))
+        b = -Jd.T @ r
 
         def backward_error(dx):
             return (np.linalg.norm(A @ dx - b)
                     / (np.linalg.norm(A, 2) * np.linalg.norm(dx) + np.linalg.norm(b)))
 
-        dx = _levenberg_step(_normal(Jt, r), lam)
+        dx = _step(J, r, lam)
         assert dx is not None
         assert backward_error(dx) <= 1e-13
         assert backward_error(np.linalg.solve(A, b)) <= 1e-13
 
     def test_band_is_narrow_in_two_dimensions(self):
         J, r = _galerkin_jacobian("unit_square", 4, "constant")
-        normal = _normal(J, r)
+        plan, (band, _) = _normal(J, r)
         natural = J.T @ J
         rows, cols = natural.nonzero()
-        assert 1 < normal.band.shape[0] - 1 < int(np.max(np.abs(rows - cols)))
+        assert 1 < band.shape[0] - 1 == plan.width < int(np.max(np.abs(rows - cols)))
 
     def test_nonsingular_linear_map_takes_one_undamped_step(self, monkeypatch):
         # the Newton step is the lam = 0 Cholesky step of the normal equations
@@ -357,16 +359,18 @@ class TestLevenbergStep:
         b = np.array([1.0, -2.0, 0.5])
         normals, lams = [], []
 
-        def counting_normal(plan, data, r):
+        fill, step = _NormalPlan.fill, _NormalPlan.step
+
+        def counting_fill(plan, data, r):
             normals.append(1)
-            return _normal_equations(plan, data, r)
+            return fill(plan, data, r)
 
-        def counting_step(normal, lam):
+        def counting_step(plan, normal, lam):
             lams.append(lam)
-            return _levenberg_step(normal, lam)
+            return step(plan, normal, lam)
 
-        monkeypatch.setattr("competefem.solver._normal_equations", counting_normal)
-        monkeypatch.setattr("competefem.solver._levenberg_step", counting_step)
+        monkeypatch.setattr(_NormalPlan, "fill", counting_fill)
+        monkeypatch.setattr(_NormalPlan, "step", counting_step)
         res = search(lambda v: A @ v - b, lambda v: A, 10.0, np.zeros(3))
         assert res.path == "newton" and res.newton_iters == 1
         assert len(normals) == 1 and lams == [0.0]
@@ -381,12 +385,13 @@ class TestLevenbergStep:
             "p": 3.0, "q": 2.0, "levels": 11, "f": {"kind": "manufactured_p3q2"},
         }))
         lams = []
+        step = _NormalPlan.step
 
-        def recording(normal, lam):
+        def recording(plan, normal, lam):
             lams.append(lam)
-            return _levenberg_step(normal, lam)
+            return step(plan, normal, lam)
 
-        monkeypatch.setattr("competefem.solver._levenberg_step", recording)
+        monkeypatch.setattr(_NormalPlan, "step", recording)
         out = solve_level(inst, 11, 1.5)
         assert out.search.converged and out.search.path == "newton"
         assert len(lams) == out.search.newton_iters and set(lams) == {0.0}
@@ -401,9 +406,10 @@ class TestLevenbergStep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name, fn in (("jacobian", assemble_jacobian), ("normal", _normal_equations),
-                         ("damped", _levenberg_step)):
-            monkeypatch.setattr(f"competefem.solver.{fn.__name__}", counting(name, fn))
+        monkeypatch.setattr("competefem.solver.assemble_jacobian",
+                            counting("jacobian", assemble_jacobian))
+        monkeypatch.setattr(_NormalPlan, "fill", counting("normal", _NormalPlan.fill))
+        monkeypatch.setattr(_NormalPlan, "step", counting("damped", _NormalPlan.step))
         out = solve_level(make_instance(unit_hierarchy, "constant", {"c": 1.0}), 1, 2.0)
         assert out.search.converged and out.search.path == "energy"
         assert counts["damped"] > 0
@@ -421,17 +427,16 @@ class TestSymbolicPlan:
         with_zeros = sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape)
         without = sp.csr_matrix(with_zeros.toarray())
         assert without.nnz < with_zeros.nnz
-        a, b = _normal(with_zeros, r), _normal(without, r)
         G = without.T @ without
-        for normal in (a, b):
+        for plan, (band, rhs) in (_normal(with_zeros, r), _normal(without, r)):
             n = len(r)
             full = np.zeros((n, n))
-            for k in range(normal.band.shape[0]):
-                full[np.arange(k, n), np.arange(n - k)] = normal.band[k, :n - k]
+            for k in range(band.shape[0]):
+                full[np.arange(k, n), np.arange(n - k)] = band[k, :n - k]
             full = full + np.tril(full, -1).T
-            np.testing.assert_allclose(full, G.toarray()[np.ix_(normal.perm, normal.perm)],
+            np.testing.assert_allclose(full, G.toarray()[np.ix_(plan.perm, plan.perm)],
                                        rtol=1e-15, atol=0)
-            np.testing.assert_allclose(normal.rhs, -(without.T @ r)[normal.perm], rtol=1e-15)
+            np.testing.assert_allclose(rhs, -(without.T @ r)[plan.perm], rtol=1e-15)
 
     def test_ordering_is_computed_once_per_search(self, unit_hierarchy, monkeypatch):
         # a solve that descends the energy makes many Jacobians of one level,
