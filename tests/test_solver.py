@@ -325,23 +325,28 @@ def _galerkin_jacobian(domain, level, kind, seed=5):
 
 class TestLevenbergStep:
     @pytest.mark.parametrize("lam", [1e-8, 1.0, 1e4])
+    @pytest.mark.parametrize("t", [1.0, 0.5], ids=["full", "blend"])
     @pytest.mark.parametrize("kind", ["constant", "manufactured_plus_power"],
                              ids=["symmetric", "nonsymmetric"])
     @pytest.mark.parametrize("domain,level", [("interval", 6), ("unit_square", 4)],
                              ids=["interval-L6", "square-L4"])
-    def test_backward_error_against_dense_solve(self, domain, level, kind, lam):
+    def test_backward_error_against_dense_solve(self, domain, level, kind, t, lam):
+        # t < 1 solves for the blend t J + (1 - t) I, a second matrix on J's
+        # pattern whose diagonal is shifted
         J, r = _galerkin_jacobian(domain, level, kind)
         Jd = J.toarray()
         asymmetry = np.abs(Jd - Jd.T).max() / np.abs(Jd).max()
         assert (asymmetry < 1e-14) == (kind == "constant")
-        A = Jd.T @ Jd + lam * np.eye(len(r))
-        b = -Jd.T @ r
+        Jt = J if t == 1.0 else (t * J + (1.0 - t) * sp.identity(J.shape[0])).tocsr()
+        Jtd = Jt.toarray()
+        A = Jtd.T @ Jtd + lam * np.eye(len(r))
+        b = -Jtd.T @ r
 
         def backward_error(dx):
             return (np.linalg.norm(A @ dx - b)
                     / (np.linalg.norm(A, 2) * np.linalg.norm(dx) + np.linalg.norm(b)))
 
-        dx = _step(J, r, lam)
+        dx = _step(Jt, r, lam)
         assert dx is not None
         assert backward_error(dx) <= 1e-13
         assert backward_error(np.linalg.solve(A, b)) <= 1e-13
